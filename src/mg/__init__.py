@@ -7,6 +7,7 @@ bound arithmetic (bounds), and a floating-point cross-check solver (oracle).
 """
 
 from .bounds import (
+    MAX_GENUS,
     FibrationStats,
     InequalityCheck,
     admissible_self_intersection,
@@ -31,6 +32,7 @@ from .closedforms import (
     segment_invariants,
 )
 from .errors import (
+    BadDelta,
     BadRational,
     ConstancyViolation,
     DanglingEndpoint,
@@ -39,6 +41,7 @@ from .errors import (
     Disconnected,
     EdgeNotFound,
     Error,
+    GenusTooLarge,
     GenusTooSmall,
     InputError,
     NoBoundWarning,
@@ -96,7 +99,6 @@ from .green import (
     e_via_basepoint,
     green_eval,
     green_system,
-    measure_integral,
 )
 from .oracle import (
     convergence_report,

@@ -12,10 +12,28 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GenusTooSmall, NoBoundWarning, RegimeUnspecified, SizeMismatch
+from .errors import (
+    BadDelta,
+    GenusTooLarge,
+    GenusTooSmall,
+    NoBoundWarning,
+    RegimeUnspecified,
+    SizeMismatch,
+)
+
+# Largest genus accepted.  A delta vector has g // 2 + 1 entries, so a genus
+# read from input would otherwise size an unbounded allocation.
+MAX_GENUS = 10_000
+
+
+def check_genus(g: int) -> None:
+    """Raise GenusTooLarge when g exceeds MAX_GENUS."""
+    if g > MAX_GENUS:
+        raise GenusTooLarge(f"genus {g} exceeds the limit {MAX_GENUS}")
 
 
 def _check_delta(g: int, delta) -> list[Fraction]:
+    check_genus(g)
     if g < 2:
         raise GenusTooSmall(f"genus {g} < 2")
     delta = [Fraction(x) for x in delta]
@@ -40,9 +58,9 @@ class FibrationStats:
         self.lambda_deg = Fraction(self.lambda_deg)
         self.delta = tuple(_check_delta(self.g, self.delta))
         if any(d < 0 for d in self.delta):
-            raise ValueError("delta entries must be nonnegative")
+            raise BadDelta("delta entries must be nonnegative")
         if self.smooth and any(self.delta):
-            raise ValueError("a smooth fibration has no nodes")
+            raise BadDelta("a smooth fibration has no nodes")
 
 
 @dataclass

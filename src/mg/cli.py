@@ -22,6 +22,7 @@ from . import fibers as fibers_mod
 from . import oracle as oracle_mod
 from .errors import InputError, PreconditionError, UnknownVertex
 from .fileformat import parse_fiber_file, parse_graph_file, parse_rational
+from .graphs import as_point
 from .green import e_invariant, green_system
 from .resistance import effective_resistance
 
@@ -141,34 +142,20 @@ def _cmd_green(args) -> Report:
     return rep
 
 
-def _original_edge(edge_id):
-    while isinstance(edge_id, tuple) and edge_id and edge_id[0] == "split":
-        edge_id = edge_id[1]
-    return edge_id
-
-
 def _cmd_measure(args) -> Report:
     graph, names, divisor = parse_graph_file(Path(args.file).read_text())
-    system = green_system(graph, divisor)
-    mu = system.measure
+    mu = green_system(graph, divisor).measure
     rep = Report("measure", {"file": args.file})
     rep.value("mass", mu.total_mass())
     labels = {}
     for name, p in names.items():
-        sp = system._to_solver(p)
-        if sp.is_vertex:
-            labels.setdefault(sp.vertex, name)
-    for v in mu.graph.vertex_list:
-        label = labels.get(v) or str(v)
-        rep.value("atom", mu.atoms.get(v, Fraction(0)), label=f"atom {label}",
-                  extra={"site": label})
-    by_edge: dict[str, Fraction] = {}
-    for e in mu.graph.edges:
-        root = str(_original_edge(e.id))
-        by_edge.setdefault(root, mu.densities.get(e.id, Fraction(0)))
-    for root in by_edge:
-        rep.value("density", by_edge[root], label=f"density {root}",
-                  extra={"site": root})
+        labels.setdefault(p, name)
+    for site, atom in mu.atoms.items():
+        label = labels.get(as_point(site)) or str(site)
+        rep.value("atom", atom, label=f"atom {label}", extra={"site": label})
+    for e in graph.edges:
+        rep.value("density", mu.density(e.id), label=f"density {e.id}",
+                  extra={"site": str(e.id)})
     return rep
 
 
@@ -200,6 +187,7 @@ def _parse_delta(raw: str, g: int):
 
 def _cmd_bounds(args) -> Report:
     g = args.genus
+    bounds_mod.check_genus(g)
     delta = _parse_delta(args.delta, g)
     lam = parse_rational(args.lambda_deg) if args.lambda_deg is not None else Fraction(0)
     stats = bounds_mod.FibrationStats(

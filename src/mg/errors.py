@@ -54,6 +54,15 @@ class BadRational(InputError):
     pass
 
 
+class BadDelta(InputError, ValueError):
+    """A delta vector with a negative entry, or with nodes on a smooth
+    fibration.  Also a ValueError, for callers that catch that."""
+
+
+class GenusTooLarge(InputError):
+    """A genus above `mg.bounds.MAX_GENUS`."""
+
+
 class SizeMismatch(InputError):
     pass
 

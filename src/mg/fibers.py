@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .bounds import check_genus
 from .errors import (
     Disconnected,
     GenusTooSmall,
@@ -102,11 +103,12 @@ def configuration_graph(cfg: FiberConfiguration) -> MetrizedGraph:
 
 def fiber_genus(cfg: FiberConfiguration) -> int:
     """Arithmetic genus: sum of component genera plus the configuration
-    graph's first Betti number.  Must be at least 2."""
+    graph's first Betti number.  Must be at least 2 and at most MAX_GENUS."""
     g = configuration_graph(cfg)
     if not g.is_connected():
         raise Disconnected("fiber configuration is not connected")
     total = sum(c.genus for c in cfg.components) + g.first_betti()
+    check_genus(total)
     if total < 2:
         raise GenusTooSmall(f"fiber has arithmetic genus {total} < 2")
     return total

@@ -15,13 +15,15 @@ Fiber files::
     component A genus 1
     node n1 A B           # node <name> <compA> <compB> [length <rational>]
 
-Rationals are written p/q or as integers; '#' starts a comment.  The
-serializers emit a sorted normal form, so serialize(parse(text)) is
-idempotent after the first round trip.
+Rationals are written p/q or as integers, with at most MAX_RATIONAL_DIGITS
+digits in each part; '#' starts a comment.  The serializers emit a sorted
+normal form, so serialize(parse(text)) is idempotent after the first round
+trip.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -38,11 +40,27 @@ GRAPH_HEADER = "metrized_graph"
 FIBER_HEADER = "fiber"
 
 
+# Digits allowed in a numerator or a denominator: enough for any length a
+# person writes, and it keeps a few bytes of input from naming a huge integer.
+MAX_RATIONAL_DIGITS = 40
+_RATIONAL = re.compile(
+    rf"-?[0-9]{{1,{MAX_RATIONAL_DIGITS}}}(?:/[0-9]{{1,{MAX_RATIONAL_DIGITS}}})?"
+)
+
+
 def parse_rational(token: str) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadRational(f"cannot parse {token!r} as a rational") from exc
+    """An integer or p/q, optionally negative, with at most
+    MAX_RATIONAL_DIGITS digits in each part; nothing else (no decimals,
+    exponents, underscores or spaces)."""
+    if _RATIONAL.fullmatch(token):
+        try:
+            return Fraction(token)
+        except ZeroDivisionError:
+            pass
+    raise BadRational(
+        f"cannot parse {token!r} as a rational (p/q or an integer, "
+        f"at most {MAX_RATIONAL_DIGITS} digits each)"
+    )
 
 
 def _logical_lines(text: str):

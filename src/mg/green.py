@@ -16,10 +16,13 @@ leaves both implicit):
   measure mu_can puts an atom 1 - valence(v)/2 at each vertex and constant
   density 1/(length + R_e) on each edge, R_e being the effective resistance
   between the edge's endpoints with the edge removed (bridge: density 0;
-  loop: density 1/length).
+  loop: density 1/length), which is (length - r_e)/length^2 by the
+  parallel law.
 
-Everything is exact: the only arithmetic is Fraction arithmetic, and the
-Green values are obtained from one rational elimination per source vertex.
+Everything is exact and comes from the graph's resistance kernel, one
+rational elimination per graph (`mg.resistance`), as g(x, y) = -r(x, y)/2 +
+(j(x) + j(y))/2 - c_mu with j(x) = integral r(x, z) dmu(z) and c_mu half the
+integral of j dmu (Chinburg-Rumely 1993; Baker-Rumely 2007).
 """
 
 from __future__ import annotations
@@ -27,21 +30,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import ConstancyViolation, DegreeMinusTwo
-from .graphs import (
-    GraphPoint,
-    MetrizedGraph,
-    RDivisor,
-    as_point,
-    subdivide_at,
-)
-from .resistance import effective_resistance, resistance_in_deleted_edge
+from .graphs import GraphPoint, MetrizedGraph, RDivisor
+from .resistance import ResistanceKernel, effective_resistance, resistance_kernel
 
 
 @dataclass
 class AdmissibleMeasure:
-    """Atoms at vertices plus a constant density per edge; total mass 1."""
+    """Atoms plus a constant density per edge; total mass 1.
+
+    Atoms at vertices are keyed by vertex id; an atom at an edge-interior
+    point (a divisor support point) is keyed by its GraphPoint.
+    """
 
     graph: MetrizedGraph
     atoms: dict
@@ -62,250 +62,164 @@ class AdmissibleMeasure:
 
 def canonical_measure(g: MetrizedGraph) -> AdmissibleMeasure:
     """The canonical probability measure of the graph (the D = 0 case)."""
-    g.validate()
+    densities = dict(resistance_kernel(g).density)
     atoms = {v: 1 - Fraction(g.valence(v), 2) for v in g.vertex_list}
-    densities = {}
-    for e in g.edges:
-        if e.is_loop():
-            densities[e.id] = 1 / e.length
-            continue
-        r = resistance_in_deleted_edge(g, e.id)
-        densities[e.id] = Fraction(0) if r is None else 1 / (e.length + r)
     return AdmissibleMeasure(g, atoms, densities)
 
 
-def _vertexify(g: MetrizedGraph, d: RDivisor):
-    """Subdivide until every divisor support point is a vertex.
-
-    Returns (graph, divisor, relocation from g to the new graph).
-    """
-    rel_total = lambda q: g.check_point(q)  # noqa: E731 - tiny closure chain
-    cur = g
-    d = d.relocate(g.check_point)
-    while True:
-        interior = [p for p in d.support() if not p.is_vertex]
-        if not interior:
-            return cur, d, rel_total
-        cur, _, rel = subdivide_at(cur, interior[0])
-        d = d.relocate(rel)
-        prev = rel_total
-        rel_total = lambda q, prev=prev, rel=rel: rel(prev(q))
-
-
 def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
-    """The measure mu_(G,D).
-
-    If D has interior support points the graph is subdivided first and the
-    returned measure lives on the subdivided graph (`measure.graph`).
-    """
+    """The measure mu_(G,D), on g itself: D's edge-interior support points
+    carry their atoms under their GraphPoint keys."""
     deg = d.degree()
     if deg == -2:
         raise DegreeMinusTwo("divisor has degree -2")
-    gs, ds, _ = _vertexify(g, d)
-    can = canonical_measure(gs)
+    d = d.relocate(g.check_point)
+    can = canonical_measure(g)
     scale = deg + 2
     atoms = {
-        v: (ds.coeff(GraphPoint.at_vertex(v)) + 2 * can.atoms[v]) / scale
-        for v in gs.vertex_list
+        v: (d.coeff(GraphPoint.at_vertex(v)) + 2 * a) / scale
+        for v, a in can.atoms.items()
     }
+    for p, a in d.items():
+        if not p.is_vertex:
+            atoms[p] = a / scale
     densities = {e: 2 * rho / scale for e, rho in can.densities.items()}
-    return AdmissibleMeasure(gs, atoms, densities)
+    return AdmissibleMeasure(g, atoms, densities)
 
 
-def measure_integral(measure: AdmissibleMeasure, values: dict) -> Fraction:
-    """Integral of a function against the measure, where the function takes
-    the given vertex values and is quadratic on each edge with second
-    derivative equal to that edge's density."""
-    total = Fraction(0)
-    for v, a in measure.atoms.items():
-        if a != 0:
-            total += a * values[v]
-    for e in measure.graph.edges:
-        rho = measure.densities.get(e.id, Fraction(0))
-        if rho == 0:
-            continue
-        l = e.length
-        total += rho * ((values[e.u] + values[e.v]) * l / 2 - rho * l**3 / 12)
-    return total
+class _Potential:
+    """x -> integral r(x, z) dnu(z), for nu made of atoms and a constant
+    density per edge, in closed form from its values at the vertices.
 
-
-def _green_columns(
-    graph: MetrizedGraph, measure: AdmissibleMeasure, xs=None
-) -> dict:
-    """Solve for the columns g(x, .) on vertices, for each x in xs.
-
-    The vertex flux conditions give L g = e_x - m with L the conductance
-    Laplacian and m_v = atom(v) + sum over edge-ends at v of rho*l/2 (loops
-    contribute both their ends).  One vertex is grounded and the solution is
-    shifted so that its integral against the measure vanishes.
+    For x at offset t inside an edge e of length l, r(x, z) is the chord of
+    r(., z) between e's ends plus t(l - t) rho_e, less 2 min(s, t)(l - max(s,
+    t))/l when z too lies inside e, at offset s (`mg.resistance`).
     """
-    verts = graph.vertex_list
-    if xs is None:
-        xs = verts
-    n = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
 
-    m = {v: measure.atom(v) for v in verts}
-    for e in graph.edges:
-        rho = measure.densities.get(e.id, Fraction(0))
-        if rho == 0:
-            continue
-        half = rho * e.length / 2
-        m[e.u] += half
-        m[e.v] += half
+    def __init__(self, kernel: ResistanceKernel, atoms: dict, densities: dict):
+        graph = self.graph = kernel.graph
+        self.kernel = kernel
+        self.densities = densities
+        self.inside: dict = {}  # edge id -> [(offset, atom)] inside the edge
+        # at a vertex w the potential is sum_v m_v r(w, v) + k: each atom
+        # spreads over the ends of its edge as r(., p) does, and a density
+        # puts rho*l/2 on both ends and adds rho*rho_e*l^3/6 (its t(l - t)
+        # rho_e term)
+        masses = [Fraction(0)] * len(kernel.index)
+        k = Fraction(0)
+        self.mass = Fraction(0)
+        for site, a in atoms.items():
+            p = graph.check_point(site)
+            if not p.is_vertex:
+                self.inside.setdefault(p.edge, []).append((p.offset, a))
+            weights, const = kernel.spread(p)
+            for i, w in weights:
+                masses[i] += a * w
+            k += a * const
+            self.mass += a
+        for e in graph.edges:
+            rho = densities.get(e.id, 0)
+            if rho:
+                half = rho * e.length / 2
+                masses[kernel.index[e.u]] += half
+                masses[kernel.index[e.v]] += half
+                k += rho * kernel.density[e.id] * e.length**3 / 6
+                self.mass += rho * e.length
+        self.at_vertex = [
+            k + sum(m * kernel.vertex_resistance(w, v) for v, m in enumerate(masses))
+            for w in range(len(masses))
+        ]
 
-    columns: dict = {}
-    if n == 1:
-        v0 = verts[0]
-        base = {v0: Fraction(0)}
-        shift = measure_integral(measure, base)
-        for x in xs:
-            columns[x] = {v0: -shift}
-        return columns
+    def _edge(self, e) -> tuple[Fraction, Fraction, Fraction]:
+        """The potential at e's ends, and the coefficient of t(l - t)."""
+        index = self.kernel.index
+        curv = self.kernel.density[e.id] * self.mass - self.densities.get(e.id, 0)
+        return self.at_vertex[index[e.u]], self.at_vertex[index[e.v]], curv
 
-    L = [[Fraction(0)] * n for _ in range(n)]
-    for e in graph.edges:
-        if e.is_loop():
-            continue
-        c = 1 / e.length
-        i, j = index[e.u], index[e.v]
-        L[i][i] += c
-        L[j][j] += c
-        L[i][j] -= c
-        L[j][i] -= c
+    def __call__(self, x: GraphPoint) -> Fraction:
+        """The potential at a point in the normal form of `check_point`."""
+        if x.is_vertex:
+            return self.at_vertex[self.kernel.index[x.vertex]]
+        e = self.graph.edge_by_id[x.edge]
+        l, t = e.length, x.offset
+        pu, pv, curv = self._edge(e)
+        value = ((l - t) * pu + t * pv) / l + t * (l - t) * curv
+        for s, a in self.inside.get(e.id, ()):
+            value -= 2 * a * min(s, t) * (l - max(s, t)) / l
+        return value
 
-    ground = verts[0]
-    free = verts[1:]
-    keep = [index[v] for v in free]
-    A = [[L[i][j] for j in keep] for i in keep]
-    rhs = []
-    for x in xs:
-        rhs.append([(Fraction(1) if v == x else Fraction(0)) - m[v] for v in free])
-    sols = linalg.solve_columns(A, rhs)
-    for x, sol in zip(xs, sols):
-        col = {ground: Fraction(0)}
-        col.update(zip(free, sol))
-        shift = measure_integral(measure, col)
-        columns[x] = {v: val - shift for v, val in col.items()}
-    return columns
-
-
-def _quad_eval(
-    graph: MetrizedGraph, measure: AdmissibleMeasure, col: dict, y: GraphPoint
-) -> Fraction:
-    """Evaluate the column at an edge-interior point via the per-edge
-    quadratic: values at the endpoints plus curvature = density."""
-    e = graph.edge_by_id[y.edge]
-    rho = measure.densities.get(e.id, Fraction(0))
-    l = e.length
-    gu, gv = col[e.u], col[e.v]
-    slope = (gv - gu) / l - rho * l / 2
-    t = y.offset
-    return gu + slope * t + rho * t * t / 2
+    def integral(self, mu: AdmissibleMeasure) -> Fraction:
+        """integral of the potential dmu, edge by edge from `__call__`'s
+        form: chord, quadratic and one tent per atom inside the edge."""
+        total = Fraction(0)
+        for site, a in mu.atoms.items():
+            total += a * self(self.graph.check_point(site))
+        for e in self.graph.edges:
+            rho = mu.density(e.id)
+            if not rho:
+                continue
+            l = e.length
+            pu, pv, curv = self._edge(e)
+            part = l * (pu + pv) / 2 + curv * l**3 / 6
+            for s, a in self.inside.get(e.id, ()):
+                part -= a * s * (l - s)
+            total += rho * part
+        return total
 
 
 class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
-    Construction subdivides so every divisor support point is a vertex and
-    solves one exact linear system per vertex.  Evaluation at edge-interior
-    source points subdivides on demand (results are cached); the constructed
-    system itself is never mutated beyond that cache, so concurrent reads
-    are safe.
+    Construction takes the graph's resistance kernel and the vertex values
+    of j and of r(D, .) = sum a_i r(P_i, .); every evaluation, g(D, y)
+    included, is then O(1) arithmetic plus a term per atom inside the edge
+    of an interior point.  Nothing is mutated after construction, so
+    concurrent reads are safe.
     """
 
-    def __init__(self, base_graph: MetrizedGraph, divisor: RDivisor):
+    def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
         deg = divisor.degree()
         if deg == -2:
             raise DegreeMinusTwo("divisor has degree -2")
-        base_graph.validate()
-        graph, d, rel = _vertexify(base_graph, divisor)
-        self.base_graph = base_graph
         self.graph = graph
-        self.divisor = d
+        self.divisor = divisor.relocate(graph.check_point)
         self.degree = deg
-        self._to_solver = rel
-        self.measure = admissible_measure(graph, d)
-        assert self.measure.graph is graph
+        self.measure = admissible_measure(graph, self.divisor)
         mass = self.measure.total_mass()
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
-        self._cols = _green_columns(graph, self.measure)
-        self._interior_cache: dict = {}
+        kernel = resistance_kernel(graph)
+        self._j = _Potential(kernel, self.measure.atoms, self.measure.densities)
+        self._c = self._j.integral(self.measure) / 2
+        self._r_d = _Potential(kernel, dict(self.divisor.items()), {})
+        self._j_d = sum((a * self._j(p) for p, a in self.divisor.items()), Fraction(0))
+
+    def _green(self, x: GraphPoint, y: GraphPoint) -> Fraction:
+        """g(x, y) for points in the normal form of `check_point`."""
+        r = self._j.kernel.resistance(x, y)
+        return (self._j(x) + self._j(y) - r) / 2 - self._c
 
     # -- evaluation ----------------------------------------------------
 
     def eval(self, x, y) -> Fraction:
-        """g(x, y) for points of the original (unsubdivided) graph."""
-        return self._eval_solver(
-            self._to_solver(as_point(x)), self._to_solver(as_point(y))
-        )
-
-    def _eval_solver(self, x: GraphPoint, y: GraphPoint) -> Fraction:
-        x = self.graph.check_point(x)
-        y = self.graph.check_point(y)
-        if not x.is_vertex and y.is_vertex:
-            x, y = y, x
-        if x.is_vertex:
-            col = self._cols[x.vertex]
-            if y.is_vertex:
-                return col[y.vertex]
-            return _quad_eval(self.graph, self.measure, col, y)
-        sub_graph, sub_measure, rel, w, col = self._interior(x)
-        y2 = rel(y)
-        if y2.is_vertex:
-            return col[y2.vertex]
-        return _quad_eval(sub_graph, sub_measure, col, y2)
-
-    def _interior(self, x: GraphPoint):
-        key = (x.edge, x.offset)
-        hit = self._interior_cache.get(key)
-        if hit is not None:
-            return hit
-        sub, w, rel = subdivide_at(self.graph, x)
-        rho = self.measure.densities.get(x.edge, Fraction(0))
-        densities = {}
-        for e in sub.edges:
-            if e.id in self.graph.edge_by_id:
-                densities[e.id] = self.measure.densities.get(e.id, Fraction(0))
-            else:
-                densities[e.id] = rho  # the two halves of x's edge
-        atoms = dict(self.measure.atoms)
-        atoms[w] = Fraction(0)
-        sub_measure = AdmissibleMeasure(sub, atoms, densities)
-        col = _green_columns(sub, sub_measure, [w])[w]
-        entry = (sub, sub_measure, rel, w, col)
-        self._interior_cache[key] = entry
-        return entry
+        """g(x, y) for points of the graph."""
+        return self._green(self.graph.check_point(x), self.graph.check_point(y))
 
     # -- derived quantities ---------------------------------------------
 
     def green_of_divisor(self, y) -> Fraction:
         """g(D, y) = sum of a_i g(P_i, y)."""
-        return self._green_of_divisor_solver(self._to_solver(as_point(y)))
-
-    def _green_of_divisor_solver(self, y: GraphPoint) -> Fraction:
         y = self.graph.check_point(y)
-        total = Fraction(0)
-        for p, a in self.divisor.items():
-            col = self._cols[p.vertex]
-            if y.is_vertex:
-                total += a * col[y.vertex]
-            else:
-                total += a * _quad_eval(self.graph, self.measure, col, y)
-        return total
+        return (self._j_d - self._r_d(y)) / 2 + self.degree * (self._j(y) / 2 - self._c)
 
     def green_diagonal(self, y) -> Fraction:
         return self.eval(y, y)
 
     def pairing_dd(self) -> Fraction:
-        """g(D, D) = sum over i, j of a_i a_j g(P_i, P_j)."""
-        items = self.divisor.items()
+        """g(D, D) = sum over i of a_i g(D, P_i)."""
         total = Fraction(0)
-        for p, a in items:
-            col = self._cols[p.vertex]
-            for q, b in items:
-                total += a * b * col[q.vertex]
+        for p, a in self.divisor.items():
+            total += a * self.green_of_divisor(p)
         return total
 
 
@@ -320,25 +234,30 @@ def green_eval(s: GreenSystem, x, y) -> Fraction:
 def constant_c(s: GreenSystem) -> Fraction:
     """The constant value of g(D, y) + g(y, y).
 
-    Constancy is verified at every vertex and at three interior samples per
-    edge (enough to determine the per-edge quadratic); any disagreement
-    raises ConstancyViolation.
+    Constancy is verified at every vertex, at every edge-interior point of
+    D, and at three interior samples of each piece into which those points
+    cut an edge (enough to determine the quadratic on the piece); any
+    disagreement raises ConstancyViolation.
     """
-    samples: list[tuple] = [(GraphPoint.at_vertex(v), v) for v in s.graph.vertex_list]
+    samples: list[GraphPoint] = [GraphPoint.at_vertex(v) for v in s.graph.vertex_list]
     for e in s.graph.edges:
-        for num in (1, 2, 3):
-            t = e.length * Fraction(num, 4)
-            samples.append((GraphPoint.on_edge(e.id, t), (e.id, num)))
+        cuts = sorted(t for t, _ in s._r_d.inside.get(e.id, ()))
+        ends = [Fraction(0), *cuts, e.length]
+        for a, b in zip(ends, ends[1:]):
+            if a:
+                samples.append(GraphPoint.on_edge(e.id, a))
+            for num in (1, 2, 3):
+                samples.append(GraphPoint.on_edge(e.id, a + (b - a) * Fraction(num, 4)))
 
     value = None
     where = None
-    for y, label in samples:
-        c = s._green_of_divisor_solver(y) + s._eval_solver(y, y)
+    for y in samples:
+        c = s.green_of_divisor(y) + s._green(y, y)
         if value is None:
-            value, where = c, label
+            value, where = c, y
         elif c != value:
             raise ConstancyViolation(
-                f"g(D,y) + g(y,y) is {value} at {where!r} but {c} at {label!r}"
+                f"g(D,y) + g(y,y) is {value} at {where!r} but {c} at {y!r}"
             )
     return value
 

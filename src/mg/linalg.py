@@ -69,7 +69,3 @@ def solve_columns(
         solutions.append(x)
     return solutions
 
-
-def solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Single right-hand side convenience wrapper."""
-    return solve_columns(a, [b])[0]

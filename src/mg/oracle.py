@@ -5,7 +5,9 @@ solved on the resulting combinatorial network with numpy in float64.  The
 measure is rebuilt here from scratch (valence atoms, densities from
 discretely computed deleted-edge resistances, trapezoid mass assignment), so
 no solve code is shared with the exact modules.  This is the only module in
-the library that touches floating point.
+the library that touches floating point.  numpy is imported inside the
+functions that use it, so importing `mg` or running any other `mg` command
+does not load it.
 """
 
 from __future__ import annotations
@@ -13,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegreeMinusTwo
 from .graphs import MetrizedGraph, RDivisor, as_point
 from .green import green_system
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -68,6 +72,7 @@ def discretize(g: MetrizedGraph, h) -> DiscreteGraph:
 
 
 def _laplacian(n: int, links) -> np.ndarray:
+    import numpy as np
     L = np.zeros((n, n))
     for i, j, r in links:
         if i == j:
@@ -81,6 +86,7 @@ def _laplacian(n: int, links) -> np.ndarray:
 
 
 def _solve_grounded(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    import numpy as np
     x = np.zeros(len(b))
     x[1:] = np.linalg.solve(L[1:, 1:], b[1:])
     return x
@@ -103,6 +109,7 @@ def _connected_nodes(n: int, links, start: int) -> set:
 
 
 def _resistance_between(n: int, links, i: int, j: int) -> float:
+    import numpy as np
     if i == j:
         return 0.0
     comp = sorted(_connected_nodes(n, links, i))
@@ -150,6 +157,7 @@ def _edge_density(g: MetrizedGraph, dg: DiscreteGraph, e) -> float:
 
 
 def _discrete_measure(g: MetrizedGraph, d: RDivisor, dg: DiscreteGraph) -> np.ndarray:
+    import numpy as np
     deg = d.degree()
     if deg == -2:
         raise DegreeMinusTwo("divisor has degree -2")
@@ -174,6 +182,7 @@ def _discrete_measure(g: MetrizedGraph, d: RDivisor, dg: DiscreteGraph) -> np.nd
 def numeric_green(g: MetrizedGraph, d: RDivisor, x, y, h) -> float:
     """Discrete Green value g(x, y): solve the grid Poisson problem with
     source delta_x - mu and re-center with the discrete zero-mean rule."""
+    import numpy as np
     g.validate()
     dg = discretize(g, h)
     mass = _discrete_measure(g, d, dg)

@@ -1,0 +1,433 @@
+"""Reference solver: the subdivide-and-solve path the library used before
+it solved one resistance kernel per graph.
+
+Kept verbatim, for differential tests only, except that `_potentials` calls
+`linalg.solve_columns` with one column where it called the single-column
+wrapper `linalg.solve`, which had no other caller and is gone.  Every
+quantity is computed by subdividing the graph until the points involved are
+vertices and running a fresh exact elimination: one per resistance, one per
+deleted edge of the canonical measure, one per interior source point of a
+Green value.  The library's kernel formulas must reproduce these values
+exactly.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from mg import linalg
+from mg.errors import ConstancyViolation, DegreeMinusTwo, EdgeNotFound
+from mg.graphs import (
+    GraphPoint,
+    MetrizedGraph,
+    RDivisor,
+    as_point,
+    subdivide_at,
+)
+
+
+# -- resistance -----------------------------------------------------------
+
+
+def _laplacian(g: MetrizedGraph, index: dict) -> list[list[Fraction]]:
+    n = len(index)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for e in g.edges:
+        if e.is_loop():
+            continue
+        c = 1 / e.length
+        i, j = index[e.u], index[e.v]
+        L[i][i] += c
+        L[j][j] += c
+        L[i][j] -= c
+        L[j][i] -= c
+    return L
+
+
+def _potentials(g: MetrizedGraph, source, sink) -> dict:
+    """Vertex potentials for a unit current source->sink, grounded at sink."""
+    verts = [v for v in g.vertex_list if v != sink]
+    index = {v: i for i, v in enumerate(g.vertex_list)}
+    L = _laplacian(g, index)
+    keep = [index[v] for v in verts]
+    A = [[L[i][j] for j in keep] for i in keep]
+    b = [Fraction(1) if v == source else Fraction(0) for v in verts]
+    x = linalg.solve_columns(A, [b])[0]
+    pot = dict(zip(verts, x))
+    pot[sink] = Fraction(0)
+    return pot
+
+
+def effective_resistance(g: MetrizedGraph, p, q) -> Fraction:
+    """Resistance between the points p and q; symmetric, 0 iff p = q."""
+    g.validate()
+    g1, vp, rel = subdivide_at(g, p)
+    q1 = rel(g.check_point(q))
+    g2, vq, rel2 = subdivide_at(g1, q1)
+    vp2 = rel2(GraphPoint.at_vertex(vp)).vertex
+    if vp2 == vq:
+        return Fraction(0)
+    pot = _potentials(g2, vp2, vq)
+    return pot[vp2]
+
+
+def resistance_in_deleted_edge(g: MetrizedGraph, edge_id) -> Fraction | None:
+    """Resistance between the endpoints of the edge in g minus that edge.
+
+    Returns None when the edge is a bridge (infinite resistance) and 0 for a
+    loop, whose endpoints coincide.
+    """
+    e = g.edge_by_id.get(edge_id)
+    if e is None:
+        raise EdgeNotFound(f"edge {edge_id!r} is not in the graph")
+    if e.is_loop():
+        return Fraction(0)
+    rest = MetrizedGraph(g.vertex_list, [f for f in g.edges if f.id != e.id])
+    if not rest.connects(e.u, e.v):
+        return None
+    # with the endpoints still connected, rest is connected as a whole
+    return effective_resistance(rest, e.u, e.v)
+
+
+# -- measures and Green functions ----------------------------------------
+
+
+@dataclass
+class AdmissibleMeasure:
+    """Atoms at vertices plus a constant density per edge; total mass 1."""
+
+    graph: MetrizedGraph
+    atoms: dict
+    densities: dict
+
+    def total_mass(self) -> Fraction:
+        mass = sum(self.atoms.values(), Fraction(0))
+        for e in self.graph.edges:
+            mass += self.densities.get(e.id, Fraction(0)) * e.length
+        return mass
+
+    def density(self, edge_id) -> Fraction:
+        return self.densities.get(edge_id, Fraction(0))
+
+    def atom(self, v) -> Fraction:
+        return self.atoms.get(v, Fraction(0))
+
+
+def canonical_measure(g: MetrizedGraph) -> AdmissibleMeasure:
+    """The canonical probability measure of the graph (the D = 0 case)."""
+    g.validate()
+    atoms = {v: 1 - Fraction(g.valence(v), 2) for v in g.vertex_list}
+    densities = {}
+    for e in g.edges:
+        if e.is_loop():
+            densities[e.id] = 1 / e.length
+            continue
+        r = resistance_in_deleted_edge(g, e.id)
+        densities[e.id] = Fraction(0) if r is None else 1 / (e.length + r)
+    return AdmissibleMeasure(g, atoms, densities)
+
+
+def _vertexify(g: MetrizedGraph, d: RDivisor):
+    """Subdivide until every divisor support point is a vertex.
+
+    Returns (graph, divisor, relocation from g to the new graph).
+    """
+    rel_total = lambda q: g.check_point(q)  # noqa: E731 - tiny closure chain
+    cur = g
+    d = d.relocate(g.check_point)
+    while True:
+        interior = [p for p in d.support() if not p.is_vertex]
+        if not interior:
+            return cur, d, rel_total
+        cur, _, rel = subdivide_at(cur, interior[0])
+        d = d.relocate(rel)
+        prev = rel_total
+        rel_total = lambda q, prev=prev, rel=rel: rel(prev(q))
+
+
+def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
+    """The measure mu_(G,D).
+
+    If D has interior support points the graph is subdivided first and the
+    returned measure lives on the subdivided graph (`measure.graph`).
+    """
+    deg = d.degree()
+    if deg == -2:
+        raise DegreeMinusTwo("divisor has degree -2")
+    gs, ds, _ = _vertexify(g, d)
+    can = canonical_measure(gs)
+    scale = deg + 2
+    atoms = {
+        v: (ds.coeff(GraphPoint.at_vertex(v)) + 2 * can.atoms[v]) / scale
+        for v in gs.vertex_list
+    }
+    densities = {e: 2 * rho / scale for e, rho in can.densities.items()}
+    return AdmissibleMeasure(gs, atoms, densities)
+
+
+def measure_integral(measure: AdmissibleMeasure, values: dict) -> Fraction:
+    """Integral of a function against the measure, where the function takes
+    the given vertex values and is quadratic on each edge with second
+    derivative equal to that edge's density."""
+    total = Fraction(0)
+    for v, a in measure.atoms.items():
+        if a != 0:
+            total += a * values[v]
+    for e in measure.graph.edges:
+        rho = measure.densities.get(e.id, Fraction(0))
+        if rho == 0:
+            continue
+        l = e.length
+        total += rho * ((values[e.u] + values[e.v]) * l / 2 - rho * l**3 / 12)
+    return total
+
+
+def _green_columns(
+    graph: MetrizedGraph, measure: AdmissibleMeasure, xs=None
+) -> dict:
+    """Solve for the columns g(x, .) on vertices, for each x in xs.
+
+    The vertex flux conditions give L g = e_x - m with L the conductance
+    Laplacian and m_v = atom(v) + sum over edge-ends at v of rho*l/2 (loops
+    contribute both their ends).  One vertex is grounded and the solution is
+    shifted so that its integral against the measure vanishes.
+    """
+    verts = graph.vertex_list
+    if xs is None:
+        xs = verts
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+
+    m = {v: measure.atom(v) for v in verts}
+    for e in graph.edges:
+        rho = measure.densities.get(e.id, Fraction(0))
+        if rho == 0:
+            continue
+        half = rho * e.length / 2
+        m[e.u] += half
+        m[e.v] += half
+
+    columns: dict = {}
+    if n == 1:
+        v0 = verts[0]
+        base = {v0: Fraction(0)}
+        shift = measure_integral(measure, base)
+        for x in xs:
+            columns[x] = {v0: -shift}
+        return columns
+
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for e in graph.edges:
+        if e.is_loop():
+            continue
+        c = 1 / e.length
+        i, j = index[e.u], index[e.v]
+        L[i][i] += c
+        L[j][j] += c
+        L[i][j] -= c
+        L[j][i] -= c
+
+    ground = verts[0]
+    free = verts[1:]
+    keep = [index[v] for v in free]
+    A = [[L[i][j] for j in keep] for i in keep]
+    rhs = []
+    for x in xs:
+        rhs.append([(Fraction(1) if v == x else Fraction(0)) - m[v] for v in free])
+    sols = linalg.solve_columns(A, rhs)
+    for x, sol in zip(xs, sols):
+        col = {ground: Fraction(0)}
+        col.update(zip(free, sol))
+        shift = measure_integral(measure, col)
+        columns[x] = {v: val - shift for v, val in col.items()}
+    return columns
+
+
+def _quad_eval(
+    graph: MetrizedGraph, measure: AdmissibleMeasure, col: dict, y: GraphPoint
+) -> Fraction:
+    """Evaluate the column at an edge-interior point via the per-edge
+    quadratic: values at the endpoints plus curvature = density."""
+    e = graph.edge_by_id[y.edge]
+    rho = measure.densities.get(e.id, Fraction(0))
+    l = e.length
+    gu, gv = col[e.u], col[e.v]
+    slope = (gv - gu) / l - rho * l / 2
+    t = y.offset
+    return gu + slope * t + rho * t * t / 2
+
+
+class GreenSystem:
+    """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
+
+    Construction subdivides so every divisor support point is a vertex and
+    solves one exact linear system per vertex.  Evaluation at edge-interior
+    source points subdivides on demand (results are cached); the constructed
+    system itself is never mutated beyond that cache, so concurrent reads
+    are safe.
+    """
+
+    def __init__(self, base_graph: MetrizedGraph, divisor: RDivisor):
+        deg = divisor.degree()
+        if deg == -2:
+            raise DegreeMinusTwo("divisor has degree -2")
+        base_graph.validate()
+        graph, d, rel = _vertexify(base_graph, divisor)
+        self.base_graph = base_graph
+        self.graph = graph
+        self.divisor = d
+        self.degree = deg
+        self._to_solver = rel
+        self.measure = admissible_measure(graph, d)
+        assert self.measure.graph is graph
+        mass = self.measure.total_mass()
+        if mass != 1:
+            raise ConstancyViolation(f"measure has total mass {mass}, not 1")
+        self._cols = _green_columns(graph, self.measure)
+        self._interior_cache: dict = {}
+
+    # -- evaluation ----------------------------------------------------
+
+    def eval(self, x, y) -> Fraction:
+        """g(x, y) for points of the original (unsubdivided) graph."""
+        return self._eval_solver(
+            self._to_solver(as_point(x)), self._to_solver(as_point(y))
+        )
+
+    def _eval_solver(self, x: GraphPoint, y: GraphPoint) -> Fraction:
+        x = self.graph.check_point(x)
+        y = self.graph.check_point(y)
+        if not x.is_vertex and y.is_vertex:
+            x, y = y, x
+        if x.is_vertex:
+            col = self._cols[x.vertex]
+            if y.is_vertex:
+                return col[y.vertex]
+            return _quad_eval(self.graph, self.measure, col, y)
+        sub_graph, sub_measure, rel, w, col = self._interior(x)
+        y2 = rel(y)
+        if y2.is_vertex:
+            return col[y2.vertex]
+        return _quad_eval(sub_graph, sub_measure, col, y2)
+
+    def _interior(self, x: GraphPoint):
+        key = (x.edge, x.offset)
+        hit = self._interior_cache.get(key)
+        if hit is not None:
+            return hit
+        sub, w, rel = subdivide_at(self.graph, x)
+        rho = self.measure.densities.get(x.edge, Fraction(0))
+        densities = {}
+        for e in sub.edges:
+            if e.id in self.graph.edge_by_id:
+                densities[e.id] = self.measure.densities.get(e.id, Fraction(0))
+            else:
+                densities[e.id] = rho  # the two halves of x's edge
+        atoms = dict(self.measure.atoms)
+        atoms[w] = Fraction(0)
+        sub_measure = AdmissibleMeasure(sub, atoms, densities)
+        col = _green_columns(sub, sub_measure, [w])[w]
+        entry = (sub, sub_measure, rel, w, col)
+        self._interior_cache[key] = entry
+        return entry
+
+    # -- derived quantities ---------------------------------------------
+
+    def green_of_divisor(self, y) -> Fraction:
+        """g(D, y) = sum of a_i g(P_i, y)."""
+        return self._green_of_divisor_solver(self._to_solver(as_point(y)))
+
+    def _green_of_divisor_solver(self, y: GraphPoint) -> Fraction:
+        y = self.graph.check_point(y)
+        total = Fraction(0)
+        for p, a in self.divisor.items():
+            col = self._cols[p.vertex]
+            if y.is_vertex:
+                total += a * col[y.vertex]
+            else:
+                total += a * _quad_eval(self.graph, self.measure, col, y)
+        return total
+
+    def green_diagonal(self, y) -> Fraction:
+        return self.eval(y, y)
+
+    def pairing_dd(self) -> Fraction:
+        """g(D, D) = sum over i, j of a_i a_j g(P_i, P_j)."""
+        items = self.divisor.items()
+        total = Fraction(0)
+        for p, a in items:
+            col = self._cols[p.vertex]
+            for q, b in items:
+                total += a * b * col[q.vertex]
+        return total
+
+
+def green_system(g: MetrizedGraph, d: RDivisor) -> GreenSystem:
+    return GreenSystem(g, d)
+
+
+def green_eval(s: GreenSystem, x, y) -> Fraction:
+    return s.eval(x, y)
+
+
+def constant_c(s: GreenSystem) -> Fraction:
+    """The constant value of g(D, y) + g(y, y).
+
+    Constancy is verified at every vertex and at three interior samples per
+    edge (enough to determine the per-edge quadratic); any disagreement
+    raises ConstancyViolation.
+    """
+    samples: list[tuple] = [(GraphPoint.at_vertex(v), v) for v in s.graph.vertex_list]
+    for e in s.graph.edges:
+        for num in (1, 2, 3):
+            t = e.length * Fraction(num, 4)
+            samples.append((GraphPoint.on_edge(e.id, t), (e.id, num)))
+
+    value = None
+    where = None
+    for y, label in samples:
+        c = s._green_of_divisor_solver(y) + s._eval_solver(y, y)
+        if value is None:
+            value, where = c, label
+        elif c != value:
+            raise ConstancyViolation(
+                f"g(D,y) + g(y,y) is {value} at {where!r} but {c} at {label!r}"
+            )
+    return value
+
+
+def e_invariant(g: MetrizedGraph, d: RDivisor) -> Fraction:
+    """e(G, D) = 2 deg(D) c(G, D) - g(D, D)."""
+    s = green_system(g, d)
+    return e_of_system(s)
+
+
+def e_of_system(s: GreenSystem) -> Fraction:
+    c = constant_c(s)
+    return 2 * s.degree * c - s.pairing_dd()
+
+
+def e_via_basepoint(g: MetrizedGraph, d: RDivisor, o) -> Fraction:
+    """e(G, D) = (deg(D) + 2) g(O, D) + r(O, D), for any basepoint O."""
+    deg = d.degree()
+    if deg == -2:
+        raise DegreeMinusTwo("divisor has degree -2")
+    g.validate()
+    o = g.check_point(o)
+    s = green_system(g, d)
+    god = Fraction(0)
+    rod = Fraction(0)
+    for p, a in d.items():
+        god += a * s.eval(o, p)
+        rod += a * effective_resistance(g, o, p)
+    return (deg + 2) * god + rod
+
+
+# -- split-edge ids of subdivided graphs -------------------------------------
+
+
+def _original_edge(edge_id):
+    while isinstance(edge_id, tuple) and edge_id and edge_id[0] == "split":
+        edge_id = edge_id[1]
+    return edge_id

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from mg import MAX_GENUS
 from mg.cli import decimal12, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -49,6 +50,10 @@ GOLDEN_CASES = [
     (["e-invariant", GOLDEN / "theta.mg"], "theta.e.expected"),
     (["measure", GOLDEN / "theta.mg"], "theta.measure.expected"),
     (["resistance", GOLDEN / "theta.mg", "P", "Q"], "theta.resistance.expected"),
+    (["measure", GOLDEN / "interior.mg"], "interior.measure.expected"),
+    (["e-invariant", GOLDEN / "interior.mg"], "interior.e.expected"),
+    (["green", GOLDEN / "interior.mg", "m", "u"], "interior.green.expected"),
+    (["resistance", GOLDEN / "interior.mg", "n", "a"], "interior.resistance.expected"),
     (["fiber", "analyze", GOLDEN / "chain.fib"], "chain.analyze.expected"),
     (["fiber", "analyze", GOLDEN / "selfnode.fib"], "selfnode.analyze.expected"),
     (["bounds", "radius", "--genus", "2", "--delta", "0,1"], "radius.expected"),
@@ -110,6 +115,29 @@ class TestErrors:
         assert code == 2
         assert "UnknownComponent" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "slope", "--genus", "2", "--delta=-1,0"],
+            ["bounds", "radius", "--genus", "2", "--smooth", "--delta", "1,0"],
+        ],
+    )
+    def test_bad_delta_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "BadDelta" in err
+
+    @pytest.mark.parametrize("genus", [MAX_GENUS + 1, 10**23])
+    def test_genus_above_cap_exits_2(self, capsys, tmp_path, genus):
+        code, out, err = run(capsys, "bounds", "radius", "--genus", genus)
+        assert code == 2
+        assert "GenusTooLarge" in err
+        fib = tmp_path / "big.fib"
+        fib.write_text(f"fiber\ncomponent A genus {genus}\nnode n A A\n")
+        code, out, err = run(capsys, "fiber", "analyze", fib)
+        assert code == 2
+        assert "GenusTooLarge" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(capsys, "e-invariant", GOLDEN / "nope.mg")
         assert code == 2
@@ -132,6 +160,12 @@ class TestJson:
         assert record["warnings"] == []
         assert record["command"] == "e-invariant"
         assert record["inputs"]["quantity"] == "e"
+
+    def test_measure_with_interior_atoms(self, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        code, out, _ = run(capsys, "--json", "measure", "interior.mg")
+        assert code == 0
+        assert out == (GOLDEN / "interior.measure.json.expected").read_text()
 
     def test_multi_record_array(self, capsys):
         code, out, _ = run(capsys, "--json", "fiber", "analyze", GOLDEN / "chain.fib")

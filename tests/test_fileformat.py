@@ -5,7 +5,9 @@ import pytest
 
 from mg import (
     BadRational,
+    MAX_GENUS,
     Disconnected,
+    GenusTooLarge,
     GenusTooSmall,
     GraphPoint,
     NonpositiveLength,
@@ -48,8 +50,15 @@ class TestParseGraph:
     def test_bad_rational(self):
         with pytest.raises(BadRational):
             parse_graph_file((GOLDEN / "bad_rational.mg").read_text())
+        for token in ["abc", "1.5e3", "1_000", "1e400", "1/0", "+1", "1" * 41,
+                      "1/" + "1" * 41]:
+            with pytest.raises(BadRational):
+                parse_rational(token)
+        assert parse_rational("-" + "9" * 40 + "/" + "7" * 40) == Fraction(
+            -int("9" * 40), int("7" * 40)
+        )
         with pytest.raises(BadRational):
-            parse_rational("abc")
+            parse_graph_file("metrized_graph\nvertex P\nvertex Q\nedge e P Q 1.5e3\n")
 
     def test_disconnected(self):
         with pytest.raises(Disconnected):
@@ -115,6 +124,11 @@ class TestParseFiber:
     def test_bad_genus(self):
         with pytest.raises(ParseError):
             parse_fiber_file("fiber\ncomponent A genus x\n")
+
+    @pytest.mark.parametrize("genus", [MAX_GENUS + 1, 10**23])
+    def test_genus_above_cap(self, genus):
+        with pytest.raises(GenusTooLarge):
+            parse_fiber_file(f"fiber\ncomponent A genus {genus}\n")
 
 
 class TestRoundTrip:

@@ -18,7 +18,6 @@ from mg import (
     e_via_basepoint,
     effective_resistance,
     green_system,
-    measure_integral,
     one_point_sum,
     path_graph,
     scale_lengths,
@@ -26,8 +25,9 @@ from mg import (
     subdivide_at,
     theta_graph,
 )
-from mg.green import _green_columns
+import mg.green
 from gen import frac, random_divisor, random_graph, random_point
+from quadrature import integral
 
 
 class TestCanonicalMeasure:
@@ -98,14 +98,13 @@ class TestAdmissibleMeasure:
         with pytest.raises(DegreeMinusTwo):
             admissible_measure(g, RDivisor({"P": -2}))
 
-    def test_interior_support_subdivides(self):
+    def test_interior_support_atom(self):
         g = segment_graph(1)
         m = GraphPoint.on_edge("e", Fraction(1, 2))
         mu = admissible_measure(g, RDivisor({m: 2}))
-        assert mu.graph is not g
+        assert mu.graph is g
         assert mu.total_mass() == 1
-        cut = ("cut", "e", Fraction(1, 2))
-        assert mu.atoms[cut] == Fraction(2, 4)  # (2 + 2*0)/(deg+2), deg=2
+        assert mu.atoms[m] == Fraction(2, 4)  # (2 + 2*0)/(deg+2), deg=2
 
     def test_mass_one_with_divisors(self):
         rng = Random(29)
@@ -161,18 +160,21 @@ class TestGreenValues:
                 assert s.eval(x, y) == s.eval(y, x)
 
     def test_zero_mean_property(self):
+        # integral of g(x, .) dmu vanishes at vertex and interior x, also
+        # when the measure has atoms inside edges
         rng = Random(37)
         for _ in range(10):
             g = random_graph(rng, max_vertices=6)
             g.validate()
-            d = random_divisor(rng, g)
+            d = random_divisor(rng, g, interior=True)
             s = green_system(g, d)
-            for _ in range(3):
-                x = random_point(rng, g)
-                x_solver = s._to_solver(x)
-                if x_solver.is_vertex:
-                    col = s._cols[x_solver.vertex]
-                    assert measure_integral(s.measure, col) == 0
+            xs = [GraphPoint.at_vertex(rng.choice(g.vertex_list))]
+            if g.edges:
+                e = rng.choice(g.edges)
+                t = e.length * Fraction(rng.randint(1, 3), 4)
+                xs.append(GraphPoint.on_edge(e.id, t))
+            for x in xs:
+                assert integral(s.measure, lambda y: s.eval(x, y), kinks=[x]) == 0
 
     def test_resistance_identity(self):
         # r(P,Q) = g(P,P) - 2g(P,Q) + g(Q,Q) for every divisor
@@ -207,19 +209,19 @@ class TestConstant:
             d = random_divisor(rng, g, interior=True)
             constant_c(green_system(g, d))  # raises on violation
 
-    def test_violation_detected_for_wrong_measure(self):
+    def test_violation_detected_for_wrong_measure(self, monkeypatch):
         # corrupt the admissible measure: move atom mass between vertices;
         # the verifier must notice
         g = segment_graph(1)
-        s = green_system(g, RDivisor({"P": 1, "Q": 1}))
+        d = RDivisor({"P": 1, "Q": 1})
         bad = AdmissibleMeasure(
-            s.graph,
+            g,
             {"P": Fraction(3, 4), "Q": Fraction(1, 4)},
-            dict(s.measure.densities),
+            dict(admissible_measure(g, d).densities),
         )
-        s._cols = _green_columns(s.graph, bad)
-        s.measure = bad
-        s._interior_cache.clear()
+        monkeypatch.setattr(mg.green, "admissible_measure", lambda g, d: bad)
+        s = green_system(g, d)
+        assert s.measure is bad
         with pytest.raises(ConstancyViolation):
             constant_c(s)
 

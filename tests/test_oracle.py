@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -21,6 +25,7 @@ from mg import (
     segment_graph,
     theta_graph,
 )
+import mg
 from gen import random_divisor, random_graph
 
 
@@ -161,3 +166,15 @@ class TestConvergence:
             exact = float(s.eval(u, v))
             got = numeric_green(g, d, u, v, Fraction(1, 64))
             assert abs(got - exact) < 1e-2
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    src = str(Path(mg.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mg.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"

@@ -1,0 +1,67 @@
+"""The kernel path against the subdivide-and-solve reference (reference.py):
+resistances, measures, Green values, c and e must agree exactly."""
+
+from fractions import Fraction
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference as ref
+from mg import (
+    GraphPoint,
+    canonical_measure,
+    constant_c,
+    e_of_system,
+    effective_resistance,
+    green_system,
+    resistance_in_deleted_edge,
+)
+from gen import random_divisor, random_graph, random_point
+
+
+def probe_points(rng: Random, g) -> list:
+    """A few random points, plus two inside one edge (possibly a loop)."""
+    points = [random_point(rng, g) for _ in range(3)]
+    if g.edges:
+        e = rng.choice(g.edges)
+        for k in rng.sample(range(1, 6), 2):
+            points.append(GraphPoint.on_edge(e.id, e.length * Fraction(k, 6)))
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_reference(seed):
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=6)
+    d = random_divisor(rng, g, interior=True)
+    points = probe_points(rng, g)
+
+    for p in points:
+        for q in points:
+            assert effective_resistance(g, p, q) == ref.effective_resistance(g, p, q)
+    for e in g.edges:
+        assert resistance_in_deleted_edge(g, e.id) == ref.resistance_in_deleted_edge(
+            g, e.id
+        )
+    can, ref_can = canonical_measure(g), ref.canonical_measure(g)
+    assert can.atoms == ref_can.atoms
+    assert can.densities == ref_can.densities
+
+    s, rs = green_system(g, d), ref.green_system(g, d)
+    mu, ref_mu = s.measure, rs.measure
+    # the reference keeps interior atoms at the vertices it cut there
+    atoms = {
+        rs._to_solver(site).vertex if isinstance(site, GraphPoint) else site: a
+        for site, a in mu.atoms.items()
+    }
+    assert atoms == ref_mu.atoms
+    for e in ref_mu.graph.edges:
+        assert mu.densities[ref._original_edge(e.id)] == ref_mu.densities[e.id]
+
+    for x in points:
+        for y in points:
+            assert s.eval(x, y) == rs.eval(x, y)
+    assert constant_c(s) == ref.constant_c(rs)
+    assert e_of_system(s) == ref.e_of_system(rs)
