@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-import warnings as _warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -350,13 +349,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            if args.command == "batch":
-                lines, records, code = args.handler(args)
-            else:
-                rep = args.handler(args)
-                lines, records, code = rep.lines, rep.records, 0
+        if args.command == "batch":
+            lines, records, code = args.handler(args)
+        else:
+            rep = args.handler(args)
+            lines, records, code = rep.lines, rep.records, 0
     except InputError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -101,120 +101,125 @@ def configuration_graph(cfg: FiberConfiguration) -> MetrizedGraph:
     )
 
 
+@dataclass(frozen=True)
+class _Walk:
+    graph: MetrizedGraph
+    genus: int  # arithmetic genus, before the bounds of fiber_genus
+    types: dict  # node id -> node type
+    is_chain: bool
+
+
+def _walk(cfg: FiberConfiguration) -> _Walk:
+    """One iterative depth-first walk over the configuration graph:
+    Tarjan's lowlink bridge search, with subtree sums.
+
+    A non-loop node is a bridge when the lowlink of its child end exceeds
+    the discovery index of its parent end (only the tree edge itself is
+    skipped, so parallel nodes lie on a cycle); all other nodes have type 0.
+    Over the side a bridge cuts off, the omega coefficients 2 genus +
+    valence - 2 sum to 2h - 1, h being that side's arithmetic genus, and the
+    type is min(h, g - h).  A chain has no back edge (every non-loop node is
+    a bridge) and no component with more than two non-loop node ends.
+    """
+    graph = configuration_graph(cfg)
+    if not graph.vertex_list:
+        raise Disconnected("fiber configuration is not connected")
+    genus = sum(c.genus for c in cfg.components) + graph.first_betti()
+    side = {c.id: 2 * c.genus - 2 + graph.valence(c.id) for c in cfg.components}
+    types = dict.fromkeys(cfg.node_by_id, 0)
+    plain_ends = dict.fromkeys(graph.vertex_list, 0)
+    cyclic = False
+    root = graph.vertex_list[0]
+    order = {root: 0}
+    low = {root: 0}
+    stack = [(root, None, iter(graph.incident(root)))]
+    while stack:
+        v, via, ends = stack[-1]
+        for e, end in ends:
+            w = e.v if end == 0 else e.u
+            if w == v:
+                continue
+            plain_ends[v] += 1
+            if e is via:
+                continue
+            if w in order:
+                cyclic = True
+                low[v] = min(low[v], order[w])
+            else:
+                order[w] = low[w] = len(order)
+                stack.append((w, e, iter(graph.incident(w))))
+                break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                low[u] = min(low[u], low[v])
+                side[u] += side[v]
+                if low[v] > order[u]:
+                    h = (side[v] + 1) // 2
+                    types[via.id] = min(h, genus - h)
+    if len(order) != len(graph.vertex_list):
+        raise Disconnected("fiber configuration is not connected")
+    is_chain = not cyclic and max(plain_ends.values()) <= 2
+    return _Walk(graph, genus, types, is_chain)
+
+
+def _checked(genus: int) -> int:
+    check_genus(genus)
+    if genus < 2:
+        raise GenusTooSmall(f"fiber has arithmetic genus {genus} < 2")
+    return genus
+
+
 def fiber_genus(cfg: FiberConfiguration) -> int:
     """Arithmetic genus: sum of component genera plus the configuration
     graph's first Betti number.  Must be at least 2 and at most MAX_GENUS."""
-    g = configuration_graph(cfg)
-    if not g.is_connected():
-        raise Disconnected("fiber configuration is not connected")
-    total = sum(c.genus for c in cfg.components) + g.first_betti()
-    check_genus(total)
-    if total < 2:
-        raise GenusTooSmall(f"fiber has arithmetic genus {total} < 2")
-    return total
-
-
-def _side_genus(cfg, graph, node, start) -> int:
-    """Arithmetic genus of the component of graph-minus-node containing
-    start: component genera plus the side's first Betti number."""
-    seen = {start}
-    stack = [start]
-    n_edges = 0
-    while stack:
-        v = stack.pop()
-        for e, end in graph.incident(v):
-            if e.id == node.id:
-                continue
-            if end == 0:
-                n_edges += 1  # count each non-loop edge once, from its u end
-            elif e.is_loop():
-                continue
-            w = e.v if end == 0 else e.u
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    betti = n_edges - len(seen) + 1
-    return sum(cfg.genus_of(v) for v in seen) + betti
+    return _checked(_walk(cfg).genus)
 
 
 def classify_node(cfg: FiberConfiguration, node_id) -> NodeType:
     """Type of a node: 0 when removing it keeps the configuration connected,
     otherwise the minimum of the two sides' arithmetic genera."""
-    node = cfg.node_by_id.get(node_id)
-    if node is None:
+    if node_id not in cfg.node_by_id:
         raise NodeNotFound(f"node {node_id!r} is not in the configuration")
-    graph = configuration_graph(cfg)
-    if node.is_self_node():
-        return NodeType(node_id, 0)
-    rest = MetrizedGraph(
-        graph.vertex_list, [e for e in graph.edges if e.id != node_id]
-    )
-    if rest.connects(node.a, node.b):
-        return NodeType(node_id, 0)
-    ga = _side_genus(cfg, graph, node, node.a)
-    gb = _side_genus(cfg, graph, node, node.b)
-    return NodeType(node_id, min(ga, gb))
+    return NodeType(node_id, _walk(cfg).types[node_id])
 
 
 def delta_vector(cfg: FiberConfiguration) -> list[int]:
     """Counts of nodes by type, indexed 0..floor(g/2)."""
-    g = fiber_genus(cfg)
+    walk = _walk(cfg)
+    return _delta(walk.types, _checked(walk.genus))
+
+
+def _delta(types: dict, g: int) -> list[int]:
     counts = [0] * (g // 2 + 1)
-    for n in cfg.nodes:
-        counts[classify_node(cfg, n.id).type] += 1
+    for t in types.values():
+        counts[t] += 1
     return counts
-
-
-def _branch_count(cfg, comp_id) -> int:
-    count = 0
-    for n in cfg.nodes:
-        if n.a == comp_id:
-            count += 1
-        if n.b == comp_id:
-            count += 1
-    return count
 
 
 def omega_divisor(cfg: FiberConfiguration) -> RDivisor:
     """The relative dualizing divisor on the configuration graph:
     coefficient 2*genus - 2 + branches at each component, where a self-node
     contributes two branches.  Coefficients sum to 2g - 2."""
+    graph = configuration_graph(cfg)
     return RDivisor(
-        (c.id, 2 * c.genus - 2 + _branch_count(cfg, c.id))
-        for c in cfg.components
+        (c.id, 2 * c.genus - 2 + graph.valence(c.id)) for c in cfg.components
     )
 
 
 def unstable_components(cfg: FiberConfiguration) -> list:
     """Components whose omega coefficient is not positive (the chain closed
     form assumes all are)."""
-    bad = []
-    for c in cfg.components:
-        if 2 * c.genus - 2 + _branch_count(cfg, c.id) <= 0:
-            bad.append(c.id)
-    return bad
+    omega = omega_divisor(cfg)
+    return [c.id for c in cfg.components if omega.coeff(c.id) <= 0]
 
 
 def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
     """True iff the configuration graph with loops removed is a simple path
-    (a single vertex counts, degenerately)."""
-    graph = configuration_graph(cfg)
-    if not graph.is_connected():
-        raise Disconnected("fiber configuration is not connected")
-    plain = [e for e in graph.edges if not e.is_loop()]
-    n = len(graph.vertex_list)
-    if len(plain) != n - 1:
-        return False  # a cycle among components, or disconnected
-    pairs = set()
-    degree = {v: 0 for v in graph.vertex_list}
-    for e in plain:
-        key = frozenset((e.u, e.v))
-        if key in pairs:
-            return False
-        pairs.add(key)
-        degree[e.u] += 1
-        degree[e.v] += 1
-    return all(d <= 2 for d in degree.values())
+    (a single vertex counts, degenerately).  Only the shape is tested; that
+    every component is stable is the business of `unstable_components`."""
+    return _walk(cfg).is_chain
 
 
 def fiber_e(cfg: FiberConfiguration) -> Fraction:
@@ -227,16 +232,17 @@ def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
     """e_y for a chain of stable components, from the node types alone:
     each type-0 node contributes (g-1)/(3g) per unit length and each type-i
     node 4i(g-i)/g - 1 per unit length."""
-    if not is_chain_of_stable_components(cfg):
+    walk = _walk(cfg)
+    if not walk.is_chain:
         raise NotAChain("fiber is not a chain of stable components")
-    g = fiber_genus(cfg)
+    return _closed_form(cfg, walk.types, _checked(walk.genus))
+
+
+def _closed_form(cfg: FiberConfiguration, types: dict, g: int) -> Fraction:
     total = Fraction(0)
     for n in cfg.nodes:
-        i = classify_node(cfg, n.id).type
-        if i == 0:
-            coeff = Fraction(g - 1, 3 * g)
-        else:
-            coeff = Fraction(4 * i * (g - i), g) - 1
+        i = types[n.id]
+        coeff = Fraction(g - 1, 3 * g) if i == 0 else Fraction(4 * i * (g - i), g) - 1
         total += coeff * n.length
     return total
 
@@ -253,22 +259,18 @@ class FiberReport:
 
 
 def fiber_report(cfg: FiberConfiguration) -> FiberReport:
-    g = fiber_genus(cfg)
-    delta = tuple(delta_vector(cfg))
+    walk = _walk(cfg)
+    g = _checked(walk.genus)
     omega = omega_divisor(cfg)
-    chain = is_chain_of_stable_components(cfg)
-    warnings = tuple(
-        f"component {cid!r} is not stable (omega coefficient <= 0)"
-        for cid in unstable_components(cfg)
-    )
-    e = fiber_e(cfg)
-    closed = fiber_e_closed_form(cfg) if chain else None
     return FiberReport(
         genus=g,
-        delta=delta,
+        delta=tuple(_delta(walk.types, g)),
         omega={p.vertex: a for p, a in omega.items()},
-        is_chain=chain,
-        e=e,
-        e_closed_form=closed,
-        warnings=warnings,
+        is_chain=walk.is_chain,
+        e=e_invariant(walk.graph, omega),
+        e_closed_form=_closed_form(cfg, walk.types, g) if walk.is_chain else None,
+        warnings=tuple(
+            f"component {cid!r} is not stable (omega coefficient <= 0)"
+            for cid in unstable_components(cfg)
+        ),
     )

@@ -16,9 +16,9 @@ Fiber files::
     node n1 A B           # node <name> <compA> <compB> [length <rational>]
 
 Rationals are written p/q or as integers, with at most MAX_RATIONAL_DIGITS
-digits in each part; '#' starts a comment.  The serializers emit a sorted
-normal form, so serialize(parse(text)) is idempotent after the first round
-trip.
+digits in each part; a genus is written in the digits 0-9 only, with the
+same cap; '#' starts a comment.  The serializers emit a sorted normal form,
+so serialize(parse(text)) is idempotent after the first round trip.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .errors import (
     UnknownComponent,
     UnknownVertex,
 )
-from .fibers import FiberConfiguration
+from .bounds import check_genus
+from .fibers import FiberConfiguration, fiber_genus
 from .graphs import GraphPoint, MetrizedGraph, RDivisor
 
 GRAPH_HEADER = "metrized_graph"
@@ -46,6 +47,10 @@ MAX_RATIONAL_DIGITS = 40
 _RATIONAL = re.compile(
     rf"-?[0-9]{{1,{MAX_RATIONAL_DIGITS}}}(?:/[0-9]{{1,{MAX_RATIONAL_DIGITS}}})?"
 )
+
+
+# A component genus: ASCII digits only, under the same digit cap.
+_GENUS = re.compile(rf"[0-9]{{1,{MAX_RATIONAL_DIGITS}}}")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -152,8 +157,6 @@ def parse_graph_file(text: str):
 
 
 def parse_fiber_file(text: str) -> FiberConfiguration:
-    from .fibers import fiber_genus
-
     lines = list(_logical_lines(text))
     if not lines or lines[0][1] != [FIBER_HEADER]:
         lineno = lines[0][0] if lines else 1
@@ -172,12 +175,10 @@ def parse_fiber_file(text: str) -> FiberConfiguration:
             name = tokens[1]
             if name in comp_names:
                 raise ParseError(lineno, f"duplicate component {name!r}")
-            try:
-                genus = int(tokens[3])
-            except ValueError:
-                raise ParseError(lineno, f"bad genus {tokens[3]!r}") from None
-            if genus < 0:
-                raise ParseError(lineno, f"negative genus {genus}")
+            if not _GENUS.fullmatch(tokens[3]):
+                raise ParseError(lineno, f"bad genus {tokens[3]!r}")
+            genus = int(tokens[3])
+            check_genus(genus)
             components.append((name, genus))
             comp_names.add(name)
         elif kind == "node":

@@ -9,6 +9,11 @@ vertices and running a fresh exact elimination: one per resistance, one per
 deleted edge of the canonical measure, one per interior source point of a
 Green value.  The library's kernel formulas must reproduce these values
 exactly.
+
+The last section holds the node classification the library used before it
+found every node type in one bridge-finding walk: `classify_node` rebuilds
+the configuration graph for each node and walks both sides of it, and
+`is_chain_of_stable_components` makes its own walk.  Both are kept verbatim.
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mg import linalg
-from mg.errors import ConstancyViolation, DegreeMinusTwo, EdgeNotFound
+from mg.errors import (
+    ConstancyViolation,
+    DegreeMinusTwo,
+    Disconnected,
+    EdgeNotFound,
+    NodeNotFound,
+)
+from mg.fibers import FiberConfiguration, NodeType, configuration_graph
 from mg.graphs import (
     GraphPoint,
     MetrizedGraph,
@@ -431,3 +443,70 @@ def _original_edge(edge_id):
     while isinstance(edge_id, tuple) and edge_id and edge_id[0] == "split":
         edge_id = edge_id[1]
     return edge_id
+
+
+# -- node classification, one walk per node ---------------------------------
+
+
+def _side_genus(cfg, graph, node, start) -> int:
+    """Arithmetic genus of the component of graph-minus-node containing
+    start: component genera plus the side's first Betti number."""
+    seen = {start}
+    stack = [start]
+    n_edges = 0
+    while stack:
+        v = stack.pop()
+        for e, end in graph.incident(v):
+            if e.id == node.id:
+                continue
+            if end == 0:
+                n_edges += 1  # count each non-loop edge once, from its u end
+            elif e.is_loop():
+                continue
+            w = e.v if end == 0 else e.u
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    betti = n_edges - len(seen) + 1
+    return sum(cfg.genus_of(v) for v in seen) + betti
+
+
+def classify_node(cfg: FiberConfiguration, node_id) -> NodeType:
+    """Type of a node: 0 when removing it keeps the configuration connected,
+    otherwise the minimum of the two sides' arithmetic genera."""
+    node = cfg.node_by_id.get(node_id)
+    if node is None:
+        raise NodeNotFound(f"node {node_id!r} is not in the configuration")
+    graph = configuration_graph(cfg)
+    if node.is_self_node():
+        return NodeType(node_id, 0)
+    rest = MetrizedGraph(
+        graph.vertex_list, [e for e in graph.edges if e.id != node_id]
+    )
+    if rest.connects(node.a, node.b):
+        return NodeType(node_id, 0)
+    ga = _side_genus(cfg, graph, node, node.a)
+    gb = _side_genus(cfg, graph, node, node.b)
+    return NodeType(node_id, min(ga, gb))
+
+
+def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
+    """True iff the configuration graph with loops removed is a simple path
+    (a single vertex counts, degenerately)."""
+    graph = configuration_graph(cfg)
+    if not graph.is_connected():
+        raise Disconnected("fiber configuration is not connected")
+    plain = [e for e in graph.edges if not e.is_loop()]
+    n = len(graph.vertex_list)
+    if len(plain) != n - 1:
+        return False  # a cycle among components, or disconnected
+    pairs = set()
+    degree = {v: 0 for v in graph.vertex_list}
+    for e in plain:
+        key = frozenset((e.u, e.v))
+        if key in pairs:
+            return False
+        pairs.add(key)
+        degree[e.u] += 1
+        degree[e.v] += 1
+    return all(d <= 2 for d in degree.values())

@@ -1,10 +1,12 @@
 import json
 import shutil
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import mg.cli
 from mg import MAX_GENUS
 from mg.cli import decimal12, main
 
@@ -138,6 +140,14 @@ class TestErrors:
         assert code == 2
         assert "GenusTooLarge" in err
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661"])
+    def test_genus_not_plain_digits_exits_2(self, capsys, tmp_path, token):
+        fib = tmp_path / "exotic.fib"
+        fib.write_text(f"fiber\ncomponent A genus {token}\nnode n A A\n")
+        code, out, err = run(capsys, "fiber", "analyze", fib)
+        assert code == 2
+        assert "ParseError" in err
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(capsys, "e-invariant", GOLDEN / "nope.mg")
         assert code == 2
@@ -146,6 +156,21 @@ class TestErrors:
         code, out, err = run(capsys, "resistance", GOLDEN / "segment.mg", "P", "zz")
         assert code == 2
         assert "UnknownVertex" in err
+
+
+class TestWarnings:
+    def test_library_warning_reaches_caller(self, capsys, monkeypatch):
+        original = mg.cli.e_invariant
+
+        def noisy(graph, divisor):
+            warnings.warn("raised inside the handler", UserWarning)
+            return original(graph, divisor)
+
+        monkeypatch.setattr(mg.cli, "e_invariant", noisy)
+        with pytest.warns(UserWarning, match="raised inside the handler"):
+            code, out, _ = run(capsys, "e-invariant", GOLDEN / "segment.mg")
+        assert code == 0
+        assert out == (GOLDEN / "segment.e.expected").read_text()
 
 
 class TestJson:

@@ -267,3 +267,17 @@ class TestReport:
         rep = fiber_report(cfg)
         assert rep.e_closed_form is None
         assert rep.e == fiber_e(cfg)
+
+
+class TestLongChain:
+    def test_five_thousand_elliptic_components(self):
+        # The node between C(i-1) and C(i) splits the genus into i and
+        # 5000 - i, so types 1..2499 occur twice each and type 2500 once.
+        n = 5000
+        cfg = FiberConfiguration(
+            [(f"C{i}", 1) for i in range(n)],
+            [(f"n{i}", f"C{i - 1}", f"C{i}") for i in range(1, n)],
+        )
+        assert delta_vector(cfg) == [0] + [2] * (n // 2 - 1) + [1]
+        assert is_chain_of_stable_components(cfg)
+        assert fiber_genus(cfg) == n

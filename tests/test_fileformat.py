@@ -125,6 +125,13 @@ class TestParseFiber:
         with pytest.raises(ParseError):
             parse_fiber_file("fiber\ncomponent A genus x\n")
 
+    # int() reads these as 10, 1 and 1 (an Arabic-Indic digit one); each would
+    # give a valid fiber, so only the grammar rejects them.
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "-1", "1" * 41])
+    def test_genus_digits_only(self, token):
+        with pytest.raises(ParseError):
+            parse_fiber_file(f"fiber\ncomponent A genus {token}\nnode n A A\n")
+
     @pytest.mark.parametrize("genus", [MAX_GENUS + 1, 10**23])
     def test_genus_above_cap(self, genus):
         with pytest.raises(GenusTooLarge):
