@@ -202,7 +202,10 @@ def omega_divisor(cfg: FiberConfiguration) -> RDivisor:
     """The relative dualizing divisor on the configuration graph:
     coefficient 2*genus - 2 + branches at each component, where a self-node
     contributes two branches.  Coefficients sum to 2g - 2."""
-    graph = configuration_graph(cfg)
+    return _omega(cfg, configuration_graph(cfg))
+
+
+def _omega(cfg: FiberConfiguration, graph: MetrizedGraph) -> RDivisor:
     return RDivisor(
         (c.id, 2 * c.genus - 2 + graph.valence(c.id)) for c in cfg.components
     )
@@ -211,7 +214,10 @@ def omega_divisor(cfg: FiberConfiguration) -> RDivisor:
 def unstable_components(cfg: FiberConfiguration) -> list:
     """Components whose omega coefficient is not positive (the chain closed
     form assumes all are)."""
-    omega = omega_divisor(cfg)
+    return _unstable(cfg, omega_divisor(cfg))
+
+
+def _unstable(cfg: FiberConfiguration, omega: RDivisor) -> list:
     return [c.id for c in cfg.components if omega.coeff(c.id) <= 0]
 
 
@@ -224,8 +230,9 @@ def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
 
 def fiber_e(cfg: FiberConfiguration) -> Fraction:
     """e_y = e(G_y, omega_y) via the general solver."""
-    fiber_genus(cfg)
-    return e_invariant(configuration_graph(cfg), omega_divisor(cfg))
+    walk = _walk(cfg)
+    _checked(walk.genus)
+    return e_invariant(walk.graph, _omega(cfg, walk.graph))
 
 
 def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
@@ -261,7 +268,7 @@ class FiberReport:
 def fiber_report(cfg: FiberConfiguration) -> FiberReport:
     walk = _walk(cfg)
     g = _checked(walk.genus)
-    omega = omega_divisor(cfg)
+    omega = _omega(cfg, walk.graph)
     return FiberReport(
         genus=g,
         delta=tuple(_delta(walk.types, g)),
@@ -271,6 +278,6 @@ def fiber_report(cfg: FiberConfiguration) -> FiberReport:
         e_closed_form=_closed_form(cfg, walk.types, g) if walk.is_chain else None,
         warnings=tuple(
             f"component {cid!r} is not stable (omega coefficient <= 0)"
-            for cid in unstable_components(cfg)
+            for cid in _unstable(cfg, omega)
         ),
     )

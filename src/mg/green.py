@@ -125,9 +125,15 @@ class _Potential:
                 masses[kernel.index[e.v]] += half
                 k += rho * kernel.density[e.id] * e.length**3 / 6
                 self.mass += rho * e.length
+        # r(w, v) = G_ww + G_vv - 2 G_wv with G = kernel.gamma, so the sum
+        # is G_ww sum(m) + sum_v m_v G_vv - 2 (G m)_w
+        gam = kernel.gamma
+        support = [(v, m) for v, m in enumerate(masses) if m]
+        total = sum(m for _, m in support)
+        k += sum(m * gam[v][v] for v, m in support)
         self.at_vertex = [
-            k + sum(m * kernel.vertex_resistance(w, v) for v, m in enumerate(masses))
-            for w in range(len(masses))
+            k + gam[w][w] * total - 2 * sum(m * row[v] for v, m in support)
+            for w, row in enumerate(gam)
         ]
 
     def _edge(self, e) -> tuple[Fraction, Fraction, Fraction]:

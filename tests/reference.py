@@ -2,13 +2,17 @@
 it solved one resistance kernel per graph.
 
 Kept verbatim, for differential tests only, except that `_potentials` calls
-`linalg.solve_columns` with one column where it called the single-column
-wrapper `linalg.solve`, which had no other caller and is gone.  Every
-quantity is computed by subdividing the graph until the points involved are
-vertices and running a fresh exact elimination: one per resistance, one per
-deleted edge of the canonical measure, one per interior source point of a
-Green value.  The library's kernel formulas must reproduce these values
-exactly.
+`solve_columns` with one column where it called the single-column wrapper
+`linalg.solve`, which had no other caller and is gone.  Every quantity is
+computed by subdividing the graph until the points involved are vertices and
+running a fresh exact elimination: one per resistance, one per deleted edge
+of the canonical measure, one per interior source point of a Green value.
+The library's kernel formulas must reproduce these values exactly.
+
+The eliminations use the dense Gaussian elimination the library used before
+`mg.linalg` became a sparse symmetric elimination, kept verbatim in the first
+section, so the reference path shares no solver with the library;
+`tests/test_linalg.py` holds the two solvers equal.
 
 The last section holds the node classification the library used before it
 found every node type in one bridge-finding walk: `classify_node` rebuilds
@@ -21,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mg import linalg
 from mg.errors import (
     ConstancyViolation,
     DegreeMinusTwo,
@@ -37,6 +40,67 @@ from mg.graphs import (
     as_point,
     subdivide_at,
 )
+
+
+# -- dense exact elimination ---------------------------------------------
+
+
+def _size(x: Fraction) -> int:
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def solve_columns(
+    a: list[list[Fraction]], b_columns: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """Solve a·x = b for each column b in b_columns; returns the solution
+    columns in the same order.  Raises ValueError on a singular matrix."""
+    n = len(a)
+    k = len(b_columns)
+    for col in b_columns:
+        if len(col) != n:
+            raise ValueError("right-hand side length mismatch")
+    if n == 0:
+        return [[] for _ in range(k)]
+
+    rows = [list(a[i]) + [col[i] for col in b_columns] for i in range(n)]
+    width = n + k
+
+    for c in range(n):
+        pivot_row = -1
+        pivot_size = None
+        for r in range(c, n):
+            x = rows[r][c]
+            if x != 0:
+                s = _size(x)
+                if pivot_size is None or s < pivot_size:
+                    pivot_row = r
+                    pivot_size = s
+        if pivot_row < 0:
+            raise ValueError("singular system")
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+        prow = rows[c]
+        pval = prow[c]
+        for r in range(c + 1, n):
+            f = rows[r][c]
+            if f == 0:
+                continue
+            f = f / pval
+            rr = rows[r]
+            for j in range(c, width):
+                rr[j] = rr[j] - f * prow[j]
+
+    solutions = []
+    for j in range(k):
+        x = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            s = rows[i][n + j]
+            ri = rows[i]
+            for m in range(i + 1, n):
+                s -= ri[m] * x[m]
+            x[i] = s / ri[i]
+        solutions.append(x)
+    return solutions
 
 
 # -- resistance -----------------------------------------------------------
@@ -65,7 +129,7 @@ def _potentials(g: MetrizedGraph, source, sink) -> dict:
     keep = [index[v] for v in verts]
     A = [[L[i][j] for j in keep] for i in keep]
     b = [Fraction(1) if v == source else Fraction(0) for v in verts]
-    x = linalg.solve_columns(A, [b])[0]
+    x = solve_columns(A, [b])[0]
     pot = dict(zip(verts, x))
     pot[sink] = Fraction(0)
     return pot
@@ -247,7 +311,7 @@ def _green_columns(
     rhs = []
     for x in xs:
         rhs.append([(Fraction(1) if v == x else Fraction(0)) - m[v] for v in free])
-    sols = linalg.solve_columns(A, rhs)
+    sols = solve_columns(A, rhs)
     for x, sol in zip(xs, sols):
         col = {ground: Fraction(0)}
         col.update(zip(free, sol))

@@ -21,7 +21,7 @@ from mg import (
     omega_divisor,
     unstable_components,
 )
-from gen import random_chain_config
+from gen import frac, random_chain_config
 
 
 def cfg_two_elliptic():
@@ -224,6 +224,20 @@ class TestFiberE:
         for _ in range(30):
             cfg = random_chain_config(rng)
             assert fiber_e_closed_form(cfg) == fiber_e(cfg)
+
+    def test_long_chain_matches_closed_form(self):
+        # 200 components of genus 1-3 with self-nodes and lengths other
+        # than 1: the solver's e_y on a long tridiagonal kernel
+        rng = Random(107)
+        n = 200
+        comps = [(f"C{i}", rng.randint(1, 3)) for i in range(n)]
+        nodes = [
+            (f"n{i}", f"C{i - 1}", f"C{i}", frac(rng) if i % 3 == 0 else 1)
+            for i in range(1, n)
+        ]
+        nodes += [(f"s{i}", f"C{i}", f"C{i}", frac(rng)) for i in range(0, n, 7)]
+        cfg = FiberConfiguration(comps, nodes)
+        assert fiber_e(cfg) == fiber_e_closed_form(cfg)
 
     def test_type_zero_nodes_lie_on_cycles(self):
         rng = Random(103)
