@@ -44,6 +44,17 @@ def _check_delta(g: int, delta) -> list[Fraction]:
     return delta
 
 
+def _combine(g: int, delta, coeff) -> Fraction:
+    """Sum of coeff(i) delta_i over a delta vector checked against g."""
+    return sum((coeff(i) * d for i, d in enumerate(_check_delta(g, delta))), Fraction(0))
+
+
+def chain_e_coefficient(g: int, i: int) -> Fraction:
+    """The e_y of a chain fiber per unit length of a type-i node in genus g:
+    (g-1)/(3g) for type 0 and 4i(g-i)/g - 1 otherwise."""
+    return Fraction(4 * i * (g - i), g) - 1 if i else Fraction(g - 1, 3 * g)
+
+
 @dataclass
 class FibrationStats:
     """Numerical invariants of a semistable fibration of genus g."""
@@ -73,11 +84,7 @@ class InequalityCheck:
 
 def slope_sharp_rhs(g: int, delta) -> Fraction:
     """g*delta_0 + sum of 4i(g-i)*delta_i."""
-    delta = _check_delta(g, delta)
-    total = g * delta[0]
-    for i in range(1, len(delta)):
-        total += 4 * i * (g - i) * delta[i]
-    return total
+    return _combine(g, delta, lambda i: 4 * i * (g - i) if i else g)
 
 
 def slope_check(stats: FibrationStats) -> InequalityCheck:
@@ -105,21 +112,17 @@ def noether_omega_sq(g: int, lambda_deg, delta) -> Fraction:
 def omega_sq_lower_sharp(g: int, delta) -> Fraction:
     """Lower bound for omega^2 from the sharp slope inequality and Noether:
     (g-1)/(2g+1) delta_0 + sum (12i(g-i)/(2g+1) - 1) delta_i."""
-    delta = _check_delta(g, delta)
-    total = Fraction(g - 1, 2 * g + 1) * delta[0]
-    for i in range(1, len(delta)):
-        total += (Fraction(12 * i * (g - i), 2 * g + 1) - 1) * delta[i]
-    return total
+    return _combine(
+        g,
+        delta,
+        lambda i: Fraction(12 * i * (g - i), 2 * g + 1) - 1 if i else Fraction(g - 1, 2 * g + 1),
+    )
 
 
 def omega_sq_lower_weak(g: int, delta) -> Fraction:
     """Lower bound for omega^2 from the chain e-sum alone:
     (g-1)/(3g) delta_0 + sum (4i(g-i)/g - 1) delta_i."""
-    delta = _check_delta(g, delta)
-    total = Fraction(g - 1, 3 * g) * delta[0]
-    for i in range(1, len(delta)):
-        total += (Fraction(4 * i * (g - i), g) - 1) * delta[i]
-    return total
+    return _combine(g, delta, lambda i: chain_e_coefficient(g, i))
 
 
 def total_e(g: int, delta) -> Fraction:
@@ -162,10 +165,7 @@ def radius_sq_closed_form(g: int, delta) -> Fraction:
     most one positive-type node per fiber) is the caller's to assert; the
     CLI echoes those flags verbatim.
     """
-    delta = _check_delta(g, delta)
-    inner = Fraction(g - 1, 3) * delta[0]
-    for i in range(1, len(delta)):
-        inner += 4 * i * (g - i) * delta[i]
+    inner = _combine(g, delta, lambda i: 4 * i * (g - i) if i else Fraction(g - 1, 3))
     return Fraction((g - 1) ** 2, g * (2 * g + 1)) * inner
 
 

@@ -58,62 +58,40 @@ def exact_str(x: Fraction) -> str:
 
 
 class Report:
-    """Accumulates plain-text lines and JSON records side by side."""
+    """Accumulates plain-text lines and JSON records side by side, and the
+    exit code of the command."""
 
     def __init__(self, command: str, inputs: dict):
         self.command = command
         self.inputs = inputs
         self.lines: list[str] = []
         self.records: list[dict] = []
+        self.code = 0
 
-    def value(self, name: str, value: Fraction, warnings=(), label=None, extra=None):
-        exact = exact_str(value)
-        dec = decimal12(value)
-        self.lines.append(f"{label or name} = {exact} ({dec})")
-        for w in warnings:
-            self.lines.append(f"warning: {w}")
-        inputs = dict(self.inputs)
-        inputs["quantity"] = name
-        if extra:
-            inputs.update(extra)
+    def _add(self, name, line, exact, dec, warnings=(), extra=None):
+        self.lines.append(line)
+        self.lines.extend(f"warning: {w}" for w in warnings)
         self.records.append(
             {
                 "command": self.command,
-                "inputs": inputs,
+                "inputs": {**self.inputs, "quantity": name, **(extra or {})},
                 "exact": exact,
                 "decimal": dec,
                 "warnings": list(warnings),
             }
         )
 
+    def value(self, name: str, value: Fraction, warnings=(), label=None, extra=None):
+        exact = exact_str(value)
+        dec = decimal12(value)
+        self._add(name, f"{label or name} = {exact} ({dec})", exact, dec, warnings, extra)
+
     def text(self, name: str, content: str, label=None):
-        self.lines.append(f"{label or name} = {content}")
-        inputs = dict(self.inputs)
-        inputs["quantity"] = name
-        self.records.append(
-            {
-                "command": self.command,
-                "inputs": inputs,
-                "exact": content,
-                "decimal": None,
-                "warnings": [],
-            }
-        )
+        self._add(name, f"{label or name} = {content}", content, None)
 
     def float_value(self, name: str, value: float, label=None):
         dec = decimal12(Fraction(value))
-        self.lines.append(f"{label or name} ~= {dec}")
-        inputs = dict(self.inputs)
-        inputs["quantity"] = name
-        self.records.append(
-            {
-                "command": self.command,
-                "inputs": inputs,
-                "exact": None,
-                "decimal": dec,
-                "warnings": [],
-            }
-        )
+        self._add(name, f"{label or name} ~= {dec}", None, dec)
 
 
 def _resolve(names: dict, label: str):
@@ -243,36 +221,39 @@ def _cmd_oracle_green(args) -> Report:
     return rep
 
 
-def _cmd_batch(args) -> tuple[list[str], list[dict], int]:
+def _cmd_batch(args) -> Report:
     root = Path(args.dir)
     if not root.is_dir():
         raise InputError(f"not a directory: {args.dir}")
-    lines: list[str] = []
-    records: list[dict] = []
-    code = 0
+    rep = Report("batch", {})
     for path in sorted(root.iterdir()):
         if path.suffix not in (".mg", ".fib"):
             continue
         ns = argparse.Namespace(file=str(path))
-        lines.append(f"== {path.name} ==")
+        rep.lines.append(f"== {path.name} ==")
         try:
             if path.suffix == ".mg":
-                rep = _cmd_e_invariant(ns)
+                one = _cmd_e_invariant(ns)
             else:
-                rep = _cmd_fiber_analyze(ns)
-        except InputError as exc:
-            lines.append(f"error: {type(exc).__name__}: {exc}")
-            records.append(_error_record("batch", str(path), exc))
-            code = code or 2
-        except PreconditionError as exc:
-            lines.append(f"error: {type(exc).__name__}: {exc}")
-            records.append(_error_record("batch", str(path), exc))
-            code = code or 3
+                one = _cmd_fiber_analyze(ns)
+        except (InputError, PreconditionError) as exc:
+            rep.lines.append(_error_line(exc))
+            rep.records.append(_error_record("batch", str(path), exc))
+            rep.code = rep.code or _exit_code(exc)
         else:
-            lines.extend(rep.lines)
-            records.extend(rep.records)
-        lines.append("")
-    return lines, records, code
+            rep.lines.extend(one.lines)
+            rep.records.extend(one.records)
+        rep.lines.append("")
+    return rep
+
+
+def _exit_code(exc: InputError | PreconditionError) -> int:
+    """2 for an input error, 3 for a failed mathematical precondition."""
+    return 2 if isinstance(exc, InputError) else 3
+
+
+def _error_line(exc: Exception) -> str:
+    return f"error: {type(exc).__name__}: {exc}"
 
 
 def _error_record(command: str, file: str, exc: Exception) -> dict:
@@ -349,30 +330,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "batch":
-            lines, records, code = args.handler(args)
-        else:
-            rep = args.handler(args)
-            lines, records, code = rep.lines, rep.records, 0
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        rep = args.handler(args)
+    except (InputError, PreconditionError) as exc:
+        print(_error_line(exc), file=sys.stderr)
+        return _exit_code(exc)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
-        if len(records) == 1:
-            payload = records[0]
-        else:
-            payload = records
+        payload = rep.records[0] if len(rep.records) == 1 else rep.records
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        for line in lines:
+        for line in rep.lines:
             print(line)
-    return code
+    return rep.code
 
 
 if __name__ == "__main__":

@@ -59,6 +59,12 @@ class BadDelta(InputError, ValueError):
     fibration.  Also a ValueError, for callers that catch that."""
 
 
+class BadGridSize(InputError, ValueError):
+    """An oracle grid size h that is not positive, or so small that the grid
+    would exceed `mg.oracle.MAX_GRID_NODES`.  Also a ValueError, for callers
+    that catch that."""
+
+
 class GenusTooLarge(InputError):
     """A genus above `mg.bounds.MAX_GENUS`."""
 

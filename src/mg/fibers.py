@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bounds import check_genus
+from .bounds import chain_e_coefficient, check_genus
 from .errors import (
     Disconnected,
     GenusTooSmall,
@@ -246,12 +246,9 @@ def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
 
 
 def _closed_form(cfg: FiberConfiguration, types: dict, g: int) -> Fraction:
-    total = Fraction(0)
-    for n in cfg.nodes:
-        i = types[n.id]
-        coeff = Fraction(g - 1, 3 * g) if i == 0 else Fraction(4 * i * (g - i), g) - 1
-        total += coeff * n.length
-    return total
+    return sum(
+        (chain_e_coefficient(g, types[n.id]) * n.length for n in cfg.nodes), Fraction(0)
+    )
 
 
 @dataclass

@@ -238,32 +238,34 @@ def green_eval(s: GreenSystem, x, y) -> Fraction:
 
 
 def constant_c(s: GreenSystem) -> Fraction:
-    """The constant value of g(D, y) + g(y, y).
+    """The constant value of g(D, y) + g(y, y), certified exactly.
 
-    Constancy is verified at every vertex, at every edge-interior point of
-    D, and at three interior samples of each piece into which those points
-    cut an edge (enough to determine the quadratic on the piece); any
-    disagreement raises ConstancyViolation.
+    Between break points (vertices, and the points of D and of the measure
+    inside edges) every tent is linear, so on an edge the sum is linear plus
+    gamma_e t(l - t), with gamma_e = (deg D/2 + 1) curv_j - curv_(r_D)/2
+    from the two potentials.  It is therefore constant iff it takes one value
+    at every break point and gamma_e = 0 on every edge; any failure raises
+    ConstancyViolation.
     """
-    samples: list[GraphPoint] = [GraphPoint.at_vertex(v) for v in s.graph.vertex_list]
+    points = [GraphPoint.at_vertex(v) for v in s.graph.vertex_list]
     for e in s.graph.edges:
-        cuts = sorted(t for t, _ in s._r_d.inside.get(e.id, ()))
-        ends = [Fraction(0), *cuts, e.length]
-        for a, b in zip(ends, ends[1:]):
-            if a:
-                samples.append(GraphPoint.on_edge(e.id, a))
-            for num in (1, 2, 3):
-                samples.append(GraphPoint.on_edge(e.id, a + (b - a) * Fraction(num, 4)))
+        inside = [*s._j.inside.get(e.id, ()), *s._r_d.inside.get(e.id, ())]
+        points.extend(GraphPoint.on_edge(e.id, t) for t in sorted({t for t, _ in inside}))
 
-    value = None
-    where = None
-    for y in samples:
+    where = points[0]
+    value = s.green_of_divisor(where) + s._green(where, where)
+    for y in points[1:]:
         c = s.green_of_divisor(y) + s._green(y, y)
-        if value is None:
-            value, where = c, y
-        elif c != value:
+        if c != value:
             raise ConstancyViolation(
                 f"g(D,y) + g(y,y) is {value} at {where!r} but {c} at {y!r}"
+            )
+
+    for e in s.graph.edges:
+        gamma = (s.degree / 2 + 1) * s._j._edge(e)[2] - s._r_d._edge(e)[2] / 2
+        if gamma:
+            raise ConstancyViolation(
+                f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma} on edge {e.id!r}"
             )
     return value
 

@@ -17,12 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import DegreeMinusTwo
+from .errors import BadGridSize, DegreeMinusTwo
 from .graphs import MetrizedGraph, RDivisor, as_point
 from .green import green_system
 
 if TYPE_CHECKING:
     import numpy as np
+
+# Largest total number of sub-edges, sum of ceil(length/h) over the edges,
+# that `discretize` will build.  The grid then has at most this many nodes
+# beyond the original vertices; its Laplacian is dense, so the solves grow
+# with the cube of this count.
+MAX_GRID_NODES = 1_000
 
 
 @dataclass
@@ -47,17 +53,26 @@ class DiscreteGraph:
 
 
 def discretize(g: MetrizedGraph, h) -> DiscreteGraph:
-    """Split every edge into ceil(length/h) equal sub-edges."""
+    """Split every edge into ceil(length/h) equal sub-edges.
+
+    Raises BadGridSize, before anything is allocated, when h is not positive
+    or when the sub-edges would number more than MAX_GRID_NODES.
+    """
     h = Fraction(h)
     if h <= 0:
-        raise ValueError("grid size h must be positive")
+        raise BadGridSize(f"grid size h = {h} must be positive")
+    counts = [math.ceil(e.length / h) for e in g.edges]
+    if sum(counts) > MAX_GRID_NODES:
+        raise BadGridSize(
+            f"grid size h = {h} makes {sum(counts)} sub-edges, "
+            f"more than the limit {MAX_GRID_NODES}"
+        )
     vertex_node = {v: i for i, v in enumerate(g.vertex_list)}
     n = len(g.vertex_list)
     links = []
     edge_chain = {}
     edge_step = {}
-    for e in g.edges:
-        m = math.ceil(e.length / h)
+    for e, m in zip(g.edges, counts):
         step = e.length / m
         chain = [vertex_node[e.u]]
         for _ in range(m - 1):

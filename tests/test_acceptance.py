@@ -240,7 +240,7 @@ def test_criterion_8_property_suite():
         s = green_system(g, d)
 
         assert s.measure.total_mass() == 1
-        c = constant_c(s)  # vertices + three interior samples per edge
+        c = constant_c(s)  # break points + the t(l - t) coefficient per edge
         e = 2 * s.degree * c - s.pairing_dd()
 
         for _ in range(3):

@@ -148,6 +148,15 @@ class TestErrors:
         assert code == 2
         assert "ParseError" in err
 
+    @pytest.mark.parametrize("h", ["0", "-1", "1/100000000000000000000"])
+    def test_bad_grid_size_exits_2(self, capsys, h):
+        code, out, err = run(
+            capsys, "oracle", "green", GOLDEN / "circle.mg", "O", "O", "--h", h
+        )
+        assert code == 2
+        assert "BadGridSize" in err
+        assert out == ""
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(capsys, "e-invariant", GOLDEN / "nope.mg")
         assert code == 2

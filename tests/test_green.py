@@ -225,6 +225,36 @@ class TestConstant:
         with pytest.raises(ConstancyViolation):
             constant_c(s)
 
+    def test_violation_detected_by_coefficient_alone(self, monkeypatch):
+        # half the circle's density traded for an atom at its one vertex:
+        # mass 1 and a single break point, so only the t(l - t) coefficient
+        # of g(D,y) + g(y,y) on the loop can tell
+        g = circle_graph(Fraction(9, 4))
+        d = RDivisor()
+        rho = canonical_measure(g).density("c")
+        bad = AdmissibleMeasure(g, {"O": Fraction(1, 2)}, {"c": rho / 2})
+        monkeypatch.setattr(mg.green, "admissible_measure", lambda g, d: bad)
+        s = green_system(g, d)
+        assert s.measure is bad
+        with pytest.raises(ConstancyViolation, match="coefficient"):
+            constant_c(s)
+
+    def test_violation_detected_at_measure_atom_inside_edge(self, monkeypatch):
+        # half the mass moved from the ends of a segment to its midpoint:
+        # symmetric at the ends and no density anywhere, so only the value
+        # at the measure's own break point inside the edge can tell
+        g = segment_graph(1)
+        d = RDivisor({"P": 1, "Q": 1})
+        mid = GraphPoint.on_edge("e", Fraction(1, 2))
+        bad = AdmissibleMeasure(
+            g, {"P": Fraction(1, 4), "Q": Fraction(1, 4), mid: Fraction(1, 2)}, {}
+        )
+        monkeypatch.setattr(mg.green, "admissible_measure", lambda g, d: bad)
+        s = green_system(g, d)
+        assert s.measure is bad
+        with pytest.raises(ConstancyViolation, match="but"):
+            constant_c(s)
+
 
 class TestEInvariant:
     def test_unit_segment(self):

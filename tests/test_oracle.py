@@ -26,6 +26,8 @@ from mg import (
     theta_graph,
 )
 import mg
+from mg.errors import BadGridSize, InputError
+from mg.oracle import MAX_GRID_NODES
 from gen import random_divisor, random_graph
 
 
@@ -52,6 +54,26 @@ class TestDiscretize:
         assert dg.locate(g, "P") != dg.locate(g, "Q")
         mid = dg.locate(g, GraphPoint.on_edge("e", Fraction(1, 2)))
         assert mid == dg.edge_chain["e"][2]
+
+    @pytest.mark.parametrize("h", [0, -1, Fraction(-1, 3)])
+    def test_nonpositive_h_is_input_error(self, h):
+        assert issubclass(BadGridSize, InputError)
+        with pytest.raises(ValueError, match="positive"):
+            discretize(segment_graph(1), h)
+
+    def test_grid_at_the_cap(self):
+        dg = discretize(circle_graph(1), Fraction(1, MAX_GRID_NODES))
+        assert len(dg.links) == MAX_GRID_NODES
+
+    @pytest.mark.parametrize(
+        "h", [Fraction(1, MAX_GRID_NODES + 1), Fraction(1, 10**20)], ids=["cap+1", "1e-20"]
+    )
+    def test_grid_over_the_cap_is_input_error(self, h):
+        # rejected before the grid is built, so neither value allocates it
+        with pytest.raises(BadGridSize, match="limit"):
+            discretize(circle_graph(1), h)
+        with pytest.raises(BadGridSize):
+            numeric_green(circle_graph(1), RDivisor(), "O", "O", h)
 
 
 class TestNumericResistance:
