@@ -218,9 +218,6 @@ class GreenSystem:
         y = self.graph.check_point(y)
         return (self._j_d - self._r_d(y)) / 2 + self.degree * (self._j(y) / 2 - self._c)
 
-    def green_diagonal(self, y) -> Fraction:
-        return self.eval(y, y)
-
     def pairing_dd(self) -> Fraction:
         """g(D, D) = sum over i of a_i g(D, P_i)."""
         total = Fraction(0)

@@ -1,13 +1,14 @@
 """Independent floating-point cross-check for the exact solvers.
 
 Each edge is cut into equal sub-edges of size at most h and everything is
-solved on the resulting combinatorial network with numpy in float64.  The
-measure is rebuilt here from scratch (valence atoms, densities from
-discretely computed deleted-edge resistances, trapezoid mass assignment), so
-no solve code is shared with the exact modules.  This is the only module in
-the library that touches floating point.  numpy is imported inside the
-functions that use it, so importing `mg` or running any other `mg` command
-does not load it.
+solved on the resulting combinatorial network with numpy in float64.  Each
+call inverts the grid Laplacian, grounded at one node, once; resistances,
+the canonical measure (valence atoms, and on each sub-edge a density read
+off the resistance between its ends) and the Green values all come from
+that one inverse, and no solve code is shared with the exact modules.  This
+is the only module in the library that touches floating point.  numpy is
+imported inside the functions that use it, so importing `mg` or running any
+other `mg` command does not load it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ if TYPE_CHECKING:
 
 # Largest total number of sub-edges, sum of ceil(length/h) over the edges,
 # that `discretize` will build.  The grid then has at most this many nodes
-# beyond the original vertices; its Laplacian is dense, so the solves grow
-# with the cube of this count.
+# beyond the original vertices; each call inverts its dense Laplacian once,
+# so the time grows with the cube of the node count and the memory with its
+# square.
 MAX_GRID_NODES = 1_000
 
 
@@ -86,109 +88,52 @@ def discretize(g: MetrizedGraph, h) -> DiscreteGraph:
     return DiscreteGraph(n, links, vertex_node, edge_chain, edge_step)
 
 
-def _laplacian(n: int, links) -> np.ndarray:
+def _grounded_inverse(dg: DiscreteGraph) -> np.ndarray:
+    """Inverse X of the grid Laplacian grounded at node 0, with row and
+    column 0 zero, so that r(i, j) = X_ii + X_jj - 2 X_ij."""
     import numpy as np
-    L = np.zeros((n, n))
-    for i, j, r in links:
+    L = np.zeros((dg.n, dg.n))
+    for i, j, s in dg.links:
         if i == j:
             continue
-        c = 1.0 / r
+        c = 1.0 / s
         L[i, i] += c
         L[j, j] += c
         L[i, j] -= c
         L[j, i] -= c
-    return L
+    X = np.zeros((dg.n, dg.n))
+    X[1:, 1:] = np.linalg.inv(L[1:, 1:])
+    return X
 
 
-def _solve_grounded(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    import numpy as np
-    x = np.zeros(len(b))
-    x[1:] = np.linalg.solve(L[1:, 1:], b[1:])
-    return x
-
-
-def _connected_nodes(n: int, links, start: int) -> set:
-    adj: dict[int, list[int]] = {}
-    for i, j, _ in links:
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
-def _resistance_between(n: int, links, i: int, j: int) -> float:
-    import numpy as np
-    if i == j:
-        return 0.0
-    comp = sorted(_connected_nodes(n, links, i))
-    index = {v: k for k, v in enumerate(comp)}
-    sub = [(index[a], index[b], r) for a, b, r in links if a in index and b in index]
-    L = _laplacian(len(comp), sub)
-    b = np.zeros(len(comp))
-    b[index[i]] = 1.0
-    b[index[j]] = -1.0
-    # ground node j by reordering: solve with node index[j] removed
-    keep = [k for k in range(len(comp)) if k != index[j]]
-    v = np.zeros(len(comp))
-    v[keep] = np.linalg.solve(L[np.ix_(keep, keep)], b[keep])
-    return float(v[index[i]] - v[index[j]])
+def _resistance(X: np.ndarray, i: int, j: int) -> float:
+    return float(X[i, i] + X[j, j] - 2.0 * X[i, j])
 
 
 def numeric_resistance(g: MetrizedGraph, p, q, h) -> float:
     """Discrete effective resistance; exact (up to rounding) whenever the
     grid resolves p and q, since series subdivision preserves resistance."""
+    g.validate()
     dg = discretize(g, h)
-    i = dg.locate(g, p)
-    j = dg.locate(g, q)
-    return _resistance_between(dg.n, dg.links, i, j)
+    return _resistance(_grounded_inverse(dg), dg.locate(g, p), dg.locate(g, q))
 
 
-def _edge_density(g: MetrizedGraph, dg: DiscreteGraph, e) -> float:
-    """Density of the canonical measure on edge e, computed discretely."""
-    if e.is_loop():
-        return 1.0 / float(e.length)
-    chain = set()
-    seq = dg.edge_chain[e.id]
-    for i in range(len(seq) - 1):
-        chain.add((seq[i], seq[i + 1]))
-    rest = [
-        (i, j, r)
-        for i, j, r in dg.links
-        if (i, j) not in chain and (j, i) not in chain
-    ]
-    iu = dg.vertex_node[e.u]
-    iv = dg.vertex_node[e.v]
-    if iv not in _connected_nodes(dg.n, rest, iu):
-        return 0.0  # bridge
-    r = _resistance_between(dg.n, rest, iu, iv)
-    return 1.0 / (float(e.length) + r)
-
-
-def _discrete_measure(g: MetrizedGraph, d: RDivisor, dg: DiscreteGraph) -> np.ndarray:
+def _discrete_measure(
+    g: MetrizedGraph, d: RDivisor, dg: DiscreteGraph, X: np.ndarray
+) -> np.ndarray:
+    """Node masses of mu = (delta_D + 2 mu_can)/(deg D + 2).  mu_can is the
+    grid's own canonical measure, which subdivision leaves unchanged: atoms
+    1 - valence/2 at the original vertices, and on a sub-edge of length s with
+    ends r apart the density (s - r)/s^2, half its mass lumped on each end."""
     import numpy as np
-    deg = d.degree()
-    if deg == -2:
-        raise DegreeMinusTwo("divisor has degree -2")
-    scale = float(deg) + 2.0
+    scale = float(d.degree()) + 2.0
     mass = np.zeros(dg.n)
     for v in g.vertex_list:
         mass[dg.vertex_node[v]] += 2.0 * (1.0 - g.valence(v) / 2.0) / scale
-    for e in g.edges:
-        dens = 2.0 * _edge_density(g, dg, e) / scale
-        if dens == 0.0:
-            continue
-        chain = dg.edge_chain[e.id]
-        step = dg.edge_step[e.id]
-        for k, node in enumerate(chain):
-            w = 0.5 if k in (0, len(chain) - 1) else 1.0
-            mass[node] += dens * step * w
+    for i, j, s in dg.links:
+        half = (1.0 - _resistance(X, i, j) / s) / scale
+        mass[i] += half
+        mass[j] += half
     for p, a in d.items():
         mass[dg.locate(g, p)] += float(a) / scale
     return mass
@@ -197,15 +142,16 @@ def _discrete_measure(g: MetrizedGraph, d: RDivisor, dg: DiscreteGraph) -> np.nd
 def numeric_green(g: MetrizedGraph, d: RDivisor, x, y, h) -> float:
     """Discrete Green value g(x, y): solve the grid Poisson problem with
     source delta_x - mu and re-center with the discrete zero-mean rule."""
-    import numpy as np
     g.validate()
+    if d.degree() == -2:
+        raise DegreeMinusTwo("divisor has degree -2")
     dg = discretize(g, h)
-    mass = _discrete_measure(g, d, dg)
-    L = _laplacian(dg.n, dg.links)
-    b = -mass.copy()
+    X = _grounded_inverse(dg)
+    mass = _discrete_measure(g, d, dg, X)
+    b = -mass
     b[dg.locate(g, as_point(x))] += 1.0
-    v = _solve_grounded(L, b)
-    v = v - float(np.dot(v, mass))
+    v = X @ b
+    v = v - float(v @ mass)
     return float(v[dg.locate(g, as_point(y))])
 
 

@@ -9,8 +9,11 @@ import pytest
 
 from mg import (
     DegreeMinusTwo,
+    Disconnected,
     FiberConfiguration,
     GraphPoint,
+    MetrizedGraph,
+    NonpositiveLength,
     RDivisor,
     circle_graph,
     configuration_graph,
@@ -100,6 +103,15 @@ class TestNumericResistance:
             got = numeric_resistance(g, u, v, Fraction(1, 8))
             assert abs(got - exact) < 1e-9
 
+    def test_disconnected_is_input_error(self):
+        g = MetrizedGraph(["P", "Q", "R"], [("e", "P", "Q", 1)])
+        with pytest.raises(Disconnected):
+            numeric_resistance(g, "P", "R", Fraction(1, 4))
+
+    def test_zero_length_is_input_error(self):
+        with pytest.raises(NonpositiveLength):
+            numeric_resistance(segment_graph(0), "P", "Q", Fraction(1, 4))
+
 
 class TestNumericGreen:
     def test_circle_value(self):
@@ -129,6 +141,40 @@ class TestNumericGreen:
             errors.append(abs(got - 1 / 12))
         assert errors[1] <= errors[0] / 2 * 1.1
         assert errors[2] <= errors[1] / 2 * 1.1
+
+
+class TestOneFactorization:
+    """Each oracle call inverts the grid Laplacian once and reads every
+    resistance, density and Green value from that inverse."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import numpy
+
+        counter = {"n": 0}
+        for name in ("solve", "inv"):
+            real = getattr(numpy.linalg, name)
+
+            def counted(*args, _real=real, **kwargs):
+                counter["n"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(numpy.linalg, name, counted)
+        return counter
+
+    def test_green(self, calls):
+        d = RDivisor({"P": 1, "Q": 1})
+        numeric_green(theta_graph(), d, "P", "Q", Fraction(1, 4))
+        assert calls["n"] == 1
+
+    def test_resistance(self, calls):
+        numeric_resistance(theta_graph(), "P", "Q", Fraction(1, 4))
+        assert calls["n"] == 1
+
+    def test_degree_minus_two_solves_nothing(self, calls):
+        with pytest.raises(DegreeMinusTwo):
+            numeric_green(theta_graph(), RDivisor({"P": -2}), "P", "Q", Fraction(1, 4))
+        assert calls["n"] == 0
 
 
 def g3_chain_fiber_graph():
