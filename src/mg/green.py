@@ -20,7 +20,7 @@ leaves both implicit):
   parallel law.
 
 Everything is exact and comes from the graph's resistance kernel, one
-rational elimination per graph (`mg.resistance`), as g(x, y) = -r(x, y)/2 +
+rational factorization per graph (`mg.resistance`), as g(x, y) = -r(x, y)/2 +
 (j(x) + j(y))/2 - c_mu with j(x) = integral r(x, z) dmu(z) and c_mu half the
 integral of j dmu (Chinburg-Rumely 1993; Baker-Rumely 2007).
 """
@@ -96,8 +96,14 @@ class _Potential:
     t))/l when z too lies inside e, at offset s (`mg.resistance`).
     """
 
-    def __init__(self, kernel: ResistanceKernel, atoms: dict, densities: dict):
-        graph = self.graph = kernel.graph
+    def __init__(
+        self,
+        graph: MetrizedGraph,
+        kernel: ResistanceKernel,
+        atoms: dict,
+        densities: dict,
+    ):
+        self.graph = graph
         self.kernel = kernel
         self.densities = densities
         self.inside: dict = {}  # edge id -> [(offset, atom)] inside the edge
@@ -125,15 +131,14 @@ class _Potential:
                 masses[kernel.index[e.v]] += half
                 k += rho * kernel.density[e.id] * e.length**3 / 6
                 self.mass += rho * e.length
-        # r(w, v) = G_ww + G_vv - 2 G_wv with G = kernel.gamma, so the sum
-        # is G_ww sum(m) + sum_v m_v G_vv - 2 (G m)_w
-        gam = kernel.gamma
+        # r(w, v) = G_ww + G_vv - 2 G_wv with G the kernel's Gamma, so the
+        # sum is G_ww sum(m) + sum_v m_v G_vv - 2 (G m)_w: one solve
         support = [(v, m) for v, m in enumerate(masses) if m]
         total = sum(m for _, m in support)
-        k += sum(m * gam[v][v] for v, m in support)
+        k += sum(m * kernel.entry(v, v) for v, m in support)
+        gm = kernel.apply(masses)
         self.at_vertex = [
-            k + gam[w][w] * total - 2 * sum(m * row[v] for v, m in support)
-            for w, row in enumerate(gam)
+            k + kernel.entry(w, w) * total - 2 * gm[w] for w in range(len(masses))
         ]
 
     def _edge(self, e) -> tuple[Fraction, Fraction, Fraction]:
@@ -177,10 +182,12 @@ class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
     Construction takes the graph's resistance kernel and the vertex values
-    of j and of r(D, .) = sum a_i r(P_i, .); every evaluation, g(D, y)
-    included, is then O(1) arithmetic plus a term per atom inside the edge
-    of an interior point.  Nothing is mutated after construction, so
-    concurrent reads are safe.
+    of j and of r(D, .) = sum a_i r(P_i, .), one solve each; g(D, y) is
+    then O(1) arithmetic plus a term per atom inside the edge of y.  So is
+    g(x, y), except that r(x, y) may first solve a column of the kernel
+    (`mg.resistance`) and cache it there, so reads mutate the kernel.  The
+    cache is filled by dict.setdefault with exact columns: threads racing
+    to fill one store equal values, and concurrent reads stay safe.
     """
 
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
@@ -195,9 +202,9 @@ class GreenSystem:
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
         kernel = resistance_kernel(graph)
-        self._j = _Potential(kernel, self.measure.atoms, self.measure.densities)
+        self._j = _Potential(graph, kernel, self.measure.atoms, self.measure.densities)
         self._c = self._j.integral(self.measure) / 2
-        self._r_d = _Potential(kernel, dict(self.divisor.items()), {})
+        self._r_d = _Potential(graph, kernel, dict(self.divisor.items()), {})
         self._j_d = sum((a * self._j(p) for p, a in self.divisor.items()), Fraction(0))
 
     def _green(self, x: GraphPoint, y: GraphPoint) -> Fraction:

@@ -1,9 +1,9 @@
 """Exact effective resistance on metrized graphs.
 
-Each edge is a resistor whose resistance equals its length.  One exact
-elimination per graph inverts the grounded vertex Laplacian (conductance
-1/length per edge, loops contributing nothing; Gamma = 0 at the first
-vertex), and every resistance is closed-form arithmetic on that kernel:
+Each edge is a resistor whose resistance equals its length.  Gamma is the
+inverse of the grounded vertex Laplacian (conductance 1/length per edge,
+loops contributing nothing; Gamma = 0 at the first vertex), and every
+resistance is closed-form arithmetic on it:
 
 * r(a, b) = Gamma_aa + Gamma_bb - 2 Gamma_ab for vertices a and b;
 * an edge e = (u, v) of length l has r_e = r(u, v) and canonical density
@@ -12,7 +12,16 @@ vertex), and every resistance is closed-form arithmetic on that kernel:
   + t(l - t) rho_e for any w not inside e;
 * two points inside e at distance d have r(x, y) = d - rho_e d^2.
 
-The kernel is solved on first use and kept on the (immutable) graph.
+Gamma is never formed densely.  The kernel factors the Laplacian once
+(`mg.linalg`, built straight from the edges) and takes the selected inverse,
+which holds Gamma exactly on the diagonal, on every pair of adjacent
+vertices and on the fill: so every r_e and density, in O(nnz(L)) on a graph
+that factors with no fill.  A potential sum_v m_v r(w, v) over all w needs
+only the diagonal and one solve, Gamma·m (`mg.green`).  Gamma at any other
+pair, as a resistance between arbitrary points asks for, costs the column
+of one of its vertices: one solve, cached on the kernel, so at most one per
+source vertex.  The kernel is built on first use and kept on the
+(immutable) graph.
 """
 
 from __future__ import annotations
@@ -25,38 +34,68 @@ from .graphs import GraphPoint, MetrizedGraph
 
 
 class ResistanceKernel:
-    """Gamma of a connected graph, with the canonical density of each edge."""
+    """Gamma of a connected graph, with the canonical density of each edge.
+
+    Gamma is the inverse of the Laplacian grounded at the first vertex
+    (index 0), with Gamma = 0 in its row and column.  It is kept as the
+    factorization, its selected inverse (the diagonal and every pair of
+    adjacent vertices, plus the fill) and the columns solved so far.  The
+    kernel holds the graph's edges but not the graph, which holds the
+    kernel, so both are freed together as soon as the graph is.
+    """
 
     def __init__(self, g: MetrizedGraph):
         g.validate()
-        self.graph = g
+        self.edge_by_id = g.edge_by_id
         self.index = {v: i for i, v in enumerate(g.vertex_list)}
-        n = len(self.index)
-        lap = [[Fraction(0)] * n for _ in range(n)]
+        # vertex i > 0 is row i - 1 of the grounded Laplacian
+        rows: list[dict[int, Fraction]] = [{} for _ in range(len(self.index) - 1)]
         for e in g.edges:
             if e.is_loop():
                 continue
             c = 1 / e.length
-            i, j = self.index[e.u], self.index[e.v]
-            lap[i][i] += c
-            lap[j][j] += c
-            lap[i][j] -= c
-            lap[j][i] -= c
-        # ground the first vertex; Gamma is symmetric, so each solution
-        # column is also a row
-        grounded = [row[1:] for row in lap[1:]]
-        units = [[Fraction(int(i == j)) for i in range(n - 1)] for j in range(n - 1)]
-        cols = linalg.solve_columns(grounded, units)
-        self.gamma = [[Fraction(0)] * n] + [[Fraction(0)] + c for c in cols]
+            i, j = self.index[e.u] - 1, self.index[e.v] - 1
+            for a, b, x in ((i, i, c), (j, j, c), (i, j, -c), (j, i, -c)):
+                if a >= 0 and b >= 0:
+                    rows[a][b] = rows[a].get(b, 0) + x
+        self._factors = linalg.Factorization(rows)
+        self._selected = self._factors.selected_inverse()
+        self._columns: dict[int, list[Fraction]] = {}
         self.density = {}
         for e in g.edges:
             r = self.vertex_resistance(self.index[e.u], self.index[e.v])
             self.density[e.id] = (e.length - r) / e.length**2
 
+    def column(self, i: int) -> list[Fraction]:
+        """Gamma's column of the vertex of index i, solved on first use.
+
+        The cache is filled with setdefault: a column is exact, so two
+        threads racing to fill it store equal values."""
+        col = self._columns.get(i)
+        if col is None:
+            unit = [Fraction(int(j == i - 1)) for j in range(len(self.index) - 1)]
+            col = self._columns.setdefault(i, [Fraction(0)] + self._factors.solve(unit))
+        return col
+
+    def entry(self, i: int, j: int) -> Fraction:
+        """Gamma_ij: from the selected inverse when i and j are on its
+        pattern, else from a column of either, solving i's if neither is
+        cached."""
+        if not i or not j:
+            return Fraction(0)
+        x = self._selected[i - 1].get(j - 1)
+        if x is not None:
+            return x
+        col = self._columns.get(j)
+        return col[i] if col is not None else self.column(i)[j]
+
+    def apply(self, m: list[Fraction]) -> list[Fraction]:
+        """Gamma·m, for a vector m indexed like the vertices: one solve."""
+        return [Fraction(0)] + self._factors.solve(m[1:])
+
     def vertex_resistance(self, i: int, j: int) -> Fraction:
         """r between the vertices of index i and j."""
-        gam = self.gamma
-        return gam[i][i] + gam[j][j] - 2 * gam[i][j]
+        return self.entry(i, i) + self.entry(j, j) - 2 * self.entry(i, j)
 
     def spread(self, p: GraphPoint) -> tuple[list[tuple[int, Fraction]], Fraction]:
         """Write r(p, w), for w not inside p's edge, as a weighted sum of
@@ -64,7 +103,7 @@ class ResistanceKernel:
         constant).  The weights sum to 1."""
         if p.is_vertex:
             return [(self.index[p.vertex], Fraction(1))], Fraction(0)
-        e = self.graph.edge_by_id[p.edge]
+        e = self.edge_by_id[p.edge]
         l, t = e.length, p.offset
         weights = [(self.index[e.u], (l - t) / l), (self.index[e.v], t / l)]
         return weights, t * (l - t) * self.density[e.id]

@@ -12,7 +12,10 @@ The library's kernel formulas must reproduce these values exactly.
 The eliminations use the dense Gaussian elimination the library used before
 `mg.linalg` became a sparse symmetric elimination, kept verbatim in the first
 section, so the reference path shares no solver with the library;
-`tests/test_linalg.py` holds the two solvers equal.
+`tests/test_linalg.py` holds the two solvers equal.  That section also keeps
+the elimination loop of the first sparse solver, which picked each pivot by
+a scan of the rows left, cut down to the order of its pivots
+(`pivot_order`); the library's pivot heap is held to that order.
 
 The last section holds the node classification the library used before it
 found every node type in one bridge-finding walk: `classify_node` rebuilds
@@ -101,6 +104,40 @@ def solve_columns(
             x[i] = s / ri[i]
         solutions.append(x)
     return solutions
+
+
+def pivot_order(a: list[list[Fraction]]) -> list[int]:
+    """The order in which the sparse elimination picked its pivots: minimum
+    degree by a scan of the rows left, ties to the lower index.  Takes a
+    symmetric matrix whose pivots are nonzero in that order."""
+    n = len(a)
+    diag = [Fraction(0)] * n
+    adj: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            if i == j:
+                diag[i] = x
+            else:
+                adj[i][j] = x
+
+    order = []
+    left = set(range(n))
+    while left:
+        k = min(left, key=lambda i: (len(adj[i]), i))
+        left.remove(k)
+        d = diag[k]
+        nbrs = list(adj[k].items())
+        for p, (i, x) in enumerate(nbrs):
+            l = x / d
+            row = adj[i]
+            del row[k]
+            diag[i] -= l * x
+            for j, y in nbrs[p + 1 :]:
+                row[j] = adj[j][i] = row.get(j, 0) - l * y
+        order.append(k)
+    return order
 
 
 # -- resistance -----------------------------------------------------------

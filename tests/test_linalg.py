@@ -1,5 +1,6 @@
-"""The sparse symmetric elimination of `mg.linalg` against the dense
-Gaussian elimination kept in reference.py: the solutions must be equal."""
+"""The sparse LDL^T factorization of `mg.linalg` against the dense Gaussian
+elimination kept in reference.py: solutions, the selected inverse and the
+pivot order must be equal."""
 
 from fractions import Fraction
 from random import Random
@@ -12,7 +13,7 @@ import reference as ref
 from mg import MetrizedGraph, linalg
 from gen import frac, random_graph
 
-FAMILIES = ("tree", "path", "cycle", "parallel", "loops", "mixed")
+FAMILIES = ("tree", "path", "cycle", "parallel", "loops", "mixed", "dense")
 
 
 def family_graph(rng: Random, family: str) -> MetrizedGraph:
@@ -21,7 +22,7 @@ def family_graph(rng: Random, family: str) -> MetrizedGraph:
         return random_graph(rng, max_vertices=10, extra_edges=0)
     if family == "mixed":
         return random_graph(rng, max_vertices=10, extra_edges=6)
-    n = rng.randint(1, 10)
+    n = rng.randint(8, 14) if family == "dense" else rng.randint(1, 10)
     vs = [f"v{i}" for i in range(n)]
     pairs = [(vs[i - 1], vs[i]) for i in range(1, n)]
     if family == "cycle":
@@ -30,6 +31,8 @@ def family_graph(rng: Random, family: str) -> MetrizedGraph:
         pairs += [rng.choice(pairs) for _ in range(rng.randint(1, 3))]
     elif family == "loops":
         pairs += [(v, v) for v in rng.sample(vs, rng.randint(1, n))]
+    elif family == "dense":  # a path plus n chords: fill that raises degrees
+        pairs += [tuple(rng.sample(vs, 2)) for _ in range(n)]
     edges = [(f"e{k}", u, v, frac(rng)) for k, (u, v) in enumerate(pairs)]
     return MetrizedGraph(vs, edges)
 
@@ -40,6 +43,15 @@ def grounded_laplacian(g: MetrizedGraph, ground: int) -> list[list[Fraction]]:
     return [row[:ground] + row[ground + 1 :] for row in rows]
 
 
+def sparse(a: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    """The nonzero rows of a dense matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+def unit(n: int, j: int) -> list[Fraction]:
+    return [Fraction(int(i == j)) for i in range(n)]
+
+
 def rhs(rng: Random, n: int) -> list[Fraction]:
     """A right-hand side with zero and nonzero entries of either sign."""
     return [
@@ -48,35 +60,74 @@ def rhs(rng: Random, n: int) -> list[Fraction]:
     ]
 
 
+def family_system(seed: int, family: str):
+    rng = Random(seed)
+    g = family_graph(rng, family)
+    return rng, grounded_laplacian(g, rng.randrange(len(g.vertex_list)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
 def test_matches_dense_reference(seed, family):
-    rng = Random(seed)
-    g = family_graph(rng, family)
-    a = grounded_laplacian(g, rng.randrange(len(g.vertex_list)))
-    b = [rhs(rng, len(a)) for _ in range(rng.randint(1, 4))]
-    a_copy, b_copy = [list(r) for r in a], [list(c) for c in b]
-    assert linalg.solve_columns(a, b) == ref.solve_columns(a, b)
-    assert (a, b) == (a_copy, b_copy)
+    rng, a = family_system(seed, family)
+    rows = sparse(a)
+    rows_copy = [dict(r) for r in rows]
+    factors = linalg.Factorization(rows)
+    for _ in range(rng.randint(1, 4)):
+        b = rhs(rng, len(a))
+        b_copy = list(b)
+        assert factors.solve(b) == ref.solve_columns(a, [b])[0]
+        assert b == b_copy
+    assert rows == rows_copy
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
+def test_selected_inverse_matches_dense_inverse(seed, family):
+    rng, a = family_system(seed, family)
+    n = len(a)
+    dense = ref.solve_columns(a, [unit(n, j) for j in range(n)])  # columns
+    factors = linalg.Factorization(sparse(a))
+    z = factors.selected_inverse()
+    assert len(z) == n
+    for i in range(n):
+        # the pattern holds the diagonal and every nonzero of a
+        assert {i} | {j for j, x in enumerate(a[i]) if x} <= z[i].keys()
+        for j, x in z[i].items():
+            assert x == dense[j][i]
+            assert z[j][i] == x
+    if n:
+        j = rng.randrange(n)
+        assert factors.solve(unit(n, j)) == dense[j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
+def test_pivot_order_matches_scan(seed, family):
+    _, a = family_system(seed, family)
+    factors = linalg.Factorization(sparse(a))
+    assert [k for k, _, _ in factors.steps] == ref.pivot_order(a)
 
 
 def test_empty_system():
-    assert linalg.solve_columns([], []) == []
-    assert linalg.solve_columns([], [[], []]) == [[], []]
+    factors = linalg.Factorization([])
+    assert factors.solve([]) == []
+    assert factors.selected_inverse() == []
 
 
 def test_one_unknown():
-    b = [[Fraction(1)], [Fraction(-5, 7)]]
-    assert linalg.solve_columns([[Fraction(2, 3)]], b) == [
-        [Fraction(3, 2)],
-        [Fraction(-15, 14)],
-    ]
+    factors = linalg.Factorization([{0: Fraction(2, 3)}])
+    assert factors.solve([Fraction(1)]) == [Fraction(3, 2)]
+    assert factors.solve([Fraction(-5, 7)]) == [Fraction(-15, 14)]
+    assert factors.selected_inverse() == [{0: Fraction(3, 2)}]
 
 
 def test_right_hand_side_length_mismatch():
-    a = [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+    factors = linalg.Factorization(
+        [{0: Fraction(2), 1: Fraction(-1)}, {0: Fraction(-1), 1: Fraction(2)}]
+    )
     with pytest.raises(ValueError, match="length mismatch"):
-        linalg.solve_columns(a, [[Fraction(1)]])
+        factors.solve([Fraction(1)])
 
 
 def test_disconnected_graph_is_singular():
@@ -84,12 +135,15 @@ def test_disconnected_graph_is_singular():
         ["a", "b", "c", "d"],
         [("e0", "a", "b", Fraction(1)), ("e1", "c", "d", Fraction(1, 2))],
     )
-    a = grounded_laplacian(g, 0)
     with pytest.raises(ValueError, match="singular system"):
-        linalg.solve_columns(a, [[Fraction(1)] * 3])
+        linalg.Factorization(sparse(grounded_laplacian(g, 0)))
 
 
 def test_non_symmetric_matrix():
-    a = [[Fraction(2), Fraction(-1)], [Fraction(0), Fraction(2)]]
     with pytest.raises(ValueError, match="not symmetric"):
-        linalg.solve_columns(a, [[Fraction(1), Fraction(1)]])
+        linalg.Factorization([{0: Fraction(2), 1: Fraction(-1)}, {1: Fraction(2)}])
+
+
+def test_index_out_of_range():
+    with pytest.raises(ValueError, match="not square"):
+        linalg.Factorization([{0: Fraction(2), 1: Fraction(-1)}])

@@ -1,3 +1,7 @@
+import gc
+import sys
+import threading
+import weakref
 from fractions import Fraction
 from random import Random
 
@@ -9,9 +13,15 @@ from mg import (
     EdgeNotFound,
     GraphPoint,
     MetrizedGraph,
+    FiberConfiguration,
+    RDivisor,
     circle_graph,
+    e_invariant,
     effective_resistance,
+    fiber_report,
+    linalg,
     path_graph,
+    resistance,
     resistance_in_deleted_edge,
     scale_lengths,
     segment_graph,
@@ -135,3 +145,99 @@ class TestDeletedEdge:
             ],
         )
         assert resistance_in_deleted_edge(g, "ab") == 5
+
+
+class TestOneFactorization:
+    """Each graph is factored once.  A potential (j, or r(D, .)) costs one
+    solve; a resistance between vertices that are neither adjacent nor
+    joined by fill costs one column per source vertex, solved once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = {"factor": 0, "solve": 0}
+        real_init = linalg.Factorization.__init__
+        real_solve = linalg.Factorization.solve
+
+        def init(self, rows):
+            counter["factor"] += 1
+            real_init(self, rows)
+
+        def solve(self, b):
+            counter["solve"] += 1
+            return real_solve(self, b)
+
+        monkeypatch.setattr(linalg.Factorization, "__init__", init)
+        monkeypatch.setattr(linalg.Factorization, "solve", solve)
+        return counter
+
+    def test_e_invariant(self, calls):
+        g = MetrizedGraph(
+            ["a", "b", "c", "d"],
+            [("ab", "a", "b", 1), ("bc", "b", "c", 2), ("cd", "c", "d", 3),
+             ("da", "d", "a", 1), ("ac", "a", "c", 2), ("bb", "b", "b", 1)],
+        )
+        e_invariant(g, RDivisor({"b": 1, "d": 2}))
+        # the two potentials, j and r(D, .), and no column
+        assert calls == {"factor": 1, "solve": 2}
+
+    def test_fiber_report(self, calls):
+        cfg = FiberConfiguration(
+            [(f"C{i}", 2) for i in range(6)],
+            [(f"n{i}", f"C{i - 1}", f"C{i}") for i in range(1, 6)]
+            + [("s", "C2", "C2")],
+        )
+        fiber_report(cfg)
+        assert calls == {"factor": 1, "solve": 2}
+
+    def test_effective_resistance_column_is_cached(self, calls):
+        g = path_graph([1, 2, 3, 4])  # no fill; the first vertex is grounded
+        v = g.vertex_list
+        assert effective_resistance(g, v[1], v[3]) == 5
+        assert calls == {"factor": 1, "solve": 1}
+        assert effective_resistance(g, v[1], v[4]) == 9
+        assert effective_resistance(g, v[3], v[1]) == 5
+        assert calls == {"factor": 1, "solve": 1}
+
+
+def test_concurrent_reads_match_serial():
+    """Threads filling one kernel's column cache all read the serial values."""
+
+    def fresh():
+        return random_graph(Random(26), max_vertices=12, extra_edges=6)
+
+    g = fresh()
+    points = g.vertex_list
+    serial = {(p, q): effective_resistance(g, p, q) for p in points for q in points}
+    shared = fresh()
+    resistance.resistance_kernel(shared)  # factored; no column solved yet
+    results = []
+
+    def read(seed):
+        pairs = list(serial)
+        Random(seed).shuffle(pairs)
+        results.append({pq: effective_resistance(shared, *pq) for pq in pairs})
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [serial] * len(threads)
+
+
+def test_kernel_is_freed_with_its_graph():
+    g = theta_graph()
+    assert effective_resistance(g, "P", "Q") == Fraction(1, 3)
+    kernel = weakref.ref(resistance.resistance_kernel(g))
+    gc.disable()
+    try:
+        del g
+        assert kernel() is None  # by reference counting, with no cycle
+    finally:
+        gc.enable()
