@@ -10,20 +10,25 @@ error, 3 mathematical precondition violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import fibers as fibers_mod
 from . import oracle as oracle_mod
-from .errors import InputError, PreconditionError, UnknownVertex
+from .errors import InputError, PreconditionError, UnknownVertex, UnreadableFile
 from .fileformat import parse_fiber_file, parse_graph_file, parse_rational
 from .graphs import as_point
 from .green import e_invariant, green_system
 from .resistance import effective_resistance
+
+
+_DECIMAL12 = Context(prec=12, rounding=ROUND_HALF_UP)
 
 
 def decimal12(x) -> str:
@@ -31,26 +36,10 @@ def decimal12(x) -> str:
     fr = Fraction(x)
     if fr == 0:
         return "0.00000000000"
-    sign = "-" if fr < 0 else ""
-    fr = abs(fr)
-    e = 0
-    while 10**e > fr:
-        e -= 1
-    while fr >= 10 ** (e + 1):
-        e += 1
-    scaled = fr / Fraction(10) ** (e - 11)
-    digits = int(scaled)
-    if scaled - digits >= Fraction(1, 2):
-        digits += 1
-    if digits >= 10**12:
-        digits //= 10
-        e += 1
-    s = str(digits)
-    if e < 0:
-        return f"{sign}0.{'0' * (-e - 1)}{s}"
-    if e >= 11:
-        return f"{sign}{s}{'0' * (e - 11)}"
-    return f"{sign}{s[: e + 1]}.{s[e + 1 :]}"
+    d = _DECIMAL12.divide(Decimal(fr.numerator), Decimal(fr.denominator))
+    # pad to 12 digits: 1/4 divides to 0.25
+    unit = Decimal(1).scaleb(d.adjusted() - 11)
+    return format(d.quantize(unit, context=_DECIMAL12), "f")
 
 
 def exact_str(x: Fraction) -> str:
@@ -94,6 +83,17 @@ class Report:
         self._add(name, f"{label or name} ~= {dec}", None, dec)
 
 
+def _read(path) -> str:
+    """The text of a UTF-8 file; an unreadable or undecodable one is an
+    input error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableFile(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _resolve(names: dict, label: str):
     if label not in names:
         raise UnknownVertex(f"unknown point or vertex {label!r}")
@@ -101,7 +101,7 @@ def _resolve(names: dict, label: str):
 
 
 def _cmd_resistance(args) -> Report:
-    graph, names, _ = parse_graph_file(Path(args.file).read_text())
+    graph, names, _ = parse_graph_file(_read(args.file))
     p = _resolve(names, args.p)
     q = _resolve(names, args.q)
     rep = Report("resistance", {"file": args.file, "p": args.p, "q": args.q})
@@ -110,7 +110,7 @@ def _cmd_resistance(args) -> Report:
 
 
 def _cmd_green(args) -> Report:
-    graph, names, divisor = parse_graph_file(Path(args.file).read_text())
+    graph, names, divisor = parse_graph_file(_read(args.file))
     x = _resolve(names, args.x)
     y = _resolve(names, args.y)
     s = green_system(graph, divisor)
@@ -120,7 +120,7 @@ def _cmd_green(args) -> Report:
 
 
 def _cmd_measure(args) -> Report:
-    graph, names, divisor = parse_graph_file(Path(args.file).read_text())
+    graph, names, divisor = parse_graph_file(_read(args.file))
     mu = green_system(graph, divisor).measure
     rep = Report("measure", {"file": args.file})
     rep.value("mass", mu.total_mass())
@@ -137,14 +137,14 @@ def _cmd_measure(args) -> Report:
 
 
 def _cmd_e_invariant(args) -> Report:
-    graph, _, divisor = parse_graph_file(Path(args.file).read_text())
+    graph, _, divisor = parse_graph_file(_read(args.file))
     rep = Report("e-invariant", {"file": args.file})
     rep.value("e", e_invariant(graph, divisor))
     return rep
 
 
 def _cmd_fiber_analyze(args) -> Report:
-    cfg = parse_fiber_file(Path(args.file).read_text())
+    cfg = parse_fiber_file(_read(args.file))
     report = fibers_mod.fiber_report(cfg)
     rep = Report("fiber-analyze", {"file": args.file})
     rep.text("g", str(report.genus))
@@ -207,7 +207,7 @@ def _cmd_bounds(args) -> Report:
 
 
 def _cmd_oracle_green(args) -> Report:
-    graph, names, divisor = parse_graph_file(Path(args.file).read_text())
+    graph, names, divisor = parse_graph_file(_read(args.file))
     x = _resolve(names, args.x)
     y = _resolve(names, args.y)
     h = parse_rational(args.h)
@@ -266,7 +266,10 @@ def _error_record(command: str, file: str, exc: Exception) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mg` parser, built on first use; parsing leaves it unchanged, so
+    one serves every call of `main`."""
     parser = argparse.ArgumentParser(
         prog="mg",
         description="exact invariants of metrized graphs and semistable fibers",
@@ -327,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         rep = args.handler(args)
     except (InputError, PreconditionError) as exc:

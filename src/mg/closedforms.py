@@ -76,12 +76,9 @@ def segment_invariants(a, b, l) -> tuple[Fraction, Fraction, Fraction]:
     return e, gpp, gqq
 
 
-def chain_e(lengths, a) -> Fraction:
-    """e of the n-segment chain with divisor coefficients built from a_0..a_n.
-
-    The divisor is (2a_0-1)P_0 + (2a_n-1)P_n + sum of 2a_i P_i at interior
-    vertices; all a_i must be positive, and len(a) = len(lengths) + 1.
-    """
+def _chain_args(lengths, a) -> tuple[list[Fraction], list[Fraction]]:
+    """The chain's lengths and coefficients as Fractions, checked: one more
+    coefficient than lengths, and all of both positive."""
     lengths = [Fraction(x) for x in lengths]
     a = [Fraction(x) for x in a]
     if len(a) != len(lengths) + 1:
@@ -94,6 +91,16 @@ def chain_e(lengths, a) -> Fraction:
     for l in lengths:
         if l <= 0:
             raise NonpositiveLength(f"length {l}")
+    return lengths, a
+
+
+def chain_e(lengths, a) -> Fraction:
+    """e of the n-segment chain with divisor coefficients built from a_0..a_n.
+
+    The divisor is (2a_0-1)P_0 + (2a_n-1)P_n + sum of 2a_i P_i at interior
+    vertices; all a_i must be positive, and len(a) = len(lengths) + 1.
+    """
+    lengths, a = _chain_args(lengths, a)
     total = sum(a)
     result = Fraction(0)
     prefix = Fraction(0)
@@ -105,13 +112,9 @@ def chain_e(lengths, a) -> Fraction:
 
 
 def chain_green_end(lengths, a) -> Fraction:
-    """g(P_n, P_n) on the chain: sum of prefix_i^2 l_i over total^2."""
-    lengths = [Fraction(x) for x in lengths]
-    a = [Fraction(x) for x in a]
-    if len(a) != len(lengths) + 1:
-        raise SizeMismatch(
-            f"{len(a)} coefficients for {len(lengths)} segment lengths"
-        )
+    """g(P_n, P_n) on the chain: sum of prefix_i^2 l_i over total^2, under
+    the same conditions on a and the lengths as `chain_e`."""
+    lengths, a = _chain_args(lengths, a)
     total = sum(a)
     result = Fraction(0)
     prefix = Fraction(0)

@@ -65,6 +65,10 @@ class BadGridSize(InputError, ValueError):
     that catch that."""
 
 
+class UnreadableFile(InputError):
+    """An input file that cannot be read, or is not UTF-8 text."""
+
+
 class GenusTooLarge(InputError):
     """A genus above `mg.bounds.MAX_GENUS`."""
 

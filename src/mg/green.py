@@ -191,13 +191,10 @@ class GreenSystem:
     """
 
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
-        deg = divisor.degree()
-        if deg == -2:
-            raise DegreeMinusTwo("divisor has degree -2")
         self.graph = graph
+        self.measure = admissible_measure(graph, divisor)
         self.divisor = divisor.relocate(graph.check_point)
-        self.degree = deg
-        self.measure = admissible_measure(graph, self.divisor)
+        self.degree = self.divisor.degree()
         mass = self.measure.total_mass()
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
@@ -207,16 +204,13 @@ class GreenSystem:
         self._r_d = _Potential(graph, kernel, dict(self.divisor.items()), {})
         self._j_d = sum((a * self._j(p) for p, a in self.divisor.items()), Fraction(0))
 
-    def _green(self, x: GraphPoint, y: GraphPoint) -> Fraction:
-        """g(x, y) for points in the normal form of `check_point`."""
-        r = self._j.kernel.resistance(x, y)
-        return (self._j(x) + self._j(y) - r) / 2 - self._c
-
     # -- evaluation ----------------------------------------------------
 
     def eval(self, x, y) -> Fraction:
         """g(x, y) for points of the graph."""
-        return self._green(self.graph.check_point(x), self.graph.check_point(y))
+        x, y = self.graph.check_point(x), self.graph.check_point(y)
+        r = self._j.kernel.resistance(x, y)
+        return (self._j(x) + self._j(y) - r) / 2 - self._c
 
     # -- derived quantities ---------------------------------------------
 
@@ -244,29 +238,35 @@ def green_eval(s: GreenSystem, x, y) -> Fraction:
 def constant_c(s: GreenSystem) -> Fraction:
     """The constant value of g(D, y) + g(y, y), certified exactly.
 
-    Between break points (vertices, and the points of D and of the measure
-    inside edges) every tent is linear, so on an edge the sum is linear plus
-    gamma_e t(l - t), with gamma_e = (deg D/2 + 1) curv_j - curv_(r_D)/2
-    from the two potentials.  It is therefore constant iff it takes one value
-    at every break point and gamma_e = 0 on every edge; any failure raises
-    ConstancyViolation.
+    As r(y, y) = 0, g(y, y) = j(y) - c_mu, so the sum is
+
+        F(y) + j_D/2 - (deg D + 1) c_mu,   F = (deg D/2 + 1) j - r_D/2,
+
+    an affine combination of the two potentials.  Between break points
+    (vertices, and the points of D and of the measure inside edges) every
+    tent is linear, so on an edge F is linear plus gamma_e t(l - t), with
+    gamma_e = (deg D/2 + 1) curv_j - curv_(r_D)/2.  The sum is therefore
+    constant iff it takes one value at every break point and gamma_e = 0 on
+    every edge; any failure raises ConstancyViolation.
     """
+    weight = Fraction(s.degree, 2) + 1
+    shift = s._j_d / 2 - (s.degree + 1) * s._c
     points = [GraphPoint.at_vertex(v) for v in s.graph.vertex_list]
     for e in s.graph.edges:
         inside = [*s._j.inside.get(e.id, ()), *s._r_d.inside.get(e.id, ())]
         points.extend(GraphPoint.on_edge(e.id, t) for t in sorted({t for t, _ in inside}))
 
     where = points[0]
-    value = s.green_of_divisor(where) + s._green(where, where)
+    value = weight * s._j(where) - s._r_d(where) / 2 + shift
     for y in points[1:]:
-        c = s.green_of_divisor(y) + s._green(y, y)
+        c = weight * s._j(y) - s._r_d(y) / 2 + shift
         if c != value:
             raise ConstancyViolation(
                 f"g(D,y) + g(y,y) is {value} at {where!r} but {c} at {y!r}"
             )
 
     for e in s.graph.edges:
-        gamma = (s.degree / 2 + 1) * s._j._edge(e)[2] - s._r_d._edge(e)[2] / 2
+        gamma = weight * s._j._edge(e)[2] - s._r_d._edge(e)[2] / 2
         if gamma:
             raise ConstancyViolation(
                 f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma} on edge {e.id!r}"
@@ -287,15 +287,11 @@ def e_of_system(s: GreenSystem) -> Fraction:
 
 def e_via_basepoint(g: MetrizedGraph, d: RDivisor, o) -> Fraction:
     """e(G, D) = (deg(D) + 2) g(O, D) + r(O, D), for any basepoint O."""
-    deg = d.degree()
-    if deg == -2:
-        raise DegreeMinusTwo("divisor has degree -2")
-    g.validate()
-    o = g.check_point(o)
     s = green_system(g, d)
+    o = g.check_point(o)
     god = Fraction(0)
     rod = Fraction(0)
     for p, a in d.items():
         god += a * s.eval(o, p)
         rod += a * effective_resistance(g, o, p)
-    return (deg + 2) * god + rod
+    return (s.degree + 2) * god + rod

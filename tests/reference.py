@@ -17,10 +17,14 @@ the elimination loop of the first sparse solver, which picked each pivot by
 a scan of the rows left, cut down to the order of its pivots
 (`pivot_order`); the library's pivot heap is held to that order.
 
-The last section holds the node classification the library used before it
+The next section holds the node classification the library used before it
 found every node type in one bridge-finding walk: `classify_node` rebuilds
 the configuration graph for each node and walks both sides of it, and
 `is_chain_of_stable_components` makes its own walk.  Both are kept verbatim.
+
+The last section holds the command line's 12-digit decimal formatter as it
+was before it used the `decimal` module: an exponent search and one
+half-up rounding step on the exact fraction, kept verbatim.
 """
 
 from __future__ import annotations
@@ -611,3 +615,33 @@ def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
         degree[e.u] += 1
         degree[e.v] += 1
     return all(d <= 2 for d in degree.values())
+
+
+# -- decimal formatting, by exponent search ----------------------------------
+
+
+def decimal12(x) -> str:
+    """Positional decimal with 12 significant digits, round half up."""
+    fr = Fraction(x)
+    if fr == 0:
+        return "0.00000000000"
+    sign = "-" if fr < 0 else ""
+    fr = abs(fr)
+    e = 0
+    while 10**e > fr:
+        e -= 1
+    while fr >= 10 ** (e + 1):
+        e += 1
+    scaled = fr / Fraction(10) ** (e - 11)
+    digits = int(scaled)
+    if scaled - digits >= Fraction(1, 2):
+        digits += 1
+    if digits >= 10**12:
+        digits //= 10
+        e += 1
+    s = str(digits)
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{s}"
+    if e >= 11:
+        return f"{sign}{s}{'0' * (e - 11)}"
+    return f"{sign}{s[: e + 1]}.{s[e + 1 :]}"

@@ -5,10 +5,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mg.cli
+import reference
 from mg import MAX_GENUS
-from mg.cli import decimal12, main
+from mg.cli import build_parser, decimal12, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -17,6 +20,34 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+EXPONENTS = st.integers(-60, 60)
+TWELVE_DIGITS = st.integers(10**11, 10**12 - 1)
+
+
+@st.composite
+def decimal_case(draw):
+    """A fraction scaled by 10^e: arbitrary, a tie halfway between two
+    12-digit decimals (up to 999999999999.5, which rounds to 10^12), or
+    just below a power of ten."""
+    scale = Fraction(10) ** draw(EXPONENTS)
+    kind = draw(st.sampled_from(["any", "tie", "below"]))
+    if kind == "any":
+        x = draw(st.fractions(min_value=1, max_value=10))
+    elif kind == "tie":
+        x = Fraction(2 * draw(TWELVE_DIGITS) + 1, 2 * 10**11)
+    else:
+        x = 10 - Fraction(1, draw(st.integers(1, 10**15)))
+    return draw(st.sampled_from([1, -1])) * x * scale
+
+
+DECIMAL_CASES = st.one_of(
+    decimal_case(),
+    st.fractions(),
+    # what Report.float_value passes
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+)
 
 
 class TestDecimal12:
@@ -40,6 +71,10 @@ class TestDecimal12:
 
     def test_rounding_half_up(self):
         assert decimal12(Fraction(2, 3)) == "0.666666666667"
+
+    @given(x=DECIMAL_CASES)
+    def test_matches_exponent_search(self, x):
+        assert decimal12(x) == reference.decimal12(x)
 
 
 GOLDEN_CASES = [
@@ -76,6 +111,20 @@ def test_golden_outputs(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert out == (GOLDEN / expected).read_text()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_one_parser_serves_successive_calls(capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, "--json", "e-invariant", "segment.mg")
+    assert code == 0
+    assert out == (GOLDEN / "segment.e.json.expected").read_text()
+    code, out, _ = run(capsys, "fiber", "analyze", "chain.fib")
+    assert code == 0
+    assert out == (GOLDEN / "chain.analyze.expected").read_text()
 
 
 def test_outputs_are_deterministic(capsys):
@@ -160,6 +209,18 @@ class TestErrors:
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(capsys, "e-invariant", GOLDEN / "nope.mg")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name,argv", [("bad.mg", ["e-invariant"]), ("bad.fib", ["fiber", "analyze"])]
+    )
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, name, argv):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, *argv, path)
+        assert code == 2
+        assert "UnreadableFile" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_unknown_point_name_exits_2(self, capsys):
         code, out, err = run(capsys, "resistance", GOLDEN / "segment.mg", "P", "zz")
@@ -248,3 +309,16 @@ class TestBatch:
     def test_batch_not_a_directory(self, capsys):
         code, out, err = run(capsys, "batch", GOLDEN / "segment.mg")
         assert code == 2
+
+    def test_batch_records_unreadable_entries(self, capsys, tmp_path):
+        shutil.copy(GOLDEN / "segment.mg", tmp_path / "a.mg")
+        (tmp_path / "b.mg").write_bytes(b"\xff\xfe")
+        (tmp_path / "sub.mg").mkdir()
+        code, out, err = run(capsys, "batch", tmp_path)
+        assert code == 2
+        assert "e = 1 (1.00000000000)" in out
+        assert out.count("UnreadableFile") == 2
+        code, out, err = run(capsys, "--json", "batch", tmp_path)
+        assert code == 2
+        errors = [r for r in json.loads(out) if r["exact"] is None]
+        assert [Path(r["inputs"]["file"]).name for r in errors] == ["b.mg", "sub.mg"]

@@ -207,6 +207,10 @@ class TestChain:
             chain_e([0], [1, 1])
         with pytest.raises(NonpositiveCoefficient):
             chain_recursion(0, 0, 1, 0, 1)
+        with pytest.raises(NonpositiveLength):
+            chain_green_end([-1], [1, 1])
+        with pytest.raises(NonpositiveCoefficient):
+            chain_green_end([1], [1, -1])
 
     @given(
         lengths=st.lists(pos_frac, min_size=1, max_size=5),

@@ -199,6 +199,36 @@ class TestOneFactorization:
         assert calls == {"factor": 1, "solve": 1}
 
 
+
+class TestNoPairwiseResistance:
+    """The constancy certificate reads g(D, y) + g(y, y) from the two
+    potentials alone, so neither e_invariant nor fiber_report asks the
+    kernel for a resistance between points."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = {"resistance": 0}
+        real = resistance.ResistanceKernel.resistance
+
+        def counted(self, p, q):
+            counter["resistance"] += 1
+            return real(self, p, q)
+
+        monkeypatch.setattr(resistance.ResistanceKernel, "resistance", counted)
+        return counter
+
+    def test_e_invariant(self, calls):
+        assert e_invariant(theta_graph(), RDivisor({"P": 1, "Q": 2})) == Fraction(11, 15)
+        assert calls == {"resistance": 0}
+
+    def test_fiber_report(self, calls):
+        cfg = FiberConfiguration(
+            [("A", 1), ("B", 2), ("C", 1)],
+            [("n1", "A", "B"), ("n2", "B", "C"), ("s", "B", "B")],
+        )
+        fiber_report(cfg)
+        assert calls == {"resistance": 0}
+
 def test_concurrent_reads_match_serial():
     """Threads filling one kernel's column cache all read the serial values."""
 
