@@ -13,6 +13,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
@@ -84,9 +86,12 @@ class Report:
 
 
 def _read(path) -> str:
-    """The text of a UTF-8 file; an unreadable or undecodable one is an
-    input error."""
+    """The text of a UTF-8 file.  Anything but a regular file is rejected
+    before it is opened (opening a FIFO blocks, and a device may never end);
+    that, and an unreadable or undecodable file, is an input error."""
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise UnreadableFile(f"{path}: not a regular file")
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc.strerror or exc}") from exc

@@ -53,7 +53,13 @@ class NodeType:
 
 
 class FiberConfiguration:
-    """Components plus nodes; validates references at construction."""
+    """Components plus nodes; validates references at construction.
+
+    Immutable after construction.  The constructor builds the configuration
+    graph, and the first question that needs the bridge walk keeps it on the
+    configuration, so every question asked of one configuration reads one
+    graph, one walk and, through the graph, one factorization.
+    """
 
     def __init__(self, components, nodes=()):
         comps = []
@@ -85,6 +91,11 @@ class FiberConfiguration:
         self.node_by_id = {n.id: n for n in self.nodes}
         if len(self.node_by_id) != len(self.nodes):
             raise ValueError("duplicate node ids")
+        self._graph = MetrizedGraph(
+            [c.id for c in self.components],
+            [(n.id, n.a, n.b, n.length) for n in self.nodes],
+        )
+        self._walk: _Walk | None = None
 
     def genus_of(self, comp_id) -> int:
         for c in self.components:
@@ -94,22 +105,12 @@ class FiberConfiguration:
 
 
 def configuration_graph(cfg: FiberConfiguration) -> MetrizedGraph:
-    """Vertex per component, edge per node (loops for self-nodes)."""
-    return MetrizedGraph(
-        [c.id for c in cfg.components],
-        [(n.id, n.a, n.b, n.length) for n in cfg.nodes],
-    )
+    """Vertex per component, edge per node (loops for self-nodes): the graph
+    built with cfg, immutable like cfg, so the kernel solved on it is kept."""
+    return cfg._graph
 
 
-@dataclass(frozen=True)
 class _Walk:
-    graph: MetrizedGraph
-    genus: int  # arithmetic genus, before the bounds of fiber_genus
-    types: dict  # node id -> node type
-    is_chain: bool
-
-
-def _walk(cfg: FiberConfiguration) -> _Walk:
     """One iterative depth-first walk over the configuration graph:
     Tarjan's lowlink bridge search, with subtree sums.
 
@@ -121,60 +122,68 @@ def _walk(cfg: FiberConfiguration) -> _Walk:
     type is min(h, g - h).  A chain has no back edge (every non-loop node is
     a bridge) and no component with more than two non-loop node ends.
     """
-    graph = configuration_graph(cfg)
-    if not graph.vertex_list:
-        raise Disconnected("fiber configuration is not connected")
-    genus = sum(c.genus for c in cfg.components) + graph.first_betti()
-    side = {c.id: 2 * c.genus - 2 + graph.valence(c.id) for c in cfg.components}
-    types = dict.fromkeys(cfg.node_by_id, 0)
-    plain_ends = dict.fromkeys(graph.vertex_list, 0)
-    cyclic = False
-    root = graph.vertex_list[0]
-    order = {root: 0}
-    low = {root: 0}
-    stack = [(root, None, iter(graph.incident(root)))]
-    while stack:
-        v, via, ends = stack[-1]
-        for e, end in ends:
-            w = e.v if end == 0 else e.u
-            if w == v:
-                continue
-            plain_ends[v] += 1
-            if e is via:
-                continue
-            if w in order:
-                cyclic = True
-                low[v] = min(low[v], order[w])
+
+    def __init__(self, cfg: FiberConfiguration):
+        graph = cfg._graph
+        if not graph.vertex_list:
+            raise Disconnected("fiber configuration is not connected")
+        genus = sum(c.genus for c in cfg.components) + graph.first_betti()
+        side = {c.id: 2 * c.genus - 2 + graph.valence(c.id) for c in cfg.components}
+        types = dict.fromkeys(cfg.node_by_id, 0)
+        plain_ends = dict.fromkeys(graph.vertex_list, 0)
+        cyclic = False
+        root = graph.vertex_list[0]
+        order = {root: 0}
+        low = {root: 0}
+        stack = [(root, None, iter(graph.incident(root)))]
+        while stack:
+            v, via, ends = stack[-1]
+            for e, end in ends:
+                w = e.v if end == 0 else e.u
+                if w == v:
+                    continue
+                plain_ends[v] += 1
+                if e is via:
+                    continue
+                if w in order:
+                    cyclic = True
+                    low[v] = min(low[v], order[w])
+                else:
+                    order[w] = low[w] = len(order)
+                    stack.append((w, e, iter(graph.incident(w))))
+                    break
             else:
-                order[w] = low[w] = len(order)
-                stack.append((w, e, iter(graph.incident(w))))
-                break
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                low[u] = min(low[u], low[v])
-                side[u] += side[v]
-                if low[v] > order[u]:
-                    h = (side[v] + 1) // 2
-                    types[via.id] = min(h, genus - h)
-    if len(order) != len(graph.vertex_list):
-        raise Disconnected("fiber configuration is not connected")
-    is_chain = not cyclic and max(plain_ends.values()) <= 2
-    return _Walk(graph, genus, types, is_chain)
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    side[u] += side[v]
+                    if low[v] > order[u]:
+                        h = (side[v] + 1) // 2
+                        types[via.id] = min(h, genus - h)
+        if len(order) != len(graph.vertex_list):
+            raise Disconnected("fiber configuration is not connected")
+        self.genus = genus  # arithmetic genus, before the bounds of fiber_genus
+        self.types = types  # node id -> node type
+        self.is_chain = not cyclic and max(plain_ends.values()) <= 2
 
 
-def _checked(genus: int) -> int:
-    check_genus(genus)
-    if genus < 2:
-        raise GenusTooSmall(f"fiber has arithmetic genus {genus} < 2")
-    return genus
+def _walk(cfg: FiberConfiguration) -> _Walk:
+    """The bridge walk of cfg: walked on the first call, then kept on cfg.
+    A walk that raises is not kept."""
+    if cfg._walk is None:
+        cfg._walk = _Walk(cfg)
+    return cfg._walk
 
 
 def fiber_genus(cfg: FiberConfiguration) -> int:
     """Arithmetic genus: sum of component genera plus the configuration
     graph's first Betti number.  Must be at least 2 and at most MAX_GENUS."""
-    return _checked(_walk(cfg).genus)
+    genus = _walk(cfg).genus
+    check_genus(genus)
+    if genus < 2:
+        raise GenusTooSmall(f"fiber has arithmetic genus {genus} < 2")
+    return genus
 
 
 def classify_node(cfg: FiberConfiguration, node_id) -> NodeType:
@@ -187,13 +196,8 @@ def classify_node(cfg: FiberConfiguration, node_id) -> NodeType:
 
 def delta_vector(cfg: FiberConfiguration) -> list[int]:
     """Counts of nodes by type, indexed 0..floor(g/2)."""
-    walk = _walk(cfg)
-    return _delta(walk.types, _checked(walk.genus))
-
-
-def _delta(types: dict, g: int) -> list[int]:
-    counts = [0] * (g // 2 + 1)
-    for t in types.values():
+    counts = [0] * (fiber_genus(cfg) // 2 + 1)
+    for t in _walk(cfg).types.values():
         counts[t] += 1
     return counts
 
@@ -201,11 +205,9 @@ def _delta(types: dict, g: int) -> list[int]:
 def omega_divisor(cfg: FiberConfiguration) -> RDivisor:
     """The relative dualizing divisor on the configuration graph:
     coefficient 2*genus - 2 + branches at each component, where a self-node
-    contributes two branches.  Coefficients sum to 2g - 2."""
-    return _omega(cfg, configuration_graph(cfg))
-
-
-def _omega(cfg: FiberConfiguration, graph: MetrizedGraph) -> RDivisor:
+    contributes two branches.  Coefficients sum to 2g - 2.  Read from the
+    graph's valences alone, so it needs no walk (nor a connected graph)."""
+    graph = cfg._graph
     return RDivisor(
         (c.id, 2 * c.genus - 2 + graph.valence(c.id)) for c in cfg.components
     )
@@ -214,10 +216,7 @@ def _omega(cfg: FiberConfiguration, graph: MetrizedGraph) -> RDivisor:
 def unstable_components(cfg: FiberConfiguration) -> list:
     """Components whose omega coefficient is not positive (the chain closed
     form assumes all are)."""
-    return _unstable(cfg, omega_divisor(cfg))
-
-
-def _unstable(cfg: FiberConfiguration, omega: RDivisor) -> list:
+    omega = omega_divisor(cfg)
     return [c.id for c in cfg.components if omega.coeff(c.id) <= 0]
 
 
@@ -230,9 +229,8 @@ def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
 
 def fiber_e(cfg: FiberConfiguration) -> Fraction:
     """e_y = e(G_y, omega_y) via the general solver."""
-    walk = _walk(cfg)
-    _checked(walk.genus)
-    return e_invariant(walk.graph, _omega(cfg, walk.graph))
+    fiber_genus(cfg)
+    return e_invariant(cfg._graph, omega_divisor(cfg))
 
 
 def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
@@ -242,12 +240,10 @@ def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
     walk = _walk(cfg)
     if not walk.is_chain:
         raise NotAChain("fiber is not a chain of stable components")
-    return _closed_form(cfg, walk.types, _checked(walk.genus))
-
-
-def _closed_form(cfg: FiberConfiguration, types: dict, g: int) -> Fraction:
+    g = fiber_genus(cfg)
     return sum(
-        (chain_e_coefficient(g, types[n.id]) * n.length for n in cfg.nodes), Fraction(0)
+        (chain_e_coefficient(g, walk.types[n.id]) * n.length for n in cfg.nodes),
+        Fraction(0),
     )
 
 
@@ -255,7 +251,7 @@ def _closed_form(cfg: FiberConfiguration, types: dict, g: int) -> Fraction:
 class FiberReport:
     genus: int
     delta: tuple[int, ...]
-    omega: dict
+    omega: dict  # component id -> omega coefficient, every component
     is_chain: bool
     e: Fraction
     e_closed_form: Fraction | None
@@ -263,18 +259,20 @@ class FiberReport:
 
 
 def fiber_report(cfg: FiberConfiguration) -> FiberReport:
-    walk = _walk(cfg)
-    g = _checked(walk.genus)
-    omega = _omega(cfg, walk.graph)
+    """Every question above, answered from the configuration's one graph
+    and one walk."""
+    genus = fiber_genus(cfg)
+    omega = omega_divisor(cfg)
+    is_chain = is_chain_of_stable_components(cfg)
     return FiberReport(
-        genus=g,
-        delta=tuple(_delta(walk.types, g)),
-        omega={p.vertex: a for p, a in omega.items()},
-        is_chain=walk.is_chain,
-        e=e_invariant(walk.graph, omega),
-        e_closed_form=_closed_form(cfg, walk.types, g) if walk.is_chain else None,
+        genus=genus,
+        delta=tuple(delta_vector(cfg)),
+        omega={c.id: omega.coeff(c.id) for c in cfg.components},
+        is_chain=is_chain,
+        e=fiber_e(cfg),
+        e_closed_form=fiber_e_closed_form(cfg) if is_chain else None,
         warnings=tuple(
             f"component {cid!r} is not stable (omega coefficient <= 0)"
-            for cid in _unstable(cfg, omega)
+            for cid in unstable_components(cfg)
         ),
     )

@@ -129,33 +129,24 @@ class MetrizedGraph:
     def is_connected(self) -> bool:
         if not self.vertex_list:
             return False
-        seen = {self.vertex_list[0]}
-        stack = [self.vertex_list[0]]
-        while stack:
-            v = stack.pop()
-            for e, end in self._incidence[v]:
-                w = e.v if end == 0 else e.u
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertex_set)
+        return len(self._reachable(self.vertex_list[0])) == len(self.vertex_set)
 
     def connects(self, a: VertexId, b: VertexId) -> bool:
         """True iff vertices a and b lie in the same component."""
-        if a == b:
-            return True
+        return a == b or b in self._reachable(a)
+
+    def _reachable(self, a: VertexId) -> set:
+        """The vertices of a's component, by one depth-first search."""
         seen = {a}
         stack = [a]
         while stack:
             v = stack.pop()
             for e, end in self._incidence[v]:
                 w = e.v if end == 0 else e.u
-                if w == b:
-                    return True
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        return False
+        return seen
 
     def valence(self, v: VertexId) -> int:
         """Number of edge-ends at v; a loop counts twice."""
@@ -345,16 +336,13 @@ def one_point_sum(
     ]
     result = MetrizedGraph(vertices, edges)
 
-    def rel1(q) -> GraphPoint:
-        return r1(q)
-
     def rel2(q) -> GraphPoint:
         q = r2(q)
         if q.is_vertex:
             return GraphPoint.at_vertex(vmap[q.vertex])
         return GraphPoint.on_edge(emap[q.edge], q.offset)
 
-    return result, v1, rel1, rel2
+    return result, v1, r1, rel2
 
 
 def scale_lengths(g: MetrizedGraph, s) -> tuple[MetrizedGraph, Callable]:

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -7,6 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import mg.cli
 import reference
@@ -222,6 +231,25 @@ class TestErrors:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.skipif(
+        resource is None or not Path("/dev/zero").exists(), reason="no /dev/zero"
+    )
+    def test_device_file_exits_2(self, tmp_path):
+        # Read whole, /dev/zero would take all memory, so the command runs in
+        # a child capped at 400 MB: should it read the device, it fails there.
+        path = tmp_path / "x.mg"
+        path.symlink_to("/dev/zero")
+        cap = 400 << 20
+        proc = subprocess.run(
+            [sys.executable, "-m", "mg.cli", "e-invariant", str(path)],
+            env={**os.environ, "PYTHONPATH": str(Path(mg.cli.__file__).parents[1])},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "UnreadableFile" in proc.stderr and "not a regular file" in proc.stderr
+        assert proc.stdout == ""
+
     def test_unknown_point_name_exits_2(self, capsys):
         code, out, err = run(capsys, "resistance", GOLDEN / "segment.mg", "P", "zz")
         assert code == 2
@@ -309,6 +337,24 @@ class TestBatch:
     def test_batch_not_a_directory(self, capsys):
         code, out, err = run(capsys, "batch", GOLDEN / "segment.mg")
         assert code == 2
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_batch_records_fifo_without_opening_it(self, capsys, tmp_path):
+        # Opening a FIFO with no writer blocks, so it must be rejected
+        # unopened.  Should it be opened, a writer after 10 s ends the wait
+        # and the test fails instead of hanging.
+        fifo = tmp_path / "a.mg"
+        os.mkfifo(fifo)
+        shutil.copy(GOLDEN / "segment.mg", tmp_path / "b.mg")
+        writer = threading.Timer(10, lambda: os.close(os.open(fifo, os.O_WRONLY)))
+        writer.start()
+        try:
+            code, out, err = run(capsys, "batch", tmp_path)
+        finally:
+            writer.cancel()
+        assert code == 2
+        assert "UnreadableFile" in out and "not a regular file" in out
+        assert "e = 1 (1.00000000000)" in out
 
     def test_batch_records_unreadable_entries(self, capsys, tmp_path):
         shutil.copy(GOLDEN / "segment.mg", tmp_path / "a.mg")

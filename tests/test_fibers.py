@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+from mg import cli, fibers, graphs, linalg
 from mg import (
     Disconnected,
     FiberConfiguration,
@@ -22,6 +25,9 @@ from mg import (
     unstable_components,
 )
 from gen import frac, random_chain_config
+from mg.fileformat import parse_fiber_file, serialize_fiber
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def cfg_two_elliptic():
@@ -297,3 +303,104 @@ class TestLongChain:
         assert is_chain_of_stable_components(cfg)
         assert fiber_genus(cfg) == n
         assert fiber_e(cfg) == fiber_e_closed_form(cfg)
+
+
+class TestOneAnalysis:
+    """A configuration builds its graph once and keeps its bridge walk, so
+    one `mg fiber analyze` walks once, builds one graph and factors once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counter = {"walk": 0, "graph": 0, "factor": 0}
+        for key, cls in (("walk", fibers._Walk), ("graph", graphs.MetrizedGraph),
+                         ("factor", linalg.Factorization)):
+
+            def init(self, *args, _key=key, _real=cls.__init__, **kwargs):
+                counter[_key] += 1
+                _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+        return counter
+
+    def test_fiber_analyze(self, counts, capsys):
+        assert cli.main(["fiber", "analyze", str(GOLDEN / "chain.fib")]) == 0
+        assert counts == {"walk": 1, "graph": 1, "factor": 1}
+
+    def test_fiber_e_after_report(self, counts):
+        cfg = cfg_one_two()
+        fiber_report(cfg)
+        before = dict(counts)
+        assert fiber_e(cfg) == Fraction(5, 3)
+        assert counts == before
+
+    def test_every_question_reads_one_walk(self, counts):
+        cfg = cfg_one_two()
+        fiber_genus(cfg)
+        classify_node(cfg, "n")
+        delta_vector(cfg)
+        is_chain_of_stable_components(cfg)
+        fiber_e_closed_form(cfg)
+        fiber_report(cfg)
+        assert counts["walk"] == 1
+        assert configuration_graph(cfg) is configuration_graph(cfg)
+
+    def test_failed_walk_is_not_kept(self, counts):
+        cfg = FiberConfiguration([("A", 0), ("B", 0)], [])
+        for _ in range(2):
+            with pytest.raises(Disconnected):
+                fiber_genus(cfg)
+        assert counts["walk"] == 2
+
+
+class TestErrorOrder:
+    """A disconnected configuration of genus < 2 is `Disconnected`; the
+    shape questions still answer below genus 2."""
+
+    def disconnected(self):
+        return FiberConfiguration([("A", 0), ("B", 1)], [("s", "A", "A")])
+
+    def test_parse(self):
+        with pytest.raises(Disconnected):
+            parse_fiber_file(serialize_fiber(self.disconnected()))
+
+    def test_report(self):
+        with pytest.raises(Disconnected):
+            fiber_report(self.disconnected())
+
+    def test_omega_needs_no_walk(self):
+        cfg = FiberConfiguration([("A", 2), ("B", 3)], [("s", "A", "A")])
+        omega = omega_divisor(cfg)
+        assert {p.vertex: a for p, a in omega.items()} == {"A": 4, "B": 4}
+        with pytest.raises(Disconnected):
+            fiber_genus(cfg)
+
+    def test_shape_below_genus_two(self):
+        cfg = FiberConfiguration([("A", 0), ("B", 1)], [("n", "A", "B")])
+        with pytest.raises(GenusTooSmall):
+            fiber_genus(cfg)
+        assert classify_node(cfg, "n").type == 0
+        assert is_chain_of_stable_components(cfg)
+
+
+class TestZeroOmega:
+    """A component with omega coefficient 0 is listed like any other."""
+
+    def cfg(self):
+        return FiberConfiguration(
+            [("A", 1), ("R", 0), ("B", 1)], [("n1", "A", "R"), ("n2", "R", "B")]
+        )
+
+    def test_report(self):
+        rep = fiber_report(self.cfg())
+        assert rep.omega == {"A": 1, "R": 0, "B": 1}
+        assert rep.warnings == ("component 'R' is not stable (omega coefficient <= 0)",)
+
+    def test_cli(self, tmp_path, capsys):
+        path = tmp_path / "zero.fib"
+        path.write_text(serialize_fiber(self.cfg()))
+        assert cli.main(["fiber", "analyze", str(path)]) == 0
+        assert "omega R = 0\n" in capsys.readouterr().out
+        assert cli.main(["--json", "fiber", "analyze", str(path)]) == 0
+        records = json.loads(capsys.readouterr().out)
+        omega = [r["exact"] for r in records if r["inputs"]["quantity"] == "omega"]
+        assert omega == ["1", "1", "0"]  # A, B, R
