@@ -62,7 +62,6 @@ class FibrationStats:
     g: int
     lambda_deg: Fraction
     delta: tuple
-    hyperelliptic: bool = False
     smooth: bool = False
 
     def __post_init__(self):

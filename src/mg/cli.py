@@ -77,8 +77,8 @@ class Report:
         dec = decimal12(value)
         self._add(name, f"{label or name} = {exact} ({dec})", exact, dec, warnings, extra)
 
-    def text(self, name: str, content: str, label=None):
-        self._add(name, f"{label or name} = {content}", content, None)
+    def text(self, name: str, content: str, label=None, extra=None):
+        self._add(name, f"{label or name} = {content}", content, None, extra=extra)
 
     def float_value(self, name: str, value: float, label=None):
         dec = decimal12(Fraction(value))
@@ -155,7 +155,8 @@ def _cmd_fiber_analyze(args) -> Report:
     rep.text("g", str(report.genus))
     rep.text("delta", ",".join(str(d) for d in report.delta))
     for comp in sorted(report.omega, key=str):
-        rep.text("omega", exact_str(report.omega[comp]), label=f"omega {comp}")
+        rep.text("omega", exact_str(report.omega[comp]), label=f"omega {comp}",
+                 extra={"component": str(comp)})
     rep.text("chain", "true" if report.is_chain else "false")
     rep.value("e_y", report.e, warnings=report.warnings)
     if report.e_closed_form is not None:
@@ -176,7 +177,6 @@ def _cmd_bounds(args) -> Report:
         g=g,
         lambda_deg=lam,
         delta=delta,
-        hyperelliptic=args.hyperelliptic,
         smooth=args.smooth,
     )
     inputs = {
@@ -336,6 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact results may have more digits than the interpreter converts to
+    # str by default; lift that process-wide limit for this call only
+    # (Python before 3.10.7 has no limit)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    previous = get_limit() if get_limit else None
+    if get_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if get_limit:
+            sys.set_int_max_str_digits(previous)
+
+
+def _run(args) -> int:
     try:
         rep = args.handler(args)
     except (InputError, PreconditionError) as exc:
@@ -344,12 +359,20 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        payload = rep.records[0] if len(rep.records) == 1 else rep.records
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in rep.lines:
-            print(line)
+    try:
+        if args.json:
+            payload = rep.records[0] if len(rep.records) == 1 else rep.records
+            print(json.dumps(payload, sort_keys=True, indent=2))
+        else:
+            for line in rep.lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`mg ... | head`): send what is still
+        # buffered to devnull, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return rep.code
 
 

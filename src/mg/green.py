@@ -22,7 +22,10 @@ leaves both implicit):
 Everything is exact and comes from the graph's resistance kernel, one
 rational factorization per graph (`mg.resistance`), as g(x, y) = -r(x, y)/2 +
 (j(x) + j(y))/2 - c_mu with j(x) = integral r(x, z) dmu(z) and c_mu half the
-integral of j dmu (Chinburg-Rumely 1993; Baker-Rumely 2007).
+integral of j dmu (Chinburg-Rumely 1993; Baker-Rumely 2007).  That integral
+is never formed: building a Green system certifies that g(D, y) + g(y, y) is
+constant, and c_mu, which equals that constant c(G, D), follows from it in
+closed form (`GreenSystem`).
 """
 
 from __future__ import annotations
@@ -159,31 +162,16 @@ class _Potential:
             value -= 2 * a * min(s, t) * (l - max(s, t)) / l
         return value
 
-    def integral(self, mu: AdmissibleMeasure) -> Fraction:
-        """integral of the potential dmu, edge by edge from `__call__`'s
-        form: chord, quadratic and one tent per atom inside the edge."""
-        total = Fraction(0)
-        for site, a in mu.atoms.items():
-            total += a * self(self.graph.check_point(site))
-        for e in self.graph.edges:
-            rho = mu.density(e.id)
-            if not rho:
-                continue
-            l = e.length
-            pu, pv, curv = self._edge(e)
-            part = l * (pu + pv) / 2 + curv * l**3 / 6
-            for s, a in self.inside.get(e.id, ()):
-                part -= a * s * (l - s)
-            total += rho * part
-        return total
-
 
 class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
     Construction takes the graph's resistance kernel and the vertex values
-    of j and of r(D, .) = sum a_i r(P_i, .), one solve each; g(D, y) is
-    then O(1) arithmetic plus a term per atom inside the edge of y.  So is
+    of j and of r(D, .) = sum a_i r(P_i, .), one solve each, and certifies
+    from them that g(D, y) + g(y, y) is constant (`_certify`), raising
+    ConstancyViolation if the measure is not the admissible one.  That
+    constant c(G, D) is stored as `c`; it is also c_mu.  g(D, y) is then
+    O(1) arithmetic plus a term per atom inside the edge of y.  So is
     g(x, y), except that r(x, y) may first solve a column of the kernel
     (`mg.resistance`) and cache it there, so reads mutate the kernel.  The
     cache is filled by dict.setdefault with exact columns: threads racing
@@ -200,9 +188,47 @@ class GreenSystem:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
         kernel = resistance_kernel(graph)
         self._j = _Potential(graph, kernel, self.measure.atoms, self.measure.densities)
-        self._c = self._j.integral(self.measure) / 2
         self._r_d = _Potential(graph, kernel, dict(self.divisor.items()), {})
         self._j_d = sum((a * self._j(p) for p, a in self.divisor.items()), Fraction(0))
+        # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
+        # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
+        self.c = (2 * self._certify() + self._j_d) / (2 * (self.degree + 2))
+
+    def _certify(self) -> Fraction:
+        """The constant value C of F = (deg D/2 + 1) j - r_D/2.
+
+        As r(y, y) = 0, g(y, y) = j(y) - c_mu, so g(D, y) + g(y, y) is F(y)
+        plus a constant.  Between break points (vertices, and the points of
+        D and of the measure inside edges) every tent is linear, so on an
+        edge F is linear plus gamma_e t(l - t), with gamma_e =
+        (deg D/2 + 1) curv_j - curv_(r_D)/2.  F is therefore constant iff it
+        takes one value at every break point and gamma_e = 0 on every edge;
+        any failure raises ConstancyViolation.
+        """
+        weight = Fraction(self.degree, 2) + 1
+        j, r_d = self._j, self._r_d
+        points = [GraphPoint.at_vertex(v) for v in self.graph.vertex_list]
+        for e in self.graph.edges:
+            inside = [*j.inside.get(e.id, ()), *r_d.inside.get(e.id, ())]
+            points.extend(GraphPoint.on_edge(e.id, t) for t in sorted({t for t, _ in inside}))
+
+        where = points[0]
+        value = weight * j(where) - r_d(where) / 2
+        for y in points[1:]:
+            f = weight * j(y) - r_d(y) / 2
+            if f != value:
+                raise ConstancyViolation(
+                    f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
+                    f"is {value} at {where!r} but {f} at {y!r}"
+                )
+
+        for e in self.graph.edges:
+            gamma = weight * j._edge(e)[2] - r_d._edge(e)[2] / 2
+            if gamma:
+                raise ConstancyViolation(
+                    f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma} on edge {e.id!r}"
+                )
+        return value
 
     # -- evaluation ----------------------------------------------------
 
@@ -210,14 +236,14 @@ class GreenSystem:
         """g(x, y) for points of the graph."""
         x, y = self.graph.check_point(x), self.graph.check_point(y)
         r = self._j.kernel.resistance(x, y)
-        return (self._j(x) + self._j(y) - r) / 2 - self._c
+        return (self._j(x) + self._j(y) - r) / 2 - self.c
 
     # -- derived quantities ---------------------------------------------
 
     def green_of_divisor(self, y) -> Fraction:
         """g(D, y) = sum of a_i g(P_i, y)."""
         y = self.graph.check_point(y)
-        return (self._j_d - self._r_d(y)) / 2 + self.degree * (self._j(y) / 2 - self._c)
+        return (self._j_d - self._r_d(y)) / 2 + self.degree * (self._j(y) / 2 - self.c)
 
     def pairing_dd(self) -> Fraction:
         """g(D, D) = sum over i of a_i g(D, P_i)."""
@@ -236,42 +262,14 @@ def green_eval(s: GreenSystem, x, y) -> Fraction:
 
 
 def constant_c(s: GreenSystem) -> Fraction:
-    """The constant value of g(D, y) + g(y, y), certified exactly.
+    """The constant value c(G, D) of g(D, y) + g(y, y).
 
-    As r(y, y) = 0, g(y, y) = j(y) - c_mu, so the sum is
-
-        F(y) + j_D/2 - (deg D + 1) c_mu,   F = (deg D/2 + 1) j - r_D/2,
-
-    an affine combination of the two potentials.  Between break points
-    (vertices, and the points of D and of the measure inside edges) every
-    tent is linear, so on an edge F is linear plus gamma_e t(l - t), with
-    gamma_e = (deg D/2 + 1) curv_j - curv_(r_D)/2.  The sum is therefore
-    constant iff it takes one value at every break point and gamma_e = 0 on
-    every edge; any failure raises ConstancyViolation.
+    It was certified exactly when `s` was built (`GreenSystem._certify`),
+    which raises ConstancyViolation on any failure.  Integrating
+    g(D, y) + g(y, y) = c(G, D) against mu, with integral g(D, y) dmu(y) = 0
+    and g(y, y) = j(y) - c_mu, shows c(G, D) = c_mu.
     """
-    weight = Fraction(s.degree, 2) + 1
-    shift = s._j_d / 2 - (s.degree + 1) * s._c
-    points = [GraphPoint.at_vertex(v) for v in s.graph.vertex_list]
-    for e in s.graph.edges:
-        inside = [*s._j.inside.get(e.id, ()), *s._r_d.inside.get(e.id, ())]
-        points.extend(GraphPoint.on_edge(e.id, t) for t in sorted({t for t, _ in inside}))
-
-    where = points[0]
-    value = weight * s._j(where) - s._r_d(where) / 2 + shift
-    for y in points[1:]:
-        c = weight * s._j(y) - s._r_d(y) / 2 + shift
-        if c != value:
-            raise ConstancyViolation(
-                f"g(D,y) + g(y,y) is {value} at {where!r} but {c} at {y!r}"
-            )
-
-    for e in s.graph.edges:
-        gamma = weight * s._j._edge(e)[2] - s._r_d._edge(e)[2] / 2
-        if gamma:
-            raise ConstancyViolation(
-                f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma} on edge {e.id!r}"
-            )
-    return value
+    return s.c
 
 
 def e_invariant(g: MetrizedGraph, d: RDivisor) -> Fraction:

@@ -75,3 +75,13 @@ def random_chain_config(rng: Random, max_components=6, max_loops=4):
         genus = sum(g for _, g in comps) + (len(nodes) - (n - 1))
         if 2 <= genus <= 8:
             return FiberConfiguration(comps, nodes)
+
+
+def path_file(lengths) -> str:
+    """The text of a `.mg` path P0 - P1 - ... with the given edge lengths
+    and the divisor P0 + P<n>, n the number of edges."""
+    n = len(lengths)
+    lines = ["metrized_graph", *(f"vertex P{i}" for i in range(n + 1))]
+    lines += [f"edge e{i} P{i} P{i + 1} {l}" for i, l in enumerate(lengths)]
+    lines += ["divisor P0 1", f"divisor P{n} 1"]
+    return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ import threading
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -18,8 +19,10 @@ except ImportError:  # not on Windows
     resource = None
 
 import mg.cli
+import mg.green
 import reference
-from mg import MAX_GENUS
+from gen import path_file
+from mg import AdmissibleMeasure, MAX_GENUS
 from mg.cli import build_parser, decimal12, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -299,6 +302,14 @@ class TestJson:
         assert by_q["e_y"]["exact"] == "5/3"
         assert by_q["g"]["exact"] == "3"
 
+    def test_omega_records_name_their_component(self, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        code, out, _ = run(capsys, "--json", "fiber", "analyze", "chain.fib")
+        assert code == 0
+        assert out == (GOLDEN / "chain.analyze.json.expected").read_text()
+        omega = [r for r in json.loads(out) if r["inputs"]["quantity"] == "omega"]
+        assert [r["inputs"]["component"] for r in omega] == ["A", "B"]
+
     def test_oracle_has_null_exact(self, capsys):
         code, out, _ = run(
             capsys,
@@ -368,3 +379,95 @@ class TestBatch:
         assert code == 2
         errors = [r for r in json.loads(out) if r["exact"] is None]
         assert [Path(r["inputs"]["file"]).name for r in errors] == ["b.mg", "sub.mg"]
+
+
+class TestClosedStdout:
+    """`mg ... | head`: a reader that goes away ends the command quietly,
+    with its own exit code.  The read end is closed before the child
+    starts, so its first write fails however short the output is."""
+
+    def _run_closed(self, *argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            return subprocess.run(
+                [sys.executable, "-m", "mg.cli", *map(str, argv)],
+                env={**os.environ, "PYTHONPATH": str(Path(mg.cli.__file__).parents[1])},
+                stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+
+    def test_exit_0_and_nothing_on_stderr(self):
+        proc = self._run_closed("--json", "fiber", "analyze", GOLDEN / "chain.fib")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+    def test_keeps_the_commands_exit_code(self, tmp_path):
+        shutil.copy(GOLDEN / "segment.mg", tmp_path / "a.mg")
+        shutil.copy(GOLDEN / "zero_length.mg", tmp_path / "b.mg")
+        proc = self._run_closed("batch", tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+
+
+class TestBigResults:
+    """Exact results longer than the interpreter's default limit on int to
+    str conversion (4300 digits) print in full, and `main` leaves that
+    process-wide limit as it found it."""
+
+    @pytest.fixture(scope="class")
+    def path150(self, tmp_path_factory):
+        rng = Random(150)
+        lengths = [
+            Fraction(rng.randint(1, 10**40), rng.randint(1, 10**40)) for _ in range(150)
+        ]
+        path = tmp_path_factory.mktemp("big") / "path150.mg"
+        path.write_text(path_file(lengths))
+        return path
+
+    @staticmethod
+    def _limit():
+        return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    def test_text(self, capsys, path150):
+        limit = self._limit()
+        code, out, err = run(capsys, "e-invariant", path150)
+        assert code == 0, err
+        assert out.startswith("e = ") and len(out) > 4300
+        assert self._limit() == limit
+
+    def test_json_round_trips(self, capsys, path150):
+        limit = self._limit()
+        code, out, err = run(capsys, "--json", "e-invariant", path150)
+        assert code == 0, err
+        assert self._limit() == limit
+        exact = json.loads(out)["exact"]
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
+        try:
+            e = Fraction(exact)
+            assert str(e) == exact
+            assert len(str(e.numerator)) > 4300
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+
+class TestCertificate:
+    """Every command that builds a Green system certifies its measure: a
+    wrong admissible measure is a precondition failure, exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv", [["green", "P", "m"], ["measure"], ["e-invariant"]], ids=lambda a: a[0]
+    )
+    def test_wrong_measure_exits_3(self, capsys, monkeypatch, argv):
+        def wrong(g, d):
+            return AdmissibleMeasure(g, {"P": Fraction(3, 4), "Q": Fraction(1, 4)}, {})
+
+        monkeypatch.setattr(mg.green, "admissible_measure", wrong)
+        command, *points = argv
+        code, out, err = run(capsys, command, GOLDEN / "segment.mg", *points)
+        assert code == 3
+        assert "ConstancyViolation" in err
+        assert out == ""

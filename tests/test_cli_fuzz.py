@@ -3,11 +3,15 @@
 
 import contextlib
 import io
+import tempfile
+from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import path_file
 from mg.cli import main
 from mg.errors import InputError
 from mg.fileformat import parse_graph_file
@@ -90,3 +94,30 @@ def test_exit_code_is_0_2_or_3(argv, json):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+@st.composite
+def big_paths(draw):
+    """The lengths of a 50-150 edge path, p/q with 40-digit p and q.  They
+    come from a drawn seed, so that even the simplest draw is irregular and
+    the result runs to thousands of digits, which only the output
+    formatting sees."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    digits = (10**39, 10**40 - 1)
+    return [
+        Fraction(rng.randint(*digits), rng.randint(*digits))
+        for _ in range(draw(st.integers(50, 150)))
+    ]
+
+
+@settings(max_examples=3, deadline=None)
+@given(lengths=big_paths(), json=st.booleans())
+def test_big_path_exits_0(lengths, json):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "path.mg"
+        path.write_text(path_file(lengths))
+        argv = ["e-invariant", str(path)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--json", *argv] if json else argv)
+    assert code == 0, err.getvalue()

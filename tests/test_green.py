@@ -209,9 +209,21 @@ class TestConstant:
             d = random_divisor(rng, g, interior=True)
             constant_c(green_system(g, d))  # raises on violation
 
+    @staticmethod
+    def _patch_measure(monkeypatch, bad):
+        """Make `admissible_measure` return `bad`, and count its calls."""
+        calls = []
+
+        def wrong(g, d):
+            calls.append((g, d))
+            return bad
+
+        monkeypatch.setattr(mg.green, "admissible_measure", wrong)
+        return calls
+
     def test_violation_detected_for_wrong_measure(self, monkeypatch):
         # corrupt the admissible measure: move atom mass between vertices;
-        # the verifier must notice
+        # building the system must notice
         g = segment_graph(1)
         d = RDivisor({"P": 1, "Q": 1})
         bad = AdmissibleMeasure(
@@ -219,11 +231,10 @@ class TestConstant:
             {"P": Fraction(3, 4), "Q": Fraction(1, 4)},
             dict(admissible_measure(g, d).densities),
         )
-        monkeypatch.setattr(mg.green, "admissible_measure", lambda g, d: bad)
-        s = green_system(g, d)
-        assert s.measure is bad
+        calls = self._patch_measure(monkeypatch, bad)
         with pytest.raises(ConstancyViolation):
-            constant_c(s)
+            green_system(g, d)
+        assert len(calls) == 1
 
     def test_violation_detected_by_coefficient_alone(self, monkeypatch):
         # half the circle's density traded for an atom at its one vertex:
@@ -233,11 +244,10 @@ class TestConstant:
         d = RDivisor()
         rho = canonical_measure(g).density("c")
         bad = AdmissibleMeasure(g, {"O": Fraction(1, 2)}, {"c": rho / 2})
-        monkeypatch.setattr(mg.green, "admissible_measure", lambda g, d: bad)
-        s = green_system(g, d)
-        assert s.measure is bad
+        calls = self._patch_measure(monkeypatch, bad)
         with pytest.raises(ConstancyViolation, match="coefficient"):
-            constant_c(s)
+            green_system(g, d)
+        assert len(calls) == 1
 
     def test_violation_detected_at_measure_atom_inside_edge(self, monkeypatch):
         # half the mass moved from the ends of a segment to its midpoint:
@@ -249,11 +259,21 @@ class TestConstant:
         bad = AdmissibleMeasure(
             g, {"P": Fraction(1, 4), "Q": Fraction(1, 4), mid: Fraction(1, 2)}, {}
         )
-        monkeypatch.setattr(mg.green, "admissible_measure", lambda g, d: bad)
-        s = green_system(g, d)
-        assert s.measure is bad
+        calls = self._patch_measure(monkeypatch, bad)
         with pytest.raises(ConstancyViolation, match="but"):
-            constant_c(s)
+            green_system(g, d)
+        assert len(calls) == 1
+
+    def test_c_is_c_mu(self):
+        # g(y, y) = j(y) - c_mu and integral j dmu = 2 c_mu, so integral
+        # g(y, y) dmu(y) = c(G, D) holds iff the stored c is c_mu; the
+        # integral is exact quadrature of eval's values
+        rng = Random(47)
+        for _ in range(10):
+            g = random_graph(rng, max_vertices=5)
+            d = random_divisor(rng, g, interior=True)
+            s = green_system(g, d)
+            assert integral(s.measure, lambda y: s.eval(y, y)) == constant_c(s)
 
 
 class TestEInvariant:
