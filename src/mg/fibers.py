@@ -216,7 +216,10 @@ def omega_divisor(cfg: FiberConfiguration) -> RDivisor:
 def unstable_components(cfg: FiberConfiguration) -> list:
     """Components whose omega coefficient is not positive (the chain closed
     form assumes all are)."""
-    omega = omega_divisor(cfg)
+    return _unstable(cfg, omega_divisor(cfg))
+
+
+def _unstable(cfg: FiberConfiguration, omega: RDivisor) -> list:
     return [c.id for c in cfg.components if omega.coeff(c.id) <= 0]
 
 
@@ -259,8 +262,8 @@ class FiberReport:
 
 
 def fiber_report(cfg: FiberConfiguration) -> FiberReport:
-    """Every question above, answered from the configuration's one graph
-    and one walk."""
+    """Every question above, answered from the configuration's one graph,
+    one walk and one omega divisor."""
     genus = fiber_genus(cfg)
     omega = omega_divisor(cfg)
     is_chain = is_chain_of_stable_components(cfg)
@@ -269,10 +272,10 @@ def fiber_report(cfg: FiberConfiguration) -> FiberReport:
         delta=tuple(delta_vector(cfg)),
         omega={c.id: omega.coeff(c.id) for c in cfg.components},
         is_chain=is_chain,
-        e=fiber_e(cfg),
+        e=e_invariant(cfg._graph, omega),
         e_closed_form=fiber_e_closed_form(cfg) if is_chain else None,
         warnings=tuple(
             f"component {cid!r} is not stable (omega coefficient <= 0)"
-            for cid in unstable_components(cfg)
+            for cid in _unstable(cfg, omega)
         ),
     )

@@ -211,7 +211,8 @@ class RDivisor:
         for p, a in items:
             p = as_point(p)
             a = Fraction(a)
-            acc[p] = acc.get(p, Fraction(0)) + a
+            old = acc.get(p)
+            acc[p] = a if old is None else old + a
         self._coeffs = {p: a for p, a in acc.items() if a != 0}
 
     def degree(self) -> Fraction:

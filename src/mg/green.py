@@ -25,7 +25,10 @@ rational factorization per graph (`mg.resistance`), as g(x, y) = -r(x, y)/2 +
 integral of j dmu (Chinburg-Rumely 1993; Baker-Rumely 2007).  That integral
 is never formed: building a Green system certifies that g(D, y) + g(y, y) is
 constant, and c_mu, which equals that constant c(G, D), follows from it in
-closed form (`GreenSystem`).
+closed form (`GreenSystem`).  Writing r(x, y) as the kernel's bilinear form
+S(x) + S(y) - 2 X(x, y) turns a read into g(x, y) = h(x) + h(y) + X(x, y) -
+c_mu, with h = (j - S)/2 tabulated once per system: O(1) arithmetic on
+Gamma at up to four pairs of endpoints.
 """
 
 from __future__ import annotations
@@ -119,12 +122,14 @@ class _Potential:
         self.mass = Fraction(0)
         for site, a in atoms.items():
             p = graph.check_point(site)
-            if not p.is_vertex:
+            (i, j, w), const = kernel.spread(p)
+            if p.is_vertex:
+                masses[i] += a
+            else:
                 self.inside.setdefault(p.edge, []).append((p.offset, a))
-            weights, const = kernel.spread(p)
-            for i, w in weights:
-                masses[i] += a * w
-            k += a * const
+                masses[i] += a * (1 - w)
+                masses[j] += a * w
+                k += a * const
             self.mass += a
         for e in graph.edges:
             rho = densities.get(e.id, 0)
@@ -171,11 +176,16 @@ class GreenSystem:
     from them that g(D, y) + g(y, y) is constant (`_certify`), raising
     ConstancyViolation if the measure is not the admissible one.  That
     constant c(G, D) is stored as `c`; it is also c_mu.  g(D, y) is then
-    O(1) arithmetic plus a term per atom inside the edge of y.  So is
-    g(x, y), except that r(x, y) may first solve a column of the kernel
-    (`mg.resistance`) and cache it there, so reads mutate the kernel.  The
-    cache is filled by dict.setdefault with exact columns: threads racing
-    to fill one store equal values, and concurrent reads stay safe.
+    O(1) arithmetic plus a term per atom inside the edge of y.
+
+    So is g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X
+    the kernel's bilinear form for r (`mg.resistance`): Gamma at up to four
+    pairs of endpoints, plus a table read per point.  The first read builds
+    the tables of h (`_read_tables`), so building a system, and so
+    `e_invariant` and `fiber_report`, pays nothing for them.  X may solve a
+    column of the kernel and cache it there.  Both caches are filled with
+    exact values computed from the same state, so threads racing to fill
+    one store equal values, and concurrent reads stay safe.
     """
 
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
@@ -193,6 +203,7 @@ class GreenSystem:
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
         self.c = (2 * self._certify() + self._j_d) / (2 * (self.degree + 2))
+        self._tables = None  # of h, built by the first read
 
     def _certify(self) -> Fraction:
         """The constant value C of F = (deg D/2 + 1) j - r_D/2.
@@ -232,11 +243,55 @@ class GreenSystem:
 
     # -- evaluation ----------------------------------------------------
 
+    def _read_tables(self) -> tuple[dict, dict]:
+        """h = (j - S)/2 at the vertices and along the edges.
+
+        At a vertex v, h_v = (j_v - Gamma_vv)/2.  At offset t on an edge
+        e = (u, v) of length l, j and S are both the chord between e's ends
+        plus a multiple of t(l - t), so h is the chord of h_u and h_v plus
+        t(l - t) k_e with k_e = (curv_j,e - rho_e)/2, less half of j's terms
+        for its atoms inside e.  Returns {vertex id: (index, h_v)} and
+        {edge id: (index of u, index of v, l, h_u, (h_v - h_u)/l, k_e)}."""
+        j = self._j
+        kernel = j.kernel
+        h = [(jv - kernel.entry(i, i)) / 2 for i, jv in enumerate(j.at_vertex)]
+        vertices = {v: (i, h[i]) for v, i in kernel.index.items()}
+        edges = {}
+        for e in self.graph.edges:
+            u, v = kernel.index[e.u], kernel.index[e.v]
+            k = (j._edge(e)[2] - kernel.density[e.id]) / 2
+            edges[e.id] = (u, v, e.length, h[u], (h[v] - h[u]) / e.length, k)
+        return vertices, edges
+
+    def _read(self, p: GraphPoint, tables) -> tuple[tuple, Fraction]:
+        """p's spread weights, as from `ResistanceKernel.spread`, and h(p)."""
+        vertices, edges = tables
+        if p.is_vertex:
+            i, h = vertices[p.vertex]
+            return (i, i, 0), h
+        i, j, l, h, slope, k = edges[p.edge]
+        t = p.offset
+        h += t * (slope + (l - t) * k)
+        for s, a in self._j.inside.get(p.edge, ()):
+            h -= a * min(s, t) * (l - max(s, t)) / l
+        return (i, j, t / l), h
+
     def eval(self, x, y) -> Fraction:
         """g(x, y) for points of the graph."""
         x, y = self.graph.check_point(x), self.graph.check_point(y)
-        r = self._j.kernel.resistance(x, y)
-        return (self._j(x) + self._j(y) - r) / 2 - self.c
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = self._read_tables()
+        sx, hx = self._read(x, tables)
+        sy, hy = self._read(y, tables)
+        g = hx + hy + self._j.kernel.cross(sx, sy) - self.c
+        if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
+            # r(x, y) = d - rho_e d^2 falls short of S(x) + S(y) - 2X by
+            # 2 s(l - t)/l at offsets s <= t (the tent of `_Potential`)
+            s, t = sorted((x.offset, y.offset))
+            l = self.graph.edge_by_id[x.edge].length
+            g += s * (l - t) / l
+        return g
 
     # -- derived quantities ---------------------------------------------
 

@@ -20,7 +20,7 @@ chains, loops and all, factor with no fill.
 What is exact where:
 
 * `solve(b)` gives A^-1 b exactly, for any b: a forward sweep over the
-  steps that skips zero entries, a diagonal scale and a back sweep.
+  steps, a diagonal scale and a back sweep, each skipping zero entries.
 * `selected_inverse()` gives the entries of A^-1 on the diagonal and on the
   filled pattern (every nonzero of A, plus the fill), by Takahashi's
   recurrence run over the steps in reverse: with s(k) the neighbours of
@@ -108,7 +108,8 @@ class Factorization:
                 for i, l in mults:
                     x[i] -= l * xk
         for k, d, _ in self.steps:
-            x[k] /= d
+            if x[k]:
+                x[k] /= d
         for k, _, mults in reversed(self.steps):
             s = x[k]
             for i, l in mults:

@@ -9,7 +9,13 @@ resistance is closed-form arithmetic on it:
 * an edge e = (u, v) of length l has r_e = r(u, v) and canonical density
   rho_e = (l - r_e)/l^2: 0 iff e is a bridge, 1/l for a loop;
 * at offset t on e, r(x, w) = ((l - t) r(u, w) + t r(v, w))/l
-  + t(l - t) rho_e for any w not inside e;
+  + t(l - t) rho_e for any w not inside e: x spreads over the ends of e
+  with weights a_u = (l - t)/l and a_v = t/l (a vertex: weight 1 on
+  itself), plus the constant c_x = t(l - t) rho_e;
+* as the weights sum to 1, two points x and y not inside one edge have
+  r(x, y) = S(x) + S(y) - 2 X(x, y), a bilinear form in their weights (a_i)
+  and (b_j), with S(x) = c_x + sum a_i Gamma_ii and X(x, y) =
+  sum a_i b_j Gamma_ij: Gamma at up to four pairs of ends;
 * two points inside e at distance d have r(x, y) = d - rho_e d^2.
 
 Gamma is never formed densely.  The kernel factors the Laplacian once
@@ -18,10 +24,10 @@ which holds Gamma exactly on the diagonal, on every pair of adjacent
 vertices and on the fill: so every r_e and density, in O(nnz(L)) on a graph
 that factors with no fill.  A potential sum_v m_v r(w, v) over all w needs
 only the diagonal and one solve, Gamma·m (`mg.green`).  Gamma at any other
-pair, as a resistance between arbitrary points asks for, costs the column
-of one of its vertices: one solve, cached on the kernel, so at most one per
-source vertex.  The kernel is built on first use and kept on the
-(immutable) graph.
+pair, as X between arbitrary points may ask for, costs the column of one
+of its vertices: one solve, cached on the kernel, so at most one per source
+vertex.  A resistance read is otherwise O(1) arithmetic.  The kernel is
+built on first use and kept on the (immutable) graph.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import EdgeNotFound
 from .graphs import GraphPoint, MetrizedGraph
+
+_ZERO = Fraction(0)
 
 
 class ResistanceKernel:
@@ -73,8 +81,9 @@ class ResistanceKernel:
         threads racing to fill it store equal values."""
         col = self._columns.get(i)
         if col is None:
-            unit = [Fraction(int(j == i - 1)) for j in range(len(self.index) - 1)]
-            col = self._columns.setdefault(i, [Fraction(0)] + self._factors.solve(unit))
+            unit = [_ZERO] * (len(self.index) - 1)
+            unit[i - 1] = Fraction(1)
+            col = self._columns.setdefault(i, [_ZERO] + self._factors.solve(unit))
         return col
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -82,7 +91,7 @@ class ResistanceKernel:
         pattern, else from a column of either, solving i's if neither is
         cached."""
         if not i or not j:
-            return Fraction(0)
+            return _ZERO
         x = self._selected[i - 1].get(j - 1)
         if x is not None:
             return x
@@ -91,22 +100,48 @@ class ResistanceKernel:
 
     def apply(self, m: list[Fraction]) -> list[Fraction]:
         """Gamma·m, for a vector m indexed like the vertices: one solve."""
-        return [Fraction(0)] + self._factors.solve(m[1:])
+        return [_ZERO] + self._factors.solve(m[1:])
 
     def vertex_resistance(self, i: int, j: int) -> Fraction:
         """r between the vertices of index i and j."""
         return self.entry(i, i) + self.entry(j, j) - 2 * self.entry(i, j)
 
-    def spread(self, p: GraphPoint) -> tuple[list[tuple[int, Fraction]], Fraction]:
+    def spread(self, p: GraphPoint) -> tuple[tuple[int, int, Fraction], Fraction]:
         """Write r(p, w), for w not inside p's edge, as a weighted sum of
-        r(vertex, w) plus a constant: returns ([(vertex index, weight)],
-        constant).  The weights sum to 1."""
+        r(vertex, w) plus a constant: returns ((i, j, a), c), weight 1 - a
+        on the vertex of index i and a on that of index j, and the constant
+        c.  A vertex of index i gives ((i, i, 0), 0), with no Fraction."""
         if p.is_vertex:
-            return [(self.index[p.vertex], Fraction(1))], Fraction(0)
+            i = self.index[p.vertex]
+            return (i, i, 0), 0
         e = self.edge_by_id[p.edge]
         l, t = e.length, p.offset
-        weights = [(self.index[e.u], (l - t) / l), (self.index[e.v], t / l)]
-        return weights, t * (l - t) * self.density[e.id]
+        ends = (self.index[e.u], self.index[e.v], t / l)
+        return ends, t * (l - t) * self.density[e.id]
+
+    def cross(self, p: tuple, q: tuple) -> Fraction:
+        """X = sum a_i b_j Gamma_ij for the spread weights (i, j, a) of two
+        points (`spread`): Gamma at up to four pairs of their ends."""
+        i, j, a = p
+        k, m, b = q
+        entry = self.entry
+        x = entry(i, k)
+        if b:
+            x += b * (entry(i, m) - x)
+        if not a:
+            return x
+        y = entry(j, k)
+        if b:
+            y += b * (entry(j, m) - y)
+        return x + a * (y - x)
+
+    def _self_term(self, p: tuple, c) -> Fraction:
+        """S = c + sum a_i Gamma_ii for a point's spread (p, c)."""
+        i, j, a = p
+        s = self.entry(i, i)
+        if a:
+            s += a * (self.entry(j, j) - s) + c
+        return s
 
     def resistance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
         """r(p, q) for points in the normal form of `check_point`."""
@@ -115,9 +150,8 @@ class ResistanceKernel:
             return d - self.density[p.edge] * d * d
         sp, cp = self.spread(p)
         sq, cq = self.spread(q)
-        return cp + cq + sum(
-            a * b * self.vertex_resistance(i, j) for i, a in sp for j, b in sq
-        )
+        s = self._self_term(sp, cp) + self._self_term(sq, cq)
+        return s - 2 * self.cross(sp, sq)
 
 
 def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:

@@ -15,10 +15,12 @@ def frac(rng: Random, max_num=8, max_den=8, positive=True) -> Fraction:
     return f
 
 
-def random_graph(rng: Random, max_vertices=8, extra_edges=3) -> MetrizedGraph:
+def random_graph(
+    rng: Random, max_vertices=8, extra_edges=3, min_vertices=1
+) -> MetrizedGraph:
     """Connected multigraph: a random spanning tree plus a few extra edges,
     which may be loops or parallels."""
-    n = rng.randint(1, max_vertices)
+    n = rng.randint(min_vertices, max_vertices)
     vertices = [f"v{i}" for i in range(n)]
     edges = []
     for i in range(1, n):

@@ -76,7 +76,9 @@ def test_matches_dense_reference(seed, family):
     for _ in range(rng.randint(1, 4)):
         b = rhs(rng, len(a))
         b_copy = list(b)
-        assert factors.solve(b) == ref.solve_columns(a, [b])[0]
+        x = factors.solve(b)
+        assert x == ref.solve_columns(a, [b])[0]
+        assert all(type(xi) is Fraction for xi in x)
         assert b == b_copy
     assert rows == rows_copy
 

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import reference as ref
 from mg import (
     GraphPoint,
+    MetrizedGraph,
+    RDivisor,
     canonical_measure,
     constant_c,
     e_of_system,
@@ -17,7 +19,7 @@ from mg import (
     green_system,
     resistance_in_deleted_edge,
 )
-from gen import random_divisor, random_graph, random_point
+from gen import frac, random_divisor, random_graph, random_point
 
 
 def probe_points(rng: Random, g) -> list:
@@ -65,3 +67,41 @@ def test_kernel_matches_reference(seed):
             assert s.eval(x, y) == rs.eval(x, y)
     assert constant_c(s) == ref.constant_c(rs)
     assert e_of_system(s) == ref.e_of_system(rs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reads_match_reference(seed):
+    """eval, effective_resistance and green_of_divisor where the read path
+    takes its special cases: points on an edge and on a loop that carry
+    interior divisor atoms (the atom's own point among them), x = y inside
+    an edge, a vertex with a point of its own edge, and every pair of
+    vertices of a graph of up to 10, most of them off the filled pattern."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=10, min_vertices=4)
+    v = rng.choice(g.vertex_list)
+    g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
+    e = rng.choice([e for e in g.edges if not e.is_loop()])
+    loop = g.edge_by_id["loop"]
+    atom = GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 6), 7))
+    terms = [(atom, Fraction(rng.choice([-1, 1, 2])))]
+    terms.append((GraphPoint.on_edge("loop", loop.length / 3), Fraction(1)))
+    terms.append((GraphPoint.at_vertex(rng.choice(g.vertex_list)), Fraction(rng.randint(1, 3))))
+    d = RDivisor(terms)
+    if d.degree() == -2:
+        d = d + RDivisor({g.vertex_list[0]: 1})
+
+    inside = [atom, *(GraphPoint.on_edge(e.id, e.length * Fraction(k, 5)) for k in (1, 3))]
+    inside += [GraphPoint.on_edge("loop", loop.length * Fraction(k, 4)) for k in (1, 2)]
+    ends = [GraphPoint.at_vertex(e.u), GraphPoint.at_vertex(e.v), GraphPoint.at_vertex(loop.u)]
+    vertices = [GraphPoint.at_vertex(w) for w in g.vertex_list]
+
+    s, rs = green_system(g, d), ref.green_system(g, d)
+    points = inside + ends
+    pairs = [(x, y) for x in points for y in points]
+    pairs += [(x, y) for x in vertices for y in vertices]
+    for x, y in pairs:
+        assert s.eval(x, y) == rs.eval(x, y)
+        assert effective_resistance(g, x, y) == ref.effective_resistance(g, x, y)
+    for y in inside + vertices:
+        assert s.green_of_divisor(y) == rs.green_of_divisor(y)

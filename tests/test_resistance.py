@@ -19,6 +19,8 @@ from mg import (
     e_invariant,
     effective_resistance,
     fiber_report,
+    green,
+    green_system,
     linalg,
     path_graph,
     resistance,
@@ -154,9 +156,10 @@ class TestOneFactorization:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counter = {"factor": 0, "solve": 0}
+        counter = {"factor": 0, "solve": 0, "tables": 0}
         real_init = linalg.Factorization.__init__
         real_solve = linalg.Factorization.solve
+        real_tables = green.GreenSystem._read_tables
 
         def init(self, rows):
             counter["factor"] += 1
@@ -166,8 +169,13 @@ class TestOneFactorization:
             counter["solve"] += 1
             return real_solve(self, b)
 
+        def tables(self):
+            counter["tables"] += 1
+            return real_tables(self)
+
         monkeypatch.setattr(linalg.Factorization, "__init__", init)
         monkeypatch.setattr(linalg.Factorization, "solve", solve)
+        monkeypatch.setattr(green.GreenSystem, "_read_tables", tables)
         return counter
 
     def test_e_invariant(self, calls):
@@ -177,8 +185,8 @@ class TestOneFactorization:
              ("da", "d", "a", 1), ("ac", "a", "c", 2), ("bb", "b", "b", 1)],
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
-        # the two potentials, j and r(D, .), and no column
-        assert calls == {"factor": 1, "solve": 2}
+        # the two potentials, j and r(D, .), and no column or read table
+        assert calls == {"factor": 1, "solve": 2, "tables": 0}
 
     def test_fiber_report(self, calls):
         cfg = FiberConfiguration(
@@ -187,16 +195,47 @@ class TestOneFactorization:
             + [("s", "C2", "C2")],
         )
         fiber_report(cfg)
-        assert calls == {"factor": 1, "solve": 2}
+        assert calls == {"factor": 1, "solve": 2, "tables": 0}
 
     def test_effective_resistance_column_is_cached(self, calls):
         g = path_graph([1, 2, 3, 4])  # no fill; the first vertex is grounded
         v = g.vertex_list
         assert effective_resistance(g, v[1], v[3]) == 5
-        assert calls == {"factor": 1, "solve": 1}
+        assert calls == {"factor": 1, "solve": 1, "tables": 0}
         assert effective_resistance(g, v[1], v[4]) == 9
         assert effective_resistance(g, v[3], v[1]) == 5
-        assert calls == {"factor": 1, "solve": 1}
+        assert calls == {"factor": 1, "solve": 1, "tables": 0}
+
+    def test_green_reads(self, calls):
+        """Building a Green system builds no read table; the first read
+        builds them, once; off-pattern reads solve one column per source
+        vertex, shared with resistance reads."""
+        g = MetrizedGraph(
+            list("abcdef"),
+            [("ab", "a", "b", 1), ("bc", "b", "c", 2), ("cd", "c", "d", 3),
+             ("de", "d", "e", 1), ("ef", "e", "f", 2), ("fa", "f", "a", 3),
+             ("ad", "a", "d", 2), ("cc", "c", "c", 1)],
+        )
+        s = green_system(g, RDivisor({"b": 1, "e": 2}))
+        assert calls == {"factor": 1, "solve": 2, "tables": 0}
+        # grounded at a, the Laplacian is the path b-c-d-e-f: no fill, so
+        # Gamma at (b, e), (b, f), (c, e), (c, f) and (d, f) is off the pattern
+        p = GraphPoint.on_edge("bc", Fraction(1, 2))
+        q = GraphPoint.on_edge("ef", Fraction(1, 3))
+        reads = [
+            ("g", p, q, Fraction(-1487, 3375)),  # the columns of b and c
+            ("r", p, q, Fraction(337, 135)),
+            ("g", "d", "f", Fraction(-7, 250)),  # the column of d
+            ("g", p, GraphPoint.on_edge("bc", Fraction(3, 2)), Fraction(262, 375)),
+            ("r", "e", "b", Fraction(11, 5)),
+            ("g", GraphPoint.on_edge("cc", Fraction(1, 2)), q, Fraction(-5903, 13500)),
+            ("r", "f", "d", Fraction(9, 5)),
+            ("g", q, "c", Fraction(-1307, 3375)),
+        ]
+        for kind, x, y, expected in reads:
+            got = effective_resistance(g, x, y) if kind == "r" else s.eval(x, y)
+            assert got == expected
+        assert calls == {"factor": 1, "solve": 5, "tables": 1}
 
 
 
@@ -230,22 +269,29 @@ class TestNoPairwiseResistance:
         assert calls == {"resistance": 0}
 
 def test_concurrent_reads_match_serial():
-    """Threads filling one kernel's column cache all read the serial values."""
+    """Threads filling one kernel's column cache and one Green system's
+    read tables all read the serial values."""
 
     def fresh():
-        return random_graph(Random(26), max_vertices=12, extra_edges=6)
+        g = random_graph(Random(26), max_vertices=12, extra_edges=6)
+        return g, green_system(g, RDivisor({g.vertex_list[-1]: 1}))
 
-    g = fresh()
-    points = g.vertex_list
-    serial = {(p, q): effective_resistance(g, p, q) for p in points for q in points}
-    shared = fresh()
-    resistance.resistance_kernel(shared)  # factored; no column solved yet
+    def value(g, s, kind, p, q):
+        return effective_resistance(g, p, q) if kind == "r" else s.eval(p, q)
+
+    g, s = fresh()
+    points = g.vertex_list + [GraphPoint.on_edge(e.id, e.length / 3) for e in g.edges[::2]]
+    serial = {
+        (kind, p, q): value(g, s, kind, p, q)
+        for kind in "rg" for p in points for q in points
+    }
+    shared = fresh()  # factored, with no column solved and no table built
     results = []
 
     def read(seed):
-        pairs = list(serial)
-        Random(seed).shuffle(pairs)
-        results.append({pq: effective_resistance(shared, *pq) for pq in pairs})
+        keys = list(serial)
+        Random(seed).shuffle(keys)
+        results.append({key: value(*shared, *key) for key in keys})
 
     threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
     interval = sys.getswitchinterval()
