@@ -38,6 +38,7 @@ from fractions import Fraction
 
 from .errors import ConstancyViolation, DegreeMinusTwo
 from .graphs import GraphPoint, MetrizedGraph, RDivisor
+from .linalg import fast, plain
 from .resistance import ResistanceKernel, effective_resistance, resistance_kernel
 
 
@@ -100,6 +101,11 @@ class _Potential:
     For x at offset t inside an edge e of length l, r(x, z) is the chord of
     r(., z) between e's ends plus t(l - t) rho_e, less 2 min(s, t)(l - max(s,
     t))/l when z too lies inside e, at offset s (`mg.resistance`).
+
+    Construction computes the masses, the constant k, the vertex values and
+    the t(l - t) coefficient of every edge on the fast rational type of
+    `mg.linalg`, and keeps each as a plain Fraction (`linalg.plain`): the
+    values a read reaches, `at_vertex`, `curv` and `inside`, are Fractions.
     """
 
     def __init__(
@@ -111,15 +117,13 @@ class _Potential:
     ):
         self.graph = graph
         self.kernel = kernel
-        self.densities = densities
         self.inside: dict = {}  # edge id -> [(offset, atom)] inside the edge
         # at a vertex w the potential is sum_v m_v r(w, v) + k: each atom
         # spreads over the ends of its edge as r(., p) does, and a density
         # puts rho*l/2 on both ends and adds rho*rho_e*l^3/6 (its t(l - t)
         # rho_e term)
-        masses = [Fraction(0)] * len(kernel.index)
-        k = Fraction(0)
-        self.mass = Fraction(0)
+        masses = [fast(0)] * len(kernel.index)
+        k = mass = fast(0)
         for site, a in atoms.items():
             p = graph.check_point(site)
             (i, j, w), const = kernel.spread(p)
@@ -127,18 +131,27 @@ class _Potential:
                 masses[i] += a
             else:
                 self.inside.setdefault(p.edge, []).append((p.offset, a))
-                masses[i] += a * (1 - w)
+                a = fast(a)
+                masses[i] += a - a * w
                 masses[j] += a * w
                 k += a * const
-            self.mass += a
+            mass += a
         for e in graph.edges:
             rho = densities.get(e.id, 0)
             if rho:
-                half = rho * e.length / 2
+                l = fast(e.length)
+                rho_l = rho * l
+                half = rho_l / 2
                 masses[kernel.index[e.u]] += half
                 masses[kernel.index[e.v]] += half
-                k += rho * kernel.density[e.id] * e.length**3 / 6
-                self.mass += rho * e.length
+                k += rho_l * kernel.density[e.id] * l * l / 6
+                mass += rho_l
+        # on an edge e the potential is linear between break points plus
+        # t(l - t) times nu(G) rho_e less nu's own density there
+        self.curv = {
+            e.id: plain(mass * kernel.density[e.id] - densities.get(e.id, 0))
+            for e in graph.edges
+        }
         # r(w, v) = G_ww + G_vv - 2 G_wv with G the kernel's Gamma, so the
         # sum is G_ww sum(m) + sum_v m_v G_vv - 2 (G m)_w: one solve
         support = [(v, m) for v, m in enumerate(masses) if m]
@@ -146,14 +159,14 @@ class _Potential:
         k += sum(m * kernel.entry(v, v) for v, m in support)
         gm = kernel.apply(masses)
         self.at_vertex = [
-            k + kernel.entry(w, w) * total - 2 * gm[w] for w in range(len(masses))
+            plain(k + kernel.entry(w, w) * total - 2 * fast(gm[w]))
+            for w in range(len(masses))
         ]
 
     def _edge(self, e) -> tuple[Fraction, Fraction, Fraction]:
         """The potential at e's ends, and the coefficient of t(l - t)."""
         index = self.kernel.index
-        curv = self.kernel.density[e.id] * self.mass - self.densities.get(e.id, 0)
-        return self.at_vertex[index[e.u]], self.at_vertex[index[e.v]], curv
+        return self.at_vertex[index[e.u]], self.at_vertex[index[e.v]], self.curv[e.id]
 
     def __call__(self, x: GraphPoint) -> Fraction:
         """The potential at a point in the normal form of `check_point`."""
@@ -199,10 +212,11 @@ class GreenSystem:
         kernel = resistance_kernel(graph)
         self._j = _Potential(graph, kernel, self.measure.atoms, self.measure.densities)
         self._r_d = _Potential(graph, kernel, dict(self.divisor.items()), {})
-        self._j_d = sum((a * self._j(p) for p, a in self.divisor.items()), Fraction(0))
+        j_d = sum((fast(a) * self._j(p) for p, a in self.divisor.items()), fast(0))
+        self._j_d = plain(j_d)
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
-        self.c = (2 * self._certify() + self._j_d) / (2 * (self.degree + 2))
+        self.c = plain((2 * self._certify() + j_d) / (2 * (self.degree + 2)))
         self._tables = None  # of h, built by the first read
 
     def _certify(self) -> Fraction:
@@ -214,9 +228,11 @@ class GreenSystem:
         edge F is linear plus gamma_e t(l - t), with gamma_e =
         (deg D/2 + 1) curv_j - curv_(r_D)/2.  F is therefore constant iff it
         takes one value at every break point and gamma_e = 0 on every edge;
-        any failure raises ConstancyViolation.
+        any failure raises ConstancyViolation.  C is computed, and returned,
+        in the fast type of `mg.linalg`, for the constructor's c.
         """
-        weight = Fraction(self.degree, 2) + 1
+        weight = fast(self.degree) / 2 + 1
+        half = fast(1) / 2
         j, r_d = self._j, self._r_d
         points = [GraphPoint.at_vertex(v) for v in self.graph.vertex_list]
         for e in self.graph.edges:
@@ -224,9 +240,9 @@ class GreenSystem:
             points.extend(GraphPoint.on_edge(e.id, t) for t in sorted({t for t, _ in inside}))
 
         where = points[0]
-        value = weight * j(where) - r_d(where) / 2
+        value = weight * j(where) - half * r_d(where)
         for y in points[1:]:
-            f = weight * j(y) - r_d(y) / 2
+            f = weight * j(y) - half * r_d(y)
             if f != value:
                 raise ConstancyViolation(
                     f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
@@ -234,7 +250,7 @@ class GreenSystem:
                 )
 
         for e in self.graph.edges:
-            gamma = weight * j._edge(e)[2] - r_d._edge(e)[2] / 2
+            gamma = weight * j._edge(e)[2] - half * r_d._edge(e)[2]
             if gamma:
                 raise ConstancyViolation(
                     f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma} on edge {e.id!r}"

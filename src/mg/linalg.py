@@ -2,8 +2,8 @@
 
 The only numerics the exact side of the library ever needs: factor a
 symmetric matrix once, then solve against it and read its inverse where the
-factorization makes that cheap, entirely in Fraction arithmetic.  Its caller
-is the resistance kernel, whose matrix is the grounded Laplacian of a
+factorization makes that cheap, entirely in exact rational arithmetic.  Its
+caller is the resistance kernel, whose matrix is the grounded Laplacian of a
 connected graph: symmetric positive definite, with one off-diagonal nonzero
 per pair of adjacent vertices.
 
@@ -17,10 +17,24 @@ adjacent.  On a graph Laplacian this is Kron (star-mesh) reduction, and
 degree-1 and degree-2 vertices go first (series reduction), so trees and
 chains, loops and all, factor with no fill.
 
+The arithmetic runs on `_Q`, a private subclass of Fraction: each entry is
+converted once on the way in, and the steps, the sweeps and the recurrence
+below compute on it.  Its `+ - * /` against an int or a Fraction apply the
+gcd steps of `fractions` (Henrici, J. ACM 3, 1956) to the parts directly
+and skip `fractions`' per-operation dispatch and normalising constructor,
+so each result has exactly the numerator and denominator Fraction would
+give, at a third to a half of the cost on small operands; on big operands
+the gcds dominate and the two cost the same.  `fast` and `plain` convert
+between the two types, and the other build loops of the library (the
+resistance kernel's densities, the potentials and the constancy
+certificate of `mg.green`) use them the same way.  What a caller receives,
+or a read can reach, is always a plain Fraction.
+
 What is exact where:
 
-* `solve(b)` gives A^-1 b exactly, for any b: a forward sweep over the
-  steps, a diagonal scale and a back sweep, each skipping zero entries.
+* `solve(b)` gives A^-1 b exactly, for any b, as plain Fractions: a forward
+  sweep over the steps, a diagonal scale and a back sweep, each skipping
+  zero entries.
 * `selected_inverse()` gives the entries of A^-1 on the diagonal and on the
   filled pattern (every nonzero of A, plus the fill), by Takahashi's
   recurrence run over the steps in reverse: with s(k) the neighbours of
@@ -28,7 +42,7 @@ What is exact where:
   z_kk = 1/d_k - sum over i in s(k) of l_ik z_ik.  s(k) is a clique of the
   filled pattern, eliminated after k, so every z_ij it reads is already
   known (Takahashi, Fagan & Chin 1973; Erisman & Tinney, CACM 18, 1975).
-  Any other entry of A^-1 costs one `solve` of a unit column.
+  Each entry is stored as a plain Fraction.  Any other entry of A^-1 costs one `solve` of a unit column.
 
 Contract: `rows[i]` maps column j to a_ij, indices in range(len(rows));
 the matrix must be symmetric (else ValueError).  A zero pivot raises
@@ -38,16 +52,187 @@ is singular.  An indefinite matrix whose pivot in this order is zero is
 rejected the same way, even when it is nonsingular.
 
 Cost, nnz(L) being the number of recorded multipliers: O(sum over steps of
-(neighbours)^2) Fraction operations each to factor and for the selected
+(neighbours)^2) rational operations each to factor and for the selected
 inverse, which is O(nnz(A)) on a graph that factors with no fill and
-bounded degree; O(nnz(L)) per solve.  Choosing the pivots adds
-O(nnz(L) log n) integer work.
+bounded degree; O(nnz(L)) per solve, plus O(n) to convert the result back
+to Fraction.  Choosing the pivots adds O(nnz(L) log n) integer work.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from math import gcd
+
+_new = object.__new__
+
+
+class _Q(Fraction):
+    """A Fraction whose arithmetic skips `fractions`' per-operation dispatch.
+
+    `+ - * /`, their reflected forms and unary minus, against an int or a
+    Fraction, read the parts directly, reduce them by the gcd steps of
+    `fractions` (Henrici, J. ACM 3, 1956) and build the result without
+    `Fraction.__new__`: every result is in lowest terms with a positive
+    denominator, so it has exactly the parts `Fraction` would give.  Any
+    other operand and every other method (comparison, hash, str, `**`) is
+    Fraction's own; `**` returns a plain Fraction.  Private to the build
+    loops: every value they return or keep where a read reaches it is
+    converted back with `plain`.
+    """
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        t = type(b)
+        if t is _Q or t is Fraction:
+            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
+        if t is int:
+            return _q(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        t = type(b)
+        if t is _Q or t is Fraction:
+            return _sum(b._numerator, b._denominator, a._numerator, a._denominator)
+        if t is int:
+            return _q(b * a._denominator + a._numerator, a._denominator)
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        t = type(b)
+        if t is _Q or t is Fraction:
+            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if t is int:
+            return _q(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        t = type(b)
+        if t is _Q or t is Fraction:
+            return _sum(b._numerator, b._denominator, -a._numerator, a._denominator)
+        if t is int:
+            return _q(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        t = type(b)
+        if t is _Q or t is Fraction:
+            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
+        if t is int:
+            return _product(a._numerator, a._denominator, b, 1)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        t = type(b)
+        if t is _Q or t is Fraction:
+            return _product(b._numerator, b._denominator, a._numerator, a._denominator)
+        if t is int:
+            return _product(b, 1, a._numerator, a._denominator)
+        return Fraction.__rmul__(a, b)
+
+    def __truediv__(a, b):
+        t = type(b)
+        if (t is _Q or t is Fraction) and b._numerator:
+            return _quotient(a._numerator, a._denominator, b._numerator, b._denominator)
+        if t is int and b:
+            return _quotient(a._numerator, a._denominator, b, 1)
+        return Fraction.__truediv__(a, b)  # raises ZeroDivisionError on 0
+
+    def __rtruediv__(a, b):
+        t = type(b)
+        if a._numerator:
+            if t is _Q or t is Fraction:
+                return _quotient(b._numerator, b._denominator, a._numerator, a._denominator)
+            if t is int:
+                return _quotient(b, 1, a._numerator, a._denominator)
+        return Fraction.__rtruediv__(a, b)  # raises ZeroDivisionError on 0
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+
+def _q(n: int, d: int) -> _Q:
+    """n/d as a _Q, for n and d coprime and d > 0."""
+    x = _new(_Q)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _sum(na: int, da: int, nb: int, db: int) -> _Q:
+    """na/da + nb/db, both in lowest terms, reduced as `Fraction._add`
+    reduces it."""
+    g = gcd(da, db)
+    if g == 1:
+        n, d = na * db + da * nb, da * db
+    else:
+        s = da // g
+        n = na * (db // g) + nb * s
+        g = gcd(n, g)
+        if g == 1:
+            d = s * db
+        else:
+            n //= g
+            d = s * (db // g)
+    x = _new(_Q)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
+def _product(na: int, da: int, nb: int, db: int) -> _Q:
+    """(na/da) * (nb/db), both in lowest terms, reduced as `Fraction._mul`
+    reduces it."""
+    g = gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    x = _new(_Q)
+    x._numerator = na * nb
+    x._denominator = da * db
+    return x
+
+
+def _quotient(na: int, da: int, nb: int, db: int) -> _Q:
+    """(na/da) / (nb/db), both in lowest terms and nb != 0, reduced as
+    `Fraction._div` reduces it."""
+    g = gcd(na, nb)
+    if g > 1:
+        na //= g
+        nb //= g
+    g = gcd(db, da)
+    if g > 1:
+        da //= g
+        db //= g
+    x = _new(_Q)
+    if nb < 0:
+        x._numerator = -na * db
+        x._denominator = -nb * da
+    else:
+        x._numerator = na * db
+        x._denominator = nb * da
+    return x
+
+
+def fast(x) -> _Q:
+    """An int or a Fraction as the same value in the fast type."""
+    if type(x) is _Q:
+        return x
+    return _q(x.numerator, x.denominator)
+
+
+def plain(x) -> Fraction:
+    """An int or a Fraction (of the fast type or not) as a plain Fraction
+    of the same value."""
+    f = _new(Fraction)
+    f._numerator = x.numerator
+    f._denominator = x.denominator
+    return f
 
 
 class Factorization:
@@ -55,7 +240,7 @@ class Factorization:
 
     def __init__(self, rows: list[dict[int, Fraction]]):
         n = self.n = len(rows)
-        diag = [Fraction(0)] * n
+        diag = [fast(0)] * n
         adj: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for i, row in enumerate(rows):
             for j, x in row.items():
@@ -66,9 +251,9 @@ class Factorization:
                 if x != rows[j].get(i, 0):
                     raise ValueError("matrix is not symmetric")
                 if i == j:
-                    diag[i] = x
+                    diag[i] = fast(x)
                 else:
-                    adj[i][j] = x
+                    adj[i][j] = fast(x)
 
         # steps of the factorization: (pivot index, d_k, [(i, l_ik)])
         self.steps = []
@@ -98,7 +283,7 @@ class Factorization:
             self.steps.append((k, d, mults))
 
     def solve(self, b: list[Fraction]) -> list[Fraction]:
-        """x with a·x = b."""
+        """x with a·x = b, as plain Fractions."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
         x = list(b)
@@ -117,16 +302,16 @@ class Factorization:
                 if xi:
                     s -= l * xi
             x[k] = s
-        return x
+        return [plain(xi) for xi in x]
 
     def selected_inverse(self) -> list[dict[int, Fraction]]:
         """z with z[i][j] = (a^-1)_ij for i = j and for every (i, j) on the
-        filled pattern, and no other keys."""
+        filled pattern, and no other keys, as plain Fractions."""
         z: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
         for k, d, mults in reversed(self.steps):
             zk = z[k]
             for i, _ in mults:
                 zi = z[i]
-                zk[i] = zi[k] = -sum(l * zi[j] for j, l in mults)
-            zk[k] = 1 / d - sum(l * zk[i] for i, l in mults)
+                zk[i] = zi[k] = plain(-sum(l * zi[j] for j, l in mults))
+            zk[k] = plain(1 / d - sum(l * zk[i] for i, l in mults))
         return z

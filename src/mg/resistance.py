@@ -27,7 +27,9 @@ only the diagonal and one solve, Gamma·m (`mg.green`).  Gamma at any other
 pair, as X between arbitrary points may ask for, costs the column of one
 of its vertices: one solve, cached on the kernel, so at most one per source
 vertex.  A resistance read is otherwise O(1) arithmetic.  The kernel is
-built on first use and kept on the (immutable) graph.
+built on first use and kept on the (immutable) graph.  Building it
+computes the conductances and the densities on the fast rational type of
+`mg.linalg`; every value it keeps or returns is a plain Fraction.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import EdgeNotFound
 from .graphs import GraphPoint, MetrizedGraph
+from .linalg import fast, plain
 
 _ZERO = Fraction(0)
 
@@ -61,7 +64,7 @@ class ResistanceKernel:
         for e in g.edges:
             if e.is_loop():
                 continue
-            c = 1 / e.length
+            c = 1 / fast(e.length)
             i, j = self.index[e.u] - 1, self.index[e.v] - 1
             for a, b, x in ((i, i, c), (j, j, c), (i, j, -c), (j, i, -c)):
                 if a >= 0 and b >= 0:
@@ -70,15 +73,21 @@ class ResistanceKernel:
         self._selected = self._factors.selected_inverse()
         self._columns: dict[int, list[Fraction]] = {}
         self.density = {}
+        entry = self.entry
         for e in g.edges:
-            r = self.vertex_resistance(self.index[e.u], self.index[e.v])
-            self.density[e.id] = (e.length - r) / e.length**2
+            i, j = self.index[e.u], self.index[e.v]
+            r = fast(entry(i, i)) + entry(j, j) - 2 * fast(entry(i, j))
+            l = fast(e.length)
+            self.density[e.id] = plain((l - r) / (l * l))
 
     def column(self, i: int) -> list[Fraction]:
         """Gamma's column of the vertex of index i, solved on first use.
 
         The cache is filled with setdefault: a column is exact, so two
-        threads racing to fill it store equal values."""
+        threads racing to fill it store equal values.  The ground vertex
+        (index 0) has the zero column, which is not solved."""
+        if not i:
+            return [_ZERO] * len(self.index)
         col = self._columns.get(i)
         if col is None:
             unit = [_ZERO] * (len(self.index) - 1)
@@ -101,10 +110,6 @@ class ResistanceKernel:
     def apply(self, m: list[Fraction]) -> list[Fraction]:
         """Gamma·m, for a vector m indexed like the vertices: one solve."""
         return [_ZERO] + self._factors.solve(m[1:])
-
-    def vertex_resistance(self, i: int, j: int) -> Fraction:
-        """r between the vertices of index i and j."""
-        return self.entry(i, i) + self.entry(j, j) - 2 * self.entry(i, j)
 
     def spread(self, p: GraphPoint) -> tuple[tuple[int, int, Fraction], Fraction]:
         """Write r(p, w), for w not inside p's edge, as a weighted sum of

@@ -1,7 +1,9 @@
 """The sparse LDL^T factorization of `mg.linalg` against the dense Gaussian
 elimination kept in reference.py: solutions, the selected inverse and the
-pivot order must be equal."""
+pivot order must be equal.  The fast rational type the build loops compute
+on must give exactly what `Fraction` gives, and must never reach a caller."""
 
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -10,7 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from mg import MetrizedGraph, linalg
+from mg import (
+    FiberConfiguration,
+    GraphPoint,
+    MetrizedGraph,
+    RDivisor,
+    admissible_measure,
+    canonical_measure,
+    constant_c,
+    e_invariant,
+    effective_resistance,
+    fiber_report,
+    green_system,
+    linalg,
+    resistance,
+    resistance_in_deleted_edge,
+)
 from gen import frac, random_graph
 
 FAMILIES = ("tree", "path", "cycle", "parallel", "loops", "mixed", "dense")
@@ -149,3 +166,105 @@ def test_non_symmetric_matrix():
 def test_index_out_of_range():
     with pytest.raises(ValueError, match="not square"):
         linalg.Factorization([{0: Fraction(2), 1: Fraction(-1)}])
+
+
+# -- the fast type -------------------------------------------------------------
+
+FAST = type(linalg.fast(0))
+PARTS = st.integers(-5, 5) | st.integers(-(10**40), 10**40)
+DENOMINATORS = st.integers(1, 5) | st.integers(1, 10**40)
+RATIONALS = st.builds(Fraction, PARTS, DENOMINATORS)
+OPERANDS = st.one_of(PARTS, RATIONALS, RATIONALS.map(linalg.fast))
+OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def outcome(op, x, y):
+    """op(x, y) as (type, value), or the class of the exception it raises."""
+    try:
+        z = op(x, y)
+    except ArithmeticError as exc:
+        return type(exc)
+    if isinstance(z, float):
+        return float, repr(z)  # repr: nan equals nan
+    return type(z), (z.numerator, z.denominator)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    a=RATIONALS, b=OPERANDS, op=st.sampled_from(OPERATORS), reflected=st.booleans()
+)
+def test_fast_arithmetic_matches_fraction(a, b, op, reflected):
+    """a in the fast type against an int, a Fraction or another fast value,
+    on either side: the parts of the result are those of Fraction's, and a
+    division by zero raises ZeroDivisionError."""
+    x, y = (b, linalg.fast(a)) if reflected else (linalg.fast(a), b)
+    want = outcome(op, Fraction(x), Fraction(y))
+    got = outcome(op, x, y)
+    if want is ZeroDivisionError:
+        assert got is ZeroDivisionError
+    else:
+        assert got == (FAST, want[1])
+
+
+@given(a=RATIONALS)
+def test_fast_negation_and_conversions(a):
+    q = linalg.fast(a)
+    assert type(q) is FAST and q == a and hash(q) == hash(a) and str(q) == str(a)
+    assert type(-q) is FAST and (-q).numerator == -a.numerator
+    assert (-q).denominator == a.denominator
+    p = linalg.plain(q)
+    assert type(p) is Fraction
+    assert (p.numerator, p.denominator) == (a.numerator, a.denominator)
+    assert type(q**2) is Fraction and q**2 == a**2
+
+
+@settings(deadline=None)
+@given(
+    a=RATIONALS,
+    f=st.floats(-1e10, 1e10),
+    op=st.sampled_from(OPERATORS),
+    reflected=st.booleans(),
+)
+def test_float_operand_gives_what_fraction_gives(a, f, op, reflected):
+    args = (f, a) if reflected else (a, f)
+    fast_args = (f, linalg.fast(a)) if reflected else (linalg.fast(a), f)
+    assert outcome(op, *fast_args) == outcome(op, *args)
+
+
+def test_fast_type_never_leaks():
+    """Every public result, and every kernel value a read can reach, is a
+    plain Fraction: on a 4-cycle with a chord, a loop and a divisor point
+    inside an edge."""
+    g = MetrizedGraph(
+        list("abcd"),
+        [("ab", "a", "b", Fraction(1, 2)), ("bc", "b", "c", Fraction(2, 3)),
+         ("cd", "c", "d", 3), ("da", "d", "a", Fraction(5, 4)),
+         ("ac", "a", "c", 2), ("bb", "b", "b", Fraction(3, 2))],
+    )
+    inside = GraphPoint.on_edge("cd", Fraction(1, 3))
+    d = RDivisor({"b": 1, inside: Fraction(3, 2)})
+    s = green_system(g, d)
+    points = ["a", "c", inside, GraphPoint.on_edge("bb", Fraction(1, 2)),
+              GraphPoint.on_edge("ac", Fraction(3, 4))]
+    values = [e_invariant(g, d), constant_c(s)]
+    for x in points:
+        values.append(s.green_of_divisor(x))
+        for y in points:
+            values += [s.eval(x, y), effective_resistance(g, x, y)]
+    values += [resistance_in_deleted_edge(g, e) for e in ("ab", "ac", "bb")]
+    for m in (canonical_measure(g), admissible_measure(g, d)):
+        values += [*m.atoms.values(), *m.densities.values(), m.total_mass()]
+    kernel = resistance.resistance_kernel(g)
+    n = len(g.vertex_list)
+    values += kernel.density.values()
+    values += [kernel.entry(i, j) for i in range(n) for j in range(n)]
+    for i in range(n):
+        values += kernel.column(i)
+    values += kernel.apply([Fraction(k, 7) for k in range(n)])
+    cfg = FiberConfiguration(
+        [("A", 1), ("B", 0), ("C", 1)],
+        [("n1", "A", "B", Fraction(2, 3)), ("n2", "B", "C"), ("s", "B", "B", 2)],
+    )
+    report = fiber_report(cfg)
+    values += [report.e, *report.omega.values()]
+    assert [type(v) for v in values if type(v) is not Fraction] == []

@@ -237,6 +237,17 @@ class TestOneFactorization:
             assert got == expected
         assert calls == {"factor": 1, "solve": 5, "tables": 1}
 
+    def test_ground_column_is_zero(self, calls):
+        """Gamma is 0 in the ground vertex's column: column(0) solves
+        nothing, caches nothing and leaves the other columns alone."""
+        g = MetrizedGraph(list("abc"), [("ab", "a", "b", 1), ("bc", "b", "c", 2)])
+        kernel = resistance.resistance_kernel(g)
+        assert kernel.column(0) == [0, 0, 0]
+        assert calls == {"factor": 1, "solve": 0, "tables": 0}
+        assert kernel.column(2) == [0, 1, 3]
+        assert kernel.column(0) == [0, 0, 0]
+        assert kernel.entry(2, 2) == 3 and kernel.entry(0, 2) == 0
+        assert calls == {"factor": 1, "solve": 1, "tables": 0}
 
 
 class TestNoPairwiseResistance:
