@@ -202,12 +202,25 @@ class TestConstant:
         assert constant_c(s) == l / 12
 
     def test_constancy_on_random_graphs(self):
+        # through public reads, g(D, y) + g(y, y) = c at every vertex, every
+        # point of D and one interior point per edge, and g(D, D) is the sum
+        # of a_i g(D, P_i): the potential j against the h-and-Gamma reads
         rng = Random(43)
+        offsets = Random(44)  # leaves the graphs drawn from rng unchanged
         for _ in range(25):
             g = random_graph(rng, max_vertices=6)
             g.validate()
             d = random_divisor(rng, g, interior=True)
-            constant_c(green_system(g, d))  # raises on violation
+            s = green_system(g, d)  # raises on violation
+            c = constant_c(s)
+            points = [*g.vertex_list, *(p for p, _ in d.items())]
+            for e in g.edges:
+                t = e.length * Fraction(offsets.randint(1, 99), 100)
+                points.append(GraphPoint.on_edge(e.id, t))
+            for y in points:
+                assert s.green_of_divisor(y) + s.eval(y, y) == c
+            pairing = sum((a * s.green_of_divisor(p) for p, a in d.items()), Fraction(0))
+            assert s.pairing_dd() == pairing
 
     @staticmethod
     def _patch_measure(monkeypatch, bad):
@@ -261,6 +274,17 @@ class TestConstant:
         )
         calls = self._patch_measure(monkeypatch, bad)
         with pytest.raises(ConstancyViolation, match="but"):
+            green_system(g, d)
+        assert len(calls) == 1
+
+    def test_violation_detected_by_mass_check(self, monkeypatch):
+        # the segment's atoms with a quarter of the mass missing: the mass
+        # check, before the certificate, must notice
+        g = segment_graph(1)
+        d = RDivisor({"P": 1, "Q": 1})
+        bad = AdmissibleMeasure(g, {"P": Fraction(1, 2), "Q": Fraction(1, 4)}, {})
+        calls = self._patch_measure(monkeypatch, bad)
+        with pytest.raises(ConstancyViolation, match="total mass"):
             green_system(g, d)
         assert len(calls) == 1
 

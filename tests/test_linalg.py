@@ -21,6 +21,7 @@ from mg import (
     canonical_measure,
     constant_c,
     e_invariant,
+    e_of_system,
     effective_resistance,
     fiber_report,
     green_system,
@@ -246,7 +247,7 @@ def test_fast_type_never_leaks():
     s = green_system(g, d)
     points = ["a", "c", inside, GraphPoint.on_edge("bb", Fraction(1, 2)),
               GraphPoint.on_edge("ac", Fraction(3, 4))]
-    values = [e_invariant(g, d), constant_c(s)]
+    values = [e_invariant(g, d), constant_c(s), s.pairing_dd(), e_of_system(s)]
     for x in points:
         values.append(s.green_of_divisor(x))
         for y in points:
