@@ -45,7 +45,7 @@ FIBER_HEADER = "fiber"
 # person writes, and it keeps a few bytes of input from naming a huge integer.
 MAX_RATIONAL_DIGITS = 40
 _RATIONAL = re.compile(
-    rf"-?[0-9]{{1,{MAX_RATIONAL_DIGITS}}}(?:/[0-9]{{1,{MAX_RATIONAL_DIGITS}}})?"
+    rf"(-?[0-9]{{1,{MAX_RATIONAL_DIGITS}}})(?:/([0-9]{{1,{MAX_RATIONAL_DIGITS}}}))?"
 )
 
 
@@ -56,12 +56,15 @@ _GENUS = re.compile(rf"[0-9]{{1,{MAX_RATIONAL_DIGITS}}}")
 def parse_rational(token: str) -> Fraction:
     """An integer or p/q, optionally negative, with at most
     MAX_RATIONAL_DIGITS digits in each part; nothing else (no decimals,
-    exponents, underscores or spaces)."""
-    if _RATIONAL.fullmatch(token):
-        try:
-            return Fraction(token)
-        except ZeroDivisionError:
-            pass
+    exponents, underscores or spaces).  The value is built from the
+    matched parts, so the token is scanned once."""
+    match = _RATIONAL.fullmatch(token)
+    if match:
+        p, q = match.groups()
+        if q is None:
+            return Fraction(int(p))
+        if int(q):
+            return Fraction(int(p), int(q))
     raise BadRational(
         f"cannot parse {token!r} as a rational (p/q or an integer, "
         f"at most {MAX_RATIONAL_DIGITS} digits each)"

@@ -31,6 +31,12 @@ r(x, y) as the kernel's bilinear form S(x) + S(y) - 2 X(x, y) turns a read
 into g(x, y) = h(x) + h(y) + X(x, y) - c_mu, with h = (j - S)/2 a potential
 of the same shape as j: O(1) arithmetic on Gamma at up to four pairs of
 endpoints.
+
+Building a Green system, which every e(G, D) pays for, runs on arrays
+indexed by vertex in the fast rational type of `mg.linalg`: the measure's
+atoms and densities, both potentials and the certificate.  A value becomes
+a plain Fraction once, where a caller or a read can reach it: the measure,
+c, j_D and the j that reads use.  Reads compute on plain Fractions.
 """
 
 from __future__ import annotations
@@ -71,28 +77,33 @@ class AdmissibleMeasure:
 
 def canonical_measure(g: MetrizedGraph) -> AdmissibleMeasure:
     """The canonical probability measure of the graph (the D = 0 case)."""
-    densities = dict(resistance_kernel(g).density)
-    atoms = {v: 1 - Fraction(g.valence(v), 2) for v in g.vertex_list}
-    return AdmissibleMeasure(g, atoms, densities)
+    return admissible_measure(g, RDivisor())
 
 
 def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
     """The measure mu_(G,D), on g itself: D's edge-interior support points
-    carry their atoms under their GraphPoint keys."""
+    carry their atoms under their GraphPoint keys.
+
+    A vertex v carries (a_v + 2 - valence(v))/(deg D + 2), a_v being D's
+    coefficient there, and an edge the density 2 rho_e/(deg D + 2) with
+    rho_e from the graph's resistance kernel.  The values are computed on
+    the fast rational type of `mg.linalg` and kept as plain Fractions.
+    """
     deg = d.degree()
     if deg == -2:
         raise DegreeMinusTwo("divisor has degree -2")
     d = d.relocate(g.check_point)
-    can = canonical_measure(g)
-    scale = deg + 2
+    kernel = resistance_kernel(g)
+    scale = fast(deg) + 2
+    coeff = {p.vertex: fast(a) for p, a in d.items() if p.is_vertex}
     atoms = {
-        v: (d.coeff(GraphPoint.at_vertex(v)) + 2 * a) / scale
-        for v, a in can.atoms.items()
+        v: plain((coeff.get(v, 0) + 2 - g.valence(v)) / scale) for v in g.vertex_list
     }
     for p, a in d.items():
         if not p.is_vertex:
-            atoms[p] = a / scale
-    densities = {e: 2 * rho / scale for e, rho in can.densities.items()}
+            atoms[p] = plain(a / scale)
+    weight = 2 / scale
+    densities = {e: plain(rho * weight) for e, rho in kernel.density.items()}
     return AdmissibleMeasure(g, atoms, densities)
 
 
@@ -107,9 +118,11 @@ class _Potential:
     e, at offset s (`mg.resistance`): so j, r(D, .) and h = (j - S)/2 all
     have this shape.  `read` gives a point's spread weights and the value
     there, from the row of its edge (ends, length, value at u, slope, curv)
-    built on the first read inside that edge.  Every value kept is a plain
-    Fraction and every row exact, so threads racing to fill a row store
-    equal rows.
+    built on the first read inside that edge.  A potential reads in the
+    type of its values: `_potential` builds them in the fast rational type
+    of `mg.linalg` for the certificate, and `as_plain` copies them to the
+    plain Fractions of a potential a caller's read reaches.  Every row is
+    exact, so threads racing to fill a row store equal rows.
     """
 
     def __init__(self, kernel: ResistanceKernel, at_vertex, curv, inside):
@@ -138,63 +151,78 @@ class _Potential:
             value -= w * min(s, t) * (l - max(s, t)) / l
         return (i, j, t / l), value
 
+    def as_plain(self) -> _Potential:
+        """The same potential with plain Fraction values, rows unbuilt."""
+        return _Potential(
+            self.kernel,
+            [plain(x) for x in self.at_vertex],
+            {e: plain(x) for e, x in self.curv.items()},
+            {e: [(s, plain(w)) for s, w in tents] for e, tents in self.inside.items()},
+        )
+
 
 def _potential(
     graph: MetrizedGraph, kernel: ResistanceKernel, atoms: dict, densities: dict
 ) -> tuple[_Potential, Fraction]:
     """integral r(., z) dnu(z) for nu made of atoms and a constant density
-    per edge, and nu's total mass.
+    per edge, and nu's total mass, in the fast rational type of `mg.linalg`.
 
     The masses, the constant k, the vertex values and the t(l - t)
-    coefficients are computed on the fast rational type of `mg.linalg` and
-    kept as plain Fractions (`linalg.plain`); the mass is returned in the
-    fast type.
+    coefficients are computed on arrays indexed by vertex: an atom keyed
+    by a vertex id goes to its index with no GraphPoint, and Gamma's
+    diagonal is read once.  Plain Fractions in `atoms` and `densities`
+    serve as operands as they are.
     """
+    index = kernel.index
     inside: dict = {}
     # at a vertex w the potential is sum_v m_v r(w, v) + k: each atom
     # spreads over the ends of its edge as r(., p) does, and a density
-    # puts rho*l/2 on both ends and adds rho*rho_e*l^3/6 (its t(l - t)
-    # rho_e term)
-    masses = [fast(0)] * len(kernel.index)
-    k = mass = fast(0)
+    # puts half = rho*l/2 on both ends and adds rho*rho_e*l^3/6 =
+    # half*rho_e*l^2/3 (its t(l - t) rho_e term)
+    masses = [fast(0)] * len(index)
+    k = cubic = fast(0)
     for site, a in atoms.items():
-        p = graph.check_point(site)
-        (i, j, w), const = kernel.spread(p)
-        if p.is_vertex:
+        i = None if isinstance(site, GraphPoint) else index.get(site)
+        if i is None:
+            p = graph.check_point(site)
+            if not p.is_vertex:
+                (i, j, w), const = kernel.spread(p)
+                a = fast(a)
+                inside.setdefault(p.edge, []).append((p.offset, 2 * a))
+                masses[i] += a - a * w
+                masses[j] += a * w
+                k += a * const
+                continue
+            i = index[p.vertex]
+        if a:
             masses[i] += a
-        else:
-            inside.setdefault(p.edge, []).append((p.offset, 2 * a))
-            a = fast(a)
-            masses[i] += a - a * w
-            masses[j] += a * w
-            k += a * const
-        mass += a
     for e in graph.edges:
-        rho = densities.get(e.id, 0)
+        rho = densities.get(e.id)
         if rho:
             l = fast(e.length)
-            rho_l = rho * l
-            half = rho_l / 2
-            masses[kernel.index[e.u]] += half
-            masses[kernel.index[e.v]] += half
-            k += rho_l * kernel.density[e.id] * l * l / 6
-            mass += rho_l
+            half = rho * l / 2
+            masses[index[e.u]] += half
+            masses[index[e.v]] += half
+            cubic += half * kernel.density[e.id] * l * l
+    k += cubic / 3
+    # r(w, v) = G_ww + G_vv - 2 G_wv with G the kernel's Gamma, so the
+    # sum is G_ww nu(G) + sum_v m_v G_vv - 2 (G m)_w: one solve (the
+    # masses sum to nu(G))
+    diagonal = [kernel.entry(i, i) for i in range(len(masses))]
+    mass = spread = fast(0)
+    for m, gamma in zip(masses, diagonal):
+        if m:
+            mass += m
+            spread += m * gamma
+    k += spread
+    at_vertex = [
+        k + gamma * mass - 2 * fast(x) for gamma, x in zip(diagonal, kernel.apply(masses))
+    ]
     # on an edge e the potential is linear between break points plus
     # t(l - t) times nu(G) rho_e less nu's own density there
     curv = {
-        e.id: plain(mass * kernel.density[e.id] - densities.get(e.id, 0))
-        for e in graph.edges
+        e.id: mass * kernel.density[e.id] - densities.get(e.id, 0) for e in graph.edges
     }
-    # r(w, v) = G_ww + G_vv - 2 G_wv with G the kernel's Gamma, so the
-    # sum is G_ww sum(m) + sum_v m_v G_vv - 2 (G m)_w: one solve
-    support = [(v, m) for v, m in enumerate(masses) if m]
-    total = sum(m for _, m in support)
-    k += sum(m * kernel.entry(v, v) for v, m in support)
-    gm = kernel.apply(masses)
-    at_vertex = [
-        plain(k + kernel.entry(w, w) * total - 2 * fast(gm[w]))
-        for w in range(len(masses))
-    ]
     return _Potential(kernel, at_vertex, curv, inside), mass
 
 
@@ -209,7 +237,9 @@ class GreenSystem:
     admissible one.  That constant c(G, D) is stored as `c`; it is also
     c_mu.  With F = C certified, r_D = (deg D + 2) j - 2C, so everything
     about D reads j, c and j_D = sum a_i j(P_i): g(D, y) = 2c - j(y),
-    g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D.
+    g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D.  All of this runs in the
+    fast rational type of `mg.linalg`; c, j_D and the j kept for reads are
+    converted to plain Fractions once, at the end.
 
     g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X the
     kernel's bilinear form for r (`mg.resistance`): Gamma at up to four
@@ -228,20 +258,25 @@ class GreenSystem:
         self.degree = self.divisor.degree()
         kernel = resistance_kernel(graph)
         mu = self.measure
-        self._j, mass = _potential(graph, kernel, mu.atoms, mu.densities)
+        j, mass = _potential(graph, kernel, mu.atoms, mu.densities)
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
         r_d, _ = _potential(graph, kernel, dict(self.divisor.items()), {})
-        read = self._j.read
-        j_d = sum((fast(a) * read(p)[1] for p, a in self.divisor.items()), fast(0))
+        scale = fast(self.degree) + 2
+        twice_c = self._certify(scale, j, r_d)
+        j_d = fast(0)
+        for p, a in self.divisor.items():
+            j_d += a * j.read(p)[1]
+        self._j = j.as_plain()
         self._j_d = plain(j_d)
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
-        self.c = plain((2 * self._certify(r_d) + j_d) / (2 * (self.degree + 2)))
+        self.c = plain((twice_c + j_d) / (2 * scale))
         self._h = None  # built by the first read
 
-    def _certify(self, r_d: _Potential) -> Fraction:
-        """The constant value C of F = (deg D/2 + 1) j - r_D/2.
+    def _certify(self, scale, j: _Potential, r_d: _Potential) -> Fraction:
+        """2C, C being the constant value of F = (deg D/2 + 1) j - r_D/2,
+        for scale = deg D + 2.
 
         As r(y, y) = 0, g(y, y) = j(y) - c_mu, so g(D, y) + g(y, y) is F(y)
         plus a constant.  Between break points (vertices, and the points of
@@ -249,32 +284,40 @@ class GreenSystem:
         edge F is linear plus gamma_e t(l - t), with gamma_e =
         (deg D/2 + 1) curv_j - curv_(r_D)/2.  F is therefore constant iff it
         takes one value at every break point and gamma_e = 0 on every edge;
-        any failure raises ConstancyViolation.  C is computed, and returned,
-        in the fast type of `mg.linalg`, for the constructor's c.
+        any failure raises ConstancyViolation.  The comparisons run on 2F =
+        scale j - r_D and 2 gamma_e, in the fast type of `mg.linalg`: at the
+        vertices on the two potentials' vertex arrays, then at the interior
+        break points edge by edge.  GraphPoints are built only for those
+        points and for a failure's message, which states F.
         """
-        weight = fast(self.degree) / 2 + 1
-        half = fast(1) / 2
-        j = self._j
-        points = [GraphPoint.at_vertex(v) for v in self.graph.vertex_list]
+        vertices = self.graph.vertex_list
+        twice = [scale * a - b for a, b in zip(j.at_vertex, r_d.at_vertex)]
+        value = twice[0]
+
+        def differs(f, y: GraphPoint) -> ConstancyViolation:
+            return ConstancyViolation(
+                f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
+                f"is {value / 2} at {GraphPoint.at_vertex(vertices[0])!r} "
+                f"but {f / 2} at {y!r}"
+            )
+
+        for v, f in zip(vertices, twice):
+            if f != value:
+                raise differs(f, GraphPoint.at_vertex(v))
         for e in self.graph.edges:
             inside = [*j.inside.get(e.id, ()), *r_d.inside.get(e.id, ())]
-            points.extend(GraphPoint.on_edge(e.id, t) for t in sorted({t for t, _ in inside}))
-
-        where = points[0]
-        value = weight * j.read(where)[1] - half * r_d.read(where)[1]
-        for y in points[1:]:
-            f = weight * j.read(y)[1] - half * r_d.read(y)[1]
-            if f != value:
-                raise ConstancyViolation(
-                    f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-                    f"is {value} at {where!r} but {f} at {y!r}"
-                )
+            for t in sorted({t for t, _ in inside}):
+                y = GraphPoint.on_edge(e.id, t)
+                f = scale * j.read(y)[1] - r_d.read(y)[1]
+                if f != value:
+                    raise differs(f, y)
 
         for e in self.graph.edges:
-            gamma = weight * j.curv[e.id] - half * r_d.curv[e.id]
+            gamma = scale * j.curv[e.id] - r_d.curv[e.id]
             if gamma:
                 raise ConstancyViolation(
-                    f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma} on edge {e.id!r}"
+                    f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma / 2} "
+                    f"on edge {e.id!r}"
                 )
         return value
 

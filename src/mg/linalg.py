@@ -24,11 +24,14 @@ gcd steps of `fractions` (Henrici, J. ACM 3, 1956) to the parts directly
 and skip `fractions`' per-operation dispatch and normalising constructor,
 so each result has exactly the numerator and denominator Fraction would
 give, at a third to a half of the cost on small operands; on big operands
-the gcds dominate and the two cost the same.  `fast` and `plain` convert
-between the two types, and the other build loops of the library (the
-resistance kernel's densities, the potentials and the constancy
-certificate of `mg.green`) use them the same way.  What a caller receives,
-or a read can reach, is always a plain Fraction.
+the gcds dominate and the two cost the same.  Its `==` against the same
+operands compares the parts, where Fraction's would first test the
+`numbers.Rational` ABC.  `fast` and `plain` convert between the two types,
+and the other build loops of the library (the resistance kernel's
+densities, and in `mg.green` the admissible measure, the potentials and
+the constancy certificate) use them the same way: a plain Fraction is an
+operand as it is, since the subclass's reflected methods take precedence.
+What a caller receives, or a read can reach, is always a plain Fraction.
 
 What is exact where:
 
@@ -42,7 +45,9 @@ What is exact where:
   z_kk = 1/d_k - sum over i in s(k) of l_ik z_ik.  s(k) is a clique of the
   filled pattern, eliminated after k, so every z_ij it reads is already
   known (Takahashi, Fagan & Chin 1973; Erisman & Tinney, CACM 18, 1975).
-  Each entry is stored as a plain Fraction.  Any other entry of A^-1 costs one `solve` of a unit column.
+  The sums run as explicit loops in the fast type, and each entry is
+  stored as a plain Fraction.  Any other entry of A^-1 costs one `solve`
+  of a unit column.
 
 Contract: `rows[i]` maps column j to a_ij, indices in range(len(rows));
 the matrix must be symmetric (else ValueError).  A zero pivot raises
@@ -74,11 +79,12 @@ class _Q(Fraction):
     Fraction, read the parts directly, reduce them by the gcd steps of
     `fractions` (Henrici, J. ACM 3, 1956) and build the result without
     `Fraction.__new__`: every result is in lowest terms with a positive
-    denominator, so it has exactly the parts `Fraction` would give.  Any
-    other operand and every other method (comparison, hash, str, `**`) is
-    Fraction's own; `**` returns a plain Fraction.  Private to the build
-    loops: every value they return or keep where a read reaches it is
-    converted back with `plain`.
+    denominator, so it has exactly the parts `Fraction` would give.  `==`
+    against an int or a Fraction compares the parts, and the hash is
+    Fraction's, so equal values hash alike.  Any other operand and every
+    other method (ordering, str, `**`) is Fraction's own; `**` returns a
+    plain Fraction.  Private to the build loops: every value they return
+    or keep where a read reaches it is converted back with `plain`.
     """
 
     __slots__ = ()
@@ -150,6 +156,16 @@ class _Q(Fraction):
 
     def __neg__(a):
         return _q(-a._numerator, a._denominator)
+
+    def __eq__(a, b):
+        t = type(b)
+        if t is _Q or t is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if t is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    __hash__ = Fraction.__hash__
 
 
 def _q(n: int, d: int) -> _Q:
@@ -312,6 +328,12 @@ class Factorization:
             zk = z[k]
             for i, _ in mults:
                 zi = z[i]
-                zk[i] = zi[k] = plain(-sum(l * zi[j] for j, l in mults))
-            zk[k] = plain(1 / d - sum(l * zk[i] for i, l in mults))
+                s = 0
+                for j, l in mults:
+                    s -= l * zi[j]
+                zk[i] = zi[k] = plain(s)
+            s = 1 / d
+            for i, l in mults:
+                s -= l * zk[i]
+            zk[k] = plain(s)
         return z

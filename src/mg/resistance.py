@@ -28,8 +28,9 @@ pair, as X between arbitrary points may ask for, costs the column of one
 of its vertices: one solve, cached on the kernel, so at most one per source
 vertex.  A resistance read is otherwise O(1) arithmetic.  The kernel is
 built on first use and kept on the (immutable) graph.  Building it
-computes the conductances and the densities on the fast rational type of
-`mg.linalg`; every value it keeps or returns is a plain Fraction.
+computes the conductances, and the densities straight from the selected
+inverse, on the fast rational type of `mg.linalg`; every value it keeps
+or returns is a plain Fraction.
 """
 
 from __future__ import annotations
@@ -72,12 +73,20 @@ class ResistanceKernel:
         self._factors = linalg.Factorization(rows)
         self._selected = self._factors.selected_inverse()
         self._columns: dict[int, list[Fraction]] = {}
+        # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv read
+        # straight off the selected inverse, whose row i - 1 is vertex i's
         self.density = {}
-        entry = self.entry
+        z = self._selected
         for e in g.edges:
-            i, j = self.index[e.u], self.index[e.v]
-            r = fast(entry(i, i)) + entry(j, j) - 2 * fast(entry(i, j))
             l = fast(e.length)
+            i, j = self.index[e.u] - 1, self.index[e.v] - 1
+            if i == j:  # a loop: r_e = 0
+                r = 0
+            elif i < 0 or j < 0:  # Gamma is 0 at the ground vertex
+                k = max(i, j)
+                r = z[k][k]
+            else:
+                r = fast(z[i][i]) + z[j][j] - 2 * fast(z[i][j])
             self.density[e.id] = plain((l - r) / (l * l))
 
     def column(self, i: int) -> list[Fraction]:

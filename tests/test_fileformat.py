@@ -2,6 +2,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mg import (
     BadRational,
@@ -17,6 +19,7 @@ from mg import (
     UnknownVertex,
 )
 from mg.fileformat import (
+    MAX_RATIONAL_DIGITS,
     parse_fiber_file,
     parse_graph_file,
     parse_rational,
@@ -163,3 +166,24 @@ class TestRoundTrip:
         assert len(graph2.edges) == len(graph.edges)
         assert divisor2 == divisor
         assert names2 == names
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=MAX_RATIONAL_DIGITS)
+
+
+@given(
+    sign=st.sampled_from(["", "-"]),
+    p=st.sampled_from(["0", "00", "007"]) | DIGITS,
+    q=st.none() | st.sampled_from(["0", "000", "1", "0003"]) | DIGITS,
+)
+def test_parse_rational_reads_what_fraction_reads(sign, p, q):
+    """Every token the grammar accepts, signs, -0 and leading zeros
+    included, parses to what Fraction parses it to; a zero denominator is
+    a BadRational."""
+    token = sign + p if q is None else f"{sign}{p}/{q}"
+    if q is not None and not int(q):
+        with pytest.raises(BadRational):
+            parse_rational(token)
+    else:
+        value = parse_rational(token)
+        assert type(value) is Fraction and value == Fraction(token)

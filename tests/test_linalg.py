@@ -219,6 +219,33 @@ def test_fast_negation_and_conversions(a):
     assert type(q**2) is Fraction and q**2 == a**2
 
 
+COMPARANDS = st.one_of(
+    PARTS,
+    RATIONALS,
+    RATIONALS.map(linalg.fast),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-5, 5).map(float),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=RATIONALS, b=COMPARANDS, reflected=st.booleans())
+def test_fast_comparison_matches_fraction(a, b, reflected):
+    """==, != and hash of a fast value are Fraction's, against an int, a
+    Fraction, a fast value, a float or a bool on either side, and a dict
+    keyed by Fraction finds a fast key of equal value."""
+    q = linalg.fast(a)
+    if reflected:
+        assert (b == q) == (b == a) and (b != q) == (b != a)
+    else:
+        assert (q == b) == (a == b) and (q != b) == (a != b)
+    assert hash(q) == hash(a)
+    assert {a: "found"}.get(q) == "found" and q in {Fraction(a)}
+    if not isinstance(b, float) or b == b:
+        assert ({b: 1}.get(q) == 1) == ({b: 1}.get(a) == 1)
+
+
 @settings(deadline=None)
 @given(
     a=RATIONALS,
