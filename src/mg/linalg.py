@@ -27,11 +27,13 @@ give, at a third to a half of the cost on small operands; on big operands
 the gcds dominate and the two cost the same.  Its `==` against the same
 operands compares the parts, where Fraction's would first test the
 `numbers.Rational` ABC.  `fast` and `plain` convert between the two types,
-and the other build loops of the library (the resistance kernel's
-densities, and in `mg.green` the admissible measure, the potentials and
-the constancy certificate) use them the same way: a plain Fraction is an
-operand as it is, since the subclass's reflected methods take precedence.
-What a caller receives, or a read can reach, is always a plain Fraction.
+and the rest of the exact side uses them the same way: the resistance
+kernel's densities, every potential (`mg.resistance`) and the reads on
+them, and in `mg.green` the admissible measure and the constancy
+certificate.  A plain Fraction is an operand as it is, since the
+subclass's reflected methods take precedence.  What a caller receives is
+always a plain Fraction: the build converts what it keeps public, and
+each read converts its result.
 
 What is exact where:
 
@@ -83,8 +85,8 @@ class _Q(Fraction):
     against an int or a Fraction compares the parts, and the hash is
     Fraction's, so equal values hash alike.  Any other operand and every
     other method (ordering, str, `**`) is Fraction's own; `**` returns a
-    plain Fraction.  Private to the build loops: every value they return
-    or keep where a read reaches it is converted back with `plain`.
+    plain Fraction.  Private to the exact side: every value it returns to
+    a caller is converted back with `plain`.
     """
 
     __slots__ = ()

@@ -2,7 +2,7 @@
 
 Each edge is a resistor whose resistance equals its length.  Gamma is the
 inverse of the grounded vertex Laplacian (conductance 1/length per edge,
-loops contributing nothing; Gamma = 0 at the first vertex), and every
+loops contributing nothing; Gamma = 0 at the first vertex, v_0), and every
 resistance is closed-form arithmetic on it:
 
 * r(a, b) = Gamma_aa + Gamma_bb - 2 Gamma_ab for vertices a and b;
@@ -11,26 +11,34 @@ resistance is closed-form arithmetic on it:
 * at offset t on e, r(x, w) = ((l - t) r(u, w) + t r(v, w))/l
   + t(l - t) rho_e for any w not inside e: x spreads over the ends of e
   with weights a_u = (l - t)/l and a_v = t/l (a vertex: weight 1 on
-  itself), plus the constant c_x = t(l - t) rho_e;
+  itself);
 * as the weights sum to 1, two points x and y not inside one edge have
-  r(x, y) = S(x) + S(y) - 2 X(x, y), a bilinear form in their weights (a_i)
-  and (b_j), with S(x) = c_x + sum a_i Gamma_ii and X(x, y) =
-  sum a_i b_j Gamma_ij: Gamma at up to four pairs of ends;
+  r(x, y) = S(x) + S(y) - 2 X(x, y), with S = r(., v_0) and X(x, y) =
+  sum a_i b_j Gamma_ij, a bilinear form in their weights (a_i) and (b_j):
+  Gamma at up to four pairs of ends;
 * two points inside e at distance d have r(x, y) = d - rho_e d^2.
+
+Every function of the shape x -> integral r(x, z) dnu(z) is a `_Potential`:
+S (the kernel's `ground`), and in `mg.green` the potential j of the
+admissible measure, r(D, .) and their combinations.  At offset t on e such a
+function is the chord of its values at e's ends, plus t(l - t) times a
+coefficient, less a tent for each atom of nu inside e; `_Potential.combine`
+is the one linear operation on them.
 
 Gamma is never formed densely.  The kernel factors the Laplacian once
 (`mg.linalg`, built straight from the edges) and takes the selected inverse,
 which holds Gamma exactly on the diagonal, on every pair of adjacent
-vertices and on the fill: so every r_e and density, in O(nnz(L)) on a graph
-that factors with no fill.  A potential sum_v m_v r(w, v) over all w needs
-only the diagonal and one solve, Gamma·m (`mg.green`).  Gamma at any other
-pair, as X between arbitrary points may ask for, costs the column of one
-of its vertices: one solve, cached on the kernel, so at most one per source
-vertex.  A resistance read is otherwise O(1) arithmetic.  The kernel is
-built on first use and kept on the (immutable) graph.  Building it
-computes the conductances, and the densities straight from the selected
-inverse, on the fast rational type of `mg.linalg`; every value it keeps
-or returns is a plain Fraction.
+vertices and on the fill: so every r_e and density, and S, whose value at a
+vertex v is Gamma_vv, in O(nnz(L)) on a graph that factors with no fill.
+A potential of a measure (`_potential`) needs only that diagonal and one
+solve, Gamma·m.  Gamma at any other pair, as X between arbitrary points may
+ask for, costs the column of one of its vertices: one solve, cached on the
+kernel, so at most one per source vertex.  A resistance read is otherwise
+O(1) arithmetic.  The kernel is built on first use and kept on the
+(immutable) graph.  The conductances, the densities and every potential,
+S included, compute on the fast rational type of `mg.linalg`, reads too;
+the densities, Gamma's entries and columns, and every resistance returned
+are plain Fractions.
 """
 
 from __future__ import annotations
@@ -45,8 +53,71 @@ from .linalg import fast, plain
 _ZERO = Fraction(0)
 
 
+class _Potential:
+    """A function of the shape of x -> integral r(x, z) dnu(z): at offset t
+    on an edge e of length l, the chord of its values at e's ends, plus
+    t(l - t) times its coefficient curv_e, less w min(s, t)(l - max(s, t))/l
+    for each tent (s, w) inside e.
+
+    For x inside e, r(x, z) is the chord of r(., z) between e's ends plus
+    t(l - t) rho_e, less 2 min(s, t)(l - max(s, t))/l when z too lies inside
+    e, at offset s: so S, j, r(D, .) and any linear combination of them
+    (`combine`) have this shape.  `read` gives a point's spread weights and
+    the value there, from the row of its edge (ends, length, value at u,
+    slope, curv) built on the first read inside that edge.  A potential
+    reads in the type of its values, the fast type of `mg.linalg` for every
+    potential built here.  It holds the kernel's vertex index and edges but
+    not the kernel, which holds S, so that no cycle keeps a kernel alive.
+    Every row is exact, so threads racing to fill a row store equal rows.
+    """
+
+    def __init__(self, index: dict, edge_by_id: dict, at_vertex, curv, inside):
+        self.index = index
+        self.edge_by_id = edge_by_id
+        self.at_vertex = at_vertex  # [value at the vertex of index i]
+        self.curv = curv  # {edge id: coefficient of t(l - t)}
+        self.inside = inside  # {edge id: [(offset, weight) of a tent]}
+        self._rows: dict = {}
+
+    def read(self, x: GraphPoint) -> tuple[tuple, Fraction]:
+        """x's spread weights (i, j, a), weight 1 - a on the vertex of index
+        i and a on that of index j, and the potential at x, for x in the
+        normal form of `check_point`.  A vertex of index i has weights
+        (i, i, 0)."""
+        if x.is_vertex:
+            i = self.index[x.vertex]
+            return (i, i, 0), self.at_vertex[i]
+        row = self._rows.get(x.edge)
+        if row is None:
+            e = self.edge_by_id[x.edge]
+            i, j, l = self.index[e.u], self.index[e.v], e.length
+            pu, pv = self.at_vertex[i], self.at_vertex[j]
+            row = self._rows[x.edge] = (i, j, l, pu, (pv - pu) / l, self.curv[x.edge])
+        i, j, l, value, slope, curv = row
+        t = x.offset
+        value += t * (slope + (l - t) * curv)
+        for s, w in self.inside.get(x.edge, ()):
+            value -= w * min(s, t) * (l - max(s, t)) / l
+        return (i, j, t / l), value
+
+    def combine(self, a, other: _Potential, b) -> _Potential:
+        """a times this potential plus b times `other`: the values, the
+        coefficients and the tents of both, scaled."""
+        inside = {e: [(s, a * w) for s, w in tents] for e, tents in self.inside.items()}
+        for e, tents in other.inside.items():
+            inside.setdefault(e, []).extend((s, b * w) for s, w in tents)
+        return _Potential(
+            self.index,
+            self.edge_by_id,
+            [a * x + b * y for x, y in zip(self.at_vertex, other.at_vertex)],
+            {e: a * k + b * other.curv[e] for e, k in self.curv.items()},
+            inside,
+        )
+
+
 class ResistanceKernel:
-    """Gamma of a connected graph, with the canonical density of each edge.
+    """Gamma of a connected graph, with the canonical density of each edge
+    and S = r(., v_0) as the potential `ground`.
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  It is kept as the
@@ -71,23 +142,24 @@ class ResistanceKernel:
                 if a >= 0 and b >= 0:
                     rows[a][b] = rows[a].get(b, 0) + x
         self._factors = linalg.Factorization(rows)
-        self._selected = self._factors.selected_inverse()
+        z = self._selected = self._factors.selected_inverse()
         self._columns: dict[int, list[Fraction]] = {}
-        # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv read
-        # straight off the selected inverse, whose row i - 1 is vertex i's
+        # S = r(., v_0) is Gamma_vv at a vertex v, read off the selected
+        # inverse, whose row i - 1 is vertex i's
+        diagonal = [fast(0)] + [fast(row[i]) for i, row in enumerate(z)]
+        # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv
         self.density = {}
-        z = self._selected
         for e in g.edges:
             l = fast(e.length)
-            i, j = self.index[e.u] - 1, self.index[e.v] - 1
+            i, j = self.index[e.u], self.index[e.v]
             if i == j:  # a loop: r_e = 0
                 r = 0
-            elif i < 0 or j < 0:  # Gamma is 0 at the ground vertex
-                k = max(i, j)
-                r = z[k][k]
             else:
-                r = fast(z[i][i]) + z[j][j] - 2 * fast(z[i][j])
+                r = diagonal[i] + diagonal[j]
+                if i and j:  # Gamma is 0 at the ground vertex
+                    r -= 2 * fast(z[i - 1][j - 1])
             self.density[e.id] = plain((l - r) / (l * l))
+        self.ground = _Potential(self.index, self.edge_by_id, diagonal, self.density, {})
 
     def column(self, i: int) -> list[Fraction]:
         """Gamma's column of the vertex of index i, solved on first use.
@@ -120,22 +192,10 @@ class ResistanceKernel:
         """Gamma·m, for a vector m indexed like the vertices: one solve."""
         return [_ZERO] + self._factors.solve(m[1:])
 
-    def spread(self, p: GraphPoint) -> tuple[tuple[int, int, Fraction], Fraction]:
-        """Write r(p, w), for w not inside p's edge, as a weighted sum of
-        r(vertex, w) plus a constant: returns ((i, j, a), c), weight 1 - a
-        on the vertex of index i and a on that of index j, and the constant
-        c.  A vertex of index i gives ((i, i, 0), 0), with no Fraction."""
-        if p.is_vertex:
-            i = self.index[p.vertex]
-            return (i, i, 0), 0
-        e = self.edge_by_id[p.edge]
-        l, t = e.length, p.offset
-        ends = (self.index[e.u], self.index[e.v], t / l)
-        return ends, t * (l - t) * self.density[e.id]
-
     def cross(self, p: tuple, q: tuple) -> Fraction:
         """X = sum a_i b_j Gamma_ij for the spread weights (i, j, a) of two
-        points (`spread`): Gamma at up to four pairs of their ends."""
+        points (`_Potential.read`): Gamma at up to four pairs of their
+        ends."""
         i, j, a = p
         k, m, b = q
         entry = self.entry
@@ -149,23 +209,75 @@ class ResistanceKernel:
             y += b * (entry(j, m) - y)
         return x + a * (y - x)
 
-    def _self_term(self, p: tuple, c) -> Fraction:
-        """S = c + sum a_i Gamma_ii for a point's spread (p, c)."""
-        i, j, a = p
-        s = self.entry(i, i)
-        if a:
-            s += a * (self.entry(j, j) - s) + c
-        return s
-
     def resistance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
         """r(p, q) for points in the normal form of `check_point`."""
         if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
             d = abs(p.offset - q.offset)
             return d - self.density[p.edge] * d * d
-        sp, cp = self.spread(p)
-        sq, cq = self.spread(q)
-        s = self._self_term(sp, cp) + self._self_term(sq, cq)
-        return s - 2 * self.cross(sp, sq)
+        wp, sp = self.ground.read(p)
+        wq, sq = self.ground.read(q)
+        return plain(sp + sq - 2 * self.cross(wp, wq))
+
+
+def _potential(
+    kernel: ResistanceKernel, atoms: dict, densities: dict
+) -> tuple[_Potential, Fraction]:
+    """integral r(., z) dnu(z) for nu made of atoms and a constant density
+    per edge, and nu's total mass, in the fast rational type of `mg.linalg`.
+
+    An atom is keyed by a vertex id, or by an interior GraphPoint in the
+    normal form of `check_point`.  The masses, the constant k, the vertex
+    values and the t(l - t) coefficients are computed on arrays indexed by
+    vertex: a vertex atom goes to its index with no GraphPoint, and Gamma's
+    diagonal is S's vertex array.  Plain Fractions in `atoms` and
+    `densities` serve as operands as they are.
+    """
+    index = kernel.index
+    diagonal = kernel.ground.at_vertex
+    # as r(w, z) = S(w) + S(z) - 2 X(w, z), the potential at a vertex w is
+    # S(w) nu(G) + integral S dnu - 2 (Gamma m)_w, nu spread over the
+    # vertices as m: an atom at a vertex puts its mass there, a density
+    # puts half = rho*l/2 on both ends and adds rho*rho_e*l^3/6 =
+    # half*rho_e*l^2/3 to integral S dnu (its t(l - t) rho_e term), and an
+    # interior atom spreads as S does (`_Potential.read`)
+    masses = [fast(0)] * len(index)
+    interior = []
+    for site, a in atoms.items():
+        i = index.get(site)
+        if i is None:
+            interior.append((site, fast(a)))
+        elif a:
+            masses[i] += a
+    cubic = fast(0)
+    for e in kernel.edge_by_id.values():
+        rho = densities.get(e.id)
+        if rho:
+            l = fast(e.length)
+            half = rho * l / 2
+            masses[index[e.u]] += half
+            masses[index[e.v]] += half
+            cubic += half * kernel.density[e.id] * l * l
+    mass = spread = fast(0)
+    for m, gamma in zip(masses, diagonal):
+        if m:
+            mass += m
+            spread += m * gamma
+    k = cubic / 3 + spread
+    inside: dict = {}
+    for p, a in interior:
+        (i, j, w), s = kernel.ground.read(p)
+        masses[i] += a - a * w
+        masses[j] += a * w
+        mass += a
+        k += a * s
+        inside.setdefault(p.edge, []).append((p.offset, 2 * a))
+    at_vertex = [
+        k + gamma * mass - 2 * fast(x) for gamma, x in zip(diagonal, kernel.apply(masses))
+    ]
+    # on an edge e the potential is linear between break points plus
+    # t(l - t) times nu(G) rho_e less nu's own density there
+    curv = {e: mass * rho - densities.get(e, 0) for e, rho in kernel.density.items()}
+    return _Potential(index, kernel.edge_by_id, at_vertex, curv, inside), mass
 
 
 def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:

@@ -262,7 +262,7 @@ def test_float_operand_gives_what_fraction_gives(a, f, op, reflected):
 def test_fast_type_never_leaks():
     """Every public result, and every kernel value a read can reach, is a
     plain Fraction: on a 4-cycle with a chord, a loop and a divisor point
-    inside an edge."""
+    inside an edge, read together with a second point of that edge."""
     g = MetrizedGraph(
         list("abcd"),
         [("ab", "a", "b", Fraction(1, 2)), ("bc", "b", "c", Fraction(2, 3)),
@@ -272,7 +272,8 @@ def test_fast_type_never_leaks():
     inside = GraphPoint.on_edge("cd", Fraction(1, 3))
     d = RDivisor({"b": 1, inside: Fraction(3, 2)})
     s = green_system(g, d)
-    points = ["a", "c", inside, GraphPoint.on_edge("bb", Fraction(1, 2)),
+    points = ["a", "c", inside, GraphPoint.on_edge("cd", 2),
+              GraphPoint.on_edge("bb", Fraction(1, 2)),
               GraphPoint.on_edge("ac", Fraction(3, 4))]
     values = [e_invariant(g, d), constant_c(s), s.pairing_dd(), e_of_system(s)]
     for x in points:

@@ -19,6 +19,7 @@ from mg import (
     green_system,
     resistance_in_deleted_edge,
 )
+from mg.resistance import resistance_kernel
 from gen import frac, random_divisor, random_graph, random_point
 
 
@@ -105,3 +106,25 @@ def test_reads_match_reference(seed):
         assert effective_resistance(g, x, y) == ref.effective_resistance(g, x, y)
     for y in inside + vertices:
         assert s.green_of_divisor(y) == rs.green_of_divisor(y)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ground_potential_matches_reference(seed):
+    """The kernel's S = r(., v_0), which every resistance read and every
+    potential's build reads, equals the reference resistance to the first
+    vertex at every vertex and at one interior point of every edge, loops
+    included, on graphs of the family of `test_reads_match_reference`."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=10, min_vertices=4)
+    v = rng.choice(g.vertex_list)
+    g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
+    ground = resistance_kernel(g).ground
+    points = [GraphPoint.at_vertex(w) for w in g.vertex_list]
+    points += [
+        GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 6), 7))
+        for e in g.edges
+    ]
+    v0 = g.vertex_list[0]
+    for x in points:
+        assert ground.read(x)[1] == ref.effective_resistance(g, v0, x)
