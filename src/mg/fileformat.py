@@ -213,9 +213,24 @@ def parse_fiber_file(text: str) -> FiberConfiguration:
 
 
 def serialize_graph(graph: MetrizedGraph, names=None, divisor=None) -> str:
-    """Normal form: sorted vertices, edges, points and divisor terms."""
-    names = names or {}
-    divisor = divisor or RDivisor()
+    """Normal form: sorted vertices, edges, points and divisor terms.
+
+    The divisor is written in the normal form of `check_point`, and an
+    edge-interior point of it that `names` does not name gets a `point`
+    line of its own, named <edge>@<offset>, primed until no vertex, edge
+    or point has that name, so the text parses back to the same divisor."""
+    names = dict(names or {})
+    divisor = (divisor or RDivisor()).relocate(graph.check_point)
+    reverse = {p: name for name, p in names.items()}
+    used = {*names, *map(str, graph.vertex_list), *(str(e.id) for e in graph.edges)}
+    for p in divisor.support():
+        if not p.is_vertex and p not in reverse:
+            name = f"{p.edge}@{p.offset}"
+            while name in used:
+                name += "'"
+            used.add(name)
+            names[name] = p
+            reverse[p] = name
     out = [GRAPH_HEADER]
     for v in sorted(graph.vertex_list, key=str):
         out.append(f"vertex {v}")
@@ -227,13 +242,7 @@ def serialize_graph(graph: MetrizedGraph, names=None, divisor=None) -> str:
     for name in sorted(point_names):
         p = point_names[name]
         out.append(f"point {name} on {p.edge} at {p.offset}")
-    reverse = {p: name for name, p in names.items()}
-    terms = []
-    for p, a in divisor.items():
-        label = reverse.get(p, str(p.vertex) if p.is_vertex else None)
-        if label is None:
-            label = f"{p.edge}@{p.offset}"
-        terms.append((label, a))
+    terms = [(reverse.get(p, str(p.vertex)), a) for p, a in divisor.items()]
     for label, a in sorted(terms):
         out.append(f"divisor {label} {a}")
     return "\n".join(out) + "\n"

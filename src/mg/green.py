@@ -27,10 +27,11 @@ is never formed: building a Green system certifies that g(D, y) + g(y, y) is
 constant, and c_mu, which equals that constant c(G, D), follows from it in
 closed form (`GreenSystem`), as do g(D, y) = 2c_mu - j(y) and e(G, D) =
 j_D = sum a_i j(P_i), Zhang's epsilon (Invent. Math. 112, 1993).  Writing
-r(x, y) as the kernel's bilinear form S(x) + S(y) - 2 X(x, y) turns a read
-into g(x, y) = h(x) + h(y) + X(x, y) - c_mu, with h = (j - S)/2 a potential
-of the same shape as j: O(1) arithmetic on Gamma at up to four pairs of
-endpoints.
+r(x, y) as the kernel's form S(x) + S(y) - 2 X(x, y) turns a read into
+g(x, y) = h(x) + h(y) + X(x, y) - c_mu, with h = (j - S)/2 a potential of
+the same shape as j: one `ResistanceKernel.pair` on h, O(1) arithmetic on
+Gamma at up to four pairs of endpoints.  The tent of two points inside
+one edge is part of X, so this module reads no edge length for it.
 
 j, r(D, .), h and the certificate's 2F are all potentials of one type,
 `_Potential` of `mg.resistance`, the type of S: h and 2F are each one
@@ -127,8 +128,9 @@ class GreenSystem:
     each of which returns a plain Fraction.
 
     g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X the
-    kernel's bilinear form for r (`mg.resistance`): Gamma at up to four
-    pairs of endpoints, plus a potential read per point.  The first read
+    kernel's form for r (`mg.resistance`): one `pair` on h gives
+    h(x) + h(y) and X, tent included, from Gamma at up to four pairs of
+    endpoints and a potential read per point.  The first read
     builds h = combine(1/2, j, -1/2, S) (`_read_tables`), so building a
     system, and so `e_invariant` and `fiber_report`, pays nothing for it.
     X may solve a column of the kernel and cache it there.  Every cache is
@@ -214,21 +216,13 @@ class GreenSystem:
         return self._j.combine(Fraction(1, 2), self._kernel.ground, Fraction(-1, 2))
 
     def eval(self, x, y) -> Fraction:
-        """g(x, y) for points of the graph."""
+        """g(x, y) = h(x) + h(y) + X(x, y) - c for points of the graph."""
         x, y = self.graph.check_point(x), self.graph.check_point(y)
         h = self._h
         if h is None:
             h = self._h = self._read_tables()
-        sx, hx = h.read(x)
-        sy, hy = h.read(y)
-        g = hx + hy + self._kernel.cross(sx, sy) - self.c
-        if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
-            # r(x, y) = d - rho_e d^2 falls short of S(x) + S(y) - 2X by
-            # 2 s(l - t)/l at offsets s <= t (the tent of `_Potential`)
-            s, t = sorted((x.offset, y.offset))
-            l = self.graph.edge_by_id[x.edge].length
-            g += s * (l - t) / l
-        return plain(g)
+        f, z = self._kernel.pair(h, x, y)
+        return plain(f + z - self.c)
 
     # -- derived quantities ---------------------------------------------
 

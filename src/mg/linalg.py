@@ -31,9 +31,11 @@ and the rest of the exact side uses them the same way: the resistance
 kernel's densities, every potential (`mg.resistance`) and the reads on
 them, and in `mg.green` the admissible measure and the constancy
 certificate.  A plain Fraction is an operand as it is, since the
-subclass's reflected methods take precedence.  What a caller receives is
-always a plain Fraction: the build converts what it keeps public, and
-each read converts its result.
+subclass's reflected methods take precedence.  The selected inverse stays
+in the fast type: its one caller, the resistance kernel, reads its
+entries on every resistance and Green value (`ResistanceKernel.pair`).
+What a user of the package receives is always a plain Fraction: the
+build converts what it keeps public, and each read converts its result.
 
 What is exact where:
 
@@ -48,8 +50,8 @@ What is exact where:
   filled pattern, eliminated after k, so every z_ij it reads is already
   known (Takahashi, Fagan & Chin 1973; Erisman & Tinney, CACM 18, 1975).
   The sums run as explicit loops in the fast type, and each entry is
-  stored as a plain Fraction.  Any other entry of A^-1 costs one `solve`
-  of a unit column.
+  stored in it.  Any other entry of A^-1 costs one `solve` of a unit
+  column.
 
 Contract: `rows[i]` maps column j to a_ij, indices in range(len(rows));
 the matrix must be symmetric (else ValueError).  A zero pivot raises
@@ -324,7 +326,7 @@ class Factorization:
 
     def selected_inverse(self) -> list[dict[int, Fraction]]:
         """z with z[i][j] = (a^-1)_ij for i = j and for every (i, j) on the
-        filled pattern, and no other keys, as plain Fractions."""
+        filled pattern, and no other keys, in the fast type."""
         z: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
         for k, d, mults in reversed(self.steps):
             zk = z[k]
@@ -333,9 +335,9 @@ class Factorization:
                 s = 0
                 for j, l in mults:
                     s -= l * zi[j]
-                zk[i] = zi[k] = plain(s)
+                zk[i] = zi[k] = s
             s = 1 / d
             for i, l in mults:
                 s -= l * zk[i]
-            zk[k] = plain(s)
+            zk[k] = s
         return z

@@ -12,11 +12,12 @@ resistance is closed-form arithmetic on it:
   + t(l - t) rho_e for any w not inside e: x spreads over the ends of e
   with weights a_u = (l - t)/l and a_v = t/l (a vertex: weight 1 on
   itself);
-* as the weights sum to 1, two points x and y not inside one edge have
-  r(x, y) = S(x) + S(y) - 2 X(x, y), with S = r(., v_0) and X(x, y) =
-  sum a_i b_j Gamma_ij, a bilinear form in their weights (a_i) and (b_j):
-  Gamma at up to four pairs of ends;
-* two points inside e at distance d have r(x, y) = d - rho_e d^2.
+* as the weights sum to 1, any two points x and y have r(x, y) = S(x) +
+  S(y) - 2 X(x, y), with S = r(., v_0) and X(x, y) = sum a_i b_j Gamma_ij,
+  a bilinear form in their weights (a_i) and (b_j), Gamma at up to four
+  pairs of ends, plus the tent s(l - t)/l when x and y lie inside one edge
+  e at offsets s <= t: so two points of e at distance d have
+  r(x, y) = d - rho_e d^2, loops included.
 
 Every function of the shape x -> integral r(x, z) dnu(z) is a `_Potential`:
 S (the kernel's `ground`), and in `mg.green` the potential j of the
@@ -24,6 +25,10 @@ admissible measure, r(D, .) and their combinations.  At offset t on e such a
 function is the chord of its values at e's ends, plus t(l - t) times a
 coefficient, less a tent for each atom of nu inside e; `_Potential.combine`
 is the one linear operation on them.
+
+Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
+X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
+f - 2X, and a Green value (`mg.green`) is `pair` on h = (j - S)/2.
 
 Gamma is never formed densely.  The kernel factors the Laplacian once
 (`mg.linalg`, built straight from the edges) and takes the selected inverse,
@@ -33,12 +38,13 @@ vertex v is Gamma_vv, in O(nnz(L)) on a graph that factors with no fill.
 A potential of a measure (`_potential`) needs only that diagonal and one
 solve, Gamma·m.  Gamma at any other pair, as X between arbitrary points may
 ask for, costs the column of one of its vertices: one solve, cached on the
-kernel, so at most one per source vertex.  A resistance read is otherwise
-O(1) arithmetic.  The kernel is built on first use and kept on the
-(immutable) graph.  The conductances, the densities and every potential,
-S included, compute on the fast rational type of `mg.linalg`, reads too;
-the densities, Gamma's entries and columns, and every resistance returned
-are plain Fractions.
+kernel, so at most one per source vertex.  A read is otherwise O(1)
+arithmetic.  The kernel is built on first use and kept on the (immutable)
+graph.  The selected inverse stays in the fast rational type of
+`mg.linalg`, and the conductances, the densities and every potential, S
+included, compute on it, reads too: edge lengths, weights and the tent.
+Columns are plain Fractions, operands as they are.  What a caller receives
+is plain: the densities, `entry`, the columns and every resistance.
 """
 
 from __future__ import annotations
@@ -64,10 +70,10 @@ class _Potential:
     e, at offset s: so S, j, r(D, .) and any linear combination of them
     (`combine`) have this shape.  `read` gives a point's spread weights and
     the value there, from the row of its edge (ends, length, value at u,
-    slope, curv) built on the first read inside that edge.  A potential
-    reads in the type of its values, the fast type of `mg.linalg` for every
-    potential built here.  It holds the kernel's vertex index and edges but
-    not the kernel, which holds S, so that no cycle keeps a kernel alive.
+    slope, curv) built on the first read inside that edge, its length in
+    the fast type of `mg.linalg`, the type of every potential built here.
+    It holds the kernel's vertex index and edges but not the kernel, which
+    holds S, so that no cycle keeps a kernel alive.
     Every row is exact, so threads racing to fill a row store equal rows.
     """
 
@@ -90,7 +96,7 @@ class _Potential:
         row = self._rows.get(x.edge)
         if row is None:
             e = self.edge_by_id[x.edge]
-            i, j, l = self.index[e.u], self.index[e.v], e.length
+            i, j, l = self.index[e.u], self.index[e.v], fast(e.length)
             pu, pv = self.at_vertex[i], self.at_vertex[j]
             row = self._rows[x.edge] = (i, j, l, pu, (pv - pu) / l, self.curv[x.edge])
         i, j, l, value, slope, curv = row
@@ -122,9 +128,11 @@ class ResistanceKernel:
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  It is kept as the
     factorization, its selected inverse (the diagonal and every pair of
-    adjacent vertices, plus the fill) and the columns solved so far.  The
-    kernel holds the graph's edges but not the graph, which holds the
-    kernel, so both are freed together as soon as the graph is.
+    adjacent vertices, plus the fill) in the fast type, and the columns
+    solved so far.  Every read is `pair` on a potential, and `pair` alone
+    adds the tent of two points inside one edge.  The kernel holds the
+    graph's edges but not the graph, which holds the kernel, so both are
+    freed together as soon as the graph is.
     """
 
     def __init__(self, g: MetrizedGraph):
@@ -146,18 +154,14 @@ class ResistanceKernel:
         self._columns: dict[int, list[Fraction]] = {}
         # S = r(., v_0) is Gamma_vv at a vertex v, read off the selected
         # inverse, whose row i - 1 is vertex i's
-        diagonal = [fast(0)] + [fast(row[i]) for i, row in enumerate(z)]
-        # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv
+        diagonal = [fast(0)] + [row[i] for i, row in enumerate(z)]
+        # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv: 0
+        # for a loop, and Gamma_uv is on the pattern
         self.density = {}
         for e in g.edges:
             l = fast(e.length)
             i, j = self.index[e.u], self.index[e.v]
-            if i == j:  # a loop: r_e = 0
-                r = 0
-            else:
-                r = diagonal[i] + diagonal[j]
-                if i and j:  # Gamma is 0 at the ground vertex
-                    r -= 2 * fast(z[i - 1][j - 1])
+            r = diagonal[i] + diagonal[j] - 2 * self._gamma(i, j)
             self.density[e.id] = plain((l - r) / (l * l))
         self.ground = _Potential(self.index, self.edge_by_id, diagonal, self.density, {})
 
@@ -176,10 +180,10 @@ class ResistanceKernel:
             col = self._columns.setdefault(i, [_ZERO] + self._factors.solve(unit))
         return col
 
-    def entry(self, i: int, j: int) -> Fraction:
-        """Gamma_ij: from the selected inverse when i and j are on its
-        pattern, else from a column of either, solving i's if neither is
-        cached."""
+    def _gamma(self, i: int, j: int) -> Fraction:
+        """Gamma_ij: from the selected inverse, in the fast type, when i
+        and j are on its pattern, else from a column of either, solving
+        i's if neither is cached."""
         if not i or not j:
             return _ZERO
         x = self._selected[i - 1].get(j - 1)
@@ -188,35 +192,43 @@ class ResistanceKernel:
         col = self._columns.get(j)
         return col[i] if col is not None else self.column(i)[j]
 
+    def entry(self, i: int, j: int) -> Fraction:
+        """Gamma_ij as a plain Fraction."""
+        return plain(self._gamma(i, j))
+
     def apply(self, m: list[Fraction]) -> list[Fraction]:
         """Gamma·m, for a vector m indexed like the vertices: one solve."""
         return [_ZERO] + self._factors.solve(m[1:])
 
-    def cross(self, p: tuple, q: tuple) -> Fraction:
-        """X = sum a_i b_j Gamma_ij for the spread weights (i, j, a) of two
-        points (`_Potential.read`): Gamma at up to four pairs of their
-        ends."""
-        i, j, a = p
-        k, m, b = q
-        entry = self.entry
-        x = entry(i, k)
+    def pair(self, f: _Potential, x: GraphPoint, y: GraphPoint) -> tuple:
+        """f(x) + f(y) and X(x, y), for a potential f and points in the
+        normal form of `check_point`, not yet converted with `plain`.
+
+        X = sum a_i b_j Gamma_ij over the spread weights of x and y
+        (`_Potential.read`), Gamma at up to four pairs of their ends, plus
+        the tent s(l - t)/l when both lie inside one edge at offsets
+        s <= t.  Then r(x, y) = S(x) + S(y) - 2X for every pair, two
+        points of one edge or loop included."""
+        (i, j, a), fx = f.read(x)
+        (k, m, b), fy = f.read(y)
+        gamma = self._gamma
+        z = gamma(i, k)
         if b:
-            x += b * (entry(i, m) - x)
-        if not a:
-            return x
-        y = entry(j, k)
-        if b:
-            y += b * (entry(j, m) - y)
-        return x + a * (y - x)
+            z += b * (gamma(i, m) - z)
+        if a:
+            w = gamma(j, k)
+            if b:
+                w += b * (gamma(j, m) - w)
+            z += a * (w - z)
+            if b and x.edge == y.edge:  # s(l - t)/l = s(1 - t/l)
+                z += min(x.offset, y.offset) * (1 - max(a, b))
+        return fx + fy, z
 
     def resistance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
-        """r(p, q) for points in the normal form of `check_point`."""
-        if not p.is_vertex and not q.is_vertex and p.edge == q.edge:
-            d = abs(p.offset - q.offset)
-            return d - self.density[p.edge] * d * d
-        wp, sp = self.ground.read(p)
-        wq, sq = self.ground.read(q)
-        return plain(sp + sq - 2 * self.cross(wp, wq))
+        """r(p, q) = S(p) + S(q) - 2X(p, q) for points in the normal form
+        of `check_point`."""
+        f, x = self.pair(self.ground, p, q)
+        return plain(f - 2 * x)
 
 
 def _potential(

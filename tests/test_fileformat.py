@@ -12,9 +12,11 @@ from mg import (
     GenusTooLarge,
     GenusTooSmall,
     GraphPoint,
+    MetrizedGraph,
     NonpositiveLength,
     ParseError,
     PointOffGraph,
+    RDivisor,
     UnknownComponent,
     UnknownVertex,
 )
@@ -166,6 +168,26 @@ class TestRoundTrip:
         assert len(graph2.edges) == len(graph.edges)
         assert divisor2 == divisor
         assert names2 == names
+
+    def test_unnamed_interior_divisor_point_round_trips(self):
+        """A divisor point inside an edge that no `point` line names is
+        written with a name of its own, one that no vertex, edge or point
+        already has, and parses back to the same divisor."""
+        graph = MetrizedGraph(
+            ["P", "e@1/2"], [("e", "P", "e@1/2", 1), ("f", "P", "P", 2)]
+        )
+        inside = GraphPoint.on_edge("e", Fraction(1, 2))
+        loop = GraphPoint.on_edge("f", Fraction(2, 3))
+        names = {"P": GraphPoint.at_vertex("P"), "m": loop}
+        divisor = RDivisor({inside: 1, loop: Fraction(1, 2), "P": -1})
+        text = serialize_graph(graph, names, divisor)
+        graph2, names2, divisor2 = parse_graph_file(text)
+        assert divisor2 == divisor
+        assert names2["m"] == loop
+        assert serialize_graph(graph2, names2, divisor2) == text
+        # a point given at an end of its edge is written as that vertex
+        end = RDivisor({GraphPoint.on_edge("e", 1): 2})
+        assert parse_graph_file(serialize_graph(graph, {}, end))[2] == RDivisor({"e@1/2": 2})
 
 
 DIGITS = st.text("0123456789", min_size=1, max_size=MAX_RATIONAL_DIGITS)
