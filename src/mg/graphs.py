@@ -169,6 +169,8 @@ class MetrizedGraph:
 
         Edge points with offset 0 or the full length are normalized to the
         corresponding vertex; interior offsets must satisfy 0 < t < length.
+        The tests compare the integer parts of the offset and the length,
+        both in lowest terms with a positive denominator.
         """
         p = as_point(p)
         if p.is_vertex:
@@ -179,11 +181,13 @@ class MetrizedGraph:
         if e is None:
             raise PointOffGraph(f"edge {p.edge!r} is not on the graph")
         t = p.offset
-        if t == 0:
+        n, d = t.numerator, t.denominator
+        if not n:
             return GraphPoint.at_vertex(e.u)
-        if t == e.length:
+        ln, ld = e.length.numerator, e.length.denominator
+        if n == ln and d == ld:
             return GraphPoint.at_vertex(e.v)
-        if not 0 < t < e.length:
+        if not (0 < n and n * ld < ln * d):
             raise PointOffGraph(
                 f"offset {t} outside edge {p.edge!r} of length {e.length}"
             )

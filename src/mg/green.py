@@ -133,9 +133,10 @@ class GreenSystem:
     endpoints and a potential read per point.  The first read
     builds h = combine(1/2, j, -1/2, S) (`_read_tables`), so building a
     system, and so `e_invariant` and `fiber_report`, pays nothing for it.
-    X may solve a column of the kernel and cache it there.  Every cache is
-    filled with exact values computed from the same state, so threads
-    racing to fill one store equal values, and concurrent reads stay safe.
+    X may compute Gamma entries off the selected inverse's pattern, which
+    the kernel keeps.  Every cache is filled with exact values computed
+    from the same state, so threads racing to fill one store equal values,
+    and concurrent reads stay safe.
     """
 
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):

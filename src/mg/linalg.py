@@ -50,8 +50,17 @@ What is exact where:
   filled pattern, eliminated after k, so every z_ij it reads is already
   known (Takahashi, Fagan & Chin 1973; Erisman & Tinney, CACM 18, 1975).
   The sums run as explicit loops in the fast type, and each entry is
-  stored in it.  Any other entry of A^-1 costs one `solve` of a unit
-  column.
+  stored in it.
+* `inverse_entry(z, i, j)` gives any other entry, and keeps it in z: the
+  same recurrence holds off the pattern when it is run inside one column
+  of A^-1.  For that column c, w = D^-1 L^-1 e_c is nonzero only on c's
+  path to its elimination-tree root, and the entry at row b reads x_m for
+  m in s(b), which lie on b's own path: an explicit stack walks up it,
+  computing only what z lacks (Erisman & Tinney, CACM 18, 1975).  Every
+  entry computed on the way is stored in z both ways and w is kept per
+  column, so an entry is computed at most once.  The position map and
+  the tree are built on the first entry z lacks: the factorization and
+  the selected inverse pay nothing for them.
 
 Contract: `rows[i]` maps column j to a_ij, indices in range(len(rows));
 the matrix must be symmetric (else ValueError).  A zero pivot raises
@@ -64,7 +73,9 @@ Cost, nnz(L) being the number of recorded multipliers: O(sum over steps of
 (neighbours)^2) rational operations each to factor and for the selected
 inverse, which is O(nnz(A)) on a graph that factors with no fill and
 bounded degree; O(nnz(L)) per solve, plus O(n) to convert the result back
-to Fraction.  Choosing the pivots adds O(nnz(L) log n) integer work.
+to Fraction.  An entry off the pattern costs the sum of |s(m)| over the m
+it computes, all on one root path, and w costs the same over c's path
+once.  Choosing the pivots adds O(nnz(L) log n) integer work.
 """
 
 from __future__ import annotations
@@ -246,6 +257,9 @@ def fast(x) -> _Q:
     return _q(x.numerator, x.denominator)
 
 
+_ZERO = _q(0, 1)
+
+
 def plain(x) -> Fraction:
     """An int or a Fraction (of the fast type or not) as a plain Fraction
     of the same value."""
@@ -326,7 +340,8 @@ class Factorization:
 
     def selected_inverse(self) -> list[dict[int, Fraction]]:
         """z with z[i][j] = (a^-1)_ij for i = j and for every (i, j) on the
-        filled pattern, and no other keys, in the fast type."""
+        filled pattern, and no other keys, in the fast type, until
+        `inverse_entry` adds those it computes."""
         z: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
         for k, d, mults in reversed(self.steps):
             zk = z[k]
@@ -341,3 +356,66 @@ class Factorization:
                 s -= l * zk[i]
             zk[k] = s
         return z
+
+    # ({index: its step's position}, {index: its step}, {c: w}), built on
+    # the first entry `inverse_entry` computes
+    _tree = None
+
+    def inverse_entry(self, z: list[dict[int, Fraction]], i: int, j: int) -> Fraction:
+        """(a^-1)_ij in the fast type, read from z, this factorization's
+        `selected_inverse`, which keeps every entry computed for it.
+
+        An entry z lacks is solved for inside one column c, the later
+        eliminated of i and j, at row b, the other.  x = a^-1 e_c has
+        x_b = w_b - sum over m in s(b) of l_mb x_m, with w = D^-1 L^-1 e_c
+        (`_path`); s(b) lies on b's path to its elimination-tree root, so
+        an explicit stack walks up that path from b, computes each x_m
+        that is not yet in z once all of s(m) is, and stores it in z both
+        ways.  Every value is exact, so threads racing to fill z store
+        equal entries.
+        """
+        x = z[i].get(j)
+        if x is not None:
+            return x
+        if self._tree is None:
+            order = {k: p for p, (k, _, _) in enumerate(self.steps)}
+            self._tree = order, {step[0]: step for step in self.steps}, {}
+        order, at, paths = self._tree
+        c, b = (i, j) if order[i] > order[j] else (j, i)
+        w = paths.get(c)
+        if w is None:
+            w = paths.setdefault(c, self._path(c))
+        zc = z[c]
+        stack = [b]
+        while stack:
+            m = stack[-1]
+            if m in zc:
+                stack.pop()
+                continue
+            mults = at[m][2]
+            missing = [k for k, _ in mults if k not in zc]
+            if missing:
+                stack += missing
+                continue
+            s = w.get(m, _ZERO)
+            for k, l in mults:
+                s -= l * zc[k]
+            zc[m] = z[m][c] = s
+            stack.pop()
+        return zc[b]
+
+    def _path(self, c: int) -> dict[int, Fraction]:
+        """w = D^-1 L^-1 e_c by its nonzero entries, which lie on c's path
+        to its elimination-tree root: the parent of step k is the member of
+        s(k) eliminated first."""
+        order, at, _ = self._tree
+        w, y, k = {}, {c: 1}, c
+        while k >= 0:
+            _, d, mults = at[k]
+            yk = y.pop(k, 0)
+            if yk:
+                for i, l in mults:
+                    y[i] = y.get(i, 0) - l * yk
+                w[k] = yk / d
+            k = min((i for i, _ in mults), key=order.__getitem__, default=-1)
+        return w

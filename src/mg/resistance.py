@@ -37,14 +37,16 @@ vertices and on the fill: so every r_e and density, and S, whose value at a
 vertex v is Gamma_vv, in O(nnz(L)) on a graph that factors with no fill.
 A potential of a measure (`_potential`) needs only that diagonal and one
 solve, Gamma·m.  Gamma at any other pair, as X between arbitrary points may
-ask for, costs the column of one of its vertices: one solve, cached on the
-kernel, so at most one per source vertex.  A read is otherwise O(1)
+ask for, comes from the same store: the selected inverse computes an entry
+it lacks by Takahashi's recurrence along one elimination-tree path, with no
+solve, and keeps it and every entry computed on the way
+(`linalg.Factorization.inverse_entry`).  A read is otherwise O(1)
 arithmetic.  The kernel is built on first use and kept on the (immutable)
 graph.  The selected inverse stays in the fast rational type of
 `mg.linalg`, and the conductances, the densities and every potential, S
 included, compute on it, reads too: edge lengths, weights and the tent.
-Columns are plain Fractions, operands as they are.  What a caller receives
-is plain: the densities, `entry`, the columns and every resistance.
+What a caller receives is plain: the densities, `entry` and every
+resistance.
 """
 
 from __future__ import annotations
@@ -55,8 +57,6 @@ from . import linalg
 from .errors import EdgeNotFound
 from .graphs import GraphPoint, MetrizedGraph
 from .linalg import fast, plain
-
-_ZERO = Fraction(0)
 
 
 class _Potential:
@@ -127,12 +127,13 @@ class ResistanceKernel:
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  It is kept as the
-    factorization, its selected inverse (the diagonal and every pair of
-    adjacent vertices, plus the fill) in the fast type, and the columns
-    solved so far.  Every read is `pair` on a potential, and `pair` alone
-    adds the tent of two points inside one edge.  The kernel holds the
-    graph's edges but not the graph, which holds the kernel, so both are
-    freed together as soon as the graph is.
+    factorization and its selected inverse in the fast type: the diagonal
+    and every pair of adjacent vertices, plus the fill, and every entry
+    read off that pattern so far.  Every read is `pair` on a potential,
+    and `pair` alone adds the tent of two points inside one edge.  The
+    kernel holds the graph's edges but not the graph, which holds the
+    kernel, so both, and every entry kept, are freed together as soon as
+    the graph is.
     """
 
     def __init__(self, g: MetrizedGraph):
@@ -151,7 +152,6 @@ class ResistanceKernel:
                     rows[a][b] = rows[a].get(b, 0) + x
         self._factors = linalg.Factorization(rows)
         z = self._selected = self._factors.selected_inverse()
-        self._columns: dict[int, list[Fraction]] = {}
         # S = r(., v_0) is Gamma_vv at a vertex v, read off the selected
         # inverse, whose row i - 1 is vertex i's
         diagonal = [fast(0)] + [row[i] for i, row in enumerate(z)]
@@ -165,32 +165,13 @@ class ResistanceKernel:
             self.density[e.id] = plain((l - r) / (l * l))
         self.ground = _Potential(self.index, self.edge_by_id, diagonal, self.density, {})
 
-    def column(self, i: int) -> list[Fraction]:
-        """Gamma's column of the vertex of index i, solved on first use.
-
-        The cache is filled with setdefault: a column is exact, so two
-        threads racing to fill it store equal values.  The ground vertex
-        (index 0) has the zero column, which is not solved."""
-        if not i:
-            return [_ZERO] * len(self.index)
-        col = self._columns.get(i)
-        if col is None:
-            unit = [_ZERO] * (len(self.index) - 1)
-            unit[i - 1] = Fraction(1)
-            col = self._columns.setdefault(i, [_ZERO] + self._factors.solve(unit))
-        return col
-
     def _gamma(self, i: int, j: int) -> Fraction:
-        """Gamma_ij: from the selected inverse, in the fast type, when i
-        and j are on its pattern, else from a column of either, solving
-        i's if neither is cached."""
+        """Gamma_ij in the fast type: 0 in the ground vertex's row and
+        column, else read from the selected inverse, which computes and
+        keeps an entry it lacks (`linalg.Factorization.inverse_entry`)."""
         if not i or not j:
-            return _ZERO
-        x = self._selected[i - 1].get(j - 1)
-        if x is not None:
-            return x
-        col = self._columns.get(j)
-        return col[i] if col is not None else self.column(i)[j]
+            return 0
+        return self._factors.inverse_entry(self._selected, i - 1, j - 1)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij as a plain Fraction."""
@@ -198,7 +179,7 @@ class ResistanceKernel:
 
     def apply(self, m: list[Fraction]) -> list[Fraction]:
         """Gamma·m, for a vector m indexed like the vertices: one solve."""
-        return [_ZERO] + self._factors.solve(m[1:])
+        return [Fraction(0)] + self._factors.solve(m[1:])
 
     def pair(self, f: _Potential, x: GraphPoint, y: GraphPoint) -> tuple:
         """f(x) + f(y) and X(x, y), for a potential f and points in the

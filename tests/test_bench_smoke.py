@@ -12,7 +12,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
 
-from mg import linalg, resistance  # noqa: E402
+from mg import linalg  # noqa: E402
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -24,11 +24,12 @@ def test_workload_items_pass(name, tmp_path):
     assert not wl.ok(0, wl.corrupt(outputs[0]))
 
 
-# factorizations, solves and columns solved on first use, over one pass
+# factorizations, solves and path vectors w = D^-1 L^-1 e_c built for the
+# Gamma entries off the selected inverse's pattern, over one pass
 SOLVE_COUNTS = {
     "einv-chords": (27, 54, 0),
     "fiber-chains": (15, 30, 0),
-    "point-queries": (10, 124, 104),
+    "point-queries": (10, 20, 113),
     "batch-small": (176, 352, 0),
 }
 
@@ -36,13 +37,14 @@ SOLVE_COUNTS = {
 @pytest.mark.parametrize("name", sorted(SOLVE_COUNTS))
 def test_workload_solve_counts(name, tmp_path, monkeypatch):
     """One pass at seed 1 makes the same exact solves as ever: each graph
-    is factored once, each Green system solves twice, and an off-pattern
-    read solves one column per source vertex."""
+    is factored once and each Green system solves twice.  An off-pattern
+    read solves nothing: it builds the path vector of its column once per
+    column, and no read builds one on the other three workloads."""
     wl = workloads.WORKLOADS[name](1, tmp_path)
     counts = [0, 0, 0]
     real_init = linalg.Factorization.__init__
     real_solve = linalg.Factorization.solve
-    real_column = resistance.ResistanceKernel.column
+    real_path = linalg.Factorization._path
 
     def init(self, rows):
         counts[0] += 1
@@ -52,14 +54,13 @@ def test_workload_solve_counts(name, tmp_path, monkeypatch):
         counts[1] += 1
         return real_solve(self, b)
 
-    def column(self, i):
-        if i and i not in self._columns:
-            counts[2] += 1
-        return real_column(self, i)
+    def path(self, c):
+        counts[2] += 1
+        return real_path(self, c)
 
     monkeypatch.setattr(linalg.Factorization, "__init__", init)
     monkeypatch.setattr(linalg.Factorization, "solve", solve)
-    monkeypatch.setattr(resistance.ResistanceKernel, "column", column)
+    monkeypatch.setattr(linalg.Factorization, "_path", path)
     for item in wl.items:
         wl.run(item)
     assert tuple(counts) == SOLVE_COUNTS[name]

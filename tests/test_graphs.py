@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mg import (
     DanglingEndpoint,
     Disconnected,
+    Edge,
     GraphPoint,
     MetrizedGraph,
     NonpositiveLength,
@@ -119,6 +120,46 @@ class TestSubdivide:
         g = segment_graph(1)
         assert g.check_point(GraphPoint.on_edge("e", 0)).vertex == "P"
         assert g.check_point(GraphPoint.on_edge("e", 1)).vertex == "Q"
+
+
+def comparison_chain(g: MetrizedGraph, p: GraphPoint) -> GraphPoint:
+    """`check_point` on an edge point as a chain of Fraction comparisons."""
+    e = g.edge_by_id[p.edge]
+    t = p.offset
+    if t == 0:
+        return GraphPoint.at_vertex(e.u)
+    if t == e.length:
+        return GraphPoint.at_vertex(e.v)
+    if not 0 < t < e.length:
+        raise PointOffGraph(f"offset {t} outside edge {p.edge!r} of length {e.length}")
+    return p
+
+
+def outcome(check, g, p):
+    """The point `check` returns, or the class and message it raises."""
+    try:
+        return check(g, p)
+    except PointOffGraph as exc:
+        return PointOffGraph, str(exc)
+
+
+LENGTHS = st.fractions(min_value=Fraction(1, 10**6), max_value=10**6) | st.integers(1, 9)
+# offsets as multiples of the length, over [-l, 2l], the ends always drawn
+SCALES = st.sampled_from([0, 1, -1, 2]) | st.fractions(min_value=-1, max_value=2)
+
+
+@given(length=LENGTHS, scale=SCALES, edge=st.sampled_from(["e", "loop"]), as_int=st.booleans())
+def test_check_point_matches_comparison_chain(length, scale, edge, as_int):
+    """The integer-part tests of `check_point` give the vertex, the point or
+    the PointOffGraph message that the chain of comparisons gives, on an
+    edge and on a loop, for Fraction offsets and for int ones given to
+    `GraphPoint` directly, and for lengths of either type given to `Edge`."""
+    g = MetrizedGraph(["P", "Q"], [Edge("e", "P", "Q", length), Edge("loop", "Q", "Q", length)])
+    t = Fraction(length) * scale
+    if as_int:
+        t = int(t)  # an int offset, not normalised to Fraction by `on_edge`
+    p = GraphPoint(edge=edge, offset=t)
+    assert outcome(MetrizedGraph.check_point, g, p) == outcome(comparison_chain, g, p)
 
 
 class TestOnePointSum:

@@ -26,6 +26,7 @@ from mg import (
     fiber_report,
     green_system,
     linalg,
+    path_graph,
     resistance,
     resistance_in_deleted_edge,
 )
@@ -119,6 +120,48 @@ def test_selected_inverse_matches_dense_inverse(seed, family):
     if n:
         j = rng.randrange(n)
         assert factors.solve(unit(n, j)) == dense[j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
+def test_every_inverse_entry_matches_dense_inverse(seed, family):
+    """Every entry, read in a seeded shuffled order, off the pattern or on
+    it, equals the dense inverse's and is then stored both ways, so that
+    each entry computed on the way serves the later reads."""
+    rng, a = family_system(seed, family)
+    n = len(a)
+    dense = ref.solve_columns(a, [unit(n, j) for j in range(n)])  # columns
+    factors = linalg.Factorization(sparse(a))
+    z = factors.selected_inverse()
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    rng.shuffle(pairs)
+    for i, j in pairs:
+        assert factors.inverse_entry(z, i, j) == dense[j][i]
+        assert z[i][j] == z[j][i] == dense[j][i]
+    for i in range(n):
+        assert z[i].keys() == set(range(n))
+        for j, x in z[i].items():
+            assert type(x) is FAST and z[j][i] == x
+
+
+def test_inverse_entry_on_a_long_path(monkeypatch):
+    """On a 3000-vertex unit path the elimination tree is one chain of
+    height 2998.  A read far off the pattern solves nothing, walks the
+    chain with its explicit stack, so no recursion limit is reached, and
+    adds at most 2n entries to the store."""
+    n = 3000
+    g = path_graph([1] * (n - 1), prefix="v")
+    z = resistance.resistance_kernel(g)._selected
+    solves = []
+    real_solve = linalg.Factorization.solve
+    monkeypatch.setattr(
+        linalg.Factorization, "solve", lambda self, b: solves.append(b) or real_solve(self, b)
+    )
+    for p, q, r in (("v1", "v2999", 2998), ("v1500", "v17", 1483)):
+        stored = sum(map(len, z))
+        assert effective_resistance(g, p, q) == r
+        assert 0 < sum(map(len, z)) - stored <= 2 * n
+    assert solves == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,8 +330,6 @@ def test_fast_type_never_leaks():
     n = len(g.vertex_list)
     values += kernel.density.values()
     values += [kernel.entry(i, j) for i in range(n) for j in range(n)]
-    for i in range(n):
-        values += kernel.column(i)
     values += kernel.apply([Fraction(k, 7) for k in range(n)])
     cfg = FiberConfiguration(
         [("A", 1), ("B", 0), ("C", 1)],

@@ -152,13 +152,16 @@ class TestDeletedEdge:
 class TestOneFactorization:
     """Each graph is factored once.  A potential (j, or r(D, .)) costs one
     solve; a resistance between vertices that are neither adjacent nor
-    joined by fill costs one column per source vertex, solved once."""
+    joined by fill costs no solve: the selected inverse computes the entry
+    inside one column, building that column's path vector once, and keeps
+    what it computed."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counter = {"factor": 0, "solve": 0, "tables": 0}
+        counter = {"factor": 0, "solve": 0, "path": 0, "tables": 0}
         real_init = linalg.Factorization.__init__
         real_solve = linalg.Factorization.solve
+        real_path = linalg.Factorization._path
         real_tables = green.GreenSystem._read_tables
 
         def init(self, rows):
@@ -169,12 +172,17 @@ class TestOneFactorization:
             counter["solve"] += 1
             return real_solve(self, b)
 
+        def path(self, c):
+            counter["path"] += 1
+            return real_path(self, c)
+
         def tables(self):
             counter["tables"] += 1
             return real_tables(self)
 
         monkeypatch.setattr(linalg.Factorization, "__init__", init)
         monkeypatch.setattr(linalg.Factorization, "solve", solve)
+        monkeypatch.setattr(linalg.Factorization, "_path", path)
         monkeypatch.setattr(green.GreenSystem, "_read_tables", tables)
         return counter
 
@@ -185,8 +193,9 @@ class TestOneFactorization:
              ("da", "d", "a", 1), ("ac", "a", "c", 2), ("bb", "b", "b", 1)],
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
-        # the two potentials, j and r(D, .), and no column or read table
-        assert calls == {"factor": 1, "solve": 2, "tables": 0}
+        # the two potentials, j and r(D, .), and no off-pattern entry or
+        # read table
+        assert calls == {"factor": 1, "solve": 2, "path": 0, "tables": 0}
 
     def test_fiber_report(self, calls):
         cfg = FiberConfiguration(
@@ -195,21 +204,26 @@ class TestOneFactorization:
             + [("s", "C2", "C2")],
         )
         fiber_report(cfg)
-        assert calls == {"factor": 1, "solve": 2, "tables": 0}
+        assert calls == {"factor": 1, "solve": 2, "path": 0, "tables": 0}
 
-    def test_effective_resistance_column_is_cached(self, calls):
+    def test_effective_resistance_entries_are_kept(self, calls):
         g = path_graph([1, 2, 3, 4])  # no fill; the first vertex is grounded
         v = g.vertex_list
+        kernel = resistance.resistance_kernel(g)
         assert effective_resistance(g, v[1], v[3]) == 5
-        assert calls == {"factor": 1, "solve": 1, "tables": 0}
+        assert calls == {"factor": 1, "solve": 0, "path": 1, "tables": 0}
         assert effective_resistance(g, v[1], v[4]) == 9
+        assert calls == {"factor": 1, "solve": 0, "path": 2, "tables": 0}
+        stored = sum(map(len, kernel._selected))
         assert effective_resistance(g, v[3], v[1]) == 5
-        assert calls == {"factor": 1, "solve": 1, "tables": 0}
+        assert effective_resistance(g, v[4], v[1]) == 9
+        assert calls == {"factor": 1, "solve": 0, "path": 2, "tables": 0}
+        assert sum(map(len, kernel._selected)) == stored
 
     def test_green_reads(self, calls):
         """Building a Green system builds no read table; the first read
-        builds them, once; off-pattern reads solve one column per source
-        vertex, shared with resistance reads."""
+        builds them, once; off-pattern reads solve nothing, and build one
+        path vector per column, shared with resistance reads."""
         g = MetrizedGraph(
             list("abcdef"),
             [("ab", "a", "b", 1), ("bc", "b", "c", 2), ("cd", "c", "d", 3),
@@ -217,15 +231,17 @@ class TestOneFactorization:
              ("ad", "a", "d", 2), ("cc", "c", "c", 1)],
         )
         s = green_system(g, RDivisor({"b": 1, "e": 2}))
-        assert calls == {"factor": 1, "solve": 2, "tables": 0}
-        # grounded at a, the Laplacian is the path b-c-d-e-f: no fill, so
-        # Gamma at (b, e), (b, f), (c, e), (c, f) and (d, f) is off the pattern
+        assert calls == {"factor": 1, "solve": 2, "path": 0, "tables": 0}
+        # grounded at a, the Laplacian is the path b-c-d-e-f, eliminated in
+        # that order with no fill, so Gamma at (b, e), (b, f), (c, e), (c, f)
+        # and (d, f) is off the pattern: the first read computes the first
+        # four in the columns of e and f, and every later one is kept
         p = GraphPoint.on_edge("bc", Fraction(1, 2))
         q = GraphPoint.on_edge("ef", Fraction(1, 3))
         reads = [
-            ("g", p, q, Fraction(-1487, 3375)),  # the columns of b and c
+            ("g", p, q, Fraction(-1487, 3375)),
             ("r", p, q, Fraction(337, 135)),
-            ("g", "d", "f", Fraction(-7, 250)),  # the column of d
+            ("g", "d", "f", Fraction(-7, 250)),
             ("g", p, GraphPoint.on_edge("bc", Fraction(3, 2)), Fraction(262, 375)),
             ("r", "e", "b", Fraction(11, 5)),
             ("g", GraphPoint.on_edge("cc", Fraction(1, 2)), q, Fraction(-5903, 13500)),
@@ -235,19 +251,20 @@ class TestOneFactorization:
         for kind, x, y, expected in reads:
             got = effective_resistance(g, x, y) if kind == "r" else s.eval(x, y)
             assert got == expected
-        assert calls == {"factor": 1, "solve": 5, "tables": 1}
+        assert calls == {"factor": 1, "solve": 2, "path": 2, "tables": 1}
 
     def test_ground_column_is_zero(self, calls):
-        """Gamma is 0 in the ground vertex's column: column(0) solves
-        nothing, caches nothing and leaves the other columns alone."""
+        """Gamma is 0 in the ground vertex's row and column: reading them
+        solves nothing and stores nothing."""
         g = MetrizedGraph(list("abc"), [("ab", "a", "b", 1), ("bc", "b", "c", 2)])
         kernel = resistance.resistance_kernel(g)
-        assert kernel.column(0) == [0, 0, 0]
-        assert calls == {"factor": 1, "solve": 0, "tables": 0}
-        assert kernel.column(2) == [0, 1, 3]
-        assert kernel.column(0) == [0, 0, 0]
+        stored = sum(map(len, kernel._selected))
+        assert [kernel.entry(0, j) for j in range(3)] == [0, 0, 0]
+        assert [kernel.entry(i, 0) for i in range(3)] == [0, 0, 0]
+        assert [kernel.entry(2, j) for j in range(3)] == [0, 1, 3]
         assert kernel.entry(2, 2) == 3 and kernel.entry(0, 2) == 0
-        assert calls == {"factor": 1, "solve": 1, "tables": 0}
+        assert sum(map(len, kernel._selected)) == stored
+        assert calls == {"factor": 1, "solve": 0, "path": 0, "tables": 0}
 
 
 class TestNoPairwiseResistance:
@@ -280,8 +297,8 @@ class TestNoPairwiseResistance:
         assert calls == {"resistance": 0}
 
 def test_concurrent_reads_match_serial():
-    """Threads filling one kernel's column cache and one Green system's
-    read tables all read the serial values."""
+    """Threads filling one kernel's store of Gamma entries and one Green
+    system's read tables all read the serial values."""
 
     def fresh():
         g = random_graph(Random(26), max_vertices=12, extra_edges=6)
@@ -296,7 +313,7 @@ def test_concurrent_reads_match_serial():
         (kind, p, q): value(g, s, kind, p, q)
         for kind in "rg" for p in points for q in points
     }
-    shared = fresh()  # factored, with no column solved and no table built
+    shared = fresh()  # factored, with no entry off the pattern and no table built
     results = []
 
     def read(seed):
@@ -326,5 +343,21 @@ def test_kernel_is_freed_with_its_graph():
     try:
         del g
         assert kernel() is None  # by reference counting, with no cycle
+    finally:
+        gc.enable()
+
+
+def test_kept_entries_are_freed_with_their_graph():
+    """The Gamma entries and path vectors an off-pattern read keeps live on
+    the kernel's factorization and selected inverse, and go with the graph."""
+    g = path_graph([1, 2, 3, 4])
+    assert effective_resistance(g, "P1", "P4") == 9  # off the pattern
+    kernel = resistance.resistance_kernel(g)
+    refs = [weakref.ref(kernel), weakref.ref(kernel._factors)]
+    del kernel
+    gc.disable()
+    try:
+        del g
+        assert [r() for r in refs] == [None, None]  # by reference counting
     finally:
         gc.enable()
