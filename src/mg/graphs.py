@@ -181,6 +181,10 @@ class MetrizedGraph:
         if e is None:
             raise PointOffGraph(f"edge {p.edge!r} is not on the graph")
         t = p.offset
+        if not isinstance(t, (int, Fraction)):
+            raise PointOffGraph(
+                f"offset {t!r} on edge {p.edge!r} is not an int or a Fraction"
+            )
         n, d = t.numerator, t.denominator
         if not n:
             return GraphPoint.at_vertex(e.u)

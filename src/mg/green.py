@@ -29,18 +29,23 @@ closed form (`GreenSystem`), as do g(D, y) = 2c_mu - j(y) and e(G, D) =
 j_D = sum a_i j(P_i), Zhang's epsilon (Invent. Math. 112, 1993).  Writing
 r(x, y) as the kernel's form S(x) + S(y) - 2 X(x, y) turns a read into
 g(x, y) = h(x) + h(y) + X(x, y) - c_mu, with h = (j - S)/2 a potential of
-the same shape as j: one `ResistanceKernel.pair` on h, O(1) arithmetic on
+the shape of S: one `ResistanceKernel.pair` on h, O(1) arithmetic on
 Gamma at up to four pairs of endpoints.  The tent of two points inside
 one edge is part of X, so this module reads no edge length for it.
 
-j, r(D, .), h and the certificate's 2F are all potentials of one type,
-`_Potential` of `mg.resistance`, the type of S: h and 2F are each one
-`combine` of two others.  Building a Green system, which every e(G, D)
-pays for, runs on arrays indexed by vertex in the fast rational type of
-`mg.linalg`: the measure's atoms and densities, both potentials and the
-certificate.  Reads compute on that type too.  A value becomes a plain
-Fraction where a caller receives it: the measure, c and j_D once, and each
-value a read returns.
+A Green system is built from two solved vectors, x_mu = Gamma·m_mu and
+x_D = Gamma·m_D, the measure and the divisor spread over the vertices
+(`_potential` of `mg.resistance`).  j is k + S - 2 x_mu at a vertex and
+r(D, .) is sum a_i S(P_i) + deg(D) S - 2 x_D, so the certificate and j_D
+are arithmetic on the two vectors and S, and no potential is formed to
+build a system.  The reads' h and, once the vertices pass, the
+certificate's 2F are `_Potential`s, the type of S, built from their vertex
+values, coefficients and tents.  Building a Green system, which every
+e(G, D) pays for, runs on arrays indexed by vertex in the fast rational
+type of `mg.linalg`: the measure's atoms and densities, both vectors and
+the certificate.  Reads compute on that type too.  A value becomes a
+plain Fraction where a caller receives it: the measure, c and j_D once,
+and each value a read returns.
 """
 
 from __future__ import annotations
@@ -93,10 +98,15 @@ def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
     rho_e from the graph's resistance kernel.  The values are computed on
     the fast rational type of `mg.linalg` and kept as plain Fractions.
     """
+    return _measure(g, d.relocate(g.check_point))
+
+
+def _measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
+    """`admissible_measure` for a divisor already relocated onto g by
+    `check_point`."""
     deg = d.degree()
     if deg == -2:
         raise DegreeMinusTwo("divisor has degree -2")
-    d = d.relocate(g.check_point)
     kernel = resistance_kernel(g)
     scale = fast(deg) + 2
     coeff = {p.vertex: fast(a) for p, a in d.items() if p.is_vertex}
@@ -114,122 +124,166 @@ def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
 class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
-    Construction takes the graph's resistance kernel and the potential j,
-    one solve, and checks that the measure has mass 1 from the mass j's
-    construction sums.  It then builds r_D = r(D, .) = sum a_i r(P_i, .),
-    a second solve, only to certify that g(D, y) + g(y, y) is constant
-    (`_certify`), raising ConstancyViolation if the measure is not the
-    admissible one.  That constant c(G, D) is stored as `c`; it is also
-    c_mu.  With F = C certified, r_D = (deg D + 2) j - 2C, so everything
-    about D reads j, c and j_D = sum a_i j(P_i): g(D, y) = 2c - j(y),
-    g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D.  All of this runs in the
-    fast rational type of `mg.linalg`; c and j_D are converted to plain
-    Fractions once, at the end, and j is kept in the fast type for reads,
-    each of which returns a plain Fraction.
+    Construction relocates D onto the graph once, takes the graph's
+    resistance kernel and solves twice: x_mu = Gamma·m_mu and x_D =
+    Gamma·m_D, the measure mu and the divisor D each spread over the
+    vertices as `_potential` spreads them.  It checks that mu has mass 1
+    from the masses that spreading sums, then certifies from the two
+    vectors that g(D, y) + g(y, y) is constant (`_certify`), raising
+    ConstancyViolation if the measure is not the admissible one.  That
+    constant c(G, D) is stored as `c`; it is also c_mu.  Everything about
+    D reads the potential j = integral r(., z) dmu(z), which is
+    k + S - 2 x_mu at a vertex (Chinburg-Rumely 1993; Baker-Rumely 2007),
+    k being the constant of `_potential` and S the kernel's `ground`:
+    g(D, y) = 2c - j(y), g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D =
+    sum a_i j(P_i).  All of this runs in the fast rational type of
+    `mg.linalg`; c and j_D are converted to plain Fractions once, at the
+    end, and x_mu is kept in the fast type for reads, each of which returns
+    a plain Fraction.
 
     g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X the
     kernel's form for r (`mg.resistance`): one `pair` on h gives
     h(x) + h(y) and X, tent included, from Gamma at up to four pairs of
-    endpoints and a potential read per point.  The first read
-    builds h = combine(1/2, j, -1/2, S) (`_read_tables`), so building a
-    system, and so `e_invariant` and `fiber_report`, pays nothing for it.
-    X may compute Gamma entries off the selected inverse's pattern, which
-    the kernel keeps.  Every cache is filled with exact values computed
-    from the same state, so threads racing to fill one store equal values,
-    and concurrent reads stay safe.
+    endpoints and a potential read per point.  h is the `_Potential` with
+    the values k/2 - x_mu at the vertices, the coefficient -dens_e/2 on an
+    edge of density dens_e and a tent (s, a) for each atom a of mu inside
+    an edge, built by the first read that needs it (`_read_tables`): by
+    `eval`, by a read of j inside an edge, or by j_D when D has a point
+    inside an edge.  So building a system with D on vertices, and so
+    `e_invariant` and `fiber_report`, pays nothing for it.  X may compute
+    Gamma entries off the selected inverse's pattern, which the kernel
+    keeps.  Every cache is filled with exact values computed from the same
+    state, so threads racing to fill one store equal values, and
+    concurrent reads stay safe.
     """
 
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
         self.graph = graph
-        self.measure = admissible_measure(graph, divisor)
-        self.divisor = divisor.relocate(graph.check_point)
-        self.degree = self.divisor.degree()
+        d = self.divisor = divisor.relocate(graph.check_point)
+        mu = self.measure = _measure(graph, d)
+        self.degree = d.degree()
         kernel = self._kernel = resistance_kernel(graph)
-        mu = self.measure
-        j, mass = _potential(kernel, mu.atoms, mu.densities)
+        x_mu, k, mass, mu_inside = _potential(kernel, mu.atoms, mu.densities)
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
-        terms = {p.vertex if p.is_vertex else p: a for p, a in self.divisor.items()}
-        r_d, _ = _potential(kernel, terms, {})
+        terms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
+        x_d, s_d, _, d_inside = _potential(kernel, terms, {})
         scale = fast(self.degree) + 2
-        twice_c = self._certify(scale, j, r_d)
+        # 2F = scale j - r_D, r_D = r(D, .) being s_d + deg(D) S - 2 x_D at
+        # a vertex, so 2F is 2C + 2(S - scale x_mu + x_D) there, with
+        # 2C = scale k - s_d its value at the ground vertex
+        twice_c = scale * k - s_d
+        self._certify(scale, twice_c, x_mu, x_d, mu_inside, d_inside)
+        self._x, self._k, self._inside = x_mu, k, mu_inside
+        self._h = None  # built by the first read that needs it
         j_d = fast(0)
-        for p, a in self.divisor.items():
-            j_d += a * j.read(p)[1]
-        self._j = j
+        for p, a in d.items():
+            j_d += a * self._j(p)
         self._j_d = plain(j_d)
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
         self.c = plain((twice_c + j_d) / (2 * scale))
-        self._h = None  # built by the first read
 
-    def _certify(self, scale, j: _Potential, r_d: _Potential) -> Fraction:
-        """2C, C being the constant value of F = (deg D/2 + 1) j - r_D/2,
-        for scale = deg D + 2.
+    def _certify(self, scale, twice_c, x_mu, x_d, mu_inside, d_inside) -> None:
+        """Check that F = (deg D/2 + 1) j - r_D/2 is the constant C, for
+        scale = deg D + 2, 2C = twice_c and the solved vectors x_mu and x_D.
 
         As r(y, y) = 0, g(y, y) = j(y) - c_mu, so g(D, y) + g(y, y) is F(y)
         plus a constant.  Between break points (vertices, and the points of
         D and of the measure inside edges) every tent is linear, so on an
-        edge F is linear plus gamma_e t(l - t), with gamma_e =
-        (deg D/2 + 1) curv_j - curv_(r_D)/2.  F is therefore constant iff it
-        takes one value at every break point and gamma_e = 0 on every edge;
-        any failure raises ConstancyViolation.  The comparisons run on the
-        potential 2F = scale j - r_D, one `combine` of the two, in the fast
-        type of `mg.linalg`: on its vertex array, then at its tents' offsets
-        edge by edge, then on its t(l - t) coefficients 2 gamma_e.
-        GraphPoints are built only for the tents' offsets and for a
-        failure's message, which states F.
+        edge F is linear plus gamma_e t(l - t).  F is therefore constant iff
+        it takes one value at every break point and gamma_e = 0 on every
+        edge; any failure raises ConstancyViolation.  At a vertex w, 2F(w)
+        = 2C + 2(S(w) - scale x_mu(w) + x_D(w)), so the vertex check is
+        scale x_mu(w) - x_D(w) == S(w), in `vertex_list` order, with no
+        potential formed.  Once every vertex passes, 2F is the `_Potential`
+        with 2C at every vertex, the coefficient 2 gamma_e = 2 rho_e -
+        scale dens_e on each edge and the tents (s, 2 scale a) of mu's
+        atoms a and (s, -2a) of D's inside edges: it is read at its tents'
+        offsets edge by edge, then its coefficients are checked.  All of
+        it runs in the fast type of `mg.linalg`.  GraphPoints are built
+        only for the tents' offsets and for a failure's message, which
+        states F.
         """
-        twice = j.combine(scale, r_d, -1)
+        kernel = self._kernel
         vertices = self.graph.vertex_list
-        value = twice.at_vertex[0]
 
         def differs(f, y: GraphPoint) -> ConstancyViolation:
             return ConstancyViolation(
                 f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-                f"is {value / 2} at {GraphPoint.at_vertex(vertices[0])!r} "
+                f"is {twice_c / 2} at {GraphPoint.at_vertex(vertices[0])!r} "
                 f"but {f / 2} at {y!r}"
             )
 
-        for v, f in zip(vertices, twice.at_vertex):
-            if f != value:
-                raise differs(f, GraphPoint.at_vertex(v))
+        for v, s, xm, xd in zip(vertices, kernel.ground.at_vertex, x_mu, x_d):
+            z = scale * xm - xd
+            if z != s:
+                raise differs(twice_c + 2 * (s - z), GraphPoint.at_vertex(v))
+        density = self.measure.density
+        curv = {e: 2 * rho - scale * density(e) for e, rho in kernel.ground.curv.items()}
+        weight = 2 * scale
+        inside = {e: [(s, weight * a) for s, a in atoms] for e, atoms in mu_inside.items()}
+        for e, atoms in d_inside.items():
+            inside.setdefault(e, []).extend((s, -2 * a) for s, a in atoms)
+        twice = _Potential(
+            kernel.index, kernel.edge_by_id, [twice_c] * len(vertices), curv, inside
+        )
         for e in self.graph.edges:
-            for t in sorted({t for t, _ in twice.inside.get(e.id, ())}):
+            for t in sorted({t for t, _ in inside.get(e.id, ())}):
                 y = GraphPoint.on_edge(e.id, t)
                 f = twice.read(y)[1]
-                if f != value:
+                if f != twice_c:
                     raise differs(f, y)
 
-        for e, gamma in twice.curv.items():
+        for e, gamma in curv.items():
             if gamma:
                 raise ConstancyViolation(
                     f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma / 2} "
                     f"on edge {e!r}"
                 )
-        return value
 
     # -- evaluation ----------------------------------------------------
 
     def _read_tables(self) -> _Potential:
-        """h = (j - S)/2, S being r(., ground vertex), the kernel's
-        `ground`: half of j's tents, as S has none."""
-        return self._j.combine(Fraction(1, 2), self._kernel.ground, Fraction(-1, 2))
+        """h = (j - S)/2: k/2 - x_mu at the vertices, -dens_e/2 on each
+        edge, and half of j's tents, as S has none."""
+        kernel, k = self._kernel, self._k / 2
+        half = fast(Fraction(-1, 2))
+        return _Potential(
+            kernel.index,
+            kernel.edge_by_id,
+            [k - x for x in self._x],
+            {e: half * self.measure.density(e) for e in kernel.ground.curv},
+            self._inside,
+        )
+
+    def _tables(self) -> _Potential:
+        """h, built on the first call."""
+        h = self._h
+        if h is None:
+            h = self._h = self._read_tables()
+        return h
+
+    def _j(self, y: GraphPoint):
+        """j(y), in the fast type, for y in the normal form of
+        `check_point`: k + S(y) - 2 x_mu(y) at a vertex, 2 h(y) + S(y)
+        inside an edge."""
+        (i, _, _), s = self._kernel.ground.read(y)
+        if y.is_vertex:
+            return self._k + s - 2 * self._x[i]
+        return 2 * self._tables().read(y)[1] + s
 
     def eval(self, x, y) -> Fraction:
         """g(x, y) = h(x) + h(y) + X(x, y) - c for points of the graph."""
         x, y = self.graph.check_point(x), self.graph.check_point(y)
-        h = self._h
-        if h is None:
-            h = self._h = self._read_tables()
-        f, z = self._kernel.pair(h, x, y)
+        f, z = self._kernel.pair(self._tables(), x, y)
         return plain(f + z - self.c)
 
     # -- derived quantities ---------------------------------------------
 
     def green_of_divisor(self, y) -> Fraction:
         """g(D, y) = sum of a_i g(P_i, y) = 2c - j(y): one potential read."""
-        return plain(2 * self.c - self._j.read(self.graph.check_point(y))[1])
+        return plain(2 * self.c - self._j(self.graph.check_point(y)))
 
     def pairing_dd(self) -> Fraction:
         """g(D, D) = sum over i of a_i g(D, P_i) = 2 deg(D) c - j_D."""

@@ -26,22 +26,28 @@ so each result has exactly the numerator and denominator Fraction would
 give, at a third to a half of the cost on small operands; on big operands
 the gcds dominate and the two cost the same.  Its `==` against the same
 operands compares the parts, where Fraction's would first test the
-`numbers.Rational` ABC.  `fast` and `plain` convert between the two types,
-and the rest of the exact side uses them the same way: the resistance
-kernel's densities, every potential (`mg.resistance`) and the reads on
-them, and in `mg.green` the admissible measure and the constancy
-certificate.  A plain Fraction is an operand as it is, since the
-subclass's reflected methods take precedence.  The selected inverse stays
-in the fast type: its one caller, the resistance kernel, reads its
-entries on every resistance and Green value (`ResistanceKernel.pair`).
-What a user of the package receives is always a plain Fraction: the
-build converts what it keeps public, and each read converts its result.
+`numbers.Rational` ABC.  Every multiply-subtract s - l*x of the
+factorization, the sweeps of `solve` and the recurrence is one `_submul`
+call: it reduces the product's parts and then the difference's exactly as
+`*` and `-` would, so it gives their parts, but builds one object and
+skips both operators' dispatch.  `fast` and `plain` convert between the
+two types, and the rest of the exact side uses them the same way: the
+resistance kernel's densities, every potential (`mg.resistance`) and the
+reads on them, and in `mg.green` the admissible measure, the two solved
+vectors and the constancy certificate.  A plain Fraction is an operand as
+it is, since the subclass's reflected methods take precedence.  The
+selected inverse stays in the fast type: its one caller, the resistance
+kernel, reads its entries on every resistance and Green value
+(`ResistanceKernel.pair`).  What a user of the package receives is always
+a plain Fraction: the build converts what it keeps public, and each read
+converts its result.
 
 What is exact where:
 
-* `solve(b)` gives A^-1 b exactly, for any b, as plain Fractions: a forward
-  sweep over the steps, a diagonal scale and a back sweep, each skipping
-  zero entries.
+* `solve(b)` gives A^-1 b exactly, for any b of ints and Fractions, as
+  plain Fractions: b is converted to the fast type, then a forward sweep
+  over the steps, a diagonal scale and a back sweep, each skipping zero
+  entries.
 * `selected_inverse()` gives the entries of A^-1 on the diagonal and on the
   filled pattern (every nonzero of A, plus the fill), by Takahashi's
   recurrence run over the steps in reverse: with s(k) the neighbours of
@@ -229,6 +235,24 @@ def _product(na: int, da: int, nb: int, db: int) -> _Q:
     return x
 
 
+def _submul(s, a, b) -> _Q:
+    """s - a*b for a and b in lowest terms (Fractions, fast or not) and s
+    such a value or an int: the parts of `_product` then `_sum`, with one
+    object built and no operator dispatch."""
+    na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+    g = gcd(na, db)
+    if g > 1:
+        na //= g
+        db //= g
+    g = gcd(nb, da)
+    if g > 1:
+        nb //= g
+        da //= g
+    if type(s) is int:
+        return _sum(s, 1, -na * nb, da * db)
+    return _sum(s._numerator, s._denominator, -na * nb, da * db)
+
+
 def _quotient(na: int, da: int, nb: int, db: int) -> _Q:
     """(na/da) / (nb/db), both in lowest terms and nb != 0, reduced as
     `Fraction._div` reduces it."""
@@ -309,9 +333,9 @@ class Factorization:
                 mults.append((i, l))
                 row = adj[i]
                 del row[k]
-                diag[i] -= l * x
+                diag[i] = _submul(diag[i], l, x)
                 for j, y in nbrs[p + 1 :]:
-                    row[j] = adj[j][i] = row.get(j, 0) - l * y
+                    row[j] = adj[j][i] = _submul(row.get(j, 0), l, y)
             for i, _ in nbrs:
                 heapq.heappush(heap, (len(adj[i]), i))
             self.steps.append((k, d, mults))
@@ -320,12 +344,12 @@ class Factorization:
         """x with a·x = b, as plain Fractions."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
-        x = list(b)
+        x = [fast(v) for v in b]
         for k, _, mults in self.steps:
             xk = x[k]
             if xk:
                 for i, l in mults:
-                    x[i] -= l * xk
+                    x[i] = _submul(x[i], l, xk)
         for k, d, _ in self.steps:
             if x[k]:
                 x[k] /= d
@@ -334,7 +358,7 @@ class Factorization:
             for i, l in mults:
                 xi = x[i]
                 if xi:
-                    s -= l * xi
+                    s = _submul(s, l, xi)
             x[k] = s
         return [plain(xi) for xi in x]
 
@@ -349,11 +373,11 @@ class Factorization:
                 zi = z[i]
                 s = 0
                 for j, l in mults:
-                    s -= l * zi[j]
+                    s = _submul(s, l, zi[j])
                 zk[i] = zi[k] = s
             s = 1 / d
             for i, l in mults:
-                s -= l * zk[i]
+                s = _submul(s, l, zk[i])
             zk[k] = s
         return z
 
@@ -399,7 +423,7 @@ class Factorization:
                 continue
             s = w.get(m, _ZERO)
             for k, l in mults:
-                s -= l * zc[k]
+                s = _submul(s, l, zc[k])
             zc[m] = z[m][c] = s
             stack.pop()
         return zc[b]
@@ -409,13 +433,13 @@ class Factorization:
         to its elimination-tree root: the parent of step k is the member of
         s(k) eliminated first."""
         order, at, _ = self._tree
-        w, y, k = {}, {c: 1}, c
+        w, y, k = {}, {c: _q(1, 1)}, c
         while k >= 0:
             _, d, mults = at[k]
             yk = y.pop(k, 0)
             if yk:
                 for i, l in mults:
-                    y[i] = y.get(i, 0) - l * yk
+                    y[i] = _submul(y.get(i, 0), l, yk)
                 w[k] = yk / d
             k = min((i for i, _ in mults), key=order.__getitem__, default=-1)
         return w

@@ -19,12 +19,14 @@ resistance is closed-form arithmetic on it:
   e at offsets s <= t: so two points of e at distance d have
   r(x, y) = d - rho_e d^2, loops included.
 
-Every function of the shape x -> integral r(x, z) dnu(z) is a `_Potential`:
-S (the kernel's `ground`), and in `mg.green` the potential j of the
-admissible measure, r(D, .) and their combinations.  At offset t on e such a
-function is the chord of its values at e's ends, plus t(l - t) times a
-coefficient, less a tent for each atom of nu inside e; `_Potential.combine`
-is the one linear operation on them.
+A function of the shape x -> integral r(x, z) dnu(z), or a linear
+combination of such functions, is at offset t on e the chord of its values
+at e's ends, plus t(l - t) times a coefficient, less a tent for each atom
+of nu inside e: a `_Potential`.  S is one (the kernel's `ground`), and in
+`mg.green` so are the reads' h = (j - S)/2 and the certificate's 2F, each
+built from its vertex values, coefficients and tents.  `_potential` gives
+what a measure's potential is made of, one solve Gamma·m and a constant,
+and `mg.green` does its arithmetic on those.
 
 Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
 X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
@@ -67,14 +69,16 @@ class _Potential:
 
     For x inside e, r(x, z) is the chord of r(., z) between e's ends plus
     t(l - t) rho_e, less 2 min(s, t)(l - max(s, t))/l when z too lies inside
-    e, at offset s: so S, j, r(D, .) and any linear combination of them
-    (`combine`) have this shape.  `read` gives a point's spread weights and
-    the value there, from the row of its edge (ends, length, value at u,
-    slope, curv) built on the first read inside that edge, its length in
-    the fast type of `mg.linalg`, the type of every potential built here.
-    It holds the kernel's vertex index and edges but not the kernel, which
-    holds S, so that no cycle keeps a kernel alive.
-    Every row is exact, so threads racing to fill a row store equal rows.
+    e, at offset s: so S, the potential of any measure (`_potential`) and
+    any linear combination of them, such as h and 2F in `mg.green`, have
+    this shape.  Its maker gives the vertex values, the coefficients and
+    the tents.  `read` gives a point's spread weights and the value there,
+    from the row of its edge (ends, length, value at u, slope, curv) built
+    on the first read inside that edge, its length in the fast type of
+    `mg.linalg`, the type of every potential built here.  It holds the
+    kernel's vertex index and edges but not the kernel, which holds S, so
+    that no cycle keeps a kernel alive.  Every row is exact, so threads
+    racing to fill a row store equal rows.
     """
 
     def __init__(self, index: dict, edge_by_id: dict, at_vertex, curv, inside):
@@ -106,24 +110,11 @@ class _Potential:
             value -= w * min(s, t) * (l - max(s, t)) / l
         return (i, j, t / l), value
 
-    def combine(self, a, other: _Potential, b) -> _Potential:
-        """a times this potential plus b times `other`: the values, the
-        coefficients and the tents of both, scaled."""
-        inside = {e: [(s, a * w) for s, w in tents] for e, tents in self.inside.items()}
-        for e, tents in other.inside.items():
-            inside.setdefault(e, []).extend((s, b * w) for s, w in tents)
-        return _Potential(
-            self.index,
-            self.edge_by_id,
-            [a * x + b * y for x, y in zip(self.at_vertex, other.at_vertex)],
-            {e: a * k + b * other.curv[e] for e, k in self.curv.items()},
-            inside,
-        )
-
 
 class ResistanceKernel:
     """Gamma of a connected graph, with the canonical density of each edge
-    and S = r(., v_0) as the potential `ground`.
+    and S = r(., v_0) as the potential `ground`, whose coefficients are the
+    densities in the fast type.
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  It is kept as the
@@ -157,13 +148,14 @@ class ResistanceKernel:
         diagonal = [fast(0)] + [row[i] for i, row in enumerate(z)]
         # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv: 0
         # for a loop, and Gamma_uv is on the pattern
-        self.density = {}
+        rho = {}
         for e in g.edges:
             l = fast(e.length)
             i, j = self.index[e.u], self.index[e.v]
             r = diagonal[i] + diagonal[j] - 2 * self._gamma(i, j)
-            self.density[e.id] = plain((l - r) / (l * l))
-        self.ground = _Potential(self.index, self.edge_by_id, diagonal, self.density, {})
+            rho[e.id] = (l - r) / (l * l)
+        self.density = {e: plain(x) for e, x in rho.items()}
+        self.ground = _Potential(self.index, self.edge_by_id, diagonal, rho, {})
 
     def _gamma(self, i: int, j: int) -> Fraction:
         """Gamma_ij in the fast type: 0 in the ground vertex's row and
@@ -212,25 +204,28 @@ class ResistanceKernel:
         return plain(f - 2 * x)
 
 
-def _potential(
-    kernel: ResistanceKernel, atoms: dict, densities: dict
-) -> tuple[_Potential, Fraction]:
-    """integral r(., z) dnu(z) for nu made of atoms and a constant density
-    per edge, and nu's total mass, in the fast rational type of `mg.linalg`.
+def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
+    """The solved vector x = Gamma·m of nu, spread over the vertices as m,
+    with the constant k, nu's total mass and nu's atoms inside edges, for
+    nu made of atoms and a constant density per edge, all in the fast
+    rational type of `mg.linalg`.
 
-    An atom is keyed by a vertex id, or by an interior GraphPoint in the
-    normal form of `check_point`.  The masses, the constant k, the vertex
-    values and the t(l - t) coefficients are computed on arrays indexed by
-    vertex: a vertex atom goes to its index with no GraphPoint, and Gamma's
-    diagonal is S's vertex array.  Plain Fractions in `atoms` and
-    `densities` serve as operands as they are.
+    They determine the potential f = integral r(., z) dnu(z): f(w) =
+    k + nu(G) S(w) - 2 x_w at a vertex w, and on an edge e, the chord of
+    those values plus t(l - t)(nu(G) rho_e - nu's density on e), less a
+    tent 2a min(s, t)(l - max(s, t))/l for each atom a of nu inside e at
+    offset s, listed as (s, a) under e.  An atom is keyed by a vertex id,
+    or by an interior GraphPoint in the normal form of `check_point`.  The
+    masses and k are computed on arrays indexed by vertex: a vertex atom
+    goes to its index with no GraphPoint, and Gamma's diagonal is S's
+    vertex array.  Plain Fractions in `atoms` and `densities` serve as
+    operands as they are.
     """
     index = kernel.index
-    diagonal = kernel.ground.at_vertex
-    # as r(w, z) = S(w) + S(z) - 2 X(w, z), the potential at a vertex w is
-    # S(w) nu(G) + integral S dnu - 2 (Gamma m)_w, nu spread over the
-    # vertices as m: an atom at a vertex puts its mass there, a density
-    # puts half = rho*l/2 on both ends and adds rho*rho_e*l^3/6 =
+    ground = kernel.ground
+    # as r(w, z) = S(w) + S(z) - 2 X(w, z), f(w) = S(w) nu(G) + integral
+    # S dnu - 2 (Gamma m)_w: an atom at a vertex puts its mass there, a
+    # density puts half = rho*l/2 on both ends and adds rho*rho_e*l^3/6 =
     # half*rho_e*l^2/3 to integral S dnu (its t(l - t) rho_e term), and an
     # interior atom spreads as S does (`_Potential.read`)
     masses = [fast(0)] * len(index)
@@ -249,28 +244,22 @@ def _potential(
             half = rho * l / 2
             masses[index[e.u]] += half
             masses[index[e.v]] += half
-            cubic += half * kernel.density[e.id] * l * l
+            cubic += half * ground.curv[e.id] * l * l
     mass = spread = fast(0)
-    for m, gamma in zip(masses, diagonal):
+    for m, gamma in zip(masses, ground.at_vertex):
         if m:
             mass += m
             spread += m * gamma
     k = cubic / 3 + spread
     inside: dict = {}
     for p, a in interior:
-        (i, j, w), s = kernel.ground.read(p)
+        (i, j, w), s = ground.read(p)
         masses[i] += a - a * w
         masses[j] += a * w
         mass += a
         k += a * s
-        inside.setdefault(p.edge, []).append((p.offset, 2 * a))
-    at_vertex = [
-        k + gamma * mass - 2 * fast(x) for gamma, x in zip(diagonal, kernel.apply(masses))
-    ]
-    # on an edge e the potential is linear between break points plus
-    # t(l - t) times nu(G) rho_e less nu's own density there
-    curv = {e: mass * rho - densities.get(e, 0) for e, rho in kernel.density.items()}
-    return _Potential(index, kernel.edge_by_id, at_vertex, curv, inside), mass
+        inside.setdefault(p.edge, []).append((p.offset, a))
+    return [fast(x) for x in kernel.apply(masses)], k, mass, inside
 
 
 def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:

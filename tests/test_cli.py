@@ -465,7 +465,7 @@ class TestCertificate:
         def wrong(g, d):
             return AdmissibleMeasure(g, {"P": Fraction(3, 4), "Q": Fraction(1, 4)}, {})
 
-        monkeypatch.setattr(mg.green, "admissible_measure", wrong)
+        monkeypatch.setattr(mg.green, "_measure", wrong)
         command, *points = argv
         code, out, err = run(capsys, command, GOLDEN / "segment.mg", *points)
         assert code == 3

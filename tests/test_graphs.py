@@ -10,11 +10,14 @@ from mg import (
     Disconnected,
     Edge,
     GraphPoint,
+    InputError,
     MetrizedGraph,
     NonpositiveLength,
     PointOffGraph,
     RDivisor,
     circle_graph,
+    effective_resistance,
+    green_system,
     one_point_sum,
     path_graph,
     scale_lengths,
@@ -160,6 +163,32 @@ def test_check_point_matches_comparison_chain(length, scale, edge, as_int):
         t = int(t)  # an int offset, not normalised to Fraction by `on_edge`
     p = GraphPoint(edge=edge, offset=t)
     assert outcome(MetrizedGraph.check_point, g, p) == outcome(comparison_chain, g, p)
+
+
+@pytest.mark.parametrize("offset", [0.5, None, "1/2"], ids=repr)
+def test_offset_of_another_type_is_off_graph(offset):
+    """An offset given to `GraphPoint` directly that is neither an int nor
+    a Fraction is a PointOffGraph, an InputError, from `check_point` and so
+    from every read."""
+    g = segment_graph(1)
+    p = GraphPoint(edge="e", offset=offset)
+    with pytest.raises(PointOffGraph, match="is not an int or a Fraction") as caught:
+        g.check_point(p)
+    assert isinstance(caught.value, InputError)
+    with pytest.raises(PointOffGraph):
+        effective_resistance(g, p, "P")
+    with pytest.raises(PointOffGraph):
+        green_system(g, RDivisor()).eval(p, "P")
+
+
+def test_int_offset_given_directly_reads():
+    g = segment_graph(2)
+    p, q = GraphPoint(edge="e", offset=1), GraphPoint.on_edge("e", 1)
+    assert g.check_point(p) is p
+    assert effective_resistance(g, p, "P") == 1
+    s = green_system(g, RDivisor({"P": 1, "Q": 1}))
+    assert s.eval(p, "Q") == s.eval(q, "Q")
+    assert s.green_of_divisor(p) == s.green_of_divisor(q)
 
 
 class TestOnePointSum:

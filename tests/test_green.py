@@ -2,12 +2,15 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mg import (
     AdmissibleMeasure,
     ConstancyViolation,
     DegreeMinusTwo,
     GraphPoint,
+    MetrizedGraph,
     RDivisor,
     admissible_measure,
     canonical_measure,
@@ -224,14 +227,15 @@ class TestConstant:
 
     @staticmethod
     def _patch_measure(monkeypatch, bad):
-        """Make `admissible_measure` return `bad`, and count its calls."""
+        """Make the measure builder of `green_system` return `bad`, and
+        count its calls."""
         calls = []
 
         def wrong(g, d):
             calls.append((g, d))
             return bad
 
-        monkeypatch.setattr(mg.green, "admissible_measure", wrong)
+        monkeypatch.setattr(mg.green, "_measure", wrong)
         return calls
 
     def test_violation_detected_for_wrong_measure(self, monkeypatch):
@@ -299,6 +303,24 @@ class TestConstant:
             green_system(g, d)
         assert str(caught.value) == "measure has total mass 3/4, not 1"
         assert len(calls) == 1
+
+    def test_divisor_relocated_once_per_build(self, monkeypatch):
+        # the Green system hands its relocated divisor to the measure
+        # builder; the public measure relocates its own
+        calls = []
+        real = RDivisor.relocate
+
+        def relocate(self, f):
+            calls.append(self)
+            return real(self, f)
+
+        monkeypatch.setattr(RDivisor, "relocate", relocate)
+        g = segment_graph(2)
+        d = RDivisor({"P": 1, GraphPoint.on_edge("e", 1): 2})
+        green_system(g, d)
+        assert len(calls) == 1
+        admissible_measure(g, d)
+        assert len(calls) == 2
 
     def test_c_is_c_mu(self):
         # g(y, y) = j(y) - c_mu and integral j dmu = 2 c_mu, so integral
@@ -423,3 +445,54 @@ class TestInvariance:
                 assert mu2.atom(v) == mu1.atom(v)
             for eid, rho in mu1.densities.items():
                 assert mu2.densities[eid] == rho / s
+
+
+def perturbed(mu: AdmissibleMeasure, kind: str, rng: Random, delta: Fraction, inside):
+    """mu with one mass-preserving change of the given kind; `inside` is an
+    atom of mu inside an edge."""
+    g = mu.graph
+    atoms, densities = dict(mu.atoms), dict(mu.densities)
+    if kind == "atoms":  # move mass between two atoms
+        a, b = rng.sample(sorted(atoms, key=repr), 2)
+        atoms[a] -= delta
+        atoms[b] += delta
+    elif kind == "density":  # trade part of one edge's density for an atom
+        e = rng.choice(g.edges)
+        densities[e.id] -= delta
+        a = rng.choice(sorted(atoms, key=repr))
+        atoms[a] += delta * e.length
+    else:  # move an interior atom to another point inside an edge
+        e = rng.choice(g.edges)
+        q = GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 10), 11))
+        atoms[q] = atoms.get(q, 0) + atoms.pop(inside)
+    return AdmissibleMeasure(g, atoms, densities)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["atoms", "density", "interior"]),
+    delta=st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool),
+)
+def test_certificate_rejects_every_perturbed_measure(seed, kind, delta):
+    """On a graph with a loop and a divisor point inside an edge, the
+    admissible measure passes the certificate, and one mass-preserving
+    change of it (moving mass between two atoms, trading part of an edge's
+    density for an atom, moving an atom inside an edge) fails it: the
+    measure is the only one of mass 1 with g(D, y) + g(y, y) constant."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=6, min_vertices=2)
+    v = rng.choice(g.vertex_list)
+    g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
+    d = random_divisor(rng, g, interior=True)
+    e = rng.choice(g.edges)
+    inside = GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 6), 7))
+    d += RDivisor({inside: 2 if d.degree() == -3 else 1})
+    green_system(g, d)  # the admissible measure never raises
+    bad = perturbed(admissible_measure(g, d), kind, rng, delta, inside)
+    assert bad.total_mass() == 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mg.green, "_measure", lambda g, d: bad)
+        with pytest.raises(ConstancyViolation) as caught:
+            green_system(g, d)
+    assert not str(caught.value).startswith("measure has total mass")

@@ -250,6 +250,18 @@ def test_fast_arithmetic_matches_fraction(a, b, op, reflected):
         assert got == (FAST, want[1])
 
 
+@settings(max_examples=400, deadline=None)
+@given(s=st.just(0) | RATIONALS.map(linalg.fast), a=RATIONALS, b=RATIONALS)
+def test_submul_matches_operators(s, a, b):
+    """The fused s - a*b of the sweeps has the parts and the type of the
+    two operations it replaces, for s an int 0 or a fast value."""
+    a, b = linalg.fast(a), linalg.fast(b)
+    want, got = s - a * b, linalg._submul(s, a, b)
+    assert (type(got), got.numerator, got.denominator) == (
+        type(want), want.numerator, want.denominator
+    )
+
+
 @given(a=RATIONALS)
 def test_fast_negation_and_conversions(a):
     q = linalg.fast(a)

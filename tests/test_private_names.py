@@ -8,7 +8,9 @@ anywhere in the package, its own definition excepted; dunder methods are
 called by the language and are not checked.  Likewise a private attribute
 stored on an object (`self._x = ...`, `g._x = ...`) is state that some
 code must read back: by an attribute access, or by name in a `getattr`
-call.  An attribute only ever stored is left over."""
+call.  An attribute only ever stored is left over.  A private class is
+used through its methods, so each of its methods that is not a dunder must
+be referenced too, even when its name is public."""
 
 import ast
 from pathlib import Path
@@ -35,6 +37,21 @@ def private_names():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     return defined, read
+
+
+def private_class_methods():
+    """The non-dunder methods of the private classes of `src/mg`,
+    {class.method: file:line}."""
+    methods: dict[str, str] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and _private(node.name):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        methods[f"{node.name}.{item.name}"] = f"{path.name}:{item.lineno}"
+    return methods
 
 
 def private_attributes():
@@ -73,3 +90,11 @@ def test_every_private_attribute_stored_is_read():
     assert stored  # the scan found the package's state
     unread = {name: where for name, where in stored.items() if name not in read}
     assert unread == {}
+
+
+def test_every_private_class_method_is_referenced():
+    methods = private_class_methods()
+    assert "_Potential.read" in methods  # the scan found the private classes
+    _, read = private_names()
+    unused = {m: where for m, where in methods.items() if m.split(".")[1] not in read}
+    assert unused == {}

@@ -150,11 +150,12 @@ class TestDeletedEdge:
 
 
 class TestOneFactorization:
-    """Each graph is factored once.  A potential (j, or r(D, .)) costs one
-    solve; a resistance between vertices that are neither adjacent nor
-    joined by fill costs no solve: the selected inverse computes the entry
-    inside one column, building that column's path vector once, and keeps
-    what it computed."""
+    """Each graph is factored once.  A Green system solves twice, for the
+    measure and for the divisor spread over the vertices, and forms no
+    potential to certify; a resistance between vertices that are neither
+    adjacent nor joined by fill costs no solve: the selected inverse
+    computes the entry inside one column, building that column's path
+    vector once, and keeps what it computed."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -193,8 +194,8 @@ class TestOneFactorization:
              ("da", "d", "a", 1), ("ac", "a", "c", 2), ("bb", "b", "b", 1)],
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
-        # the two potentials, j and r(D, .), and no off-pattern entry or
-        # read table
+        # the two solves, Gamma m_mu and Gamma m_D, and no off-pattern
+        # entry or read table
         assert calls == {"factor": 1, "solve": 2, "path": 0, "tables": 0}
 
     def test_fiber_report(self, calls):
