@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .bounds import chain_e_coefficient, check_genus
 from .errors import (
@@ -56,9 +57,11 @@ class FiberConfiguration:
     """Components plus nodes; validates references at construction.
 
     Immutable after construction.  The constructor builds the configuration
-    graph, and the first question that needs the bridge walk keeps it on the
-    configuration, so every question asked of one configuration reads one
-    graph, one walk and, through the graph, one factorization.
+    graph and omega's coefficients, read off its valences as Fractions.  The
+    bridge walk is a cached property: the first question that needs it
+    walks, and the walk is kept unless it raises.  So every question asked
+    of one configuration reads one graph, one omega, one walk and, through
+    the graph, one factorization.
     """
 
     def __init__(self, components, nodes=()):
@@ -91,11 +94,21 @@ class FiberConfiguration:
         self.node_by_id = {n.id: n for n in self.nodes}
         if len(self.node_by_id) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        self._graph = MetrizedGraph(
+        graph = self._graph = MetrizedGraph(
             [c.id for c in self.components],
             [(n.id, n.a, n.b, n.length) for n in self.nodes],
         )
-        self._walk: _Walk | None = None
+        # omega's coefficient 2 genus - 2 + valence at each component
+        self._omega = {
+            c.id: Fraction(2 * c.genus - 2 + graph.valence(c.id))
+            for c in self.components
+        }
+
+    @cached_property
+    def _walk(self) -> _Walk:
+        """The bridge walk: walked on first use, then kept.  A walk that
+        raises is not kept."""
+        return _Walk(self)
 
     def genus_of(self, comp_id) -> int:
         for c in self.components:
@@ -128,7 +141,7 @@ class _Walk:
         if not graph.vertex_list:
             raise Disconnected("fiber configuration is not connected")
         genus = sum(c.genus for c in cfg.components) + graph.first_betti()
-        side = {c.id: 2 * c.genus - 2 + graph.valence(c.id) for c in cfg.components}
+        side = dict(cfg._omega)
         types = dict.fromkeys(cfg.node_by_id, 0)
         plain_ends = dict.fromkeys(graph.vertex_list, 0)
         cyclic = False
@@ -168,18 +181,10 @@ class _Walk:
         self.is_chain = not cyclic and max(plain_ends.values()) <= 2
 
 
-def _walk(cfg: FiberConfiguration) -> _Walk:
-    """The bridge walk of cfg: walked on the first call, then kept on cfg.
-    A walk that raises is not kept."""
-    if cfg._walk is None:
-        cfg._walk = _Walk(cfg)
-    return cfg._walk
-
-
 def fiber_genus(cfg: FiberConfiguration) -> int:
     """Arithmetic genus: sum of component genera plus the configuration
     graph's first Betti number.  Must be at least 2 and at most MAX_GENUS."""
-    genus = _walk(cfg).genus
+    genus = cfg._walk.genus
     check_genus(genus)
     if genus < 2:
         raise GenusTooSmall(f"fiber has arithmetic genus {genus} < 2")
@@ -191,13 +196,13 @@ def classify_node(cfg: FiberConfiguration, node_id) -> NodeType:
     otherwise the minimum of the two sides' arithmetic genera."""
     if node_id not in cfg.node_by_id:
         raise NodeNotFound(f"node {node_id!r} is not in the configuration")
-    return NodeType(node_id, _walk(cfg).types[node_id])
+    return NodeType(node_id, cfg._walk.types[node_id])
 
 
 def delta_vector(cfg: FiberConfiguration) -> list[int]:
     """Counts of nodes by type, indexed 0..floor(g/2)."""
     counts = [0] * (fiber_genus(cfg) // 2 + 1)
-    for t in _walk(cfg).types.values():
+    for t in cfg._walk.types.values():
         counts[t] += 1
     return counts
 
@@ -205,29 +210,23 @@ def delta_vector(cfg: FiberConfiguration) -> list[int]:
 def omega_divisor(cfg: FiberConfiguration) -> RDivisor:
     """The relative dualizing divisor on the configuration graph:
     coefficient 2*genus - 2 + branches at each component, where a self-node
-    contributes two branches.  Coefficients sum to 2g - 2.  Read from the
-    graph's valences alone, so it needs no walk (nor a connected graph)."""
-    graph = cfg._graph
-    return RDivisor(
-        (c.id, 2 * c.genus - 2 + graph.valence(c.id)) for c in cfg.components
-    )
+    contributes two branches.  Coefficients sum to 2g - 2.  The
+    configuration keeps them, read off the graph's valences alone, so it
+    needs no walk (nor a connected graph)."""
+    return RDivisor(cfg._omega)
 
 
 def unstable_components(cfg: FiberConfiguration) -> list:
     """Components whose omega coefficient is not positive (the chain closed
     form assumes all are)."""
-    return _unstable(cfg, omega_divisor(cfg))
-
-
-def _unstable(cfg: FiberConfiguration, omega: RDivisor) -> list:
-    return [c.id for c in cfg.components if omega.coeff(c.id) <= 0]
+    return [c for c, a in cfg._omega.items() if a <= 0]
 
 
 def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
     """True iff the configuration graph with loops removed is a simple path
     (a single vertex counts, degenerately).  Only the shape is tested; that
     every component is stable is the business of `unstable_components`."""
-    return _walk(cfg).is_chain
+    return cfg._walk.is_chain
 
 
 def fiber_e(cfg: FiberConfiguration) -> Fraction:
@@ -240,7 +239,7 @@ def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
     """e_y for a chain of stable components, from the node types alone:
     each type-0 node contributes (g-1)/(3g) per unit length and each type-i
     node 4i(g-i)/g - 1 per unit length."""
-    walk = _walk(cfg)
+    walk = cfg._walk
     if not walk.is_chain:
         raise NotAChain("fiber is not a chain of stable components")
     g = fiber_genus(cfg)
@@ -263,19 +262,18 @@ class FiberReport:
 
 def fiber_report(cfg: FiberConfiguration) -> FiberReport:
     """Every question above, answered from the configuration's one graph,
-    one walk and one omega divisor."""
+    one walk and one omega."""
     genus = fiber_genus(cfg)
-    omega = omega_divisor(cfg)
     is_chain = is_chain_of_stable_components(cfg)
     return FiberReport(
         genus=genus,
         delta=tuple(delta_vector(cfg)),
-        omega={c.id: omega.coeff(c.id) for c in cfg.components},
+        omega=dict(cfg._omega),
         is_chain=is_chain,
-        e=e_invariant(cfg._graph, omega),
+        e=e_invariant(cfg._graph, omega_divisor(cfg)),
         e_closed_form=fiber_e_closed_form(cfg) if is_chain else None,
         warnings=tuple(
             f"component {cid!r} is not stable (omega coefficient <= 0)"
-            for cid in _unstable(cfg, omega)
+            for cid in unstable_components(cfg)
         ),
     )

@@ -212,35 +212,54 @@ def parse_fiber_file(text: str) -> FiberConfiguration:
     return cfg
 
 
+def _claim(taken: set[str], ids) -> None:
+    """Add each id's text to `taken`, the names of one namespace of a file.
+    ValueError names the first id whose text would not parse back as a new
+    name: one that is empty, holds whitespace or '#', or is taken."""
+    for x in ids:
+        text = str(x)
+        if text.split() != [text] or "#" in text:
+            raise ValueError(
+                f"cannot write {x!r} as a name: empty, or holds whitespace or '#'"
+            )
+        if text in taken:
+            raise ValueError(f"cannot write {x!r} as a name: {text!r} is taken")
+        taken.add(text)
+
+
 def serialize_graph(graph: MetrizedGraph, names=None, divisor=None) -> str:
     """Normal form: sorted vertices, edges, points and divisor terms.
 
-    The divisor is written in the normal form of `check_point`, and an
-    edge-interior point of it that `names` does not name gets a `point`
+    Vertices, edges and points share one namespace, and an id that cannot
+    be written as a name of its own raises ValueError (`_claim`).  The
+    divisor is written in the normal form of `check_point`, a vertex by its
+    own name, and an edge-interior point of it that `names` does not name
+    gets a `point`
     line of its own, named <edge>@<offset>, primed until no vertex, edge
     or point has that name, so the text parses back to the same divisor."""
-    names = dict(names or {})
+    names = names or {}
     divisor = (divisor or RDivisor()).relocate(graph.check_point)
-    reverse = {p: name for name, p in names.items()}
-    used = {*names, *map(str, graph.vertex_list), *(str(e.id) for e in graph.edges)}
+    vertices = sorted(graph.vertex_list, key=str)
+    edges = sorted(graph.edges, key=lambda e: str(e.id))
+    points = {name: p for name, p in names.items() if not p.is_vertex}
+    reverse = {p: name for name, p in points.items()}
+    taken: set[str] = set()
+    _claim(taken, vertices)
+    _claim(taken, (e.id for e in edges))
+    _claim(taken, sorted(points))
     for p in divisor.support():
         if not p.is_vertex and p not in reverse:
             name = f"{p.edge}@{p.offset}"
-            while name in used:
+            while name in taken or name in names:
                 name += "'"
-            used.add(name)
-            names[name] = p
+            taken.add(name)
+            points[name] = p
             reverse[p] = name
     out = [GRAPH_HEADER]
-    for v in sorted(graph.vertex_list, key=str):
-        out.append(f"vertex {v}")
-    for e in sorted(graph.edges, key=lambda e: str(e.id)):
-        out.append(f"edge {e.id} {e.u} {e.v} {e.length}")
-    point_names = {
-        name: p for name, p in names.items() if not p.is_vertex
-    }
-    for name in sorted(point_names):
-        p = point_names[name]
+    out += (f"vertex {v}" for v in vertices)
+    out += (f"edge {e.id} {e.u} {e.v} {e.length}" for e in edges)
+    for name in sorted(points):
+        p = points[name]
         out.append(f"point {name} on {p.edge} at {p.offset}")
     terms = [(reverse.get(p, str(p.vertex)), a) for p, a in divisor.items()]
     for label, a in sorted(terms):
@@ -249,10 +268,16 @@ def serialize_graph(graph: MetrizedGraph, names=None, divisor=None) -> str:
 
 
 def serialize_fiber(cfg: FiberConfiguration) -> str:
+    """Normal form: sorted components and nodes.  Components and nodes are
+    two namespaces, and an id that cannot be written as a name of its own
+    in its namespace raises ValueError (`_claim`)."""
+    components = sorted(cfg.components, key=lambda c: str(c.id))
+    nodes = sorted(cfg.nodes, key=lambda n: str(n.id))
+    _claim(set(), (c.id for c in components))
+    _claim(set(), (n.id for n in nodes))
     out = [FIBER_HEADER]
-    for c in sorted(cfg.components, key=lambda c: str(c.id)):
-        out.append(f"component {c.id} genus {c.genus}")
-    for n in sorted(cfg.nodes, key=lambda n: str(n.id)):
+    out += (f"component {c.id} genus {c.genus}" for c in components)
+    for n in nodes:
         if n.length == 1:
             out.append(f"node {n.id} {n.a} {n.b}")
         else:

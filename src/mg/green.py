@@ -40,18 +40,20 @@ r(D, .) is sum a_i S(P_i) + deg(D) S - 2 x_D, so the certificate and j_D
 are arithmetic on the two vectors and S, and no potential is formed to
 build a system.  The reads' h and, once the vertices pass, the
 certificate's 2F are `_Potential`s, the type of S, built from their vertex
-values, coefficients and tents.  Building a Green system, which every
-e(G, D) pays for, runs on arrays indexed by vertex in the fast rational
-type of `mg.linalg`: the measure's atoms and densities, both vectors and
-the certificate.  Reads compute on that type too.  A value becomes a
-plain Fraction where a caller receives it: the measure, c and j_D once,
-and each value a read returns.
+values, coefficients and tents; h is built by the first read that needs it
+and kept on the system.  Building a Green system, which every e(G, D) pays
+for, runs on arrays indexed by vertex in the fast rational type of
+`mg.linalg`: the measure's atoms and densities, both vectors (the
+factorization solves in that type) and the certificate.  Reads compute on
+that type too.  A value becomes a plain Fraction where a caller receives
+it: the measure, c and j_D once, and each value a read returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConstancyViolation, DegreeMinusTwo
 from .graphs import GraphPoint, MetrizedGraph, RDivisor
@@ -147,13 +149,13 @@ class GreenSystem:
     endpoints and a potential read per point.  h is the `_Potential` with
     the values k/2 - x_mu at the vertices, the coefficient -dens_e/2 on an
     edge of density dens_e and a tent (s, a) for each atom a of mu inside
-    an edge, built by the first read that needs it (`_read_tables`): by
+    an edge, a cached property built by the first read that needs it: by
     `eval`, by a read of j inside an edge, or by j_D when D has a point
     inside an edge.  So building a system with D on vertices, and so
     `e_invariant` and `fiber_report`, pays nothing for it.  X may compute
-    Gamma entries off the selected inverse's pattern, which the kernel
-    keeps.  Every cache is filled with exact values computed from the same
-    state, so threads racing to fill one store equal values, and
+    Gamma entries off the selected inverse's pattern, which the kernel's
+    factorization keeps.  Every kept value is exact and computed from the
+    same state, so threads racing to build one store equal values, and
     concurrent reads stay safe.
     """
 
@@ -175,7 +177,6 @@ class GreenSystem:
         twice_c = scale * k - s_d
         self._certify(scale, twice_c, x_mu, x_d, mu_inside, d_inside)
         self._x, self._k, self._inside = x_mu, k, mu_inside
-        self._h = None  # built by the first read that needs it
         j_d = fast(0)
         for p, a in d.items():
             j_d += a * self._j(p)
@@ -244,9 +245,11 @@ class GreenSystem:
 
     # -- evaluation ----------------------------------------------------
 
-    def _read_tables(self) -> _Potential:
+    @cached_property
+    def _h(self) -> _Potential:
         """h = (j - S)/2: k/2 - x_mu at the vertices, -dens_e/2 on each
-        edge, and half of j's tents, as S has none."""
+        edge, and half of j's tents, as S has none; built by the first read
+        that needs it."""
         kernel, k = self._kernel, self._k / 2
         half = fast(Fraction(-1, 2))
         return _Potential(
@@ -257,13 +260,6 @@ class GreenSystem:
             self._inside,
         )
 
-    def _tables(self) -> _Potential:
-        """h, built on the first call."""
-        h = self._h
-        if h is None:
-            h = self._h = self._read_tables()
-        return h
-
     def _j(self, y: GraphPoint):
         """j(y), in the fast type, for y in the normal form of
         `check_point`: k + S(y) - 2 x_mu(y) at a vertex, 2 h(y) + S(y)
@@ -271,12 +267,12 @@ class GreenSystem:
         (i, _, _), s = self._kernel.ground.read(y)
         if y.is_vertex:
             return self._k + s - 2 * self._x[i]
-        return 2 * self._tables().read(y)[1] + s
+        return 2 * self._h.read(y)[1] + s
 
     def eval(self, x, y) -> Fraction:
         """g(x, y) = h(x) + h(y) + X(x, y) - c for points of the graph."""
         x, y = self.graph.check_point(x), self.graph.check_point(y)
-        f, z = self._kernel.pair(self._tables(), x, y)
+        f, z = self._kernel.pair(self._h, x, y)
         return plain(f + z - self.c)
 
     # -- derived quantities ---------------------------------------------

@@ -36,37 +36,37 @@ resistance kernel's densities, every potential (`mg.resistance`) and the
 reads on them, and in `mg.green` the admissible measure, the two solved
 vectors and the constancy certificate.  A plain Fraction is an operand as
 it is, since the subclass's reflected methods take precedence.  The
-selected inverse stays in the fast type: its one caller, the resistance
-kernel, reads its entries on every resistance and Green value
-(`ResistanceKernel.pair`).  What a user of the package receives is always
-a plain Fraction: the build converts what it keeps public, and each read
-converts its result.
+factorization's one caller is the resistance kernel, so what it gives,
+the solutions and the entries of the inverse, stays in the fast type:
+the kernel computes potentials on the solutions and reads the entries on
+every resistance and Green value (`ResistanceKernel.pair`).  What a user
+of the package receives is always a plain Fraction: the build converts
+what it keeps public, and each read converts its result.
 
 What is exact where:
 
-* `solve(b)` gives A^-1 b exactly, for any b of ints and Fractions, as
-  plain Fractions: b is converted to the fast type, then a forward sweep
-  over the steps, a diagonal scale and a back sweep, each skipping zero
-  entries.
-* `selected_inverse()` gives the entries of A^-1 on the diagonal and on the
-  filled pattern (every nonzero of A, plus the fill), by Takahashi's
-  recurrence run over the steps in reverse: with s(k) the neighbours of
-  step k, z_ik = -sum over j in s(k) of l_jk z_ij for i in s(k), and
-  z_kk = 1/d_k - sum over i in s(k) of l_ik z_ik.  s(k) is a clique of the
-  filled pattern, eliminated after k, so every z_ij it reads is already
-  known (Takahashi, Fagan & Chin 1973; Erisman & Tinney, CACM 18, 1975).
-  The sums run as explicit loops in the fast type, and each entry is
-  stored in it.
-* `inverse_entry(z, i, j)` gives any other entry, and keeps it in z: the
-  same recurrence holds off the pattern when it is run inside one column
-  of A^-1.  For that column c, w = D^-1 L^-1 e_c is nonzero only on c's
+* `solve(b)` gives A^-1 b exactly, for any b of ints and Fractions, in
+  the fast type: b is converted to it, then a forward sweep over the
+  steps, a diagonal scale and a back sweep, each skipping zero entries.
+* A `Factorization` keeps the entries of A^-1 it knows, and `inverse_entry`
+  reads any of them.  Its constructor takes the selected inverse: the
+  entries on the diagonal and on the filled pattern (every nonzero of A,
+  plus the fill), by Takahashi's recurrence run over the steps in
+  reverse: with s(k) the neighbours of step k, z_ik = -sum over j in s(k)
+  of l_jk z_ij for i in s(k), and z_kk = 1/d_k - sum over i in s(k) of
+  l_ik z_ik.  s(k) is a clique of the filled pattern, eliminated after k,
+  so every z_ij it reads is already known (Takahashi, Fagan & Chin 1973;
+  Erisman & Tinney, CACM 18, 1975).  The sums run as explicit loops in
+  the fast type, and each entry is stored in it.
+* `inverse_entry(i, j)` computes any other entry, and keeps it: the same
+  recurrence holds off the pattern when it is run inside one column of
+  A^-1.  For that column c, w = D^-1 L^-1 e_c is nonzero only on c's
   path to its elimination-tree root, and the entry at row b reads x_m for
   m in s(b), which lie on b's own path: an explicit stack walks up it,
-  computing only what z lacks (Erisman & Tinney, CACM 18, 1975).  Every
-  entry computed on the way is stored in z both ways and w is kept per
-  column, so an entry is computed at most once.  The position map and
-  the tree are built on the first entry z lacks: the factorization and
-  the selected inverse pay nothing for them.
+  computing only the entries not yet known (Erisman & Tinney, CACM 18,
+  1975).  Every entry computed on the way is stored both ways and w is
+  kept per column, so an entry is computed at most once.  The walk reads
+  each pivot's position and step, which the elimination records.
 
 Contract: `rows[i]` maps column j to a_ij, indices in range(len(rows));
 the matrix must be symmetric (else ValueError).  A zero pivot raises
@@ -78,8 +78,7 @@ rejected the same way, even when it is nonsingular.
 Cost, nnz(L) being the number of recorded multipliers: O(sum over steps of
 (neighbours)^2) rational operations each to factor and for the selected
 inverse, which is O(nnz(A)) on a graph that factors with no fill and
-bounded degree; O(nnz(L)) per solve, plus O(n) to convert the result back
-to Fraction.  An entry off the pattern costs the sum of |s(m)| over the m
+bounded degree; O(nnz(L)) per solve.  An entry off the pattern costs the sum of |s(m)| over the m
 it computes, all on one root path, and w costs the same over c's path
 once.  Choosing the pivots adds O(nnz(L) log n) integer work.
 """
@@ -118,13 +117,8 @@ class _Q(Fraction):
             return _q(a._numerator + b * a._denominator, a._denominator)
         return Fraction.__add__(a, b)
 
-    def __radd__(a, b):
-        t = type(b)
-        if t is _Q or t is Fraction:
-            return _sum(b._numerator, b._denominator, a._numerator, a._denominator)
-        if t is int:
-            return _q(b * a._denominator + a._numerator, a._denominator)
-        return Fraction.__radd__(a, b)
+    # _sum and _product give the same parts with their operands swapped
+    __radd__ = __add__
 
     def __sub__(a, b):
         t = type(b)
@@ -150,13 +144,7 @@ class _Q(Fraction):
             return _product(a._numerator, a._denominator, b, 1)
         return Fraction.__mul__(a, b)
 
-    def __rmul__(a, b):
-        t = type(b)
-        if t is _Q or t is Fraction:
-            return _product(b._numerator, b._denominator, a._numerator, a._denominator)
-        if t is int:
-            return _product(b, 1, a._numerator, a._denominator)
-        return Fraction.__rmul__(a, b)
+    __rmul__ = __mul__
 
     def __truediv__(a, b):
         t = type(b)
@@ -294,7 +282,9 @@ def plain(x) -> Fraction:
 
 
 class Factorization:
-    """The LDL^T steps of a symmetric matrix given by its nonzero rows."""
+    """The LDL^T steps of a symmetric matrix given by its nonzero rows, and
+    the entries of its inverse known so far: the selected inverse, taken
+    when it is built, and every entry `inverse_entry` has computed since."""
 
     def __init__(self, rows: list[dict[int, Fraction]]):
         n = self.n = len(rows)
@@ -313,8 +303,11 @@ class Factorization:
                 else:
                     adj[i][j] = fast(x)
 
-        # steps of the factorization: (pivot index, d_k, [(i, l_ik)])
+        # steps of the factorization: (pivot index, d_k, [(i, l_ik)]), with
+        # each pivot index's position among them and its step
         self.steps = []
+        order = self._order = [0] * n
+        at = self._at = [None] * n
         heap = [(len(a), i) for i, a in enumerate(adj)]
         heapq.heapify(heap)
         done = [False] * n
@@ -338,10 +331,30 @@ class Factorization:
                     row[j] = adj[j][i] = _submul(row.get(j, 0), l, y)
             for i, _ in nbrs:
                 heapq.heappush(heap, (len(adj[i]), i))
-            self.steps.append((k, d, mults))
+            order[k] = len(self.steps)
+            at[k] = step = (k, d, mults)
+            self.steps.append(step)
+
+        # the selected inverse: z[i][j] = (a^-1)_ij for i = j and every
+        # (i, j) on the filled pattern, by Takahashi's recurrence over the
+        # steps in reverse; `inverse_entry` adds the entries it computes
+        z = self._inverse = [{} for _ in range(n)]
+        for k, d, mults in reversed(self.steps):
+            zk = z[k]
+            for i, _ in mults:
+                zi = z[i]
+                s = 0
+                for j, l in mults:
+                    s = _submul(s, l, zi[j])
+                zk[i] = zi[k] = s
+            s = 1 / d
+            for i, l in mults:
+                s = _submul(s, l, zk[i])
+            zk[k] = s
+        self._paths: dict[int, dict] = {}  # {c: w}, built by `inverse_entry`
 
     def solve(self, b: list[Fraction]) -> list[Fraction]:
-        """x with a·x = b, as plain Fractions."""
+        """x with a·x = b, in the fast type."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
         x = [fast(v) for v in b]
@@ -360,55 +373,29 @@ class Factorization:
                 if xi:
                     s = _submul(s, l, xi)
             x[k] = s
-        return [plain(xi) for xi in x]
+        return x
 
-    def selected_inverse(self) -> list[dict[int, Fraction]]:
-        """z with z[i][j] = (a^-1)_ij for i = j and for every (i, j) on the
-        filled pattern, and no other keys, in the fast type, until
-        `inverse_entry` adds those it computes."""
-        z: list[dict[int, Fraction]] = [{} for _ in range(self.n)]
-        for k, d, mults in reversed(self.steps):
-            zk = z[k]
-            for i, _ in mults:
-                zi = z[i]
-                s = 0
-                for j, l in mults:
-                    s = _submul(s, l, zi[j])
-                zk[i] = zi[k] = s
-            s = 1 / d
-            for i, l in mults:
-                s = _submul(s, l, zk[i])
-            zk[k] = s
-        return z
+    def inverse_entry(self, i: int, j: int) -> Fraction:
+        """(a^-1)_ij in the fast type, read from the entries known, which
+        keep every entry computed for it.
 
-    # ({index: its step's position}, {index: its step}, {c: w}), built on
-    # the first entry `inverse_entry` computes
-    _tree = None
-
-    def inverse_entry(self, z: list[dict[int, Fraction]], i: int, j: int) -> Fraction:
-        """(a^-1)_ij in the fast type, read from z, this factorization's
-        `selected_inverse`, which keeps every entry computed for it.
-
-        An entry z lacks is solved for inside one column c, the later
+        An entry not yet known is solved for inside one column c, the later
         eliminated of i and j, at row b, the other.  x = a^-1 e_c has
         x_b = w_b - sum over m in s(b) of l_mb x_m, with w = D^-1 L^-1 e_c
-        (`_path`); s(b) lies on b's path to its elimination-tree root, so
-        an explicit stack walks up that path from b, computes each x_m
-        that is not yet in z once all of s(m) is, and stores it in z both
-        ways.  Every value is exact, so threads racing to fill z store
-        equal entries.
+        (`_path`, kept per column); s(b) lies on b's path to its
+        elimination-tree root, so an explicit stack walks up that path
+        from b, computes each x_m not yet known once all of s(m) is, and
+        stores it both ways.  Every value is exact, so threads racing to
+        store an entry or a path store equal ones.
         """
+        z = self._inverse
         x = z[i].get(j)
         if x is not None:
             return x
-        if self._tree is None:
-            order = {k: p for p, (k, _, _) in enumerate(self.steps)}
-            self._tree = order, {step[0]: step for step in self.steps}, {}
-        order, at, paths = self._tree
-        c, b = (i, j) if order[i] > order[j] else (j, i)
-        w = paths.get(c)
+        c, b = (i, j) if self._order[i] > self._order[j] else (j, i)
+        w = self._paths.get(c)
         if w is None:
-            w = paths.setdefault(c, self._path(c))
+            w = self._paths.setdefault(c, self._path(c))
         zc = z[c]
         stack = [b]
         while stack:
@@ -416,7 +403,7 @@ class Factorization:
             if m in zc:
                 stack.pop()
                 continue
-            mults = at[m][2]
+            mults = self._at[m][2]
             missing = [k for k, _ in mults if k not in zc]
             if missing:
                 stack += missing
@@ -432,7 +419,7 @@ class Factorization:
         """w = D^-1 L^-1 e_c by its nonzero entries, which lie on c's path
         to its elimination-tree root: the parent of step k is the member of
         s(k) eliminated first."""
-        order, at, _ = self._tree
+        order, at = self._order, self._at
         w, y, k = {}, {c: _q(1, 1)}, c
         while k >= 0:
             _, d, mults = at[k]

@@ -33,22 +33,22 @@ X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
 f - 2X, and a Green value (`mg.green`) is `pair` on h = (j - S)/2.
 
 Gamma is never formed densely.  The kernel factors the Laplacian once
-(`mg.linalg`, built straight from the edges) and takes the selected inverse,
-which holds Gamma exactly on the diagonal, on every pair of adjacent
-vertices and on the fill: so every r_e and density, and S, whose value at a
-vertex v is Gamma_vv, in O(nnz(L)) on a graph that factors with no fill.
-A potential of a measure (`_potential`) needs only that diagonal and one
-solve, Gamma·m.  Gamma at any other pair, as X between arbitrary points may
-ask for, comes from the same store: the selected inverse computes an entry
-it lacks by Takahashi's recurrence along one elimination-tree path, with no
-solve, and keeps it and every entry computed on the way
-(`linalg.Factorization.inverse_entry`).  A read is otherwise O(1)
-arithmetic.  The kernel is built on first use and kept on the (immutable)
-graph.  The selected inverse stays in the fast rational type of
-`mg.linalg`, and the conductances, the densities and every potential, S
-included, compute on it, reads too: edge lengths, weights and the tent.
-What a caller receives is plain: the densities, `entry` and every
-resistance.
+(`mg.linalg`, built straight from the edges), and the factorization keeps
+its selected inverse, which holds Gamma exactly on the diagonal, on every
+pair of adjacent vertices and on the fill: so every r_e and density, and
+S, whose value at a vertex v is Gamma_vv, in O(nnz(L)) on a graph that
+factors with no fill.  A potential of a measure (`_potential`) needs only
+that diagonal and one solve, Gamma·m.  Gamma at any other pair, as X
+between arbitrary points may ask for, is read from the same factorization,
+which computes an entry its selected inverse lacks by Takahashi's
+recurrence along one elimination-tree path, with no solve, and keeps it
+and every entry computed on the way (`linalg.Factorization.inverse_entry`).
+A read is otherwise O(1) arithmetic.  The kernel is built on first use and
+kept on the (immutable) graph.  The factorization's entries and solutions
+are in the fast rational type of `mg.linalg`, and the conductances, the
+densities and every potential, S included, compute on it, reads too: edge
+lengths, weights and the tent.  What a caller receives is plain: the
+densities, `entry` and every resistance.
 """
 
 from __future__ import annotations
@@ -118,13 +118,14 @@ class ResistanceKernel:
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  It is kept as the
-    factorization and its selected inverse in the fast type: the diagonal
-    and every pair of adjacent vertices, plus the fill, and every entry
-    read off that pattern so far.  Every read is `pair` on a potential,
-    and `pair` alone adds the tent of two points inside one edge.  The
-    kernel holds the graph's edges but not the graph, which holds the
-    kernel, so both, and every entry kept, are freed together as soon as
-    the graph is.
+    factorization, which holds Gamma's entries in the fast type: its
+    selected inverse, on the diagonal and every pair of adjacent vertices,
+    plus the fill, and every entry read off that pattern so far.  A
+    measure's potential solves against it (`_potential`).  Every read is
+    `pair` on a potential, and `pair` alone adds the tent of two points
+    inside one edge.  The kernel holds the graph's edges but not the graph,
+    which holds the kernel, so both, and every entry kept, are freed
+    together as soon as the graph is.
     """
 
     def __init__(self, g: MetrizedGraph):
@@ -141,11 +142,10 @@ class ResistanceKernel:
             for a, b, x in ((i, i, c), (j, j, c), (i, j, -c), (j, i, -c)):
                 if a >= 0 and b >= 0:
                     rows[a][b] = rows[a].get(b, 0) + x
-        self._factors = linalg.Factorization(rows)
-        z = self._selected = self._factors.selected_inverse()
-        # S = r(., v_0) is Gamma_vv at a vertex v, read off the selected
-        # inverse, whose row i - 1 is vertex i's
-        diagonal = [fast(0)] + [row[i] for i, row in enumerate(z)]
+        factors = self._factors = linalg.Factorization(rows)
+        # S = r(., v_0) is Gamma_vv at a vertex v, on the selected inverse's
+        # diagonal, whose row i - 1 is vertex i's
+        diagonal = [fast(0), *(factors.inverse_entry(i, i) for i in range(len(rows)))]
         # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv: 0
         # for a loop, and Gamma_uv is on the pattern
         rho = {}
@@ -159,19 +159,16 @@ class ResistanceKernel:
 
     def _gamma(self, i: int, j: int) -> Fraction:
         """Gamma_ij in the fast type: 0 in the ground vertex's row and
-        column, else read from the selected inverse, which computes and
-        keeps an entry it lacks (`linalg.Factorization.inverse_entry`)."""
+        column, else read from the factorization, which computes and keeps
+        an entry its selected inverse lacks
+        (`linalg.Factorization.inverse_entry`)."""
         if not i or not j:
             return 0
-        return self._factors.inverse_entry(self._selected, i - 1, j - 1)
+        return self._factors.inverse_entry(i - 1, j - 1)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij as a plain Fraction."""
         return plain(self._gamma(i, j))
-
-    def apply(self, m: list[Fraction]) -> list[Fraction]:
-        """Gamma·m, for a vector m indexed like the vertices: one solve."""
-        return [Fraction(0)] + self._factors.solve(m[1:])
 
     def pair(self, f: _Potential, x: GraphPoint, y: GraphPoint) -> tuple:
         """f(x) + f(y) and X(x, y), for a potential f and points in the
@@ -259,7 +256,8 @@ def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
         mass += a
         k += a * s
         inside.setdefault(p.edge, []).append((p.offset, a))
-    return [fast(x) for x in kernel.apply(masses)], k, mass, inside
+    # Gamma is 0 in the ground vertex's row; its other rows are the solve
+    return [fast(0), *kernel._factors.solve(masses[1:])], k, mass, inside
 
 
 def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:

@@ -9,6 +9,7 @@ from mg import (
     BadRational,
     MAX_GENUS,
     Disconnected,
+    FiberConfiguration,
     GenusTooLarge,
     GenusTooSmall,
     GraphPoint,
@@ -19,6 +20,8 @@ from mg import (
     RDivisor,
     UnknownComponent,
     UnknownVertex,
+    subdivide_at,
+    theta_graph,
 )
 from mg.fileformat import (
     MAX_RATIONAL_DIGITS,
@@ -188,6 +191,51 @@ class TestRoundTrip:
         # a point given at an end of its edge is written as that vertex
         end = RDivisor({GraphPoint.on_edge("e", 1): 2})
         assert parse_graph_file(serialize_graph(graph, {}, end))[2] == RDivisor({"e@1/2": 2})
+
+    def test_vertex_named_otherwise_in_names(self):
+        """A divisor term at a vertex is written under the vertex's own
+        name, which the file declares, even when `names` gives it another."""
+        g = MetrizedGraph(["P", "Q"], [("e", "P", "Q", 1)])
+        d = RDivisor({"P": 1})
+        text = serialize_graph(g, {"X": GraphPoint.at_vertex("P")}, d)
+        assert parse_graph_file(text)[2] == d
+
+
+class TestUnwritableIds:
+    """An id the parser would not read back as a name of its own is a
+    ValueError naming it, not a file that its own parser rejects."""
+
+    def test_vertex_with_whitespace(self):
+        g = subdivide_at(theta_graph(), GraphPoint.on_edge("t0", Fraction(1, 2)))[0]
+        with pytest.raises(ValueError, match=r"\('cut', 't0', Fraction\(1, 2\)\)"):
+            serialize_graph(g)
+
+    def test_component_with_whitespace(self):
+        cfg = FiberConfiguration([("A b", 1), ("B", 1)], [("n", "A b", "B")])
+        with pytest.raises(ValueError, match="'A b'"):
+            serialize_fiber(cfg)
+
+    def test_vertices_written_alike(self):
+        g = MetrizedGraph([1, "1"], [("e", 1, "1", 1)])
+        with pytest.raises(ValueError, match="'1' is taken"):
+            serialize_graph(g)
+
+    def test_vertex_and_edge_of_one_name(self):
+        g = MetrizedGraph(["e", "f"], [("e", "e", "f", 1)])
+        with pytest.raises(ValueError, match="'e' is taken"):
+            serialize_graph(g)
+
+    @pytest.mark.parametrize("name", ["", "a#b", "a\tb", "a\nb", "a\u2028b"])
+    def test_empty_or_comment_or_line_break(self, name):
+        g = MetrizedGraph([name, "Q"], [("e", name, "Q", 1)])
+        with pytest.raises(ValueError, match="whitespace or '#'"):
+            serialize_graph(g)
+
+    def test_component_and_node_may_share_a_name(self):
+        """Components and nodes are two namespaces, as the parser reads."""
+        cfg = FiberConfiguration([("A", 1), ("B", 1)], [("A", "A", "B")])
+        text = serialize_fiber(cfg)
+        assert serialize_fiber(parse_fiber_file(text)) == text
 
 
 DIGITS = st.text("0123456789", min_size=1, max_size=MAX_RATIONAL_DIGITS)

@@ -10,7 +10,9 @@ stored on an object (`self._x = ...`, `g._x = ...`) is state that some
 code must read back: by an attribute access, or by name in a `getattr`
 call.  An attribute only ever stored is left over.  A private class is
 used through its methods, so each of its methods that is not a dunder must
-be referenced too, even when its name is public."""
+be referenced too, even when its name is public.  And a private attribute
+or method is loaded only in the module that defines or stores it, so each
+kept value has one owner, and another module asks that owner for it."""
 
 import ast
 from pathlib import Path
@@ -78,6 +80,37 @@ def private_attributes():
     return stored, read
 
 
+def private_loads():
+    """{module: the private attributes and methods it loads: by attribute
+    access, or by a string constant passed to `getattr`}, and {module: the
+    private attributes it stores and the private functions, methods and
+    classes it defines}."""
+    loads: dict[str, dict[str, int]] = {}
+    owns: dict[str, set[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        loaded = loads.setdefault(path.name, {})
+        owned = owns.setdefault(path.name, set())
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owned.add(node.name)
+            elif isinstance(node, ast.Attribute) and _private(node.attr):
+                if isinstance(node.ctx, ast.Store):
+                    owned.add(node.attr)
+                else:
+                    loaded.setdefault(node.attr, node.lineno)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+                and _private(node.args[1].value)
+            ):
+                loaded.setdefault(node.args[1].value, node.lineno)
+    return loads, owns
+
+
 def test_every_private_definition_is_referenced():
     defined, read = private_names()
     assert defined  # the scan found the package
@@ -98,3 +131,15 @@ def test_every_private_class_method_is_referenced():
     _, read = private_names()
     unused = {m: where for m, where in methods.items() if m.split(".")[1] not in read}
     assert unused == {}
+
+
+def test_private_attributes_are_loaded_by_their_owner():
+    loads, owns = private_loads()
+    assert "_factors" in loads["resistance.py"]  # the scan found the loads
+    foreign = {
+        f"{module}:{line}": name
+        for module, loaded in loads.items()
+        for name, line in loaded.items()
+        if name not in owns[module]
+    }
+    assert foreign == {}

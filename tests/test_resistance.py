@@ -1,3 +1,4 @@
+import functools
 import gc
 import sys
 import threading
@@ -159,11 +160,11 @@ class TestOneFactorization:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counter = {"factor": 0, "solve": 0, "path": 0, "tables": 0}
+        counter = {"factor": 0, "solve": 0, "path": 0, "h": 0}
         real_init = linalg.Factorization.__init__
         real_solve = linalg.Factorization.solve
         real_path = linalg.Factorization._path
-        real_tables = green.GreenSystem._read_tables
+        real_h = green.GreenSystem._h.func
 
         def init(self, rows):
             counter["factor"] += 1
@@ -177,14 +178,16 @@ class TestOneFactorization:
             counter["path"] += 1
             return real_path(self, c)
 
-        def tables(self):
-            counter["tables"] += 1
-            return real_tables(self)
+        def h(self):
+            counter["h"] += 1
+            return real_h(self)
 
         monkeypatch.setattr(linalg.Factorization, "__init__", init)
         monkeypatch.setattr(linalg.Factorization, "solve", solve)
         monkeypatch.setattr(linalg.Factorization, "_path", path)
-        monkeypatch.setattr(green.GreenSystem, "_read_tables", tables)
+        counted_h = functools.cached_property(h)
+        counted_h.__set_name__(green.GreenSystem, "_h")
+        monkeypatch.setattr(green.GreenSystem, "_h", counted_h)
         return counter
 
     def test_e_invariant(self, calls):
@@ -195,8 +198,8 @@ class TestOneFactorization:
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
         # the two solves, Gamma m_mu and Gamma m_D, and no off-pattern
-        # entry or read table
-        assert calls == {"factor": 1, "solve": 2, "path": 0, "tables": 0}
+        # entry or h
+        assert calls == {"factor": 1, "solve": 2, "path": 0, "h": 0}
 
     def test_fiber_report(self, calls):
         cfg = FiberConfiguration(
@@ -205,26 +208,26 @@ class TestOneFactorization:
             + [("s", "C2", "C2")],
         )
         fiber_report(cfg)
-        assert calls == {"factor": 1, "solve": 2, "path": 0, "tables": 0}
+        assert calls == {"factor": 1, "solve": 2, "path": 0, "h": 0}
 
     def test_effective_resistance_entries_are_kept(self, calls):
         g = path_graph([1, 2, 3, 4])  # no fill; the first vertex is grounded
         v = g.vertex_list
         kernel = resistance.resistance_kernel(g)
         assert effective_resistance(g, v[1], v[3]) == 5
-        assert calls == {"factor": 1, "solve": 0, "path": 1, "tables": 0}
+        assert calls == {"factor": 1, "solve": 0, "path": 1, "h": 0}
         assert effective_resistance(g, v[1], v[4]) == 9
-        assert calls == {"factor": 1, "solve": 0, "path": 2, "tables": 0}
-        stored = sum(map(len, kernel._selected))
+        assert calls == {"factor": 1, "solve": 0, "path": 2, "h": 0}
+        stored = sum(map(len, kernel._factors._inverse))
         assert effective_resistance(g, v[3], v[1]) == 5
         assert effective_resistance(g, v[4], v[1]) == 9
-        assert calls == {"factor": 1, "solve": 0, "path": 2, "tables": 0}
-        assert sum(map(len, kernel._selected)) == stored
+        assert calls == {"factor": 1, "solve": 0, "path": 2, "h": 0}
+        assert sum(map(len, kernel._factors._inverse)) == stored
 
     def test_green_reads(self, calls):
-        """Building a Green system builds no read table; the first read
-        builds them, once; off-pattern reads solve nothing, and build one
-        path vector per column, shared with resistance reads."""
+        """Building a Green system builds no h; the first read builds it,
+        once; off-pattern reads solve nothing, and build one path vector
+        per column, shared with resistance reads."""
         g = MetrizedGraph(
             list("abcdef"),
             [("ab", "a", "b", 1), ("bc", "b", "c", 2), ("cd", "c", "d", 3),
@@ -232,7 +235,7 @@ class TestOneFactorization:
              ("ad", "a", "d", 2), ("cc", "c", "c", 1)],
         )
         s = green_system(g, RDivisor({"b": 1, "e": 2}))
-        assert calls == {"factor": 1, "solve": 2, "path": 0, "tables": 0}
+        assert calls == {"factor": 1, "solve": 2, "path": 0, "h": 0}
         # grounded at a, the Laplacian is the path b-c-d-e-f, eliminated in
         # that order with no fill, so Gamma at (b, e), (b, f), (c, e), (c, f)
         # and (d, f) is off the pattern: the first read computes the first
@@ -252,20 +255,20 @@ class TestOneFactorization:
         for kind, x, y, expected in reads:
             got = effective_resistance(g, x, y) if kind == "r" else s.eval(x, y)
             assert got == expected
-        assert calls == {"factor": 1, "solve": 2, "path": 2, "tables": 1}
+        assert calls == {"factor": 1, "solve": 2, "path": 2, "h": 1}
 
     def test_ground_column_is_zero(self, calls):
         """Gamma is 0 in the ground vertex's row and column: reading them
         solves nothing and stores nothing."""
         g = MetrizedGraph(list("abc"), [("ab", "a", "b", 1), ("bc", "b", "c", 2)])
         kernel = resistance.resistance_kernel(g)
-        stored = sum(map(len, kernel._selected))
+        stored = sum(map(len, kernel._factors._inverse))
         assert [kernel.entry(0, j) for j in range(3)] == [0, 0, 0]
         assert [kernel.entry(i, 0) for i in range(3)] == [0, 0, 0]
         assert [kernel.entry(2, j) for j in range(3)] == [0, 1, 3]
         assert kernel.entry(2, 2) == 3 and kernel.entry(0, 2) == 0
-        assert sum(map(len, kernel._selected)) == stored
-        assert calls == {"factor": 1, "solve": 0, "path": 0, "tables": 0}
+        assert sum(map(len, kernel._factors._inverse)) == stored
+        assert calls == {"factor": 1, "solve": 0, "path": 0, "h": 0}
 
 
 class TestNoPairwiseResistance:
