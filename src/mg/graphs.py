@@ -108,12 +108,21 @@ class MetrizedGraph:
                 self._incidence[e.u].append((e, 0))
             if e.v in self._incidence:
                 self._incidence[e.v].append((e, 1))
+        self._valid = False  # set by the first `validate` that passes
 
     # -- structure ---------------------------------------------------------
 
     def validate(self) -> None:
         """Raise unless the graph is connected with positive lengths and
-        edge endpoints that exist."""
+        edge endpoints that exist.
+
+        The graph is immutable, so a success is kept on it and a later call
+        returns at once; a failure is never kept, so every call on an
+        invalid graph checks again and raises the same error.  A graph made
+        from this one (`subdivide_at`, `scale_lengths`, `one_point_sum`) is
+        a new graph, validated on its own."""
+        if self._valid:
+            return
         for e in self.edges:
             if e.u not in self.vertex_set or e.v not in self.vertex_set:
                 raise DanglingEndpoint(f"edge {e.id!r} has a missing endpoint")
@@ -125,6 +134,7 @@ class MetrizedGraph:
             raise Disconnected("graph has no vertices")
         if not self.is_connected():
             raise Disconnected("graph is not connected")
+        self._valid = True
 
     def is_connected(self) -> bool:
         if not self.vertex_list:

@@ -38,15 +38,18 @@ x_D = Gamma·m_D, the measure and the divisor spread over the vertices
 (`_potential` of `mg.resistance`).  j is k + S - 2 x_mu at a vertex and
 r(D, .) is sum a_i S(P_i) + deg(D) S - 2 x_D, so the certificate and j_D
 are arithmetic on the two vectors and S, and no potential is formed to
-build a system.  The reads' h and, once the vertices pass, the
-certificate's 2F are `_Potential`s, the type of S, built from their vertex
-values, coefficients and tents; h is built by the first read that needs it
-and kept on the system.  Building a Green system, which every e(G, D) pays
-for, runs on arrays indexed by vertex in the fast rational type of
-`mg.linalg`: the measure's atoms and densities, both vectors (the
-factorization solves in that type) and the certificate.  Reads compute on
-that type too.  A value becomes a plain Fraction where a caller receives
-it: the measure, c and j_D once, and each value a read returns.
+build a system: j_D at D's vertex points is one dot product with x_mu.
+Every edge's ends, length and rho_e come from the kernel's edge table, so
+the build converts no length and looks up no edge.  The reads' h and, once
+the vertices pass, the certificate's 2F are `_Potential`s, the type of S,
+built from their vertex values, coefficients and tents; h is built by the
+first read that needs it and kept on the system.  Building a Green system,
+which every e(G, D) pays for, runs on arrays indexed by vertex in the fast
+rational type of `mg.linalg`: the measure's atoms and densities, both
+vectors (the factorization solves in that type) and the certificate.
+Reads compute on that type too.  A value becomes a plain Fraction where a
+caller receives it: the measure, c and j_D once, and each value a read
+returns.
 """
 
 from __future__ import annotations
@@ -119,7 +122,7 @@ def _measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
         if not p.is_vertex:
             atoms[p] = plain(a / scale)
     weight = 2 / scale
-    densities = {e: plain(rho * weight) for e, rho in kernel.density.items()}
+    densities = {e: plain(row[4] * weight) for e, row in kernel.edges.items()}
     return AdmissibleMeasure(g, atoms, densities)
 
 
@@ -177,9 +180,18 @@ class GreenSystem:
         twice_c = scale * k - s_d
         self._certify(scale, twice_c, x_mu, x_d, mu_inside, d_inside)
         self._x, self._k, self._inside = x_mu, k, mu_inside
-        j_d = fast(0)
+        # j = 2h + S, h being k/2 - x_mu at a vertex, and s_d = sum a_i
+        # S(P_i): so j_D = s_d + deg(D) k - 2 sum a_i x_mu(P_i), the sum one
+        # dot product over D's vertex points, and a point inside an edge
+        # adds a_i (2 h(P_i) - k) instead of a term of the sum
+        dot = fast(0)
+        j_d = s_d + self.degree * k
         for p, a in d.items():
-            j_d += a * self._j(p)
+            if p.is_vertex:
+                dot += a * x_mu[kernel.index[p.vertex]]
+            else:
+                j_d += a * (2 * self._h.read(p)[1] - k)
+        j_d -= 2 * dot
         self._j_d = plain(j_d)
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
@@ -199,12 +211,15 @@ class GreenSystem:
         scale x_mu(w) - x_D(w) == S(w), in `vertex_list` order, with no
         potential formed.  Once every vertex passes, 2F is the `_Potential`
         with 2C at every vertex, the coefficient 2 gamma_e = 2 rho_e -
-        scale dens_e on each edge and the tents (s, 2 scale a) of mu's
-        atoms a and (s, -2a) of D's inside edges: it is read at its tents'
-        offsets edge by edge, then its coefficients are checked.  All of
-        it runs in the fast type of `mg.linalg`.  GraphPoints are built
-        only for the tents' offsets and for a failure's message, which
-        states F.
+        scale dens_e and the tents (s, 2 scale a) of mu's atoms a and
+        (s, -2a) of D's inside edges: it is read at its tents' offsets edge
+        by edge, in the order of the kernel's edge table, the graph's, and
+        its coefficient is formed only on an edge that holds a tent.  Then
+        each edge's gamma_e = 0 is checked as scale dens_e == 2 rho_e, rho_e
+        read from the table, and gamma_e is formed only for a failure's
+        message.  All of it runs in the fast type of `mg.linalg`.
+        GraphPoints are built only for the tents' offsets and for a
+        failure's message, which states F.
         """
         kernel = self._kernel
         vertices = self.graph.vertex_list
@@ -220,27 +235,28 @@ class GreenSystem:
             z = scale * xm - xd
             if z != s:
                 raise differs(twice_c + 2 * (s - z), GraphPoint.at_vertex(v))
-        density = self.measure.density
-        curv = {e: 2 * rho - scale * density(e) for e, rho in kernel.ground.curv.items()}
+        edges, density = kernel.edges, self.measure.density
         weight = 2 * scale
         inside = {e: [(s, weight * a) for s, a in atoms] for e, atoms in mu_inside.items()}
         for e, atoms in d_inside.items():
             inside.setdefault(e, []).extend((s, -2 * a) for s, a in atoms)
-        twice = _Potential(
-            kernel.index, kernel.edge_by_id, [twice_c] * len(vertices), curv, inside
-        )
-        for e in self.graph.edges:
-            for t in sorted({t for t, _ in inside.get(e.id, ())}):
-                y = GraphPoint.on_edge(e.id, t)
+        # 2 gamma_e = 2 rho_e - scale dens_e, which 2F reads only inside an
+        # edge that holds a tent
+        curv = {e: 2 * edges[e][4] - scale * density(e) for e in inside}
+        twice = _Potential(kernel.index, edges, [twice_c] * len(vertices), curv, inside)
+        for e in edges:
+            for t in sorted({t for t, _ in inside.get(e, ())}):
+                y = GraphPoint.on_edge(e, t)
                 f = twice.read(y)[1]
                 if f != twice_c:
                     raise differs(f, y)
 
-        for e, gamma in curv.items():
-            if gamma:
+        for e, (_, _, _, _, rho, _) in edges.items():
+            twice_rho, scaled = 2 * rho, scale * density(e)
+            if scaled != twice_rho:
                 raise ConstancyViolation(
-                    f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma / 2} "
-                    f"on edge {e!r}"
+                    f"g(D,y) + g(y,y) has t(l - t) coefficient "
+                    f"{(twice_rho - scaled) / 2} on edge {e!r}"
                 )
 
     # -- evaluation ----------------------------------------------------
@@ -254,9 +270,9 @@ class GreenSystem:
         half = fast(Fraction(-1, 2))
         return _Potential(
             kernel.index,
-            kernel.edge_by_id,
+            kernel.edges,
             [k - x for x in self._x],
-            {e: half * self.measure.density(e) for e in kernel.ground.curv},
+            {e: half * self.measure.density(e) for e in kernel.edges},
             self._inside,
         )
 

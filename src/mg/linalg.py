@@ -31,11 +31,13 @@ factorization, the sweeps of `solve` and the recurrence is one `_submul`
 call: it reduces the product's parts and then the difference's exactly as
 `*` and `-` would, so it gives their parts, but builds one object and
 skips both operators' dispatch.  `fast` and `plain` convert between the
-two types, and the rest of the exact side uses them the same way: the
-resistance kernel's densities, every potential (`mg.resistance`) and the
-reads on them, and in `mg.green` the admissible measure, the two solved
-vectors and the constancy certificate.  A plain Fraction is an operand as
-it is, since the subclass's reflected methods take precedence.  The
+two types, and `reciprocal` gives 1/x of a positive x in the fast type by
+swapping its parts, with no gcd.  The rest of the exact side uses them the
+same way: the resistance kernel's edge table, every potential
+(`mg.resistance`) and the reads on them, and in `mg.green` the admissible
+measure, the two solved vectors and the constancy certificate.  A plain
+Fraction is an operand as it is, since the subclass's reflected methods
+take precedence.  The
 factorization's one caller is the resistance kernel, so what it gives,
 the solutions and the entries of the inverse, stays in the fast type:
 the kernel computes potentials on the solutions and reads the entries on
@@ -47,7 +49,8 @@ What is exact where:
 
 * `solve(b)` gives A^-1 b exactly, for any b of ints and Fractions, in
   the fast type: b is converted to it, then a forward sweep over the
-  steps, a diagonal scale and a back sweep, each skipping zero entries.
+  steps, a diagonal scale and a back sweep, each skipping zero entries,
+  which it tests on their numerators, with no call.
 * A `Factorization` keeps the entries of A^-1 it knows, and `inverse_entry`
   reads any of them.  Its constructor takes the selected inverse: the
   entries on the diagonal and on the filled pattern (every nonzero of A,
@@ -269,6 +272,12 @@ def fast(x) -> _Q:
     return _q(x.numerator, x.denominator)
 
 
+def reciprocal(x) -> _Q:
+    """1/x in the fast type, for x > 0 an int or a Fraction: its parts
+    swapped, which are already coprime, so no gcd is taken."""
+    return _q(x.denominator, x.numerator)
+
+
 _ZERO = _q(0, 1)
 
 
@@ -292,16 +301,17 @@ class Factorization:
         adj: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for i, row in enumerate(rows):
             for j, x in row.items():
-                if not x:
+                x = fast(x)
+                if not x._numerator:
                     continue
                 if not 0 <= j < n:
                     raise ValueError("matrix is not square")
                 if x != rows[j].get(i, 0):
                     raise ValueError("matrix is not symmetric")
                 if i == j:
-                    diag[i] = fast(x)
+                    diag[i] = x
                 else:
-                    adj[i][j] = fast(x)
+                    adj[i][j] = x
 
         # steps of the factorization: (pivot index, d_k, [(i, l_ik)]), with
         # each pivot index's position among them and its step
@@ -317,7 +327,7 @@ class Factorization:
                 continue
             done[k] = True
             d = diag[k]
-            if not d:
+            if not d._numerator:
                 raise ValueError("singular system")
             nbrs = list(adj[k].items())
             mults = []
@@ -360,17 +370,17 @@ class Factorization:
         x = [fast(v) for v in b]
         for k, _, mults in self.steps:
             xk = x[k]
-            if xk:
+            if xk._numerator:
                 for i, l in mults:
                     x[i] = _submul(x[i], l, xk)
         for k, d, _ in self.steps:
-            if x[k]:
+            if x[k]._numerator:
                 x[k] /= d
         for k, _, mults in reversed(self.steps):
             s = x[k]
             for i, l in mults:
                 xi = x[i]
-                if xi:
+                if xi._numerator:
                     s = _submul(s, l, xi)
             x[k] = s
         return x
@@ -423,8 +433,8 @@ class Factorization:
         w, y, k = {}, {c: _q(1, 1)}, c
         while k >= 0:
             _, d, mults = at[k]
-            yk = y.pop(k, 0)
-            if yk:
+            yk = y.pop(k, _ZERO)
+            if yk._numerator:
                 for i, l in mults:
                     y[i] = _submul(y.get(i, 0), l, yk)
                 w[k] = yk / d

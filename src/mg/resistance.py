@@ -32,28 +32,34 @@ Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
 X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
 f - 2X, and a Green value (`mg.green`) is `pair` on h = (j - S)/2.
 
-Gamma is never formed densely.  The kernel factors the Laplacian once
-(`mg.linalg`, built straight from the edges), and the factorization keeps
-its selected inverse, which holds Gamma exactly on the diagonal, on every
-pair of adjacent vertices and on the fill: so every r_e and density, and
-S, whose value at a vertex v is Gamma_vv, in O(nnz(L)) on a graph that
+Each length is converted once.  The kernel keeps one edge table, per edge
+the indices of its ends, l and 1/l in the fast type (the reciprocal of a
+reduced positive length is its parts swapped, with no gcd), rho_e and
+rho_e l, and everything built from the edges reads it: the Laplacian, S's
+and every potential's rows, the measures and, in `mg.green`, the Green
+system and its certificate.  Gamma is never formed densely.  The kernel
+factors the Laplacian once (`mg.linalg`), and the factorization keeps its
+selected inverse, which holds Gamma exactly on the diagonal, on every pair
+of adjacent vertices and on the fill: so every r_e and density, and S,
+whose value at a vertex v is Gamma_vv, in O(nnz(L)) on a graph that
 factors with no fill.  A potential of a measure (`_potential`) needs only
-that diagonal and one solve, Gamma·m.  Gamma at any other pair, as X
+that diagonal, the table and one solve, Gamma·m.  Gamma at any other pair, as X
 between arbitrary points may ask for, is read from the same factorization,
 which computes an entry its selected inverse lacks by Takahashi's
 recurrence along one elimination-tree path, with no solve, and keeps it
 and every entry computed on the way (`linalg.Factorization.inverse_entry`).
 A read is otherwise O(1) arithmetic.  The kernel is built on first use and
-kept on the (immutable) graph.  The factorization's entries and solutions
-are in the fast rational type of `mg.linalg`, and the conductances, the
-densities and every potential, S included, compute on it, reads too: edge
-lengths, weights and the tent.  What a caller receives is plain: the
+kept on the (immutable) graph, which it validates once.  The
+factorization's entries and solutions are in the fast rational type of
+`mg.linalg`, as is the table, and every potential, S included, computes on
+it, reads too: weights and the tent.  What a caller receives is plain: the
 densities, `entry` and every resistance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .errors import EdgeNotFound
@@ -71,19 +77,20 @@ class _Potential:
     t(l - t) rho_e, less 2 min(s, t)(l - max(s, t))/l when z too lies inside
     e, at offset s: so S, the potential of any measure (`_potential`) and
     any linear combination of them, such as h and 2F in `mg.green`, have
-    this shape.  Its maker gives the vertex values, the coefficients and
-    the tents.  `read` gives a point's spread weights and the value there,
-    from the row of its edge (ends, length, value at u, slope, curv) built
-    on the first read inside that edge, its length in the fast type of
-    `mg.linalg`, the type of every potential built here.  It holds the
-    kernel's vertex index and edges but not the kernel, which holds S, so
-    that no cycle keeps a kernel alive.  Every row is exact, so threads
-    racing to fill a row store equal rows.
+    this shape.  Its maker gives the vertex values, the coefficients (only
+    those of the edges it is read inside) and the tents.  `read` gives a
+    point's spread weights and the value there, from the row of its edge
+    (ends, length and its reciprocal, value at u, slope, curv) built on the
+    first read inside that edge from the kernel's edge table, in the fast
+    type of `mg.linalg`, the type of every potential built here.  It holds
+    the kernel's vertex index and edge table but not the kernel, which
+    holds S, so that no cycle keeps a kernel alive.  Every row is exact, so
+    threads racing to fill a row store equal rows.
     """
 
-    def __init__(self, index: dict, edge_by_id: dict, at_vertex, curv, inside):
+    def __init__(self, index: dict, edges: dict, at_vertex, curv, inside):
         self.index = index
-        self.edge_by_id = edge_by_id
+        self.edges = edges  # the kernel's edge table
         self.at_vertex = at_vertex  # [value at the vertex of index i]
         self.curv = curv  # {edge id: coefficient of t(l - t)}
         self.inside = inside  # {edge id: [(offset, weight) of a tent]}
@@ -99,22 +106,30 @@ class _Potential:
             return (i, i, 0), self.at_vertex[i]
         row = self._rows.get(x.edge)
         if row is None:
-            e = self.edge_by_id[x.edge]
-            i, j, l = self.index[e.u], self.index[e.v], fast(e.length)
-            pu, pv = self.at_vertex[i], self.at_vertex[j]
-            row = self._rows[x.edge] = (i, j, l, pu, (pv - pu) / l, self.curv[x.edge])
-        i, j, l, value, slope, curv = row
+            i, j, l, c, _, _ = self.edges[x.edge]
+            pu = self.at_vertex[i]
+            slope = (self.at_vertex[j] - pu) * c
+            row = self._rows[x.edge] = (i, j, l, c, pu, slope, self.curv[x.edge])
+        i, j, l, c, value, slope, curv = row
         t = x.offset
         value += t * (slope + (l - t) * curv)
         for s, w in self.inside.get(x.edge, ()):
-            value -= w * min(s, t) * (l - max(s, t)) / l
-        return (i, j, t / l), value
+            value -= w * min(s, t) * (l - max(s, t)) * c
+        return (i, j, t * c), value
 
 
 class ResistanceKernel:
-    """Gamma of a connected graph, with the canonical density of each edge
-    and S = r(., v_0) as the potential `ground`, whose coefficients are the
-    densities in the fast type.
+    """Gamma of a connected graph, with its edge table and S = r(., v_0)
+    as the potential `ground`, whose coefficients are the densities.
+
+    `edges` is the table: {edge id: (i, j, l, 1/l, rho_e, rho_e l)}, in the
+    graph's edge order, i and j the indices of the ends in `index` and the
+    rest in the fast type.  The build converts each length once, fills
+    the grounded Laplacian from the table, a negation or a subtraction and
+    one symmetric store per pair of adjacent vertices and a diagonal sum
+    that starts from the first conductance, and completes each row with
+    rho_e l = 1 - r_e/l and rho_e once the factorization gives r_e.
+    `density` is rho_e as a plain Fraction, converted on first use.
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  It is kept as the
@@ -123,39 +138,53 @@ class ResistanceKernel:
     plus the fill, and every entry read off that pattern so far.  A
     measure's potential solves against it (`_potential`).  Every read is
     `pair` on a potential, and `pair` alone adds the tent of two points
-    inside one edge.  The kernel holds the graph's edges but not the graph,
+    inside one edge.  The kernel holds its table but not the graph,
     which holds the kernel, so both, and every entry kept, are freed
     together as soon as the graph is.
     """
 
     def __init__(self, g: MetrizedGraph):
         g.validate()
-        self.edge_by_id = g.edge_by_id
-        self.index = {v: i for i, v in enumerate(g.vertex_list)}
-        # vertex i > 0 is row i - 1 of the grounded Laplacian
-        rows: list[dict[int, Fraction]] = [{} for _ in range(len(self.index) - 1)]
+        index = self.index = {v: i for i, v in enumerate(g.vertex_list)}
+        # vertex i > 0 is row i - 1 of the grounded Laplacian: an edge of
+        # conductance c = 1/l adds c to the diagonal at each end that is
+        # not the ground vertex, and -c to the pair of its ends, once for
+        # both orders; a loop conducts nothing
+        rows: list[dict[int, Fraction]] = [{} for _ in range(len(index) - 1)]
+        ends = []
         for e in g.edges:
-            if e.is_loop():
+            i, j, l = index[e.u], index[e.v], fast(e.length)
+            c = linalg.reciprocal(l)
+            ends.append((e.id, i, j, l, c))
+            if i == j:
                 continue
-            c = 1 / fast(e.length)
-            i, j = self.index[e.u] - 1, self.index[e.v] - 1
-            for a, b, x in ((i, i, c), (j, j, c), (i, j, -c), (j, i, -c)):
-                if a >= 0 and b >= 0:
-                    rows[a][b] = rows[a].get(b, 0) + x
+            a, b = i - 1, j - 1
+            for k in (a, b):
+                if k >= 0:
+                    x = rows[k].get(k)
+                    rows[k][k] = c if x is None else x + c
+            if a >= 0 and b >= 0:
+                x = rows[a].get(b)
+                rows[a][b] = rows[b][a] = -c if x is None else x - c
         factors = self._factors = linalg.Factorization(rows)
         # S = r(., v_0) is Gamma_vv at a vertex v, on the selected inverse's
         # diagonal, whose row i - 1 is vertex i's
         diagonal = [fast(0), *(factors.inverse_entry(i, i) for i in range(len(rows)))]
-        # rho_e = (l - r_e)/l^2, r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv: 0
-        # for a loop, and Gamma_uv is on the pattern
-        rho = {}
-        for e in g.edges:
-            l = fast(e.length)
-            i, j = self.index[e.u], self.index[e.v]
+        # r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv, with Gamma_uv on the
+        # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e = 1/l
+        # for a loop, whose r_e is 0
+        edges = self.edges = {}
+        for e, i, j, l, c in ends:
             r = diagonal[i] + diagonal[j] - 2 * self._gamma(i, j)
-            rho[e.id] = (l - r) / (l * l)
-        self.density = {e: plain(x) for e, x in rho.items()}
-        self.ground = _Potential(self.index, self.edge_by_id, diagonal, rho, {})
+            rho_l = 1 - r * c
+            edges[e] = (i, j, l, c, rho_l * c, rho_l)
+        rho = {e: row[4] for e, row in edges.items()}
+        self.ground = _Potential(index, edges, diagonal, rho, {})
+
+    @cached_property
+    def density(self) -> dict:
+        """{edge id: canonical density rho_e}, as plain Fractions."""
+        return {e: plain(row[4]) for e, row in self.edges.items()}
 
     def _gamma(self, i: int, j: int) -> Fraction:
         """Gamma_ij in the fast type: 0 in the ground vertex's row and
@@ -205,7 +234,8 @@ def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
     """The solved vector x = Gamma·m of nu, spread over the vertices as m,
     with the constant k, nu's total mass and nu's atoms inside edges, for
     nu made of atoms and a constant density per edge, all in the fast
-    rational type of `mg.linalg`.
+    rational type of `mg.linalg`.  Each edge's ends, length and rho_e l
+    are read from the kernel's table.
 
     They determine the potential f = integral r(., z) dnu(z): f(w) =
     k + nu(G) S(w) - 2 x_w at a vertex w, and on an edge e, the chord of
@@ -218,13 +248,12 @@ def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
     vertex array.  Plain Fractions in `atoms` and `densities` serve as
     operands as they are.
     """
-    index = kernel.index
-    ground = kernel.ground
+    index, ground, edges = kernel.index, kernel.ground, kernel.edges
     # as r(w, z) = S(w) + S(z) - 2 X(w, z), f(w) = S(w) nu(G) + integral
     # S dnu - 2 (Gamma m)_w: an atom at a vertex puts its mass there, a
     # density puts half = rho*l/2 on both ends and adds rho*rho_e*l^3/6 =
-    # half*rho_e*l^2/3 to integral S dnu (its t(l - t) rho_e term), and an
-    # interior atom spreads as S does (`_Potential.read`)
+    # half*(rho_e l)*l/3 to integral S dnu (its t(l - t) rho_e term), and
+    # an interior atom spreads as S does (`_Potential.read`)
     masses = [fast(0)] * len(index)
     interior = []
     for site, a in atoms.items():
@@ -234,14 +263,13 @@ def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
         elif a:
             masses[i] += a
     cubic = fast(0)
-    for e in kernel.edge_by_id.values():
-        rho = densities.get(e.id)
+    for e, rho in densities.items():
         if rho:
-            l = fast(e.length)
+            i, j, l, _, _, rho_l = edges[e]
             half = rho * l / 2
-            masses[index[e.u]] += half
-            masses[index[e.v]] += half
-            cubic += half * ground.curv[e.id] * l * l
+            masses[i] += half
+            masses[j] += half
+            cubic += half * rho_l * l
     mass = spread = fast(0)
     for m, gamma in zip(masses, ground.at_vertex):
         if m:

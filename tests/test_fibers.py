@@ -11,6 +11,7 @@ from mg import (
     FiberConfiguration,
     GenusTooSmall,
     NodeNotFound,
+    NonpositiveLength,
     NotAChain,
     UnknownComponent,
     classify_node,
@@ -63,6 +64,12 @@ class TestGenus:
     def test_unknown_component_reference(self):
         with pytest.raises(UnknownComponent):
             FiberConfiguration([("A", 1)], [("n", "A", "Z")])
+
+    def test_zero_length_node(self):
+        # the fiber rejects it by node, before its graph (which would name
+        # an edge) is ever validated
+        with pytest.raises(NonpositiveLength, match=r"^node 'n' has length 0$"):
+            FiberConfiguration([("A", 1), ("B", 1)], [("n", "A", "B", 0)])
 
 
 class TestClassify:

@@ -16,6 +16,7 @@ from mg import (
     PointOffGraph,
     RDivisor,
     circle_graph,
+    e_invariant,
     effective_resistance,
     green_system,
     one_point_sum,
@@ -26,6 +27,7 @@ from mg import (
     theta_graph,
 )
 from gen import random_graph, random_point
+from mg.fileformat import parse_graph_file
 
 
 class TestValidate:
@@ -55,6 +57,58 @@ class TestValidate:
         )
         g.validate()
         assert g.valence("a") == 4
+
+
+class TestValidateOnce:
+    """A graph that passed `validate` keeps that on itself, as it is
+    immutable; a failure is never kept, and a graph made from another is
+    validated on its own."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The graphs whose connectivity search `_reachable` ran, in order."""
+        seen = []
+        real = MetrizedGraph._reachable
+
+        def reachable(self, a):
+            seen.append(self)
+            return real(self, a)
+
+        monkeypatch.setattr(MetrizedGraph, "_reachable", reachable)
+        return seen
+
+    def test_parse_then_e_invariant_searches_once(self, searches):
+        graph, _, d = parse_graph_file(
+            "metrized_graph\nvertex a\nvertex b\nedge e a b 1\nedge f a b 2\n"
+            "divisor a 1\n"
+        )
+        e_invariant(graph, d)
+        assert searches == [graph]
+
+    @pytest.mark.parametrize("g, error, message, searched", [
+        (MetrizedGraph(["a", "b"]), Disconnected, "graph is not connected", 3),
+        (MetrizedGraph(["a", "b"], [("e", "a", "b", 0)]), NonpositiveLength,
+         "edge 'e' has length 0", 0),
+    ])
+    def test_failure_raises_on_every_call(self, searches, g, error, message, searched):
+        for check in (g.validate, g.validate, lambda: e_invariant(g, RDivisor())):
+            with pytest.raises(error, match=f"^{message}$"):
+                check()
+        assert searches == [g] * searched
+
+    def test_derived_graphs_are_validated_on_their_own(self, searches):
+        g = theta_graph()
+        g.validate()
+        split, _, _ = subdivide_at(g, GraphPoint.on_edge("t0", Fraction(1, 2)))
+        scaled, _ = scale_lengths(g, 3)
+        for h in (split, scaled, split, scaled, g):
+            h.validate()
+        assert searches == [g, split, scaled]
+        apart = MetrizedGraph(["a", "b", "c"], [("e", "a", "b", 1)])
+        for h in (subdivide_at(apart, GraphPoint.on_edge("e", Fraction(1, 2)))[0],
+                  scale_lengths(apart, 2)[0]):
+            with pytest.raises(Disconnected):
+                h.validate()
 
 
 class TestFirstBetti:

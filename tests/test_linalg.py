@@ -203,8 +203,11 @@ def test_disconnected_graph_is_singular():
 
 
 def test_non_symmetric_matrix():
-    with pytest.raises(ValueError, match="not symmetric"):
-        linalg.Factorization([{0: Fraction(2), 1: Fraction(-1)}, {1: Fraction(2)}])
+    """An off-diagonal entry with no mirror is rejected whatever its value:
+    1 too, the value a wrong default for the missing mirror would match."""
+    for x in (Fraction(-1), 1):
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.Factorization([{0: Fraction(2), 1: x}, {1: Fraction(2)}])
 
 
 def test_index_out_of_range():

@@ -7,8 +7,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import reference as ref
 
 from mg import (
     EdgeNotFound,
@@ -148,6 +150,30 @@ class TestDeletedEdge:
             ],
         )
         assert resistance_in_deleted_edge(g, "ab") == 5
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_edge_table_matches_reference(seed):
+    """The kernel's edge table holds, per edge in the graph's order, the
+    indices of its ends, l, 1/l, rho_e = (l - r_e)/l^2 and rho_e l, the
+    last four in the fast type, with r_e the reference resistance between
+    the ends: a loop has rho_e = 1/l and a bridge 0."""
+    rng = Random(seed)
+    g = random_graph(rng)
+    v = rng.choice(g.vertex_list)
+    g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
+    kernel = resistance.resistance_kernel(g)
+    fast = type(linalg.fast(0))
+    assert list(kernel.edges) == [e.id for e in g.edges]
+    for e in g.edges:
+        l = e.length
+        rho = (l - ref.effective_resistance(g, e.u, e.v)) / l**2
+        row = kernel.edges[e.id]
+        assert row == (kernel.index[e.u], kernel.index[e.v], l, 1 / l, rho, rho * l)
+        assert [type(x) for x in row[2:]] == [fast] * 4
+        assert kernel.density[e.id] == rho
+    assert kernel.edges["loop"][4] == 1 / g.edge_by_id["loop"].length
 
 
 class TestOneFactorization:
