@@ -11,7 +11,9 @@ item of:
 * fast, plain: conversions to and from the fast rational type, counted in
   every `mg` module that imports them;
 * bool: `Fraction.__bool__` calls, the zero tests on Fractions of either
-  type.
+  type;
+* new: `Fraction.__new__` calls, the plain Fractions built through the
+  normalising constructor (the fast type and `plain` never call it).
 
 Counts are exact and repeat from run to run, so two versions of `mg` can
 be compared by them; they say nothing of time.  Every output is then
@@ -22,6 +24,7 @@ are imported read-only and the pools are written to a temporary directory:
 """
 
 import argparse
+import inspect
 import sys
 import tempfile
 from fractions import Fraction
@@ -36,7 +39,7 @@ import workloads  # noqa: E402
 from mg import linalg  # noqa: E402
 
 OPERATIONS = ("_sum", "_product", "_quotient", "_submul")
-COUNTS = ("ops", "fast", "plain", "bool")
+COUNTS = ("ops", "fast", "plain", "bool", "new")
 
 
 class Counter:
@@ -60,13 +63,14 @@ class Counter:
         return counted
 
     def calls(self, key, f):
-        def counted(*args):
+        def counted(*args, **kwargs):
             self.n[key] += 1
-            return f(*args)
+            return f(*args, **kwargs)
         return counted
 
     def patch(self, owner, name, wrapper):
-        self.saved.append((owner, name, getattr(owner, name)))
+        # getattr_static keeps `__new__` a staticmethod when it is restored
+        self.saved.append((owner, name, inspect.getattr_static(owner, name)))
         setattr(owner, name, wrapper)
 
     def __enter__(self):
@@ -80,6 +84,7 @@ class Counter:
                 if getattr(module, key, None) is real:
                     self.patch(module, key, wrapper)
         self.patch(Fraction, "__bool__", self.calls("bool", Fraction.__bool__))
+        self.patch(Fraction, "__new__", staticmethod(self.calls("new", Fraction.__new__)))
         return self
 
     def __exit__(self, *exc):

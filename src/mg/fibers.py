@@ -24,6 +24,7 @@ from .errors import (
 )
 from .graphs import MetrizedGraph, RDivisor
 from .green import e_invariant
+from .linalg import fast, plain
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,10 @@ class FiberConfiguration:
                 if len(n) == 3:
                     n = FiberNode(n[0], n[1], n[2])
                 else:
-                    n = FiberNode(n[0], n[1], n[2], Fraction(n[3]))
+                    length = n[3]
+                    if type(length) is not Fraction:
+                        length = Fraction(length)
+                    n = FiberNode(n[0], n[1], n[2], length)
             ns.append(n)
         self.nodes: tuple[FiberNode, ...] = tuple(ns)
         for n in self.nodes:
@@ -100,7 +104,7 @@ class FiberConfiguration:
         )
         # omega's coefficient 2 genus - 2 + valence at each component
         self._omega = {
-            c.id: Fraction(2 * c.genus - 2 + graph.valence(c.id))
+            c.id: plain(2 * c.genus - 2 + graph.valence(c.id))
             for c in self.components
         }
 
@@ -132,8 +136,10 @@ class _Walk:
     skipped, so parallel nodes lie on a cycle); all other nodes have type 0.
     Over the side a bridge cuts off, the omega coefficients 2 genus +
     valence - 2 sum to 2h - 1, h being that side's arithmetic genus, and the
-    type is min(h, g - h).  A chain has no back edge (every non-loop node is
-    a bridge) and no component with more than two non-loop node ends.
+    type is min(h, g - h).  The coefficients are integers, so the subtree
+    sums add their numerators as ints.  A chain has no back edge (every
+    non-loop node is a bridge) and no component with more than two non-loop
+    node ends.
     """
 
     def __init__(self, cfg: FiberConfiguration):
@@ -141,7 +147,7 @@ class _Walk:
         if not graph.vertex_list:
             raise Disconnected("fiber configuration is not connected")
         genus = sum(c.genus for c in cfg.components) + graph.first_betti()
-        side = dict(cfg._omega)
+        side = {c: a.numerator for c, a in cfg._omega.items()}
         types = dict.fromkeys(cfg.node_by_id, 0)
         plain_ends = dict.fromkeys(graph.vertex_list, 0)
         cyclic = False
@@ -219,7 +225,7 @@ def omega_divisor(cfg: FiberConfiguration) -> RDivisor:
 def unstable_components(cfg: FiberConfiguration) -> list:
     """Components whose omega coefficient is not positive (the chain closed
     form assumes all are)."""
-    return [c for c, a in cfg._omega.items() if a <= 0]
+    return [c for c, a in cfg._omega.items() if a.numerator <= 0]
 
 
 def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
@@ -238,15 +244,22 @@ def fiber_e(cfg: FiberConfiguration) -> Fraction:
 def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
     """e_y for a chain of stable components, from the node types alone:
     each type-0 node contributes (g-1)/(3g) per unit length and each type-i
-    node 4i(g-i)/g - 1 per unit length."""
+    node 4i(g-i)/g - 1 per unit length.  The node lengths are summed per
+    type, in the fast rational type of `mg.linalg`, so e_y is one product
+    per node type, returned as a plain Fraction."""
     walk = cfg._walk
     if not walk.is_chain:
         raise NotAChain("fiber is not a chain of stable components")
     g = fiber_genus(cfg)
-    return sum(
-        (chain_e_coefficient(g, walk.types[n.id]) * n.length for n in cfg.nodes),
-        Fraction(0),
-    )
+    types, zero = walk.types, fast(0)
+    lengths = {}
+    for n in cfg.nodes:
+        t = types[n.id]
+        lengths[t] = lengths.get(t, zero) + n.length
+    e = zero
+    for t, length in lengths.items():
+        e += chain_e_coefficient(g, t) * length
+    return plain(e)
 
 
 @dataclass

@@ -52,6 +52,9 @@ _RATIONAL = re.compile(
 # A component genus: ASCII digits only, under the same digit cap.
 _GENUS = re.compile(rf"[0-9]{{1,{MAX_RATIONAL_DIGITS}}}")
 
+# The length of a node written without one, shared by every such node.
+_ONE = Fraction(1)
+
 
 def parse_rational(token: str) -> Fraction:
     """An integer or p/q, optionally negative, with at most
@@ -187,7 +190,7 @@ def parse_fiber_file(text: str) -> FiberConfiguration:
         elif kind == "node":
             if len(tokens) == 4:
                 name, a, b = tokens[1:]
-                length = Fraction(1)
+                length = _ONE
             elif len(tokens) == 6 and tokens[4] == "length":
                 name, a, b = tokens[1:4]
                 length = parse_rational(tokens[5])

@@ -91,7 +91,9 @@ class MetrizedGraph:
         for e in edges:
             if not isinstance(e, Edge):
                 eid, u, v, length = e
-                e = Edge(eid, u, v, Fraction(length))
+                if type(length) is not Fraction:
+                    length = Fraction(length)
+                e = Edge(eid, u, v, length)
             es.append(e)
         self.edges: tuple[Edge, ...] = tuple(es)
         self.edge_by_id: dict[EdgeId, Edge] = {}
@@ -228,7 +230,8 @@ class RDivisor:
         acc: dict[GraphPoint, Fraction] = {}
         for p, a in items:
             p = as_point(p)
-            a = Fraction(a)
+            if type(a) is not Fraction:
+                a = Fraction(a)
             old = acc.get(p)
             acc[p] = a if old is None else old + a
         self._coeffs = {p: a for p, a in acc.items() if a != 0}

@@ -63,6 +63,8 @@ from .graphs import GraphPoint, MetrizedGraph, RDivisor
 from .linalg import fast, plain
 from .resistance import _Potential, _potential, effective_resistance, resistance_kernel
 
+_ZERO = Fraction(0)  # the measure's default atom and density, built once
+
 
 @dataclass
 class AdmissibleMeasure:
@@ -77,16 +79,16 @@ class AdmissibleMeasure:
     densities: dict
 
     def total_mass(self) -> Fraction:
-        mass = sum(self.atoms.values(), Fraction(0))
+        mass = sum(self.atoms.values(), _ZERO)
         for e in self.graph.edges:
-            mass += self.densities.get(e.id, Fraction(0)) * e.length
+            mass += self.densities.get(e.id, _ZERO) * e.length
         return mass
 
     def density(self, edge_id) -> Fraction:
-        return self.densities.get(edge_id, Fraction(0))
+        return self.densities.get(edge_id, _ZERO)
 
     def atom(self, v) -> Fraction:
-        return self.atoms.get(v, Fraction(0))
+        return self.atoms.get(v, _ZERO)
 
 
 def canonical_measure(g: MetrizedGraph) -> AdmissibleMeasure:
@@ -103,17 +105,22 @@ def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
     rho_e from the graph's resistance kernel.  The values are computed on
     the fast rational type of `mg.linalg` and kept as plain Fractions.
     """
-    return _measure(g, d.relocate(g.check_point))
+    d = d.relocate(g.check_point)
+    return _measure(g, d, _degree(d))
 
 
-def _measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
+def _degree(d: RDivisor):
+    """deg D, summed in the fast type."""
+    return sum((a for _, a in d.items()), fast(0))
+
+
+def _measure(g: MetrizedGraph, d: RDivisor, deg) -> AdmissibleMeasure:
     """`admissible_measure` for a divisor already relocated onto g by
-    `check_point`."""
-    deg = d.degree()
+    `check_point`, of degree deg in the fast type."""
     if deg == -2:
         raise DegreeMinusTwo("divisor has degree -2")
     kernel = resistance_kernel(g)
-    scale = fast(deg) + 2
+    scale = deg + 2
     coeff = {p.vertex: fast(a) for p, a in d.items() if p.is_vertex}
     atoms = {
         v: plain((coeff.get(v, 0) + 2 - g.valence(v)) / scale) for v in g.vertex_list
@@ -129,7 +136,8 @@ def _measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
 class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
-    Construction relocates D onto the graph once, takes the graph's
+    Construction relocates D onto the graph once, sums deg D once in the
+    fast type for the measure and the system, takes the graph's
     resistance kernel and solves twice: x_mu = Gamma·m_mu and x_D =
     Gamma·m_D, the measure mu and the divisor D each spread over the
     vertices as `_potential` spreads them.  It checks that mu has mass 1
@@ -165,15 +173,16 @@ class GreenSystem:
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
         self.graph = graph
         d = self.divisor = divisor.relocate(graph.check_point)
-        mu = self.measure = _measure(graph, d)
-        self.degree = d.degree()
+        deg = _degree(d)
+        mu = self.measure = _measure(graph, d, deg)
+        self.degree = plain(deg)
         kernel = self._kernel = resistance_kernel(graph)
         x_mu, k, mass, mu_inside = _potential(kernel, mu.atoms, mu.densities)
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
         terms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
         x_d, s_d, _, d_inside = _potential(kernel, terms, {})
-        scale = fast(self.degree) + 2
+        scale = deg + 2
         # 2F = scale j - r_D, r_D = r(D, .) being s_d + deg(D) S - 2 x_D at
         # a vertex, so 2F is 2C + 2(S - scale x_mu + x_D) there, with
         # 2C = scale k - s_d its value at the ground vertex
@@ -185,7 +194,7 @@ class GreenSystem:
         # dot product over D's vertex points, and a point inside an edge
         # adds a_i (2 h(P_i) - k) instead of a term of the sum
         dot = fast(0)
-        j_d = s_d + self.degree * k
+        j_d = s_d + deg * k
         for p, a in d.items():
             if p.is_vertex:
                 dot += a * x_mu[kernel.index[p.vertex]]

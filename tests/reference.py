@@ -21,6 +21,10 @@ The next section holds the node classification the library used before it
 found every node type in one bridge-finding walk: `classify_node` rebuilds
 the configuration graph for each node and walks both sides of it, and
 `is_chain_of_stable_components` makes its own walk.  Both are kept verbatim.
+Beside them, `delta_vector` counts `classify_node`'s types, and
+`unstable_components` reads omega's coefficient 2 genus - 2 + branches of
+each component off the node list, counting branches itself, so neither
+reads the walk, the graph's valences or the omega a configuration keeps.
 
 The last section holds the command line's 12-digit decimal formatter as it
 was before it used the `decimal` module: an exponent search and one
@@ -615,6 +619,32 @@ def is_chain_of_stable_components(cfg: FiberConfiguration) -> bool:
         degree[e.u] += 1
         degree[e.v] += 1
     return all(d <= 2 for d in degree.values())
+
+
+def delta_vector(cfg: FiberConfiguration) -> list[int]:
+    """Counts of nodes by `classify_node` type, indexed 0..floor(g/2), g
+    being the component genera plus the first Betti number of a connected
+    configuration."""
+    genus = sum(c.genus for c in cfg.components)
+    genus += len(cfg.nodes) - len(cfg.components) + 1
+    counts = [0] * (genus // 2 + 1)
+    for n in cfg.nodes:
+        counts[classify_node(cfg, n.id).type] += 1
+    return counts
+
+
+def unstable_components(cfg: FiberConfiguration) -> list:
+    """Components, in order, whose omega coefficient 2 genus - 2 +
+    branches is not positive, a self-node giving its component two
+    branches."""
+    branches = {c.id: 0 for c in cfg.components}
+    for n in cfg.nodes:
+        branches[n.a] += 1
+        branches[n.b] += 1
+    return [
+        c.id for c in cfg.components
+        if Fraction(2 * c.genus - 2 + branches[c.id]) <= 0
+    ]
 
 
 # -- decimal formatting, by exponent search ----------------------------------

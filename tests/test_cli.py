@@ -462,7 +462,7 @@ class TestCertificate:
         "argv", [["green", "P", "m"], ["measure"], ["e-invariant"]], ids=lambda a: a[0]
     )
     def test_wrong_measure_exits_3(self, capsys, monkeypatch, argv):
-        def wrong(g, d):
+        def wrong(g, d, deg):
             return AdmissibleMeasure(g, {"P": Fraction(3, 4), "Q": Fraction(1, 4)}, {})
 
         monkeypatch.setattr(mg.green, "_measure", wrong)

@@ -4,7 +4,10 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference as ref
 from mg import cli, fibers, graphs, linalg
 from mg import (
     Disconnected,
@@ -13,6 +16,7 @@ from mg import (
     NodeNotFound,
     NonpositiveLength,
     NotAChain,
+    RDivisor,
     UnknownComponent,
     classify_node,
     configuration_graph,
@@ -21,11 +25,13 @@ from mg import (
     fiber_e_closed_form,
     fiber_genus,
     fiber_report,
+    green_system,
     is_chain_of_stable_components,
     omega_divisor,
     unstable_components,
 )
 from gen import frac, random_chain_config
+from mg.bounds import chain_e_coefficient
 from mg.fileformat import parse_fiber_file, serialize_fiber
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -411,3 +417,101 @@ class TestZeroOmega:
         records = json.loads(capsys.readouterr().out)
         omega = [r["exact"] for r in records if r["inputs"]["quantity"] == "omega"]
         assert omega == ["1", "1", "0"]  # A, B, R
+
+
+def per_node_closed_form(cfg: FiberConfiguration) -> Fraction:
+    """The chain closed form as one plain product per node: the sum over
+    nodes n of chain_e_coefficient(g, type(n)) * length(n), each type from
+    the reference classification."""
+    g = fiber_genus(cfg)
+    return sum(
+        (
+            chain_e_coefficient(g, ref.classify_node(cfg, n.id).type) * n.length
+            for n in cfg.nodes
+        ),
+        Fraction(0),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), regenus=st.booleans())
+def test_closed_form_and_counts_match_reference(seed, regenus):
+    """On chains with random rational lengths, the closed form summed per
+    node type equals the per-node sum, and the unstable components and the
+    delta vector equal the reference's.  With `regenus` the components get
+    genera 0..3, so unstable components and genus < 2 occur."""
+    rng = Random(seed)
+    cfg = random_chain_config(rng)
+    if regenus:
+        cfg = FiberConfiguration(
+            [(c.id, rng.randint(0, 3)) for c in cfg.components], cfg.nodes
+        )
+    assert unstable_components(cfg) == ref.unstable_components(cfg)
+    betti = len(cfg.nodes) - len(cfg.components) + 1
+    genus = sum(c.genus for c in cfg.components) + betti
+    if genus < 2:
+        with pytest.raises(GenusTooSmall):
+            delta_vector(cfg)
+        return
+    assert delta_vector(cfg) == ref.delta_vector(cfg)
+    assert fiber_e_closed_form(cfg) == per_node_closed_form(cfg)
+
+
+class TestPublicTypes:
+    """Fiber values a caller receives are plain Fractions: neither ints nor
+    the fast rational type of `mg.linalg`."""
+
+    def configs(self):
+        rng = Random(109)
+        return [
+            cfg_one_two(),
+            cfg_selfnode_genus2(),
+            FiberConfiguration([("A", 3)], []),
+            *(random_chain_config(rng) for _ in range(5)),
+        ]
+
+    def test_fiber_values(self):
+        for cfg in self.configs():
+            rep = fiber_report(cfg)
+            omega = omega_divisor(cfg)
+            values = [
+                *rep.omega.values(),
+                *(a for _, a in omega.items()),
+                omega.degree(),
+                rep.e,
+                rep.e_closed_form,
+                fiber_e_closed_form(cfg),
+            ]
+            assert values and all(type(x) is Fraction for x in values), values
+
+    def test_degrees(self):
+        cfg = cfg_one_two()
+        for d in (RDivisor(), RDivisor({"A": 1}), omega_divisor(cfg)):
+            assert type(d.degree()) is Fraction
+            assert type(green_system(configuration_graph(cfg), d).degree) is Fraction
+
+
+class TestTheta:
+    """The genus-2 theta fiber: two rational components joined by three
+    nodes.  It is not a chain, and its e_y lies above the chain bracket."""
+
+    def cfg(self):
+        return FiberConfiguration(
+            [("A", 0), ("B", 0)],
+            [("n1", "A", "B"), ("n2", "A", "B"), ("n3", "A", "B")],
+        )
+
+    def test_report(self):
+        rep = fiber_report(self.cfg())
+        assert rep.genus == 2
+        assert rep.delta == (3, 0)
+        assert rep.e == Fraction(5, 9)
+        assert not rep.is_chain
+        assert rep.e_closed_form is None
+        assert rep.warnings == ()
+
+    def test_chain_bracket_is_below_e(self):
+        cfg = self.cfg()
+        bracket = sum(chain_e_coefficient(2, 0) for _ in cfg.nodes)
+        assert bracket == Fraction(1, 2)
+        assert bracket < fiber_e(cfg)

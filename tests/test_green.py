@@ -231,7 +231,7 @@ class TestConstant:
         count its calls."""
         calls = []
 
-        def wrong(g, d):
+        def wrong(g, d, deg):
             calls.append((g, d))
             return bad
 
@@ -492,7 +492,7 @@ def test_certificate_rejects_every_perturbed_measure(seed, kind, delta):
     bad = perturbed(admissible_measure(g, d), kind, rng, delta, inside)
     assert bad.total_mass() == 1
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mg.green, "_measure", lambda g, d: bad)
+        patch.setattr(mg.green, "_measure", lambda g, d, deg: bad)
         with pytest.raises(ConstancyViolation) as caught:
             green_system(g, d)
     assert not str(caught.value).startswith("measure has total mass")
