@@ -5,9 +5,10 @@ Runs every item of every pool of `bench/workloads.py` once, at seed 1 (or
 the seed given), in this process, and prints per workload the mean per
 item of:
 
-* ops: exact operations, the calls of `mg.linalg`'s `_sum`, `_product`,
-  `_quotient` and `_submul` entered from outside those four, so a fused
-  multiply-subtract counts once;
+* ops: exact operations, the calls of `mg.linalg`'s `_sum`, `_product`
+  and `_submul` entered from outside those three, so a fused
+  multiply-subtract counts once and a division, which is a `_product`,
+  counts once;
 * fast, plain: conversions to and from the fast rational type, counted in
   every `mg` module that imports them;
 * bool: `Fraction.__bool__` calls, the zero tests on Fractions of either
@@ -38,7 +39,7 @@ import workloads  # noqa: E402
 
 from mg import linalg  # noqa: E402
 
-OPERATIONS = ("_sum", "_product", "_quotient", "_submul")
+OPERATIONS = ("_sum", "_product", "_submul")
 COUNTS = ("ops", "fast", "plain", "bool", "new")
 
 

@@ -52,7 +52,7 @@ def _combine(g: int, delta, coeff) -> Fraction:
 def chain_e_coefficient(g: int, i: int) -> Fraction:
     """The e_y of a chain fiber per unit length of a type-i node in genus g:
     (g-1)/(3g) for type 0 and 4i(g-i)/g - 1 otherwise."""
-    return Fraction(4 * i * (g - i), g) - 1 if i else Fraction(g - 1, 3 * g)
+    return Fraction(4 * i * (g - i) - g, g) if i else Fraction(g - 1, 3 * g)
 
 
 @dataclass

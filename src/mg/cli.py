@@ -33,19 +33,14 @@ from .resistance import effective_resistance
 _DECIMAL12 = Context(prec=12, rounding=ROUND_HALF_UP)
 
 
-def decimal12(x) -> str:
+def decimal12(x: Fraction) -> str:
     """Positional decimal with 12 significant digits, round half up."""
-    fr = Fraction(x)
-    if fr == 0:
+    if not x.numerator:
         return "0.00000000000"
-    d = _DECIMAL12.divide(Decimal(fr.numerator), Decimal(fr.denominator))
+    d = _DECIMAL12.divide(Decimal(x.numerator), Decimal(x.denominator))
     # pad to 12 digits: 1/4 divides to 0.25
     unit = Decimal(1).scaleb(d.adjusted() - 11)
     return format(d.quantize(unit, context=_DECIMAL12), "f")
-
-
-def exact_str(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 class Report:
@@ -73,7 +68,7 @@ class Report:
         )
 
     def value(self, name: str, value: Fraction, warnings=(), label=None, extra=None):
-        exact = exact_str(value)
+        exact = str(value)
         dec = decimal12(value)
         self._add(name, f"{label or name} = {exact} ({dec})", exact, dec, warnings, extra)
 
@@ -155,7 +150,7 @@ def _cmd_fiber_analyze(args) -> Report:
     rep.text("g", str(report.genus))
     rep.text("delta", ",".join(str(d) for d in report.delta))
     for comp in sorted(report.omega, key=str):
-        rep.text("omega", exact_str(report.omega[comp]), label=f"omega {comp}",
+        rep.text("omega", str(report.omega[comp]), label=f"omega {comp}",
                  extra={"component": str(comp)})
     rep.text("chain", "true" if report.is_chain else "false")
     rep.value("e_y", report.e, warnings=report.warnings)

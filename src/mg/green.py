@@ -39,11 +39,12 @@ x_D = Gamma·m_D, the measure and the divisor spread over the vertices
 r(D, .) is sum a_i S(P_i) + deg(D) S - 2 x_D, so the certificate and j_D
 are arithmetic on the two vectors and S, and no potential is formed to
 build a system: j_D at D's vertex points is one dot product with x_mu.
-Every edge's ends, length and rho_e come from the kernel's edge table, so
-the build converts no length and looks up no edge.  The reads' h and, once
-the vertices pass, the certificate's 2F are `_Potential`s, the type of S,
-built from their vertex values, coefficients and tents; h is built by the
-first read that needs it and kept on the system.  Building a Green system,
+Every edge's ends and length come from the kernel's edge table and its
+rho_e from S's coefficients, so the build converts no length and looks up
+no edge.  The reads' h and, once the vertices pass, the certificate's 2F
+are `_Potential`s, the type of S, built from their vertex values,
+coefficients and tents; h is built by the first read that needs it and
+kept on the system.  Building a Green system,
 which every e(G, D) pays for, runs on arrays indexed by vertex in the fast
 rational type of `mg.linalg`: the measure's atoms and densities, both
 vectors (the factorization solves in that type) and the certificate.
@@ -129,7 +130,7 @@ def _measure(g: MetrizedGraph, d: RDivisor, deg) -> AdmissibleMeasure:
         if not p.is_vertex:
             atoms[p] = plain(a / scale)
     weight = 2 / scale
-    densities = {e: plain(row[4] * weight) for e, row in kernel.edges.items()}
+    densities = {e: plain(rho * weight) for e, rho in kernel.ground.curv.items()}
     return AdmissibleMeasure(g, atoms, densities)
 
 
@@ -222,13 +223,13 @@ class GreenSystem:
         with 2C at every vertex, the coefficient 2 gamma_e = 2 rho_e -
         scale dens_e and the tents (s, 2 scale a) of mu's atoms a and
         (s, -2a) of D's inside edges: it is read at its tents' offsets edge
-        by edge, in the order of the kernel's edge table, the graph's, and
-        its coefficient is formed only on an edge that holds a tent.  Then
-        each edge's gamma_e = 0 is checked as scale dens_e == 2 rho_e, rho_e
-        read from the table, and gamma_e is formed only for a failure's
-        message.  All of it runs in the fast type of `mg.linalg`.
-        GraphPoints are built only for the tents' offsets and for a
-        failure's message, which states F.
+        by edge, in the graph's edge order, and its coefficient is formed
+        only on an edge that holds a tent.  Then each edge's gamma_e = 0 is
+        checked as scale dens_e == 2 rho_e, rho_e read from S's
+        coefficients, and gamma_e is formed only for a failure's message.
+        All of it runs in the fast type of `mg.linalg`.  GraphPoints are
+        built only for the tents' offsets and for a failure's message,
+        which states F.
         """
         kernel = self._kernel
         vertices = self.graph.vertex_list
@@ -244,24 +245,24 @@ class GreenSystem:
             z = scale * xm - xd
             if z != s:
                 raise differs(twice_c + 2 * (s - z), GraphPoint.at_vertex(v))
-        edges, density = kernel.edges, self.measure.density
+        rho, density = kernel.ground.curv, self.measure.density
         weight = 2 * scale
         inside = {e: [(s, weight * a) for s, a in atoms] for e, atoms in mu_inside.items()}
         for e, atoms in d_inside.items():
             inside.setdefault(e, []).extend((s, -2 * a) for s, a in atoms)
         # 2 gamma_e = 2 rho_e - scale dens_e, which 2F reads only inside an
         # edge that holds a tent
-        curv = {e: 2 * edges[e][4] - scale * density(e) for e in inside}
-        twice = _Potential(kernel.index, edges, [twice_c] * len(vertices), curv, inside)
-        for e in edges:
+        curv = {e: 2 * rho[e] - scale * density(e) for e in inside}
+        twice = _Potential(kernel.index, kernel.edges, [twice_c] * len(vertices), curv, inside)
+        for e in rho:
             for t in sorted({t for t, _ in inside.get(e, ())}):
                 y = GraphPoint.on_edge(e, t)
                 f = twice.read(y)[1]
                 if f != twice_c:
                     raise differs(f, y)
 
-        for e, (_, _, _, _, rho, _) in edges.items():
-            twice_rho, scaled = 2 * rho, scale * density(e)
+        for e, rho_e in rho.items():
+            twice_rho, scaled = 2 * rho_e, scale * density(e)
             if scaled != twice_rho:
                 raise ConstancyViolation(
                     f"g(D,y) + g(y,y) has t(l - t) coefficient "
@@ -277,13 +278,8 @@ class GreenSystem:
         that needs it."""
         kernel, k = self._kernel, self._k / 2
         half = fast(Fraction(-1, 2))
-        return _Potential(
-            kernel.index,
-            kernel.edges,
-            [k - x for x in self._x],
-            {e: half * self.measure.density(e) for e in kernel.edges},
-            self._inside,
-        )
+        curv = {e: half * self.measure.density(e) for e in kernel.edges}
+        return _Potential(kernel.index, kernel.edges, [k - x for x in self._x], curv, self._inside)
 
     def _j(self, y: GraphPoint):
         """j(y), in the fast type, for y in the normal form of

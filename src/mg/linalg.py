@@ -24,26 +24,22 @@ gcd steps of `fractions` (Henrici, J. ACM 3, 1956) to the parts directly
 and skip `fractions`' per-operation dispatch and normalising constructor,
 so each result has exactly the numerator and denominator Fraction would
 give, at a third to a half of the cost on small operands; on big operands
-the gcds dominate and the two cost the same.  Its `==` against the same
-operands compares the parts, where Fraction's would first test the
-`numbers.Rational` ABC.  Every multiply-subtract s - l*x of the
-factorization, the sweeps of `solve` and the recurrence is one `_submul`
-call: it reduces the product's parts and then the difference's exactly as
-`*` and `-` would, so it gives their parts, but builds one object and
-skips both operators' dispatch.  `fast` and `plain` convert between the
-two types, and `reciprocal` gives 1/x of a positive x in the fast type by
-swapping its parts, with no gcd.  The rest of the exact side uses them the
-same way: the resistance kernel's edge table, every potential
-(`mg.resistance`) and the reads on them, and in `mg.green` the admissible
-measure, the two solved vectors and the constancy certificate.  A plain
-Fraction is an operand as it is, since the subclass's reflected methods
-take precedence.  The
-factorization's one caller is the resistance kernel, so what it gives,
-the solutions and the entries of the inverse, stays in the fast type:
-the kernel computes potentials on the solutions and reads the entries on
-every resistance and Green value (`ResistanceKernel.pair`).  What a user
-of the package receives is always a plain Fraction: the build converts
-what it keeps public, and each read converts its result.
+the gcds dominate and the two cost the same.  There are two reductions,
+`_sum` and `_product`, and a division is a product: a/b is `_product` of
+a's parts and b's swapped, with b's sign moved to the numerator, which
+takes gcd(na, nb) and gcd(db, da), the steps of `Fraction._div`.  Its `==`
+against the same operands compares the parts, where Fraction's would
+first test the `numbers.Rational` ABC.  Every multiply-subtract s - l*x of
+the factorization, the sweeps of `solve` and the recurrence is one
+`_submul` call: it reduces the product's parts and then the difference's
+exactly as `*` and `-` would, so it gives their parts, but builds one
+object and skips both operators' dispatch.  `fast` and `plain` convert
+between the two types, and `reciprocal` gives 1/x of a positive x in the
+fast type by swapping its parts, with no gcd.  A plain Fraction is an
+operand as it is, since the subclass's reflected methods take precedence.
+What the factorization gives, the solutions and the entries of the
+inverse, stays in the fast type for its one caller, the resistance
+kernel; what a user of the package receives is always a plain Fraction.
 
 What is exact where:
 
@@ -68,8 +64,7 @@ What is exact where:
   m in s(b), which lie on b's own path: an explicit stack walks up it,
   computing only the entries not yet known (Erisman & Tinney, CACM 18,
   1975).  Every entry computed on the way is stored both ways and w is
-  kept per column, so an entry is computed at most once.  The walk reads
-  each pivot's position and step, which the elimination records.
+  kept per column, so an entry is computed at most once.
 
 Contract: `rows[i]` maps column j to a_ij, indices in range(len(rows));
 the matrix must be symmetric (else ValueError).  A zero pivot raises
@@ -98,16 +93,11 @@ _new = object.__new__
 class _Q(Fraction):
     """A Fraction whose arithmetic skips `fractions`' per-operation dispatch.
 
-    `+ - * /`, their reflected forms and unary minus, against an int or a
-    Fraction, read the parts directly, reduce them by the gcd steps of
-    `fractions` (Henrici, J. ACM 3, 1956) and build the result without
-    `Fraction.__new__`: every result is in lowest terms with a positive
-    denominator, so it has exactly the parts `Fraction` would give.  `==`
-    against an int or a Fraction compares the parts, and the hash is
-    Fraction's, so equal values hash alike.  Any other operand and every
-    other method (ordering, str, `**`) is Fraction's own; `**` returns a
-    plain Fraction.  Private to the exact side: every value it returns to
-    a caller is converted back with `plain`.
+    `+ - * /`, their reflected forms, unary minus and `==`, against an int
+    or a Fraction, work on the parts as the module docstring states, and
+    the hash is Fraction's, so equal values hash alike.  Any other operand
+    and every other method (ordering, str, `**`) is Fraction's own; `**`
+    returns a plain Fraction.
     """
 
     __slots__ = ()
@@ -152,18 +142,22 @@ class _Q(Fraction):
     def __truediv__(a, b):
         t = type(b)
         if (t is _Q or t is Fraction) and b._numerator:
-            return _quotient(a._numerator, a._denominator, b._numerator, b._denominator)
-        if t is int and b:
-            return _quotient(a._numerator, a._denominator, b, 1)
-        return Fraction.__truediv__(a, b)  # raises ZeroDivisionError on 0
+            n, d = b._numerator, b._denominator
+        elif t is int and b:
+            n, d = b, 1
+        else:
+            return Fraction.__truediv__(a, b)  # raises ZeroDivisionError on 0
+        if n < 0:
+            n, d = -n, -d
+        return _product(a._numerator, a._denominator, d, n)
 
-    def __rtruediv__(a, b):
+    def __rtruediv__(a, b):  # b / a for b an int or a plain Fraction
         t = type(b)
-        if a._numerator:
-            if t is _Q or t is Fraction:
-                return _quotient(b._numerator, b._denominator, a._numerator, a._denominator)
-            if t is int:
-                return _quotient(b, 1, a._numerator, a._denominator)
+        n, d = a._numerator, a._denominator
+        if n and (t is int or t is Fraction):
+            if n < 0:
+                n, d = -n, -d
+            return _product(b.numerator, b.denominator, d, n)
         return Fraction.__rtruediv__(a, b)  # raises ZeroDivisionError on 0
 
     def __neg__(a):
@@ -244,27 +238,6 @@ def _submul(s, a, b) -> _Q:
     return _sum(s._numerator, s._denominator, -na * nb, da * db)
 
 
-def _quotient(na: int, da: int, nb: int, db: int) -> _Q:
-    """(na/da) / (nb/db), both in lowest terms and nb != 0, reduced as
-    `Fraction._div` reduces it."""
-    g = gcd(na, nb)
-    if g > 1:
-        na //= g
-        nb //= g
-    g = gcd(db, da)
-    if g > 1:
-        da //= g
-        db //= g
-    x = _new(_Q)
-    if nb < 0:
-        x._numerator = -na * db
-        x._denominator = -nb * da
-    else:
-        x._numerator = na * db
-        x._denominator = nb * da
-    return x
-
-
 def fast(x) -> _Q:
     """An int or a Fraction as the same value in the fast type."""
     if type(x) is _Q:
@@ -313,19 +286,16 @@ class Factorization:
                 else:
                     adj[i][j] = x
 
-        # steps of the factorization: (pivot index, d_k, [(i, l_ik)]), with
-        # each pivot index's position among them and its step
+        # steps of the factorization: (pivot index, d_k, [(i, l_ik)]), and
+        # each index's position among them, -1 until it is eliminated
         self.steps = []
-        order = self._order = [0] * n
-        at = self._at = [None] * n
+        order = self._order = [-1] * n
         heap = [(len(a), i) for i, a in enumerate(adj)]
         heapq.heapify(heap)
-        done = [False] * n
         while heap:
             degree, k = heapq.heappop(heap)
-            if done[k] or degree != len(adj[k]):
+            if order[k] >= 0 or degree != len(adj[k]):
                 continue
-            done[k] = True
             d = diag[k]
             if not d._numerator:
                 raise ValueError("singular system")
@@ -342,8 +312,7 @@ class Factorization:
             for i, _ in nbrs:
                 heapq.heappush(heap, (len(adj[i]), i))
             order[k] = len(self.steps)
-            at[k] = step = (k, d, mults)
-            self.steps.append(step)
+            self.steps.append((k, d, mults))
 
         # the selected inverse: z[i][j] = (a^-1)_ij for i = j and every
         # (i, j) on the filled pattern, by Takahashi's recurrence over the
@@ -406,14 +375,14 @@ class Factorization:
         w = self._paths.get(c)
         if w is None:
             w = self._paths.setdefault(c, self._path(c))
-        zc = z[c]
+        zc, steps, order = z[c], self.steps, self._order
         stack = [b]
         while stack:
             m = stack[-1]
             if m in zc:
                 stack.pop()
                 continue
-            mults = self._at[m][2]
+            mults = steps[order[m]][2]
             missing = [k for k, _ in mults if k not in zc]
             if missing:
                 stack += missing
@@ -429,10 +398,10 @@ class Factorization:
         """w = D^-1 L^-1 e_c by its nonzero entries, which lie on c's path
         to its elimination-tree root: the parent of step k is the member of
         s(k) eliminated first."""
-        order, at = self._order, self._at
+        steps, order = self.steps, self._order
         w, y, k = {}, {c: _q(1, 1)}, c
         while k >= 0:
-            _, d, mults = at[k]
+            _, d, mults = steps[order[k]]
             yk = y.pop(k, _ZERO)
             if yk._numerator:
                 for i, l in mults:

@@ -32,12 +32,13 @@ Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
 X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
 f - 2X, and a Green value (`mg.green`) is `pair` on h = (j - S)/2.
 
-Each length is converted once.  The kernel keeps one edge table, per edge
-the indices of its ends, l and 1/l in the fast type (the reciprocal of a
-reduced positive length is its parts swapped, with no gcd), rho_e and
-rho_e l, and everything built from the edges reads it: the Laplacian, S's
-and every potential's rows, the measures and, in `mg.green`, the Green
-system and its certificate.  Gamma is never formed densely.  The kernel
+Each length is converted once, into the kernel's edge table
+`ResistanceKernel.edges`: {edge id: (i, j, l, 1/l, rho_e l)}, in the
+graph's edge order, i and j the indices of the ends and the rest in the
+fast type.  rho_e itself is kept once, as S's t(l - t) coefficient
+`ground.curv` {edge id: rho_e}, and read from there by edge id.  Only this
+module reads the table's rows: the kernel's build, every potential's rows
+and `_potential`'s spread of a density.  Gamma is never formed densely.  The kernel
 factors the Laplacian once (`mg.linalg`), and the factorization keeps its
 selected inverse, which holds Gamma exactly on the diagonal, on every pair
 of adjacent vertices and on the fill: so every r_e and density, and S,
@@ -106,7 +107,7 @@ class _Potential:
             return (i, i, 0), self.at_vertex[i]
         row = self._rows.get(x.edge)
         if row is None:
-            i, j, l, c, _, _ = self.edges[x.edge]
+            i, j, l, c, _ = self.edges[x.edge]
             pu = self.at_vertex[i]
             slope = (self.at_vertex[j] - pu) * c
             row = self._rows[x.edge] = (i, j, l, c, pu, slope, self.curv[x.edge])
@@ -119,17 +120,10 @@ class _Potential:
 
 
 class ResistanceKernel:
-    """Gamma of a connected graph, with its edge table and S = r(., v_0)
-    as the potential `ground`, whose coefficients are the densities.
-
-    `edges` is the table: {edge id: (i, j, l, 1/l, rho_e, rho_e l)}, in the
-    graph's edge order, i and j the indices of the ends in `index` and the
-    rest in the fast type.  The build converts each length once, fills
-    the grounded Laplacian from the table, a negation or a subtraction and
-    one symmetric store per pair of adjacent vertices and a diagonal sum
-    that starts from the first conductance, and completes each row with
-    rho_e l = 1 - r_e/l and rho_e once the factorization gives r_e.
-    `density` is rho_e as a plain Fraction, converted on first use.
+    """Gamma of a connected graph, with its edge table `edges` and
+    S = r(., v_0) as the potential `ground`, whose coefficients are the
+    densities (the module docstring gives both layouts).  `density` is
+    rho_e as a plain Fraction, converted on first use.
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  It is kept as the
@@ -151,11 +145,11 @@ class ResistanceKernel:
         # not the ground vertex, and -c to the pair of its ends, once for
         # both orders; a loop conducts nothing
         rows: list[dict[int, Fraction]] = [{} for _ in range(len(index) - 1)]
-        ends = []
+        edges = self.edges = {}
         for e in g.edges:
             i, j, l = index[e.u], index[e.v], fast(e.length)
             c = linalg.reciprocal(l)
-            ends.append((e.id, i, j, l, c))
+            edges[e.id] = (i, j, l, c)
             if i == j:
                 continue
             a, b = i - 1, j - 1
@@ -172,19 +166,18 @@ class ResistanceKernel:
         diagonal = [fast(0), *(factors.inverse_entry(i, i) for i in range(len(rows)))]
         # r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv, with Gamma_uv on the
         # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e = 1/l
-        # for a loop, whose r_e is 0
-        edges = self.edges = {}
-        for e, i, j, l, c in ends:
-            r = diagonal[i] + diagonal[j] - 2 * self._gamma(i, j)
-            rho_l = 1 - r * c
-            edges[e] = (i, j, l, c, rho_l * c, rho_l)
-        rho = {e: row[4] for e, row in edges.items()}
+        # for a loop, whose r_e is 0; rho_e is S's t(l - t) coefficient
+        rho = {}
+        for e, (i, j, l, c) in edges.items():
+            rho_l = 1 - (diagonal[i] + diagonal[j] - 2 * self._gamma(i, j)) * c
+            rho[e] = rho_l * c
+            edges[e] = (i, j, l, c, rho_l)
         self.ground = _Potential(index, edges, diagonal, rho, {})
 
     @cached_property
     def density(self) -> dict:
         """{edge id: canonical density rho_e}, as plain Fractions."""
-        return {e: plain(row[4]) for e, row in self.edges.items()}
+        return {e: plain(rho) for e, rho in self.ground.curv.items()}
 
     def _gamma(self, i: int, j: int) -> Fraction:
         """Gamma_ij in the fast type: 0 in the ground vertex's row and
@@ -265,7 +258,7 @@ def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
     cubic = fast(0)
     for e, rho in densities.items():
         if rho:
-            i, j, l, _, _, rho_l = edges[e]
+            i, j, l, _, rho_l = edges[e]
             half = rho * l / 2
             masses[i] += half
             masses[j] += half

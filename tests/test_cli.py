@@ -345,6 +345,16 @@ class TestBatch:
         assert "e = 1 (1.00000000000)" in out
         assert "NonpositiveLength" in out
 
+    def test_batch_skips_other_suffixes(self, capsys, tmp_path):
+        shutil.copy(GOLDEN / "segment.mg", tmp_path / "segment.mg")
+        shutil.copy(GOLDEN / "segment.mg", tmp_path / "segment.txt")
+        (tmp_path / "notes").write_text("not a graph\n")
+        code, out, err = run(capsys, "batch", tmp_path)
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("==")] == [
+            "== segment.mg =="
+        ]
+
     def test_batch_not_a_directory(self, capsys):
         code, out, err = run(capsys, "batch", GOLDEN / "segment.mg")
         assert code == 2

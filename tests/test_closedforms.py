@@ -205,8 +205,12 @@ class TestChain:
             chain_e([1], [1, 0])
         with pytest.raises(NonpositiveLength):
             chain_e([0], [1, 1])
-        with pytest.raises(NonpositiveCoefficient):
+        with pytest.raises(NonpositiveCoefficient, match="a_next = 0"):
             chain_recursion(0, 0, 1, 0, 1)
+        with pytest.raises(NonpositiveCoefficient, match="prefix sum = 0"):
+            chain_recursion(0, 0, 0, 1, 1)
+        with pytest.raises(NonpositiveLength, match="l_next = -1"):
+            chain_recursion(0, 0, 1, 1, -1)
         with pytest.raises(NonpositiveLength):
             chain_green_end([-1], [1, 1])
         with pytest.raises(NonpositiveCoefficient):

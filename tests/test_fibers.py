@@ -71,6 +71,24 @@ class TestGenus:
         with pytest.raises(UnknownComponent):
             FiberConfiguration([("A", 1)], [("n", "A", "Z")])
 
+    def test_negative_genus(self):
+        with pytest.raises(ValueError, match="component 'A' has negative genus"):
+            FiberConfiguration([("A", -1)])
+
+    def test_duplicate_component_ids(self):
+        with pytest.raises(ValueError, match="duplicate component ids"):
+            FiberConfiguration([("A", 1), ("A", 2)])
+
+    def test_duplicate_node_ids(self):
+        with pytest.raises(ValueError, match="duplicate node ids"):
+            FiberConfiguration([("A", 1), ("B", 1)], [("n", "A", "B"), ("n", "B", "A")])
+
+    def test_genus_of(self):
+        cfg = cfg_one_two()
+        assert (cfg.genus_of("A"), cfg.genus_of("B")) == (1, 2)
+        with pytest.raises(UnknownComponent):
+            cfg.genus_of("C")
+
     def test_zero_length_node(self):
         # the fiber rejects it by node, before its graph (which would name
         # an edge) is ever validated

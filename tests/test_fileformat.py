@@ -91,6 +91,29 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph_file(text)
 
+    @pytest.mark.parametrize("line", [
+        "edge e a b",  # too short
+        "edge e a b 1 2",  # too long
+        "edge e a b 1",  # the name of the first edge again
+        "edge a a b 1",  # a vertex's name
+        "point m on e 1/2",  # no `at`
+        "point m at e on 1/2",  # the words swapped
+        "point m on e at 1/3",  # the name of the first point again
+        "point e on e at 1/3",  # the edge's name
+        "divisor a",  # no coefficient
+        "divisor a 1 2",  # too long
+    ])
+    def test_malformed_or_duplicate_line(self, line):
+        text = "metrized_graph\nvertex a\nvertex b\nedge e a b 1\npoint m on e at 1/2\n"
+        with pytest.raises(ParseError) as info:
+            parse_graph_file(text + line + "\n")
+        assert info.value.line == 6
+
+    def test_point_on_unknown_edge(self):
+        text = "metrized_graph\nvertex a\nvertex b\nedge e a b 1\npoint m on f at 1/2\n"
+        with pytest.raises(UnknownVertex, match="line 5: unknown edge 'f'"):
+            parse_graph_file(text)
+
     def test_parse_error_carries_line(self):
         try:
             parse_graph_file("metrized_graph\nvertex a\nwhatnow a b\n")
@@ -129,6 +152,20 @@ class TestParseFiber:
         with pytest.raises(GenusTooSmall):
             parse_fiber_file((GOLDEN / "genus_small.fib").read_text())
 
+    @pytest.mark.parametrize("line", [
+        "component A genus 1",  # the first component's name again
+        "node n A",  # too short
+        "node n A B 1",  # a length without the word
+        "node n A B size 1",
+        "node n A B length 1 2",
+        "node m A B",  # the first node's name again
+    ])
+    def test_malformed_or_duplicate_line(self, line):
+        text = "fiber\ncomponent A genus 1\ncomponent B genus 1\nnode m A B\n"
+        with pytest.raises(ParseError) as info:
+            parse_fiber_file(text + line + "\n")
+        assert info.value.line == 5
+
     def test_bad_genus(self):
         with pytest.raises(ParseError):
             parse_fiber_file("fiber\ncomponent A genus x\n")
@@ -160,6 +197,18 @@ class TestRoundTrip:
         once = serialize_fiber(parse_fiber_file(text))
         twice = serialize_fiber(parse_fiber_file(once))
         assert once == twice
+
+    def test_node_length_round_trips(self):
+        """A node of length other than 1 is written with its length, and a
+        unit node without it."""
+        text = "fiber\ncomponent A genus 1\ncomponent B genus 1\nnode m A B length 2/3\nnode n A B\n"
+        cfg = parse_fiber_file(text)
+        out = serialize_fiber(cfg)
+        assert "node m A B length 2/3\n" in out
+        assert "node n A B\n" in out
+        cfg2 = parse_fiber_file(out)
+        assert cfg2.nodes == cfg.nodes
+        assert serialize_fiber(cfg2) == out
 
     def test_round_trip_preserves_content(self):
         text = (GOLDEN / "segment.mg").read_text()

@@ -50,6 +50,18 @@ class TestValidate:
         with pytest.raises(Disconnected):
             MetrizedGraph([]).validate()
 
+    def test_duplicate_edge_id(self):
+        with pytest.raises(ValueError, match="duplicate edge id 'e'"):
+            MetrizedGraph(["a", "b"], [("e", "a", "b", 1), ("e", "b", "a", 2)])
+
+    def test_empty_graph_is_not_connected(self):
+        assert not MetrizedGraph([]).is_connected()
+
+    def test_reprs(self):
+        assert repr(theta_graph()) == "MetrizedGraph(2 vertices, 3 edges)"
+        assert repr(RDivisor()) == "RDivisor(0)"
+        assert repr(RDivisor({"P": 2})) == f"RDivisor(2*{GraphPoint.at_vertex('P')!r})"
+
     def test_loop_and_parallel_edges_allowed(self):
         g = MetrizedGraph(
             ["a", "b"],
@@ -172,6 +184,25 @@ class TestSubdivide:
             subdivide_at(g, GraphPoint.on_edge("nope", Fraction(1, 2)))
         with pytest.raises(PointOffGraph):
             subdivide_at(g, GraphPoint.on_edge("e", Fraction(3, 2)))
+        with pytest.raises(PointOffGraph, match="vertex 'R' is not on the graph"):
+            g.check_point("R")
+
+    def test_new_ids_avoid_taken_ones(self):
+        """The cut vertex and the two halves get ids that no vertex or edge
+        of the graph has, even when the first choice of each is taken."""
+        t = Fraction(1, 3)
+        cut, left, right = ("cut", "e", t), ("split", "e", 0), ("split", "e", 1)
+        g = MetrizedGraph(
+            ["P", "Q", cut],
+            [("e", "P", "Q", 1), (left, "Q", cut, 2), (right, cut, "P", 3)],
+        )
+        p = GraphPoint.on_edge("e", t)
+        g2, w, rel = subdivide_at(g, p)
+        assert w == ("cut", cut, t)
+        assert [e.id for e in g2.edges] == [("split", left, 0), ("split", right, 1), left, right]
+        assert g2.total_length() == g.total_length()
+        assert rel(p) == GraphPoint.at_vertex(w)
+        assert effective_resistance(g2, "P", w) == effective_resistance(g, "P", p)
 
     def test_boundary_offset_normalizes_to_vertex(self):
         g = segment_graph(1)

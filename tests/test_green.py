@@ -141,6 +141,7 @@ class TestGreenValues:
         assert s.eval("Q", "Q") == Fraction(1, 3)
         assert s.eval("P", "Q") == Fraction(-2, 3)
         assert s.eval("Q", "P") == Fraction(-2, 3)
+        assert mg.green.green_eval(s, "P", "Q") == Fraction(-2, 3)
 
     def test_interior_pair_on_same_edge(self):
         # on the circle g depends only on arc distance

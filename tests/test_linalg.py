@@ -185,6 +185,15 @@ def test_one_unknown():
     assert factors._inverse == [{0: Fraction(3, 2)}]
 
 
+def test_zero_entries_are_skipped():
+    """A zero entry is no nonzero, so it needs no mirror and adds no
+    neighbour."""
+    factors = linalg.Factorization([{0: Fraction(2), 1: Fraction(0)}, {1: 3, 0: 0}])
+    assert [k for k, _, mults in factors.steps if not mults] == [0, 1]
+    assert factors.solve([1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+    assert factors.inverse_entry(0, 1) == 0
+
+
 def test_right_hand_side_length_mismatch():
     factors = linalg.Factorization(
         [{0: Fraction(2), 1: Fraction(-1)}, {0: Fraction(-1), 1: Fraction(2)}]

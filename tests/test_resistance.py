@@ -156,24 +156,27 @@ class TestDeletedEdge:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_edge_table_matches_reference(seed):
     """The kernel's edge table holds, per edge in the graph's order, the
-    indices of its ends, l, 1/l, rho_e = (l - r_e)/l^2 and rho_e l, the
-    last four in the fast type, with r_e the reference resistance between
-    the ends: a loop has rho_e = 1/l and a bridge 0."""
+    indices of its ends, l, 1/l and rho_e l, and S's coefficients
+    (`ground.curv`) are rho_e = (l - r_e)/l^2, all four values in the fast
+    type, with r_e the reference resistance between the ends: a loop has
+    rho_e = 1/l and a bridge 0."""
     rng = Random(seed)
     g = random_graph(rng)
     v = rng.choice(g.vertex_list)
     g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
     kernel = resistance.resistance_kernel(g)
     fast = type(linalg.fast(0))
-    assert list(kernel.edges) == [e.id for e in g.edges]
+    curv = kernel.ground.curv
+    assert list(kernel.edges) == list(curv) == [e.id for e in g.edges]
     for e in g.edges:
         l = e.length
         rho = (l - ref.effective_resistance(g, e.u, e.v)) / l**2
         row = kernel.edges[e.id]
-        assert row == (kernel.index[e.u], kernel.index[e.v], l, 1 / l, rho, rho * l)
-        assert [type(x) for x in row[2:]] == [fast] * 4
+        assert row == (kernel.index[e.u], kernel.index[e.v], l, 1 / l, rho * l)
+        assert curv[e.id] == rho
+        assert [type(x) for x in (*row[2:], curv[e.id])] == [fast] * 4
         assert kernel.density[e.id] == rho
-    assert kernel.edges["loop"][4] == 1 / g.edge_by_id["loop"].length
+    assert curv["loop"] == 1 / g.edge_by_id["loop"].length
 
 
 class TestOneFactorization:
