@@ -234,7 +234,10 @@ def serialize_graph(graph: MetrizedGraph, names=None, divisor=None) -> str:
     """Normal form: sorted vertices, edges, points and divisor terms.
 
     Vertices, edges and points share one namespace, and an id that cannot
-    be written as a name of its own raises ValueError (`_claim`).  The
+    be written as a name of its own raises ValueError (`_claim`), as does
+    a point of `names` that is neither a vertex nor strictly inside an
+    edge of the graph at an int or Fraction offset, which no `point` line
+    could declare.  The
     divisor is written in the normal form of `check_point`, a vertex by its
     own name, and an edge-interior point of it that `names` does not name
     gets a `point`
@@ -245,6 +248,13 @@ def serialize_graph(graph: MetrizedGraph, names=None, divisor=None) -> str:
     vertices = sorted(graph.vertex_list, key=str)
     edges = sorted(graph.edges, key=lambda e: str(e.id))
     points = {name: p for name, p in names.items() if not p.is_vertex}
+    for name, p in points.items():
+        e, t = graph.edge_by_id.get(p.edge), p.offset
+        if e is None or not isinstance(t, (int, Fraction)) or not 0 < t < e.length:
+            raise ValueError(
+                f"cannot write point {name!r}: {p!r} is not inside an edge of "
+                f"the graph at an int or Fraction offset"
+            )
     reverse = {p: name for name, p in points.items()}
     taken: set[str] = set()
     _claim(taken, vertices)

@@ -1,24 +1,26 @@
-"""Exact sparse symmetric factorization over the rationals.
+"""Exact sparse factorization of a grounded graph Laplacian over the
+rationals.
 
 The only numerics the exact side of the library ever needs: factor a
-symmetric matrix once, then solve against it and read its inverse where the
-factorization makes that cheap, entirely in exact rational arithmetic.  Its
-caller is the resistance kernel, whose matrix is the grounded Laplacian of a
-connected graph: symmetric positive definite, with one off-diagonal nonzero
-per pair of adjacent vertices.
+graph's Laplacian grounded at one vertex once, then solve against it and
+read its inverse Gamma where the factorization makes that cheap, entirely
+in exact rational arithmetic.  Its caller is the resistance kernel, which
+gives the graph's edges as conductances; for a connected graph the
+grounded Laplacian is symmetric positive definite, with one off-diagonal
+nonzero per pair of adjacent vertices.
 
-Method: the nonzeros are read into per-row dicts and eliminated with
-diagonal pivots in minimum-degree order (ties go to the lower index; a heap
-keyed by (degree, index) whose stale entries are skipped), an LDL^T
-factorization.  Each step records its pivot d_k and the multipliers
-l_ik = a_ik/d_k of its neighbours, and updates only the neighbours' rows:
-a_ij -= l_ik a_kj, which creates fill where two neighbours were not
-adjacent.  On a graph Laplacian this is Kron (star-mesh) reduction, and
+Method: the conductances are summed into the diagonal and per-vertex dicts
+of the pairs, and vertices are eliminated with diagonal pivots in
+minimum-degree order (ties go to the lower index; a heap keyed by
+(degree, index) whose stale entries are skipped), an LDL^T factorization.
+Each step records its pivot d_k and the multipliers l_ik = a_ik/d_k of
+its neighbours, and updates only the neighbours' rows: a_ij -= l_ik a_kj,
+which creates fill where two neighbours were not adjacent.  On a graph Laplacian this is Kron (star-mesh) reduction, and
 degree-1 and degree-2 vertices go first (series reduction), so trees and
 chains, loops and all, factor with no fill.
 
-The arithmetic runs on `_Q`, a private subclass of Fraction: each entry is
-converted once on the way in, and the steps, the sweeps and the recurrence
+The arithmetic runs on `_Q`, a private subclass of Fraction: the caller
+gives the conductances in it, and the steps, the sweeps and the recurrence
 below compute on it.  Its `+ - * /` against an int or a Fraction apply the
 gcd steps of `fractions` (Henrici, J. ACM 3, 1956) to the parts directly
 and skip `fractions`' per-operation dispatch and normalising constructor,
@@ -43,10 +45,11 @@ kernel; what a user of the package receives is always a plain Fraction.
 
 What is exact where:
 
-* `solve(b)` gives A^-1 b exactly, for any b of ints and Fractions, in
-  the fast type: b is converted to it, then a forward sweep over the
-  steps, a diagonal scale and a back sweep, each skipping zero entries,
-  which it tests on their numerators, with no call.
+* `solve(b)` gives Gamma b exactly, for any b of ints and Fractions over
+  all vertices, in the fast type: b is converted to it, but for the ground
+  vertex's entry, which Gamma's zero column never reads, then a forward
+  sweep over the steps, a diagonal scale and a back sweep, each skipping
+  zero entries, which it tests on their numerators, with no call.
 * A `Factorization` keeps the entries of A^-1 it knows, and `inverse_entry`
   reads any of them.  Its constructor takes the selected inverse: the
   entries on the diagonal and on the filled pattern (every nonzero of A,
@@ -66,12 +69,13 @@ What is exact where:
   1975).  Every entry computed on the way is stored both ways and w is
   kept per column, so an entry is computed at most once.
 
-Contract: `rows[i]` maps column j to a_ij, indices in range(len(rows));
-the matrix must be symmetric (else ValueError).  A zero pivot raises
-ValueError("singular system"); for a positive semidefinite matrix, such as
-the grounded Laplacian of a disconnected graph, that happens exactly when it
-is singular.  An indefinite matrix whose pivot in this order is zero is
-rejected the same way, even when it is nonsingular.
+Contract: `Factorization(n, conductances)` takes a graph on the vertices
+0..n-1, n >= 1, as one (i, j, c) per edge, c > 0 its conductance in the
+fast type.  A is its Laplacian with vertex 0's row and column removed, the
+ground: parallel edges add, a loop conducts nothing, and Gamma = A^-1 is
+extended by 0 in the ground's row and column.  Vertices 1..n-1 are
+eliminated; a zero pivot raises ValueError("singular system"), which
+happens exactly when the graph is disconnected.
 
 Cost, nnz(L) being the number of recorded multipliers: O(sum over steps of
 (neighbours)^2) rational operations each to factor and for the selected
@@ -264,40 +268,38 @@ def plain(x) -> Fraction:
 
 
 class Factorization:
-    """The LDL^T steps of a symmetric matrix given by its nonzero rows, and
-    the entries of its inverse known so far: the selected inverse, taken
-    when it is built, and every entry `inverse_entry` has computed since."""
+    """The LDL^T steps of the Laplacian of a graph on the vertices 0..n-1,
+    given as one (i, j, c) per edge of conductance c and grounded at vertex
+    0, and the entries of its inverse Gamma known so far: the selected
+    inverse, taken when it is built, and every entry `inverse_entry` has
+    computed since.  Gamma is 0 in the ground vertex's row and column."""
 
-    def __init__(self, rows: list[dict[int, Fraction]]):
-        n = self.n = len(rows)
-        diag = [fast(0)] * n
+    def __init__(self, n: int, conductances):
+        # c adds to the diagonal at both ends and -c to the pair, so
+        # parallel edges add and a loop conducts nothing; every sum starts
+        # from the int 0, so its first term takes the fast type's int path
+        self.n = n
+        diag = [0] * n
         adj: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        for i, row in enumerate(rows):
-            for j, x in row.items():
-                x = fast(x)
-                if not x._numerator:
-                    continue
-                if not 0 <= j < n:
-                    raise ValueError("matrix is not square")
-                if x != rows[j].get(i, 0):
-                    raise ValueError("matrix is not symmetric")
-                if i == j:
-                    diag[i] = x
-                else:
-                    adj[i][j] = x
+        for i, j, c in conductances:
+            if i != j:
+                diag[i] += c
+                diag[j] += c
+                if i and j:  # the ground vertex has no row or column
+                    adj[i][j] = adj[j][i] = adj[i].get(j, 0) - c
 
         # steps of the factorization: (pivot index, d_k, [(i, l_ik)]), and
         # each index's position among them, -1 until it is eliminated
         self.steps = []
         order = self._order = [-1] * n
-        heap = [(len(a), i) for i, a in enumerate(adj)]
+        heap = [(len(adj[i]), i) for i in range(1, n)]
         heapq.heapify(heap)
         while heap:
             degree, k = heapq.heappop(heap)
             if order[k] >= 0 or degree != len(adj[k]):
                 continue
             d = diag[k]
-            if not d._numerator:
+            if not d:  # the int 0 too, at a vertex with no edge
                 raise ValueError("singular system")
             nbrs = list(adj[k].items())
             mults = []
@@ -333,10 +335,11 @@ class Factorization:
         self._paths: dict[int, dict] = {}  # {c: w}, built by `inverse_entry`
 
     def solve(self, b: list[Fraction]) -> list[Fraction]:
-        """x with a·x = b, in the fast type."""
+        """x = Gamma·b over all n vertices, in the fast type: b[0] is not
+        read, and x[0] is 0."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
-        x = [fast(v) for v in b]
+        x = [_ZERO, *map(fast, b[1:])]
         for k, _, mults in self.steps:
             xk = x[k]
             if xk._numerator:
@@ -355,8 +358,9 @@ class Factorization:
         return x
 
     def inverse_entry(self, i: int, j: int) -> Fraction:
-        """(a^-1)_ij in the fast type, read from the entries known, which
-        keep every entry computed for it.
+        """Gamma_ij in the fast type, read from the entries known, which
+        keep every entry computed for it; the int 0 in the ground vertex's
+        row and column, which stores nothing.
 
         An entry not yet known is solved for inside one column c, the later
         eliminated of i and j, at row b, the other.  x = a^-1 e_c has
@@ -367,6 +371,8 @@ class Factorization:
         stores it both ways.  Every value is exact, so threads racing to
         store an entry or a path store equal ones.
         """
+        if not (i and j):
+            return 0
         z = self._inverse
         x = z[i].get(j)
         if x is not None:

@@ -38,23 +38,24 @@ graph's edge order, i and j the indices of the ends and the rest in the
 fast type.  rho_e itself is kept once, as S's t(l - t) coefficient
 `ground.curv` {edge id: rho_e}, and read from there by edge id.  Only this
 module reads the table's rows: the kernel's build, every potential's rows
-and `_potential`'s spread of a density.  Gamma is never formed densely.  The kernel
-factors the Laplacian once (`mg.linalg`), and the factorization keeps its
-selected inverse, which holds Gamma exactly on the diagonal, on every pair
-of adjacent vertices and on the fill: so every r_e and density, and S,
-whose value at a vertex v is Gamma_vv, in O(nnz(L)) on a graph that
-factors with no fill.  A potential of a measure (`_potential`) needs only
-that diagonal, the table and one solve, Gamma·m.  Gamma at any other pair, as X
-between arbitrary points may ask for, is read from the same factorization,
-which computes an entry its selected inverse lacks by Takahashi's
-recurrence along one elimination-tree path, with no solve, and keeps it
-and every entry computed on the way (`linalg.Factorization.inverse_entry`).
-A read is otherwise O(1) arithmetic.  The kernel is built on first use and
-kept on the (immutable) graph, which it validates once.  The
-factorization's entries and solutions are in the fast rational type of
-`mg.linalg`, as is the table, and every potential, S included, computes on
-it, reads too: weights and the tent.  What a caller receives is plain: the
-densities, `entry` and every resistance.
+and `_potential`'s spread of a density.  Gamma is never formed densely.
+The kernel factors the Laplacian once, from the table's conductances
+(`mg.linalg`), and the factorization keeps its selected inverse, which
+holds Gamma exactly on the diagonal, on every pair of adjacent vertices
+and on the fill: so every r_e and density, and S, whose value at a vertex
+v is Gamma_vv, in O(nnz(L)) on a graph that factors with no fill.  A
+potential of a measure (`_potential`) needs only that diagonal, the table
+and one solve, Gamma·m.  Gamma at any other pair, as X between arbitrary
+points may ask for, is read from the same factorization, which computes
+an entry its selected inverse lacks by Takahashi's recurrence along one
+elimination-tree path, with no solve, and keeps it and every entry
+computed on the way (`linalg.Factorization.inverse_entry`).  A read is
+otherwise O(1) arithmetic.  The kernel is built on first use and kept on
+the (immutable) graph, which it validates once.  The factorization's
+entries and solutions are in the fast rational type of `mg.linalg`, as is
+the table, and every potential, S included, computes on it, reads too:
+weights and the tent.  What a caller receives is plain: the densities,
+`entry` and every resistance.
 """
 
 from __future__ import annotations
@@ -126,10 +127,13 @@ class ResistanceKernel:
     rho_e as a plain Fraction, converted on first use.
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
-    (index 0), with Gamma = 0 in its row and column.  It is kept as the
-    factorization, which holds Gamma's entries in the fast type: its
-    selected inverse, on the diagonal and every pair of adjacent vertices,
-    plus the fill, and every entry read off that pattern so far.  A
+    (index 0), with Gamma = 0 in its row and column.  The kernel gives the
+    factorization (`mg.linalg`) each edge's (i, j, 1/l) from its table,
+    and the factorization owns the ground: it sums the Laplacian, answers
+    0 in the ground's row and column, and holds Gamma's other entries in
+    the fast type: its selected inverse, on the diagonal and every pair of
+    adjacent vertices, plus the fill, and every entry read off that
+    pattern so far.  `pair` and `entry` read Gamma from it directly.  A
     measure's potential solves against it (`_potential`).  Every read is
     `pair` on a potential, and `pair` alone adds the tent of two points
     inside one edge.  The kernel holds its table but not the graph,
@@ -140,36 +144,22 @@ class ResistanceKernel:
     def __init__(self, g: MetrizedGraph):
         g.validate()
         index = self.index = {v: i for i, v in enumerate(g.vertex_list)}
-        # vertex i > 0 is row i - 1 of the grounded Laplacian: an edge of
-        # conductance c = 1/l adds c to the diagonal at each end that is
-        # not the ground vertex, and -c to the pair of its ends, once for
-        # both orders; a loop conducts nothing
-        rows: list[dict[int, Fraction]] = [{} for _ in range(len(index) - 1)]
         edges = self.edges = {}
         for e in g.edges:
             i, j, l = index[e.u], index[e.v], fast(e.length)
-            c = linalg.reciprocal(l)
-            edges[e.id] = (i, j, l, c)
-            if i == j:
-                continue
-            a, b = i - 1, j - 1
-            for k in (a, b):
-                if k >= 0:
-                    x = rows[k].get(k)
-                    rows[k][k] = c if x is None else x + c
-            if a >= 0 and b >= 0:
-                x = rows[a].get(b)
-                rows[a][b] = rows[b][a] = -c if x is None else x - c
-        factors = self._factors = linalg.Factorization(rows)
+            edges[e.id] = (i, j, l, linalg.reciprocal(l))
+        factors = self._factors = linalg.Factorization(
+            len(index), [(i, j, c) for i, j, _, c in edges.values()]
+        )
         # S = r(., v_0) is Gamma_vv at a vertex v, on the selected inverse's
-        # diagonal, whose row i - 1 is vertex i's
-        diagonal = [fast(0), *(factors.inverse_entry(i, i) for i in range(len(rows)))]
+        # diagonal
+        diagonal = [factors.inverse_entry(i, i) for i in range(len(index))]
         # r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv, with Gamma_uv on the
         # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e = 1/l
         # for a loop, whose r_e is 0; rho_e is S's t(l - t) coefficient
         rho = {}
         for e, (i, j, l, c) in edges.items():
-            rho_l = 1 - (diagonal[i] + diagonal[j] - 2 * self._gamma(i, j)) * c
+            rho_l = 1 - (diagonal[i] + diagonal[j] - 2 * factors.inverse_entry(i, j)) * c
             rho[e] = rho_l * c
             edges[e] = (i, j, l, c, rho_l)
         self.ground = _Potential(index, edges, diagonal, rho, {})
@@ -179,18 +169,9 @@ class ResistanceKernel:
         """{edge id: canonical density rho_e}, as plain Fractions."""
         return {e: plain(rho) for e, rho in self.ground.curv.items()}
 
-    def _gamma(self, i: int, j: int) -> Fraction:
-        """Gamma_ij in the fast type: 0 in the ground vertex's row and
-        column, else read from the factorization, which computes and keeps
-        an entry its selected inverse lacks
-        (`linalg.Factorization.inverse_entry`)."""
-        if not i or not j:
-            return 0
-        return self._factors.inverse_entry(i - 1, j - 1)
-
     def entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij as a plain Fraction."""
-        return plain(self._gamma(i, j))
+        return plain(self._factors.inverse_entry(i, j))
 
     def pair(self, f: _Potential, x: GraphPoint, y: GraphPoint) -> tuple:
         """f(x) + f(y) and X(x, y), for a potential f and points in the
@@ -203,7 +184,7 @@ class ResistanceKernel:
         points of one edge or loop included."""
         (i, j, a), fx = f.read(x)
         (k, m, b), fy = f.read(y)
-        gamma = self._gamma
+        gamma = self._factors.inverse_entry
         z = gamma(i, k)
         if b:
             z += b * (gamma(i, m) - z)
@@ -277,8 +258,7 @@ def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
         mass += a
         k += a * s
         inside.setdefault(p.edge, []).append((p.offset, a))
-    # Gamma is 0 in the ground vertex's row; its other rows are the solve
-    return [fast(0), *kernel._factors.solve(masses[1:])], k, mass, inside
+    return kernel._factors.solve(masses), k, mass, inside
 
 
 def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:

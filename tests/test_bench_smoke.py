@@ -12,8 +12,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 import workloads  # noqa: E402
 
-from mg import linalg  # noqa: E402
-
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_items_pass(name, tmp_path):
@@ -35,32 +33,13 @@ SOLVE_COUNTS = {
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_COUNTS))
-def test_workload_solve_counts(name, tmp_path, monkeypatch):
+def test_workload_solve_counts(name, tmp_path, factor_calls):
     """One pass at seed 1 makes the same exact solves as ever: each graph
     is factored once and each Green system solves twice.  An off-pattern
     read solves nothing: it builds the path vector of its column once per
     column, and no read builds one on the other three workloads."""
     wl = workloads.WORKLOADS[name](1, tmp_path)
-    counts = [0, 0, 0]
-    real_init = linalg.Factorization.__init__
-    real_solve = linalg.Factorization.solve
-    real_path = linalg.Factorization._path
-
-    def init(self, rows):
-        counts[0] += 1
-        real_init(self, rows)
-
-    def solve(self, b):
-        counts[1] += 1
-        return real_solve(self, b)
-
-    def path(self, c):
-        counts[2] += 1
-        return real_path(self, c)
-
-    monkeypatch.setattr(linalg.Factorization, "__init__", init)
-    monkeypatch.setattr(linalg.Factorization, "solve", solve)
-    monkeypatch.setattr(linalg.Factorization, "_path", path)
     for item in wl.items:
         wl.run(item)
-    assert tuple(counts) == SOLVE_COUNTS[name]
+    counts = factor_calls["factor"], factor_calls["solve"], factor_calls["path"]
+    assert counts == SOLVE_COUNTS[name]

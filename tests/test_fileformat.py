@@ -280,6 +280,19 @@ class TestUnwritableIds:
         with pytest.raises(ValueError, match="whitespace or '#'"):
             serialize_graph(g)
 
+    @pytest.mark.parametrize(
+        "edge, offset",
+        [("e", 0), ("e", 1), ("e", 2), ("e", -1), ("x", Fraction(1, 2)), ("e", 0.5)],
+    )
+    def test_named_point_not_inside_an_edge(self, edge, offset):
+        """A named point at an end of its edge, beyond it, on an edge the
+        graph lacks, or at a float offset could not be declared by a
+        `point` line."""
+        g = MetrizedGraph(["P", "Q"], [("e", "P", "Q", 1)])
+        names = {"m": GraphPoint(edge=edge, offset=offset)}
+        with pytest.raises(ValueError, match="cannot write point 'm'"):
+            serialize_graph(g, names)
+
     def test_component_and_node_may_share_a_name(self):
         """Components and nodes are two namespaces, as the parser reads."""
         cfg = FiberConfiguration([("A", 1), ("B", 1)], [("A", "A", "B")])

@@ -1,7 +1,12 @@
 """The sparse LDL^T factorization of `mg.linalg` against the dense Gaussian
 elimination kept in reference.py: solutions, the selected inverse and the
-pivot order must be equal.  The fast rational type the build loops compute
-on must give exactly what `Fraction` gives, and must never reach a caller."""
+pivot order must be equal.  The factorization takes a graph's conductances
+and grounds vertex 0, so each graph is given with a randomly chosen vertex
+moved to the front, and the reference eliminates its Laplacian with that
+row and column removed.  Parallel edges add, loops conduct nothing, and
+Gamma is 0 in the ground vertex's row and column.  The fast rational type
+the build loops compute on must give exactly what `Fraction` gives, and
+must never reach a caller."""
 
 import operator
 from fractions import Fraction
@@ -56,15 +61,11 @@ def family_graph(rng: Random, family: str) -> MetrizedGraph:
     return MetrizedGraph(vs, edges)
 
 
-def grounded_laplacian(g: MetrizedGraph, ground: int) -> list[list[Fraction]]:
-    lap = ref._laplacian(g, {v: i for i, v in enumerate(g.vertex_list)})
-    rows = lap[:ground] + lap[ground + 1 :]
-    return [row[:ground] + row[ground + 1 :] for row in rows]
-
-
-def sparse(a: list[list[Fraction]]) -> list[dict[int, Fraction]]:
-    """The nonzero rows of a dense matrix."""
-    return [{j: x for j, x in enumerate(row) if x} for row in a]
+def conductances(g: MetrizedGraph) -> list[tuple]:
+    """One (i, j, 1/l) per edge, indexed in `vertex_list` order and in the
+    fast type, as the resistance kernel passes them."""
+    index = {v: i for i, v in enumerate(g.vertex_list)}
+    return [(index[e.u], index[e.v], linalg.reciprocal(e.length)) for e in g.edges]
 
 
 def unit(n: int, j: int) -> list[Fraction]:
@@ -80,46 +81,55 @@ def rhs(rng: Random, n: int) -> list[Fraction]:
 
 
 def family_system(seed: int, family: str):
+    """A graph of the family with a randomly chosen vertex moved to the
+    front as the ground: the rng, its vertex count, its conductances and
+    the dense Laplacian grounded there, whose row i - 1 is vertex i's."""
     rng = Random(seed)
     g = family_graph(rng, family)
-    return rng, grounded_laplacian(g, rng.randrange(len(g.vertex_list)))
+    vs = list(g.vertex_list)
+    vs.insert(0, vs.pop(rng.randrange(len(vs))))
+    g = MetrizedGraph(vs, [(e.id, e.u, e.v, e.length) for e in g.edges])
+    lap = ref._laplacian(g, {v: i for i, v in enumerate(vs)})
+    return rng, len(vs), conductances(g), [row[1:] for row in lap[1:]]
+
+
+def dense_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gamma over all n = len(a) + 1 vertices, from the dense inverse of
+    the grounded Laplacian a, with 0 in the ground vertex's row and column."""
+    columns = ref.solve_columns(a, [unit(len(a), j) for j in range(len(a))])
+    return [[Fraction(0)] * (len(a) + 1)] + [[Fraction(0), *col] for col in columns]
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
 def test_matches_dense_reference(seed, family):
-    rng, a = family_system(seed, family)
-    rows = sparse(a)
-    rows_copy = [dict(r) for r in rows]
-    factors = linalg.Factorization(rows)
+    rng, n, cs, a = family_system(seed, family)
+    factors = linalg.Factorization(n, cs)
     for _ in range(rng.randint(1, 4)):
-        b = rhs(rng, len(a))
+        b = rhs(rng, n)
         b_copy = list(b)
         x = factors.solve(b)
-        assert x == ref.solve_columns(a, [b])[0]
+        assert x == [0, *ref.solve_columns(a, [b[1:]])[0]]
         assert all(type(xi) is FAST for xi in x)
         assert b == b_copy
-    assert rows == rows_copy
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
 def test_selected_inverse_matches_dense_inverse(seed, family):
-    rng, a = family_system(seed, family)
-    n = len(a)
-    dense = ref.solve_columns(a, [unit(n, j) for j in range(n)])  # columns
-    factors = linalg.Factorization(sparse(a))
+    rng, n, cs, a = family_system(seed, family)
+    dense = dense_inverse(a)  # columns
+    factors = linalg.Factorization(n, cs)
     z = factors._inverse  # the selected inverse, before any other entry is read
-    assert len(z) == n
-    for i in range(n):
+    assert len(z) == n and z[0] == {}
+    for i in range(1, n):
         # the pattern holds the diagonal and every nonzero of a
-        assert {i} | {j for j, x in enumerate(a[i]) if x} <= z[i].keys()
+        assert {i} | {j + 1 for j, x in enumerate(a[i - 1]) if x} <= z[i].keys()
         for j, x in z[i].items():
             assert x == dense[j][i]
             assert z[j][i] == x
-    if n:
-        j = rng.randrange(n)
-        assert factors.solve(unit(n, j)) == dense[j]
+    j = rng.randrange(n)
+    assert factors.solve(unit(n, j)) == dense[j]
 
 
 @settings(max_examples=150, deadline=None)
@@ -127,24 +137,26 @@ def test_selected_inverse_matches_dense_inverse(seed, family):
 def test_every_inverse_entry_matches_dense_inverse(seed, family):
     """Every entry, read in a seeded shuffled order, off the pattern or on
     it, equals the dense inverse's and is then stored both ways, so that
-    each entry computed on the way serves the later reads."""
-    rng, a = family_system(seed, family)
-    n = len(a)
-    dense = ref.solve_columns(a, [unit(n, j) for j in range(n)])  # columns
-    factors = linalg.Factorization(sparse(a))
+    each entry computed on the way serves the later reads; the ground
+    vertex's row and column are 0 and stored nowhere."""
+    rng, n, cs, a = family_system(seed, family)
+    dense = dense_inverse(a)  # columns
+    factors = linalg.Factorization(n, cs)
     z = factors._inverse
     pairs = [(i, j) for i in range(n) for j in range(n)]
     rng.shuffle(pairs)
     for i, j in pairs:
         assert factors.inverse_entry(i, j) == dense[j][i]
-        assert z[i][j] == z[j][i] == dense[j][i]
-    for i in range(n):
-        assert z[i].keys() == set(range(n))
+        if i and j:
+            assert z[i][j] == z[j][i] == dense[j][i]
+    assert z[0] == {}
+    for i in range(1, n):
+        assert z[i].keys() == set(range(1, n))
         for j, x in z[i].items():
             assert type(x) is FAST and z[j][i] == x
 
 
-def test_inverse_entry_on_a_long_path(monkeypatch):
+def test_inverse_entry_on_a_long_path(factor_calls):
     """On a 3000-vertex unit path the elimination tree is one chain of
     height 2998.  A read far off the pattern solves nothing, walks the
     chain with its explicit stack, so no recursion limit is reached, and
@@ -152,76 +164,95 @@ def test_inverse_entry_on_a_long_path(monkeypatch):
     n = 3000
     g = path_graph([1] * (n - 1), prefix="v")
     z = resistance.resistance_kernel(g)._factors._inverse
-    solves = []
-    real_solve = linalg.Factorization.solve
-    monkeypatch.setattr(
-        linalg.Factorization, "solve", lambda self, b: solves.append(b) or real_solve(self, b)
-    )
     for p, q, r in (("v1", "v2999", 2998), ("v1500", "v17", 1483)):
         stored = sum(map(len, z))
         assert effective_resistance(g, p, q) == r
         assert 0 < sum(map(len, z)) - stored <= 2 * n
-    assert solves == []
+    assert factor_calls["solve"] == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
 def test_pivot_order_matches_scan(seed, family):
-    _, a = family_system(seed, family)
-    factors = linalg.Factorization(sparse(a))
-    assert [k for k, _, _ in factors.steps] == ref.pivot_order(a)
+    _, n, cs, a = family_system(seed, family)
+    factors = linalg.Factorization(n, cs)
+    assert [k for k, _, _ in factors.steps] == [k + 1 for k in ref.pivot_order(a)]
+
+
+def q(*parts):
+    return linalg.fast(Fraction(*parts))
+
+
+def state(factors):
+    """What a factorization keeps: its steps, its pivot positions and the
+    entries of Gamma it knows."""
+    return factors.steps, factors._order, factors._inverse
+
+
+def test_parallel_conductances_add():
+    """Two edges between one pair conduct as one edge of their sum, also
+    at the ground vertex."""
+    split = [(0, 1, q(1)), (1, 2, q(1, 2)), (2, 1, q(1, 3)), (1, 0, q(2))]
+    whole = [(0, 1, q(3)), (1, 2, q(5, 6))]
+    assert state(linalg.Factorization(3, split)) == state(linalg.Factorization(3, whole))
+
+
+def test_loop_changes_nothing():
+    path = [(0, 1, q(1)), (1, 2, q(1, 2))]
+    looped = [(2, 2, q(7)), *path, (0, 0, q(3)), (1, 1, q(1, 5))]
+    assert state(linalg.Factorization(3, looped)) == state(linalg.Factorization(3, path))
+
+
+def test_solve_ignores_the_ground_entry():
+    factors = linalg.Factorization(3, [(0, 1, q(1)), (1, 2, q(1, 2))])
+    x = factors.solve([Fraction(5), 1, Fraction(-1, 3)])
+    assert x == factors.solve([0, 1, Fraction(-1, 3)]) == [0, Fraction(2, 3), Fraction(0)]
+    assert type(x[0]) is FAST
+
+
+def test_ground_row_and_column_are_zero():
+    """Gamma_0j = Gamma_i0 = 0, read without storing anything."""
+    factors = linalg.Factorization(3, [(0, 1, q(1)), (1, 2, q(1, 2)), (0, 2, q(2))])
+    stored = [dict(row) for row in factors._inverse]
+    assert [factors.inverse_entry(0, j) for j in range(3)] == [0, 0, 0]
+    assert [factors.inverse_entry(i, 0) for i in range(3)] == [0, 0, 0]
+    assert factors._inverse == stored and factors._paths == {}
 
 
 def test_empty_system():
-    factors = linalg.Factorization([])
-    assert factors.solve([]) == []
-    assert factors._inverse == []
+    """A one-vertex graph, loops or not, grounds its only vertex: nothing
+    is eliminated, and Gamma is the 1 x 1 zero."""
+    for edges in ([], [(0, 0, q(2))]):
+        factors = linalg.Factorization(1, edges)
+        assert factors.steps == [] and factors._inverse == [{}]
+        assert factors.solve([Fraction(7)]) == [0]
+        assert factors.inverse_entry(0, 0) == 0
 
 
 def test_one_unknown():
-    factors = linalg.Factorization([{0: Fraction(2, 3)}])
-    assert factors.solve([Fraction(1)]) == [Fraction(3, 2)]
-    assert factors.solve([Fraction(-5, 7)]) == [Fraction(-15, 14)]
-    assert factors._inverse == [{0: Fraction(3, 2)}]
-
-
-def test_zero_entries_are_skipped():
-    """A zero entry is no nonzero, so it needs no mirror and adds no
-    neighbour."""
-    factors = linalg.Factorization([{0: Fraction(2), 1: Fraction(0)}, {1: 3, 0: 0}])
-    assert [k for k, _, mults in factors.steps if not mults] == [0, 1]
-    assert factors.solve([1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
-    assert factors.inverse_entry(0, 1) == 0
+    factors = linalg.Factorization(2, [(0, 1, q(2, 3))])
+    assert factors.solve([0, Fraction(1)]) == [0, Fraction(3, 2)]
+    assert factors.solve([Fraction(9), Fraction(-5, 7)]) == [0, Fraction(-15, 14)]
+    assert factors._inverse == [{}, {1: Fraction(3, 2)}]
 
 
 def test_right_hand_side_length_mismatch():
-    factors = linalg.Factorization(
-        [{0: Fraction(2), 1: Fraction(-1)}, {0: Fraction(-1), 1: Fraction(2)}]
-    )
-    with pytest.raises(ValueError, match="length mismatch"):
-        factors.solve([Fraction(1)])
+    factors = linalg.Factorization(3, [(0, 1, q(1)), (1, 2, q(1))])
+    for b in ([Fraction(1)] * 2, [Fraction(1)] * 4):
+        with pytest.raises(ValueError, match="length mismatch"):
+            factors.solve(b)
 
 
 def test_disconnected_graph_is_singular():
+    """A component away from the ground vertex, a vertex with no edge and
+    one with only a loop all leave a zero pivot."""
     g = MetrizedGraph(
         ["a", "b", "c", "d"],
         [("e0", "a", "b", Fraction(1)), ("e1", "c", "d", Fraction(1, 2))],
     )
-    with pytest.raises(ValueError, match="singular system"):
-        linalg.Factorization(sparse(grounded_laplacian(g, 0)))
-
-
-def test_non_symmetric_matrix():
-    """An off-diagonal entry with no mirror is rejected whatever its value:
-    1 too, the value a wrong default for the missing mirror would match."""
-    for x in (Fraction(-1), 1):
-        with pytest.raises(ValueError, match="not symmetric"):
-            linalg.Factorization([{0: Fraction(2), 1: x}, {1: Fraction(2)}])
-
-
-def test_index_out_of_range():
-    with pytest.raises(ValueError, match="not square"):
-        linalg.Factorization([{0: Fraction(2), 1: Fraction(-1)}])
+    for n, cs in ((4, conductances(g)), (2, []), (3, [(0, 1, q(1)), (2, 2, q(1))])):
+        with pytest.raises(ValueError, match="singular system"):
+            linalg.Factorization(n, cs)
 
 
 # -- the fast type -------------------------------------------------------------

@@ -188,36 +188,19 @@ class TestOneFactorization:
     vector once, and keeps what it computed."""
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        counter = {"factor": 0, "solve": 0, "path": 0, "h": 0}
-        real_init = linalg.Factorization.__init__
-        real_solve = linalg.Factorization.solve
-        real_path = linalg.Factorization._path
+    def calls(self, factor_calls, monkeypatch):
+        """`factor_calls`, plus the builds of a Green system's h."""
+        factor_calls["h"] = 0
         real_h = green.GreenSystem._h.func
 
-        def init(self, rows):
-            counter["factor"] += 1
-            real_init(self, rows)
-
-        def solve(self, b):
-            counter["solve"] += 1
-            return real_solve(self, b)
-
-        def path(self, c):
-            counter["path"] += 1
-            return real_path(self, c)
-
         def h(self):
-            counter["h"] += 1
+            factor_calls["h"] += 1
             return real_h(self)
 
-        monkeypatch.setattr(linalg.Factorization, "__init__", init)
-        monkeypatch.setattr(linalg.Factorization, "solve", solve)
-        monkeypatch.setattr(linalg.Factorization, "_path", path)
         counted_h = functools.cached_property(h)
         counted_h.__set_name__(green.GreenSystem, "_h")
         monkeypatch.setattr(green.GreenSystem, "_h", counted_h)
-        return counter
+        return factor_calls
 
     def test_e_invariant(self, calls):
         g = MetrizedGraph(
