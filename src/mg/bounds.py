@@ -9,9 +9,9 @@ display only.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (
     BadDelta,
     GenusTooLarge,
@@ -55,30 +55,30 @@ def chain_e_coefficient(g: int, i: int) -> Fraction:
     return Fraction(4 * i * (g - i) - g, g) if i else Fraction(g - 1, 3 * g)
 
 
-@dataclass
-class FibrationStats:
+class FibrationStats(Record):
     """Numerical invariants of a semistable fibration of genus g."""
 
-    g: int
-    lambda_deg: Fraction
-    delta: tuple
-    smooth: bool = False
+    __slots__ = ("g", "lambda_deg", "delta", "smooth")
 
-    def __post_init__(self):
-        self.lambda_deg = Fraction(self.lambda_deg)
-        self.delta = tuple(_check_delta(self.g, self.delta))
+    def __init__(self, g: int, lambda_deg: Fraction, delta: tuple, smooth: bool = False):
+        self.g = g
+        self.lambda_deg = Fraction(lambda_deg)
+        self.delta = tuple(_check_delta(g, delta))
+        self.smooth = smooth
         if any(d < 0 for d in self.delta):
             raise BadDelta("delta entries must be nonnegative")
-        if self.smooth and any(self.delta):
+        if smooth and any(self.delta):
             raise BadDelta("a smooth fibration has no nodes")
 
 
-@dataclass
-class InequalityCheck:
-    lhs: Fraction
-    rhs: Fraction
-    slack: Fraction
-    holds: bool
+class InequalityCheck(Record):
+    __slots__ = ("lhs", "rhs", "slack", "holds")
+
+    def __init__(self, lhs: Fraction, rhs: Fraction, slack: Fraction, holds: bool):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.slack = slack
+        self.holds = holds
 
 
 def slope_sharp_rhs(g: int, delta) -> Fraction:

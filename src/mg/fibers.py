@@ -9,10 +9,10 @@ convention that every node counts once).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Frozen, Record, setfield
 from .bounds import chain_e_coefficient, check_genus
 from .errors import (
     Disconnected,
@@ -27,31 +27,59 @@ from .green import e_invariant
 from .linalg import fast, plain
 
 
-@dataclass(frozen=True)
-class Component:
-    id: object
-    genus: int
+class Component(Frozen):
+    __slots__ = ("id", "genus")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"component {self.id!r} has negative genus")
+    def __init__(self, id, genus: int):
+        if genus < 0:
+            raise ValueError(f"component {id!r} has negative genus")
+        setfield(self, "id", id)
+        setfield(self, "genus", genus)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.genus) == (other.id, other.genus)
+
+    def __hash__(self):
+        return hash((self.id, self.genus))
 
 
-@dataclass(frozen=True)
-class FiberNode:
-    id: object
-    a: object
-    b: object
-    length: Fraction = Fraction(1)
+class FiberNode(Frozen):
+    __slots__ = ("id", "a", "b", "length")
+
+    def __init__(self, id, a, b, length: Fraction = Fraction(1)):
+        setfield(self, "id", id)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "length", length)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.a, self.b, self.length) == (other.id, other.a, other.b, other.length)
+
+    def __hash__(self):
+        return hash((self.id, self.a, self.b, self.length))
 
     def is_self_node(self) -> bool:
         return self.a == self.b
 
 
-@dataclass(frozen=True)
-class NodeType:
-    node: object
-    type: int
+class NodeType(Frozen):
+    __slots__ = ("node", "type")
+
+    def __init__(self, node, type: int):
+        setfield(self, "node", node)
+        setfield(self, "type", type)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.node, self.type) == (other.node, other.type)
+
+    def __hash__(self):
+        return hash((self.node, self.type))
 
 
 class FiberConfiguration:
@@ -262,15 +290,26 @@ def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
     return plain(e)
 
 
-@dataclass
-class FiberReport:
-    genus: int
-    delta: tuple[int, ...]
-    omega: dict  # component id -> omega coefficient, every component
-    is_chain: bool
-    e: Fraction
-    e_closed_form: Fraction | None
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+class FiberReport(Record):
+    __slots__ = ("genus", "delta", "omega", "is_chain", "e", "e_closed_form", "warnings")
+
+    def __init__(
+        self,
+        genus: int,
+        delta: tuple[int, ...],
+        omega: dict,  # component id -> omega coefficient, every component
+        is_chain: bool,
+        e: Fraction,
+        e_closed_form: Fraction | None,
+        warnings: tuple[str, ...] = (),
+    ):
+        self.genus = genus
+        self.delta = delta
+        self.omega = omega
+        self.is_chain = is_chain
+        self.e = e
+        self.e_closed_form = e_closed_form
+        self.warnings = warnings
 
 
 def fiber_report(cfg: FiberConfiguration) -> FiberReport:

@@ -6,17 +6,19 @@ segments.  Points are either vertices or interior points of an edge, located
 by an offset from the edge's first stored endpoint.  All lengths, offsets and
 divisor coefficients are exact `fractions.Fraction` values.
 
-Graphs and divisors are immutable after construction; every operation here is
-a pure function returning new objects, so everything is safe to share across
-threads.
+Edges and points enforce their immutability themselves: their classes
+refuse assignment and deletion once built, and they compare and hash by
+their fields.  Graphs and divisors are not changed after construction
+either; every operation here is a pure function returning new objects, so
+everything is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Mapping
 
+from ._record import Frozen, setfield
 from .errors import (
     DanglingEndpoint,
     Disconnected,
@@ -28,28 +30,53 @@ VertexId = Hashable
 EdgeId = Hashable
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: EdgeId
-    u: VertexId
-    v: VertexId
-    length: Fraction
+class Edge(Frozen):
+    __slots__ = ("id", "u", "v", "length")
+
+    def __init__(self, id: EdgeId, u: VertexId, v: VertexId, length: Fraction):
+        setfield(self, "id", id)
+        setfield(self, "u", u)
+        setfield(self, "v", v)
+        setfield(self, "length", length)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.id, self.u, self.v, self.length) == (other.id, other.u, other.v, other.length)
+
+    def __hash__(self):
+        return hash((self.id, self.u, self.v, self.length))
 
     def is_loop(self) -> bool:
         return self.u == self.v
 
 
-@dataclass(frozen=True)
-class GraphPoint:
+class GraphPoint(Frozen):
     """A point of a metrized graph: a vertex, or an edge-interior point.
 
     Interior points are anchored to the edge's stored endpoint order: the
     offset is the distance from endpoint `u` along the edge.
     """
 
-    vertex: VertexId | None = None
-    edge: EdgeId | None = None
-    offset: Fraction | None = None
+    __slots__ = ("vertex", "edge", "offset")
+
+    def __init__(
+        self,
+        vertex: VertexId | None = None,
+        edge: EdgeId | None = None,
+        offset: Fraction | None = None,
+    ):
+        setfield(self, "vertex", vertex)
+        setfield(self, "edge", edge)
+        setfield(self, "offset", offset)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex, self.edge, self.offset) == (other.vertex, other.edge, other.offset)
+
+    def __hash__(self):
+        return hash((self.vertex, self.edge, self.offset))
 
     @classmethod
     def at_vertex(cls, v: VertexId) -> "GraphPoint":

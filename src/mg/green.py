@@ -55,10 +55,10 @@ returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import Record
 from .errors import ConstancyViolation, DegreeMinusTwo
 from .graphs import GraphPoint, MetrizedGraph, RDivisor
 from .linalg import fast, plain
@@ -67,17 +67,19 @@ from .resistance import _Potential, _potential, effective_resistance, resistance
 _ZERO = Fraction(0)  # the measure's default atom and density, built once
 
 
-@dataclass
-class AdmissibleMeasure:
+class AdmissibleMeasure(Record):
     """Atoms plus a constant density per edge; total mass 1.
 
     Atoms at vertices are keyed by vertex id; an atom at an edge-interior
     point (a divisor support point) is keyed by its GraphPoint.
     """
 
-    graph: MetrizedGraph
-    atoms: dict
-    densities: dict
+    __slots__ = ("graph", "atoms", "densities")
+
+    def __init__(self, graph: MetrizedGraph, atoms: dict, densities: dict):
+        self.graph = graph
+        self.atoms = atoms
+        self.densities = densities
 
     def total_mass(self) -> Fraction:
         mass = sum(self.atoms.values(), _ZERO)

@@ -14,16 +14,12 @@ other `mg` command does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
+from ._record import Record
 from .errors import BadGridSize, DegreeMinusTwo
 from .graphs import MetrizedGraph, RDivisor, as_point
 from .green import green_system
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest total number of sub-edges, sum of ceil(length/h) over the edges,
 # that `discretize` will build.  The grid then has at most this many nodes
@@ -33,13 +29,22 @@ if TYPE_CHECKING:
 MAX_GRID_NODES = 1_000
 
 
-@dataclass
-class DiscreteGraph:
-    n: int
-    links: list  # (i, j, resistance)
-    vertex_node: dict  # original vertex id -> node index
-    edge_chain: dict  # edge id -> node indices along the edge, endpoints included
-    edge_step: dict  # edge id -> sub-edge length (float)
+class DiscreteGraph(Record):
+    __slots__ = ("n", "links", "vertex_node", "edge_chain", "edge_step")
+
+    def __init__(
+        self,
+        n: int,
+        links: list,  # (i, j, resistance)
+        vertex_node: dict,  # original vertex id -> node index
+        edge_chain: dict,  # edge id -> node indices along the edge, endpoints included
+        edge_step: dict,  # edge id -> sub-edge length (float)
+    ):
+        self.n = n
+        self.links = links
+        self.vertex_node = vertex_node
+        self.edge_chain = edge_chain
+        self.edge_step = edge_step
 
     def locate(self, g: MetrizedGraph, point) -> int:
         """Node index of an original vertex, or the nearest grid node to an
@@ -155,10 +160,12 @@ def numeric_green(g: MetrizedGraph, d: RDivisor, x, y, h) -> float:
     return float(v[dg.locate(g, as_point(y))])
 
 
-@dataclass
-class ConvergenceRow:
-    h: Fraction
-    max_error: float
+class ConvergenceRow(Record):
+    __slots__ = ("h", "max_error")
+
+    def __init__(self, h: Fraction, max_error: float):
+        self.h = h
+        self.max_error = max_error
 
 
 def convergence_report(g: MetrizedGraph, d: RDivisor, probes, h_list) -> list[ConvergenceRow]:
