@@ -163,6 +163,12 @@ def radius_sq_closed_form(g: int, delta) -> Fraction:
     Applicability (non-smooth fibration, chain fibers, hyperelliptic or at
     most one positive-type node per fiber) is the caller's to assert; the
     CLI echoes those flags verbatim.
+
+    The form takes the chain value of sum e_y, so it is the paper's radius
+    on chain fibers.  It over-states the radius on the theta fiber: genus
+    2, delta (3, 0) gives 1/10 here, but 2/45 with the exact e_y = 5/9.
+    That it never under-states stays an observation until e_y is certified
+    never to fall below its chain value.
     """
     inner = _combine(g, delta, lambda i: 4 * i * (g - i) if i else Fraction(g - 1, 3))
     return Fraction((g - 1) ** 2, g * (2 * g + 1)) * inner

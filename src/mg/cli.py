@@ -3,21 +3,23 @@
 Subcommands operate on the text formats of `fileformat`; every report prints
 exact rationals as p/q together with a 12-significant-digit decimal, and
 `--json` switches to one JSON object per computed quantity with the fields
-{command, inputs, exact, decimal, warnings}.  Exit codes: 0 success, 2 input
-error, 3 mathematical precondition violation.
+{command, inputs, exact, decimal, warnings}.  `_json_text` writes them, byte
+for byte as `json.dumps(payload, sort_keys=True, indent=2)` would, without
+its pure-Python indenting encoder.  Exit codes: 0 success, 2 input error, 3
+mathematical precondition violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import stat
 import sys
 from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -45,27 +47,21 @@ def decimal12(x: Fraction) -> str:
 
 class Report:
     """Accumulates plain-text lines and JSON records side by side, and the
-    exit code of the command."""
+    exit code of the command.  A record is the tuple (command, decimal,
+    exact, inputs, warnings) that `_json_text` writes."""
 
     def __init__(self, command: str, inputs: dict):
         self.command = command
         self.inputs = inputs
         self.lines: list[str] = []
-        self.records: list[dict] = []
+        self.records: list[tuple] = []
         self.code = 0
 
     def _add(self, name, line, exact, dec, warnings=(), extra=None):
         self.lines.append(line)
         self.lines.extend(f"warning: {w}" for w in warnings)
-        self.records.append(
-            {
-                "command": self.command,
-                "inputs": {**self.inputs, "quantity": name, **(extra or {})},
-                "exact": exact,
-                "decimal": dec,
-                "warnings": list(warnings),
-            }
-        )
+        inputs = {**self.inputs, "quantity": name, **(extra or {})}
+        self.records.append((self.command, dec, exact, inputs, warnings))
 
     def value(self, name: str, value: Fraction, warnings=(), label=None, extra=None):
         exact = str(value)
@@ -78,6 +74,62 @@ class Report:
     def float_value(self, name: str, value: float, label=None):
         dec = decimal12(Fraction(value))
         self._add(name, f"{label or name} ~= {dec}", None, dec)
+
+    def error(self, file: str, exc: InputError | PreconditionError):
+        """`exc` stopped the work on `file`: an error line, a record with a
+        null exact and decimal, and the exit code unless one is set."""
+        self.lines.append(_error_line(exc))
+        message = f"{type(exc).__name__}: {exc}"
+        self.records.append((self.command, None, None, {"file": file}, (message,)))
+        self.code = self.code or _exit_code(exc)
+
+
+def _input_json(value) -> str:
+    """An `inputs` value in JSON: a str, an int or a bool.  Anything else
+    raises TypeError, so it is never written wrongly."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {value!r} as a JSON input")
+
+
+def _record_json(record: tuple, pad: str) -> str:
+    """One record as `json.dumps(..., sort_keys=True, indent=2)` writes it,
+    at the depth whose indentation is `pad`: the fields in sorted order and
+    strings escaped by the encoder `json` itself uses (a non-str field,
+    input name or warning raises TypeError)."""
+    command, dec, exact, inputs, warnings = record
+    inner = pad + "  "
+    entry = "\n" + inner + "  "  # starts each entry of inputs and warnings
+    sep = "," + entry
+    inputs_json, warnings_json = "{}", "[]"
+    if inputs:
+        fields = sep.join([f"{_quote(k)}: {_input_json(v)}" for k, v in sorted(inputs.items())])
+        inputs_json = "{" + entry + fields + "\n" + inner + "}"
+    if warnings:
+        warnings_json = "[" + entry + sep.join(map(_quote, warnings)) + "\n" + inner + "]"
+    return (
+        f'{{\n{inner}"command": {_quote(command)},\n'
+        f'{inner}"decimal": {"null" if dec is None else _quote(dec)},\n'
+        f'{inner}"exact": {"null" if exact is None else _quote(exact)},\n'
+        f'{inner}"inputs": {inputs_json},\n'
+        f'{inner}"warnings": {warnings_json}\n{pad}}}'
+    )
+
+
+def _json_text(records: list) -> str:
+    """The `--json` output: one record as a bare object, any other number
+    as a list."""
+    if len(records) == 1:
+        return _record_json(records[0], "")
+    if not records:
+        return "[]"
+    return "[\n  " + ",\n  ".join([_record_json(r, "  ") for r in records]) + "\n]"
 
 
 def _read(path) -> str:
@@ -237,9 +289,7 @@ def _cmd_batch(args) -> Report:
             else:
                 one = _cmd_fiber_analyze(ns)
         except (InputError, PreconditionError) as exc:
-            rep.lines.append(_error_line(exc))
-            rep.records.append(_error_record("batch", str(path), exc))
-            rep.code = rep.code or _exit_code(exc)
+            rep.error(str(path), exc)
         else:
             rep.lines.extend(one.lines)
             rep.records.extend(one.records)
@@ -254,16 +304,6 @@ def _exit_code(exc: InputError | PreconditionError) -> int:
 
 def _error_line(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
-
-
-def _error_record(command: str, file: str, exc: Exception) -> dict:
-    return {
-        "command": command,
-        "inputs": {"file": file},
-        "exact": None,
-        "decimal": None,
-        "warnings": [f"{type(exc).__name__}: {exc}"],
-    }
 
 
 @functools.cache
@@ -356,8 +396,7 @@ def _run(args) -> int:
         return 2
     try:
         if args.json:
-            payload = rep.records[0] if len(rep.records) == 1 else rep.records
-            print(json.dumps(payload, sort_keys=True, indent=2))
+            print(_json_text(rep.records))
         else:
             for line in rep.lines:
                 print(line)

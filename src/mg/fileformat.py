@@ -75,7 +75,12 @@ def parse_rational(token: str) -> Fraction:
 
 
 def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """(line number, tokens) of each line that is not blank or a comment.
+    Lines end at \\n, \\r\\n or \\r only, as an editor counts them:
+    `str.splitlines` would also end one at a form feed or a Unicode line
+    separator inside a comment."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line.split()

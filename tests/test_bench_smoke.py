@@ -3,6 +3,7 @@ pass its own exact check, and each checker must catch a corrupted output.
 This catches a change to `mg` that breaks what `bench/` calls before the
 benchmark itself is run."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -20,6 +21,12 @@ def test_workload_items_pass(name, tmp_path):
     for i, out in enumerate(outputs):
         assert wl.ok(i, out), f"{name} item {i}: {out!r:.300}"
     assert not wl.ok(0, wl.corrupt(outputs[0]))
+    # a CLI item's output is (exit code, stdout): --json writes what
+    # json.dumps writes, byte for byte
+    for i, out in enumerate(outputs):
+        if isinstance(out, tuple):
+            stdout = out[1]
+            assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n", i
 
 
 # factorizations, solves and path vectors w = D^-1 L^-1 e_c built for the

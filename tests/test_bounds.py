@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mg import (
+    FiberConfiguration,
     FibrationStats,
     GenusTooSmall,
     NoBoundWarning,
@@ -11,6 +12,7 @@ from mg import (
     admissible_self_intersection,
     bogomolov_radius_sq,
     ch_xiao_check,
+    fiber_report,
     noether_omega_sq,
     omega_sq_lower_sharp,
     omega_sq_lower_weak,
@@ -123,6 +125,18 @@ class TestRadius:
         assert radius_sq_closed_form(2, [0, 1]) == Fraction(2, 5)
         assert radius_sq_closed_form(2, [1, 0]) == Fraction(1, 30)
         assert radius_sq_closed_form(3, [0, 1]) == Fraction(32, 21)
+
+    def test_closed_form_over_states_the_theta_fiber(self):
+        """The closed form takes the chain value of e_y.  A genus-2 theta
+        fiber (two genus-0 components, three nodes) has a larger exact e_y,
+        so a smaller radius."""
+        theta = FiberConfiguration(
+            [("A", 0), ("B", 0)], [(n, "A", "B") for n in ("n1", "n2", "n3")]
+        )
+        e = fiber_report(theta).e
+        assert radius_sq_closed_form(2, [3, 0]) == Fraction(1, 10)
+        assert e == Fraction(5, 9)
+        assert bogomolov_radius_sq(2, omega_sq_lower_sharp(2, [3, 0]) - e) == Fraction(2, 45)
 
     def test_pipeline_identity(self):
         # radius^2 = (g-1) * (sharp omega^2 bound - total e), for all unit

@@ -327,6 +327,77 @@ class TestJson:
         assert record["decimal"] == "0.250000000000"
 
 
+# Every command's --json output, and each of the record shapes: int and
+# bool inputs, a null exact, a warning.
+JSON_CASES = [argv for argv, _ in GOLDEN_CASES] + [
+    ["bounds", "radius", "--genus", "3", "--delta", "1,2", "--hyperelliptic",
+     "--irreducible"],
+    ["bounds", "reference", "--genus", "3", "--delta", "0,0", "--smooth"],
+    ["fiber", "analyze", GOLDEN / "unstable.fib"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_CASES, ids=lambda x: str(x)[:40])
+def test_json_is_what_json_dumps_writes(capsys, argv):
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_batch_json_is_what_json_dumps_writes(capsys, tmp_path):
+    """Records of results, warnings and errors, the error naming a file
+    whose undecodable name `os.fsdecode` turns into lone surrogates; and
+    an empty directory writes an empty list."""
+    shutil.copy(GOLDEN / "segment.mg", tmp_path / "a.mg")
+    shutil.copy(GOLDEN / "unstable.fib", tmp_path / "b.fib")
+    shutil.copy(GOLDEN / "zero_length.mg", tmp_path / "c.mg")
+    if sys.platform == "linux":
+        with open(os.fsencode(tmp_path) + b"/d\xff\x01.mg", "wb") as f:
+            f.write(b"metrized_graph\n")
+    code, out, _ = run(capsys, "--json", "batch", tmp_path)
+    assert code == 2
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert len([r for r in json.loads(out) if r["exact"] is None]) == 1 + (
+        sys.platform == "linux"
+    )
+    (tmp_path / "empty").mkdir()
+    assert run(capsys, "--json", "batch", tmp_path / "empty") == (0, "[]\n", "")
+
+
+FIELDS = ("command", "decimal", "exact", "inputs", "warnings")
+# quotes, backslashes, control characters, non-BMP characters and lone
+# surrogates among any others
+JSON_CHARS = st.characters(blacklist_categories=()) | st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001d11e", "\udcff", "\ud800"]
+)
+JSON_STRINGS = st.text(JSON_CHARS, max_size=8)
+JSON_RECORDS = st.tuples(
+    JSON_STRINGS,
+    st.none() | JSON_STRINGS,
+    st.none() | JSON_STRINGS,
+    st.dictionaries(
+        JSON_STRINGS,
+        JSON_STRINGS | st.booleans() | st.integers() | st.integers(-(10**40), 10**40),
+        max_size=4,
+    ),
+    st.lists(JSON_STRINGS, max_size=3),
+)
+
+
+@given(st.lists(JSON_RECORDS, max_size=4))
+def test_json_text_matches_json_dumps(records):
+    """None, one or several records of any content."""
+    dicts = [dict(zip(FIELDS, r)) for r in records]
+    payload = dicts[0] if len(dicts) == 1 else dicts
+    assert mg.cli._json_text(records) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [None, 0.5, Fraction(1, 2), ["x"], {"x": 1}])
+def test_json_text_refuses_other_input_values(value):
+    with pytest.raises(TypeError):
+        mg.cli._json_text([("c", None, None, {"k": value}, ())])
+
+
 class TestBatch:
     def test_batch_runs_all_files(self, capsys, tmp_path):
         shutil.copy(GOLDEN / "segment.mg", tmp_path / "segment.mg")

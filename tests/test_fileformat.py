@@ -300,6 +300,62 @@ class TestUnwritableIds:
         assert serialize_fiber(parse_fiber_file(text)) == text
 
 
+# characters at which str.splitlines() ends a line, but an editor does not
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+GOLDEN_FILES = [
+    ("segment.mg", parse_graph_file, lambda parsed: serialize_graph(*parsed)),
+    ("circle.mg", parse_graph_file, lambda parsed: serialize_graph(*parsed)),
+    ("theta.mg", parse_graph_file, lambda parsed: serialize_graph(*parsed)),
+    ("interior.mg", parse_graph_file, lambda parsed: serialize_graph(*parsed)),
+    ("chain.fib", parse_fiber_file, serialize_fiber),
+    ("selfnode.fib", parse_fiber_file, serialize_fiber),
+]
+
+
+class TestLineBreaks:
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_comment_holding_one_is_one_line(self, char):
+        fiber = "fiber\ncomponent A genus 2\n"
+        commented = f"fiber\n# a{char}b\ncomponent A genus 2\n"
+        assert serialize_fiber(parse_fiber_file(commented)) == serialize_fiber(
+            parse_fiber_file(fiber)
+        )
+        graph = (GOLDEN / "interior.mg").read_text()
+        commented = graph.replace("\n", f" # a{char}b\n", 1)
+        assert serialize_graph(*parse_graph_file(commented)) == serialize_graph(
+            *parse_graph_file(graph)
+        )
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+    def test_later_error_names_the_line_an_editor_shows(self, char):
+        text = f"metrized_graph\n# a{char}b\nvertex P\nedge e P Q 1\n"
+        with pytest.raises(UnknownVertex, match="^line 4: "):
+            parse_graph_file(text)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_lines_end_at_each_newline(self, newline):
+        text = newline.join(["metrized_graph", "# comment", "vertex P", "edge e P Q 1", ""])
+        with pytest.raises(UnknownVertex, match="^line 4: "):
+            parse_graph_file(text)
+
+
+@given(
+    case=st.sampled_from(GOLDEN_FILES),
+    where=st.integers(0, 100),
+    comment=st.text(st.characters(blacklist_characters="\r\n")),
+)
+def test_comment_added_to_a_line_changes_nothing(case, where, comment):
+    """A comment of any text without \\r or \\n, at the end of any line of
+    a golden file, leaves the parse as it was."""
+    name, parse, serialize = case
+    text = (GOLDEN / name).read_text()
+    lines = text.split("\n")
+    i = where % len(lines)
+    lines[i] += " #" + comment
+    assert serialize(parse("\n".join(lines))) == serialize(parse(text))
+
+
 DIGITS = st.text("0123456789", min_size=1, max_size=MAX_RATIONAL_DIGITS)
 
 
