@@ -3,7 +3,7 @@
 Subcommands operate on the text formats of `fileformat`; every report prints
 exact rationals as p/q together with a 12-significant-digit decimal, and
 `--json` switches to one JSON object per computed quantity with the fields
-{command, inputs, exact, decimal, warnings}.  `_json_text` writes them, byte
+{command, inputs, exact, decimal, warnings}.  `_write_json` writes them, byte
 for byte as `json.dumps(payload, sort_keys=True, indent=2)` would, without
 its pure-Python indenting encoder.  Exit codes: 0 success, 2 input error, 3
 mathematical precondition violation.
@@ -48,7 +48,7 @@ def decimal12(x: Fraction) -> str:
 class Report:
     """Accumulates plain-text lines and JSON records side by side, and the
     exit code of the command.  A record is the tuple (command, decimal,
-    exact, inputs, warnings) that `_json_text` writes."""
+    exact, inputs, warnings) that `_write_json` writes."""
 
     def __init__(self, command: str, inputs: dict):
         self.command = command
@@ -122,14 +122,23 @@ def _record_json(record: tuple, pad: str) -> str:
     )
 
 
-def _json_text(records: list) -> str:
-    """The `--json` output: one record as a bare object, any other number
-    as a list."""
+def _write_json(write, records: list):
+    """The `--json` output, newline included, through `write`: one record
+    as a bare object, any other number as a list.  Every record is
+    formatted before the first is written, so one that cannot be written
+    leaves no output, and then they are written one by one, so the text is
+    never held as one more string."""
     if len(records) == 1:
-        return _record_json(records[0], "")
-    if not records:
-        return "[]"
-    return "[\n  " + ",\n  ".join([_record_json(r, "  ") for r in records]) + "\n]"
+        write(_record_json(records[0], "") + "\n")
+        return
+    texts = [_record_json(r, "  ") for r in records]
+    write("[")
+    lead = "\n  "
+    for text in texts:
+        write(lead)
+        write(text)
+        lead = ",\n  "
+    write("\n]\n" if texts else "]\n")
 
 
 def _read(path) -> str:
@@ -396,7 +405,7 @@ def _run(args) -> int:
         return 2
     try:
         if args.json:
-            print(_json_text(rep.records))
+            _write_json(sys.stdout.write, rep.records)
         else:
             for line in rep.lines:
                 print(line)

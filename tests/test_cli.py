@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import shutil
@@ -384,18 +385,28 @@ JSON_RECORDS = st.tuples(
 )
 
 
+def json_output(records) -> str:
+    buf = io.StringIO()
+    mg.cli._write_json(buf.write, records)
+    return buf.getvalue()
+
+
 @given(st.lists(JSON_RECORDS, max_size=4))
-def test_json_text_matches_json_dumps(records):
+def test_json_output_matches_json_dumps(records):
     """None, one or several records of any content."""
     dicts = [dict(zip(FIELDS, r)) for r in records]
     payload = dicts[0] if len(dicts) == 1 else dicts
-    assert mg.cli._json_text(records) == json.dumps(payload, sort_keys=True, indent=2)
+    assert json_output(records) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("value", [None, 0.5, Fraction(1, 2), ["x"], {"x": 1}])
-def test_json_text_refuses_other_input_values(value):
+def test_json_output_refuses_other_input_values(value):
+    """Nothing is written, not even the records before the bad one."""
+    written = []
+    good = ("c", None, None, {}, ())
     with pytest.raises(TypeError):
-        mg.cli._json_text([("c", None, None, {"k": value}, ())])
+        mg.cli._write_json(written.append, [good, ("c", None, None, {"k": value}, ())])
+    assert written == []
 
 
 class TestBatch:
