@@ -4,7 +4,8 @@ A fiber is described by its components (with the geometric genus of each
 normalization) and its nodes; a node joining a component to itself is a
 self-node.  The configuration graph has one vertex per component and one edge
 per node, with the node's length (1 by default, matching the semistable-model
-convention that every node counts once).
+convention that every node counts once).  A node converts a length that is
+not a `Fraction` to one itself, and a component takes an int genus only.
 """
 
 from __future__ import annotations
@@ -31,18 +32,12 @@ class Component(Frozen):
     __slots__ = ("id", "genus")
 
     def __init__(self, id, genus: int):
+        if not isinstance(genus, int):
+            raise TypeError(f"component {id!r} has genus {genus!r}, not an int")
         if genus < 0:
             raise ValueError(f"component {id!r} has negative genus")
         setfield(self, "id", id)
         setfield(self, "genus", genus)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.genus) == (other.id, other.genus)
-
-    def __hash__(self):
-        return hash((self.id, self.genus))
 
 
 class FiberNode(Frozen):
@@ -52,15 +47,7 @@ class FiberNode(Frozen):
         setfield(self, "id", id)
         setfield(self, "a", a)
         setfield(self, "b", b)
-        setfield(self, "length", length)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.a, self.b, self.length) == (other.id, other.a, other.b, other.length)
-
-    def __hash__(self):
-        return hash((self.id, self.a, self.b, self.length))
+        setfield(self, "length", length if type(length) is Fraction else Fraction(length))
 
     def is_self_node(self) -> bool:
         return self.a == self.b
@@ -72,14 +59,6 @@ class NodeType(Frozen):
     def __init__(self, node, type: int):
         setfield(self, "node", node)
         setfield(self, "type", type)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.node, self.type) == (other.node, other.type)
-
-    def __hash__(self):
-        return hash((self.node, self.type))
 
 
 class FiberConfiguration:
@@ -94,27 +73,15 @@ class FiberConfiguration:
     """
 
     def __init__(self, components, nodes=()):
-        comps = []
-        for c in components:
-            if not isinstance(c, Component):
-                c = Component(*c)
-            comps.append(c)
-        self.components: tuple[Component, ...] = tuple(comps)
+        self.components: tuple[Component, ...] = tuple([
+            c if isinstance(c, Component) else Component(*c) for c in components
+        ])
         ids = {c.id for c in self.components}
         if len(ids) != len(self.components):
             raise ValueError("duplicate component ids")
-        ns = []
-        for n in nodes:
-            if not isinstance(n, FiberNode):
-                if len(n) == 3:
-                    n = FiberNode(n[0], n[1], n[2])
-                else:
-                    length = n[3]
-                    if type(length) is not Fraction:
-                        length = Fraction(length)
-                    n = FiberNode(n[0], n[1], n[2], length)
-            ns.append(n)
-        self.nodes: tuple[FiberNode, ...] = tuple(ns)
+        self.nodes: tuple[FiberNode, ...] = tuple([
+            n if isinstance(n, FiberNode) else FiberNode(*n) for n in nodes
+        ])
         for n in self.nodes:
             for ref in (n.a, n.b):
                 if ref not in ids:

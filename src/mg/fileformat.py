@@ -86,17 +86,21 @@ def _logical_lines(text: str):
             yield lineno, line.split()
 
 
+def _body(text: str, header: str) -> list:
+    """The logical lines after the header line.  ParseError at the first
+    logical line, or at line 1 when there is none, unless it is `header`."""
+    lines = list(_logical_lines(text))
+    if not lines or lines[0][1] != [header]:
+        raise ParseError(lines[0][0] if lines else 1, f"expected header {header!r}")
+    return lines[1:]
+
+
 def parse_graph_file(text: str):
     """Parse a graph file; returns (graph, named points, divisor).
 
     Named points include every vertex (as a vertex point) and every `point`
     declaration; the divisor is empty when no divisor lines appear.
     """
-    lines = list(_logical_lines(text))
-    if not lines or lines[0][1] != [GRAPH_HEADER]:
-        lineno = lines[0][0] if lines else 1
-        raise ParseError(lineno, f"expected header {GRAPH_HEADER!r}")
-
     vertices: list[str] = []
     edges: list[tuple] = []
     used_names: set[str] = set()
@@ -105,7 +109,7 @@ def parse_graph_file(text: str):
     divisor_terms: list[tuple] = []
     pending_points: list[tuple[int, str, str, Fraction]] = []
 
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in _body(text, GRAPH_HEADER):
         kind = tokens[0]
         if kind == "vertex":
             if len(tokens) != 2:
@@ -168,17 +172,12 @@ def parse_graph_file(text: str):
 
 
 def parse_fiber_file(text: str) -> FiberConfiguration:
-    lines = list(_logical_lines(text))
-    if not lines or lines[0][1] != [FIBER_HEADER]:
-        lineno = lines[0][0] if lines else 1
-        raise ParseError(lineno, f"expected header {FIBER_HEADER!r}")
-
     components: list[tuple[str, int]] = []
     comp_names: set[str] = set()
     nodes: list[tuple] = []
     node_names: set[str] = set()
 
-    for lineno, tokens in lines[1:]:
+    for lineno, tokens in _body(text, FIBER_HEADER):
         kind = tokens[0]
         if kind == "component":
             if len(tokens) != 4 or tokens[2] != "genus":

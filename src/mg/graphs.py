@@ -8,9 +8,11 @@ divisor coefficients are exact `fractions.Fraction` values.
 
 Edges and points enforce their immutability themselves: their classes
 refuse assignment and deletion once built, and they compare and hash by
-their fields.  Graphs and divisors are not changed after construction
-either; every operation here is a pure function returning new objects, so
-everything is safe to share across threads.
+their fields.  An edge converts a length that is not a `Fraction` to one
+itself, so an edge built directly and one built from a tuple are equal.
+Graphs and divisors are not changed after construction either; every
+operation here is a pure function returning new objects, so everything is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -37,15 +39,7 @@ class Edge(Frozen):
         setfield(self, "id", id)
         setfield(self, "u", u)
         setfield(self, "v", v)
-        setfield(self, "length", length)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.id, self.u, self.v, self.length) == (other.id, other.u, other.v, other.length)
-
-    def __hash__(self):
-        return hash((self.id, self.u, self.v, self.length))
+        setfield(self, "length", length if type(length) is Fraction else Fraction(length))
 
     def is_loop(self) -> bool:
         return self.u == self.v
@@ -70,6 +64,9 @@ class GraphPoint(Frozen):
         setfield(self, "edge", edge)
         setfield(self, "offset", offset)
 
+    # Written out, not the generic `Frozen` hash: points key the Green and
+    # resistance tables, and the generic hash takes twice as long (see
+    # `mg._record`).
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -114,15 +111,9 @@ class MetrizedGraph:
     def __init__(self, vertices: Iterable[VertexId], edges: Iterable = ()):
         self.vertex_list: list[VertexId] = list(dict.fromkeys(vertices))
         self.vertex_set = set(self.vertex_list)
-        es = []
-        for e in edges:
-            if not isinstance(e, Edge):
-                eid, u, v, length = e
-                if type(length) is not Fraction:
-                    length = Fraction(length)
-                e = Edge(eid, u, v, length)
-            es.append(e)
-        self.edges: tuple[Edge, ...] = tuple(es)
+        self.edges: tuple[Edge, ...] = tuple([
+            e if isinstance(e, Edge) else Edge(*e) for e in edges
+        ])
         self.edge_by_id: dict[EdgeId, Edge] = {}
         for e in self.edges:
             if e.id in self.edge_by_id:

@@ -4,8 +4,10 @@ CLI loads none of the heavy modules it has no use for.
 Each record is built positionally or by keyword with its defaults, equals
 only a record of its own class with equal fields, and prints its fields in
 order.  The frozen ones (edges, points, components, nodes and node types)
-hash by their fields and refuse assignment and deletion; the others are
-plain mutable records and unhashable."""
+hash as the tuple of their fields and refuse assignment and deletion; the
+others are plain mutable records and unhashable.  Edges and nodes convert
+a length that is not a Fraction themselves, so one built directly answers
+as one built from a tuple."""
 
 import copy
 import os
@@ -23,12 +25,17 @@ from mg import (
     BadDelta,
     Component,
     Edge,
+    FiberConfiguration,
     FiberNode,
     FiberReport,
     FibrationStats,
     GraphPoint,
     InequalityCheck,
+    MetrizedGraph,
     NodeType,
+    effective_resistance,
+    fiber_e_closed_form,
+    fiber_report,
     segment_graph,
 )
 from mg.oracle import ConvergenceRow, DiscreteGraph
@@ -102,6 +109,16 @@ def test_component():
         Component("A", -1)
 
 
+@pytest.mark.parametrize("genus", [1.5, "1", None, Fraction(1)], ids=repr)
+def test_component_rejects_a_genus_that_is_not_an_int(genus):
+    """A genus of another type is a TypeError naming the component, from
+    the record and from a configuration built of tuples."""
+    with pytest.raises(TypeError, match="component 'A' has genus .*, not an int"):
+        Component("A", genus)
+    with pytest.raises(TypeError, match="component 'A' has genus .*, not an int"):
+        FiberConfiguration([("A", genus), ("B", 1)], [("n", "A", "B")])
+
+
 def test_fiber_node():
     n = check_frozen(
         FiberNode, ("id", "a", "b", "length"), ("n", "A", "B", Fraction(2)), ("n", "B", "A", 2)
@@ -116,6 +133,64 @@ def test_node_type():
     t = check_frozen(NodeType, ("node", "type"), ("n", 1), ("n", 0))
     assert repr(t) == "NodeType(node='n', type=1)"
     assert t != Component("n", 1)
+
+
+FROZEN = [
+    (Edge, ("e", "u", "v", Fraction(1, 2))),
+    (GraphPoint, (None, "e", Fraction(1, 3))),
+    (Component, ("A", 1)),
+    (FiberNode, ("n", "A", "B", Fraction(2))),
+    (NodeType, ("n", 1)),
+]
+
+
+@pytest.mark.parametrize("cls, values", FROZEN, ids=[cls.__name__ for cls, _ in FROZEN])
+def test_frozen_hash_is_the_hash_of_its_fields(cls, values):
+    """A frozen record hashes as the tuple of its fields in `__slots__`
+    order, so it keys a dict or a set as its fields do; a record of another
+    class with the same fields hashes alike but is another key."""
+    r = cls(*values)
+    assert hash(r) == hash(tuple(getattr(r, name) for name in cls.__slots__)) == hash(values)
+    assert {r: 1}[cls(*values)] == 1 and len({r, cls(*values)}) == 1
+    for other, _ in FROZEN:
+        if other is not cls and len(other.__slots__) == len(values):
+            twin = other(*values)
+            assert hash(twin) == hash(r) and twin != r and r != twin
+            assert len({r, twin}) == 2
+
+
+@pytest.mark.parametrize("length", [0.5, "1/2"], ids=repr)
+def test_edge_converts_its_length(length):
+    """An edge built directly with a float or str length answers as one
+    built from a tuple with that length, and as one of length 1/2."""
+    direct = MetrizedGraph(["P", "Q"], [Edge("e", "P", "Q", length)])
+    from_tuple = MetrizedGraph(["P", "Q"], [("e", "P", "Q", length)])
+    assert direct.edges == from_tuple.edges == (Edge("e", "P", "Q", Fraction(1, 2)),)
+    assert type(direct.edges[0].length) is Fraction
+    assert (
+        effective_resistance(direct, "P", "Q")
+        == effective_resistance(from_tuple, "P", "Q")
+        == Fraction(1, 2)
+    )
+
+
+@pytest.mark.parametrize("length", [0.5, "1/2"], ids=repr)
+def test_fiber_node_converts_its_length(length):
+    """A chain fiber whose nodes are built directly with a float or str
+    length has nodes of length 1/2, and the report and the closed-form e
+    of the same fiber built from tuples."""
+
+    def chain(make):
+        return FiberConfiguration(
+            [("A", 1), ("B", 0)], [make("n", "A", "B", length), make("s", "B", "B", length)]
+        )
+
+    direct, from_tuple = chain(FiberNode), chain(lambda *node: node)
+    assert direct.nodes == from_tuple.nodes
+    assert [n.length for n in direct.nodes] == [Fraction(1, 2)] * 2
+    assert fiber_report(direct) == fiber_report(from_tuple)
+    assert fiber_e_closed_form(direct) == fiber_e_closed_form(from_tuple)
+    assert fiber_report(direct).e == fiber_e_closed_form(direct)
 
 
 def test_fiber_report():
