@@ -155,35 +155,36 @@ def _read(path) -> str:
         raise UnreadableFile(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
-def _resolve(names: dict, label: str):
-    if label not in names:
-        raise UnknownVertex(f"unknown point or vertex {label!r}")
-    return names[label]
+def _graph_command(args, command: str, *params):
+    """What a graph command reads: the graph, named points and divisor of
+    `args.file`, a Report whose inputs are the file and the arguments
+    `params`, and the point each of those arguments names, in that order.
+    UnknownVertex for an argument that names no point."""
+    graph, names, divisor = parse_graph_file(_read(args.file))
+    labels = [getattr(args, param) for param in params]
+    for label in labels:
+        if label not in names:
+            raise UnknownVertex(f"unknown point or vertex {label!r}")
+    rep = Report(command, {"file": args.file, **dict(zip(params, labels))})
+    return (graph, names, divisor, rep, *[names[label] for label in labels])
 
 
 def _cmd_resistance(args) -> Report:
-    graph, names, _ = parse_graph_file(_read(args.file))
-    p = _resolve(names, args.p)
-    q = _resolve(names, args.q)
-    rep = Report("resistance", {"file": args.file, "p": args.p, "q": args.q})
+    graph, _, _, rep, p, q = _graph_command(args, "resistance", "p", "q")
     rep.value("r", effective_resistance(graph, p, q), label=f"r({args.p},{args.q})")
     return rep
 
 
 def _cmd_green(args) -> Report:
-    graph, names, divisor = parse_graph_file(_read(args.file))
-    x = _resolve(names, args.x)
-    y = _resolve(names, args.y)
+    graph, _, divisor, rep, x, y = _graph_command(args, "green", "x", "y")
     s = green_system(graph, divisor)
-    rep = Report("green", {"file": args.file, "x": args.x, "y": args.y})
     rep.value("g", s.eval(x, y), label=f"g({args.x},{args.y})")
     return rep
 
 
 def _cmd_measure(args) -> Report:
-    graph, names, divisor = parse_graph_file(_read(args.file))
+    graph, names, divisor, rep = _graph_command(args, "measure")
     mu = green_system(graph, divisor).measure
-    rep = Report("measure", {"file": args.file})
     rep.value("mass", mu.total_mass())
     labels = {}
     for name, p in names.items():
@@ -198,8 +199,7 @@ def _cmd_measure(args) -> Report:
 
 
 def _cmd_e_invariant(args) -> Report:
-    graph, _, divisor = parse_graph_file(_read(args.file))
-    rep = Report("e-invariant", {"file": args.file})
+    graph, _, divisor, rep = _graph_command(args, "e-invariant")
     rep.value("e", e_invariant(graph, divisor))
     return rep
 
@@ -224,6 +224,11 @@ def _parse_delta(raw: str, g: int):
     return [parse_rational(tok) for tok in raw.split(",")] if raw else [0] * (g // 2 + 1)
 
 
+# The switches of `mg bounds`: each is an input of its records, and `mg
+# bounds radius` echoes them in its `flags` line.
+_FLAGS = ("hyperelliptic", "smooth", "irreducible")
+
+
 def _cmd_bounds(args) -> Report:
     g = args.genus
     bounds_mod.check_genus(g)
@@ -235,13 +240,12 @@ def _cmd_bounds(args) -> Report:
         delta=delta,
         smooth=args.smooth,
     )
+    flags = {flag: getattr(args, flag) for flag in _FLAGS}
     inputs = {
         "genus": g,
         "lambda": str(lam),
         "delta": ",".join(str(d) for d in delta),
-        "hyperelliptic": args.hyperelliptic,
-        "smooth": args.smooth,
-        "irreducible": args.irreducible,
+        **flags,
     }
     rep = Report(f"bounds-{args.which}", inputs)
     if args.which == "slope":
@@ -250,36 +254,30 @@ def _cmd_bounds(args) -> Report:
         rep.value("rhs", check.rhs)
         rep.value("slack", check.slack)
         rep.text("holds", "true" if check.holds else "false")
-    elif args.which == "radius":
+        return rep
+    if args.which == "radius":
         rsq = bounds_mod.radius_sq_closed_form(g, delta)
-        rep.value("radius^2", rsq)
-        rep.float_value("radius", math.sqrt(rsq))
-        rep.text(
-            "flags",
-            f"hyperelliptic={str(args.hyperelliptic).lower()} "
-            f"smooth={str(args.smooth).lower()} "
-            f"irreducible={str(args.irreducible).lower()}",
-        )
     else:  # reference
         rsq = bounds_mod.reference_radius_sq(stats, irreducible=args.irreducible)
-        rep.value("radius^2", rsq)
-        rep.float_value("radius", math.sqrt(rsq))
+    rep.value("radius^2", rsq)
+    rep.float_value("radius", math.sqrt(rsq))
+    if args.which == "radius":
+        rep.text("flags", " ".join(f"{flag}={str(v).lower()}" for flag, v in flags.items()))
     return rep
 
 
 def _cmd_oracle_green(args) -> Report:
-    graph, names, divisor = parse_graph_file(_read(args.file))
-    x = _resolve(names, args.x)
-    y = _resolve(names, args.y)
+    graph, _, divisor, rep, x, y = _graph_command(args, "oracle-green", "x", "y")
     h = parse_rational(args.h)
+    rep.inputs["h"] = str(h)
     value = oracle_mod.numeric_green(graph, divisor, x, y, h)
-    rep = Report(
-        "oracle-green",
-        {"file": args.file, "x": args.x, "y": args.y, "h": str(h)},
-    )
     rep.float_value("g", value, label=f"g({args.x},{args.y})")
     rep.lines[-1] += f" (h = {h})"
     return rep
+
+
+# What `mg batch` runs on a file, by its suffix.
+_BATCH = {".mg": _cmd_e_invariant, ".fib": _cmd_fiber_analyze}
 
 
 def _cmd_batch(args) -> Report:
@@ -288,15 +286,11 @@ def _cmd_batch(args) -> Report:
         raise InputError(f"not a directory: {args.dir}")
     rep = Report("batch", {})
     for path in sorted(root.iterdir()):
-        if path.suffix not in (".mg", ".fib"):
+        if path.suffix not in _BATCH:
             continue
-        ns = argparse.Namespace(file=str(path))
         rep.lines.append(f"== {path.name} ==")
         try:
-            if path.suffix == ".mg":
-                one = _cmd_e_invariant(ns)
-            else:
-                one = _cmd_fiber_analyze(ns)
+            one = _BATCH[path.suffix](argparse.Namespace(file=str(path)))
         except (InputError, PreconditionError) as exc:
             rep.error(str(path), exc)
         else:
@@ -315,6 +309,23 @@ def _error_line(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
+def _command(sub, name: str, help: str, positionals: str, handler):
+    """Declare command `name` in the subparsers `sub`: its help, its
+    positional arguments (named in one string) and its handler.  Returns
+    its parser, for any option it has."""
+    p = sub.add_parser(name, help=help)
+    for dest in positionals.split():
+        p.add_argument(dest)
+    p.set_defaults(handler=handler)
+    return p
+
+
+def _group(sub, name: str, help: str):
+    """Declare command group `name` in the subparsers `sub`; returns the
+    subparsers of its commands."""
+    return sub.add_parser(name, help=help).add_subparsers(dest=f"{name}_command", required=True)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `mg` parser, built on first use; parsing leaves it unchanged, so
@@ -325,56 +336,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit JSON records")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("resistance", help="effective resistance between two points")
-    p.add_argument("file")
-    p.add_argument("p")
-    p.add_argument("q")
-    p.set_defaults(handler=_cmd_resistance)
-
-    p = sub.add_parser("green", help="Green function value g(x, y)")
-    p.add_argument("file")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.set_defaults(handler=_cmd_green)
-
-    p = sub.add_parser("measure", help="admissible measure of the file's (G, D)")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_measure)
-
-    p = sub.add_parser("e-invariant", help="the invariant e(G, D)")
-    p.add_argument("file")
-    p.set_defaults(handler=_cmd_e_invariant)
-
-    p = sub.add_parser("fiber", help="fiber configuration commands")
-    fiber_sub = p.add_subparsers(dest="fiber_command", required=True)
-    q = fiber_sub.add_parser("analyze", help="genus, node types, e_y")
-    q.add_argument("file")
-    q.set_defaults(handler=_cmd_fiber_analyze)
-
-    p = sub.add_parser("bounds", help="slope and Bogomolov bound arithmetic")
+    _command(sub, "resistance", "effective resistance between two points", "file p q",
+             _cmd_resistance)
+    _command(sub, "green", "Green function value g(x, y)", "file x y", _cmd_green)
+    _command(sub, "measure", "admissible measure of the file's (G, D)", "file", _cmd_measure)
+    _command(sub, "e-invariant", "the invariant e(G, D)", "file", _cmd_e_invariant)
+    fiber = _group(sub, "fiber", "fiber configuration commands")
+    _command(fiber, "analyze", "genus, node types, e_y", "file", _cmd_fiber_analyze)
+    p = _command(sub, "bounds", "slope and Bogomolov bound arithmetic", "", _cmd_bounds)
     p.add_argument("which", choices=["slope", "radius", "reference"])
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--lambda", dest="lambda_deg", default=None)
     p.add_argument("--delta", default="")
-    p.add_argument("--hyperelliptic", action="store_true")
-    p.add_argument("--smooth", action="store_true")
-    p.add_argument("--irreducible", action="store_true")
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("oracle", help="floating-point cross checks")
-    oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-    q = oracle_sub.add_parser("green", help="discretized Green value")
-    q.add_argument("file")
-    q.add_argument("x")
-    q.add_argument("y")
-    q.add_argument("--h", required=True, help="grid size (rational)")
-    q.set_defaults(handler=_cmd_oracle_green)
-
-    p = sub.add_parser("batch", help="evaluate every .mg/.fib file in a directory")
-    p.add_argument("dir")
-    p.set_defaults(handler=_cmd_batch)
-
+    for flag in _FLAGS:
+        p.add_argument(f"--{flag}", action="store_true")
+    oracle = _group(sub, "oracle", "floating-point cross checks")
+    p = _command(oracle, "green", "discretized Green value", "file x y", _cmd_oracle_green)
+    p.add_argument("--h", required=True, help="grid size (rational)")
+    _command(sub, "batch", "evaluate every .mg/.fib file in a directory", "dir", _cmd_batch)
     return parser
 
 
@@ -394,6 +373,20 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(previous)
 
 
+def _print_lines(lines):
+    """Print each line to stdout.  A line that stdout's encoding cannot
+    write goes out in the file system's encoding instead, so a file name in
+    it keeps its bytes on disk, as in the C locale: one that is not UTF-8,
+    which `os.fsdecode` read into lone surrogates, or one that is not ASCII
+    on an ASCII stdout."""
+    for line in lines:
+        try:
+            print(line)
+        except UnicodeEncodeError:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(os.fsencode(line) + b"\n")
+
+
 def _run(args) -> int:
     try:
         rep = args.handler(args)
@@ -407,8 +400,7 @@ def _run(args) -> int:
         if args.json:
             _write_json(sys.stdout.write, rep.records)
         else:
-            for line in rep.lines:
-                print(line)
+            _print_lines(rep.lines)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away (`mg ... | head`): send what is still

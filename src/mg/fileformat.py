@@ -3,22 +3,24 @@
 Graph files::
 
     metrized_graph
-    vertex P
+    vertex P              # vertex <name>
     vertex Q
     edge e P Q 1          # edge <name> <v1> <v2> <length>
-    point m on e at 1/2   # named edge-interior point
-    divisor P 1           # divisor <vertex-or-point-name> <coefficient>
+    point m on e at 1/2   # point <name> on <edge> at <offset>
+    divisor P 1           # divisor <name> <coefficient>
 
-Fiber files::
+A divisor line names a vertex or a point.  Fiber files::
 
     fiber
-    component A genus 1
+    component A genus 1   # component <name> genus <int>
     node n1 A B           # node <name> <compA> <compB> [length <rational>]
 
 Rationals are written p/q or as integers, with at most MAX_RATIONAL_DIGITS
 digits in each part; a genus is written in the digits 0-9 only, with the
-same cap; '#' starts a comment.  The serializers emit a sorted normal form,
-so serialize(parse(text)) is idempotent after the first round trip.
+same cap; '#' starts a comment.  A malformed line, or a rational or genus
+that a line cannot hold, is an error that names the line.  The serializers
+emit a sorted normal form, so serialize(parse(text)) is idempotent after
+the first round trip.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from fractions import Fraction
 
 from .errors import (
     BadRational,
+    GenusTooLarge,
     ParseError,
     PointOffGraph,
     UnknownComponent,
@@ -74,80 +77,78 @@ def parse_rational(token: str) -> Fraction:
     )
 
 
-def _logical_lines(text: str):
-    """(line number, tokens) of each line that is not blank or a comment.
-    Lines end at \\n, \\r\\n or \\r only, as an editor counts them:
-    `str.splitlines` would also end one at a form feed or a Unicode line
-    separator inside a comment."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
-
-
 def _body(text: str, header: str) -> list:
-    """The logical lines after the header line.  ParseError at the first
-    logical line, or at line 1 when there is none, unless it is `header`."""
-    lines = list(_logical_lines(text))
+    """(line number, tokens) of each line after the header line that is not
+    blank or a comment.  ParseError at the first such line, or at line 1
+    when there is none, unless it is `header`.  Lines end at \\n, \\r\\n or
+    \\r only, as an editor counts them: `str.splitlines` would also end one
+    at a form feed or a Unicode line separator inside a comment."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = []
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            lines.append((lineno, tokens))
     if not lines or lines[0][1] != [header]:
         raise ParseError(lines[0][0] if lines else 1, f"expected header {header!r}")
     return lines[1:]
+
+
+# The directives of each format: a directive's token count and its usage,
+# which the `expected:` message of a line that does not fit it quotes.  The
+# usage's words that are not placeholders are checked in the parse loop; a
+# node line may also end in the optional `length <rational>`.
+_GRAPH_DIRECTIVES = {
+    "vertex": (2, "vertex <name>"),
+    "edge": (5, "edge <name> <v1> <v2> <length>"),
+    "point": (6, "point <name> on <edge> at <offset>"),
+    "divisor": (3, "divisor <name> <coefficient>"),
+}
+_FIBER_DIRECTIVES = {
+    "component": (4, "component <name> genus <int>"),
+    "node": (4, "node <name> <compA> <compB> [length <rational>]"),
+}
 
 
 def parse_graph_file(text: str):
     """Parse a graph file; returns (graph, named points, divisor).
 
     Named points include every vertex (as a vertex point) and every `point`
-    declaration; the divisor is empty when no divisor lines appear.
+    declaration; the divisor is empty when no divisor lines appear.  A bad
+    rational names its line.
     """
-    vertices: list[str] = []
     edges: list[tuple] = []
-    used_names: set[str] = set()
-    vertex_names: set[str] = set()
-    names: dict[str, GraphPoint] = {}
+    kinds: dict[str, str] = {}  # name -> vertex, edge or point: one namespace
     divisor_terms: list[tuple] = []
     pending_points: list[tuple[int, str, str, Fraction]] = []
 
-    for lineno, tokens in _body(text, GRAPH_HEADER):
-        kind = tokens[0]
-        if kind == "vertex":
-            if len(tokens) != 2:
-                raise ParseError(lineno, "expected: vertex <name>")
+    try:
+        for lineno, tokens in _body(text, GRAPH_HEADER):
+            kind = tokens[0]
+            if kind not in _GRAPH_DIRECTIVES:
+                raise ParseError(lineno, f"unknown directive {kind!r}")
+            count, usage = _GRAPH_DIRECTIVES[kind]
+            if len(tokens) != count or kind == "point" and (tokens[2], tokens[4]) != ("on", "at"):
+                raise ParseError(lineno, "expected: " + usage)
             name = tokens[1]
-            if name in used_names:
+            if kind == "divisor":
+                divisor_terms.append((lineno, name, parse_rational(tokens[2])))
+                continue
+            if name in kinds:
                 raise ParseError(lineno, f"duplicate name {name!r}")
-            vertices.append(name)
-            used_names.add(name)
-            vertex_names.add(name)
-            names[name] = GraphPoint.at_vertex(name)
-        elif kind == "edge":
-            if len(tokens) != 5:
-                raise ParseError(lineno, "expected: edge <name> <v1> <v2> <length>")
-            name, v1, v2, raw = tokens[1:]
-            if name in used_names:
-                raise ParseError(lineno, f"duplicate name {name!r}")
-            for v in (v1, v2):
-                if v not in vertex_names:
-                    raise UnknownVertex(f"line {lineno}: unknown vertex {v!r}")
-            edges.append((name, v1, v2, parse_rational(raw)))
-            used_names.add(name)
-        elif kind == "point":
-            if len(tokens) != 6 or tokens[2] != "on" or tokens[4] != "at":
-                raise ParseError(lineno, "expected: point <name> on <edge> at <offset>")
-            name, edge, raw = tokens[1], tokens[3], tokens[5]
-            if name in used_names:
-                raise ParseError(lineno, f"duplicate name {name!r}")
-            pending_points.append((lineno, name, edge, parse_rational(raw)))
-            used_names.add(name)
-        elif kind == "divisor":
-            if len(tokens) != 3:
-                raise ParseError(lineno, "expected: divisor <name> <coefficient>")
-            divisor_terms.append((lineno, tokens[1], parse_rational(tokens[2])))
-        else:
-            raise ParseError(lineno, f"unknown directive {kind!r}")
+            kinds[name] = kind
+            if kind == "edge":
+                for v in tokens[2:4]:
+                    if kinds.get(v) != "vertex":
+                        raise UnknownVertex(f"line {lineno}: unknown vertex {v!r}")
+                edges.append((name, tokens[2], tokens[3], parse_rational(tokens[4])))
+            elif kind == "point":
+                pending_points.append((lineno, name, tokens[3], parse_rational(tokens[5])))
+    except BadRational as exc:  # from parse_rational, at the line being read
+        raise BadRational(f"line {lineno}: {exc}") from None
 
-    graph = MetrizedGraph(vertices, edges)
+    names = {v: GraphPoint.at_vertex(v) for v, kind in kinds.items() if kind == "vertex"}
+    graph = MetrizedGraph(list(names), edges)
     graph.validate()
 
     for lineno, name, edge, offset in pending_points:
@@ -172,49 +173,41 @@ def parse_graph_file(text: str):
 
 
 def parse_fiber_file(text: str) -> FiberConfiguration:
-    components: list[tuple[str, int]] = []
-    comp_names: set[str] = set()
-    nodes: list[tuple] = []
-    node_names: set[str] = set()
+    """Parse a fiber file.  A bad rational, or a component genus above the
+    cap, names its line."""
+    components: dict[str, int] = {}
+    nodes: dict[str, tuple] = {}
 
-    for lineno, tokens in _body(text, FIBER_HEADER):
-        kind = tokens[0]
-        if kind == "component":
-            if len(tokens) != 4 or tokens[2] != "genus":
-                raise ParseError(lineno, "expected: component <name> genus <int>")
-            name = tokens[1]
-            if name in comp_names:
-                raise ParseError(lineno, f"duplicate component {name!r}")
-            if not _GENUS.fullmatch(tokens[3]):
-                raise ParseError(lineno, f"bad genus {tokens[3]!r}")
-            genus = int(tokens[3])
-            check_genus(genus)
-            components.append((name, genus))
-            comp_names.add(name)
-        elif kind == "node":
-            if len(tokens) == 4:
-                name, a, b = tokens[1:]
-                length = _ONE
-            elif len(tokens) == 6 and tokens[4] == "length":
-                name, a, b = tokens[1:4]
+    try:
+        for lineno, tokens in _body(text, FIBER_HEADER):
+            kind = tokens[0]
+            if kind not in _FIBER_DIRECTIVES:
+                raise ParseError(lineno, f"unknown directive {kind!r}")
+            count, usage = _FIBER_DIRECTIVES[kind]
+            length = _ONE
+            if kind == "node" and len(tokens) == count + 2 and tokens[4] == "length":
                 length = parse_rational(tokens[5])
-            else:
-                raise ParseError(
-                    lineno, "expected: node <name> <compA> <compB> [length <rational>]"
-                )
-            if name in node_names:
+            elif len(tokens) != count or kind == "component" and tokens[2] != "genus":
+                raise ParseError(lineno, "expected: " + usage)
+            name = tokens[1]
+            if kind == "component":
+                if name in components:
+                    raise ParseError(lineno, f"duplicate component {name!r}")
+                if not _GENUS.fullmatch(tokens[3]):
+                    raise ParseError(lineno, f"bad genus {tokens[3]!r}")
+                components[name] = genus = int(tokens[3])
+                check_genus(genus)
+                continue
+            if name in nodes:
                 raise ParseError(lineno, f"duplicate node {name!r}")
-            for ref in (a, b):
-                if ref not in comp_names:
-                    raise UnknownComponent(
-                        f"line {lineno}: unknown component {ref!r}"
-                    )
-            nodes.append((name, a, b, length))
-            node_names.add(name)
-        else:
-            raise ParseError(lineno, f"unknown directive {kind!r}")
+            for ref in tokens[2:4]:
+                if ref not in components:
+                    raise UnknownComponent(f"line {lineno}: unknown component {ref!r}")
+            nodes[name] = (name, tokens[2], tokens[3], length)
+    except (BadRational, GenusTooLarge) as exc:  # parse_rational, check_genus
+        raise type(exc)(f"line {lineno}: {exc}") from None
 
-    cfg = FiberConfiguration(components, nodes)
+    cfg = FiberConfiguration(components.items(), nodes.values())
     fiber_genus(cfg)  # raises Disconnected / GenusTooSmall early
     return cfg
 

@@ -1,6 +1,8 @@
+import argparse
 import io
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -126,6 +128,104 @@ def test_golden_outputs(capsys, argv, expected):
     assert out == (GOLDEN / expected).read_text()
 
 
+# The declared arguments of `mg` and of each subcommand, by prog: the
+# command's help, the parser's description and, for each argument but
+# argparse's own -h, (action class, dest, flags, default, choices, required,
+# help, type).  The formatted help text is left out, as its layout differs
+# between Python versions.
+PARSER_SNAPSHOT = {
+    "mg": (None, "exact invariants of metrized graphs and semistable fibers", [
+        ("_StoreTrueAction", "json", ("--json",), False, None, False, "emit JSON records", None),
+        ("_SubParsersAction", "command", (), None, None, True, None, None),
+    ]),
+    "mg resistance": ("effective resistance between two points", None, [
+        ("_StoreAction", "file", (), None, None, True, None, None),
+        ("_StoreAction", "p", (), None, None, True, None, None),
+        ("_StoreAction", "q", (), None, None, True, None, None),
+    ]),
+    "mg green": ("Green function value g(x, y)", None, [
+        ("_StoreAction", "file", (), None, None, True, None, None),
+        ("_StoreAction", "x", (), None, None, True, None, None),
+        ("_StoreAction", "y", (), None, None, True, None, None),
+    ]),
+    "mg measure": ("admissible measure of the file's (G, D)", None, [
+        ("_StoreAction", "file", (), None, None, True, None, None),
+    ]),
+    "mg e-invariant": ("the invariant e(G, D)", None, [
+        ("_StoreAction", "file", (), None, None, True, None, None),
+    ]),
+    "mg fiber": ("fiber configuration commands", None, [
+        ("_SubParsersAction", "fiber_command", (), None, None, True, None, None),
+    ]),
+    "mg fiber analyze": ("genus, node types, e_y", None, [
+        ("_StoreAction", "file", (), None, None, True, None, None),
+    ]),
+    "mg bounds": ("slope and Bogomolov bound arithmetic", None, [
+        ("_StoreAction", "which", (), None, ("slope", "radius", "reference"), True, None, None),
+        ("_StoreAction", "genus", ("--genus",), None, None, True, None, "int"),
+        ("_StoreAction", "lambda_deg", ("--lambda",), None, None, False, None, None),
+        ("_StoreAction", "delta", ("--delta",), "", None, False, None, None),
+        ("_StoreTrueAction", "hyperelliptic", ("--hyperelliptic",), False, None, False, None, None),
+        ("_StoreTrueAction", "smooth", ("--smooth",), False, None, False, None, None),
+        ("_StoreTrueAction", "irreducible", ("--irreducible",), False, None, False, None, None),
+    ]),
+    "mg oracle": ("floating-point cross checks", None, [
+        ("_SubParsersAction", "oracle_command", (), None, None, True, None, None),
+    ]),
+    "mg oracle green": ("discretized Green value", None, [
+        ("_StoreAction", "file", (), None, None, True, None, None),
+        ("_StoreAction", "x", (), None, None, True, None, None),
+        ("_StoreAction", "y", (), None, None, True, None, None),
+        ("_StoreAction", "h", ("--h",), None, None, True, "grid size (rational)", None),
+    ]),
+    "mg batch": ("evaluate every .mg/.fib file in a directory", None, [
+        ("_StoreAction", "dir", (), None, None, True, None, None),
+    ]),
+}
+
+
+def parser_snapshot(parser, help=None) -> dict:
+    arguments = [
+        (type(a).__name__, a.dest, tuple(a.option_strings), a.default,
+         None if a.choices is None or isinstance(a.choices, dict) else tuple(a.choices),
+         a.required, a.help, a.type and a.type.__name__)
+        for a in parser._actions if not isinstance(a, argparse._HelpAction)
+    ]
+    out = {parser.prog: (help, parser.description, arguments)}
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            helps = {c.dest: c.help for c in a._choices_actions}
+            for name, sub in a.choices.items():
+                out.update(parser_snapshot(sub, helps[name]))
+    return out
+
+
+def test_parser_declares_what_it_did():
+    assert parser_snapshot(build_parser()) == PARSER_SNAPSHOT
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of each `mg ...` example in README's "Command line" block,
+    its comment and the brackets around optional flags taken out."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].replace("[", "").replace("]", "") for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("mg ")]
+
+
+def handlers(parser) -> set:
+    """The handler of each command under `parser`."""
+    for a in parser._actions:
+        if isinstance(a, argparse._SubParsersAction):
+            return set().union(*map(handlers, a.choices.values()))
+    return {parser.get_default("handler")}
+
+
+def test_readme_examples_parse_and_cover_every_command():
+    examples = {build_parser().parse_args(argv).handler for argv in readme_commands()}
+    assert examples == handlers(build_parser())
+
+
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
 
@@ -218,6 +318,19 @@ class TestErrors:
         assert code == 2
         assert "BadGridSize" in err
         assert out == ""
+
+    def test_bad_rational_names_its_line(self, capsys):
+        code, out, err = run(capsys, "e-invariant", GOLDEN / "bad_rational.mg")
+        assert code == 2
+        assert err == (
+            "error: BadRational: line 4: cannot parse '1/0' as a rational "
+            "(p/q or an integer, at most 40 digits each)\n"
+        )
+
+    def test_bad_option_rational_names_no_line(self, capsys):
+        code, out, err = run(capsys, "bounds", "slope", "--genus", "2", "--lambda", "1/0")
+        assert code == 2
+        assert err.startswith("error: BadRational: cannot parse '1/0' ")
 
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run(capsys, "e-invariant", GOLDEN / "nope.mg")
@@ -471,6 +584,34 @@ class TestBatch:
         assert code == 2
         errors = [r for r in json.loads(out) if r["exact"] is None]
         assert [Path(r["inputs"]["file"]).name for r in errors] == ["b.mg", "sub.mg"]
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii"])
+def test_batch_text_writes_file_names_as_on_disk(tmp_path, encoding):
+    """On a strict stdout that cannot write a file name, the header line of
+    the file, and an error line naming it, carry the name's bytes as they
+    are on disk, as the C locale prints them, instead of failing: a name
+    that is not UTF-8, and under ASCII one that is not ASCII."""
+    shutil.copy(GOLDEN / "segment.mg", tmp_path / "a.mg")
+    shutil.copy(GOLDEN / "segment.mg", tmp_path / "\u00e9.mg")
+    root = os.fsencode(tmp_path)
+    try:
+        shutil.copy(GOLDEN / "segment.mg", root + b"/d\xff.mg")
+        os.mkdir(root + b"/e\xff.mg")
+    except OSError as exc:
+        pytest.skip(f"the file system refuses a name that is not UTF-8: {exc}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mg.cli", "batch", str(tmp_path)],
+        env={**os.environ, "PYTHONIOENCODING": encoding,
+             "PYTHONPATH": str(Path(mg.cli.__file__).parents[1])},
+        capture_output=True, timeout=60,
+    )
+    assert proc.stderr == b""
+    assert proc.returncode == 2
+    headers = [line for line in proc.stdout.split(b"\n") if line.startswith(b"==")]
+    assert headers == [b"== a.mg ==", b"== d\xff.mg ==", b"== e\xff.mg ==", b"== \xc3\xa9.mg =="]
+    assert proc.stdout.count(b"e = 1 (1.00000000000)") == 3
+    assert b"error: UnreadableFile: " + root + b"/e\xff.mg: not a regular file\n" in proc.stdout
 
 
 class TestClosedStdout:

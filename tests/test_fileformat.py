@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mg.fileformat
 from mg import (
     BadRational,
     MAX_GENUS,
@@ -181,6 +182,101 @@ class TestParseFiber:
     def test_genus_above_cap(self, genus):
         with pytest.raises(GenusTooLarge):
             parse_fiber_file(f"fiber\ncomponent A genus {genus}\n")
+
+
+GRAPH_TEXT = "metrized_graph\nvertex a\nvertex b\nedge e a b 1\npoint m on e at 1/2\n"
+FIBER_TEXT = "fiber\ncomponent A genus 1\ncomponent B genus 1\nnode m A B\n"
+
+
+class TestErrorLines:
+    """A bad rational or a component genus above the cap names the line
+    that holds it, as every malformed line does; the class stays."""
+
+    @pytest.mark.parametrize("line", [
+        "edge f a b 1/0",
+        "point n on e at 1.5",
+        "divisor a 1_000",
+    ])
+    def test_bad_rational_in_graph(self, line):
+        with pytest.raises(BadRational, match="^line 6: cannot parse "):
+            parse_graph_file(GRAPH_TEXT + line + "\n")
+
+    def test_golden_bad_rational(self):
+        with pytest.raises(BadRational, match="^line 4: cannot parse '1/0' as a rational"):
+            parse_graph_file((GOLDEN / "bad_rational.mg").read_text())
+
+    def test_bad_rational_in_fiber(self):
+        with pytest.raises(BadRational, match="^line 5: cannot parse '1/0' as a rational"):
+            parse_fiber_file(FIBER_TEXT + "node n A B length 1/0\n")
+
+    def test_component_genus_above_cap(self):
+        text = "fiber\ncomponent A genus 1\n# big\ncomponent B genus 12345\n"
+        with pytest.raises(GenusTooLarge, match="^line 4: genus 12345 exceeds the limit "):
+            parse_fiber_file(text)
+
+    def test_fiber_genus_above_cap_names_no_line(self):
+        half = MAX_GENUS // 2 + 1
+        text = f"fiber\ncomponent A genus {half}\ncomponent B genus {half}\nnode n A B\n"
+        with pytest.raises(GenusTooLarge, match=f"^genus {2 * half} exceeds the limit "):
+            parse_fiber_file(text)
+
+    def test_parse_rational_names_no_line(self):
+        with pytest.raises(BadRational, match="^cannot parse '1/0' "):
+            parse_rational("1/0")
+
+
+class TestTwoFaultLines:
+    """Which of two faults on one line is reported."""
+
+    @pytest.mark.parametrize("line,error,match", [
+        ("edge e a zz 1", ParseError, "duplicate name 'e'"),
+        ("point m on e at 1/0", ParseError, "duplicate name 'm'"),
+        ("edge f a zz 1/0", UnknownVertex, "unknown vertex 'zz'"),
+    ])
+    def test_graph(self, line, error, match):
+        with pytest.raises(error, match=match):
+            parse_graph_file(GRAPH_TEXT + line + "\n")
+
+    @pytest.mark.parametrize("line,error,match", [
+        ("node m A B length 1/0", BadRational, "cannot parse '1/0'"),  # the length is read first
+        ("node n A Z length 1/0", BadRational, "cannot parse '1/0'"),
+        ("component A genus x", ParseError, "duplicate component 'A'"),
+    ])
+    def test_fiber(self, line, error, match):
+        with pytest.raises(error, match=match):
+            parse_fiber_file(FIBER_TEXT + line + "\n")
+
+
+# Each directive of the two formats, and the parser that reads it.
+DIRECTIVES = {
+    "vertex": parse_graph_file,
+    "edge": parse_graph_file,
+    "point": parse_graph_file,
+    "divisor": parse_graph_file,
+    "component": parse_fiber_file,
+    "node": parse_fiber_file,
+}
+
+
+def test_every_directive_is_listed():
+    graph, fiber = mg.fileformat._GRAPH_DIRECTIVES, mg.fileformat._FIBER_DIRECTIVES
+    assert DIRECTIVES == {
+        **dict.fromkeys(graph, parse_graph_file), **dict.fromkeys(fiber, parse_fiber_file)
+    }
+
+
+@pytest.mark.parametrize("kind", DIRECTIVES)
+def test_usage_is_documented(kind):
+    """A line that holds only the directive fits none; the `expected:`
+    message quotes the directive's usage, which README and the module
+    docstring show as written there."""
+    parse = DIRECTIVES[kind]
+    text, lineno = (GRAPH_TEXT, 6) if parse is parse_graph_file else (FIBER_TEXT, 5)
+    with pytest.raises(ParseError, match=f"^line {lineno}: expected: {kind} ") as info:
+        parse(text + kind + "\n")
+    usage = str(info.value).split("expected: ", 1)[1]
+    assert usage in (Path(__file__).parents[1] / "README.md").read_text()
+    assert usage in mg.fileformat.__doc__
 
 
 class TestRoundTrip:
