@@ -76,9 +76,10 @@ class Report:
         self._add(name, f"{label or name} ~= {dec}", None, dec)
 
     def error(self, file: str, exc: InputError | PreconditionError):
-        """`exc` stopped the work on `file`: an error line, a record with a
+        """`exc` stopped the work on `file`: an error line, whose control
+        characters, as of a file name in it, are escaped, a record with a
         null exact and decimal, and the exit code unless one is set."""
-        self.lines.append(_error_line(exc))
+        self.lines.append(_error_line(exc).translate(_CONTROLS))
         message = f"{type(exc).__name__}: {exc}"
         self.records.append((self.command, None, None, {"file": file}, (message,)))
         self.code = self.code or _exit_code(exc)
@@ -279,6 +280,11 @@ def _cmd_oracle_green(args) -> Report:
 # What `mg batch` runs on a file, by its suffix.
 _BATCH = {".mg": _cmd_e_invariant, ".fib": _cmd_fiber_analyze}
 
+# Each control character as a Python string literal escapes it (a line
+# feed as a backslash and "n"), so that no file name can start a line of
+# `mg batch`'s text output.
+_CONTROLS = {c: repr(chr(c))[1:-1] for c in [*range(32), *range(127, 160)]}
+
 
 def _cmd_batch(args) -> Report:
     root = Path(args.dir)
@@ -288,7 +294,7 @@ def _cmd_batch(args) -> Report:
     for path in sorted(root.iterdir()):
         if path.suffix not in _BATCH:
             continue
-        rep.lines.append(f"== {path.name} ==")
+        rep.lines.append(f"== {path.name.translate(_CONTROLS)} ==")
         try:
             one = _BATCH[path.suffix](argparse.Namespace(file=str(path)))
         except (InputError, PreconditionError) as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from fractions import Fraction
+from operator import is_
 
 from ._record import Frozen, setfield
 from .errors import (
@@ -267,7 +268,12 @@ class RDivisor:
         return self._coeffs.get(as_point(p), Fraction(0))
 
     def relocate(self, f: Callable[[GraphPoint], GraphPoint]) -> "RDivisor":
-        return RDivisor((f(p), a) for p, a in self._coeffs.items())
+        """The divisor with each point p moved to f(p): f is called on every
+        point, and when it returns each one itself, the divisor is kept."""
+        points = [f(p) for p in self._coeffs]
+        if all(map(is_, points, self._coeffs)):
+            return self
+        return RDivisor(zip(points, self._coeffs.values()))
 
     def __add__(self, other: "RDivisor") -> "RDivisor":
         return RDivisor(list(self._coeffs.items()) + list(other._coeffs.items()))

@@ -34,29 +34,32 @@ Gamma at up to four pairs of endpoints.  The tent of two points inside
 one edge is part of X, so this module reads no edge length for it.
 
 A Green system is built from two solved vectors, x_mu = Gamma·m_mu and
-x_D = Gamma·m_D, the measure and the divisor spread over the vertices
-(`_potential` of `mg.resistance`).  j is k + S - 2 x_mu at a vertex and
-r(D, .) is sum a_i S(P_i) + deg(D) S - 2 x_D, so the certificate and j_D
-are arithmetic on the two vectors and S, and no potential is formed to
-build a system: j_D at D's vertex points is one dot product with x_mu.
-Every edge's ends and length come from the kernel's edge table and its
-rho_e from S's coefficients, so the build converts no length and looks up
-no edge.  The reads' h and, once the vertices pass, the certificate's 2F
-are `_Potential`s, the type of S, built from their vertex values,
-coefficients and tents; h is built by the first read that needs it and
-kept on the system.  Building a Green system,
-which every e(G, D) pays for, runs on arrays indexed by vertex in the fast
-rational type of `mg.linalg`: the measure's atoms and densities, both
-vectors (the factorization solves in that type) and the certificate.
-Reads compute on that type too.  A value becomes a plain Fraction where a
-caller receives it: the measure, c and j_D once, and each value a read
-returns.
+x_D = Gamma·m_D, the measure and the divisor spread over the vertices.  It
+spreads only D (`_potential` of `mg.resistance`): the kernel keeps 2 mu_can
+spread over the vertices as 2 m_can, with its mass and its constant k_can,
+so m_mu = (m_D + 2 m_can)/(deg D + 2) is O(V) arithmetic, and so is mu's
+constant.  j is k + S - 2 x_mu at a vertex and r(D, .) is
+sum a_i S(P_i) + deg(D) S - 2 x_D, so the certificate and j_D are
+arithmetic on the two vectors and S, and no potential is formed to build
+a system: j_D at D's vertex points is one dot product with x_mu.  Every
+build runs the mass check, (deg D + mass of 2 mu_can)/(deg D + 2) = 1,
+which is Foster's identity on the kernel, and the vertex check of
+`GreenSystem._certify`.  The measure object is not built then:
+`GreenSystem.measure` builds it on its first read and checks it against
+the build.  The reads' h is a `_Potential`, the type of S, built from its
+vertex values, coefficients and tents by the first read that needs it and
+kept on the system.  Building a Green system, which every e(G, D) pays
+for, runs on arrays indexed by vertex in the fast rational type of
+`mg.linalg`, and reads compute on that type too.  A value becomes a plain
+Fraction where a caller receives it: the measure, c and j_D once, and each
+value a read returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 
 from ._record import Record
 from .errors import ConstancyViolation, DegreeMinusTwo
@@ -83,9 +86,7 @@ class AdmissibleMeasure(Record):
 
     def total_mass(self) -> Fraction:
         mass = sum(self.atoms.values(), _ZERO)
-        for e in self.graph.edges:
-            mass += self.densities.get(e.id, _ZERO) * e.length
-        return mass
+        return sum((self.density(e.id) * e.length for e in self.graph.edges), mass)
 
     def density(self, edge_id) -> Fraction:
         return self.densities.get(edge_id, _ZERO)
@@ -113,85 +114,85 @@ def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
 
 
 def _degree(d: RDivisor):
-    """deg D, summed in the fast type."""
-    return sum((a for _, a in d.items()), fast(0))
+    """deg D, summed in the fast type; DegreeMinusTwo if it is -2."""
+    deg = sum((a for _, a in d.items()), fast(0))
+    if deg == -2:
+        raise DegreeMinusTwo("divisor has degree -2")
+    return deg
 
 
 def _measure(g: MetrizedGraph, d: RDivisor, deg) -> AdmissibleMeasure:
     """`admissible_measure` for a divisor already relocated onto g by
-    `check_point`, of degree deg in the fast type."""
-    if deg == -2:
-        raise DegreeMinusTwo("divisor has degree -2")
-    kernel = resistance_kernel(g)
+    `check_point`, of degree deg != -2 in the fast type."""
     scale = deg + 2
     coeff = {p.vertex: fast(a) for p, a in d.items() if p.is_vertex}
-    atoms = {
-        v: plain((coeff.get(v, 0) + 2 - g.valence(v)) / scale) for v in g.vertex_list
-    }
-    for p, a in d.items():
-        if not p.is_vertex:
-            atoms[p] = plain(a / scale)
-    weight = 2 / scale
-    densities = {e: plain(rho * weight) for e, rho in kernel.ground.curv.items()}
-    return AdmissibleMeasure(g, atoms, densities)
+    atoms = {v: plain((coeff.get(v, 0) + 2 - g.valence(v)) / scale) for v in g.vertex_list}
+    atoms.update((p, plain(a / scale)) for p, a in d.items() if not p.is_vertex)
+    curv = resistance_kernel(g).ground.curv.items()
+    return AdmissibleMeasure(g, atoms, {e: plain(2 * rho / scale) for e, rho in curv})
 
 
 class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
     Construction relocates D onto the graph once, sums deg D once in the
-    fast type for the measure and the system, takes the graph's
-    resistance kernel and solves twice: x_mu = Gamma·m_mu and x_D =
-    Gamma·m_D, the measure mu and the divisor D each spread over the
-    vertices as `_potential` spreads them.  It checks that mu has mass 1
-    from the masses that spreading sums, then certifies from the two
-    vectors that g(D, y) + g(y, y) is constant (`_certify`), raising
-    ConstancyViolation if the measure is not the admissible one.  That
-    constant c(G, D) is stored as `c`; it is also c_mu.  Everything about
-    D reads the potential j = integral r(., z) dmu(z), which is
-    k + S - 2 x_mu at a vertex (Chinburg-Rumely 1993; Baker-Rumely 2007),
-    k being the constant of `_potential` and S the kernel's `ground`:
-    g(D, y) = 2c - j(y), g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D =
-    sum a_i j(P_i).  All of this runs in the fast rational type of
-    `mg.linalg`; c and j_D are converted to plain Fractions once, at the
-    end, and x_mu is kept in the fast type for reads, each of which returns
-    a plain Fraction.
+    fast type, takes the graph's resistance kernel and checks that mu has
+    mass 1 from the kernel's mass of 2 mu_can.  It spreads D over the
+    vertices (`_potential`), as m_D, forms m_mu = (m_D + 2 m_can)/(deg D +
+    2) from the kernel's 2 m_can, and solves twice: x_mu = Gamma·m_mu and
+    x_D = Gamma·m_D.  Then it certifies from the two vectors that
+    g(D, y) + g(y, y) is constant (`_certify`), raising ConstancyViolation
+    if not.  That constant c(G, D) is stored as `c`; it is also c_mu.
+    Everything about D reads the potential j = integral r(., z) dmu(z),
+    which is k + S - 2 x_mu at a vertex (Chinburg-Rumely 1993;
+    Baker-Rumely 2007), k = (sum a_i S(P_i) + k_can)/(deg D + 2) being
+    mu's constant and S the kernel's `ground`: g(D, y) = 2c - j(y),
+    g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D = sum a_i j(P_i).  All of
+    this runs in the fast rational type of `mg.linalg`; c and j_D are
+    converted to plain Fractions once, at the end, and x_mu is kept in the
+    fast type for reads, each of which returns a plain Fraction.  No
+    measure object is built: `measure` is a cached property, built and
+    checked by its first read.
 
     g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X the
     kernel's form for r (`mg.resistance`): one `pair` on h gives
     h(x) + h(y) and X, tent included, from Gamma at up to four pairs of
     endpoints and a potential read per point.  h is the `_Potential` with
-    the values k/2 - x_mu at the vertices, the coefficient -dens_e/2 on an
-    edge of density dens_e and a tent (s, a) for each atom a of mu inside
-    an edge, a cached property built by the first read that needs it: by
-    `eval`, by a read of j inside an edge, or by j_D when D has a point
-    inside an edge.  So building a system with D on vertices, and so
-    `e_invariant` and `fiber_report`, pays nothing for it.  X may compute
-    Gamma entries off the selected inverse's pattern, which the kernel's
-    factorization keeps.  Every kept value is exact and computed from the
-    same state, so threads racing to build one store equal values, and
-    concurrent reads stay safe.
+    the values k/2 - x_mu at the vertices, the coefficient -rho_e/(deg D +
+    2), half mu's density, on each edge and a tent (s, a) for each atom a
+    of mu inside an edge, a cached property built by the first read that
+    needs it: by `eval`, by a read of j inside an edge, or by j_D when D
+    has a point inside an edge.  So building a system with D on vertices,
+    and so `e_invariant` and `fiber_report`, pays nothing for it.  X may
+    compute Gamma entries off the selected inverse's pattern, which the
+    kernel's factorization keeps.  Every kept value is exact and computed
+    from the same state, so threads racing to build one store equal
+    values, and concurrent reads stay safe.
     """
 
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
         self.graph = graph
         d = self.divisor = divisor.relocate(graph.check_point)
         deg = _degree(d)
-        mu = self.measure = _measure(graph, d, deg)
         self.degree = plain(deg)
         kernel = self._kernel = resistance_kernel(graph)
-        x_mu, k, mass, mu_inside = _potential(kernel, mu.atoms, mu.densities)
+        scale = self._scale = deg + 2
+        mass = (deg + kernel.canonical_mass) / scale
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
-        terms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
-        x_d, s_d, _, d_inside = _potential(kernel, terms, {})
-        scale = deg + 2
+        atoms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
+        m_d, s_d, self._inside = _potential(kernel, atoms)
+        # mu = (delta_D + 2 mu_can)/(deg D + 2) spreads and integrates S as
+        # D and the kernel's 2 mu_can do
+        m_mu = self._m = [m and m / scale for m in map(add, m_d, kernel.canonical)]
+        x_mu = self._x = kernel.solve(m_mu)
+        x_d = kernel.solve(m_d)
         # 2F = scale j - r_D, r_D = r(D, .) being s_d + deg(D) S - 2 x_D at
-        # a vertex, so 2F is 2C + 2(S - scale x_mu + x_D) there, with
-        # 2C = scale k - s_d its value at the ground vertex
-        twice_c = scale * k - s_d
-        self._certify(scale, twice_c, x_mu, x_d, mu_inside, d_inside)
-        self._x, self._k, self._inside = x_mu, k, mu_inside
+        # a vertex, so 2F is 2C + 2(S - scale x_mu + x_D) there, with 2C =
+        # scale k - s_d = k_can its value at the ground vertex
+        twice_c = kernel.canonical_constant
+        k = self._k = (s_d + twice_c) / scale
+        self._certify(scale, twice_c, x_mu, x_d)
         # j = 2h + S, h being k/2 - x_mu at a vertex, and s_d = sum a_i
         # S(P_i): so j_D = s_d + deg(D) k - 2 sum a_i x_mu(P_i), the sum one
         # dot product over D's vertex points, and a point inside an edge
@@ -209,79 +210,87 @@ class GreenSystem:
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
         self.c = plain((twice_c + j_d) / (2 * scale))
 
-    def _certify(self, scale, twice_c, x_mu, x_d, mu_inside, d_inside) -> None:
+    def _certify(self, scale, twice_c, x_mu, x_d) -> None:
         """Check that F = (deg D/2 + 1) j - r_D/2 is the constant C, for
         scale = deg D + 2, 2C = twice_c and the solved vectors x_mu and x_D.
 
         As r(y, y) = 0, g(y, y) = j(y) - c_mu, so g(D, y) + g(y, y) is F(y)
         plus a constant.  Between break points (vertices, and the points of
-        D and of the measure inside edges) every tent is linear, so on an
-        edge F is linear plus gamma_e t(l - t).  F is therefore constant iff
-        it takes one value at every break point and gamma_e = 0 on every
-        edge; any failure raises ConstancyViolation.  At a vertex w, 2F(w)
-        = 2C + 2(S(w) - scale x_mu(w) + x_D(w)), so the vertex check is
-        scale x_mu(w) - x_D(w) == S(w), in `vertex_list` order, with no
-        potential formed.  Once every vertex passes, 2F is the `_Potential`
-        with 2C at every vertex, the coefficient 2 gamma_e = 2 rho_e -
-        scale dens_e and the tents (s, 2 scale a) of mu's atoms a and
-        (s, -2a) of D's inside edges: it is read at its tents' offsets edge
-        by edge, in the graph's edge order, and its coefficient is formed
-        only on an edge that holds a tent.  Then each edge's gamma_e = 0 is
-        checked as scale dens_e == 2 rho_e, rho_e read from S's
-        coefficients, and gamma_e is formed only for a failure's message.
-        All of it runs in the fast type of `mg.linalg`.  GraphPoints are
-        built only for the tents' offsets and for a failure's message,
-        which states F.
+        D inside edges) every tent is linear, so on an edge F is linear plus
+        gamma_e t(l - t), and F is constant iff it takes one value at every
+        break point and gamma_e = 0 on every edge.  As built, both hold
+        inside edges by construction: mu's atom a/scale at a point of D of
+        coefficient a gives 2F the tent weight 2 scale (a/scale) and r_D
+        the weight 2a, which cancel, and gamma_e = rho_e - scale dens_e/2
+        is 0, mu's density dens_e being 2 rho_e/scale.  So only the
+        vertices are checked: at a vertex w, 2F(w) = 2C + 2(S(w) -
+        scale x_mu(w) + x_D(w)), and the check is scale x_mu(w) - x_D(w) ==
+        S(w), in `vertex_list` order, in the fast type of `mg.linalg`, with
+        no potential formed.  A failure raises ConstancyViolation, whose
+        message states F.  Every build runs it, after the mass check: it
+        passes iff m_mu is the admissible measure's spread off the ground
+        vertex, which no solve reads, and the mass check fixes m_mu there.
+        The measure object, which the build does not use, is checked where
+        it is built, by `measure`.
         """
-        kernel = self._kernel
         vertices = self.graph.vertex_list
-
-        def differs(f, y: GraphPoint) -> ConstancyViolation:
-            return ConstancyViolation(
-                f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-                f"is {twice_c / 2} at {GraphPoint.at_vertex(vertices[0])!r} "
-                f"but {f / 2} at {y!r}"
-            )
-
-        for v, s, xm, xd in zip(vertices, kernel.ground.at_vertex, x_mu, x_d):
+        for v, s, xm, xd in zip(vertices, self._kernel.ground.at_vertex, x_mu, x_d):
             z = scale * xm - xd
             if z != s:
-                raise differs(twice_c + 2 * (s - z), GraphPoint.at_vertex(v))
-        rho, density = kernel.ground.curv, self.measure.density
-        weight = 2 * scale
-        inside = {e: [(s, weight * a) for s, a in atoms] for e, atoms in mu_inside.items()}
-        for e, atoms in d_inside.items():
-            inside.setdefault(e, []).extend((s, -2 * a) for s, a in atoms)
-        # 2 gamma_e = 2 rho_e - scale dens_e, which 2F reads only inside an
-        # edge that holds a tent
-        curv = {e: 2 * rho[e] - scale * density(e) for e in inside}
-        twice = _Potential(kernel.index, kernel.edges, [twice_c] * len(vertices), curv, inside)
-        for e in rho:
-            for t in sorted({t for t, _ in inside.get(e, ())}):
-                y = GraphPoint.on_edge(e, t)
-                f = twice.read(y)[1]
-                if f != twice_c:
-                    raise differs(f, y)
-
-        for e, rho_e in rho.items():
-            twice_rho, scaled = 2 * rho_e, scale * density(e)
-            if scaled != twice_rho:
                 raise ConstancyViolation(
-                    f"g(D,y) + g(y,y) has t(l - t) coefficient "
-                    f"{(twice_rho - scaled) / 2} on edge {e!r}"
+                    f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
+                    f"is {twice_c / 2} at {GraphPoint.at_vertex(vertices[0])!r} "
+                    f"but {twice_c / 2 + s - z} at {GraphPoint.at_vertex(v)!r}"
                 )
+
+    @cached_property
+    def measure(self) -> AdmissibleMeasure:
+        """mu as an `AdmissibleMeasure`, built by `_measure` on the first
+        read and checked then against the build, in this order: total mass
+        1; (deg D + 2) dens_e == 2 rho_e on every edge, whose failure states
+        the t(l - t) coefficient gamma_e that g(D, y) + g(y, y) would have;
+        an atom inside an edge at each point of D there and nowhere else,
+        of D's coefficient over deg D + 2; and a vertex spread, atoms as
+        `_potential` spreads them and half of each density on each end,
+        equal to the certified m_mu.  Any failure raises
+        ConstancyViolation, and a later read builds and checks again."""
+        d, scale, kernel = self.divisor, self._scale, self._kernel
+        mu = _measure(self.graph, d, scale - 2)
+        mass = mu.total_mass()
+        if mass != 1:
+            raise ConstancyViolation(f"measure has total mass {mass}, not 1")
+        for e, rho in kernel.ground.curv.items():
+            gamma = rho - scale * mu.density(e) / 2
+            if gamma:
+                raise ConstancyViolation(
+                    f"g(D,y) + g(y,y) has t(l - t) coefficient {gamma} on edge {e!r}"
+                )
+        inside = {p: a / scale for p, a in d.items() if not p.is_vertex}
+        for p, a in {**dict.fromkeys(inside, 0), **mu.atoms}.items():
+            if p not in kernel.index and a != inside.get(p, 0):
+                raise ConstancyViolation(f"measure has atom {a} at {p!r}, not {inside.get(p, 0)}")
+        m = _potential(kernel, mu.atoms)[0]
+        for e in self.graph.edges:
+            half = mu.density(e.id) * e.length / 2
+            m[kernel.index[e.u]] += half
+            m[kernel.index[e.v]] += half
+        for v, a, b in zip(self.graph.vertex_list, m, self._m):
+            if a != b:
+                raise ConstancyViolation(f"measure spreads {a} onto vertex {v!r}, not {b}")
+        return mu
 
     # -- evaluation ----------------------------------------------------
 
     @cached_property
     def _h(self) -> _Potential:
-        """h = (j - S)/2: k/2 - x_mu at the vertices, -dens_e/2 on each
-        edge, and half of j's tents, as S has none; built by the first read
+        """h = (j - S)/2: k/2 - x_mu at the vertices, -rho_e/scale, half
+        mu's density, on each edge, and half of j's tents, mu's atoms a/scale
+        at D's points a inside edges, as S has none; built by the first read
         that needs it."""
-        kernel, k = self._kernel, self._k / 2
-        half = fast(Fraction(-1, 2))
-        curv = {e: half * self.measure.density(e) for e in kernel.edges}
-        return _Potential(kernel.index, kernel.edges, [k - x for x in self._x], curv, self._inside)
+        kernel, k, scale = self._kernel, self._k / 2, self._scale
+        curv = {e: -rho / scale for e, rho in kernel.ground.curv.items()}
+        inside = {e: [(s, a / scale) for s, a in atoms] for e, atoms in self._inside.items()}
+        return _Potential(kernel.index, kernel.edges, [k - x for x in self._x], curv, inside)
 
     def _j(self, y: GraphPoint):
         """j(y), in the fast type, for y in the normal form of

@@ -23,10 +23,22 @@ A function of the shape x -> integral r(x, z) dnu(z), or a linear
 combination of such functions, is at offset t on e the chord of its values
 at e's ends, plus t(l - t) times a coefficient, less a tent for each atom
 of nu inside e: a `_Potential`.  S is one (the kernel's `ground`), and in
-`mg.green` so are the reads' h = (j - S)/2 and the certificate's 2F, each
-built from its vertex values, coefficients and tents.  `_potential` gives
-what a measure's potential is made of, one solve Gamma·m and a constant,
-and `mg.green` does its arithmetic on those.
+`mg.green` so is the reads' h = (j - S)/2, built from its vertex values,
+coefficients and tents.  `_potential` gives what the potential of a set of
+atoms is made of, its spread over the vertices m, to be solved as
+Gamma·m (`ResistanceKernel.solve`), and a constant, and `mg.green` does
+its arithmetic on those.
+
+The kernel keeps the canonical measure the same way, once per graph: 2
+mu_can, of atom 2 - valence(v) at a vertex v and density 2 rho_e on each
+edge, spreads `canonical` = 2 m_can onto the vertices, 2 - valence(v) +
+the sum of rho_e l over the ends at v of its edges, formed in the loop
+that forms rho_e l.  Its mass `canonical_mass` is 2 by Foster's identity
+(the r_e/l sum to the number of vertices less 1), and its constant
+`canonical_constant` is k_can = integral S d(2 mu_can).  Both are summed
+from the vector on first read.  A Green system (`mg.green`) forms mu's
+spread and constant from D's and these, and checks the mass on every
+build.
 
 Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
 X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
@@ -37,15 +49,15 @@ Each length is converted once, into the kernel's edge table
 graph's edge order, i and j the indices of the ends and the rest in the
 fast type.  rho_e itself is kept once, as S's t(l - t) coefficient
 `ground.curv` {edge id: rho_e}, and read from there by edge id.  Only this
-module reads the table's rows: the kernel's build, every potential's rows
-and `_potential`'s spread of a density.  Gamma is never formed densely.
+module reads the table's rows: the kernel's build, its canonical
+constant and every potential's rows.  Gamma is never formed densely.
 The kernel factors the Laplacian once, from the table's conductances
 (`mg.linalg`), and the factorization keeps its selected inverse, which
 holds Gamma exactly on the diagonal, on every pair of adjacent vertices
 and on the fill: so every r_e and density, and S, whose value at a vertex
-v is Gamma_vv, in O(nnz(L)) on a graph that factors with no fill.  A
-potential of a measure (`_potential`) needs only that diagonal, the table
-and one solve, Gamma·m.  Gamma at any other pair, as X between arbitrary
+v is Gamma_vv, and 2 m_can, in O(nnz(L)) on a graph that factors with no
+fill.  A potential of a measure needs only that diagonal, the table and
+one solve, Gamma·m.  Gamma at any other pair, as X between arbitrary
 points may ask for, is read from the same factorization, which computes
 an entry its selected inverse lacks by Takahashi's recurrence along one
 elimination-tree path, with no solve, and keeps it and every entry
@@ -78,7 +90,7 @@ class _Potential:
     For x inside e, r(x, z) is the chord of r(., z) between e's ends plus
     t(l - t) rho_e, less 2 min(s, t)(l - max(s, t))/l when z too lies inside
     e, at offset s: so S, the potential of any measure (`_potential`) and
-    any linear combination of them, such as h and 2F in `mg.green`, have
+    any linear combination of them, such as h in `mg.green`, have
     this shape.  Its maker gives the vertex values, the coefficients (only
     those of the edges it is read inside) and the tents.  `read` gives a
     point's spread weights and the value there, from the row of its edge
@@ -124,7 +136,9 @@ class ResistanceKernel:
     """Gamma of a connected graph, with its edge table `edges` and
     S = r(., v_0) as the potential `ground`, whose coefficients are the
     densities (the module docstring gives both layouts).  `density` is
-    rho_e as a plain Fraction, converted on first use.
+    rho_e as a plain Fraction, converted on first use.  `canonical` is
+    2 mu_can spread over the vertices, 2 m_can, with `canonical_mass` and
+    `canonical_constant` summed from it on first read.
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  The kernel gives the
@@ -133,8 +147,8 @@ class ResistanceKernel:
     0 in the ground's row and column, and holds Gamma's other entries in
     the fast type: its selected inverse, on the diagonal and every pair of
     adjacent vertices, plus the fill, and every entry read off that
-    pattern so far.  `pair` and `entry` read Gamma from it directly.  A
-    measure's potential solves against it (`_potential`).  Every read is
+    pattern so far.  `pair` and `entry` read Gamma from it directly, and
+    `solve` solves against it.  Every read is
     `pair` on a potential, and `pair` alone adds the tent of two points
     inside one edge.  The kernel holds its table but not the graph,
     which holds the kernel, so both, and every entry kept, are freed
@@ -155,19 +169,45 @@ class ResistanceKernel:
         # diagonal
         diagonal = [factors.inverse_entry(i, i) for i in range(len(index))]
         # r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv, with Gamma_uv on the
-        # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e = 1/l
-        # for a loop, whose r_e is 0; rho_e is S's t(l - t) coefficient
+        # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e l = 1 for
+        # a loop, whose r_e is 0; rho_e is S's t(l - t) coefficient.  2 mu_can
+        # spreads 2 - valence(v) + sum over e's ends at v of rho_e l onto v,
+        # that is 2 - sum of r_e/l, to which a loop adds nothing
         rho = {}
+        twice = self.canonical = [2] * len(index)
         for e, (i, j, l, c) in edges.items():
-            rho_l = 1 - (diagonal[i] + diagonal[j] - 2 * factors.inverse_entry(i, j)) * c
-            rho[e] = rho_l * c
+            rho_l, rho[e] = fast(1), c
+            if i != j:
+                r_l = (diagonal[i] + diagonal[j] - 2 * factors.inverse_entry(i, j)) * c
+                rho_l = 1 - r_l
+                rho[e] = rho_l * c
+                twice[i] -= r_l
+                twice[j] -= r_l
             edges[e] = (i, j, l, c, rho_l)
         self.ground = _Potential(index, edges, diagonal, rho, {})
+
+    @cached_property
+    def canonical_mass(self):
+        """The mass of 2 mu_can, summed from `canonical`: 2 by Foster's
+        identity, as the r_e/l sum to the number of vertices less 1."""
+        return sum(self.canonical)
+
+    @cached_property
+    def canonical_constant(self):
+        """k_can = integral S d(2 mu_can): `canonical` against S at the
+        vertices, plus (rho_e l)^2 l/3 from the t(l - t) rho_e term of S on
+        each edge, where 2 mu_can has the density 2 rho_e."""
+        cubic = sum((r * r * l for _, _, l, _, r in self.edges.values() if r), fast(0))
+        return cubic / 3 + sum(m * s for m, s in zip(self.canonical, self.ground.at_vertex) if m)
 
     @cached_property
     def density(self) -> dict:
         """{edge id: canonical density rho_e}, as plain Fractions."""
         return {e: plain(rho) for e, rho in self.ground.curv.items()}
+
+    def solve(self, m: list) -> list:
+        """Gamma·m, in the fast type: m[0] is not read."""
+        return self._factors.solve(m)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij as a plain Fraction."""
@@ -204,61 +244,40 @@ class ResistanceKernel:
         return plain(f - 2 * x)
 
 
-def _potential(kernel: ResistanceKernel, atoms: dict, densities: dict) -> tuple:
-    """The solved vector x = Gamma·m of nu, spread over the vertices as m,
-    with the constant k, nu's total mass and nu's atoms inside edges, for
-    nu made of atoms and a constant density per edge, all in the fast
-    rational type of `mg.linalg`.  Each edge's ends, length and rho_e l
-    are read from the kernel's table.
+def _potential(kernel: ResistanceKernel, atoms: dict) -> tuple:
+    """The atoms nu spread over the vertices as m, with the constant k =
+    integral S dnu and nu's atoms inside edges, in the fast rational type of
+    `mg.linalg`.
 
-    They determine the potential f = integral r(., z) dnu(z): f(w) =
-    k + nu(G) S(w) - 2 x_w at a vertex w, and on an edge e, the chord of
-    those values plus t(l - t)(nu(G) rho_e - nu's density on e), less a
-    tent 2a min(s, t)(l - max(s, t))/l for each atom a of nu inside e at
-    offset s, listed as (s, a) under e.  An atom is keyed by a vertex id,
-    or by an interior GraphPoint in the normal form of `check_point`.  The
-    masses and k are computed on arrays indexed by vertex: a vertex atom
-    goes to its index with no GraphPoint, and Gamma's diagonal is S's
-    vertex array.  Plain Fractions in `atoms` and `densities` serve as
-    operands as they are.
+    With x = Gamma·m (`ResistanceKernel.solve`) they determine the
+    potential f = integral r(., z) dnu(z): f(w) = k + nu(G) S(w) - 2 x_w at
+    a vertex w, and on an edge e, the chord of those values plus
+    t(l - t) nu(G) rho_e, less a tent 2a min(s, t)(l - max(s, t))/l for
+    each atom a of nu inside e at offset s, listed as (s, a) under e.  An
+    atom is keyed by a vertex id, or by an interior GraphPoint in the normal
+    form of `check_point`: one at a vertex puts its mass there, with no
+    GraphPoint, and one inside an edge spreads as S does (`_Potential.read`).
     """
-    index, ground, edges = kernel.index, kernel.ground, kernel.edges
+    index, ground = kernel.index, kernel.ground
     # as r(w, z) = S(w) + S(z) - 2 X(w, z), f(w) = S(w) nu(G) + integral
-    # S dnu - 2 (Gamma m)_w: an atom at a vertex puts its mass there, a
-    # density puts half = rho*l/2 on both ends and adds rho*rho_e*l^3/6 =
-    # half*(rho_e l)*l/3 to integral S dnu (its t(l - t) rho_e term), and
-    # an interior atom spreads as S does (`_Potential.read`)
-    masses = [fast(0)] * len(index)
-    interior = []
+    # S dnu - 2 (Gamma m)_w
+    masses = [0] * len(index)
+    k = 0
+    inside: dict = {}
     for site, a in atoms.items():
+        a = fast(a)
         i = index.get(site)
         if i is None:
-            interior.append((site, fast(a)))
+            (i, j, w), s = ground.read(site)
+            aw = a * w
+            masses[i] += a - aw
+            masses[j] += aw
+            k += a * s
+            inside.setdefault(site.edge, []).append((site.offset, a))
         elif a:
             masses[i] += a
-    cubic = fast(0)
-    for e, rho in densities.items():
-        if rho:
-            i, j, l, _, rho_l = edges[e]
-            half = rho * l / 2
-            masses[i] += half
-            masses[j] += half
-            cubic += half * rho_l * l
-    mass = spread = fast(0)
-    for m, gamma in zip(masses, ground.at_vertex):
-        if m:
-            mass += m
-            spread += m * gamma
-    k = cubic / 3 + spread
-    inside: dict = {}
-    for p, a in interior:
-        (i, j, w), s = ground.read(p)
-        masses[i] += a - a * w
-        masses[j] += a * w
-        mass += a
-        k += a * s
-        inside.setdefault(p.edge, []).append((p.offset, a))
-    return kernel._factors.solve(masses), k, mass, inside
+            k += a * ground.at_vertex[i]
+    return masses, k, inside
 
 
 def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:

@@ -1,5 +1,6 @@
 import argparse
 import io
+import itertools
 import json
 import os
 import shlex
@@ -24,6 +25,7 @@ except ImportError:  # not on Windows
 import mg.cli
 import mg.green
 import reference
+from faults import fault_canonical
 from gen import path_file
 from mg import AdmissibleMeasure, MAX_GENUS
 from mg.cli import build_parser, decimal12, main
@@ -121,7 +123,17 @@ GOLDEN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv,expected", GOLDEN_CASES, ids=lambda x: str(x)[:40])
+def golden_id(argv, expected) -> str:
+    """A golden case's test id, the same in every checkout and free of
+    spaces: the command's words joined by "-", then the golden file's name
+    in tests/golden."""
+    words = itertools.takewhile(lambda a: isinstance(a, str) and not a.startswith("-"), argv)
+    return f"{'-'.join(words)}:{expected}"
+
+
+@pytest.mark.parametrize(
+    "argv,expected", GOLDEN_CASES, ids=[golden_id(*case) for case in GOLDEN_CASES]
+)
 def test_golden_outputs(capsys, argv, expected):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -550,6 +562,31 @@ class TestBatch:
             "== segment.mg =="
         ]
 
+    def test_batch_escapes_control_characters_of_names(self, capsys, tmp_path):
+        # a name holding line breaks cannot forge a header or a result: its
+        # header and an error line naming it write each control character
+        # escaped; --json writes the name as it is
+        forged = "x\n== fake.mg ==\ne = 1 (1.00000000000)\n.mg"
+        shutil.copy(GOLDEN / "segment.mg", tmp_path / "ok.mg")
+        try:
+            shutil.copy(GOLDEN / "zero_length.mg", tmp_path / forged)
+            (tmp_path / "y\x1b\r.mg").mkdir()
+        except OSError as exc:
+            pytest.skip(f"the file system refuses the name: {exc}")
+        code, out, err = run(capsys, "batch", tmp_path)
+        assert code == 2
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("==")] == [
+            "== ok.mg ==",
+            "== x\\n== fake.mg ==\\ne = 1 (1.00000000000)\\n.mg ==",
+            "== y\\x1b\\r.mg ==",
+        ]
+        assert lines.count("e = 1 (1.00000000000)") == 1
+        assert f"error: UnreadableFile: {tmp_path}/y\\x1b\\r.mg: not a regular file" in lines
+        code, out, err = run(capsys, "--json", "batch", tmp_path)
+        files = [r["inputs"]["file"] for r in json.loads(out) if r["exact"] is None]
+        assert [Path(f).name for f in files] == [forged, "y\x1b\r.mg"]
+
     def test_batch_not_a_directory(self, capsys):
         code, out, err = run(capsys, "batch", GOLDEN / "segment.mg")
         assert code == 2
@@ -688,8 +725,10 @@ class TestBigResults:
 
 
 class TestCertificate:
-    """Every command that builds a Green system certifies its measure: a
-    wrong admissible measure is a precondition failure, exit 3."""
+    """Every command that builds a Green system certifies it, and `mg
+    measure` checks the measure it prints against it: a wrong 2 m_can in
+    the kernel, or a wrong measure object, is a precondition failure, exit
+    3."""
 
     @pytest.mark.parametrize(
         "argv", [["green", "P", "m"], ["measure"], ["e-invariant"]], ids=lambda a: a[0]
@@ -698,9 +737,27 @@ class TestCertificate:
         def wrong(g, d, deg):
             return AdmissibleMeasure(g, {"P": Fraction(3, 4), "Q": Fraction(1, 4)}, {})
 
-        monkeypatch.setattr(mg.green, "_measure", wrong)
+        def moved(m):  # half of 2 m_can moved from P to Q: the mass stays 2
+            m[0] -= Fraction(1, 2)
+            m[1] += Fraction(1, 2)
+
         command, *points = argv
+        if command == "measure":
+            monkeypatch.setattr(mg.green, "_measure", wrong)
+        else:
+            fault_canonical(monkeypatch, moved)
         code, out, err = run(capsys, command, GOLDEN / "segment.mg", *points)
         assert code == 3
         assert "ConstancyViolation" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [["green", "P", "m"], ["e-invariant"]], ids=lambda a: a[0])
+    def test_wrong_canonical_mass_exits_3(self, capsys, monkeypatch, argv):
+        def removed(m):  # half of 2 m_can removed at Q: the mass is 3/2
+            m[1] -= Fraction(1, 2)
+
+        fault_canonical(monkeypatch, removed)
+        command, *points = argv
+        code, out, err = run(capsys, command, GOLDEN / "segment.mg", *points)
+        assert (code, out) == (3, "")
+        assert err == "error: ConstancyViolation: measure has total mass 7/8, not 1\n"

@@ -11,6 +11,7 @@ from mg import (
     DegreeMinusTwo,
     GraphPoint,
     MetrizedGraph,
+    PointOffGraph,
     RDivisor,
     admissible_measure,
     canonical_measure,
@@ -29,6 +30,8 @@ from mg import (
     theta_graph,
 )
 import mg.green
+from mg import linalg
+from faults import fault_canonical
 from gen import frac, random_divisor, random_graph, random_point
 from quadrature import integral
 
@@ -228,8 +231,8 @@ class TestConstant:
 
     @staticmethod
     def _patch_measure(monkeypatch, bad):
-        """Make the measure builder of `green_system` return `bad`, and
-        count its calls."""
+        """Make the measure builder of `GreenSystem.measure` return `bad`,
+        and count its calls."""
         calls = []
 
         def wrong(g, d, deg):
@@ -241,7 +244,7 @@ class TestConstant:
 
     def test_violation_detected_for_wrong_measure(self, monkeypatch):
         # corrupt the admissible measure: move atom mass between vertices;
-        # building the system must notice
+        # the system is built, and reading its measure must notice
         g = segment_graph(1)
         d = RDivisor({"P": 1, "Q": 1})
         bad = AdmissibleMeasure(
@@ -250,12 +253,11 @@ class TestConstant:
             dict(admissible_measure(g, d).densities),
         )
         calls = self._patch_measure(monkeypatch, bad)
+        s = green_system(g, d)
+        assert calls == []
         with pytest.raises(ConstancyViolation) as caught:
-            green_system(g, d)
-        assert str(caught.value) == (
-            "g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-            "is 0 at GraphPoint('P') but 1 at GraphPoint('Q')"
-        )
+            s.measure
+        assert str(caught.value) == "measure spreads 3/4 onto vertex 'P', not 1/2"
         assert len(calls) == 1
 
     def test_violation_detected_by_coefficient_alone(self, monkeypatch):
@@ -267,8 +269,9 @@ class TestConstant:
         rho = canonical_measure(g).density("c")
         bad = AdmissibleMeasure(g, {"O": Fraction(1, 2)}, {"c": rho / 2})
         calls = self._patch_measure(monkeypatch, bad)
+        s = green_system(g, d)
         with pytest.raises(ConstancyViolation) as caught:
-            green_system(g, d)
+            s.measure
         assert str(caught.value) == (
             "g(D,y) + g(y,y) has t(l - t) coefficient 2/9 on edge 'c'"
         )
@@ -276,8 +279,8 @@ class TestConstant:
 
     def test_violation_detected_at_measure_atom_inside_edge(self, monkeypatch):
         # half the mass moved from the ends of a segment to its midpoint:
-        # symmetric at the ends and no density anywhere, so only the value
-        # at the measure's own break point inside the edge can tell
+        # symmetric at the ends and no density anywhere, so only the atom
+        # inside the edge, where D has no point, can tell
         g = segment_graph(1)
         d = RDivisor({"P": 1, "Q": 1})
         mid = GraphPoint.on_edge("e", Fraction(1, 2))
@@ -285,29 +288,86 @@ class TestConstant:
             g, {"P": Fraction(1, 4), "Q": Fraction(1, 4), mid: Fraction(1, 2)}, {}
         )
         calls = self._patch_measure(monkeypatch, bad)
+        s = green_system(g, d)
         with pytest.raises(ConstancyViolation) as caught:
-            green_system(g, d)
-        assert str(caught.value) == (
-            "g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-            "is 1/2 at GraphPoint('P') but 0 at GraphPoint('e' @ 1/2)"
-        )
+            s.measure
+        assert str(caught.value) == "measure has atom 1/2 at GraphPoint('e' @ 1/2), not 0"
         assert len(calls) == 1
 
     def test_violation_detected_by_mass_check(self, monkeypatch):
         # the segment's atoms with a quarter of the mass missing: the mass
-        # check, before the certificate, must notice
+        # check, before the others, must notice
         g = segment_graph(1)
         d = RDivisor({"P": 1, "Q": 1})
         bad = AdmissibleMeasure(g, {"P": Fraction(1, 2), "Q": Fraction(1, 4)}, {})
         calls = self._patch_measure(monkeypatch, bad)
+        s = green_system(g, d)
         with pytest.raises(ConstancyViolation) as caught:
-            green_system(g, d)
+            s.measure
         assert str(caught.value) == "measure has total mass 3/4, not 1"
         assert len(calls) == 1
 
+    def test_measure_built_once(self, monkeypatch):
+        # the checked measure is kept: a second read builds nothing
+        g = theta_graph()
+        d = RDivisor({"P": 1})
+        s = green_system(g, d)
+        calls = self._patch_measure(monkeypatch, admissible_measure(g, d))
+        assert s.measure is s.measure
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "shift,message",
+        [
+            (
+                {0: Fraction(-1, 2), 1: Fraction(1, 2)},
+                "g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
+                "is 3/4 at GraphPoint('P') but 1/4 at GraphPoint('Q')",
+            ),
+            ({1: Fraction(-1, 2)}, "measure has total mass 7/8, not 1"),
+            ({0: Fraction(-1, 2)}, "measure has total mass 7/8, not 1"),
+        ],
+        ids=["moved", "removed", "removed-at-ground"],
+    )
+    def test_build_rejects_wrong_canonical_spread(self, monkeypatch, shift, message):
+        # 2 m_can of the unit segment is (1, 1): half of it moved from P to
+        # Q keeps the mass 2, and the vertex check must notice; half of it
+        # removed, from Q or from the ground vertex P, which no solve reads,
+        # leaves the mass 3/2, and the mass check must notice
+        def change(m):
+            for i, delta in shift.items():
+                m[i] += delta
+
+        fault_canonical(monkeypatch, change)
+        with pytest.raises(ConstancyViolation) as caught:
+            green_system(segment_graph(1), RDivisor({"P": 1, "Q": 1}))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("which,value", [(0, "-47/18"), (1, "25/18")], ids=["x_mu", "x_D"])
+    def test_build_rejects_wrong_solve(self, monkeypatch, which, value):
+        # one entry of x_mu = Gamma m_mu or of x_D = Gamma m_D raised by 1
+        # fails the vertex check there: F moves by -(deg D + 2) or by 1
+        real, calls = linalg.Factorization.solve, []
+
+        def solve(self, m):
+            x = real(self, m)
+            if len(calls) == which:
+                x[-1] += 1
+            calls.append(m)
+            return x
+
+        monkeypatch.setattr(linalg.Factorization, "solve", solve)
+        with pytest.raises(ConstancyViolation) as caught:
+            green_system(theta_graph(), RDivisor({"P": 1}))
+        assert str(caught.value) == (
+            "g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
+            f"is 7/18 at GraphPoint('P') but {value} at GraphPoint('Q')"
+        )
+
     def test_divisor_relocated_once_per_build(self, monkeypatch):
-        # the Green system hands its relocated divisor to the measure
-        # builder; the public measure relocates its own
+        # the Green system relocates D once and hands it to the measure
+        # builder when its measure is read; the public measure relocates
+        # its own
         calls = []
         real = RDivisor.relocate
 
@@ -318,10 +378,23 @@ class TestConstant:
         monkeypatch.setattr(RDivisor, "relocate", relocate)
         g = segment_graph(2)
         d = RDivisor({"P": 1, GraphPoint.on_edge("e", 1): 2})
-        green_system(g, d)
+        green_system(g, d).measure
         assert len(calls) == 1
         admissible_measure(g, d)
         assert len(calls) == 2
+
+    def test_divisor_in_normal_form_is_kept(self):
+        # every point is checked, and a divisor none of whose points moves
+        # is kept as it is
+        g = segment_graph(2)
+        d = RDivisor({"P": 1, "Q": 3})
+        assert green_system(g, d).divisor is d
+        d = RDivisor({"P": 1, GraphPoint.on_edge("e", 1): 2})
+        assert green_system(g, d).divisor is d
+        moved = RDivisor({GraphPoint.on_edge("e", 2): 1})
+        assert green_system(g, moved).divisor == RDivisor({"Q": 1})
+        with pytest.raises(PointOffGraph):
+            green_system(g, RDivisor({"R": 1}))
 
     def test_c_is_c_mu(self):
         # g(y, y) = j(y) - c_mu and integral j dmu = 2 c_mu, so integral
@@ -489,11 +562,40 @@ def test_certificate_rejects_every_perturbed_measure(seed, kind, delta):
     e = rng.choice(g.edges)
     inside = GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 6), 7))
     d += RDivisor({inside: 2 if d.degree() == -3 else 1})
-    green_system(g, d)  # the admissible measure never raises
+    assert green_system(g, d).measure == admissible_measure(g, d)  # never raises
     bad = perturbed(admissible_measure(g, d), kind, rng, delta, inside)
     assert bad.total_mass() == 1
+    s = green_system(g, d)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mg.green, "_measure", lambda g, d, deg: bad)
         with pytest.raises(ConstancyViolation) as caught:
-            green_system(g, d)
+            s.measure
     assert not str(caught.value).startswith("measure has total mass")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    delta=st.fractions(min_value=-3, max_value=3, max_denominator=20).filter(bool),
+)
+def test_build_rejects_every_perturbed_canonical_spread(seed, delta):
+    """On a graph of the family above, a Green system built on the kernel's
+    2 m_can with mass delta moved from one vertex to another fails the
+    vertex check: the mass check passes, and the vector is the only one of
+    its mass whose solves certify g(D, y) + g(y, y) constant."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=6, min_vertices=2)
+    v = rng.choice(g.vertex_list)
+    g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
+    d = random_divisor(rng, g, interior=True)
+    a, b = rng.sample(range(len(g.vertex_list)), 2)
+
+    def change(m):
+        m[a] -= delta
+        m[b] += delta
+
+    with pytest.MonkeyPatch.context() as patch:
+        fault_canonical(patch, change)
+        with pytest.raises(ConstancyViolation) as caught:
+            green_system(g, d)
+    assert str(caught.value).startswith("g(D,y) + g(y,y) is not constant")

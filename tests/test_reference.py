@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import reference as ref
 from mg import (
     GraphPoint,
+    admissible_measure,
+    configuration_graph,
+    omega_divisor,
     MetrizedGraph,
     RDivisor,
     canonical_measure,
@@ -20,7 +23,7 @@ from mg import (
     resistance_in_deleted_edge,
 )
 from mg.resistance import resistance_kernel
-from gen import frac, random_divisor, random_graph, random_point
+from gen import frac, random_chain_config, random_divisor, random_graph, random_point
 
 
 def probe_points(rng: Random, g) -> list:
@@ -128,3 +131,75 @@ def test_ground_potential_matches_reference(seed):
     v0 = g.vertex_list[0]
     for x in points:
         assert ground.read(x)[1] == ref.effective_resistance(g, v0, x)
+
+
+def vertex_spread(g: MetrizedGraph, mu) -> list:
+    """mu spread over the vertices of g, in `vertex_list` order: an atom
+    stays at its vertex, an atom inside an edge is split between the edge's
+    ends in proportion to its distance from the other end, and a density
+    puts half its mass on each end."""
+    m = dict.fromkeys(g.vertex_list, Fraction(0))
+    for site, a in mu.atoms.items():
+        if isinstance(site, GraphPoint):
+            e = g.edge_by_id[site.edge]
+            w = site.offset / e.length
+            m[e.u] += a * (1 - w)
+            m[e.v] += a * w
+        else:
+            m[site] += a
+    for e in g.edges:
+        half = mu.density(e.id) * e.length / 2
+        m[e.u] += half
+        m[e.v] += half
+    return [m[v] for v in g.vertex_list]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["graph", "fiber"]))
+def test_kernel_canonical_data(seed, family):
+    """The kernel's 2 m_can is twice the vertex spread of the canonical
+    measure, of mass 2, and its k_can is integral S d(2 mu_can) with S the
+    reference's r(., v_0), and 4 tau(G), tau(G) being a quarter of the
+    integral of S'^2 (Baker-Rumely, Canad. J. Math. 59, 2007); a Green system built on them has the admissible
+    measure and the reference's c, e and values.  The families are random
+    graphs with a loop added, and chain fibers' graphs with their omega
+    divisors: loops, bridges and parallel edges."""
+    rng = Random(seed)
+    if family == "graph":
+        g = random_graph(rng, max_vertices=6, min_vertices=2)
+        v = rng.choice(g.vertex_list)
+        g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
+        d = random_divisor(rng, g, interior=True)
+    else:
+        cfg = random_chain_config(rng)
+        g, d = configuration_graph(cfg), omega_divisor(cfg)
+    kernel = resistance_kernel(g)
+    can = canonical_measure(g)
+    spread = vertex_spread(g, can)
+    assert kernel.canonical == [2 * m for m in spread]
+    assert kernel.canonical_mass == 2
+    # S is the chord of its vertex values plus t(l - t) rho_e on an edge,
+    # and 2 mu_can has the density 2 rho_e there
+    s = {v: ref.effective_resistance(g, g.vertex_list[0], v) for v in g.vertex_list}
+    k = sum((2 * m * s[v] for v, m in zip(g.vertex_list, spread)), Fraction(0))
+    for e in g.edges:
+        rho = can.density(e.id)
+        k += 2 * rho * rho * e.length**3 / 6
+    assert kernel.canonical_constant == k
+    # as integral r(x, .) d(2 mu_can) is k_can at every x, k_can is 4 tau(G),
+    # the integral of S'^2 over G: on an edge S' = (S(v) - S(u))/l +
+    # (l - 2t) rho_e, whose square integrates to the terms below
+    tau4 = sum(
+        ((s[e.v] - s[e.u]) ** 2 / e.length + can.density(e.id) ** 2 * e.length**3 / 3
+         for e in g.edges),
+        Fraction(0),
+    )
+    assert kernel.canonical_constant == tau4
+
+    s, rs = green_system(g, d), ref.green_system(g, d)
+    assert s.measure == admissible_measure(g, d)
+    assert constant_c(s) == ref.constant_c(rs)
+    assert e_of_system(s) == ref.e_of_system(rs)
+    for _ in range(3):
+        x, y = random_point(rng, g), random_point(rng, g)
+        assert s.eval(x, y) == rs.eval(x, y)

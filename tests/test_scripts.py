@@ -30,10 +30,10 @@ def test_script_runs_cleanly(script):
 # `scripts/exact_ops.py --seed 1`: items per pass and exact operations per
 # item, as the script prints them
 EXACT_OPS = {
-    "einv-chords": ("27", "943.4"),
-    "fiber-chains": ("15", "1114.1"),
-    "point-queries": ("10", "2588.3"),
-    "batch-small": ("16", "1289.6"),
+    "einv-chords": ("27", "772.0"),
+    "fiber-chains": ("15", "865.7"),
+    "point-queries": ("10", "2453.9"),
+    "batch-small": ("16", "958.5"),
 }
 
 
