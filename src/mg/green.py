@@ -33,18 +33,19 @@ the shape of S: one `ResistanceKernel.pair` on h, O(1) arithmetic on
 Gamma at up to four pairs of endpoints.  The tent of two points inside
 one edge is part of X, so this module reads no edge length for it.
 
-A Green system is built from two solved vectors, x_mu = Gamma·m_mu and
-x_D = Gamma·m_D, the measure and the divisor spread over the vertices.  It
-spreads only D (`_potential` of `mg.resistance`): the kernel keeps 2 mu_can
+A Green system is built from one solve, x_D = Gamma·m_D, D spread over
+the vertices (`_potential` of `mg.resistance`).  The kernel keeps 2 mu_can
 spread over the vertices as 2 m_can, with its mass and its constant k_can,
-so m_mu = (m_D + 2 m_can)/(deg D + 2) is O(V) arithmetic, and so is mu's
-constant.  j is k + S - 2 x_mu at a vertex and r(D, .) is
-sum a_i S(P_i) + deg(D) S - 2 x_D, so the certificate and j_D are
-arithmetic on the two vectors and S, and no potential is formed to build
-a system: j_D at D's vertex points is one dot product with x_mu.  Every
-build runs the mass check, (deg D + mass of 2 mu_can)/(deg D + 2) = 1,
-which is Foster's identity on the kernel, and the vertex check of
-`GreenSystem._certify`.  The measure object is not built then:
+and Gamma·2 m_can is S, the kernel's `ground`: so mu's spread m_mu =
+(m_D + 2 m_can)/(deg D + 2), its solved vector x_mu = Gamma·m_mu = (x_D +
+S)/(deg D + 2) and its constant are O(V) arithmetic.  j is k + S - 2 x_mu
+at a vertex, and no potential is formed to build a system: j_D at D's
+vertex points is one dot product with x_mu.  Every build runs the mass
+check, (deg D + mass of 2 mu_can)/(deg D + 2) = 1, which is Foster's
+identity on the kernel, and the certificate of `GreenSystem._certify`,
+one exact residual L·x_mu = m_mu on the kernel's edge table
+(`ResistanceKernel.laplacian`) in place of a second solve.  The measure
+object is not built then:
 `GreenSystem.measure` builds it on its first read and checks it against
 the build.  The reads' h is a `_Potential`, the type of S, built from its
 vertex values, coefficients and tents by the first read that needs it and
@@ -139,10 +140,12 @@ class GreenSystem:
     fast type, takes the graph's resistance kernel and checks that mu has
     mass 1 from the kernel's mass of 2 mu_can.  It spreads D over the
     vertices (`_potential`), as m_D, forms m_mu = (m_D + 2 m_can)/(deg D +
-    2) from the kernel's 2 m_can, and solves twice: x_mu = Gamma·m_mu and
-    x_D = Gamma·m_D.  Then it certifies from the two vectors that
-    g(D, y) + g(y, y) is constant (`_certify`), raising ConstancyViolation
-    if not.  That constant c(G, D) is stored as `c`; it is also c_mu.
+    2) from the kernel's 2 m_can, and solves once, x_D = Gamma·m_D.  As
+    Gamma·2 m_can is S, x_mu = Gamma·m_mu is (x_D + S)/(deg D + 2).  Then
+    it certifies that x_mu is Gamma·m_mu, by the residual L·x_mu = m_mu,
+    and so that g(D, y) + g(y, y) is constant (`_certify`), raising
+    ConstancyViolation if not.  That constant c(G, D) is stored as `c`;
+    it is also c_mu.
     Everything about D reads the potential j = integral r(., z) dmu(z),
     which is k + S - 2 x_mu at a vertex (Chinburg-Rumely 1993;
     Baker-Rumely 2007), k = (sum a_i S(P_i) + k_can)/(deg D + 2) being
@@ -183,16 +186,15 @@ class GreenSystem:
         atoms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
         m_d, s_d, self._inside = _potential(kernel, atoms)
         # mu = (delta_D + 2 mu_can)/(deg D + 2) spreads and integrates S as
-        # D and the kernel's 2 mu_can do
-        m_mu = self._m = [m and m / scale for m in map(add, m_d, kernel.canonical)]
-        x_mu = self._x = kernel.solve(m_mu)
-        x_d = kernel.solve(m_d)
-        # 2F = scale j - r_D, r_D = r(D, .) being s_d + deg(D) S - 2 x_D at
-        # a vertex, so 2F is 2C + 2(S - scale x_mu + x_D) there, with 2C =
-        # scale k - s_d = k_can its value at the ground vertex
+        # D and the kernel's 2 mu_can do, and Gamma·2 m_can is S
+        self._m = [m and m / scale for m in map(add, m_d, kernel.canonical)]
+        x_mu = self._x = [x / scale for x in map(add, kernel.solve(m_d), kernel.ground.at_vertex)]
+        # r_D = r(D, .) is s_d + deg(D) S - 2 x_D at a vertex, so 2F = scale
+        # j - r_D is 2C = scale k - s_d = k_can at every vertex for this x_mu,
+        # and `_certify` checks that it is Gamma·m_mu
         twice_c = kernel.canonical_constant
         k = self._k = (s_d + twice_c) / scale
-        self._certify(scale, twice_c, x_mu, x_d)
+        self._certify(kernel.laplacian(x_mu))
         # j = 2h + S, h being k/2 - x_mu at a vertex, and s_d = sum a_i
         # S(P_i): so j_D = s_d + deg(D) k - 2 sum a_i x_mu(P_i), the sum one
         # dot product over D's vertex points, and a point inside an edge
@@ -210,37 +212,49 @@ class GreenSystem:
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
         self.c = plain((twice_c + j_d) / (2 * scale))
 
-    def _certify(self, scale, twice_c, x_mu, x_d) -> None:
-        """Check that F = (deg D/2 + 1) j - r_D/2 is the constant C, for
-        scale = deg D + 2, 2C = twice_c and the solved vectors x_mu and x_D.
+    def _certify(self, lap) -> None:
+        """Check that x_mu = (x_D + S)/(deg D + 2) is Gamma·m_mu: that
+        lap = L·x_mu (`ResistanceKernel.laplacian`, L summed from the edge
+        table, not read from the factorization) equals m_mu at every vertex
+        but the ground, in `vertex_list` order, exactly, in the fast type of
+        `mg.linalg`.  x_mu is 0 at the ground vertex by construction, as
+        `solve` and Gamma's ground column are, and the grounded Laplacian
+        of a connected graph is invertible: so the check passes iff x_mu is
+        exactly Gamma·m_mu.
 
-        As r(y, y) = 0, g(y, y) = j(y) - c_mu, so g(D, y) + g(y, y) is F(y)
-        plus a constant.  Between break points (vertices, and the points of
-        D inside edges) every tent is linear, so on an edge F is linear plus
-        gamma_e t(l - t), and F is constant iff it takes one value at every
-        break point and gamma_e = 0 on every edge.  As built, both hold
-        inside edges by construction: mu's atom a/scale at a point of D of
-        coefficient a gives 2F the tent weight 2 scale (a/scale) and r_D
-        the weight 2a, which cancel, and gamma_e = rho_e - scale dens_e/2
-        is 0, mu's density dens_e being 2 rho_e/scale.  So only the
-        vertices are checked: at a vertex w, 2F(w) = 2C + 2(S(w) -
-        scale x_mu(w) + x_D(w)), and the check is scale x_mu(w) - x_D(w) ==
-        S(w), in `vertex_list` order, in the fast type of `mg.linalg`, with
-        no potential formed.  A failure raises ConstancyViolation, whose
-        message states F.  Every build runs it, after the mass check: it
-        passes iff m_mu is the admissible measure's spread off the ground
-        vertex, which no solve reads, and the mass check fixes m_mu there.
-        The measure object, which the build does not use, is checked where
-        it is built, by `measure`.
+        Why that certifies g(D, y) + g(y, y) constant: as r(y, y) = 0,
+        g(y, y) = j(y) - c_mu, so g(D, y) + g(y, y) is F(y) = (deg D/2 + 1)
+        j(y) - r_D(y)/2 plus a constant.  Between break points (vertices,
+        and the points of D inside edges) every tent is linear, so on an
+        edge F is linear plus gamma_e t(l - t), and F is constant iff it
+        takes one value at every break point and gamma_e = 0 on every edge.
+        Inside edges both hold by construction: mu's atom a/scale at a
+        point of D of coefficient a gives 2F the tent weight 2 scale
+        (a/scale) and r_D the weight 2a, which cancel, and gamma_e = rho_e -
+        scale dens_e/2 is 0, mu's density dens_e being 2 rho_e/scale, for
+        scale = deg D + 2.  At a vertex w, j is k + S - 2 Gamma·m_mu and r_D
+        is s_d + deg(D) S - 2 x_D, so 2F(w) is 2C + 2 scale (x_mu -
+        Gamma·m_mu)(w): F is the constant C iff the check passes.
+
+        What it does and does not imply: given the solve x_D = Gamma·m_D,
+        the check is L·S == 2 m_can off the ground, that is Gamma·2 m_can
+        = S, an identity of the kernel alone, which fails on a fault in the
+        kernel's 2 m_can, in its diagonal S or in the selected inverse's
+        entries on the edges, from which 2 m_can is formed.  A wrong x_D passes only if its error
+        exactly cancels an error in S or in 2 m_can, and so does a wrong S
+        with a wrong 2 m_can.  Entries of Gamma that the build never reads,
+        such as the fill, are not checked.  A failure raises
+        ConstancyViolation, whose message names the vertex and both sides.
+        Every build runs it, after the mass check, which fixes m_mu at the
+        ground vertex, where the check reads no m_mu.  The measure object,
+        which the build does not use, is checked where it is built, by
+        `measure`.
         """
-        vertices = self.graph.vertex_list
-        for v, s, xm, xd in zip(vertices, self._kernel.ground.at_vertex, x_mu, x_d):
-            z = scale * xm - xd
-            if z != s:
+        for v, a, b in zip(self.graph.vertex_list[1:], lap[1:], self._m[1:]):
+            if a != b:
                 raise ConstancyViolation(
-                    f"g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-                    f"is {twice_c / 2} at {GraphPoint.at_vertex(vertices[0])!r} "
-                    f"but {twice_c / 2 + s - z} at {GraphPoint.at_vertex(v)!r}"
+                    f"g(D,y) + g(y,y) is not constant: L x_mu is {a} "
+                    f"but m_mu is {b} at {GraphPoint.at_vertex(v)!r}"
                 )
 
     @cached_property

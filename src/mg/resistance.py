@@ -36,9 +36,13 @@ the sum of rho_e l over the ends at v of its edges, formed in the loop
 that forms rho_e l.  Its mass `canonical_mass` is 2 by Foster's identity
 (the r_e/l sum to the number of vertices less 1), and its constant
 `canonical_constant` is k_can = integral S d(2 mu_can).  Both are summed
-from the vector on first read.  A Green system (`mg.green`) forms mu's
-spread and constant from D's and these, and checks the mass on every
-build.
+from the vector on first read.  The potential of 2 mu_can is the constant
+k_can, so Gamma·2 m_can is S: L·S = 2 m_can at every vertex but the
+ground, L being the Laplacian.  A Green system (`mg.green`) forms mu's
+spread, solved vector and constant from D's and these, with one solve,
+checks the mass and certifies the identity on every build by one exact
+residual, `ResistanceKernel.laplacian`: L·x from the table's
+conductances in one O(E) pass, which reads nothing of the factorization.
 
 Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
 X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
@@ -50,24 +54,25 @@ graph's edge order, i and j the indices of the ends and the rest in the
 fast type.  rho_e itself is kept once, as S's t(l - t) coefficient
 `ground.curv` {edge id: rho_e}, and read from there by edge id.  Only this
 module reads the table's rows: the kernel's build, its canonical
-constant and every potential's rows.  Gamma is never formed densely.
-The kernel factors the Laplacian once, from the table's conductances
-(`mg.linalg`), and the factorization keeps its selected inverse, which
-holds Gamma exactly on the diagonal, on every pair of adjacent vertices
-and on the fill: so every r_e and density, and S, whose value at a vertex
-v is Gamma_vv, and 2 m_can, in O(nnz(L)) on a graph that factors with no
-fill.  A potential of a measure needs only that diagonal, the table and
-one solve, Gamma·m.  Gamma at any other pair, as X between arbitrary
-points may ask for, is read from the same factorization, which computes
-an entry its selected inverse lacks by Takahashi's recurrence along one
-elimination-tree path, with no solve, and keeps it and every entry
-computed on the way (`linalg.Factorization.inverse_entry`).  A read is
-otherwise O(1) arithmetic.  The kernel is built on first use and kept on
-the (immutable) graph, which it validates once.  The factorization's
-entries and solutions are in the fast rational type of `mg.linalg`, as is
-the table, and every potential, S included, computes on it, reads too:
-weights and the tent.  What a caller receives is plain: the densities,
-`entry` and every resistance.
+constant, `laplacian` and every potential's rows.  Gamma is never formed
+densely.  The kernel factors the Laplacian once, from the table's
+conductances (`mg.linalg`), and the factorization keeps its selected
+inverse, which holds Gamma exactly on the diagonal, on every pair of
+adjacent vertices and on the fill: so every r_e and density, and S, whose
+value at a vertex v is Gamma_vv, and 2 m_can, in O(nnz(L)) on a graph
+that factors with no fill.  A potential of a measure needs only that
+diagonal, the table and one solve, Gamma·m.  Gamma at any other pair, as
+X between arbitrary points may ask for, is read from the same
+factorization, which computes an entry its selected inverse lacks by
+Takahashi's recurrence along one elimination-tree path, with no solve,
+and keeps it and every entry computed on the way
+(`linalg.Factorization.inverse_entry`).  A read is otherwise O(1)
+arithmetic.  The kernel is built on first use and kept on the (immutable)
+graph, which it validates once.  The factorization's entries and
+solutions are in the fast rational type of `mg.linalg`, as is the table,
+and every potential, S included, computes on it, reads too: weights and
+the tent.  What a caller receives is plain: the densities, `entry` and
+every resistance.
 """
 
 from __future__ import annotations
@@ -138,7 +143,8 @@ class ResistanceKernel:
     densities (the module docstring gives both layouts).  `density` is
     rho_e as a plain Fraction, converted on first use.  `canonical` is
     2 mu_can spread over the vertices, 2 m_can, with `canonical_mass` and
-    `canonical_constant` summed from it on first read.
+    `canonical_constant` summed from it on first read.  `laplacian` is L·x
+    from the table, the residual that certifies a solved vector.
 
     Gamma is the inverse of the Laplacian grounded at the first vertex
     (index 0), with Gamma = 0 in its row and column.  The kernel gives the
@@ -181,8 +187,7 @@ class ResistanceKernel:
                 r_l = (diagonal[i] + diagonal[j] - 2 * factors.inverse_entry(i, j)) * c
                 rho_l = 1 - r_l
                 rho[e] = rho_l * c
-                twice[i] -= r_l
-                twice[j] -= r_l
+                twice[i], twice[j] = twice[i] - r_l, twice[j] - r_l
             edges[e] = (i, j, l, c, rho_l)
         self.ground = _Potential(index, edges, diagonal, rho, {})
 
@@ -196,7 +201,12 @@ class ResistanceKernel:
     def canonical_constant(self):
         """k_can = integral S d(2 mu_can): `canonical` against S at the
         vertices, plus (rho_e l)^2 l/3 from the t(l - t) rho_e term of S on
-        each edge, where 2 mu_can has the density 2 rho_e."""
+        each edge, where 2 mu_can has the density 2 rho_e.
+
+        As integral r(x, .) d(2 mu_can) is k_can at every x, k_can is also
+        4 tau(G), tau(G) being a quarter of the integral of S'^2
+        (Baker-Rumely, Canad. J. Math. 59, 2007): tau is k_can/4, with no
+        edge formula of its own."""
         cubic = sum((r * r * l for _, _, l, _, r in self.edges.values() if r), fast(0))
         return cubic / 3 + sum(m * s for m, s in zip(self.canonical, self.ground.at_vertex) if m)
 
@@ -208,6 +218,18 @@ class ResistanceKernel:
     def solve(self, m: list) -> list:
         """Gamma·m, in the fast type: m[0] is not read."""
         return self._factors.solve(m)
+
+    def laplacian(self, x: list) -> list:
+        """L·x over all vertices, L the graph's Laplacian summed from the
+        edge table's conductances in one O(E) pass, not read from the
+        factorization: at v, the sum of (x_v - x_u)/l over the edges at v,
+        u being an edge's other end.  A loop adds nothing."""
+        y = [0] * len(x)
+        for i, j, _, c, _ in self.edges.values():
+            if i != j:
+                d = (x[i] - x[j]) * c
+                y[i], y[j] = y[i] + d, y[j] - d
+        return y
 
     def entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij as a plain Fraction."""
@@ -249,9 +271,10 @@ def _potential(kernel: ResistanceKernel, atoms: dict) -> tuple:
     integral S dnu and nu's atoms inside edges, in the fast rational type of
     `mg.linalg`.
 
-    With x = Gamma·m (`ResistanceKernel.solve`) they determine the
-    potential f = integral r(., z) dnu(z): f(w) = k + nu(G) S(w) - 2 x_w at
-    a vertex w, and on an edge e, the chord of those values plus
+    With x = Gamma·m (`ResistanceKernel.solve`; `mg.green` solves for D
+    alone, as the kernel's 2 m_can has Gamma·2 m_can = S) they determine
+    the potential f = integral r(., z) dnu(z): f(w) = k + nu(G) S(w) -
+    2 x_w at a vertex w, and on an edge e, the chord of those values plus
     t(l - t) nu(G) rho_e, less a tent 2a min(s, t)(l - max(s, t))/l for
     each atom a of nu inside e at offset s, listed as (s, a) under e.  An
     atom is keyed by a vertex id, or by an interior GraphPoint in the normal
@@ -306,6 +329,4 @@ def resistance_in_deleted_edge(g: MetrizedGraph, edge_id) -> Fraction | None:
     if e is None:
         raise EdgeNotFound(f"edge {edge_id!r} is not in the graph")
     rho = resistance_kernel(g).density[e.id]
-    if rho == 0:
-        return None
-    return 1 / rho - e.length
+    return 1 / rho - e.length if rho else None

@@ -25,7 +25,7 @@ except ImportError:  # not on Windows
 import mg.cli
 import mg.green
 import reference
-from faults import fault_canonical
+from faults import fault_canonical, fault_inverse, fault_solve
 from gen import path_file
 from mg import AdmissibleMeasure, MAX_GENUS
 from mg.cli import build_parser, decimal12, main
@@ -761,3 +761,22 @@ class TestCertificate:
         code, out, err = run(capsys, command, GOLDEN / "segment.mg", *points)
         assert (code, out) == (3, "")
         assert err == "error: ConstancyViolation: measure has total mass 7/8, not 1\n"
+
+    @pytest.mark.parametrize("fault", ["solve", "diagonal", "edge"])
+    def test_wrong_kernel_exits_3(self, capsys, monkeypatch, fault):
+        """A changed solve output, or a changed diagonal entry or entry of
+        an edge of Gamma (Q-R, off the ground P), fails the build."""
+
+        def raised(x):  # the last vertex's entry of x_D
+            x[-1] += 1
+
+        def raised_entry(rows, i=1, j=1 if fault == "diagonal" else 2):
+            rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, 1000)
+
+        if fault == "solve":
+            fault_solve(monkeypatch, raised)
+        else:
+            fault_inverse(monkeypatch, raised_entry)
+        code, out, err = run(capsys, "e-invariant", GOLDEN / "interior.mg")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ConstancyViolation: ")

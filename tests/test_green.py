@@ -30,8 +30,7 @@ from mg import (
     theta_graph,
 )
 import mg.green
-from mg import linalg
-from faults import fault_canonical
+from faults import fault_canonical, fault_ground, fault_inverse, fault_solve
 from gen import frac, random_divisor, random_graph, random_point
 from quadrature import integral
 
@@ -321,8 +320,8 @@ class TestConstant:
         [
             (
                 {0: Fraction(-1, 2), 1: Fraction(1, 2)},
-                "g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-                "is 3/4 at GraphPoint('P') but 1/4 at GraphPoint('Q')",
+                "g(D,y) + g(y,y) is not constant: L x_mu is 1/2 "
+                "but m_mu is 5/8 at GraphPoint('Q')",
             ),
             ({1: Fraction(-1, 2)}, "measure has total mass 7/8, not 1"),
             ({0: Fraction(-1, 2)}, "measure has total mass 7/8, not 1"),
@@ -331,9 +330,10 @@ class TestConstant:
     )
     def test_build_rejects_wrong_canonical_spread(self, monkeypatch, shift, message):
         # 2 m_can of the unit segment is (1, 1): half of it moved from P to
-        # Q keeps the mass 2, and the vertex check must notice; half of it
-        # removed, from Q or from the ground vertex P, which no solve reads,
-        # leaves the mass 3/2, and the mass check must notice
+        # Q keeps the mass 2, and the residual L x_mu = m_mu at Q must
+        # notice; half of it removed, from Q or from the ground vertex P,
+        # which the residual does not read, leaves the mass 3/2, and the
+        # mass check must notice
         def change(m):
             for i, delta in shift.items():
                 m[i] += delta
@@ -343,26 +343,57 @@ class TestConstant:
             green_system(segment_graph(1), RDivisor({"P": 1, "Q": 1}))
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("which,value", [(0, "-47/18"), (1, "25/18")], ids=["x_mu", "x_D"])
-    def test_build_rejects_wrong_solve(self, monkeypatch, which, value):
-        # one entry of x_mu = Gamma m_mu or of x_D = Gamma m_D raised by 1
-        # fails the vertex check there: F moves by -(deg D + 2) or by 1
-        real, calls = linalg.Factorization.solve, []
+    @pytest.mark.parametrize("fault", [fault_solve, fault_ground], ids=["x_D", "S"])
+    def test_build_rejects_wrong_solve(self, monkeypatch, fault):
+        # x_mu = (x_D + S)/(deg D + 2), so the entry at Q of the one solve
+        # x_D = Gamma m_D, or of S, raised by 1 raises x_mu(Q) by 1/3 and
+        # L x_mu at Q by 3 times that, the conductance of the three unit
+        # edges: the residual there must notice
+        def raised(x):
+            x[-1] += 1
 
-        def solve(self, m):
-            x = real(self, m)
-            if len(calls) == which:
-                x[-1] += 1
-            calls.append(m)
-            return x
-
-        monkeypatch.setattr(linalg.Factorization, "solve", solve)
+        fault(monkeypatch, raised)
         with pytest.raises(ConstancyViolation) as caught:
             green_system(theta_graph(), RDivisor({"P": 1}))
         assert str(caught.value) == (
-            "g(D,y) + g(y,y) is not constant: (deg D/2 + 1) j - r_D/2 "
-            f"is 7/18 at GraphPoint('P') but {value} at GraphPoint('Q')"
+            "g(D,y) + g(y,y) is not constant: L x_mu is 4/3 "
+            "but m_mu is 1/3 at GraphPoint('Q')"
         )
+
+    @staticmethod
+    def _cycle_chords():
+        """A 10-vertex cycle with three chords, grounded at v0: its selected
+        inverse holds fill as well as the diagonal and the edges."""
+        v = [f"v{i}" for i in range(10)]
+        edges = [(f"c{i}", v[i], v[(i + 1) % 10], Fraction(i % 3 + 1, 2)) for i in range(10)]
+        edges += [("d1", v[1], v[5], 2), ("d2", v[2], v[7], 1), ("d3", v[4], v[8], 3)]
+        return MetrizedGraph(v, edges)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "edge"])
+    def test_build_rejects_wrong_inverse_entry(self, kind):
+        # each diagonal entry, and each entry of an edge off the ground, of
+        # the selected inverse raised by delta = 1/1000 as the factorization
+        # is built: the kernel reads S, r_e and 2 m_can from it, and the
+        # mass of 2 m_can moves off 2, by -2 delta times the conductance at
+        # a vertex or by 4 delta times an edge's, so the mass check
+        # notices first.  Entries of the fill, which the build never reads,
+        # are not checked
+        g = self._cycle_chords()
+        index = {v: i for i, v in enumerate(g.vertex_list)}
+        if kind == "diagonal":
+            pairs = [(i, i) for i in range(1, 10)]
+        else:
+            pairs = sorted({(index[e.u], index[e.v]) for e in g.edges} - {(0, 1), (9, 0)})
+        assert len(pairs) == (9 if kind == "diagonal" else 11)
+        for i, j in pairs:
+
+            def raised(rows, i=i, j=j):
+                rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, 1000)
+
+            with pytest.MonkeyPatch.context() as patch:
+                fault_inverse(patch, raised)
+                with pytest.raises(ConstancyViolation):
+                    green_system(self._cycle_chords(), RDivisor({"v3": 1}))
 
     def test_divisor_relocated_once_per_build(self, monkeypatch):
         # the Green system relocates D once and hands it to the measure
@@ -581,8 +612,8 @@ def test_certificate_rejects_every_perturbed_measure(seed, kind, delta):
 def test_build_rejects_every_perturbed_canonical_spread(seed, delta):
     """On a graph of the family above, a Green system built on the kernel's
     2 m_can with mass delta moved from one vertex to another fails the
-    vertex check: the mass check passes, and the vector is the only one of
-    its mass whose solves certify g(D, y) + g(y, y) constant."""
+    residual: the mass check passes, and the vector is the only one of its
+    mass with L·S = 2 m_can off the ground."""
     rng = Random(seed)
     g = random_graph(rng, max_vertices=6, min_vertices=2)
     v = rng.choice(g.vertex_list)

@@ -179,13 +179,35 @@ def test_edge_table_matches_reference(seed):
     assert curv["loop"] == 1 / g.edge_by_id["loop"].length
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_laplacian_matches_reference(seed):
+    """`laplacian` is the reference's dense Laplacian times x, loops and
+    parallel edges included, and on S it gives 2 m_can at every vertex but
+    the ground, where it gives 2 m_can less the mass 2: the kernel identity
+    Gamma·2 m_can = S that a Green system's certificate rests on."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=7, min_vertices=2)
+    u, v = rng.sample(g.vertex_list, 2)
+    w = rng.choice(g.vertex_list)
+    extra = [("loop", w, w, frac(rng)), ("par", u, v, frac(rng)), ("par2", u, v, frac(rng))]
+    g = MetrizedGraph(g.vertex_list, [*g.edges, *extra])
+    kernel = resistance.resistance_kernel(g)
+    x = [frac(rng, positive=False) for _ in g.vertex_list]
+    dense = ref._laplacian(g, kernel.index)
+    assert kernel.laplacian(x) == [sum(a * b for a, b in zip(row, x)) for row in dense]
+    lap = kernel.laplacian(kernel.ground.at_vertex)
+    assert lap[1:] == kernel.canonical[1:]
+    assert lap[0] == kernel.canonical[0] - 2
+
+
 class TestOneFactorization:
-    """Each graph is factored once.  A Green system solves twice, for the
-    measure and for the divisor spread over the vertices, and forms no
-    potential to certify; a resistance between vertices that are neither
-    adjacent nor joined by fill costs no solve: the selected inverse
-    computes the entry inside one column, building that column's path
-    vector once, and keeps what it computed."""
+    """Each graph is factored once.  A Green system solves once, for the
+    divisor spread over the vertices, and forms no potential to certify; a
+    resistance between vertices that are neither adjacent nor joined by
+    fill costs no solve: the selected inverse computes the entry inside one
+    column, building that column's path vector once, and keeps what it
+    computed."""
 
     @pytest.fixture
     def calls(self, factor_calls, monkeypatch):
@@ -209,9 +231,8 @@ class TestOneFactorization:
              ("da", "d", "a", 1), ("ac", "a", "c", 2), ("bb", "b", "b", 1)],
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
-        # the two solves, Gamma m_mu and Gamma m_D, and no off-pattern
-        # entry or h
-        assert calls == {"factor": 1, "solve": 2, "path": 0, "h": 0}
+        # the one solve, Gamma m_D, and no off-pattern entry or h
+        assert calls == {"factor": 1, "solve": 1, "path": 0, "h": 0}
 
     def test_fiber_report(self, calls):
         cfg = FiberConfiguration(
@@ -220,7 +241,7 @@ class TestOneFactorization:
             + [("s", "C2", "C2")],
         )
         fiber_report(cfg)
-        assert calls == {"factor": 1, "solve": 2, "path": 0, "h": 0}
+        assert calls == {"factor": 1, "solve": 1, "path": 0, "h": 0}
 
     def test_effective_resistance_entries_are_kept(self, calls):
         g = path_graph([1, 2, 3, 4])  # no fill; the first vertex is grounded
@@ -247,7 +268,7 @@ class TestOneFactorization:
              ("ad", "a", "d", 2), ("cc", "c", "c", 1)],
         )
         s = green_system(g, RDivisor({"b": 1, "e": 2}))
-        assert calls == {"factor": 1, "solve": 2, "path": 0, "h": 0}
+        assert calls == {"factor": 1, "solve": 1, "path": 0, "h": 0}
         # grounded at a, the Laplacian is the path b-c-d-e-f, eliminated in
         # that order with no fill, so Gamma at (b, e), (b, f), (c, e), (c, f)
         # and (d, f) is off the pattern: the first read computes the first
@@ -267,7 +288,7 @@ class TestOneFactorization:
         for kind, x, y, expected in reads:
             got = effective_resistance(g, x, y) if kind == "r" else s.eval(x, y)
             assert got == expected
-        assert calls == {"factor": 1, "solve": 2, "path": 2, "h": 1}
+        assert calls == {"factor": 1, "solve": 1, "path": 2, "h": 1}
 
     def test_ground_column_is_zero(self, calls):
         """Gamma is 0 in the ground vertex's row and column: reading them
@@ -284,9 +305,9 @@ class TestOneFactorization:
 
 
 class TestNoPairwiseResistance:
-    """The constancy certificate reads g(D, y) + g(y, y) from the two
-    potentials alone, so neither e_invariant nor fiber_report asks the
-    kernel for a resistance between points."""
+    """The constancy certificate reads g(D, y) + g(y, y) from the solved
+    vector and the edge table alone, so neither e_invariant nor
+    fiber_report asks the kernel for a resistance between points."""
 
     @pytest.fixture
     def calls(self, monkeypatch):

@@ -32,8 +32,8 @@ def test_script_runs_cleanly(script):
 EXACT_OPS = {
     "einv-chords": ("27", "772.0"),
     "fiber-chains": ("15", "865.7"),
-    "point-queries": ("10", "2453.9"),
-    "batch-small": ("16", "958.5"),
+    "point-queries": ("10", "2458.9"),
+    "batch-small": ("16", "1000.4"),
 }
 
 
