@@ -9,6 +9,9 @@ item of:
   and `_submul` entered from outside those three, so a fused
   multiply-subtract counts once and a division, which is a `_product`,
   counts once;
+* W: the work of the factorizations built, W = sum over their steps k of
+  |s(k)|^2 + |s(k)| + 1, s(k) the neighbours of step k, which bounds the
+  operations of factoring and of the selected inverse up to a constant;
 * fast, plain: conversions to and from the fast rational type, counted in
   every `mg` module that imports them;
 * bool: `Fraction.__bool__` calls, the zero tests on Fractions of either
@@ -40,7 +43,7 @@ import workloads  # noqa: E402
 from mg import linalg  # noqa: E402
 
 OPERATIONS = ("_sum", "_product", "_submul")
-COUNTS = ("ops", "fast", "plain", "bool", "new")
+COUNTS = ("ops", "W", "fast", "plain", "bool", "new")
 
 
 class Counter:
@@ -69,6 +72,12 @@ class Counter:
             return f(*args, **kwargs)
         return counted
 
+    def factorization(self, init):
+        def counted(factors, *args):
+            init(factors, *args)
+            self.n["W"] += sum(len(m) ** 2 + len(m) + 1 for _, _, m in factors.steps)
+        return counted
+
     def patch(self, owner, name, wrapper):
         # getattr_static keeps `__new__` a staticmethod when it is restored
         self.saved.append((owner, name, inspect.getattr_static(owner, name)))
@@ -77,6 +86,8 @@ class Counter:
     def __enter__(self):
         for name in OPERATIONS:
             self.patch(linalg, name, self.operation(getattr(linalg, name)))
+        init = linalg.Factorization.__init__
+        self.patch(linalg.Factorization, "__init__", self.factorization(init))
         modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
         for key in ("fast", "plain"):
             real = getattr(linalg, key)

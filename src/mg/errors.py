@@ -65,6 +65,11 @@ class BadGridSize(InputError, ValueError):
     that catch that."""
 
 
+class MissingExtra(InputError):
+    """An optional dependency that is not installed; the message names the
+    extra of the package that installs it."""
+
+
 class UnreadableFile(InputError):
     """An input file that cannot be read, or is not UTF-8 text."""
 

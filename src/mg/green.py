@@ -37,15 +37,19 @@ A Green system is built from one solve, x_D = Gamma·m_D, D spread over
 the vertices (`_potential` of `mg.resistance`).  The kernel keeps 2 mu_can
 spread over the vertices as 2 m_can, with its mass and its constant k_can,
 and Gamma·2 m_can is S, the kernel's `ground`: so mu's spread m_mu =
-(m_D + 2 m_can)/(deg D + 2), its solved vector x_mu = Gamma·m_mu = (x_D +
-S)/(deg D + 2) and its constant are O(V) arithmetic.  j is k + S - 2 x_mu
-at a vertex, and no potential is formed to build a system: j_D at D's
-vertex points is one dot product with x_mu.  Every build runs the mass
-check, (deg D + mass of 2 mu_can)/(deg D + 2) = 1, which is Foster's
+n/(deg D + 2), n = m_D + 2 m_can, and its solved vector x_mu = Gamma·m_mu
+= y/(deg D + 2), y = x_D + S, are O(V) arithmetic.  The build keeps n and
+y unscaled and divides by deg D + 2 only where a value is read: once in
+j_D, and per vertex only in the readers that need x_mu or m_mu, h, j at a
+vertex and `measure`.  j is k + S - 2 x_mu at a vertex, and no potential
+is formed to build a system: j_D at D's vertex points is one dot product
+with y, divided once.  Every build runs the mass check, (deg D + mass of
+2 mu_can)/(deg D + 2) = 1, that is a mass of 2 for 2 mu_can, Foster's
 identity on the kernel, and the certificate of `GreenSystem._certify`,
-one exact residual L·x_mu = m_mu on the kernel's edge table
-(`ResistanceKernel.laplacian`) in place of a second solve.  The measure
-object is not built then:
+one exact residual L·y = n on the kernel's edge table
+(`ResistanceKernel.laplacian`), L·x_mu = m_mu times deg D + 2, in place
+of a second solve; it marks the kernel certified.  The measure object is
+not built then:
 `GreenSystem.measure` builds it on its first read and checks it against
 the build.  The reads' h is a `_Potential`, the type of S, built from its
 vertex values, coefficients and tents by the first read that needs it and
@@ -107,10 +111,12 @@ def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
 
     A vertex v carries (a_v + 2 - valence(v))/(deg D + 2), a_v being D's
     coefficient there, and an edge the density 2 rho_e/(deg D + 2) with
-    rho_e from the graph's resistance kernel.  The values are computed on
-    the fast rational type of `mg.linalg` and kept as plain Fractions.
+    rho_e from the graph's resistance kernel, certified first
+    (`ResistanceKernel.certify`).  The values are computed on the fast
+    rational type of `mg.linalg` and kept as plain Fractions.
     """
     d = d.relocate(g.check_point)
+    resistance_kernel(g).certify()
     return _measure(g, d, _degree(d))
 
 
@@ -129,8 +135,9 @@ def _measure(g: MetrizedGraph, d: RDivisor, deg) -> AdmissibleMeasure:
     coeff = {p.vertex: fast(a) for p, a in d.items() if p.is_vertex}
     atoms = {v: plain((coeff.get(v, 0) + 2 - g.valence(v)) / scale) for v in g.vertex_list}
     atoms.update((p, plain(a / scale)) for p, a in d.items() if not p.is_vertex)
-    curv = resistance_kernel(g).ground.curv.items()
-    return AdmissibleMeasure(g, atoms, {e: plain(2 * rho / scale) for e, rho in curv})
+    two = 2 / scale
+    density = resistance_kernel(g).density.items()
+    return AdmissibleMeasure(g, atoms, {e: plain(rho * two) for e, rho in density})
 
 
 class GreenSystem:
@@ -139,30 +146,32 @@ class GreenSystem:
     Construction relocates D onto the graph once, sums deg D once in the
     fast type, takes the graph's resistance kernel and checks that mu has
     mass 1 from the kernel's mass of 2 mu_can.  It spreads D over the
-    vertices (`_potential`), as m_D, forms m_mu = (m_D + 2 m_can)/(deg D +
-    2) from the kernel's 2 m_can, and solves once, x_D = Gamma·m_D.  As
-    Gamma·2 m_can is S, x_mu = Gamma·m_mu is (x_D + S)/(deg D + 2).  Then
-    it certifies that x_mu is Gamma·m_mu, by the residual L·x_mu = m_mu,
-    and so that g(D, y) + g(y, y) is constant (`_certify`), raising
-    ConstancyViolation if not.  That constant c(G, D) is stored as `c`;
-    it is also c_mu.
+    vertices (`_potential`), as m_D, forms n = m_D + 2 m_can from the
+    kernel's 2 m_can, and solves once, x_D = Gamma·m_D.  As Gamma·2 m_can
+    is S, y = x_D + S is Gamma·n; n and y are m_mu and x_mu times deg D +
+    2, kept unscaled.  Then it certifies that y is Gamma·n, by the residual
+    L·y = n, and so that g(D, y) + g(y, y) is constant (`_certify`),
+    raising ConstancyViolation if not, and marks the kernel certified.
+    That constant c(G, D) is stored as `c`; it is also c_mu.
     Everything about D reads the potential j = integral r(., z) dmu(z),
     which is k + S - 2 x_mu at a vertex (Chinburg-Rumely 1993;
     Baker-Rumely 2007), k = (sum a_i S(P_i) + k_can)/(deg D + 2) being
     mu's constant and S the kernel's `ground`: g(D, y) = 2c - j(y),
     g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D = sum a_i j(P_i).  All of
     this runs in the fast rational type of `mg.linalg`; c and j_D are
-    converted to plain Fractions once, at the end, and x_mu is kept in the
-    fast type for reads, each of which returns a plain Fraction.  No
-    measure object is built: `measure` is a cached property, built and
-    checked by its first read.
+    converted to plain Fractions once, at the end, and y is kept in the
+    fast type for reads, each of which returns a plain Fraction.  j_D
+    divides by deg D + 2 once, and nothing else in the build divides a
+    vertex's value.  No measure object is built: `measure` is a cached
+    property, built and checked by its first read.
 
     g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X the
     kernel's form for r (`mg.resistance`): one `pair` on h gives
     h(x) + h(y) and X, tent included, from Gamma at up to four pairs of
     endpoints and a potential read per point.  h is the `_Potential` with
-    the values k/2 - x_mu at the vertices, the coefficient -rho_e/(deg D +
-    2), half mu's density, on each edge and a tent (s, a) for each atom a
+    the values k/2 - x_mu at the vertices, x_mu = y/(deg D + 2), the
+    coefficient -rho_e/(deg D + 2), half mu's density, on each edge, formed
+    by the first read inside the edge, and a tent (s, a) for each atom a
     of mu inside an edge, a cached property built by the first read that
     needs it: by `eval`, by a read of j inside an edge, or by j_D when D
     has a point inside an edge.  So building a system with D on vertices,
@@ -180,47 +189,54 @@ class GreenSystem:
         self.degree = plain(deg)
         kernel = self._kernel = resistance_kernel(graph)
         scale = self._scale = deg + 2
-        mass = (deg + kernel.canonical_mass) / scale
-        if mass != 1:
+        # mu's mass (deg D + mass of 2 mu_can)/(deg D + 2) is 1 iff the
+        # mass of 2 mu_can is 2
+        if kernel.canonical_mass != 2:
+            mass = (deg + kernel.canonical_mass) / scale
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
         atoms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
         m_d, s_d, self._inside = _potential(kernel, atoms)
-        # mu = (delta_D + 2 mu_can)/(deg D + 2) spreads and integrates S as
-        # D and the kernel's 2 mu_can do, and Gamma·2 m_can is S
-        self._m = [m and m / scale for m in map(add, m_d, kernel.canonical)]
-        x_mu = self._x = [x / scale for x in map(add, kernel.solve(m_d), kernel.ground.at_vertex)]
+        # delta_D + 2 mu_can spreads and integrates S as D and the kernel's
+        # 2 mu_can do, and Gamma·2 m_can is S: so n and y are mu's spread
+        # m_mu and solved vector x_mu times deg D + 2
+        self._n = list(map(add, m_d, kernel.canonical))
+        y = self._y = list(map(add, kernel.solve(m_d), kernel.ground.at_vertex))
         # r_D = r(D, .) is s_d + deg(D) S - 2 x_D at a vertex, so 2F = scale
-        # j - r_D is 2C = scale k - s_d = k_can at every vertex for this x_mu,
-        # and `_certify` checks that it is Gamma·m_mu
+        # j - r_D is 2C = scale k - s_d = k_can at every vertex for this
+        # x_mu, and `_certify` checks that it is Gamma·m_mu
         twice_c = kernel.canonical_constant
         k = self._k = (s_d + twice_c) / scale
-        self._certify(kernel.laplacian(x_mu))
+        self._certify(kernel.laplacian(y))
+        kernel.certified = True
         # j = 2h + S, h being k/2 - x_mu at a vertex, and s_d = sum a_i
         # S(P_i): so j_D = s_d + deg(D) k - 2 sum a_i x_mu(P_i), the sum one
-        # dot product over D's vertex points, and a point inside an edge
-        # adds a_i (2 h(P_i) - k) instead of a term of the sum
+        # dot product with y over D's vertex points, divided by deg D + 2,
+        # and a point inside an edge adds a_i (2 h(P_i) - k) instead of a
+        # term of the sum
         dot = fast(0)
         j_d = s_d + deg * k
         for p, a in d.items():
             if p.is_vertex:
-                dot += a * x_mu[kernel.index[p.vertex]]
+                dot += a * y[kernel.index[p.vertex]]
             else:
                 j_d += a * (2 * self._h.read(p)[1] - k)
-        j_d -= 2 * dot
+        j_d -= 2 * dot / scale
         self._j_d = plain(j_d)
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
         self.c = plain((twice_c + j_d) / (2 * scale))
 
     def _certify(self, lap) -> None:
-        """Check that x_mu = (x_D + S)/(deg D + 2) is Gamma·m_mu: that
-        lap = L·x_mu (`ResistanceKernel.laplacian`, L summed from the edge
-        table, not read from the factorization) equals m_mu at every vertex
-        but the ground, in `vertex_list` order, exactly, in the fast type of
-        `mg.linalg`.  x_mu is 0 at the ground vertex by construction, as
-        `solve` and Gamma's ground column are, and the grounded Laplacian
-        of a connected graph is invertible: so the check passes iff x_mu is
-        exactly Gamma·m_mu.
+        """Check that y = x_D + S is Gamma·n, n = m_D + 2 m_can: that lap =
+        L·y (`ResistanceKernel.laplacian`, L summed from the edge table, not
+        read from the factorization) equals n at every vertex but the
+        ground, in the kernel's vertex order, exactly, in the fast type of
+        `mg.linalg`.  y and n are x_mu and m_mu times deg D + 2, so this is
+        L·x_mu == m_mu times deg D + 2, and no vertex's value is divided to
+        check it.  y is 0 at the ground vertex by construction, as `solve`
+        and Gamma's ground column are, and the grounded Laplacian of a
+        connected graph is invertible: so the check passes iff x_mu = y/(deg
+        D + 2) is exactly Gamma·m_mu.
 
         Why that certifies g(D, y) + g(y, y) constant: as r(y, y) = 0,
         g(y, y) = j(y) - c_mu, so g(D, y) + g(y, y) is F(y) = (deg D/2 + 1)
@@ -240,21 +256,25 @@ class GreenSystem:
         the check is L·S == 2 m_can off the ground, that is Gamma·2 m_can
         = S, an identity of the kernel alone, which fails on a fault in the
         kernel's 2 m_can, in its diagonal S or in the selected inverse's
-        entries on the edges, from which 2 m_can is formed.  A wrong x_D passes only if its error
-        exactly cancels an error in S or in 2 m_can, and so does a wrong S
-        with a wrong 2 m_can.  Entries of Gamma that the build never reads,
-        such as the fill, are not checked.  A failure raises
-        ConstancyViolation, whose message names the vertex and both sides.
+        entries on the edges, from which 2 m_can is formed; with the mass
+        check it is what `ResistanceKernel.certify` checks, so a passing
+        build marks the kernel certified.  A wrong x_D passes only if its
+        error exactly cancels an error in S or in 2 m_can, and so does a
+        wrong S with a wrong 2 m_can.  Entries of Gamma that the build never
+        reads, such as the fill, are not checked.  A failure raises
+        ConstancyViolation, whose message names the vertex and both sides
+        as L·x_mu and m_mu, each side divided by deg D + 2 to print it.
         Every build runs it, after the mass check, which fixes m_mu at the
         ground vertex, where the check reads no m_mu.  The measure object,
         which the build does not use, is checked where it is built, by
         `measure`.
         """
-        for v, a, b in zip(self.graph.vertex_list[1:], lap[1:], self._m[1:]):
+        kernel, scale = self._kernel, self._scale
+        for v, a, b in zip(kernel.vertices[1:], lap[1:], self._n[1:]):
             if a != b:
                 raise ConstancyViolation(
-                    f"g(D,y) + g(y,y) is not constant: L x_mu is {a} "
-                    f"but m_mu is {b} at {GraphPoint.at_vertex(v)!r}"
+                    f"g(D,y) + g(y,y) is not constant: L x_mu is {a / scale} "
+                    f"but m_mu is {b / scale} at {GraphPoint.at_vertex(v)!r}"
                 )
 
     @cached_property
@@ -273,7 +293,7 @@ class GreenSystem:
         mass = mu.total_mass()
         if mass != 1:
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
-        for e, rho in kernel.ground.curv.items():
+        for e, rho in kernel.density.items():
             gamma = rho - scale * mu.density(e) / 2
             if gamma:
                 raise ConstancyViolation(
@@ -288,7 +308,8 @@ class GreenSystem:
             half = mu.density(e.id) * e.length / 2
             m[kernel.index[e.u]] += half
             m[kernel.index[e.v]] += half
-        for v, a, b in zip(self.graph.vertex_list, m, self._m):
+        for v, a, n in zip(kernel.vertices, m, self._n):
+            b = n / scale
             if a != b:
                 raise ConstancyViolation(f"measure spreads {a} onto vertex {v!r}, not {b}")
         return mu
@@ -297,22 +318,22 @@ class GreenSystem:
 
     @cached_property
     def _h(self) -> _Potential:
-        """h = (j - S)/2: k/2 - x_mu at the vertices, -rho_e/scale, half
-        mu's density, on each edge, and half of j's tents, mu's atoms a/scale
-        at D's points a inside edges, as S has none; built by the first read
-        that needs it."""
+        """h = (j - S)/2: k/2 - x_mu at the vertices, x_mu = y/scale, the
+        coefficient -rho_e/scale, half mu's density, on each edge, and half
+        of j's tents, mu's atoms a/scale at D's points a inside edges, as S
+        has none; built by the first read that needs it."""
         kernel, k, scale = self._kernel, self._k / 2, self._scale
-        curv = {e: -rho / scale for e, rho in kernel.ground.curv.items()}
         inside = {e: [(s, a / scale) for s, a in atoms] for e, atoms in self._inside.items()}
-        return _Potential(kernel.index, kernel.edges, [k - x for x in self._x], curv, inside)
+        at_vertex = [k - y / scale for y in self._y]
+        return _Potential(kernel.index, kernel.edges, at_vertex, inside, -1 / scale)
 
     def _j(self, y: GraphPoint):
         """j(y), in the fast type, for y in the normal form of
-        `check_point`: k + S(y) - 2 x_mu(y) at a vertex, 2 h(y) + S(y)
-        inside an edge."""
+        `check_point`: k + S(y) - 2 x_mu(y) at a vertex, x_mu being the
+        build's x_D + S over deg D + 2, and 2 h(y) + S(y) inside an edge."""
         (i, _, _), s = self._kernel.ground.read(y)
         if y.is_vertex:
-            return self._k + s - 2 * self._x[i]
+            return self._k + s - 2 * self._y[i] / self._scale
         return 2 * self._h.read(y)[1] + s
 
     def eval(self, x, y) -> Fraction:

@@ -8,7 +8,8 @@ off the resistance between its ends) and the Green values all come from
 that one inverse, and no solve code is shared with the exact modules.  This
 is the only module in the library that touches floating point.  numpy is
 imported inside the functions that use it, so importing `mg` or running any
-other `mg` command does not load it.
+other `mg` command does not load it, and it is an optional dependency, the
+`oracle` extra: without it, the oracle raises `MissingExtra`, an InputError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
-from .errors import BadGridSize, DegreeMinusTwo
+from .errors import BadGridSize, DegreeMinusTwo, MissingExtra
 from .graphs import MetrizedGraph, RDivisor, as_point
 from .green import green_system
 
@@ -93,10 +94,22 @@ def discretize(g: MetrizedGraph, h) -> DiscreteGraph:
     return DiscreteGraph(n, links, vertex_node, edge_chain, edge_step)
 
 
+def _numpy():
+    """The numpy module, or MissingExtra if it is not installed."""
+    try:
+        import numpy
+    except ImportError:
+        raise MissingExtra(
+            "the oracle needs numpy, which the 'oracle' extra installs: "
+            "pip install 'mg[oracle]'"
+        ) from None
+    return numpy
+
+
 def _grounded_inverse(dg: DiscreteGraph) -> np.ndarray:
     """Inverse X of the grid Laplacian grounded at node 0, with row and
     column 0 zero, so that r(i, j) = X_ii + X_jj - 2 X_ij."""
-    import numpy as np
+    np = _numpy()
     L = np.zeros((dg.n, dg.n))
     for i, j, s in dg.links:
         if i == j:
@@ -130,7 +143,7 @@ def _discrete_measure(
     grid's own canonical measure, which subdivision leaves unchanged: atoms
     1 - valence/2 at the original vertices, and on a sub-edge of length s with
     ends r apart the density (s - r)/s^2, half its mass lumped on each end."""
-    import numpy as np
+    np = _numpy()
     scale = float(d.degree()) + 2.0
     mass = np.zeros(dg.n)
     for v in g.vertex_list:

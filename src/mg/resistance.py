@@ -2,8 +2,9 @@
 
 Each edge is a resistor whose resistance equals its length.  Gamma is the
 inverse of the grounded vertex Laplacian (conductance 1/length per edge,
-loops contributing nothing; Gamma = 0 at the first vertex, v_0), and every
-resistance is closed-form arithmetic on it:
+loops contributing nothing; Gamma = 0 at the ground v_0, the vertex with
+the most distinct neighbours other than itself, the first in `vertex_list`
+on a tie), and every resistance is closed-form arithmetic on it:
 
 * r(a, b) = Gamma_aa + Gamma_bb - 2 Gamma_ab for vertices a and b;
 * an edge e = (u, v) of length l has r_e = r(u, v) and canonical density
@@ -24,8 +25,11 @@ combination of such functions, is at offset t on e the chord of its values
 at e's ends, plus t(l - t) times a coefficient, less a tent for each atom
 of nu inside e: a `_Potential`.  S is one (the kernel's `ground`), and in
 `mg.green` so is the reads' h = (j - S)/2, built from its vertex values,
-coefficients and tents.  `_potential` gives what the potential of a set of
-atoms is made of, its spread over the vertices m, to be solved as
+its tents and the factor of rho_e in its coefficients.  A potential forms
+an edge's coefficient, and sorts the edge's tents with their prefix sums,
+on its first read inside that edge, so a read costs O(1) exact operations
+however many tents the edge has.  `_potential` gives what the potential of
+a set of atoms is made of, its spread over the vertices m, to be solved as
 Gamma·m (`ResistanceKernel.solve`), and a constant, and `mg.green` does
 its arithmetic on those.
 
@@ -39,10 +43,14 @@ that forms rho_e l.  Its mass `canonical_mass` is 2 by Foster's identity
 from the vector on first read.  The potential of 2 mu_can is the constant
 k_can, so Gamma·2 m_can is S: L·S = 2 m_can at every vertex but the
 ground, L being the Laplacian.  A Green system (`mg.green`) forms mu's
-spread, solved vector and constant from D's and these, with one solve,
-checks the mass and certifies the identity on every build by one exact
-residual, `ResistanceKernel.laplacian`: L·x from the table's
+spread, solved vector and constant, times deg D + 2, from D's and these,
+with one solve, checks the mass and certifies the identity on every build
+by one exact residual, `ResistanceKernel.laplacian`: L·x from the table's
 conductances in one O(E) pass, which reads nothing of the factorization.
+A read that builds no Green system, a resistance or a measure, certifies
+the kernel itself, once (`ResistanceKernel.certify`): the mass, and L·S =
+2 m_can off the ground; a Green build that passes marks the kernel
+certified.
 
 Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
 X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
@@ -51,68 +59,75 @@ f - 2X, and a Green value (`mg.green`) is `pair` on h = (j - S)/2.
 Each length is converted once, into the kernel's edge table
 `ResistanceKernel.edges`: {edge id: (i, j, l, 1/l, rho_e l)}, in the
 graph's edge order, i and j the indices of the ends and the rest in the
-fast type.  rho_e itself is kept once, as S's t(l - t) coefficient
-`ground.curv` {edge id: rho_e}, and read from there by edge id.  Only this
-module reads the table's rows: the kernel's build, its canonical
-constant, `laplacian` and every potential's rows.  Gamma is never formed
-densely.  The kernel factors the Laplacian once, from the table's
-conductances (`mg.linalg`), and the factorization keeps its selected
-inverse, which holds Gamma exactly on the diagonal, on every pair of
-adjacent vertices and on the fill: so every r_e and density, and S, whose
-value at a vertex v is Gamma_vv, and 2 m_can, in O(nnz(L)) on a graph
-that factors with no fill.  A potential of a measure needs only that
-diagonal, the table and one solve, Gamma·m.  Gamma at any other pair, as
-X between arbitrary points may ask for, is read from the same
-factorization, which computes an entry its selected inverse lacks by
-Takahashi's recurrence along one elimination-tree path, with no solve,
-and keeps it and every entry computed on the way
+fast type.  rho_e itself is formed from rho_e l and 1/l where it is read:
+by a potential's row, and for every edge by `density`, on its first read.
+Only this module reads the table's rows: the kernel's build, its canonical
+constant, `density`, `laplacian` and every potential's rows.  Gamma is
+never formed densely.  The kernel factors the Laplacian once, from the
+table's conductances (`mg.linalg`), and the factorization keeps its
+selected inverse, which holds Gamma exactly on the diagonal, on every pair
+of adjacent vertices and on the fill: so every r_e and density, and S,
+whose value at a vertex v is Gamma_vv, and 2 m_can, in O(nnz(L)) on a
+graph that factors with no fill.  A potential of a measure needs only that
+diagonal, the table and one solve, Gamma·m.  Gamma at any other pair, as X
+between arbitrary points may ask for, is read from the same factorization,
+which computes an entry its selected inverse lacks by Takahashi's
+recurrence along one elimination-tree path, with no solve, and keeps it
+and every entry computed on the way
 (`linalg.Factorization.inverse_entry`).  A read is otherwise O(1)
 arithmetic.  The kernel is built on first use and kept on the (immutable)
-graph, which it validates once.  The factorization's entries and
-solutions are in the fast rational type of `mg.linalg`, as is the table,
-and every potential, S included, computes on it, reads too: weights and
-the tent.  What a caller receives is plain: the densities, `entry` and
-every resistance.
-"""
+graph, which it validates once.  The factorization's entries and solutions
+are in the fast rational type of `mg.linalg`, as is the table, and every
+potential, S included, computes on it, reads too: weights and the tent.
+What a caller receives is plain: the densities, `entry` and every
+resistance."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .errors import EdgeNotFound
+from .errors import ConstancyViolation, EdgeNotFound
 from .graphs import GraphPoint, MetrizedGraph
 from .linalg import fast, plain
+
+_ONE = fast(1)  # rho_e l of every loop
 
 
 class _Potential:
     """A function of the shape of x -> integral r(x, z) dnu(z): at offset t
     on an edge e of length l, the chord of its values at e's ends, plus
-    t(l - t) times its coefficient curv_e, less w min(s, t)(l - max(s, t))/l
-    for each tent (s, w) inside e.
+    t(l - t) times its coefficient factor·rho_e, less w min(s, t)(l -
+    max(s, t))/l for each tent (s, w) inside e.
 
     For x inside e, r(x, z) is the chord of r(., z) between e's ends plus
     t(l - t) rho_e, less 2 min(s, t)(l - max(s, t))/l when z too lies inside
     e, at offset s: so S, the potential of any measure (`_potential`) and
     any linear combination of them, such as h in `mg.green`, have
-    this shape.  Its maker gives the vertex values, the coefficients (only
-    those of the edges it is read inside) and the tents.  `read` gives a
-    point's spread weights and the value there, from the row of its edge
-    (ends, length and its reciprocal, value at u, slope, curv) built on the
+    this shape.  Its maker gives the vertex values, the tents and the
+    factor: 1 for S, -1/(deg D + 2) for h.  `read` gives a point's spread
+    weights and the value there, from the row of its edge (ends, length and
+    its reciprocal, value at u, slope, coefficient, tents) built on the
     first read inside that edge from the kernel's edge table, in the fast
-    type of `mg.linalg`, the type of every potential built here.  It holds
-    the kernel's vertex index and edge table but not the kernel, which
-    holds S, so that no cycle keeps a kernel alive.  Every row is exact, so
-    threads racing to fill a row store equal rows.
+    type of `mg.linalg`, the type of every potential built here: the
+    coefficient is formed then, from the table's rho_e l, and the edge's
+    tents are sorted by offset, with the prefix sums of w s and the suffix
+    sums of w (l - s).  A tent at s <= t adds w s (l - t)/l and one at
+    s > t adds w t (l - s)/l, so a read inside an edge is one `bisect` and
+    O(1) exact operations, however many tents the edge has.  The potential
+    holds the kernel's vertex index and edge table but not the kernel,
+    which holds S, so that no cycle keeps a kernel alive.  Every row is
+    exact, so threads racing to fill a row store equal rows.
     """
 
-    def __init__(self, index: dict, edges: dict, at_vertex, curv, inside):
+    def __init__(self, index: dict, edges: dict, at_vertex, inside, factor=1):
         self.index = index
         self.edges = edges  # the kernel's edge table
         self.at_vertex = at_vertex  # [value at the vertex of index i]
-        self.curv = curv  # {edge id: coefficient of t(l - t)}
         self.inside = inside  # {edge id: [(offset, weight) of a tent]}
+        self.factor = factor  # the coefficient of t(l - t) over rho_e
         self._rows: dict = {}
 
     def read(self, x: GraphPoint) -> tuple[tuple, Fraction]:
@@ -125,45 +140,88 @@ class _Potential:
             return (i, i, 0), self.at_vertex[i]
         row = self._rows.get(x.edge)
         if row is None:
-            i, j, l, c, _ = self.edges[x.edge]
-            pu = self.at_vertex[i]
-            slope = (self.at_vertex[j] - pu) * c
-            row = self._rows[x.edge] = (i, j, l, c, pu, slope, self.curv[x.edge])
-        i, j, l, c, value, slope, curv = row
+            row = self._rows[x.edge] = self._row(x.edge)
+        i, j, l, c, value, slope, curv, tents = row
         t = x.offset
-        value += t * (slope + (l - t) * curv)
-        for s, w in self.inside.get(x.edge, ()):
-            value -= w * min(s, t) * (l - max(s, t)) * c
+        rest = l - t
+        value += t * (slope + rest * curv)
+        if tents:
+            offsets, before, after = tents
+            k = bisect_right(offsets, t)
+            if k:  # the tents at s <= t
+                value -= before[k] * rest * c
+            if k < len(offsets):  # and those at s > t
+                value -= after[k] * t * c
         return (i, j, t * c), value
+
+    def _row(self, edge) -> tuple:
+        """The row of an edge: (i, j, l, 1/l, value at u, slope, coefficient,
+        tents), tents None or (offsets, before, after) with before[k] the sum
+        of w s over the first k tents by offset and after[k] that of w (l - s)
+        over the others; `read` reads neither sum of no tents."""
+        i, j, l, c, rho_l = self.edges[edge]
+        pu = self.at_vertex[i]
+        slope = (self.at_vertex[j] - pu) * c
+        curv = rho_l * c
+        if self.factor != 1:
+            curv *= self.factor
+        tents = None
+        listed = self.inside.get(edge)
+        if listed:
+            listed = sorted(listed)
+            before, after = [0], [0]
+            for s, w in listed:
+                before.append(before[-1] + w * s)
+            for s, w in reversed(listed):
+                after.append(after[-1] + w * (l - s))
+            tents = [s for s, _ in listed], before, after[::-1]
+        return i, j, l, c, pu, slope, curv, tents
 
 
 class ResistanceKernel:
     """Gamma of a connected graph, with its edge table `edges` and
     S = r(., v_0) as the potential `ground`, whose coefficients are the
     densities (the module docstring gives both layouts).  `density` is
-    rho_e as a plain Fraction, converted on first use.  `canonical` is
+    rho_e as a plain Fraction, formed on first use.  `canonical` is
     2 mu_can spread over the vertices, 2 m_can, with `canonical_mass` and
     `canonical_constant` summed from it on first read.  `laplacian` is L·x
-    from the table, the residual that certifies a solved vector.
+    from the table, the residual that certifies a solved vector, and
+    `certify` checks the kernel by it, once, unless a Green build has.
 
-    Gamma is the inverse of the Laplacian grounded at the first vertex
-    (index 0), with Gamma = 0 in its row and column.  The kernel gives the
-    factorization (`mg.linalg`) each edge's (i, j, 1/l) from its table,
-    and the factorization owns the ground: it sums the Laplacian, answers
-    0 in the ground's row and column, and holds Gamma's other entries in
-    the fast type: its selected inverse, on the diagonal and every pair of
-    adjacent vertices, plus the fill, and every entry read off that
-    pattern so far.  `pair` and `entry` read Gamma from it directly, and
-    `solve` solves against it.  Every read is
-    `pair` on a potential, and `pair` alone adds the tent of two points
-    inside one edge.  The kernel holds its table but not the graph,
-    which holds the kernel, so both, and every entry kept, are freed
-    together as soon as the graph is.
+    Gamma is the inverse of the Laplacian grounded at v_0, the vertex with
+    the most distinct neighbours other than itself, the first in
+    `vertex_list` on a tie: as the factorization eliminates every vertex but
+    the ground, grounding the busiest one takes the most entries out of the
+    elimination, which on the benchmark's graphs lowers its work W
+    (`scripts/exact_ops.py`).  `vertices` lists the vertices by index: the
+    ground at index 0, then the others in `vertex_list` order; `index` maps
+    them back, and every per-vertex list of the kernel and of `mg.green` is
+    in that order.  Gamma = 0 in the ground's row and column.  The kernel
+    gives the factorization (`mg.linalg`) each edge's (i, j, 1/l) from its
+    table, and the factorization grounds index 0: it sums the Laplacian,
+    answers 0 in the ground's row and column, and holds Gamma's other
+    entries in the fast type: its selected inverse, on the diagonal and
+    every pair of adjacent vertices, plus the fill, and every entry read off
+    that pattern so far.  `pair` and `entry` read Gamma from it directly,
+    and `solve` solves against it.  Every read is `pair` on a potential, and
+    `pair` alone adds the tent of two points inside one edge.  The kernel
+    holds its table but not the graph, which holds the kernel, so both, and
+    every entry kept, are freed together as soon as the graph is.
     """
 
     def __init__(self, g: MetrizedGraph):
         g.validate()
-        index = self.index = {v: i for i, v in enumerate(g.vertex_list)}
+        # the ground, index 0, is the vertex with the most distinct
+        # neighbours other than itself (parallel edges count once, a loop
+        # not at all), the first in `vertex_list` on a tie; the others keep
+        # their order.  Each set holds its vertex, so a loop adds nothing
+        near = {v: {v} for v in g.vertex_list}
+        for e in g.edges:
+            near[e.u].add(e.v)
+            near[e.v].add(e.u)
+        ground = max(near, key=lambda v: len(near[v]))
+        vertices = self.vertices = [ground, *(v for v in g.vertex_list if v != ground)]
+        index = self.index = {v: i for i, v in enumerate(vertices)}
         edges = self.edges = {}
         for e in g.edges:
             i, j, l = index[e.u], index[e.v], fast(e.length)
@@ -171,25 +229,24 @@ class ResistanceKernel:
         factors = self._factors = linalg.Factorization(
             len(index), [(i, j, c) for i, j, _, c in edges.values()]
         )
-        # S = r(., v_0) is Gamma_vv at a vertex v, on the selected inverse's
-        # diagonal
+        # S = r(., ground) is Gamma_vv at a vertex v, on the selected
+        # inverse's diagonal
         diagonal = [factors.inverse_entry(i, i) for i in range(len(index))]
         # r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv, with Gamma_uv on the
         # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e l = 1 for
-        # a loop, whose r_e is 0; rho_e is S's t(l - t) coefficient.  2 mu_can
-        # spreads 2 - valence(v) + sum over e's ends at v of rho_e l onto v,
-        # that is 2 - sum of r_e/l, to which a loop adds nothing
-        rho = {}
+        # a loop, whose r_e is 0.  2 mu_can spreads 2 - valence(v) + sum
+        # over e's ends at v of rho_e l onto v, that is 2 - sum of r_e/l, to
+        # which a loop adds nothing
         twice = self.canonical = [2] * len(index)
         for e, (i, j, l, c) in edges.items():
-            rho_l, rho[e] = fast(1), c
+            rho_l = _ONE
             if i != j:
                 r_l = (diagonal[i] + diagonal[j] - 2 * factors.inverse_entry(i, j)) * c
                 rho_l = 1 - r_l
-                rho[e] = rho_l * c
                 twice[i], twice[j] = twice[i] - r_l, twice[j] - r_l
             edges[e] = (i, j, l, c, rho_l)
-        self.ground = _Potential(index, edges, diagonal, rho, {})
+        self.ground = _Potential(index, edges, diagonal, {})
+        self.certified = False
 
     @cached_property
     def canonical_mass(self):
@@ -212,8 +269,34 @@ class ResistanceKernel:
 
     @cached_property
     def density(self) -> dict:
-        """{edge id: canonical density rho_e}, as plain Fractions."""
-        return {e: plain(rho) for e, rho in self.ground.curv.items()}
+        """{edge id: canonical density rho_e}, as plain Fractions, formed
+        from the table's rho_e l on first read."""
+        return {e: plain(rho_l * c) for e, (_, _, _, c, rho_l) in self.edges.items()}
+
+    def certify(self) -> None:
+        """Check, once per kernel, the identities every read of it rests on:
+        Foster's identity, that 2 mu_can has mass 2, and Gamma·2 m_can = S,
+        by the residual L·S == 2 m_can (`laplacian`) exactly at every vertex
+        but the ground, whose value the mass fixes.  A Green system whose
+        own residual passes has checked both, given its solve, and marks the
+        kernel `certified`, so this runs only for reads that build none:
+        `effective_resistance`, `resistance_in_deleted_edge` and
+        `mg.green.admissible_measure`.  A failure
+        raises ConstancyViolation, naming the vertex and both sides, and
+        the next read checks again."""
+        if self.certified:
+            return
+        mass = self.canonical_mass
+        if mass != 2:
+            raise ConstancyViolation(f"2 mu_can has total mass {mass}, not 2")
+        lap = self.laplacian(self.ground.at_vertex)
+        for v, a, b in zip(self.vertices[1:], lap[1:], self.canonical[1:]):
+            if a != b:
+                raise ConstancyViolation(
+                    f"Gamma 2 m_can is not S: L S is {a} "
+                    f"but 2 m_can is {b} at {GraphPoint.at_vertex(v)!r}"
+                )
+        self.certified = True
 
     def solve(self, m: list) -> list:
         """Gamma·m, in the fast type: m[0] is not read."""
@@ -312,8 +395,10 @@ def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:
 
 
 def effective_resistance(g: MetrizedGraph, p, q) -> Fraction:
-    """Resistance between the points p and q; symmetric, 0 iff p = q."""
+    """Resistance between the points p and q; symmetric, 0 iff p = q.  The
+    kernel is certified first (`ResistanceKernel.certify`)."""
     kernel = resistance_kernel(g)
+    kernel.certify()
     return kernel.resistance(g.check_point(p), g.check_point(q))
 
 
@@ -323,10 +408,13 @@ def resistance_in_deleted_edge(g: MetrizedGraph, edge_id) -> Fraction | None:
     Returns None when the edge is a bridge (infinite resistance) and 0 for a
     loop, whose endpoints coincide.  The edge and the rest of the graph are
     in parallel, so the canonical density (l - r_e)/l^2 of the edge is
-    1/(l + R) for this resistance R.
+    1/(l + R) for this resistance R.  The kernel is certified first
+    (`ResistanceKernel.certify`).
     """
     e = g.edge_by_id.get(edge_id)
     if e is None:
         raise EdgeNotFound(f"edge {edge_id!r} is not in the graph")
-    rho = resistance_kernel(g).density[e.id]
+    kernel = resistance_kernel(g)
+    kernel.certify()
+    rho = kernel.density[e.id]
     return 1 / rho - e.length if rho else None

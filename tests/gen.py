@@ -79,6 +79,23 @@ def random_chain_config(rng: Random, max_components=6, max_loops=4):
             return FiberConfiguration(comps, nodes)
 
 
+def cycle_chords() -> MetrizedGraph:
+    """A 10-vertex cycle with three chords: v1, the first vertex with three
+    neighbours, is its kernel's ground, and its selected inverse holds fill
+    as well as the diagonal and the edges."""
+    v = [f"v{i}" for i in range(10)]
+    edges = [(f"c{i}", v[i], v[(i + 1) % 10], Fraction(i % 3 + 1, 2)) for i in range(10)]
+    edges += [("d1", v[1], v[5], 2), ("d2", v[2], v[7], 1), ("d3", v[4], v[8], 3)]
+    return MetrizedGraph(v, edges)
+
+
+def graph_file(g: MetrizedGraph) -> str:
+    """The text of a `.mg` file of the graph g, with no points or divisor."""
+    lines = ["metrized_graph", *(f"vertex {v}" for v in g.vertex_list)]
+    lines += [f"edge {e.id} {e.u} {e.v} {e.length}" for e in g.edges]
+    return "\n".join(lines) + "\n"
+
+
 def path_file(lengths) -> str:
     """The text of a `.mg` path P0 - P1 - ... with the given edge lengths
     and the divisor P0 + P<n>, n the number of edges."""

@@ -29,6 +29,10 @@ reads the walk, the graph's valences or the omega a configuration keeps.
 The last section holds the command line's 12-digit decimal formatter as it
 was before it used the `decimal` module: an exponent search and one
 half-up rounding step on the exact fraction, kept verbatim.
+
+`kernel_order` is new, not kept: the order in which the library's kernel
+indexes the vertices, ground first, found by a count of adjacent pairs, so
+that tests can compare the kernel's per-vertex data with this module's.
 """
 
 from __future__ import annotations
@@ -209,6 +213,17 @@ def resistance_in_deleted_edge(g: MetrizedGraph, edge_id) -> Fraction | None:
         return None
     # with the endpoints still connected, rest is connected as a whole
     return effective_resistance(rest, e.u, e.v)
+
+
+def kernel_order(g: MetrizedGraph) -> list:
+    """The vertices in the order of the library's resistance kernel: first
+    the ground, the vertex adjacent to the most other vertices (the first
+    in `vertex_list` on a tie), then the others in `vertex_list` order."""
+    pairs = {frozenset((e.u, e.v)) for e in g.edges if e.u != e.v}
+    count = {v: sum(v in p for p in pairs) for v in g.vertex_list}
+    best = max(count.values())
+    ground = next(v for v in g.vertex_list if count[v] == best)
+    return [ground] + [v for v in g.vertex_list if v != ground]
 
 
 # -- measures and Green functions ----------------------------------------

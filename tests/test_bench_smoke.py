@@ -30,12 +30,13 @@ def test_workload_items_pass(name, tmp_path):
 
 
 # factorizations, solves and path vectors w = D^-1 L^-1 e_c built for the
-# Gamma entries off the selected inverse's pattern, over one pass
+# Gamma entries off the selected inverse's pattern, over one pass, and the
+# work W summed over the factorizations (`conftest.factor_work`)
 SOLVE_COUNTS = {
-    "einv-chords": (27, 27, 0),
-    "fiber-chains": (15, 15, 0),
-    "point-queries": (10, 10, 113),
-    "batch-small": (176, 176, 0),
+    "einv-chords": (27, 27, 0, 3364),
+    "fiber-chains": (15, 15, 0, 1155),
+    "point-queries": (10, 10, 111, 796),
+    "batch-small": (176, 176, 0, 780),
 }
 
 
@@ -44,9 +45,11 @@ def test_workload_solve_counts(name, tmp_path, factor_calls):
     """One pass at seed 1 makes the solves pinned here: each graph
     is factored once and each Green system solves once.  An off-pattern
     read solves nothing: it builds the path vector of its column once per
-    column, and no read builds one on the other three workloads."""
+    column, and no read builds one on the other three workloads.  W, the
+    factorizations' work, follows the ground and the pivot order, so a
+    change to either shows here."""
     wl = workloads.WORKLOADS[name](1, tmp_path)
     for item in wl.items:
         wl.run(item)
-    counts = factor_calls["factor"], factor_calls["solve"], factor_calls["path"]
+    counts = tuple(factor_calls[key] for key in ("factor", "solve", "path", "W"))
     assert counts == SOLVE_COUNTS[name]

@@ -26,9 +26,10 @@ import mg.cli
 import mg.green
 import reference
 from faults import fault_canonical, fault_inverse, fault_solve
-from gen import path_file
+from gen import cycle_chords, graph_file, path_file
 from mg import AdmissibleMeasure, MAX_GENUS
 from mg.cli import build_parser, decimal12, main
+from mg.resistance import resistance_kernel
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -765,7 +766,8 @@ class TestCertificate:
     @pytest.mark.parametrize("fault", ["solve", "diagonal", "edge"])
     def test_wrong_kernel_exits_3(self, capsys, monkeypatch, fault):
         """A changed solve output, or a changed diagonal entry or entry of
-        an edge of Gamma (Q-R, off the ground P), fails the build."""
+        an edge of Gamma (P-Q, off the ground R, the only vertex with three
+        neighbours), fails the build."""
 
         def raised(x):  # the last vertex's entry of x_D
             x[-1] += 1
@@ -780,3 +782,24 @@ class TestCertificate:
         code, out, err = run(capsys, "e-invariant", GOLDEN / "interior.mg")
         assert (code, out) == (3, "")
         assert err.startswith("error: ConstancyViolation: ")
+
+    @pytest.mark.parametrize("kind", ["diagonal", "edge"])
+    def test_wrong_kernel_fails_resistance(self, capsys, monkeypatch, tmp_path, kind):
+        """`mg resistance` builds no Green system, so it certifies the kernel
+        itself: v3's diagonal entry, or that of the edge c3 = v3-v4, of
+        Gamma raised by 1/1000 is exit 3 with no output, where r across c3
+        would read 553271/1271000 for the diagonal fault, not 552/1271."""
+        path = tmp_path / "chords.mg"
+        path.write_text(graph_file(cycle_chords()))
+        code, out, _ = run(capsys, "resistance", path, "v3", "v4")
+        assert code == 0 and "552/1271" in out
+        index = resistance_kernel(cycle_chords()).index
+        i, j = index["v3"], index["v3" if kind == "diagonal" else "v4"]
+
+        def raised(rows):
+            rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, 1000)
+
+        fault_inverse(monkeypatch, raised)
+        code, out, err = run(capsys, "resistance", path, "v3", "v4")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ConstancyViolation: 2 mu_can has total mass ")

@@ -157,14 +157,17 @@ def test_every_inverse_entry_matches_dense_inverse(seed, family):
 
 
 def test_inverse_entry_on_a_long_path(factor_calls):
-    """On a 3000-vertex unit path the elimination tree is one chain of
-    height 2998.  A read far off the pattern solves nothing, walks the
-    chain with its explicit stack, so no recursion limit is reached, and
-    adds at most 2n entries to the store."""
+    """On a 3000-vertex unit path, grounded at v1, the first vertex with two
+    neighbours, v2 to v2999 are eliminated in order, so their elimination
+    tree is one chain of height 2997.  A read far off the pattern solves
+    nothing, walks the chain with its explicit stack, so no recursion limit
+    is reached, and adds at most 2n entries to the store."""
     n = 3000
     g = path_graph([1] * (n - 1), prefix="v")
-    z = resistance.resistance_kernel(g)._factors._inverse
-    for p, q, r in (("v1", "v2999", 2998), ("v1500", "v17", 1483)):
+    kernel = resistance.resistance_kernel(g)
+    assert kernel.vertices[0] == "v1"
+    z = kernel._factors._inverse
+    for p, q, r in (("v2", "v2999", 2997), ("v1500", "v17", 1483)):
         stored = sum(map(len, z))
         assert effective_resistance(g, p, q) == r
         assert 0 < sum(map(len, z)) - stored <= 2 * n

@@ -29,7 +29,8 @@ from mg import (
     theta_graph,
 )
 import mg
-from mg.errors import BadGridSize, InputError
+from mg.cli import main
+from mg.errors import BadGridSize, InputError, MissingExtra
 from mg.oracle import MAX_GRID_NODES
 from gen import random_divisor, random_graph
 
@@ -246,3 +247,20 @@ def test_importing_the_cli_leaves_numpy_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "False"
+
+
+def test_missing_numpy_is_input_error(monkeypatch, capsys):
+    """numpy is the `oracle` extra: without it the oracle raises an
+    InputError that names the extra, and `mg oracle green` exits 2 with no
+    traceback and no output."""
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` fails
+    with pytest.raises(MissingExtra, match="'oracle' extra"):
+        numeric_resistance(segment_graph(1), "P", "Q", Fraction(1, 4))
+    golden = Path(__file__).resolve().parent / "golden" / "segment.mg"
+    code = main(["oracle", "green", str(golden), "P", "P", "--h", "1/8"])
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert out.err == (
+        "error: MissingExtra: the oracle needs numpy, which the 'oracle' "
+        "extra installs: pip install 'mg[oracle]'\n"
+    )

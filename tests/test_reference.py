@@ -111,30 +111,70 @@ def test_reads_match_reference(seed):
         assert s.green_of_divisor(y) == rs.green_of_divisor(y)
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_many_points_on_few_edges_match_reference(seed):
+    """D with six points inside each of two edges, a loop among the
+    candidates, one offset shared by both edges and one point given twice,
+    whose coefficients add up: e, c, g(D, y) and Green values read exactly
+    at D's points and between them equal the reference's."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=4, min_vertices=2)
+    v = rng.choice(g.vertex_list)
+    g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
+    hosts = rng.sample(g.edges, 2)
+    shared = min(e.length for e in hosts) * Fraction(rng.randint(1, 11), 12)
+    terms = []
+    for e in hosts:
+        terms.append((GraphPoint.on_edge(e.id, shared), Fraction(1)))
+        for k in rng.sample(range(1, 12), 5):
+            a = Fraction(rng.choice([-2, -1, 1, 2, 3]))
+            terms.append((GraphPoint.on_edge(e.id, e.length * Fraction(k, 12)), a))
+    terms.append(terms[1])
+    d = RDivisor(terms)
+    if d.degree() == -2:
+        d = d + RDivisor({g.vertex_list[0]: 1})
+
+    s, rs = green_system(g, d), ref.green_system(g, d)
+    assert e_of_system(s) == ref.e_of_system(rs)
+    assert constant_c(s) == ref.constant_c(rs)
+    support = [p for p in d.support() if not p.is_vertex]
+    between = [GraphPoint.on_edge(e.id, e.length * Fraction(k, 13)) for e in hosts for k in (1, 7)]
+    for y in support + between:
+        assert s.green_of_divisor(y) == rs.green_of_divisor(y)
+    for x in rng.sample(support, 3):
+        for y in support + between:
+            assert s.eval(x, y) == rs.eval(x, y)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_ground_potential_matches_reference(seed):
     """The kernel's S = r(., v_0), which every resistance read and every
-    potential's build reads, equals the reference resistance to the first
-    vertex at every vertex and at one interior point of every edge, loops
-    included, on graphs of the family of `test_reads_match_reference`."""
+    potential's build reads, equals the reference resistance to the ground
+    vertex v_0 (`reference.kernel_order`) at every vertex and at one
+    interior point of every edge, loops included, on graphs of the family
+    of `test_reads_match_reference`."""
     rng = Random(seed)
     g = random_graph(rng, max_vertices=10, min_vertices=4)
     v = rng.choice(g.vertex_list)
     g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
-    ground = resistance_kernel(g).ground
+    kernel = resistance_kernel(g)
+    assert kernel.vertices == ref.kernel_order(g)
+    ground = kernel.ground
     points = [GraphPoint.at_vertex(w) for w in g.vertex_list]
     points += [
         GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 6), 7))
         for e in g.edges
     ]
-    v0 = g.vertex_list[0]
+    v0 = ref.kernel_order(g)[0]
     for x in points:
         assert ground.read(x)[1] == ref.effective_resistance(g, v0, x)
 
 
 def vertex_spread(g: MetrizedGraph, mu) -> list:
-    """mu spread over the vertices of g, in `vertex_list` order: an atom
+    """mu spread over the vertices of g, in the kernel's order
+    (`reference.kernel_order`): an atom
     stays at its vertex, an atom inside an edge is split between the edge's
     ends in proportion to its distance from the other end, and a density
     puts half its mass on each end."""
@@ -151,7 +191,7 @@ def vertex_spread(g: MetrizedGraph, mu) -> list:
         half = mu.density(e.id) * e.length / 2
         m[e.u] += half
         m[e.v] += half
-    return [m[v] for v in g.vertex_list]
+    return [m[v] for v in ref.kernel_order(g)]
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,7 +199,7 @@ def vertex_spread(g: MetrizedGraph, mu) -> list:
 def test_kernel_canonical_data(seed, family):
     """The kernel's 2 m_can is twice the vertex spread of the canonical
     measure, of mass 2, and its k_can is integral S d(2 mu_can) with S the
-    reference's r(., v_0), and 4 tau(G), tau(G) being a quarter of the
+    reference's r(., v_0), v_0 the ground, and 4 tau(G), tau(G) being a quarter of the
     integral of S'^2 (Baker-Rumely, Canad. J. Math. 59, 2007); a Green system built on them has the admissible
     measure and the reference's c, e and values.  The families are random
     graphs with a loop added, and chain fibers' graphs with their omega
@@ -180,8 +220,9 @@ def test_kernel_canonical_data(seed, family):
     assert kernel.canonical_mass == 2
     # S is the chord of its vertex values plus t(l - t) rho_e on an edge,
     # and 2 mu_can has the density 2 rho_e there
-    s = {v: ref.effective_resistance(g, g.vertex_list[0], v) for v in g.vertex_list}
-    k = sum((2 * m * s[v] for v, m in zip(g.vertex_list, spread)), Fraction(0))
+    order = ref.kernel_order(g)
+    s = {v: ref.effective_resistance(g, order[0], v) for v in g.vertex_list}
+    k = sum((2 * m * s[v] for v, m in zip(order, spread)), Fraction(0))
     for e in g.edges:
         rho = can.density(e.id)
         k += 2 * rho * rho * e.length**3 / 6

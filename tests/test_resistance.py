@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 import reference as ref
 
 from mg import (
+    ConstancyViolation,
     EdgeNotFound,
     GraphPoint,
     MetrizedGraph,
     FiberConfiguration,
     RDivisor,
+    canonical_measure,
     circle_graph,
     e_invariant,
     effective_resistance,
@@ -33,7 +35,8 @@ from mg import (
     subdivide_at,
     theta_graph,
 )
-from gen import frac, random_graph, random_point
+from faults import fault_canonical, fault_inverse
+from gen import cycle_chords, frac, random_graph, random_point
 
 
 def test_segment_is_a_single_resistor():
@@ -156,27 +159,54 @@ class TestDeletedEdge:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_edge_table_matches_reference(seed):
     """The kernel's edge table holds, per edge in the graph's order, the
-    indices of its ends, l, 1/l and rho_e l, and S's coefficients
-    (`ground.curv`) are rho_e = (l - r_e)/l^2, all four values in the fast
-    type, with r_e the reference resistance between the ends: a loop has
-    rho_e = 1/l and a bridge 0."""
+    indices of its ends, l, 1/l and rho_e l, all three values in the fast
+    type, with rho_e = (l - r_e)/l^2 and r_e the reference resistance
+    between the ends: a loop has rho_e = 1/l and a bridge 0.  `density` and
+    S's t(l - t) coefficient on the row it builds for an edge are rho_e."""
     rng = Random(seed)
     g = random_graph(rng)
     v = rng.choice(g.vertex_list)
     g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
     kernel = resistance.resistance_kernel(g)
     fast = type(linalg.fast(0))
-    curv = kernel.ground.curv
-    assert list(kernel.edges) == list(curv) == [e.id for e in g.edges]
+    assert list(kernel.edges) == list(kernel.density) == [e.id for e in g.edges]
     for e in g.edges:
         l = e.length
         rho = (l - ref.effective_resistance(g, e.u, e.v)) / l**2
         row = kernel.edges[e.id]
         assert row == (kernel.index[e.u], kernel.index[e.v], l, 1 / l, rho * l)
-        assert curv[e.id] == rho
-        assert [type(x) for x in (*row[2:], curv[e.id])] == [fast] * 4
+        assert [type(x) for x in row[2:]] == [fast] * 3
+        curv = kernel.ground._row(e.id)[6]
+        assert curv == rho and type(curv) is fast
         assert kernel.density[e.id] == rho
-    assert curv["loop"] == 1 / g.edge_by_id["loop"].length
+    assert kernel.density["loop"] == 1 / g.edge_by_id["loop"].length
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_potential_tents_match_their_sum(seed):
+    """A potential's read inside an edge, from the edge's tents sorted with
+    prefix sums, is the chord of its vertex values plus t(l - t) factor
+    rho_e, less w min(s, t)(l - max(s, t))/l summed over every tent (s, w):
+    at the tents' own offsets and between them, with up to twelve tents on
+    eight offsets, so that several share one, and weights of both signs."""
+    rng = Random(seed)
+    g = random_graph(rng, max_vertices=4, min_vertices=2)
+    kernel = resistance.resistance_kernel(g)
+    e = rng.choice(g.edges)
+    l = e.length
+    grid = [l * Fraction(k, 9) for k in range(1, 9)]
+    tents = [(rng.choice(grid), frac(rng, positive=False)) for _ in range(rng.randint(1, 12))]
+    at_vertex = [linalg.fast(frac(rng, positive=False)) for _ in g.vertex_list]
+    factor = linalg.fast(frac(rng, positive=False))
+    inside = {e.id: [(s, linalg.fast(w)) for s, w in tents]}
+    f = resistance._Potential(kernel.index, kernel.edges, at_vertex, inside, factor)
+    i, j = kernel.index[e.u], kernel.index[e.v]
+    rho = kernel.density[e.id]
+    for t in grid:
+        value = at_vertex[i] + (at_vertex[j] - at_vertex[i]) * t / l + t * (l - t) * factor * rho
+        value -= sum((w * min(s, t) * (l - max(s, t)) / l for s, w in tents), Fraction(0))
+        assert f.read(GraphPoint.on_edge(e.id, t)) == ((i, j, t / l), value)
 
 
 @settings(max_examples=40, deadline=None)
@@ -232,7 +262,7 @@ class TestOneFactorization:
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
         # the one solve, Gamma m_D, and no off-pattern entry or h
-        assert calls == {"factor": 1, "solve": 1, "path": 0, "h": 0}
+        assert calls == {"factor": 1, "solve": 1, "path": 0, "W": 7, "h": 0}
 
     def test_fiber_report(self, calls):
         cfg = FiberConfiguration(
@@ -241,20 +271,22 @@ class TestOneFactorization:
             + [("s", "C2", "C2")],
         )
         fiber_report(cfg)
-        assert calls == {"factor": 1, "solve": 1, "path": 0, "h": 0}
+        assert calls == {"factor": 1, "solve": 1, "path": 0, "W": 11, "h": 0}
 
     def test_effective_resistance_entries_are_kept(self, calls):
-        g = path_graph([1, 2, 3, 4])  # no fill; the first vertex is grounded
-        v = g.vertex_list
+        # no fill; P1, the first vertex with two neighbours, is grounded, and
+        # P0, then P2, P3 and P4 are eliminated
+        g = path_graph([1, 2, 3, 4])
         kernel = resistance.resistance_kernel(g)
-        assert effective_resistance(g, v[1], v[3]) == 5
-        assert calls == {"factor": 1, "solve": 0, "path": 1, "h": 0}
-        assert effective_resistance(g, v[1], v[4]) == 9
-        assert calls == {"factor": 1, "solve": 0, "path": 2, "h": 0}
+        assert kernel.vertices[0] == "P1"
+        assert effective_resistance(g, "P2", "P4") == 7
+        assert calls == {"factor": 1, "solve": 0, "path": 1, "W": 8, "h": 0}
+        assert effective_resistance(g, "P0", "P3") == 6
+        assert calls == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
         stored = sum(map(len, kernel._factors._inverse))
-        assert effective_resistance(g, v[3], v[1]) == 5
-        assert effective_resistance(g, v[4], v[1]) == 9
-        assert calls == {"factor": 1, "solve": 0, "path": 2, "h": 0}
+        assert effective_resistance(g, "P4", "P2") == 7
+        assert effective_resistance(g, "P3", "P0") == 6
+        assert calls == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
         assert sum(map(len, kernel._factors._inverse)) == stored
 
     def test_green_reads(self, calls):
@@ -268,7 +300,7 @@ class TestOneFactorization:
              ("ad", "a", "d", 2), ("cc", "c", "c", 1)],
         )
         s = green_system(g, RDivisor({"b": 1, "e": 2}))
-        assert calls == {"factor": 1, "solve": 1, "path": 0, "h": 0}
+        assert calls == {"factor": 1, "solve": 1, "path": 0, "W": 13, "h": 0}
         # grounded at a, the Laplacian is the path b-c-d-e-f, eliminated in
         # that order with no fill, so Gamma at (b, e), (b, f), (c, e), (c, f)
         # and (d, f) is off the pattern: the first read computes the first
@@ -288,20 +320,105 @@ class TestOneFactorization:
         for kind, x, y, expected in reads:
             got = effective_resistance(g, x, y) if kind == "r" else s.eval(x, y)
             assert got == expected
-        assert calls == {"factor": 1, "solve": 1, "path": 2, "h": 1}
+        assert calls == {"factor": 1, "solve": 1, "path": 2, "W": 13, "h": 1}
 
     def test_ground_column_is_zero(self, calls):
         """Gamma is 0 in the ground vertex's row and column: reading them
         solves nothing and stores nothing."""
-        g = MetrizedGraph(list("abc"), [("ab", "a", "b", 1), ("bc", "b", "c", 2)])
+        # every vertex has two neighbours, so a, the first, is grounded
+        g = MetrizedGraph(
+            list("abc"), [("ab", "a", "b", 1), ("bc", "b", "c", 2), ("ca", "c", "a", 3)]
+        )
         kernel = resistance.resistance_kernel(g)
+        assert kernel.vertices == ["a", "b", "c"]
         stored = sum(map(len, kernel._factors._inverse))
         assert [kernel.entry(0, j) for j in range(3)] == [0, 0, 0]
         assert [kernel.entry(i, 0) for i in range(3)] == [0, 0, 0]
-        assert [kernel.entry(2, j) for j in range(3)] == [0, 1, 3]
-        assert kernel.entry(2, 2) == 3 and kernel.entry(0, 2) == 0
+        assert [kernel.entry(2, j) for j in range(3)] == [0, Fraction(1, 2), Fraction(3, 2)]
+        assert kernel.entry(2, 2) == Fraction(3, 2) and kernel.entry(0, 2) == 0
         assert sum(map(len, kernel._factors._inverse)) == stored
-        assert calls == {"factor": 1, "solve": 0, "path": 0, "h": 0}
+        assert calls == {"factor": 1, "solve": 0, "path": 0, "W": 4, "h": 0}
+
+
+class TestKernelCertificate:
+    """A read that builds no Green system, `effective_resistance`,
+    `resistance_in_deleted_edge` or a measure, certifies the kernel first, once
+    (`ResistanceKernel.certify`): Foster's mass of 2 m_can and L·S = 2 m_can
+    off the ground.  A Green build whose residual passes certifies it."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """Counts the residual passes, `ResistanceKernel.laplacian` calls:
+        one per kernel check and one per Green build."""
+        counter = {"laplacian": 0}
+        real = resistance.ResistanceKernel.laplacian
+
+        def counted(self, x):
+            counter["laplacian"] += 1
+            return real(self, x)
+
+        monkeypatch.setattr(resistance.ResistanceKernel, "laplacian", counted)
+        return counter
+
+    @pytest.mark.parametrize("kind", ["diagonal", "edge"])
+    def test_wrong_inverse_entry_raises(self, kind):
+        # v3's diagonal entry, or that of the edge c3 = v3-v4, of the selected
+        # inverse raised by 1/1000 as the factorization is built moves the
+        # mass of 2 m_can off 2; unchecked, r across c3 read 553271/1271000
+        # for the diagonal fault
+        g = cycle_chords()
+        assert effective_resistance(g, "v3", "v4") == Fraction(552, 1271)
+        index = resistance.resistance_kernel(g).index
+        i, j = index["v3"], index["v3" if kind == "diagonal" else "v4"]
+
+        def raised(rows):
+            rows[i][j] = rows[j][i] = rows[i][j] + Fraction(1, 1000)
+
+        with pytest.MonkeyPatch.context() as patch:
+            fault_inverse(patch, raised)
+            with pytest.raises(ConstancyViolation, match="^2 mu_can has total mass "):
+                effective_resistance(cycle_chords(), "v3", "v4")
+            with pytest.raises(ConstancyViolation, match="^2 mu_can has total mass "):
+                resistance_in_deleted_edge(cycle_chords(), "c3")
+            # unchecked, the canonical measure had total mass 374/375
+            with pytest.raises(ConstancyViolation, match="^2 mu_can has total mass "):
+                canonical_measure(cycle_chords())
+
+    def test_moved_canonical_spread_raises(self, monkeypatch):
+        # half of the unit segment's 2 m_can = (1, 1) moved from the ground
+        # P to Q keeps the mass 2, and the residual at Q must notice: S is
+        # (0, 1), so L·S at Q is 1
+        def moved(m):
+            m[0] -= Fraction(1, 2)
+            m[1] += Fraction(1, 2)
+
+        fault_canonical(monkeypatch, moved)
+        g = segment_graph(1)
+        for _ in range(2):  # a failed check is not kept
+            with pytest.raises(ConstancyViolation) as caught:
+                effective_resistance(g, "P", "Q")
+            assert str(caught.value) == (
+                "Gamma 2 m_can is not S: L S is 1 but 2 m_can is 3/2 at GraphPoint('Q')"
+            )
+
+    def test_checked_once_per_kernel(self, checks):
+        g = cycle_chords()
+        for _ in range(3):
+            assert effective_resistance(g, "v3", "v4") == Fraction(552, 1271)
+            assert resistance_in_deleted_edge(g, "c3") is not None
+            assert canonical_measure(g).total_mass() == 1
+        assert checks == {"laplacian": 1}
+        assert resistance.resistance_kernel(g).certified
+
+    def test_green_build_certifies(self, checks):
+        g = cycle_chords()
+        green_system(g, RDivisor({"v3": 1}))
+        assert checks == {"laplacian": 1}  # the build's own residual
+        assert resistance.resistance_kernel(g).certified
+        effective_resistance(g, "v3", "v4")
+        resistance_in_deleted_edge(g, "d1")
+        canonical_measure(g)
+        assert checks == {"laplacian": 1}
 
 
 class TestNoPairwiseResistance:
