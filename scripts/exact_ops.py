@@ -5,10 +5,15 @@ Runs every item of every pool of `bench/workloads.py` once, at seed 1 (or
 the seed given), in this process, and prints per workload the mean per
 item of:
 
-* ops: exact operations, the calls of `mg.linalg`'s `_sum`, `_product`
-  and `_submul` entered from outside those three, so a fused
+* ops: exact operations, the calls of `mg.linalg`'s `_sum`, `_product`,
+  `_submul` and `ratio` entered from outside those four, so a fused
   multiply-subtract counts once and a division, which is a `_product`,
-  counts once;
+  counts once, and the calls of `ResistanceKernel.read` and
+  `_Potential._row`: a Green or resistance read, computed on integer parts
+  and reduced once, counts once, and so does the integer row of an edge a
+  potential forms on its first read inside it, each beside the operations
+  they call, the row's on the fast type and the entries of Gamma a read
+  computes on first touch;
 * W: the work of the factorizations built, W = sum over their steps k of
   |s(k)|^2 + |s(k)| + 1, s(k) the neighbours of step k, which bounds the
   operations of factoring and of the selected inverse up to a constant;
@@ -40,9 +45,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 
-from mg import linalg  # noqa: E402
+from mg import linalg, resistance  # noqa: E402
 
-OPERATIONS = ("_sum", "_product", "_submul")
+OPERATIONS = ("_sum", "_product", "_submul", "ratio")
+# one operation a call, beside the operations each call makes
+ONCE = ((resistance.ResistanceKernel, "read"), (resistance._Potential, "_row"))
 COUNTS = ("ops", "W", "fast", "plain", "bool", "new")
 
 
@@ -86,6 +93,8 @@ class Counter:
     def __enter__(self):
         for name in OPERATIONS:
             self.patch(linalg, name, self.operation(getattr(linalg, name)))
+        for owner, name in ONCE:
+            self.patch(owner, name, self.calls("ops", getattr(owner, name)))
         init = linalg.Factorization.__init__
         self.patch(linalg.Factorization, "__init__", self.factorization(init))
         modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]

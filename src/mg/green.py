@@ -29,9 +29,10 @@ closed form (`GreenSystem`), as do g(D, y) = 2c_mu - j(y) and e(G, D) =
 j_D = sum a_i j(P_i), Zhang's epsilon (Invent. Math. 112, 1993).  Writing
 r(x, y) as the kernel's form S(x) + S(y) - 2 X(x, y) turns a read into
 g(x, y) = h(x) + h(y) + X(x, y) - c_mu, with h = (j - S)/2 a potential of
-the shape of S: one `ResistanceKernel.pair` on h, O(1) arithmetic on
-Gamma at up to four pairs of endpoints.  The tent of two points inside
-one edge is part of X, so this module reads no edge length for it.
+the shape of S: one `ResistanceKernel.read` on h with k = 1 and the
+constant -c_mu, O(1) integer arithmetic on Gamma at up to four pairs of
+endpoints, reduced once.  The tent of two points inside one edge is part
+of X, so this module reads no edge length for it.
 
 A Green system is built from one solve, x_D = Gamma·m_D, D spread over
 the vertices (`_potential` of `mg.resistance`).  The kernel keeps 2 mu_can
@@ -55,9 +56,10 @@ the build.  The reads' h is a `_Potential`, the type of S, built from its
 vertex values, coefficients and tents by the first read that needs it and
 kept on the system.  Building a Green system, which every e(G, D) pays
 for, runs on arrays indexed by vertex in the fast rational type of
-`mg.linalg`, and reads compute on that type too.  A value becomes a plain
-Fraction where a caller receives it: the measure, c and j_D once, and each
-value a read returns.
+`mg.linalg`, and so do h and the reads of j; a Green value is computed on
+the integer parts of those values.  A value becomes a plain Fraction where
+a caller receives it: the measure, c and j_D once, and each value a read
+returns.
 """
 
 from __future__ import annotations
@@ -166,15 +168,16 @@ class GreenSystem:
     property, built and checked by its first read.
 
     g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X the
-    kernel's form for r (`mg.resistance`): one `pair` on h gives
-    h(x) + h(y) and X, tent included, from Gamma at up to four pairs of
-    endpoints and a potential read per point.  h is the `_Potential` with
-    the values k/2 - x_mu at the vertices, x_mu = y/(deg D + 2), the
-    coefficient -rho_e/(deg D + 2), half mu's density, on each edge, formed
-    by the first read inside the edge, and a tent (s, a) for each atom a
-    of mu inside an edge, a cached property built by the first read that
-    needs it: by `eval`, by a read of j inside an edge, or by j_D when D
-    has a point inside an edge.  So building a system with D on vertices,
+    kernel's form for r (`mg.resistance`): one `ResistanceKernel.read` on
+    h, with k = 1 and the constant -c, kept in the fast type, gives it as
+    a plain Fraction, tent included, from Gamma at up to four pairs of
+    endpoints and a row of h per point, on integer parts reduced once.
+    h is the `_Potential` with the values k/2 - x_mu at the vertices, x_mu
+    = y/(deg D + 2), the coefficient -rho_e/(deg D + 2), half mu's
+    density, on each edge, formed by the first read inside the edge, and a
+    tent (s, a) for each atom a of mu inside an edge, a cached property
+    built by the first read that needs it: by `eval`, by a read of j
+    inside an edge, or by j_D when D has a point inside an edge.  So building a system with D on vertices,
     and so `e_invariant` and `fiber_report`, pays nothing for it.  X may
     compute Gamma entries off the selected inverse's pattern, which the
     kernel's factorization keeps.  Every kept value is exact and computed
@@ -224,7 +227,9 @@ class GreenSystem:
         self._j_d = plain(j_d)
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
-        self.c = plain((twice_c + j_d) / (2 * scale))
+        c = (twice_c + j_d) / (2 * scale)
+        self.c = plain(c)
+        self._minus_c = -c  # the constant of every read, in the fast type
 
     def _certify(self, lap) -> None:
         """Check that y = x_D + S is Gamma·n, n = m_D + 2 m_can: that lap =
@@ -337,10 +342,10 @@ class GreenSystem:
         return 2 * self._h.read(y)[1] + s
 
     def eval(self, x, y) -> Fraction:
-        """g(x, y) = h(x) + h(y) + X(x, y) - c for points of the graph."""
+        """g(x, y) = h(x) + h(y) + X(x, y) - c for points of the graph: one
+        kernel read on h."""
         x, y = self.graph.check_point(x), self.graph.check_point(y)
-        f, z = self._kernel.pair(self._h, x, y)
-        return plain(f + z - self.c)
+        return self._kernel.read(self._h, x, y, 1, self._minus_c)
 
     # -- derived quantities ---------------------------------------------
 

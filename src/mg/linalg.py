@@ -37,8 +37,10 @@ the factorization, the sweeps of `solve` and the recurrence is one
 exactly as `*` and `-` would, so it gives their parts, but builds one
 object and skips both operators' dispatch.  `fast` and `plain` convert
 between the two types, and `reciprocal` gives 1/x of a positive x in the
-fast type by swapping its parts, with no gcd.  A plain Fraction is an
-operand as it is, since the subclass's reflected methods take precedence.
+fast type by swapping its parts, with no gcd; `ratio` gives n/d of two
+ints in it, reduced by one gcd, for a caller that computed on integer
+parts.  A plain Fraction is an operand as it is, since the subclass's
+reflected methods take precedence.
 What the factorization gives, the solutions and the entries of the
 inverse, stays in the fast type for its one caller, the resistance
 kernel; what a user of the package receives is always a plain Fraction.
@@ -253,6 +255,15 @@ def reciprocal(x) -> _Q:
     """1/x in the fast type, for x > 0 an int or a Fraction: its parts
     swapped, which are already coprime, so no gcd is taken."""
     return _q(x.denominator, x.numerator)
+
+
+def ratio(n: int, d: int) -> _Q:
+    """n/d in the fast type, for ints n and d > 0, reduced by one gcd."""
+    g = gcd(n, d)
+    if g > 1:
+        n //= g
+        d //= g
+    return _q(n, d)
 
 
 _ZERO = _q(0, 1)

@@ -25,10 +25,12 @@ combination of such functions, is at offset t on e the chord of its values
 at e's ends, plus t(l - t) times a coefficient, less a tent for each atom
 of nu inside e: a `_Potential`.  S is one (the kernel's `ground`), and in
 `mg.green` so is the reads' h = (j - S)/2, built from its vertex values,
-its tents and the factor of rho_e in its coefficients.  A potential forms
-an edge's coefficient, and sorts the edge's tents with their prefix sums,
-on its first read inside that edge, so a read costs O(1) exact operations
-however many tents the edge has.  `_potential` gives what the potential of
+its tents and the factor of rho_e in its coefficients.  Between two tents
+a potential is a quadratic in t, and a potential forms an edge's row, the
+quadratic's integer coefficients over one denominator for each stretch
+between the edge's tents, sorted by offset, on its first read inside that
+edge, so a read costs one `bisect` and O(1) integer arithmetic however
+many tents the edge has.  `_potential` gives what the potential of
 a set of atoms is made of, its spread over the vertices m, to be solved as
 Gamma·m (`ResistanceKernel.solve`), and a constant, and `mg.green` does
 its arithmetic on those.
@@ -52,9 +54,25 @@ the kernel itself, once (`ResistanceKernel.certify`): the mass, and L·S =
 2 m_can off the ground; a Green build that passes marks the kernel
 certified.
 
-Every read is `ResistanceKernel.pair` on a potential f: f(x) + f(y) and
-X(x, y), the one place that knows the tent.  A resistance is `pair` on S,
-f - 2X, and a Green value (`mg.green`) is `pair` on h = (j - S)/2.
+Every read is `ResistanceKernel.read` on a potential f, f(x) + f(y) + k
+X(x, y) + const, the one place that knows the tent: a resistance is `read`
+on S with k = -2 and const = 0, and a Green value (`mg.green`) is `read` on
+h = (j - S)/2 with k = 1 and const = -c.  It runs on integer parts: each
+point's weight t/l as the pair (t_n l_d, t_d l_n) and its value from the
+row, Gamma's entries as their numerators and denominators, X's three
+lerps and the final sum each over the lcm of its terms' denominators,
+never their product, and one gcd, which builds the plain Fraction it
+returns without Fraction's normalising constructor.  A read so costs one
+reduction where the fast type took about 24, each with its own gcds
+(`scripts/read_cost.py`, on a shared 2-core x86-64 host, Python 3.11):
+on the seed-1 point-queries pool, 3.4 to 7.8 us in steady state where the
+fast type took 4.0 to 20.5, and on K12 with 40-digit lengths, whose
+operands run to 17 000 bits, 0.35 to 1.3 ms where it took 1.4 to 3.8 and
+where products in place of the lcms took 4.2 to 10.  The reads of one
+graph have few distinct denominators, so the kernel keeps the first 64 it
+returns, and a read whose reduced denominator is one of them returns the
+kept int: values kept from one graph share them, 9.8 KB per 100
+point-queries values against 11.8 unshared.
 
 Each length is converted once, into the kernel's edge table
 `ResistanceKernel.edges`: {edge id: (i, j, l, 1/l, rho_e l)}, in the
@@ -78,15 +96,16 @@ and every entry computed on the way
 arithmetic.  The kernel is built on first use and kept on the (immutable)
 graph, which it validates once.  The factorization's entries and solutions
 are in the fast rational type of `mg.linalg`, as is the table, and every
-potential, S included, computes on it, reads too: weights and the tent.
-What a caller receives is plain: the densities, `entry` and every
-resistance."""
+potential, S included, is formed on it, and its rows from it; a read
+computes on integers.  What a caller receives is plain: the densities,
+`entry` and every resistance."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .errors import ConstancyViolation, EdgeNotFound
@@ -94,6 +113,23 @@ from .graphs import GraphPoint, MetrizedGraph
 from .linalg import fast, plain
 
 _ONE = fast(1)  # rho_e l of every loop
+_ZERO = fast(0)  # a read's default constant
+_new = object.__new__
+_KEPT = 64  # the denominators a kernel's reads keep to share
+
+
+def _parts(x) -> tuple:
+    """The numerator and denominator of an int or a Fraction."""
+    if isinstance(x, int):
+        return x, 1
+    return x._numerator, x._denominator
+
+
+def _lerp(pn: int, pd: int, qn: int, qd: int, wn: int, wd: int) -> tuple:
+    """(1 - w) p + w q on integer parts, for p = pn/pd, q = qn/qd and w =
+    wn/wd, each denominator > 0: over lcm(pd, qd) wd, not reduced."""
+    d = lcm(pd, qd)
+    return (wd - wn) * pn * (d // pd) + wn * qn * (d // qd), d * wd
 
 
 class _Potential:
@@ -107,19 +143,31 @@ class _Potential:
     e, at offset s: so S, the potential of any measure (`_potential`) and
     any linear combination of them, such as h in `mg.green`, have
     this shape.  Its maker gives the vertex values, the tents and the
-    factor: 1 for S, -1/(deg D + 2) for h.  `read` gives a point's spread
-    weights and the value there, from the row of its edge (ends, length and
-    its reciprocal, value at u, slope, coefficient, tents) built on the
-    first read inside that edge from the kernel's edge table, in the fast
-    type of `mg.linalg`, the type of every potential built here: the
-    coefficient is formed then, from the table's rho_e l, and the edge's
-    tents are sorted by offset, with the prefix sums of w s and the suffix
-    sums of w (l - s).  A tent at s <= t adds w s (l - t)/l and one at
-    s > t adds w t (l - s)/l, so a read inside an edge is one `bisect` and
-    O(1) exact operations, however many tents the edge has.  The potential
-    holds the kernel's vertex index and edge table but not the kernel,
-    which holds S, so that no cycle keeps a kernel alive.  Every row is
-    exact, so threads racing to fill a row store equal rows.
+    factor: 1 for S, -1/(deg D + 2) for h.
+
+    Between two tents the value is a quadratic in t, and an edge's row
+    keeps it on integer parts: (i, j, l's numerator and denominator,
+    offsets, segments), the tents' offsets sorted and, for k tents at s <=
+    t, segment k, (p0, p1, p2, d), the value (p0 + p1 t + p2 t^2)/d over
+    one denominator.  With u's value f_u, the chord's slope m and the
+    coefficient q = factor·rho_e, p2/d is -q and, B_k being the sum of w s
+    over the first k tents and A_k that of w (l - s) over the others, p0/d
+    is f_u - B_k and p1/d is m + q l + (B_k - A_k)/l: a tent at s <= t adds
+    w s (l - t)/l and one at s > t adds w t (l - s)/l.  The row is formed
+    on the first read inside its edge, from the kernel's edge table: q and
+    the tents' sums in the fast type of `mg.linalg`, the type of every
+    potential built here, and the rest on their integer parts, each sum over
+    the lcm of its terms' denominators.
+
+    `_point` reads the row at a point: its spread weight t/l as the integer
+    pair (t_n l_d, t_d l_n), and its value as p0 t_d^2 + p1 t_n t_d + p2
+    t_n^2 over d t_d^2, with t = t_n/t_d, neither reduced: one `bisect` and
+    a few integer products, however many tents the edge has, and no gcd.
+    `ResistanceKernel.read` combines two such points into one value, and
+    `read` reduces each part to the fast type, by one gcd each.  The
+    potential holds the kernel's vertex index and edge table but not the
+    kernel, which holds S, so that no cycle keeps a kernel alive.  Every row
+    is exact, so threads racing to fill a row store equal rows.
     """
 
     def __init__(self, index: dict, edges: dict, at_vertex, inside, factor=1):
@@ -133,49 +181,65 @@ class _Potential:
     def read(self, x: GraphPoint) -> tuple[tuple, Fraction]:
         """x's spread weights (i, j, a), weight 1 - a on the vertex of index
         i and a on that of index j, and the potential at x, for x in the
-        normal form of `check_point`.  A vertex of index i has weights
-        (i, i, 0)."""
+        normal form of `check_point`, in the fast type.  A vertex of index i
+        has weights (i, i, 0)."""
         if x.is_vertex:
             i = self.index[x.vertex]
             return (i, i, 0), self.at_vertex[i]
+        i, j, an, ad, vn, vd = self._point(x)
+        return (i, j, linalg.ratio(an, ad)), linalg.ratio(vn, vd)
+
+    def _point(self, x: GraphPoint) -> tuple:
+        """x's spread and the potential there on integer parts, (i, j, an,
+        ad, vn, vd): weight an/ad on the vertex of index j, the rest on i,
+        and the value vn/vd, neither reduced, ad and vd > 0."""
+        if x.is_vertex:
+            i = self.index[x.vertex]
+            return (i, i, 0, 1, *_parts(self.at_vertex[i]))
         row = self._rows.get(x.edge)
         if row is None:
             row = self._rows[x.edge] = self._row(x.edge)
-        i, j, l, c, value, slope, curv, tents = row
+        i, j, ln, ld, offsets, segments = row
         t = x.offset
-        rest = l - t
-        value += t * (slope + rest * curv)
-        if tents:
-            offsets, before, after = tents
-            k = bisect_right(offsets, t)
-            if k:  # the tents at s <= t
-                value -= before[k] * rest * c
-            if k < len(offsets):  # and those at s > t
-                value -= after[k] * t * c
-        return (i, j, t * c), value
+        tn, td = _parts(t)
+        p0, p1, p2, d = segments[bisect_right(offsets, t)]
+        return i, j, tn * ld, td * ln, (p0 * td + p1 * tn) * td + p2 * tn * tn, d * td * td
 
     def _row(self, edge) -> tuple:
-        """The row of an edge: (i, j, l, 1/l, value at u, slope, coefficient,
-        tents), tents None or (offsets, before, after) with before[k] the sum
-        of w s over the first k tents by offset and after[k] that of w (l - s)
-        over the others; `read` reads neither sum of no tents."""
+        """The row of an edge, (i, j, l_n, l_d, offsets, segments), as the
+        class docstring states it."""
         i, j, l, c, rho_l = self.edges[edge]
-        pu = self.at_vertex[i]
-        slope = (self.at_vertex[j] - pu) * c
-        curv = rho_l * c
+        q = rho_l * c
         if self.factor != 1:
-            curv *= self.factor
-        tents = None
-        listed = self.inside.get(edge)
-        if listed:
-            listed = sorted(listed)
-            before, after = [0], [0]
-            for s, w in listed:
-                before.append(before[-1] + w * s)
-            for s, w in reversed(listed):
-                after.append(after[-1] + w * (l - s))
-            tents = [s for s, _ in listed], before, after[::-1]
-        return i, j, l, c, pu, slope, curv, tents
+            q *= self.factor
+        (un, ud), (vn, vd) = _parts(self.at_vertex[i]), _parts(self.at_vertex[j])
+        ln, ld, qn, qd = l._numerator, l._denominator, q._numerator, q._denominator
+        # the slope (f_v - f_u)/l is sn/sd, sd = lcm(ud, vd) l_n, and d, the
+        # lcm of sd and l_d qd, the denominator of l q, is a multiple of ud
+        # and of qd: one gcd gives its cofactors ms = d/sd and mq = d/(l_d qd)
+        b = lcm(ud, vd)
+        sn, sd = (vn * (b // vd) - un * (b // ud)) * ld, b * ln
+        g = gcd(sd, ld * qd)
+        ms, mq = ld * qd // g, sd // g
+        d = sd * ms
+        p0, p1, p2 = un * (b // ud) * ln * ms, sn * ms + ln * qn * mq, -qn * ld * mq
+        listed = sorted(self.inside.get(edge, ()))
+        if not listed:
+            return i, j, ln, ld, [], [(p0, p1, p2, d)]
+        # before[k]: the sum of w s over the first k tents; after[k]: that
+        # of w (l - s) over the others
+        before, after = [0], [0]
+        for s, w in listed:
+            before.append(before[-1] + w * s)
+        for s, w in reversed(listed):
+            after.append(after[-1] + w * (l - s))
+        segments = []
+        for bk, ak in zip(before, reversed(after)):
+            (bn, bd), (en, ed) = _parts(bk), _parts((bk - ak) * c)
+            dk = lcm(d, bd, ed)
+            m = dk // d
+            segments.append((p0 * m - bn * (dk // bd), p1 * m + en * (dk // ed), p2 * m, dk))
+        return i, j, ln, ld, [s for s, _ in listed], segments
 
 
 class ResistanceKernel:
@@ -202,11 +266,14 @@ class ResistanceKernel:
     answers 0 in the ground's row and column, and holds Gamma's other
     entries in the fast type: its selected inverse, on the diagonal and
     every pair of adjacent vertices, plus the fill, and every entry read off
-    that pattern so far.  `pair` and `entry` read Gamma from it directly,
-    and `solve` solves against it.  Every read is `pair` on a potential, and
-    `pair` alone adds the tent of two points inside one edge.  The kernel
-    holds its table but not the graph, which holds the kernel, so both, and
-    every entry kept, are freed together as soon as the graph is.
+    that pattern so far.  `read` and `entry` read Gamma from it directly,
+    and `solve` solves against it.  Every point read is `read` on a
+    potential, on integer parts reduced once, as the module docstring
+    states, and `read` alone adds the tent of two points inside one edge;
+    it keeps up to 64 of the denominators it returns, to share them.  The
+    kernel holds its table but not the graph, which holds the kernel, so
+    both, and every entry kept, are freed together as soon as the graph
+    is.
     """
 
     def __init__(self, g: MetrizedGraph):
@@ -247,6 +314,7 @@ class ResistanceKernel:
             edges[e] = (i, j, l, c, rho_l)
         self.ground = _Potential(index, edges, diagonal, {})
         self.certified = False
+        self._denominators: dict = {}
 
     @cached_property
     def canonical_mass(self):
@@ -318,35 +386,66 @@ class ResistanceKernel:
         """Gamma_ij as a plain Fraction."""
         return plain(self._factors.inverse_entry(i, j))
 
-    def pair(self, f: _Potential, x: GraphPoint, y: GraphPoint) -> tuple:
-        """f(x) + f(y) and X(x, y), for a potential f and points in the
-        normal form of `check_point`, not yet converted with `plain`.
+    def read(
+        self, f: _Potential, x: GraphPoint, y: GraphPoint, k: int, const=_ZERO
+    ) -> Fraction:
+        """f(x) + f(y) + k X(x, y) + const, a plain Fraction, for a
+        potential f, points in the normal form of `check_point`, an int k
+        and a Fraction const of either type: -2 and 0 for r on S, 1 and -c
+        for g on h.
 
         X = sum a_i b_j Gamma_ij over the spread weights of x and y
-        (`_Potential.read`), Gamma at up to four pairs of their ends, plus
-        the tent s(l - t)/l when both lie inside one edge at offsets
-        s <= t.  Then r(x, y) = S(x) + S(y) - 2X for every pair, two
-        points of one edge or loop included."""
-        (i, j, a), fx = f.read(x)
-        (k, m, b), fy = f.read(y)
+        (`_Potential._point`), Gamma at up to four pairs of their ends, plus
+        the tent s(l - t)/l when both lie inside one edge at offsets s <=
+        t: s times 1 less the larger weight.  Then r(x, y) = S(x) + S(y) -
+        2X for every pair, two points of one edge or loop included.  All of
+        it runs on integer parts: X's three lerps (1 - b) p + b q and the
+        final sum put their terms over the lcm of the denominators, never
+        their product, and one gcd reduces the result, which is built
+        without Fraction's normalising constructor.  A denominator equal to
+        one the kernel keeps is returned as the kept int, so that values
+        kept from one graph share it, and the first 64 distinct ones are
+        kept: threads racing here may keep a few more, or equal ints twice,
+        and either is harmless."""
+        i, j, an, ad, xn, xd = f._point(x)
+        u, v, bn, bd, yn, yd = f._point(y)
         gamma = self._factors.inverse_entry
-        z = gamma(i, k)
-        if b:
-            z += b * (gamma(i, m) - z)
-        if a:
-            w = gamma(j, k)
-            if b:
-                w += b * (gamma(j, m) - w)
-            z += a * (w - z)
-            if b and x.edge == y.edge:  # s(l - t)/l = s(1 - t/l)
-                z += min(x.offset, y.offset) * (1 - max(a, b))
-        return fx + fy, z
+        zn, zd = _parts(gamma(i, u))
+        if bn:
+            zn, zd = _lerp(zn, zd, *_parts(gamma(i, v)), bn, bd)
+        if an:
+            wn, wd = _parts(gamma(j, u))
+            if bn:
+                wn, wd = _lerp(wn, wd, *_parts(gamma(j, v)), bn, bd)
+            zn, zd = _lerp(zn, zd, wn, wd, an, ad)
+            if bn and x.edge == y.edge:  # one l, so a <= b iff s <= t
+                s, cn, cd = (x.offset, bn, bd) if an * bd <= bn * ad else (y.offset, an, ad)
+                sn, sd = _parts(s)
+                tn, td = sn * (cd - cn), sd * cd
+                d = lcm(zd, td)
+                zn, zd = zn * (d // zd) + tn * (d // td), d
+        cn, cd = const._numerator, const._denominator
+        d = lcm(xd, yd, zd, cd)
+        n = xn * (d // xd) + yn * (d // yd) + k * zn * (d // zd) + cn * (d // cd)
+        g = gcd(n, d)
+        if g > 1:
+            n //= g
+            d //= g
+        kept = self._denominators
+        shared = kept.get(d)
+        if shared is not None:
+            d = shared
+        elif len(kept) < _KEPT:
+            kept[d] = d
+        r = _new(Fraction)
+        r._numerator = n
+        r._denominator = d
+        return r
 
     def resistance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
         """r(p, q) = S(p) + S(q) - 2X(p, q) for points in the normal form
         of `check_point`."""
-        f, x = self.pair(self.ground, p, q)
-        return plain(f - 2 * x)
+        return self.read(self.ground, p, q, -2)
 
 
 def _potential(kernel: ResistanceKernel, atoms: dict) -> tuple:

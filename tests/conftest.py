@@ -2,7 +2,7 @@
 
 import pytest
 
-from mg import linalg
+from mg import linalg, resistance
 
 
 def factor_work(factors) -> int:
@@ -37,10 +37,18 @@ def factor_calls(monkeypatch):
 def exact_ops(monkeypatch):
     """Counts, while the test runs, the exact operations ("ops") as
     `scripts/exact_ops.py` counts them: the calls of `mg.linalg`'s `_sum`,
-    `_product` and `_submul` entered from outside those three."""
+    `_product`, `_submul` and `ratio` entered from outside those four, and
+    every `ResistanceKernel.read` and `_Potential._row`."""
     counter = {"ops": 0}
     depth = [0]  # > 0 inside a counted operation
-    for name in ("_sum", "_product", "_submul"):
+    for owner, name in ((resistance.ResistanceKernel, "read"), (resistance._Potential, "_row")):
+
+        def call(*args, _real=getattr(owner, name)):
+            counter["ops"] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+    for name in ("_sum", "_product", "_submul", "ratio"):
 
         def counted(*args, _real=getattr(linalg, name)):
             if depth[0]:

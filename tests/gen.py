@@ -16,20 +16,26 @@ def frac(rng: Random, max_num=8, max_den=8, positive=True) -> Fraction:
 
 
 def random_graph(
-    rng: Random, max_vertices=8, extra_edges=3, min_vertices=1
+    rng: Random, max_vertices=8, extra_edges=3, min_vertices=1, digits=None
 ) -> MetrizedGraph:
     """Connected multigraph: a random spanning tree plus a few extra edges,
-    which may be loops or parallels."""
+    which may be loops or parallels.  Each length has parts of at most
+    `digits` digits, or of at most 8 when it is None."""
+    top = 8 if digits is None else 10**digits - 1
+
+    def length():
+        return frac(rng, top, top)
+
     n = rng.randint(min_vertices, max_vertices)
     vertices = [f"v{i}" for i in range(n)]
     edges = []
     for i in range(1, n):
         j = rng.randrange(i)
-        edges.append((f"e{len(edges)}", vertices[j], vertices[i], frac(rng)))
+        edges.append((f"e{len(edges)}", vertices[j], vertices[i], length()))
     for _ in range(rng.randint(0, extra_edges)):
         u = rng.choice(vertices)
         v = rng.choice(vertices)
-        edges.append((f"e{len(edges)}", u, v, frac(rng)))
+        edges.append((f"e{len(edges)}", u, v, length()))
     return MetrizedGraph(vertices, edges)
 
 

@@ -26,9 +26,17 @@ Beside them, `delta_vector` counts `classify_node`'s types, and
 each component off the node list, counting branches itself, so neither
 reads the walk, the graph's valences or the omega a configuration keeps.
 
-The last section holds the command line's 12-digit decimal formatter as it
-was before it used the `decimal` module: an exponent search and one
+The section after it holds the command line's 12-digit decimal formatter
+as it was before it used the `decimal` module: an exponent search and one
 half-up rounding step on the exact fraction, kept verbatim.
+
+The last section keeps the kernel's point reads as they were before a
+read ran on integer parts, verbatim but for taking the potential and the
+kernel as arguments: `_Potential.read` and its row, on the fast type of
+`mg.linalg`, and `ResistanceKernel.pair`, with the two reads made of it,
+a resistance and a Green value.  They read the kernel's Gamma and edge
+table and a potential's vertex values, tents and factor, so they check
+the read's arithmetic, not the kernel.
 
 `kernel_order` is new, not kept: the order in which the library's kernel
 indexes the vertices, ground first, found by a count of adjacent pairs, so
@@ -37,8 +45,11 @@ that tests can compare the kernel's per-vertex data with this module's.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+
+from mg import linalg
 
 from mg.errors import (
     ConstancyViolation,
@@ -690,3 +701,81 @@ def decimal12(x) -> str:
     if e >= 11:
         return f"{sign}{s}{'0' * (e - 11)}"
     return f"{sign}{s[: e + 1]}.{s[e + 1 :]}"
+
+
+# -- point reads on the fast type ----------------------------------------------
+
+
+def potential_read(f, x: GraphPoint) -> tuple:
+    """`_Potential.read` of the potential f, on its row of `potential_row`,
+    built afresh: x's spread weights (i, j, a) and f(x)."""
+    if x.is_vertex:
+        i = f.index[x.vertex]
+        return (i, i, 0), f.at_vertex[i]
+    i, j, l, c, value, slope, curv, tents = potential_row(f, x.edge)
+    t = x.offset
+    rest = l - t
+    value += t * (slope + rest * curv)
+    if tents:
+        offsets, before, after = tents
+        k = bisect_right(offsets, t)
+        if k:  # the tents at s <= t
+            value -= before[k] * rest * c
+        if k < len(offsets):  # and those at s > t
+            value -= after[k] * t * c
+    return (i, j, t * c), value
+
+
+def potential_row(f, edge) -> tuple:
+    """The row of an edge: (i, j, l, 1/l, value at u, slope, coefficient,
+    tents), tents None or (offsets, before, after) with before[k] the sum
+    of w s over the first k tents by offset and after[k] that of w (l - s)
+    over the others; `potential_read` reads neither sum of no tents."""
+    i, j, l, c, rho_l = f.edges[edge]
+    pu = f.at_vertex[i]
+    slope = (f.at_vertex[j] - pu) * c
+    curv = rho_l * c
+    if f.factor != 1:
+        curv *= f.factor
+    tents = None
+    listed = f.inside.get(edge)
+    if listed:
+        listed = sorted(listed)
+        before, after = [0], [0]
+        for s, w in listed:
+            before.append(before[-1] + w * s)
+        for s, w in reversed(listed):
+            after.append(after[-1] + w * (l - s))
+        tents = [s for s, _ in listed], before, after[::-1]
+    return i, j, l, c, pu, slope, curv, tents
+
+
+def pair(kernel, f, x: GraphPoint, y: GraphPoint) -> tuple:
+    """`ResistanceKernel.pair` of the kernel: f(x) + f(y) and X(x, y), for
+    a potential f and points in the normal form of `check_point`."""
+    (i, j, a), fx = potential_read(f, x)
+    (k, m, b), fy = potential_read(f, y)
+    gamma = kernel._factors.inverse_entry
+    z = gamma(i, k)
+    if b:
+        z += b * (gamma(i, m) - z)
+    if a:
+        w = gamma(j, k)
+        if b:
+            w += b * (gamma(j, m) - w)
+        z += a * (w - z)
+        if b and x.edge == y.edge:  # s(l - t)/l = s(1 - t/l)
+            z += min(x.offset, y.offset) * (1 - max(a, b))
+    return fx + fy, z
+
+
+def kernel_resistance(kernel, p: GraphPoint, q: GraphPoint) -> Fraction:
+    """r(p, q) = S(p) + S(q) - 2X(p, q), by `pair` on the kernel's S."""
+    f, x = pair(kernel, kernel.ground, p, q)
+    return linalg.plain(f - 2 * x)
+
+
+def kernel_green(system, x: GraphPoint, y: GraphPoint) -> Fraction:
+    """g(x, y) = h(x) + h(y) + X(x, y) - c, by `pair` on the system's h."""
+    f, z = pair(system._kernel, system._h, x, y)
+    return linalg.plain(f + z - system.c)

@@ -4,6 +4,7 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -35,8 +36,9 @@ from mg import (
     subdivide_at,
     theta_graph,
 )
+from mg.fileformat import MAX_RATIONAL_DIGITS
 from faults import fault_canonical, fault_inverse
-from gen import cycle_chords, frac, random_graph, random_point
+from gen import cycle_chords, frac, random_divisor, random_graph, random_point
 
 
 def test_segment_is_a_single_resistor():
@@ -161,8 +163,9 @@ def test_edge_table_matches_reference(seed):
     """The kernel's edge table holds, per edge in the graph's order, the
     indices of its ends, l, 1/l and rho_e l, all three values in the fast
     type, with rho_e = (l - r_e)/l^2 and r_e the reference resistance
-    between the ends: a loop has rho_e = 1/l and a bridge 0.  `density` and
-    S's t(l - t) coefficient on the row it builds for an edge are rho_e."""
+    between the ends: a loop has rho_e = 1/l and a bridge 0.  `density` is
+    rho_e, and so is S's t(l - t) coefficient, -p2/d, on the integer row it
+    builds for an edge with no tent."""
     rng = Random(seed)
     g = random_graph(rng)
     v = rng.choice(g.vertex_list)
@@ -176,8 +179,11 @@ def test_edge_table_matches_reference(seed):
         row = kernel.edges[e.id]
         assert row == (kernel.index[e.u], kernel.index[e.v], l, 1 / l, rho * l)
         assert [type(x) for x in row[2:]] == [fast] * 3
-        curv = kernel.ground._row(e.id)[6]
-        assert curv == rho and type(curv) is fast
+        i, j, ln, ld, offsets, segments = kernel.ground._row(e.id)
+        assert (i, j, ln, ld, offsets) == (*row[:2], l.numerator, l.denominator, [])
+        [(p0, p1, p2, d)] = segments
+        assert {type(p) for p in (p0, p1, p2, d)} == {int} and d > 0
+        assert Fraction(-p2, d) == rho
         assert kernel.density[e.id] == rho
     assert kernel.density["loop"] == 1 / g.edge_by_id["loop"].length
 
@@ -207,6 +213,56 @@ def test_potential_tents_match_their_sum(seed):
         value = at_vertex[i] + (at_vertex[j] - at_vertex[i]) * t / l + t * (l - t) * factor * rho
         value -= sum((w * min(s, t) * (l - max(s, t)) / l for s, w in tents), Fraction(0))
         assert f.read(GraphPoint.on_edge(e.id, t)) == ((i, j, t / l), value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_read_matches_pair_reference(seed):
+    """A resistance and a Green value, each one `ResistanceKernel.read` on
+    integer parts, equal the fast-type `pair` arithmetic that read replaced
+    (`reference.pair`), and `_Potential.read` on S and on h equals its
+    reference, weights and value.  Lengths have 1 to 40 digits in each part
+    (`MAX_RATIONAL_DIGITS`), and D has a point inside an edge, so that h has
+    tents.  The pairs: vertices, the ground among them; an interior point
+    and a vertex; two points of one edge, one given with an int offset, and
+    D's point; two points of one loop.  Every value is a plain Fraction in
+    lowest terms with a positive denominator, hashing as Fraction(n, d)."""
+    rng = Random(seed)
+    digits = rng.randint(1, MAX_RATIONAL_DIGITS)
+    g = random_graph(rng, max_vertices=6, min_vertices=2, digits=digits)
+    u, v = rng.sample(g.vertex_list, 2)
+    w = rng.choice(g.vertex_list)
+    loop, long = frac(rng, 10**40, 10**40), 1 + frac(rng, 10**40, 10**40)
+    g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", w, w, loop), ("long", u, v, long)])
+    inside = GraphPoint.on_edge("long", long * Fraction(rng.randint(1, 6), 7))
+    d = random_divisor(rng, g, interior=True)
+    d = RDivisor([*d.items(), (inside, 1 if d.degree() != -3 else 2)])
+    s = green_system(g, d)
+    kernel = resistance.resistance_kernel(g)
+    e = rng.choice(g.edges)
+    points = [
+        GraphPoint.at_vertex(kernel.vertices[0]),
+        GraphPoint.at_vertex(rng.choice(g.vertex_list)),
+        GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 4), 5)),
+        inside,
+        GraphPoint(edge="long", offset=1),
+        GraphPoint.on_edge("long", long / 3),
+        GraphPoint.on_edge("loop", loop / 4),
+        GraphPoint.on_edge("loop", loop * Fraction(2, 3)),
+    ]
+    for x in points:
+        for f in (kernel.ground, s._h):
+            assert f.read(x) == ref.potential_read(f, x)
+        for y in points:
+            values = [
+                (effective_resistance(g, x, y), ref.kernel_resistance(kernel, x, y)),
+                (s.eval(x, y), ref.kernel_green(s, x, y)),
+            ]
+            for value, expected in values:
+                assert value == expected and type(value) is Fraction
+                n, m = value.numerator, value.denominator
+                assert m > 0 and gcd(n, m) == 1
+                assert hash(value) == hash(Fraction(n, m))
 
 
 @settings(max_examples=40, deadline=None)

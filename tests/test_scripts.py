@@ -30,9 +30,9 @@ def test_script_runs_cleanly(script):
 # `scripts/exact_ops.py --seed 1`: items per pass and exact operations per
 # item, as the script prints them
 EXACT_OPS = {
-    "einv-chords": ("27", "686.0"),
+    "einv-chords": ("27", "683.7"),
     "fiber-chains": ("15", "772.7"),
-    "point-queries": ("10", "2409.0"),
+    "point-queries": ("10", "968.0"),
     "batch-small": ("16", "816.0"),
 }
 
