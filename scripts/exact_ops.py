@@ -24,6 +24,13 @@ item of:
 * new: `Fraction.__new__` calls, the plain Fractions built through the
   normalising constructor (the fast type and `plain` never call it).
 
+`Counter` also counts, unprinted, the factorizations built (factor), the
+solves run (solve) and the path vectors w = D^-1 L^-1 e_c built (path),
+one per column of Gamma that an entry off the selected inverse's pattern
+is read in: the tests pin them and ops through it, so the table and the
+tests count the same work.  Importing this file changes nothing; `Counter`
+patches `mg` only while it is entered.
+
 Counts are exact and repeat from run to run, so two versions of `mg` can
 be compared by them; they say nothing of time.  Every output is then
 checked against the workload's own reference, uncounted.  The bench files
@@ -40,24 +47,16 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # leave no bytecode cache under bench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-
-import workloads  # noqa: E402
-
-from mg import linalg, resistance  # noqa: E402
-
 OPERATIONS = ("_sum", "_product", "_submul", "ratio")
-# one operation a call, beside the operations each call makes
-ONCE = ((resistance.ResistanceKernel, "read"), (resistance._Potential, "_row"))
-COUNTS = ("ops", "W", "fast", "plain", "bool", "new")
+COUNTS = ("ops", "W", "fast", "plain", "bool", "new")  # the printed columns
 
 
 class Counter:
-    """Wraps the counted functions while it is entered, and counts calls."""
+    """Wraps the counted functions while it is entered, and counts calls
+    in `n`: the printed COUNTS, and factor, solve and path."""
 
     def __init__(self):
-        self.n = dict.fromkeys(COUNTS, 0)
+        self.n = dict.fromkeys((*COUNTS, "factor", "solve", "path"), 0)
         self.depth = 0  # > 0 inside a counted operation
         self.saved = []
 
@@ -81,6 +80,7 @@ class Counter:
 
     def factorization(self, init):
         def counted(factors, *args):
+            self.n["factor"] += 1
             init(factors, *args)
             self.n["W"] += sum(len(m) ** 2 + len(m) + 1 for _, _, m in factors.steps)
         return counted
@@ -91,12 +91,17 @@ class Counter:
         setattr(owner, name, wrapper)
 
     def __enter__(self):
+        from mg import linalg, resistance
+
         for name in OPERATIONS:
             self.patch(linalg, name, self.operation(getattr(linalg, name)))
-        for owner, name in ONCE:
+        # one operation a call, beside the operations each call makes
+        for owner, name in ((resistance.ResistanceKernel, "read"), (resistance._Potential, "_row")):
             self.patch(owner, name, self.calls("ops", getattr(owner, name)))
-        init = linalg.Factorization.__init__
-        self.patch(linalg.Factorization, "__init__", self.factorization(init))
+        factorization = linalg.Factorization
+        self.patch(factorization, "__init__", self.factorization(factorization.__init__))
+        for key, name in (("solve", "solve"), ("path", "_path")):
+            self.patch(factorization, name, self.calls(key, getattr(factorization, name)))
         modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
         for key in ("fast", "plain"):
             real = getattr(linalg, key)
@@ -114,9 +119,8 @@ class Counter:
         self.saved.clear()
 
 
-def count(name: str, seed: int, workdir: Path) -> tuple[int, dict]:
-    """(items, {count: mean per item}) over one pass of the named pool."""
-    wl = workloads.WORKLOADS[name](seed, workdir)
+def count(name: str, wl) -> tuple[int, dict]:
+    """(items, {count: mean per item}) over one pass of the pool `wl`."""
     with Counter() as counter:
         outputs = [wl.run(item) for item in wl.items]
     bad = [i for i, out in enumerate(outputs) if not wl.ok(i, out)]
@@ -130,11 +134,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave no bytecode cache under bench/
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import workloads
+
     print(f"seed {args.seed}, mean per item")
     print(f"{'workload':<14} {'items':>5} " + " ".join(f"{k:>8}" for k in COUNTS))
     with tempfile.TemporaryDirectory() as tmp:
-        for name in workloads.WORKLOADS:
-            items, per = count(name, args.seed, Path(tmp) / name)
+        for name, pool in workloads.WORKLOADS.items():
+            items, per = count(name, pool(args.seed, Path(tmp) / name))
             print(f"{name:<14} {items:>5} " + " ".join(f"{per[k]:>8.1f}" for k in COUNTS))
 
 

@@ -48,13 +48,13 @@ with y, divided once.  Every build runs the mass check, (deg D + mass of
 2 mu_can)/(deg D + 2) = 1, that is a mass of 2 for 2 mu_can, Foster's
 identity on the kernel, and the certificate of `GreenSystem._certify`,
 one exact residual L·y = n on the kernel's edge table
-(`ResistanceKernel.laplacian`), L·x_mu = m_mu times deg D + 2, in place
+(`ResistanceKernel.residual`), L·x_mu = m_mu times deg D + 2, in place
 of a second solve; it marks the kernel certified.  The measure object is
-not built then:
-`GreenSystem.measure` builds it on its first read and checks it against
-the build.  The reads' h is a `_Potential`, the type of S, built from its
-vertex values, coefficients and tents by the first read that needs it and
-kept on the system.  Building a Green system, which every e(G, D) pays
+not built then: `GreenSystem.measure` builds it on its first read and
+checks it against the build, and it is the one path to a measure,
+`admissible_measure` and `canonical_measure` included.  The reads' h is
+a `_Potential`, the type of S, built from its vertex values, coefficients
+and tents by the first read that needs it and kept on the system.  Building a Green system, which every e(G, D) pays
 for, runs on arrays indexed by vertex in the fast rational type of
 `mg.linalg`, and so do h and the reads of j; a Green value is computed on
 the integer parts of those values.  A value becomes a plain Fraction where
@@ -113,26 +113,20 @@ def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
 
     A vertex v carries (a_v + 2 - valence(v))/(deg D + 2), a_v being D's
     coefficient there, and an edge the density 2 rho_e/(deg D + 2) with
-    rho_e from the graph's resistance kernel, certified first
-    (`ResistanceKernel.certify`).  The values are computed on the fast
-    rational type of `mg.linalg` and kept as plain Fractions.
+    rho_e from the graph's resistance kernel.  It is the `measure` of the
+    Green system of (g, d): built by `_measure` and checked against the
+    system's certified build, so every measure returned has passed the
+    certificate and the checks of `GreenSystem.measure`.  The values are
+    computed on the fast rational type of `mg.linalg` and kept as plain
+    Fractions.
     """
-    d = d.relocate(g.check_point)
-    resistance_kernel(g).certify()
-    return _measure(g, d, _degree(d))
-
-
-def _degree(d: RDivisor):
-    """deg D, summed in the fast type; DegreeMinusTwo if it is -2."""
-    deg = sum((a for _, a in d.items()), fast(0))
-    if deg == -2:
-        raise DegreeMinusTwo("divisor has degree -2")
-    return deg
+    return GreenSystem(g, d).measure
 
 
 def _measure(g: MetrizedGraph, d: RDivisor, deg) -> AdmissibleMeasure:
-    """`admissible_measure` for a divisor already relocated onto g by
-    `check_point`, of degree deg != -2 in the fast type."""
+    """mu from its formula, unchecked, for a divisor already relocated onto
+    g by `check_point`, of degree deg != -2 in the fast type: the builder
+    that `GreenSystem.measure` calls and then checks."""
     scale = deg + 2
     coeff = {p.vertex: fast(a) for p, a in d.items() if p.is_vertex}
     atoms = {v: plain((coeff.get(v, 0) + 2 - g.valence(v)) / scale) for v in g.vertex_list}
@@ -146,14 +140,15 @@ class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
     Construction relocates D onto the graph once, sums deg D once in the
-    fast type, takes the graph's resistance kernel and checks that mu has
-    mass 1 from the kernel's mass of 2 mu_can.  It spreads D over the
-    vertices (`_potential`), as m_D, forms n = m_D + 2 m_can from the
-    kernel's 2 m_can, and solves once, x_D = Gamma·m_D.  As Gamma·2 m_can
-    is S, y = x_D + S is Gamma·n; n and y are m_mu and x_mu times deg D +
-    2, kept unscaled.  Then it certifies that y is Gamma·n, by the residual
-    L·y = n, and so that g(D, y) + g(y, y) is constant (`_certify`),
-    raising ConstancyViolation if not, and marks the kernel certified.
+    fast type, raising DegreeMinusTwo if it is -2, takes the graph's
+    resistance kernel and checks that mu has mass 1 from the kernel's mass
+    of 2 mu_can.  It spreads D over the vertices (`_potential`), as m_D,
+    forms n = m_D + 2 m_can from the kernel's 2 m_can, and solves once,
+    x_D = Gamma·m_D.  As Gamma·2 m_can is S, y = x_D + S is Gamma·n; n
+    and y are m_mu and x_mu times deg D + 2, kept unscaled.  Then it
+    certifies that y is Gamma·n, by the residual L·y = n, and so that
+    g(D, y) + g(y, y) is constant (`_certify`), raising
+    ConstancyViolation if not, and marks the kernel certified.
     That constant c(G, D) is stored as `c`; it is also c_mu.
     Everything about D reads the potential j = integral r(., z) dmu(z),
     which is k + S - 2 x_mu at a vertex (Chinburg-Rumely 1993;
@@ -188,7 +183,9 @@ class GreenSystem:
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
         self.graph = graph
         d = self.divisor = divisor.relocate(graph.check_point)
-        deg = _degree(d)
+        deg = sum((a for _, a in d.items()), fast(0))
+        if deg == -2:
+            raise DegreeMinusTwo("divisor has degree -2")
         self.degree = plain(deg)
         kernel = self._kernel = resistance_kernel(graph)
         scale = self._scale = deg + 2
@@ -209,7 +206,7 @@ class GreenSystem:
         # x_mu, and `_certify` checks that it is Gamma·m_mu
         twice_c = kernel.canonical_constant
         k = self._k = (s_d + twice_c) / scale
-        self._certify(kernel.laplacian(y))
+        self._certify()
         kernel.certified = True
         # j = 2h + S, h being k/2 - x_mu at a vertex, and s_d = sum a_i
         # S(P_i): so j_D = s_d + deg(D) k - 2 sum a_i x_mu(P_i), the sum one
@@ -231,9 +228,9 @@ class GreenSystem:
         self.c = plain(c)
         self._minus_c = -c  # the constant of every read, in the fast type
 
-    def _certify(self, lap) -> None:
-        """Check that y = x_D + S is Gamma·n, n = m_D + 2 m_can: that lap =
-        L·y (`ResistanceKernel.laplacian`, L summed from the edge table, not
+    def _certify(self) -> None:
+        """Check that y = x_D + S is Gamma·n, n = m_D + 2 m_can: that L·y
+        (`ResistanceKernel.residual`, L summed from the edge table, not
         read from the factorization) equals n at every vertex but the
         ground, in the kernel's vertex order, exactly, in the fast type of
         `mg.linalg`.  y and n are x_mu and m_mu times deg D + 2, so this is
@@ -274,13 +271,13 @@ class GreenSystem:
         which the build does not use, is checked where it is built, by
         `measure`.
         """
-        kernel, scale = self._kernel, self._scale
-        for v, a, b in zip(kernel.vertices[1:], lap[1:], self._n[1:]):
-            if a != b:
-                raise ConstancyViolation(
-                    f"g(D,y) + g(y,y) is not constant: L x_mu is {a / scale} "
-                    f"but m_mu is {b / scale} at {GraphPoint.at_vertex(v)!r}"
-                )
+        bad = self._kernel.residual(self._y, self._n)
+        if bad:
+            v, a, b = bad
+            raise ConstancyViolation(
+                f"g(D,y) + g(y,y) is not constant: L x_mu is {a / self._scale} "
+                f"but m_mu is {b / self._scale} at {GraphPoint.at_vertex(v)!r}"
+            )
 
     @cached_property
     def measure(self) -> AdmissibleMeasure:

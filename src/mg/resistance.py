@@ -47,12 +47,13 @@ k_can, so Gamma·2 m_can is S: L·S = 2 m_can at every vertex but the
 ground, L being the Laplacian.  A Green system (`mg.green`) forms mu's
 spread, solved vector and constant, times deg D + 2, from D's and these,
 with one solve, checks the mass and certifies the identity on every build
-by one exact residual, `ResistanceKernel.laplacian`: L·x from the table's
-conductances in one O(E) pass, which reads nothing of the factorization.
-A read that builds no Green system, a resistance or a measure, certifies
-the kernel itself, once (`ResistanceKernel.certify`): the mass, and L·S =
-2 m_can off the ground; a Green build that passes marks the kernel
-certified.
+by one exact residual, `ResistanceKernel.residual` on `laplacian`: L·x
+from the table's conductances in one O(E) pass, which reads nothing of the
+factorization.  A read that builds no Green system, a resistance,
+certifies the kernel itself, once (`ResistanceKernel.certify`): the mass,
+and L·S = 2 m_can off the ground, by the same `residual`; a Green build
+that passes marks the kernel certified.  A measure is a Green system's
+(`mg.green.admissible_measure`), so it is certified by its own build.
 
 Every read is `ResistanceKernel.read` on a potential f, f(x) + f(y) + k
 X(x, y) + const, the one place that knows the tent: a resistance is `read`
@@ -249,8 +250,9 @@ class ResistanceKernel:
     rho_e as a plain Fraction, formed on first use.  `canonical` is
     2 mu_can spread over the vertices, 2 m_can, with `canonical_mass` and
     `canonical_constant` summed from it on first read.  `laplacian` is L·x
-    from the table, the residual that certifies a solved vector, and
-    `certify` checks the kernel by it, once, unless a Green build has.
+    from the table, `residual` the check on it that certifies a solved
+    vector, and `certify` checks the kernel by it, once, unless a Green
+    build has.
 
     Gamma is the inverse of the Laplacian grounded at v_0, the vertex with
     the most distinct neighbours other than itself, the first in
@@ -344,26 +346,26 @@ class ResistanceKernel:
     def certify(self) -> None:
         """Check, once per kernel, the identities every read of it rests on:
         Foster's identity, that 2 mu_can has mass 2, and Gamma·2 m_can = S,
-        by the residual L·S == 2 m_can (`laplacian`) exactly at every vertex
+        by the residual L·S == 2 m_can (`residual`) exactly at every vertex
         but the ground, whose value the mass fixes.  A Green system whose
         own residual passes has checked both, given its solve, and marks the
         kernel `certified`, so this runs only for reads that build none:
-        `effective_resistance`, `resistance_in_deleted_edge` and
-        `mg.green.admissible_measure`.  A failure
-        raises ConstancyViolation, naming the vertex and both sides, and
-        the next read checks again."""
+        `effective_resistance` and `resistance_in_deleted_edge`; a measure
+        (`mg.green.admissible_measure`) is a Green system's, and its build
+        checks it.  A failure raises ConstancyViolation, naming the vertex
+        and both sides, and the next read checks again."""
         if self.certified:
             return
         mass = self.canonical_mass
         if mass != 2:
             raise ConstancyViolation(f"2 mu_can has total mass {mass}, not 2")
-        lap = self.laplacian(self.ground.at_vertex)
-        for v, a, b in zip(self.vertices[1:], lap[1:], self.canonical[1:]):
-            if a != b:
-                raise ConstancyViolation(
-                    f"Gamma 2 m_can is not S: L S is {a} "
-                    f"but 2 m_can is {b} at {GraphPoint.at_vertex(v)!r}"
-                )
+        bad = self.residual(self.ground.at_vertex, self.canonical)
+        if bad:
+            v, a, b = bad
+            raise ConstancyViolation(
+                f"Gamma 2 m_can is not S: L S is {a} "
+                f"but 2 m_can is {b} at {GraphPoint.at_vertex(v)!r}"
+            )
         self.certified = True
 
     def solve(self, m: list) -> list:
@@ -381,6 +383,15 @@ class ResistanceKernel:
                 d = (x[i] - x[j]) * c
                 y[i], y[j] = y[i] + d, y[j] - d
         return y
+
+    def residual(self, x: list, m: list):
+        """The first vertex but the ground, in `vertices` order, at which
+        L·x (`laplacian`, one pass) and m differ, as (vertex, (L·x)_v,
+        m_v), or None if they agree at every one: for an x that is 0 at the
+        ground, as Gamma·m is, the exact check that x is Gamma·m."""
+        lap = self.laplacian(x)
+        pairs = zip(self.vertices[1:], lap[1:], m[1:])
+        return next(((v, a, b) for v, a, b in pairs if a != b), None)
 
     def entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij as a plain Fraction."""

@@ -31,7 +31,8 @@ def test_workload_items_pass(name, tmp_path):
 
 # factorizations, solves and path vectors w = D^-1 L^-1 e_c built for the
 # Gamma entries off the selected inverse's pattern, over one pass, and the
-# work W summed over the factorizations (`conftest.factor_work`)
+# work W summed over the factorizations, as `scripts/exact_ops.py`'s
+# `Counter` counts them (the `counts` fixture)
 SOLVE_COUNTS = {
     "einv-chords": (27, 27, 0, 3364),
     "fiber-chains": (15, 15, 0, 1155),
@@ -41,7 +42,7 @@ SOLVE_COUNTS = {
 
 
 @pytest.mark.parametrize("name", sorted(SOLVE_COUNTS))
-def test_workload_solve_counts(name, tmp_path, factor_calls):
+def test_workload_solve_counts(name, tmp_path, counts):
     """One pass at seed 1 makes the solves pinned here: each graph
     is factored once and each Green system solves once.  An off-pattern
     read solves nothing: it builds the path vector of its column once per
@@ -51,5 +52,4 @@ def test_workload_solve_counts(name, tmp_path, factor_calls):
     wl = workloads.WORKLOADS[name](1, tmp_path)
     for item in wl.items:
         wl.run(item)
-    counts = tuple(factor_calls[key] for key in ("factor", "solve", "path", "W"))
-    assert counts == SOLVE_COUNTS[name]
+    assert tuple(counts[key] for key in ("factor", "solve", "path", "W")) == SOLVE_COUNTS[name]

@@ -434,19 +434,19 @@ class TestConstant:
             assert integral(s.measure, lambda y: s.eval(y, y)) == constant_c(s)
 
 
-def test_points_on_one_edge_cost_near_linear(exact_ops):
+def test_points_on_one_edge_cost_near_linear(counts):
     """k points of D inside one unit edge: j_D reads h at each of them, and
     a read inside an edge is one `bisect` and O(1) exact operations on the
     edge's tents, sorted with prefix sums, so the build's exact operations
     grow at most 2.5 times from k = 1000 to 2000, where a sum over every
     tent per read grew them 4 times."""
-    counts = []
+    ops = []
     for k in (1000, 2000):
         d = RDivisor({GraphPoint.on_edge("e", Fraction(i, k + 1)): 1 for i in range(1, k + 1)})
-        start = exact_ops["ops"]
+        start = counts["ops"]
         green_system(segment_graph(1), d)
-        counts.append(exact_ops["ops"] - start)
-    assert counts[1] <= 2.5 * counts[0]
+        ops.append(counts["ops"] - start)
+    assert ops[1] <= 2.5 * ops[0]
 
 
 class TestEInvariant:

@@ -156,7 +156,7 @@ def test_every_inverse_entry_matches_dense_inverse(seed, family):
             assert type(x) is FAST and z[j][i] == x
 
 
-def test_inverse_entry_on_a_long_path(factor_calls):
+def test_inverse_entry_on_a_long_path(counts):
     """On a 3000-vertex unit path, grounded at v1, the first vertex with two
     neighbours, v2 to v2999 are eliminated in order, so their elimination
     tree is one chain of height 2997.  A read far off the pattern solves
@@ -171,7 +171,7 @@ def test_inverse_entry_on_a_long_path(factor_calls):
         stored = sum(map(len, z))
         assert effective_resistance(g, p, q) == r
         assert 0 < sum(map(len, z)) - stored <= 2 * n
-    assert factor_calls["solve"] == 0
+    assert counts["solve"] == 0
 
 
 @settings(max_examples=150, deadline=None)

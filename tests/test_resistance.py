@@ -296,19 +296,20 @@ class TestOneFactorization:
     computed."""
 
     @pytest.fixture
-    def calls(self, factor_calls, monkeypatch):
-        """`factor_calls`, plus the builds of a Green system's h."""
-        factor_calls["h"] = 0
+    def calls(self, counts, monkeypatch):
+        """A function that reads the pinned keys of `counts`, plus the
+        builds of a Green system's h."""
+        counts["h"] = 0
         real_h = green.GreenSystem._h.func
 
         def h(self):
-            factor_calls["h"] += 1
+            counts["h"] += 1
             return real_h(self)
 
         counted_h = functools.cached_property(h)
         counted_h.__set_name__(green.GreenSystem, "_h")
         monkeypatch.setattr(green.GreenSystem, "_h", counted_h)
-        return factor_calls
+        return lambda: {key: counts[key] for key in ("factor", "solve", "path", "W", "h")}
 
     def test_e_invariant(self, calls):
         g = MetrizedGraph(
@@ -318,7 +319,7 @@ class TestOneFactorization:
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
         # the one solve, Gamma m_D, and no off-pattern entry or h
-        assert calls == {"factor": 1, "solve": 1, "path": 0, "W": 7, "h": 0}
+        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 7, "h": 0}
 
     def test_fiber_report(self, calls):
         cfg = FiberConfiguration(
@@ -327,7 +328,7 @@ class TestOneFactorization:
             + [("s", "C2", "C2")],
         )
         fiber_report(cfg)
-        assert calls == {"factor": 1, "solve": 1, "path": 0, "W": 11, "h": 0}
+        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 11, "h": 0}
 
     def test_effective_resistance_entries_are_kept(self, calls):
         # no fill; P1, the first vertex with two neighbours, is grounded, and
@@ -336,13 +337,13 @@ class TestOneFactorization:
         kernel = resistance.resistance_kernel(g)
         assert kernel.vertices[0] == "P1"
         assert effective_resistance(g, "P2", "P4") == 7
-        assert calls == {"factor": 1, "solve": 0, "path": 1, "W": 8, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 1, "W": 8, "h": 0}
         assert effective_resistance(g, "P0", "P3") == 6
-        assert calls == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
         stored = sum(map(len, kernel._factors._inverse))
         assert effective_resistance(g, "P4", "P2") == 7
         assert effective_resistance(g, "P3", "P0") == 6
-        assert calls == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
         assert sum(map(len, kernel._factors._inverse)) == stored
 
     def test_green_reads(self, calls):
@@ -356,7 +357,7 @@ class TestOneFactorization:
              ("ad", "a", "d", 2), ("cc", "c", "c", 1)],
         )
         s = green_system(g, RDivisor({"b": 1, "e": 2}))
-        assert calls == {"factor": 1, "solve": 1, "path": 0, "W": 13, "h": 0}
+        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 13, "h": 0}
         # grounded at a, the Laplacian is the path b-c-d-e-f, eliminated in
         # that order with no fill, so Gamma at (b, e), (b, f), (c, e), (c, f)
         # and (d, f) is off the pattern: the first read computes the first
@@ -376,7 +377,7 @@ class TestOneFactorization:
         for kind, x, y, expected in reads:
             got = effective_resistance(g, x, y) if kind == "r" else s.eval(x, y)
             assert got == expected
-        assert calls == {"factor": 1, "solve": 1, "path": 2, "W": 13, "h": 1}
+        assert calls() == {"factor": 1, "solve": 1, "path": 2, "W": 13, "h": 1}
 
     def test_ground_column_is_zero(self, calls):
         """Gamma is 0 in the ground vertex's row and column: reading them
@@ -393,14 +394,15 @@ class TestOneFactorization:
         assert [kernel.entry(2, j) for j in range(3)] == [0, Fraction(1, 2), Fraction(3, 2)]
         assert kernel.entry(2, 2) == Fraction(3, 2) and kernel.entry(0, 2) == 0
         assert sum(map(len, kernel._factors._inverse)) == stored
-        assert calls == {"factor": 1, "solve": 0, "path": 0, "W": 4, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 0, "W": 4, "h": 0}
 
 
 class TestKernelCertificate:
-    """A read that builds no Green system, `effective_resistance`,
-    `resistance_in_deleted_edge` or a measure, certifies the kernel first, once
+    """A read that builds no Green system, `effective_resistance` or
+    `resistance_in_deleted_edge`, certifies the kernel first, once
     (`ResistanceKernel.certify`): Foster's mass of 2 m_can and L·S = 2 m_can
-    off the ground.  A Green build whose residual passes certifies it."""
+    off the ground.  A Green build whose residual passes certifies it, and
+    a measure is a Green system's, built and certified each time."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -436,8 +438,9 @@ class TestKernelCertificate:
                 effective_resistance(cycle_chords(), "v3", "v4")
             with pytest.raises(ConstancyViolation, match="^2 mu_can has total mass "):
                 resistance_in_deleted_edge(cycle_chords(), "c3")
-            # unchecked, the canonical measure had total mass 374/375
-            with pytest.raises(ConstancyViolation, match="^2 mu_can has total mass "):
+            # unchecked, the canonical measure had total mass 374/375; it
+            # is a Green system's measure, whose build checks mu's mass
+            with pytest.raises(ConstancyViolation, match="^measure has total mass "):
                 canonical_measure(cycle_chords())
 
     def test_moved_canonical_spread_raises(self, monkeypatch):
@@ -458,12 +461,14 @@ class TestKernelCertificate:
             )
 
     def test_checked_once_per_kernel(self, checks):
+        # the kernel's own check once, then one residual per measure, each
+        # the build of a Green system
         g = cycle_chords()
         for _ in range(3):
             assert effective_resistance(g, "v3", "v4") == Fraction(552, 1271)
             assert resistance_in_deleted_edge(g, "c3") is not None
             assert canonical_measure(g).total_mass() == 1
-        assert checks == {"laplacian": 1}
+        assert checks == {"laplacian": 4}
         assert resistance.resistance_kernel(g).certified
 
     def test_green_build_certifies(self, checks):
@@ -473,8 +478,9 @@ class TestKernelCertificate:
         assert resistance.resistance_kernel(g).certified
         effective_resistance(g, "v3", "v4")
         resistance_in_deleted_edge(g, "d1")
-        canonical_measure(g)
         assert checks == {"laplacian": 1}
+        canonical_measure(g)  # a Green build of its own
+        assert checks == {"laplacian": 2}
 
 
 class TestNoPairwiseResistance:

@@ -1,11 +1,17 @@
 """Each script under scripts/ runs to completion against the library."""
 
+import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from mg import MetrizedGraph, RDivisor, green_system, linalg, resistance
+from exact_ops import OPERATIONS, Counter
+from faults import fault_solve
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -50,3 +56,31 @@ def test_exact_ops_at_seed_1():
     header, *rows = proc.stdout.splitlines()[1:]
     assert header.split()[:3] == ["workload", "items", "ops"]
     assert {row.split()[0]: tuple(row.split()[1:3]) for row in rows} == EXACT_OPS
+
+
+def test_counter_restores_what_it_patches():
+    """`Counter` wraps each counted function only while it is entered: on
+    exit every attribute it patched is the original object again, a
+    fault patched inside it included, once the fault's own
+    `MonkeyPatch.context()` has undone it first."""
+    modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
+    patched = [
+        (Fraction, "__new__"), (Fraction, "__bool__"),
+        *((linalg.Factorization, name) for name in ("__init__", "solve", "_path")),
+        *((linalg, name) for name in OPERATIONS),
+        (resistance.ResistanceKernel, "read"), (resistance._Potential, "_row"),
+        *((m, key) for m in modules for key in ("fast", "plain")
+          if getattr(m, key, None) is getattr(linalg, key)),
+    ]
+    real = [inspect.getattr_static(owner, name) for owner, name in patched]
+    g = MetrizedGraph(
+        list("abc"), [("ab", "a", "b", 1), ("bc", "b", "c", 2), ("ca", "c", "a", 3)]
+    )
+    with Counter() as counter:
+        assert not any(inspect.getattr_static(o, n) is r for (o, n), r in zip(patched, real))
+        with pytest.MonkeyPatch.context() as patch:
+            fault_solve(patch, lambda x: None)
+            green_system(g, RDivisor({"b": 1}))
+    assert [counter.n[key] for key in ("factor", "solve", "W")] == [1, 1, 4]
+    assert counter.n["ops"] > 0
+    assert all(inspect.getattr_static(o, n) is r for (o, n), r in zip(patched, real))
