@@ -15,6 +15,10 @@ A divisor line names a vertex or a point.  Fiber files::
     component A genus 1   # component <name> genus <int>
     node n1 A B           # node <name> <compA> <compB> [length <rational>]
 
+Each directive is declared by its usage, shown beside it above, and a line
+matches it word for word: a literal word as written, a <field> as any one
+token, and a [...] tail given whole or not at all.
+
 Rationals are written p/q or as integers, with at most MAX_RATIONAL_DIGITS
 digits in each part; a genus is written in the digits 0-9 only, with the
 same cap; '#' starts a comment.  A malformed line, or a rational or genus
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     BadRational,
@@ -77,37 +82,60 @@ def parse_rational(token: str) -> Fraction:
     )
 
 
-def _body(text: str, header: str) -> list:
-    """(line number, tokens) of each line after the header line that is not
-    blank or a comment.  ParseError at the first such line, or at line 1
-    when there is none, unless it is `header`.  Lines end at \\n, \\r\\n or
-    \\r only, as an editor counts them: `str.splitlines` would also end one
-    at a form feed or a Unicode line separator inside a comment."""
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            lines.append((lineno, tokens))
-    if not lines or lines[0][1] != [header]:
-        raise ParseError(lines[0][0] if lines else 1, f"expected header {header!r}")
-    return lines[1:]
-
-
-# The directives of each format: a directive's token count and its usage,
-# which the `expected:` message of a line that does not fit it quotes.  The
-# usage's words that are not placeholders are checked in the parse loop; a
-# node line may also end in the optional `length <rational>`.
+# The directives of each format, each with its usage: a line must match it
+# word for word, where a literal word is given as it is, a <field> is any
+# one token, and a [...] tail is given whole or not at all; the `expected:`
+# message of a line that does not match quotes it.
 _GRAPH_DIRECTIVES = {
-    "vertex": (2, "vertex <name>"),
-    "edge": (5, "edge <name> <v1> <v2> <length>"),
-    "point": (6, "point <name> on <edge> at <offset>"),
-    "divisor": (3, "divisor <name> <coefficient>"),
+    "vertex": "vertex <name>",
+    "edge": "edge <name> <v1> <v2> <length>",
+    "point": "point <name> on <edge> at <offset>",
+    "divisor": "divisor <name> <coefficient>",
 }
 _FIBER_DIRECTIVES = {
-    "component": (4, "component <name> genus <int>"),
-    "node": (4, "node <name> <compA> <compB> [length <rational>]"),
+    "component": "component <name> genus <int>",
+    "node": "node <name> <compA> <compB> [length <rational>]",
 }
+
+
+def _form(words: list[str]) -> tuple:
+    """How a line of as many tokens as the usage words `words` is read: a
+    getter of the tokens at the literal words, the words it must give, and
+    a getter of the directive and the tokens at the <field> words."""
+    literal = itemgetter(*(i for i, w in enumerate(words) if w[0] != "<"))
+    fields = itemgetter(0, *(i for i, w in enumerate(words) if w[0] == "<"))
+    return literal, literal(words), fields
+
+
+# the form of every usage, with its [...] tail and without, by directive and
+# word count, built once here rather than for each file; no two formats
+# share a directive, and `_lines` reads only those of its own format
+_FORMS = {(w[0], len(w)): _form(w)
+          for u in [*_GRAPH_DIRECTIVES.values(), *_FIBER_DIRECTIVES.values()]
+          for w in (u.replace("[", "").replace("]", "").split(), u.partition(" [")[0].split())}
+
+
+def _lines(text: str, header: str, directives: dict):
+    """(line number, directive, fields...) of each line after the header
+    line that is not blank or a comment, its fields the tokens at the
+    <field> positions of the directive's usage.  ParseError at the first
+    such line, or at line 1 when there is none, unless it is `header`, and
+    at a line whose directive is unknown or that does not match its usage.
+    Lines end at \\n, \\r\\n or \\r only, as an editor counts them:
+    `str.splitlines` would also end one at a form feed or a Unicode line
+    separator inside a comment."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [(lineno, tokens) for lineno, raw in enumerate(text.split("\n"), start=1)
+             if (tokens := raw.split("#", 1)[0].split())]
+    if not lines or lines[0][1] != [header]:
+        raise ParseError(lines[0][0] if lines else 1, f"expected header {header!r}")
+    for lineno, tokens in lines[1:]:
+        form = tokens[0] in directives and _FORMS.get((tokens[0], len(tokens)))
+        if not form or form[0](tokens) != form[1]:
+            usage = directives.get(tokens[0])
+            message = f"expected: {usage}" if usage else f"unknown directive {tokens[0]!r}"
+            raise ParseError(lineno, message)
+        yield lineno, *form[2](tokens)
 
 
 def parse_graph_file(text: str):
@@ -123,27 +151,20 @@ def parse_graph_file(text: str):
     pending_points: list[tuple[int, str, str, Fraction]] = []
 
     try:
-        for lineno, tokens in _body(text, GRAPH_HEADER):
-            kind = tokens[0]
-            if kind not in _GRAPH_DIRECTIVES:
-                raise ParseError(lineno, f"unknown directive {kind!r}")
-            count, usage = _GRAPH_DIRECTIVES[kind]
-            if len(tokens) != count or kind == "point" and (tokens[2], tokens[4]) != ("on", "at"):
-                raise ParseError(lineno, "expected: " + usage)
-            name = tokens[1]
+        for lineno, kind, name, *fields in _lines(text, GRAPH_HEADER, _GRAPH_DIRECTIVES):
             if kind == "divisor":
-                divisor_terms.append((lineno, name, parse_rational(tokens[2])))
+                divisor_terms.append((lineno, name, parse_rational(fields[0])))
                 continue
             if name in kinds:
                 raise ParseError(lineno, f"duplicate name {name!r}")
             kinds[name] = kind
             if kind == "edge":
-                for v in tokens[2:4]:
+                for v in fields[:2]:
                     if kinds.get(v) != "vertex":
                         raise UnknownVertex(f"line {lineno}: unknown vertex {v!r}")
-                edges.append((name, tokens[2], tokens[3], parse_rational(tokens[4])))
+                edges.append((name, fields[0], fields[1], parse_rational(fields[2])))
             elif kind == "point":
-                pending_points.append((lineno, name, tokens[3], parse_rational(tokens[5])))
+                pending_points.append((lineno, name, fields[0], parse_rational(fields[1])))
     except BadRational as exc:  # from parse_rational, at the line being read
         raise BadRational(f"line {lineno}: {exc}") from None
 
@@ -179,31 +200,22 @@ def parse_fiber_file(text: str) -> FiberConfiguration:
     nodes: dict[str, tuple] = {}
 
     try:
-        for lineno, tokens in _body(text, FIBER_HEADER):
-            kind = tokens[0]
-            if kind not in _FIBER_DIRECTIVES:
-                raise ParseError(lineno, f"unknown directive {kind!r}")
-            count, usage = _FIBER_DIRECTIVES[kind]
-            length = _ONE
-            if kind == "node" and len(tokens) == count + 2 and tokens[4] == "length":
-                length = parse_rational(tokens[5])
-            elif len(tokens) != count or kind == "component" and tokens[2] != "genus":
-                raise ParseError(lineno, "expected: " + usage)
-            name = tokens[1]
+        for lineno, kind, name, *fields in _lines(text, FIBER_HEADER, _FIBER_DIRECTIVES):
             if kind == "component":
                 if name in components:
                     raise ParseError(lineno, f"duplicate component {name!r}")
-                if not _GENUS.fullmatch(tokens[3]):
-                    raise ParseError(lineno, f"bad genus {tokens[3]!r}")
-                components[name] = genus = int(tokens[3])
+                if not _GENUS.fullmatch(fields[0]):
+                    raise ParseError(lineno, f"bad genus {fields[0]!r}")
+                components[name] = genus = int(fields[0])
                 check_genus(genus)
                 continue
+            length = parse_rational(fields[2]) if len(fields) > 2 else _ONE
             if name in nodes:
                 raise ParseError(lineno, f"duplicate node {name!r}")
-            for ref in tokens[2:4]:
+            for ref in fields[:2]:
                 if ref not in components:
                     raise UnknownComponent(f"line {lineno}: unknown component {ref!r}")
-            nodes[name] = (name, tokens[2], tokens[3], length)
+            nodes[name] = (name, fields[0], fields[1], length)
     except (BadRational, GenusTooLarge) as exc:  # parse_rational, check_genus
         raise type(exc)(f"line {lineno}: {exc}") from None
 

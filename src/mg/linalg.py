@@ -11,65 +11,78 @@ nonzero per pair of adjacent vertices.
 
 Method: the conductances are summed into the diagonal and per-vertex dicts
 of the pairs, and vertices are eliminated with diagonal pivots in
-minimum-degree order (ties go to the lower index; a heap keyed by
-(degree, index) whose stale entries are skipped), an LDL^T factorization.
-Each step records its pivot d_k and the multipliers l_ik = a_ik/d_k of
-its neighbours, and updates only the neighbours' rows: a_ij -= l_ik a_kj,
-which creates fill where two neighbours were not adjacent.  On a graph Laplacian this is Kron (star-mesh) reduction, and
-degree-1 and degree-2 vertices go first (series reduction), so trees and
-chains, loops and all, factor with no fill.
+minimum-degree order (ties go to the lower index; a heap keyed by (degree,
+index) whose stale entries are skipped), an LDL^T factorization.  Each
+step records its pivot d_k and the multipliers l_ik = a_ik/d_k of its
+neighbours, and updates only the neighbours' rows: a_ij -= l_ik a_kj,
+which creates fill where two neighbours were not adjacent.  On a graph
+Laplacian this is Kron (star-mesh) reduction, and degree-1 and degree-2
+vertices go first (series reduction), so trees and chains, loops and all,
+factor with no fill.
 
 The arithmetic runs on `_Q`, a private subclass of Fraction: the caller
-gives the conductances in it, and the steps, the sweeps and the recurrence
-below compute on it.  Its `+ - * /` against an int or a Fraction apply the
-gcd steps of `fractions` (Henrici, J. ACM 3, 1956) to the parts directly
-and skip `fractions`' per-operation dispatch and normalising constructor,
-so each result has exactly the numerator and denominator Fraction would
-give, at a third to a half of the cost on small operands; on big operands
-the gcds dominate and the two cost the same.  There are two reductions,
-`_sum` and `_product`, and a division is a product: a/b is `_product` of
-a's parts and b's swapped, with b's sign moved to the numerator, which
-takes gcd(na, nb) and gcd(db, da), the steps of `Fraction._div`.  Its `==`
-against the same operands compares the parts, where Fraction's would
-first test the `numbers.Rational` ABC.  Every multiply-subtract s - l*x of
-the factorization, the sweeps of `solve` and the recurrence is one
-`_submul` call: it reduces the product's parts and then the difference's
-exactly as `*` and `-` would, so it gives their parts, but builds one
-object and skips both operators' dispatch.  `fast` and `plain` convert
-between the two types, and `reciprocal` gives 1/x of a positive x in the
-fast type by swapping its parts, with no gcd; `ratio` gives n/d of two
-ints in it, reduced by one gcd, for a caller that computed on integer
-parts.  A plain Fraction is an operand as it is, since the subclass's
-reflected methods take precedence.
+gives the conductances in it, and the steps and the two recurrences below
+compute on it.  Its `+ - * /` against an int or a Fraction apply the gcd
+steps of `fractions` (Henrici, J. ACM 3, 1956) to the parts directly and
+skip `fractions`' per-operation dispatch and normalising constructor, so
+each result has exactly the numerator and denominator Fraction would give,
+at a third to a half of the cost on small operands; on big operands the
+gcds dominate and the two cost the same.  There are two reductions, `_sum`
+and `_product`, and a division is a product: a/b is `_product` of a's
+parts and b's swapped, with b's sign moved to the numerator, which takes
+gcd(na, nb) and gcd(db, da), the steps of `Fraction._div`.  Its `==`
+against the same operands compares the parts, where Fraction's would first
+test the `numbers.Rational` ABC.  Every multiply-subtract s - l*x of the
+factorization and of the two recurrences is one `_submul` call: it reduces
+the product's parts and then the difference's exactly as `*` and `-`
+would, so it gives their parts, but builds one object and skips both
+operators' dispatch.  `fast` and `plain` convert between the two types,
+and `reciprocal` gives 1/x of a positive x in the fast type by swapping
+its parts, with no gcd; `ratio` gives n/d of two ints in it, reduced by
+one gcd, for a caller that computed on integer parts.  A plain Fraction is
+an operand as it is, since the subclass's reflected methods take
+precedence.
 What the factorization gives, the solutions and the entries of the
 inverse, stays in the fast type for its one caller, the resistance
 kernel; what a user of the package receives is always a plain Fraction.
 
-What is exact where:
+What is exact where: every value read off the factorization comes from
+two recurrences over its steps, each written once, as a method of
+`Factorization`, and each skipping zero entries, which it tests on their
+numerators, with no call.  With s(k) the neighbours of step k:
+
+* the forward sweep, `_forward(b)`, gives w = D^-1 L^-1 b in place: the
+  steps in order, each subtracting l_ik b_k from b_i for i in s(k), then
+  dividing b_k by d_k;
+* the back recurrence, `_back`, gives x_k = w_k - sum over i in s(k) of
+  l_ik x_i for one step k: run over the steps in reverse, it turns w into
+  x = A^-1 b.  Inside one column c of A^-1, w = D^-1 L^-1 e_c is nonzero
+  only on c's path to its elimination-tree root: w_c = 1/d_c, and w_k = 0
+  for every k eliminated before c.
+
+Its uses:
 
 * `solve(b)` gives Gamma b exactly, for any b of ints and Fractions over
   all vertices, in the fast type: b is converted to it, but for the ground
-  vertex's entry, which Gamma's zero column never reads, then a forward
-  sweep over the steps, a diagonal scale and a back sweep, each skipping
-  zero entries, which it tests on their numerators, with no call.
+  vertex's entry, which Gamma's zero column never reads, then the forward
+  sweep and the back recurrence at every step in reverse.
 * A `Factorization` keeps the entries of A^-1 it knows, and `inverse_entry`
-  reads any of them.  Its constructor takes the selected inverse: the
-  entries on the diagonal and on the filled pattern (every nonzero of A,
-  plus the fill), by Takahashi's recurrence run over the steps in
-  reverse: with s(k) the neighbours of step k, z_ik = -sum over j in s(k)
-  of l_jk z_ij for i in s(k), and z_kk = 1/d_k - sum over i in s(k) of
-  l_ik z_ik.  s(k) is a clique of the filled pattern, eliminated after k,
-  so every z_ij it reads is already known (Takahashi, Fagan & Chin 1973;
-  Erisman & Tinney, CACM 18, 1975).  The sums run as explicit loops in
-  the fast type, and each entry is stored in it.
-* `inverse_entry(i, j)` computes any other entry, and keeps it: the same
-  recurrence holds off the pattern when it is run inside one column of
-  A^-1.  For that column c, w = D^-1 L^-1 e_c is nonzero only on c's
-  path to its elimination-tree root, and the entry at row b reads x_m for
-  m in s(b), which lie on b's own path: an explicit stack walks up it,
-  computing only the entries not yet known (Erisman & Tinney, CACM 18,
-  1975).  Every entry computed on the way is stored both ways and w is
-  kept per column, so an entry is computed at most once.
+  reads any of them.  Its constructor takes the selected inverse, the
+  recurrence on the pattern: the entries on the diagonal and on the
+  filled pattern (every nonzero of A, plus the fill), by the recurrence
+  run over the steps in reverse: z_ik = 0 - sum over j in s(k) of l_jk
+  z_ij for i in s(k), in column i, and z_kk = 1/d_k - sum over i in s(k)
+  of l_ik z_ik.  s(k) is a clique of the filled pattern, eliminated after
+  k, so every z_ij it reads is already known (Takahashi, Fagan & Chin
+  1973).  Each entry is stored in the fast type.
+* `inverse_entry(i, j)` computes any other entry, and keeps it: the
+  recurrence off the pattern, inside the column c of the later eliminated
+  of i and j, with w from the forward sweep on e_c.  The entry at row b
+  reads x_m for m in s(b), which lie on b's own root path: an explicit
+  stack walks up it, computing only the entries not yet known (Erisman &
+  Tinney, CACM 18, 1975).  Every entry computed on the way is stored both
+  ways and the nonzero entries of w are kept per column, so an entry is
+  computed at most once.
 
 Contract: `Factorization(n, conductances)` takes a graph on the vertices
 0..n-1, n >= 1, as one (i, j, c) per edge, c > 0 its conductance in the
@@ -82,9 +95,10 @@ happens exactly when the graph is disconnected.
 Cost, nnz(L) being the number of recorded multipliers: O(sum over steps of
 (neighbours)^2) rational operations each to factor and for the selected
 inverse, which is O(nnz(A)) on a graph that factors with no fill and
-bounded degree; O(nnz(L)) per solve.  An entry off the pattern costs the sum of |s(m)| over the m
-it computes, all on one root path, and w costs the same over c's path
-once.  Choosing the pivots adds O(nnz(L) log n) integer work.
+bounded degree; O(nnz(L)) per solve.  An entry off the pattern costs the
+sum of |s(m)| over the m it computes, all on one root path, and w costs
+the same over c's path once, beside a scan of the n steps.  Choosing the
+pivots adds O(nnz(L) log n) integer work.
 """
 
 from __future__ import annotations
@@ -328,21 +342,14 @@ class Factorization:
             self.steps.append((k, d, mults))
 
         # the selected inverse: z[i][j] = (a^-1)_ij for i = j and every
-        # (i, j) on the filled pattern, by Takahashi's recurrence over the
+        # (i, j) on the filled pattern, by the back recurrence over the
         # steps in reverse; `inverse_entry` adds the entries it computes
         z = self._inverse = [{} for _ in range(n)]
         for k, d, mults in reversed(self.steps):
             zk = z[k]
             for i, _ in mults:
-                zi = z[i]
-                s = 0
-                for j, l in mults:
-                    s = _submul(s, l, zi[j])
-                zk[i] = zi[k] = s
-            s = 1 / d
-            for i, l in mults:
-                s = _submul(s, l, zk[i])
-            zk[k] = s
+                zk[i] = z[i][k] = self._back(0, mults, z[i])
+            zk[k] = self._back(1 / d, mults, zk)
         self._paths: dict[int, dict] = {}  # {c: w}, built by `inverse_entry`
 
     def solve(self, b: list[Fraction]) -> list[Fraction]:
@@ -351,22 +358,32 @@ class Factorization:
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
         x = [_ZERO, *map(fast, b[1:])]
-        for k, _, mults in self.steps:
+        self._forward(x)
+        for k, _, mults in reversed(self.steps):
+            x[k] = self._back(x[k], mults, x)
+        return x
+
+    @staticmethod
+    def _back(s, mults, x) -> _Q:
+        """s - sum of l*x[i] over the (i, l) of `mults`, a zero x[i]
+        skipped: the back recurrence of one step, on a vector over the
+        vertices or on a column of Gamma."""
+        for i, l in mults:
+            xi = x[i]
+            if xi._numerator:
+                s = _submul(s, l, xi)
+        return s
+
+    def _forward(self, x: list[Fraction]) -> None:
+        """x = D^-1 L^-1 x in place, over the steps in order: step k takes
+        l_ik x_k from each x_i, i in s(k), then divides x_k by d_k, and a
+        zero x_k is skipped."""
+        for k, d, mults in self.steps:
             xk = x[k]
             if xk._numerator:
                 for i, l in mults:
                     x[i] = _submul(x[i], l, xk)
-        for k, d, _ in self.steps:
-            if x[k]._numerator:
-                x[k] /= d
-        for k, _, mults in reversed(self.steps):
-            s = x[k]
-            for i, l in mults:
-                xi = x[i]
-                if xi._numerator:
-                    s = _submul(s, l, xi)
-            x[k] = s
-        return x
+                x[k] = xk / d
 
     def inverse_entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij in the fast type, read from the entries known, which
@@ -375,11 +392,11 @@ class Factorization:
 
         An entry not yet known is solved for inside one column c, the later
         eliminated of i and j, at row b, the other.  x = a^-1 e_c has
-        x_b = w_b - sum over m in s(b) of l_mb x_m, with w = D^-1 L^-1 e_c
-        (`_path`, kept per column); s(b) lies on b's path to its
-        elimination-tree root, so an explicit stack walks up that path
-        from b, computes each x_m not yet known once all of s(m) is, and
-        stores it both ways.  Every value is exact, so threads racing to
+        x_b = w_b - sum over m in s(b) of l_mb x_m, the back recurrence,
+        with w = D^-1 L^-1 e_c (`_path`, kept per column); s(b) lies on
+        b's path to its elimination-tree root, so an explicit stack walks
+        up that path from b, computes each x_m not yet known once all of
+        s(m) is, and stores it both ways.  Every value is exact, so threads racing to
         store an entry or a path store equal ones.
         """
         if not (i and j):
@@ -404,25 +421,16 @@ class Factorization:
             if missing:
                 stack += missing
                 continue
-            s = w.get(m, _ZERO)
-            for k, l in mults:
-                s = _submul(s, l, zc[k])
-            zc[m] = z[m][c] = s
+            zc[m] = z[m][c] = self._back(w.get(m, _ZERO), mults, zc)
             stack.pop()
         return zc[b]
 
     def _path(self, c: int) -> dict[int, Fraction]:
-        """w = D^-1 L^-1 e_c by its nonzero entries, which lie on c's path
-        to its elimination-tree root: the parent of step k is the member of
-        s(k) eliminated first."""
-        steps, order = self.steps, self._order
-        w, y, k = {}, {c: _q(1, 1)}, c
-        while k >= 0:
-            _, d, mults = steps[order[k]]
-            yk = y.pop(k, _ZERO)
-            if yk._numerator:
-                for i, l in mults:
-                    y[i] = _submul(y.get(i, 0), l, yk)
-                w[k] = yk / d
-            k = min((i for i, _ in mults), key=order.__getitem__, default=-1)
-        return w
+        """w = D^-1 L^-1 e_c by its nonzero entries: the forward sweep on
+        e_c, which scans every step, but of which only the nonzero entries
+        are kept, and those lie on c's path to its elimination-tree root."""
+        x = [_ZERO] * self.n
+        x[c] = _q(1, 1)
+        self._forward(x)
+        return {k: xk for k, xk in enumerate(x) if xk._numerator}
+

@@ -158,6 +158,7 @@ class TestParseFiber:
         "node n A",  # too short
         "node n A B 1",  # a length without the word
         "node n A B size 1",
+        "node n A B length",  # the optional tail given in part
         "node n A B length 1 2",
         "node m A B",  # the first node's name again
     ])
@@ -263,6 +264,29 @@ def test_every_directive_is_listed():
     assert DIRECTIVES == {
         **dict.fromkeys(graph, parse_graph_file), **dict.fromkeys(fiber, parse_fiber_file)
     }
+
+
+# A line of each directive that matches its usage.
+LINES = {
+    "vertex": "vertex c",
+    "edge": "edge f a b 2",
+    "point": "point n on e at 1/3",
+    "divisor": "divisor m 1",
+    "component": "component C genus 2",
+    "node": "node n A B length 2",
+}
+
+
+@pytest.mark.parametrize("kind", DIRECTIVES)
+def test_directive_of_the_other_format_is_unknown(kind):
+    """A line that matches its directive's usage is still an unknown
+    directive in the other format."""
+    parse, text, lineno = (
+        (parse_fiber_file, FIBER_TEXT, 5) if DIRECTIVES[kind] is parse_graph_file
+        else (parse_graph_file, GRAPH_TEXT, 6)
+    )
+    with pytest.raises(ParseError, match=f"^line {lineno}: unknown directive '{kind}'$"):
+        parse(text + LINES[kind] + "\n")
 
 
 @pytest.mark.parametrize("kind", DIRECTIVES)

@@ -138,7 +138,8 @@ def test_every_inverse_entry_matches_dense_inverse(seed, family):
     """Every entry, read in a seeded shuffled order, off the pattern or on
     it, equals the dense inverse's and is then stored both ways, so that
     each entry computed on the way serves the later reads; the ground
-    vertex's row and column are 0 and stored nowhere."""
+    vertex's row and column are 0 and stored nowhere.  The path vectors
+    kept on the way stay sparse."""
     rng, n, cs, a = family_system(seed, family)
     dense = dense_inverse(a)  # columns
     factors = linalg.Factorization(n, cs)
@@ -154,6 +155,24 @@ def test_every_inverse_entry_matches_dense_inverse(seed, family):
         assert z[i].keys() == set(range(1, n))
         for j, x in z[i].items():
             assert type(x) is FAST and z[j][i] == x
+    assert_paths_stay_sparse(factors)
+
+
+def root_path(factors, c: int) -> list[int]:
+    """c's path to its elimination-tree root, the parent of step k being
+    the member of s(k) eliminated first."""
+    order, path = factors._order, [c]
+    while mults := factors.steps[order[path[-1]]][2]:
+        path.append(min((i for i, _ in mults), key=order.__getitem__))
+    return path
+
+
+def assert_paths_stay_sparse(factors):
+    """Every path vector w = D^-1 L^-1 e_c kept holds only nonzero values,
+    at rows on c's path to its elimination-tree root."""
+    for c, w in factors._paths.items():
+        assert all(x != 0 for x in w.values())
+        assert w.keys() <= set(root_path(factors, c))
 
 
 def test_inverse_entry_on_a_long_path(counts):
@@ -161,17 +180,21 @@ def test_inverse_entry_on_a_long_path(counts):
     neighbours, v2 to v2999 are eliminated in order, so their elimination
     tree is one chain of height 2997.  A read far off the pattern solves
     nothing, walks the chain with its explicit stack, so no recursion limit
-    is reached, and adds at most 2n entries to the store."""
+    is reached, and adds at most 2n entries to the store.  Each column's
+    path vector keeps its nonzero entries only, not one per vertex."""
     n = 3000
     g = path_graph([1] * (n - 1), prefix="v")
     kernel = resistance.resistance_kernel(g)
     assert kernel.vertices[0] == "v1"
-    z = kernel._factors._inverse
+    factors = kernel._factors
+    z = factors._inverse
     for p, q, r in (("v2", "v2999", 2997), ("v1500", "v17", 1483)):
         stored = sum(map(len, z))
         assert effective_resistance(g, p, q) == r
         assert 0 < sum(map(len, z)) - stored <= 2 * n
     assert counts["solve"] == 0
+    assert_paths_stay_sparse(factors)
+    assert (len(factors._paths), sum(map(len, factors._paths.values()))) == (2, 1501)
 
 
 @settings(max_examples=150, deadline=None)

@@ -15,6 +15,9 @@ from faults import fault_solve
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# the arguments a script runs with here: the timing script at its smallest
+# size, since its full size only repeats the same reads
+ARGS = {"read_cost.py": ["--repeats", "1", "--reads", "2"]}
 
 
 def test_scripts_are_found():
@@ -24,7 +27,7 @@ def test_scripts_are_found():
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_runs_cleanly(script):
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, str(script), *ARGS.get(script.name, [])],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, timeout=120,
     )
