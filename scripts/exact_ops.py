@@ -24,12 +24,20 @@ item of:
 * new: `Fraction.__new__` calls, the plain Fractions built through the
   normalising constructor (the fast type and `plain` never call it).
 
-`Counter` also counts, unprinted, the factorizations built (factor), the
-solves run (solve) and the path vectors w = D^-1 L^-1 e_c built (path),
-one per column of Gamma that an entry off the selected inverse's pattern
-is read in: the tests pin them and ops through it, so the table and the
-tests count the same work.  Importing this file changes nothing; `Counter`
-patches `mg` only while it is entered.
+`Counter` also counts, unprinted, the factorizations built (factor) and
+the calls declared in CALLS: the solves run (solve); the path vectors w =
+D^-1 L^-1 e_c built (path), one per column of Gamma that an entry off the
+selected inverse's pattern is read in; the potentials built (potential),
+the kernel's S and each Green system's h; the residual passes
+`ResistanceKernel.laplacian` makes (laplacian); the resistances read off
+the kernel between points (resistance); the bridge walks of fiber
+configurations (walk); the graphs built (graph); the connectivity
+searches over a graph (search); and the divisors moved to the normal form
+of their graph's points (relocate).  Every count the tests pin is read
+from it, through their `counts` fixture, and the seed-1 pass of each
+workload is pinned once, in `tests/test_bench_smoke.py`'s SEED_1, so the
+table and the tests count the same work.  Importing this file changes
+nothing; `Counter` patches `mg` only while it is entered.
 
 Counts are exact and repeat from run to run, so two versions of `mg` can
 be compared by them; they say nothing of time.  Every output is then
@@ -40,10 +48,10 @@ are imported read-only and the pools are written to a temporary directory:
 """
 
 import argparse
+import importlib
 import inspect
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,12 +59,32 @@ OPERATIONS = ("_sum", "_product", "_submul", "ratio")
 COUNTS = ("ops", "W", "fast", "plain", "bool", "new")  # the printed columns
 
 
+# the counted calls: (key, module, owner, attribute), each call of the
+# attribute adding 1 to n[key]; a Green or resistance read and the row a
+# potential forms on its first read inside an edge count as operations
+CALLS = (
+    ("ops", "mg.resistance", "ResistanceKernel", "read"),
+    ("ops", "mg.resistance", "_Potential", "_row"),
+    ("solve", "mg.linalg", "Factorization", "solve"),
+    ("path", "mg.linalg", "Factorization", "_path"),
+    ("potential", "mg.resistance", "_Potential", "__init__"),
+    ("laplacian", "mg.resistance", "ResistanceKernel", "laplacian"),
+    ("resistance", "mg.resistance", "ResistanceKernel", "resistance"),
+    ("walk", "mg.fibers", "_Walk", "__init__"),
+    ("graph", "mg.graphs", "MetrizedGraph", "__init__"),
+    ("search", "mg.graphs", "MetrizedGraph", "_reachable"),
+    ("relocate", "mg.graphs", "RDivisor", "relocate"),
+    ("bool", "fractions", "Fraction", "__bool__"),
+    ("new", "fractions", "Fraction", "__new__"),
+)
+
+
 class Counter:
     """Wraps the counted functions while it is entered, and counts calls
-    in `n`: the printed COUNTS, and factor, solve and path."""
+    in `n`: the printed COUNTS, factor, and the keys of CALLS."""
 
     def __init__(self):
-        self.n = dict.fromkeys((*COUNTS, "factor", "solve", "path"), 0)
+        self.n = dict.fromkeys((*COUNTS, "factor", *(key for key, *_ in CALLS)), 0)
         self.depth = 0  # > 0 inside a counted operation
         self.saved = []
 
@@ -86,22 +114,22 @@ class Counter:
         return counted
 
     def patch(self, owner, name, wrapper):
-        # getattr_static keeps `__new__` a staticmethod when it is restored
-        self.saved.append((owner, name, inspect.getattr_static(owner, name)))
-        setattr(owner, name, wrapper)
+        # getattr_static sees `__new__` as a staticmethod: its wrapper is
+        # one too, and it is one again when restored
+        real = inspect.getattr_static(owner, name)
+        self.saved.append((owner, name, real))
+        setattr(owner, name, staticmethod(wrapper) if isinstance(real, staticmethod) else wrapper)
 
     def __enter__(self):
-        from mg import linalg, resistance
+        from mg import linalg
 
         for name in OPERATIONS:
             self.patch(linalg, name, self.operation(getattr(linalg, name)))
-        # one operation a call, beside the operations each call makes
-        for owner, name in ((resistance.ResistanceKernel, "read"), (resistance._Potential, "_row")):
-            self.patch(owner, name, self.calls("ops", getattr(owner, name)))
         factorization = linalg.Factorization
         self.patch(factorization, "__init__", self.factorization(factorization.__init__))
-        for key, name in (("solve", "solve"), ("path", "_path")):
-            self.patch(factorization, name, self.calls(key, getattr(factorization, name)))
+        for key, module, owner, name in CALLS:
+            owner = getattr(importlib.import_module(module), owner)
+            self.patch(owner, name, self.calls(key, getattr(owner, name)))
         modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
         for key in ("fast", "plain"):
             real = getattr(linalg, key)
@@ -109,8 +137,6 @@ class Counter:
             for module in modules:
                 if getattr(module, key, None) is real:
                     self.patch(module, key, wrapper)
-        self.patch(Fraction, "__bool__", self.calls("bool", Fraction.__bool__))
-        self.patch(Fraction, "__new__", staticmethod(self.calls("new", Fraction.__new__)))
         return self
 
     def __exit__(self, *exc):
@@ -119,15 +145,12 @@ class Counter:
         self.saved.clear()
 
 
-def count(name: str, wl) -> tuple[int, dict]:
-    """(items, {count: mean per item}) over one pass of the pool `wl`."""
+def count(wl) -> tuple[list, dict]:
+    """One pass of the pool `wl` under `Counter`: the outputs, in item
+    order, and the counts."""
     with Counter() as counter:
         outputs = [wl.run(item) for item in wl.items]
-    bad = [i for i, out in enumerate(outputs) if not wl.ok(i, out)]
-    if bad:
-        raise SystemExit(f"{name}: items {bad} failed their check")
-    n = len(wl.items)
-    return n, {k: v / n for k, v in counter.n.items()}
+    return outputs, counter.n
 
 
 def main(argv=None):
@@ -142,8 +165,13 @@ def main(argv=None):
     print(f"{'workload':<14} {'items':>5} " + " ".join(f"{k:>8}" for k in COUNTS))
     with tempfile.TemporaryDirectory() as tmp:
         for name, pool in workloads.WORKLOADS.items():
-            items, per = count(name, pool(args.seed, Path(tmp) / name))
-            print(f"{name:<14} {items:>5} " + " ".join(f"{per[k]:>8.1f}" for k in COUNTS))
+            wl = pool(args.seed, Path(tmp) / name)
+            outputs, n = count(wl)
+            bad = [i for i, out in enumerate(outputs) if not wl.ok(i, out)]
+            if bad:
+                raise SystemExit(f"{name}: items {bad} failed their check")
+            items = len(outputs)
+            print(f"{name:<14} {items:>5} " + " ".join(f"{n[k] / items:>8.1f}" for k in COUNTS))
 
 
 if __name__ == "__main__":

@@ -86,20 +86,21 @@ def slope_sharp_rhs(g: int, delta) -> Fraction:
     return _combine(g, delta, lambda i: 4 * i * (g - i) if i else g)
 
 
-def slope_check(stats: FibrationStats) -> InequalityCheck:
-    """(8g+4) lambda against the sharp right-hand side."""
+def _check(stats: FibrationStats, rhs: Fraction) -> InequalityCheck:
+    """(8g+4) lambda against rhs."""
     lhs = (8 * stats.g + 4) * stats.lambda_deg
-    rhs = slope_sharp_rhs(stats.g, stats.delta)
     slack = lhs - rhs
     return InequalityCheck(lhs, rhs, slack, slack >= 0)
+
+
+def slope_check(stats: FibrationStats) -> InequalityCheck:
+    """(8g+4) lambda against the sharp right-hand side."""
+    return _check(stats, slope_sharp_rhs(stats.g, stats.delta))
 
 
 def ch_xiao_check(stats: FibrationStats) -> InequalityCheck:
     """(8g+4) lambda against g times the total node count."""
-    lhs = (8 * stats.g + 4) * stats.lambda_deg
-    rhs = stats.g * sum(stats.delta, Fraction(0))
-    slack = lhs - rhs
-    return InequalityCheck(lhs, rhs, slack, slack >= 0)
+    return _check(stats, stats.g * sum(stats.delta, Fraction(0)))
 
 
 def noether_omega_sq(g: int, lambda_deg, delta) -> Fraction:
@@ -179,12 +180,16 @@ def reference_radius_sq(stats: FibrationStats, *, irreducible: bool = False) -> 
 
     Regimes: smooth fibrations (12(g-1)); irreducible singular fibers
     ((g-1)^3/(3g(2g+1)) delta_0); genus 2 (2/135 delta_0 + 2/5 delta_1).
-    The smooth flag wins, then irreducible, then genus 2.
+    The smooth flag wins, then irreducible, then genus 2.  A node of
+    positive type disconnects its fiber, so an irreducible fibration has
+    nodes of type 0 only: a delta_i > 0 for i >= 1 raises BadDelta.
     """
     g = stats.g
     if stats.smooth:
         return Fraction(12 * (g - 1))
     if irreducible:
+        if any(stats.delta[1:]):
+            raise BadDelta("an irreducible fibration has nodes of type 0 only")
         return Fraction((g - 1) ** 3, 3 * g * (2 * g + 1)) * stats.delta[0]
     if g == 2:
         return Fraction(2, 135) * stats.delta[0] + Fraction(2, 5) * stats.delta[1]

@@ -3,7 +3,9 @@ it solved one resistance kernel per graph.
 
 Kept verbatim, for differential tests only, except that `_potentials` calls
 `solve_columns` with one column where it called the single-column wrapper
-`linalg.solve`, which had no other caller and is gone.  Every quantity is
+`linalg.solve`, which had no other caller and is gone, and that the
+wrappers no test read, `green_eval`, `e_invariant` and `e_via_basepoint`,
+are gone.  Every quantity is
 computed by subdividing the graph until the points involved are vertices and
 running a fresh exact elimination: one per resistance, one per deleted edge
 of the canonical measure, one per interior source point of a Green value.
@@ -514,10 +516,6 @@ def green_system(g: MetrizedGraph, d: RDivisor) -> GreenSystem:
     return GreenSystem(g, d)
 
 
-def green_eval(s: GreenSystem, x, y) -> Fraction:
-    return s.eval(x, y)
-
-
 def constant_c(s: GreenSystem) -> Fraction:
     """The constant value of g(D, y) + g(y, y).
 
@@ -544,31 +542,9 @@ def constant_c(s: GreenSystem) -> Fraction:
     return value
 
 
-def e_invariant(g: MetrizedGraph, d: RDivisor) -> Fraction:
-    """e(G, D) = 2 deg(D) c(G, D) - g(D, D)."""
-    s = green_system(g, d)
-    return e_of_system(s)
-
-
 def e_of_system(s: GreenSystem) -> Fraction:
     c = constant_c(s)
     return 2 * s.degree * c - s.pairing_dd()
-
-
-def e_via_basepoint(g: MetrizedGraph, d: RDivisor, o) -> Fraction:
-    """e(G, D) = (deg(D) + 2) g(O, D) + r(O, D), for any basepoint O."""
-    deg = d.degree()
-    if deg == -2:
-        raise DegreeMinusTwo("divisor has degree -2")
-    g.validate()
-    o = g.check_point(o)
-    s = green_system(g, d)
-    god = Fraction(0)
-    rod = Fraction(0)
-    for p, a in d.items():
-        god += a * s.eval(o, p)
-        rod += a * effective_resistance(g, o, p)
-    return (deg + 2) * god + rod
 
 
 # -- split-edge ids of subdivided graphs -------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mg import (
+    BadDelta,
     FiberConfiguration,
     FibrationStats,
     GenusTooSmall,
@@ -170,6 +171,12 @@ class TestReference:
         assert reference_radius_sq(
             FibrationStats(3, 0, [1, 0]), irreducible=True
         ) == Fraction(8, 63)
+
+    def test_irreducible_has_no_positive_type(self):
+        # a node of positive type disconnects its fiber
+        for g, delta in ((3, [1, 1]), (2, [0, 1]), (5, [2, 0, 3])):
+            with pytest.raises(BadDelta, match="^an irreducible fibration has nodes of type 0 only$"):
+                reference_radius_sq(FibrationStats(g, 0, delta), irreducible=True)
 
     def test_genus_two(self):
         assert reference_radius_sq(FibrationStats(2, 0, [1, 1])) == Fraction(56, 135)

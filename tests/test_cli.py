@@ -297,6 +297,8 @@ class TestErrors:
         [
             ["bounds", "slope", "--genus", "2", "--delta=-1,0"],
             ["bounds", "radius", "--genus", "2", "--smooth", "--delta", "1,0"],
+            # a node of type 1 on an irreducible fibration
+            ["bounds", "reference", "--genus", "3", "--delta", "1,1", "--irreducible"],
         ],
     )
     def test_bad_delta_exits_2(self, capsys, argv):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from mg import cli, fibers, graphs, linalg
+from mg import cli
 from mg import (
     Disconnected,
     FiberConfiguration,
@@ -338,31 +338,25 @@ class TestLongChain:
 
 class TestOneAnalysis:
     """A configuration builds its graph once and keeps its bridge walk, so
-    one `mg fiber analyze` walks once, builds one graph and factors once."""
+    one `mg fiber analyze` walks once, builds one graph, factors once and
+    forms one potential, the kernel's S."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
-        counter = {"walk": 0, "graph": 0, "factor": 0}
-        for key, cls in (("walk", fibers._Walk), ("graph", graphs.MetrizedGraph),
-                         ("factor", linalg.Factorization)):
+    def builds(self, counts):
+        """A function that reads the walks, graphs, factorizations and
+        potentials in `counts`."""
+        return lambda: {key: counts[key] for key in ("walk", "graph", "factor", "potential")}
 
-            def init(self, *args, _key=key, _real=cls.__init__, **kwargs):
-                counter[_key] += 1
-                _real(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", init)
-        return counter
-
-    def test_fiber_analyze(self, counts, capsys):
+    def test_fiber_analyze(self, builds, capsys):
         assert cli.main(["fiber", "analyze", str(GOLDEN / "chain.fib")]) == 0
-        assert counts == {"walk": 1, "graph": 1, "factor": 1}
+        assert builds() == {"walk": 1, "graph": 1, "factor": 1, "potential": 1}
 
-    def test_fiber_e_after_report(self, counts):
+    def test_fiber_e_after_report(self, builds):
         cfg = cfg_one_two()
         fiber_report(cfg)
-        before = dict(counts)
+        before = builds()
         assert fiber_e(cfg) == Fraction(5, 3)
-        assert counts == before
+        assert builds() == before
 
     def test_every_question_reads_one_walk(self, counts):
         cfg = cfg_one_two()

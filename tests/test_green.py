@@ -390,24 +390,16 @@ class TestConstant:
                 with pytest.raises(ConstancyViolation):
                     green_system(cycle_chords(), RDivisor({"v3": 1}))
 
-    def test_divisor_relocated_once_per_build(self, monkeypatch):
+    def test_divisor_relocated_once_per_build(self, counts):
         # the Green system relocates D once and hands it to the measure
         # builder when its measure is read; the public measure relocates
         # its own
-        calls = []
-        real = RDivisor.relocate
-
-        def relocate(self, f):
-            calls.append(self)
-            return real(self, f)
-
-        monkeypatch.setattr(RDivisor, "relocate", relocate)
         g = segment_graph(2)
         d = RDivisor({"P": 1, GraphPoint.on_edge("e", 1): 2})
         green_system(g, d).measure
-        assert len(calls) == 1
+        assert counts["relocate"] == 1
         admissible_measure(g, d)
-        assert len(calls) == 2
+        assert counts["relocate"] == 2
 
     def test_divisor_in_normal_form_is_kept(self):
         # every point is checked, and a divisor none of whose points moves

@@ -1,4 +1,3 @@
-import functools
 import gc
 import sys
 import threading
@@ -25,7 +24,6 @@ from mg import (
     e_invariant,
     effective_resistance,
     fiber_report,
-    green,
     green_system,
     linalg,
     path_graph,
@@ -296,20 +294,10 @@ class TestOneFactorization:
     computed."""
 
     @pytest.fixture
-    def calls(self, counts, monkeypatch):
-        """A function that reads the pinned keys of `counts`, plus the
-        builds of a Green system's h."""
-        counts["h"] = 0
-        real_h = green.GreenSystem._h.func
-
-        def h(self):
-            counts["h"] += 1
-            return real_h(self)
-
-        counted_h = functools.cached_property(h)
-        counted_h.__set_name__(green.GreenSystem, "_h")
-        monkeypatch.setattr(green.GreenSystem, "_h", counted_h)
-        return lambda: {key: counts[key] for key in ("factor", "solve", "path", "W", "h")}
+    def calls(self, counts):
+        """A function that reads the pinned keys of `counts`: potential
+        counts the kernel's S, then a Green system's h."""
+        return lambda: {key: counts[key] for key in ("factor", "solve", "path", "W", "potential")}
 
     def test_e_invariant(self, calls):
         g = MetrizedGraph(
@@ -319,7 +307,7 @@ class TestOneFactorization:
         )
         e_invariant(g, RDivisor({"b": 1, "d": 2}))
         # the one solve, Gamma m_D, and no off-pattern entry or h
-        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 7, "h": 0}
+        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 7, "potential": 1}
 
     def test_fiber_report(self, calls):
         cfg = FiberConfiguration(
@@ -328,7 +316,7 @@ class TestOneFactorization:
             + [("s", "C2", "C2")],
         )
         fiber_report(cfg)
-        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 11, "h": 0}
+        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 11, "potential": 1}
 
     def test_effective_resistance_entries_are_kept(self, calls):
         # no fill; P1, the first vertex with two neighbours, is grounded, and
@@ -337,13 +325,13 @@ class TestOneFactorization:
         kernel = resistance.resistance_kernel(g)
         assert kernel.vertices[0] == "P1"
         assert effective_resistance(g, "P2", "P4") == 7
-        assert calls() == {"factor": 1, "solve": 0, "path": 1, "W": 8, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 1, "W": 8, "potential": 1}
         assert effective_resistance(g, "P0", "P3") == 6
-        assert calls() == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 2, "W": 8, "potential": 1}
         stored = sum(map(len, kernel._factors._inverse))
         assert effective_resistance(g, "P4", "P2") == 7
         assert effective_resistance(g, "P3", "P0") == 6
-        assert calls() == {"factor": 1, "solve": 0, "path": 2, "W": 8, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 2, "W": 8, "potential": 1}
         assert sum(map(len, kernel._factors._inverse)) == stored
 
     def test_green_reads(self, calls):
@@ -357,7 +345,7 @@ class TestOneFactorization:
              ("ad", "a", "d", 2), ("cc", "c", "c", 1)],
         )
         s = green_system(g, RDivisor({"b": 1, "e": 2}))
-        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 13, "h": 0}
+        assert calls() == {"factor": 1, "solve": 1, "path": 0, "W": 13, "potential": 1}
         # grounded at a, the Laplacian is the path b-c-d-e-f, eliminated in
         # that order with no fill, so Gamma at (b, e), (b, f), (c, e), (c, f)
         # and (d, f) is off the pattern: the first read computes the first
@@ -377,7 +365,7 @@ class TestOneFactorization:
         for kind, x, y, expected in reads:
             got = effective_resistance(g, x, y) if kind == "r" else s.eval(x, y)
             assert got == expected
-        assert calls() == {"factor": 1, "solve": 1, "path": 2, "W": 13, "h": 1}
+        assert calls() == {"factor": 1, "solve": 1, "path": 2, "W": 13, "potential": 2}
 
     def test_ground_column_is_zero(self, calls):
         """Gamma is 0 in the ground vertex's row and column: reading them
@@ -394,7 +382,7 @@ class TestOneFactorization:
         assert [kernel.entry(2, j) for j in range(3)] == [0, Fraction(1, 2), Fraction(3, 2)]
         assert kernel.entry(2, 2) == Fraction(3, 2) and kernel.entry(0, 2) == 0
         assert sum(map(len, kernel._factors._inverse)) == stored
-        assert calls() == {"factor": 1, "solve": 0, "path": 0, "W": 4, "h": 0}
+        assert calls() == {"factor": 1, "solve": 0, "path": 0, "W": 4, "potential": 1}
 
 
 class TestKernelCertificate:
@@ -403,20 +391,6 @@ class TestKernelCertificate:
     (`ResistanceKernel.certify`): Foster's mass of 2 m_can and L·S = 2 m_can
     off the ground.  A Green build whose residual passes certifies it, and
     a measure is a Green system's, built and certified each time."""
-
-    @pytest.fixture
-    def checks(self, monkeypatch):
-        """Counts the residual passes, `ResistanceKernel.laplacian` calls:
-        one per kernel check and one per Green build."""
-        counter = {"laplacian": 0}
-        real = resistance.ResistanceKernel.laplacian
-
-        def counted(self, x):
-            counter["laplacian"] += 1
-            return real(self, x)
-
-        monkeypatch.setattr(resistance.ResistanceKernel, "laplacian", counted)
-        return counter
 
     @pytest.mark.parametrize("kind", ["diagonal", "edge"])
     def test_wrong_inverse_entry_raises(self, kind):
@@ -460,7 +434,7 @@ class TestKernelCertificate:
                 "Gamma 2 m_can is not S: L S is 1 but 2 m_can is 3/2 at GraphPoint('Q')"
             )
 
-    def test_checked_once_per_kernel(self, checks):
+    def test_checked_once_per_kernel(self, counts):
         # the kernel's own check once, then one residual per measure, each
         # the build of a Green system
         g = cycle_chords()
@@ -468,19 +442,19 @@ class TestKernelCertificate:
             assert effective_resistance(g, "v3", "v4") == Fraction(552, 1271)
             assert resistance_in_deleted_edge(g, "c3") is not None
             assert canonical_measure(g).total_mass() == 1
-        assert checks == {"laplacian": 4}
+        assert counts["laplacian"] == 4
         assert resistance.resistance_kernel(g).certified
 
-    def test_green_build_certifies(self, checks):
+    def test_green_build_certifies(self, counts):
         g = cycle_chords()
         green_system(g, RDivisor({"v3": 1}))
-        assert checks == {"laplacian": 1}  # the build's own residual
+        assert counts["laplacian"] == 1  # the build's own residual
         assert resistance.resistance_kernel(g).certified
         effective_resistance(g, "v3", "v4")
         resistance_in_deleted_edge(g, "d1")
-        assert checks == {"laplacian": 1}
+        assert counts["laplacian"] == 1
         canonical_measure(g)  # a Green build of its own
-        assert checks == {"laplacian": 2}
+        assert counts["laplacian"] == 2
 
 
 class TestNoPairwiseResistance:
@@ -488,29 +462,17 @@ class TestNoPairwiseResistance:
     vector and the edge table alone, so neither e_invariant nor
     fiber_report asks the kernel for a resistance between points."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counter = {"resistance": 0}
-        real = resistance.ResistanceKernel.resistance
-
-        def counted(self, p, q):
-            counter["resistance"] += 1
-            return real(self, p, q)
-
-        monkeypatch.setattr(resistance.ResistanceKernel, "resistance", counted)
-        return counter
-
-    def test_e_invariant(self, calls):
+    def test_e_invariant(self, counts):
         assert e_invariant(theta_graph(), RDivisor({"P": 1, "Q": 2})) == Fraction(11, 15)
-        assert calls == {"resistance": 0}
+        assert counts["resistance"] == 0
 
-    def test_fiber_report(self, calls):
+    def test_fiber_report(self, counts):
         cfg = FiberConfiguration(
             [("A", 1), ("B", 2), ("C", 1)],
             [("n1", "A", "B"), ("n2", "B", "C"), ("s", "B", "B")],
         )
         fiber_report(cfg)
-        assert calls == {"resistance": 0}
+        assert counts["resistance"] == 0
 
 def test_concurrent_reads_match_serial():
     """Threads filling one kernel's store of Gamma entries and one Green

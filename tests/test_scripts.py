@@ -1,23 +1,28 @@
 """Each script under scripts/ runs to completion against the library."""
 
+import importlib
 import inspect
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from mg import MetrizedGraph, RDivisor, green_system, linalg, resistance
-from exact_ops import OPERATIONS, Counter
+from mg import MetrizedGraph, RDivisor, green_system, linalg
+from exact_ops import CALLS, OPERATIONS, Counter
 from faults import fault_solve
+from test_bench_smoke import SEED_1
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
-# the arguments a script runs with here: the timing script at its smallest
-# size, since its full size only repeats the same reads
-ARGS = {"read_cost.py": ["--repeats", "1", "--reads", "2"]}
+# the arguments a script runs with here: the timing scripts at their
+# smallest size, since their full size only repeats the same launches or
+# reads
+ARGS = {
+    "import_cost.py": ["--launches", "1"],
+    "read_cost.py": ["--repeats", "1", "--reads", "2"],
+}
 
 
 def test_scripts_are_found():
@@ -36,20 +41,10 @@ def test_script_runs_cleanly(script):
     assert proc.stdout.strip()
 
 
-# `scripts/exact_ops.py --seed 1`: items per pass and exact operations per
-# item, as the script prints them
-EXACT_OPS = {
-    "einv-chords": ("27", "683.7"),
-    "fiber-chains": ("15", "772.7"),
-    "point-queries": ("10", "968.0"),
-    "batch-small": ("16", "816.0"),
-}
-
-
 def test_exact_ops_at_seed_1():
-    """The exact work of one seed-1 pass of each workload is pinned, the
-    way `test_workload_solve_counts` pins its solves: a change to the exact
-    arithmetic shows here."""
+    """The script's table at seed 1 is the pass `test_bench_smoke.py` pins
+    in SEED_1: its items, and its exact operations and work W per item, as
+    the script prints them."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "exact_ops.py"), "--seed", "1"],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -57,8 +52,12 @@ def test_exact_ops_at_seed_1():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()[1:]
-    assert header.split()[:3] == ["workload", "items", "ops"]
-    assert {row.split()[0]: tuple(row.split()[1:3]) for row in rows} == EXACT_OPS
+    assert header.split()[:4] == ["workload", "items", "ops", "W"]
+    pinned = {
+        name: (f"{items}", f"{ops / items:.1f}", f"{w / items:.1f}")
+        for name, (items, *_, w, ops) in SEED_1.items()
+    }
+    assert {row.split()[0]: tuple(row.split()[1:4]) for row in rows} == pinned
 
 
 def test_counter_restores_what_it_patches():
@@ -68,10 +67,10 @@ def test_counter_restores_what_it_patches():
     `MonkeyPatch.context()` has undone it first."""
     modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
     patched = [
-        (Fraction, "__new__"), (Fraction, "__bool__"),
-        *((linalg.Factorization, name) for name in ("__init__", "solve", "_path")),
+        (linalg.Factorization, "__init__"),
         *((linalg, name) for name in OPERATIONS),
-        (resistance.ResistanceKernel, "read"), (resistance._Potential, "_row"),
+        *((getattr(importlib.import_module(module), owner), name)
+          for _, module, owner, name in CALLS),
         *((m, key) for m in modules for key in ("fast", "plain")
           if getattr(m, key, None) is getattr(linalg, key)),
     ]
