@@ -6,9 +6,12 @@ the seed given), in this process, and prints per workload the mean per
 item of:
 
 * ops: exact operations, the calls of `mg.linalg`'s `_sum`, `_product`,
-  `_submul` and `ratio` entered from outside those four, so a fused
-  multiply-subtract counts once and a division, which is a `_product`,
-  counts once, and the calls of `ResistanceKernel.read` and
+  `_submul`, `ratio` and `Factorization._back` entered from outside those
+  five, so a fused multiply-subtract counts once, a division, which is a
+  `_product`, counts once, and the back recurrence of one step, a sum
+  formed on integer parts and reduced once, counts once however many
+  terms it has, its `_sum` or `ratio` not counted again; and the calls of
+  `ResistanceKernel.read` and
   `_Potential._row`: a Green or resistance read, computed on integer parts
   and reduced once, counts once, and so does the integer row of an edge a
   potential forms on its first read inside it, each beside the operations
@@ -127,6 +130,7 @@ class Counter:
             self.patch(linalg, name, self.operation(getattr(linalg, name)))
         factorization = linalg.Factorization
         self.patch(factorization, "__init__", self.factorization(factorization.__init__))
+        self.patch(factorization, "_back", self.operation(factorization._back))
         for key, module, owner, name in CALLS:
             owner = getattr(importlib.import_module(module), owner)
             self.patch(owner, name, self.calls(key, getattr(owner, name)))

@@ -157,13 +157,23 @@ def bogomolov_radius_sq(g: int, adm) -> Fraction:
     return (g - 1) * adm
 
 
-def radius_sq_closed_form(g: int, delta) -> Fraction:
+def _check_irreducible(delta) -> None:
+    """A node of positive type disconnects its fiber, so an irreducible
+    fibration has nodes of type 0 only: raise BadDelta on a delta_i > 0
+    for i >= 1."""
+    if any(delta[1:]):
+        raise BadDelta("an irreducible fibration has nodes of type 0 only")
+
+
+def radius_sq_closed_form(g: int, delta, *, irreducible: bool = False) -> Fraction:
     """The squared-radius radicand
     (g-1)^2/(g(2g+1)) * ((g-1)/3 delta_0 + sum 4i(g-i) delta_i).
 
     Applicability (non-smooth fibration, chain fibers, hyperelliptic or at
     most one positive-type node per fiber) is the caller's to assert; the
-    CLI echoes those flags verbatim.
+    CLI echoes those flags verbatim.  An irreducible fibration's delta is
+    checked as `reference_radius_sq` checks it: a delta_i > 0 for i >= 1
+    raises BadDelta.
 
     The form takes the chain value of sum e_y, so it is the paper's radius
     on chain fibers.  It over-states the radius on the theta fiber: genus
@@ -171,6 +181,8 @@ def radius_sq_closed_form(g: int, delta) -> Fraction:
     That it never under-states stays an observation until e_y is certified
     never to fall below its chain value.
     """
+    if irreducible:
+        _check_irreducible(_check_delta(g, delta))
     inner = _combine(g, delta, lambda i: 4 * i * (g - i) if i else Fraction(g - 1, 3))
     return Fraction((g - 1) ** 2, g * (2 * g + 1)) * inner
 
@@ -188,8 +200,7 @@ def reference_radius_sq(stats: FibrationStats, *, irreducible: bool = False) -> 
     if stats.smooth:
         return Fraction(12 * (g - 1))
     if irreducible:
-        if any(stats.delta[1:]):
-            raise BadDelta("an irreducible fibration has nodes of type 0 only")
+        _check_irreducible(stats.delta)
         return Fraction((g - 1) ** 3, 3 * g * (2 * g + 1)) * stats.delta[0]
     if g == 2:
         return Fraction(2, 135) * stats.delta[0] + Fraction(2, 5) * stats.delta[1]

@@ -257,7 +257,7 @@ def _cmd_bounds(args) -> Report:
         rep.text("holds", "true" if check.holds else "false")
         return rep
     if args.which == "radius":
-        rsq = bounds_mod.radius_sq_closed_form(g, delta)
+        rsq = bounds_mod.radius_sq_closed_form(g, delta, irreducible=args.irreducible)
     else:  # reference
         rsq = bounds_mod.reference_radius_sq(stats, irreducible=args.irreducible)
     rep.value("radius^2", rsq)

@@ -33,15 +33,21 @@ parts and b's swapped, with b's sign moved to the numerator, which takes
 gcd(na, nb) and gcd(db, da), the steps of `Fraction._div`.  Its `==`
 against the same operands compares the parts, where Fraction's would first
 test the `numbers.Rational` ABC.  Every multiply-subtract s - l*x of the
-factorization and of the two recurrences is one `_submul` call: it reduces
+elimination and of the forward sweep is one `_submul` call: it reduces
 the product's parts and then the difference's exactly as `*` and `-`
 would, so it gives their parts, but builds one object and skips both
-operators' dispatch.  `fast` and `plain` convert between the two types,
-and `reciprocal` gives 1/x of a positive x in the fast type by swapping
-its parts, with no gcd; `ratio` gives n/d of two ints in it, reduced by
-one gcd, for a caller that computed on integer parts.  A plain Fraction is
-an operand as it is, since the subclass's reflected methods take
-precedence.
+operators' dispatch.  The back recurrence forms its sum on integer parts
+instead: each product reduced by its two cross gcds, and a sum of two or
+more of them taken from s over the lcm of their denominators (`lcm_sum`,
+one gcd per term for the cofactors) and reduced once, by one gcd, in
+place of the two gcds per term a reduction per term takes; a sum of one
+is `_sum`'s, whose gcd(n, g) is Henrici's and cheaper than a full gcd.
+Either gives the value in lowest terms.  `fast` and `plain` convert
+between the two types, and `reciprocal` gives 1/x of a positive x in the
+fast type by swapping its parts, with no gcd; `ratio` gives n/d of two
+ints in it, reduced by one gcd, for a caller that computed on integer
+parts, as `lcm_sum` lets a caller sum many terms.  A plain Fraction is an
+operand as it is, since the subclass's reflected methods take precedence.
 What the factorization gives, the solutions and the entries of the
 inverse, stays in the fast type for its one caller, the resistance
 kernel; what a user of the package receives is always a plain Fraction.
@@ -55,7 +61,8 @@ numerators, with no call.  With s(k) the neighbours of step k:
   steps in order, each subtracting l_ik b_k from b_i for i in s(k), then
   dividing b_k by d_k;
 * the back recurrence, `_back`, gives x_k = w_k - sum over i in s(k) of
-  l_ik x_i for one step k: run over the steps in reverse, it turns w into
+  l_ik x_i for one step k, the sum on integer parts and reduced once, as
+  above: run over the steps in reverse, it turns w into
   x = A^-1 b.  Inside one column c of A^-1, w = D^-1 L^-1 e_c is nonzero
   only on c's path to its elimination-tree root: w_c = 1/d_c, and w_k = 0
   for every k eliminated before c.
@@ -280,6 +287,19 @@ def ratio(n: int, d: int) -> _Q:
     return _q(n, d)
 
 
+def lcm_sum(terms, n: int = 0, d: int = 1) -> tuple:
+    """n/d plus the sum of the fractions (t_n, t_d) of `terms`, each
+    denominator > 0 and none needing lowest terms, as integer parts over the
+    lcm of the denominators, never their product, and not reduced: each
+    term takes one gcd, of its denominator and the running one, for the
+    cofactors.  `ratio` of the parts reduces the sum once."""
+    for tn, td in terms:
+        g = gcd(d, td)
+        m = td // g
+        n, d = n * m + tn * (d // g), d * m
+    return n, d
+
+
 _ZERO = _q(0, 1)
 
 
@@ -348,7 +368,7 @@ class Factorization:
         for k, d, mults in reversed(self.steps):
             zk = z[k]
             for i, _ in mults:
-                zk[i] = z[i][k] = self._back(0, mults, z[i])
+                zk[i] = z[i][k] = self._back(_ZERO, mults, z[i])
             zk[k] = self._back(1 / d, mults, zk)
         self._paths: dict[int, dict] = {}  # {c: w}, built by `inverse_entry`
 
@@ -367,12 +387,26 @@ class Factorization:
     def _back(s, mults, x) -> _Q:
         """s - sum of l*x[i] over the (i, l) of `mults`, a zero x[i]
         skipped: the back recurrence of one step, on a vector over the
-        vertices or on a column of Gamma."""
+        vertices or on a column of Gamma, on integer parts.  Each product
+        is reduced by its two cross gcds, as `_product` reduces it.  One
+        product is taken from s by `_sum`, whose gcd(n, g) is Henrici's;
+        two or more are summed with s over the lcm of their denominators
+        (`lcm_sum`) and reduced once (`ratio`).  s alone is returned as it
+        is."""
+        terms = []
         for i, l in mults:
             xi = x[i]
-            if xi._numerator:
-                s = _submul(s, l, xi)
-        return s
+            nb = xi._numerator
+            if nb:
+                na, da, db = l._numerator, l._denominator, xi._denominator
+                g, h = gcd(na, db), gcd(nb, da)
+                terms.append((-(na // g) * (nb // h), (da // h) * (db // g)))
+        if not terms:
+            return s
+        n, d = s._numerator, s._denominator
+        if len(terms) == 1:
+            return _sum(n, d, *terms[0])
+        return ratio(*lcm_sum(terms, n, d))
 
     def _forward(self, x: list[Fraction]) -> None:
         """x = D^-1 L^-1 x in place, over the steps in order: step k takes

@@ -38,17 +38,23 @@ its arithmetic on those.
 The kernel keeps the canonical measure the same way, once per graph: 2
 mu_can, of atom 2 - valence(v) at a vertex v and density 2 rho_e on each
 edge, spreads `canonical` = 2 m_can onto the vertices, 2 - valence(v) +
-the sum of rho_e l over the ends at v of its edges, formed in the loop
-that forms rho_e l.  Its mass `canonical_mass` is 2 by Foster's identity
-(the r_e/l sum to the number of vertices less 1), and its constant
-`canonical_constant` is k_can = integral S d(2 mu_can).  Both are summed
-from the vector on first read.  The potential of 2 mu_can is the constant
-k_can, so Gamma·2 m_can is S: L·S = 2 m_can at every vertex but the
-ground, L being the Laplacian.  A Green system (`mg.green`) forms mu's
+the sum of rho_e l over the ends at v of its edges, that is 2 - the sum of
+r_e/l, formed in the loop that forms rho_e l.  Each of these sums is
+formed on integer parts, over the lcm of its terms' denominators
+(`linalg.lcm_sum`), and reduced once (`linalg.ratio`): r_e/l from S at
+e's ends and Gamma between them, and 2 m_can at each vertex from its
+r_e/l; rho_e l = 1 - r_e/l then needs no gcd.  Its mass `canonical_mass`
+is 2 by Foster's identity (the r_e/l sum to the number of vertices less
+1), and its constant `canonical_constant` is k_can = integral S d(2
+mu_can), one sum over the edges and the vertices reduced once.  Both are
+summed from the vector on first read.  The potential of 2 mu_can is the
+constant k_can, so Gamma·2 m_can is S: L·S = 2 m_can at every vertex but
+the ground, L being the Laplacian.  A Green system (`mg.green`) forms mu's
 spread, solved vector and constant, times deg D + 2, from D's and these,
 with one solve, checks the mass and certifies the identity on every build
 by one exact residual, `ResistanceKernel.residual` on `laplacian`: L·x
-from the table's conductances in one O(E) pass, which reads nothing of the
+from the table's conductances in one O(E) pass, each vertex's sum on
+integer parts and reduced once, which reads nothing of the
 factorization.  A read that builds no Green system, a resistance,
 certifies the kernel itself, once (`ResistanceKernel.certify`): the mass,
 and L·S = 2 m_can off the ground, by the same `residual`; a Green build
@@ -303,17 +309,24 @@ class ResistanceKernel:
         diagonal = [factors.inverse_entry(i, i) for i in range(len(index))]
         # r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv, with Gamma_uv on the
         # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e l = 1 for
-        # a loop, whose r_e is 0.  2 mu_can spreads 2 - valence(v) + sum
+        # a loop, whose r_e is 0.  r_e/l is formed on integer parts over
+        # one lcm and reduced once.  2 mu_can spreads 2 - valence(v) + sum
         # over e's ends at v of rho_e l onto v, that is 2 - sum of r_e/l, to
-        # which a loop adds nothing
-        twice = self.canonical = [2] * len(index)
+        # which a loop adds nothing: each vertex's terms -r_e/l are kept
+        # and summed with 2 over one lcm, reduced once
+        terms: list[list] = [[] for _ in vertices]
         for e, (i, j, l, c) in edges.items():
             rho_l = _ONE
             if i != j:
-                r_l = (diagonal[i] + diagonal[j] - 2 * factors.inverse_entry(i, j)) * c
+                gn, gd = _parts(factors.inverse_entry(i, j))
+                n, d = linalg.lcm_sum((_parts(diagonal[i]), _parts(diagonal[j])), -2 * gn, gd)
+                r_l = linalg.ratio(n * c._numerator, d * c._denominator)
                 rho_l = 1 - r_l
-                twice[i], twice[j] = twice[i] - r_l, twice[j] - r_l
+                t = (-r_l._numerator, r_l._denominator)
+                terms[i].append(t)
+                terms[j].append(t)
             edges[e] = (i, j, l, c, rho_l)
+        self.canonical = [linalg.ratio(*linalg.lcm_sum(t, 2)) for t in terms]
         self.ground = _Potential(index, edges, diagonal, {})
         self.certified = False
         self._denominators: dict = {}
@@ -328,14 +341,22 @@ class ResistanceKernel:
     def canonical_constant(self):
         """k_can = integral S d(2 mu_can): `canonical` against S at the
         vertices, plus (rho_e l)^2 l/3 from the t(l - t) rho_e term of S on
-        each edge, where 2 mu_can has the density 2 rho_e.
+        each edge, where 2 mu_can has the density 2 rho_e.  Every term is
+        formed on integer parts, unreduced, and the sum over the lcm of
+        their denominators is reduced once.
 
         As integral r(x, .) d(2 mu_can) is k_can at every x, k_can is also
         4 tau(G), tau(G) being a quarter of the integral of S'^2
         (Baker-Rumely, Canad. J. Math. 59, 2007): tau is k_can/4, with no
         edge formula of its own."""
-        cubic = sum((r * r * l for _, _, l, _, r in self.edges.values() if r), fast(0))
-        return cubic / 3 + sum(m * s for m, s in zip(self.canonical, self.ground.at_vertex) if m)
+        terms = [
+            (r._numerator ** 2 * l._numerator, 3 * r._denominator ** 2 * l._denominator)
+            for _, _, l, _, r in self.edges.values() if r._numerator
+        ]
+        for (mn, md), (sn, sd) in zip(map(_parts, self.canonical), map(_parts, self.ground.at_vertex)):
+            if mn and sn:
+                terms.append((mn * sn, md * sd))
+        return linalg.ratio(*linalg.lcm_sum(terms))
 
     @cached_property
     def density(self) -> dict:
@@ -376,13 +397,17 @@ class ResistanceKernel:
         """L·x over all vertices, L the graph's Laplacian summed from the
         edge table's conductances in one O(E) pass, not read from the
         factorization: at v, the sum of (x_v - x_u)/l over the edges at v,
-        u being an edge's other end.  A loop adds nothing."""
-        y = [0] * len(x)
+        u being an edge's other end.  A loop adds nothing.  Each term is
+        formed on integer parts, unreduced, and each vertex's sum over the
+        lcm of their denominators is reduced once, in the fast type."""
+        terms: list[list] = [[] for _ in x]
         for i, j, _, c, _ in self.edges.values():
             if i != j:
-                d = (x[i] - x[j]) * c
-                y[i], y[j] = y[i] + d, y[j] - d
-        return y
+                (an, ad), (bn, bd) = _parts(x[i]), _parts(x[j])
+                n, d = linalg.lcm_sum(((-bn, bd),), an, ad)
+                terms[i].append((n * c._numerator, d * c._denominator))
+                terms[j].append((-n * c._numerator, d * c._denominator))
+        return [linalg.ratio(*linalg.lcm_sum(t)) for t in terms]
 
     def residual(self, x: list, m: list):
         """The first vertex but the ground, in `vertices` order, at which

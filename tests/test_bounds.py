@@ -127,6 +127,16 @@ class TestRadius:
         assert radius_sq_closed_form(2, [1, 0]) == Fraction(1, 30)
         assert radius_sq_closed_form(3, [0, 1]) == Fraction(32, 21)
 
+    def test_closed_form_irreducible_has_no_positive_type(self):
+        """An irreducible fibration's delta is checked as the reference
+        radius checks it: type-0 nodes give the plain closed form, and a
+        node of positive type raises BadDelta."""
+        assert radius_sq_closed_form(3, [1, 0], irreducible=True) == Fraction(8, 63)
+        for g, delta in ((3, [1, 2]), (2, [0, 1]), (5, [2, 0, 3])):
+            with pytest.raises(BadDelta, match="^an irreducible fibration has nodes of type 0 only$"):
+                radius_sq_closed_form(g, delta, irreducible=True)
+            assert radius_sq_closed_form(g, delta) > 0
+
     def test_closed_form_over_states_the_theta_fiber(self):
         """The closed form takes the chain value of e_y.  A genus-2 theta
         fiber (two genus-0 components, three nodes) has a larger exact e_y,

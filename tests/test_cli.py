@@ -299,6 +299,8 @@ class TestErrors:
             ["bounds", "radius", "--genus", "2", "--smooth", "--delta", "1,0"],
             # a node of type 1 on an irreducible fibration
             ["bounds", "reference", "--genus", "3", "--delta", "1,1", "--irreducible"],
+            ["bounds", "radius", "--genus", "3", "--delta", "1,2", "--hyperelliptic",
+             "--irreducible"],
         ],
     )
     def test_bad_delta_exits_2(self, capsys, argv):
@@ -459,7 +461,7 @@ class TestJson:
 # Every command's --json output, and each of the record shapes: int and
 # bool inputs, a null exact, a warning.
 JSON_CASES = [argv for argv, _ in GOLDEN_CASES] + [
-    ["bounds", "radius", "--genus", "3", "--delta", "1,2", "--hyperelliptic",
+    ["bounds", "radius", "--genus", "3", "--delta", "1,0", "--hyperelliptic",
      "--irreducible"],
     ["bounds", "reference", "--genus", "3", "--delta", "0,0", "--smooth"],
     ["fiber", "analyze", GOLDEN / "unstable.fib"],

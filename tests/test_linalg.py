@@ -10,6 +10,8 @@ must never reach a caller."""
 
 import operator
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
@@ -36,6 +38,7 @@ from mg import (
     resistance_in_deleted_edge,
 )
 from gen import frac, random_graph
+from test_reference import vertex_spread
 
 FAMILIES = ("tree", "path", "cycle", "parallel", "loops", "mixed", "dense")
 
@@ -418,3 +421,85 @@ def test_fast_type_never_leaks():
     report = fiber_report(cfg)
     values += [report.e, *report.omega.values()]
     assert [type(v) for v in values if type(v) is not Fraction] == []
+
+
+# -- big operands --------------------------------------------------------------
+
+BIG_FAMILIES = ("random", "path", "complete")
+
+
+def big_graph(rng: Random, family: str, digits: int) -> MetrizedGraph:
+    """A connected graph of the family whose lengths have parts of at most
+    `digits` digits: a `random_graph`, a path, or a complete graph."""
+    if family == "random":
+        return random_graph(rng, max_vertices=8, min_vertices=2, digits=digits)
+    n = rng.randint(2, 10 if family == "path" else 6)
+    vs = [f"v{i}" for i in range(n)]
+    pairs = [(vs[i - 1], vs[i]) for i in range(1, n)]
+    if family == "complete":
+        pairs = list(combinations(vs, 2))
+    top = 10**digits - 1
+    return MetrizedGraph(vs, [(f"e{k}", u, v, frac(rng, top, top)) for k, (u, v) in enumerate(pairs)])
+
+
+def assert_reduced(x):
+    """x is in the fast type and in lowest terms, with a positive
+    denominator: `==` on the fast type compares the parts, so an unreduced
+    value would compare unequal to the reference's, but it is checked on its
+    own too."""
+    assert type(x) is FAST
+    assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(BIG_FAMILIES),
+    digits=st.integers(1, 40),
+)
+def test_big_operands_match_dense_reference(seed, family, digits):
+    """With lengths of 1 to 40 digits, every value the back recurrence and
+    the kernel's sums form on integer parts equals the dense reference's,
+    and is in lowest terms: the selected inverse, solves, every entry off
+    the pattern, 2 m_can, k_can and L·x."""
+    rng = Random(seed)
+    g = big_graph(rng, family, digits)
+    kernel = resistance.resistance_kernel(g)
+    factors, index, n = kernel._factors, kernel.index, len(kernel.vertices)
+    lap = ref._laplacian(g, index)
+    a = [row[1:] for row in lap[1:]]
+    dense = dense_inverse(a)  # columns
+    top = 10**digits - 1
+
+    def big():
+        return Fraction(0) if rng.random() < 0.2 else frac(rng, top, top, positive=False)
+
+    # the selected inverse, as the build left it
+    for i, row in enumerate(factors._inverse):
+        for j, x in row.items():
+            assert_reduced(x)
+            assert x == dense[j][i]
+    for _ in range(2):
+        b = [big() for _ in range(n)]
+        x = factors.solve(b)
+        assert x == [0, *ref.solve_columns(a, [b[1:]])[0]]
+        for xi in x:
+            assert_reduced(xi)
+    for i in range(1, n):
+        for j in range(1, n):
+            x = factors.inverse_entry(i, j)
+            assert_reduced(x)
+            assert x == dense[j][i]
+
+    can = ref.canonical_measure(g)
+    order = ref.kernel_order(g)
+    twice = [2 * m for m in vertex_spread(g, can)]
+    assert kernel.canonical == twice
+    s = [ref.effective_resistance(g, order[0], v) for v in order]
+    k = sum(map(operator.mul, twice, s), Fraction(0))
+    k += sum((can.density(e.id) ** 2 * e.length**3 / 3 for e in g.edges), Fraction(0))
+    assert kernel.canonical_constant == k
+    x = [big() for _ in range(n)]
+    assert kernel.laplacian(x) == [sum(map(operator.mul, row, x), Fraction(0)) for row in lap]
+    for value in [*kernel.canonical, kernel.canonical_constant, *kernel.laplacian(x)]:
+        assert_reduced(value)

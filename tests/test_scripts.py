@@ -20,6 +20,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # smallest size, since their full size only repeats the same launches or
 # reads
 ARGS = {
+    "build_cost.py": ["--repeats", "1"],
     "import_cost.py": ["--launches", "1"],
     "read_cost.py": ["--repeats", "1", "--reads", "2"],
 }
@@ -68,6 +69,7 @@ def test_counter_restores_what_it_patches():
     modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
     patched = [
         (linalg.Factorization, "__init__"),
+        (linalg.Factorization, "_back"),
         *((linalg, name) for name in OPERATIONS),
         *((getattr(importlib.import_module(module), owner), name)
           for _, module, owner, name in CALLS),
