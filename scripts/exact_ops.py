@@ -10,9 +10,10 @@ item of:
   five, so a fused multiply-subtract counts once, a division, which is a
   `_product`, counts once, and the back recurrence of one step, a sum
   formed on integer parts and reduced once, counts once however many
-  terms it has, its `_sum` or `ratio` not counted again; and the calls of
-  `ResistanceKernel.read` and
-  `_Potential._row`: a Green or resistance read, computed on integer parts
+  terms it has, its `_sum` or `ratio` not counted again, and not at all
+  when every term is zero and it returns its start s as it is; and the
+  calls of `ResistanceKernel.read` and `_Potential._row`: a Green or
+  resistance read, computed on integer parts
   and reduced once, counts once, and so does the integer row of an edge a
   potential forms on its first read inside it, each beside the operations
   they call, the row's on the fast type and the entries of Gamma a read
@@ -25,14 +26,16 @@ item of:
 * bool: `Fraction.__bool__` calls, the zero tests on Fractions of either
   type;
 * new: `Fraction.__new__` calls, the plain Fractions built through the
-  normalising constructor (the fast type and `plain` never call it).
+  normalising constructor (the fast type, `plain` and `fraction` never
+  call it).
 
 `Counter` also counts, unprinted, the factorizations built (factor) and
 the calls declared in CALLS: the solves run (solve); the path vectors w =
 D^-1 L^-1 e_c built (path), one per column of Gamma that an entry off the
 selected inverse's pattern is read in; the potentials built (potential),
-the kernel's S and each Green system's h; the residual passes
-`ResistanceKernel.laplacian` makes (laplacian); the resistances read off
+the kernel's S and each Green system's h; the passes over the edge table
+that form L·x, one per `ResistanceKernel.residual` or `laplacian`
+(laplacian); the resistances read off
 the kernel between points (resistance); the bridge walks of fiber
 configurations (walk); the graphs built (graph); the connectivity
 searches over a graph (search); and the divisors moved to the normal form
@@ -71,7 +74,7 @@ CALLS = (
     ("solve", "mg.linalg", "Factorization", "solve"),
     ("path", "mg.linalg", "Factorization", "_path"),
     ("potential", "mg.resistance", "_Potential", "__init__"),
-    ("laplacian", "mg.resistance", "ResistanceKernel", "laplacian"),
+    ("laplacian", "mg.resistance", "ResistanceKernel", "_excess"),
     ("resistance", "mg.resistance", "ResistanceKernel", "resistance"),
     ("walk", "mg.fibers", "_Walk", "__init__"),
     ("graph", "mg.graphs", "MetrizedGraph", "__init__"),
@@ -91,16 +94,21 @@ class Counter:
         self.depth = 0  # > 0 inside a counted operation
         self.saved = []
 
-    def operation(self, f):
+    def operation(self, f, returns_first=False):
+        """f counted as one operation when entered from outside every
+        counted operation; with `returns_first`, a call that returns its
+        first argument itself, having summed nothing, counts nothing."""
         def counted(*args):
             if self.depth:
                 return f(*args)
-            self.n["ops"] += 1
             self.depth += 1
             try:
-                return f(*args)
+                r = f(*args)
             finally:
                 self.depth -= 1
+            if not (returns_first and r is args[0]):
+                self.n["ops"] += 1
+            return r
         return counted
 
     def calls(self, key, f):
@@ -130,7 +138,7 @@ class Counter:
             self.patch(linalg, name, self.operation(getattr(linalg, name)))
         factorization = linalg.Factorization
         self.patch(factorization, "__init__", self.factorization(factorization.__init__))
-        self.patch(factorization, "_back", self.operation(factorization._back))
+        self.patch(factorization, "_back", self.operation(factorization._back, True))
         for key, module, owner, name in CALLS:
             owner = getattr(importlib.import_module(module), owner)
             self.patch(owner, name, self.calls(key, getattr(owner, name)))

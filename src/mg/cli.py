@@ -145,11 +145,13 @@ def _write_json(write, records: list):
 def _read(path) -> str:
     """The text of a UTF-8 file.  Anything but a regular file is rejected
     before it is opened (opening a FIFO blocks, and a device may never end);
-    that, and an unreadable or undecodable file, is an input error."""
+    that, and an unreadable or undecodable file, is an input error.  A
+    regular file is then opened and read directly, with no `Path` built."""
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise UnreadableFile(f"{path}: not a regular file")
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as exc:
         raise UnreadableFile(f"{path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

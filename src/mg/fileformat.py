@@ -44,6 +44,7 @@ from .errors import (
 from .bounds import check_genus
 from .fibers import FiberConfiguration, fiber_genus
 from .graphs import GraphPoint, MetrizedGraph, RDivisor
+from .linalg import fraction
 
 GRAPH_HEADER = "metrized_graph"
 FIBER_HEADER = "fiber"
@@ -67,15 +68,16 @@ _ONE = Fraction(1)
 def parse_rational(token: str) -> Fraction:
     """An integer or p/q, optionally negative, with at most
     MAX_RATIONAL_DIGITS digits in each part; nothing else (no decimals,
-    exponents, underscores or spaces).  The value is built from the
-    matched parts, so the token is scanned once."""
+    exponents, underscores or spaces).  The value is a plain Fraction in
+    lowest terms, built from the matched ints by `linalg.fraction`, with
+    one gcd and without Fraction's normalising constructor, so the token
+    is scanned once."""
     match = _RATIONAL.fullmatch(token)
     if match:
         p, q = match.groups()
-        if q is None:
-            return Fraction(int(p))
-        if int(q):
-            return Fraction(int(p), int(q))
+        q = 1 if q is None else int(q)
+        if q:
+            return fraction(int(p), q)
     raise BadRational(
         f"cannot parse {token!r} as a rational (p/q or an integer, "
         f"at most {MAX_RATIONAL_DIGITS} digits each)"

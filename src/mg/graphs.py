@@ -147,7 +147,7 @@ class MetrizedGraph:
         for e in self.edges:
             if e.u not in self.vertex_set or e.v not in self.vertex_set:
                 raise DanglingEndpoint(f"edge {e.id!r} has a missing endpoint")
-            if e.length <= 0:
+            if e.length.numerator <= 0:
                 raise NonpositiveLength(
                     f"edge {e.id!r} has length {e.length}"
                 )

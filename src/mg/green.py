@@ -39,20 +39,23 @@ the vertices (`_potential` of `mg.resistance`).  The kernel keeps 2 mu_can
 spread over the vertices as 2 m_can, with its mass and its constant k_can,
 and Gamma·2 m_can is S, the kernel's `ground`: so mu's spread m_mu =
 n/(deg D + 2), n = m_D + 2 m_can, and its solved vector x_mu = Gamma·m_mu
-= y/(deg D + 2), y = x_D + S, are O(V) arithmetic.  The build keeps n and
-y unscaled and divides by deg D + 2 only where a value is read: once in
-j_D, and per vertex only in the readers that need x_mu or m_mu, h, j at a
-vertex and `measure`.  j is k + S - 2 x_mu at a vertex, and no potential
-is formed to build a system: j_D at D's vertex points is one dot product
-with y, divided once.  Every build runs the mass check, (deg D + mass of
-2 mu_can)/(deg D + 2) = 1, that is a mass of 2 for 2 mu_can, Foster's
-identity on the kernel, and the certificate of `GreenSystem._certify`,
-one exact residual L·y = n on the kernel's edge table
-(`ResistanceKernel.residual`), L·x_mu = m_mu times deg D + 2, in place
-of a second solve; it marks the kernel certified.  The measure object is
-not built then: `GreenSystem.measure` builds it on its first read and
-checks it against the build, and it is the one path to a measure,
-`admissible_measure` and `canonical_measure` included.  The reads' h is
+= y/(deg D + 2), y = x_D + S, are O(V) arithmetic.  The build keeps m_D
+and y unscaled, never forms n, and divides by deg D + 2 only where a value
+is read: once in j_D, and per vertex only in the readers that need x_mu or
+m_mu, h, j at a vertex and `measure`.  j is k + S - 2 x_mu at a vertex,
+and no potential is formed to build a system: j_D at D's vertex points is
+one dot product with y, divided once.  Every build runs the mass check,
+(deg D + mass of 2 mu_can)/(deg D + 2) = 1, that is a mass of 2 for 2
+mu_can, Foster's identity on the kernel, and the certificate of
+`GreenSystem._certify`, one exact residual L·y = m_D + 2 m_can on the
+kernel's edge table (`ResistanceKernel.residual`, given m_D and 2 m_can
+as two vectors), L·x_mu = m_mu times deg D + 2, in place of a second
+solve: each vertex's L·y - n is one sum on integer parts, tested for zero
+on its numerator and reduced only if it fails.  It marks the kernel
+certified.  The measure object is not built then: `GreenSystem.measure`
+builds it on its first read and checks it against the build, and it is
+the one path to a measure, `admissible_measure` and `canonical_measure`
+included.  The reads' h is
 a `_Potential`, the type of S, built from its vertex values, coefficients
 and tents by the first read that needs it and kept on the system.  Building a Green system, which every e(G, D) pays
 for, runs on arrays indexed by vertex in the fast rational type of
@@ -143,9 +146,9 @@ class GreenSystem:
     fast type, raising DegreeMinusTwo if it is -2, takes the graph's
     resistance kernel and checks that mu has mass 1 from the kernel's mass
     of 2 mu_can.  It spreads D over the vertices (`_potential`), as m_D,
-    forms n = m_D + 2 m_can from the kernel's 2 m_can, and solves once,
-    x_D = Gamma·m_D.  As Gamma·2 m_can is S, y = x_D + S is Gamma·n; n
-    and y are m_mu and x_mu times deg D + 2, kept unscaled.  Then it
+    and solves once, x_D = Gamma·m_D.  As Gamma·2 m_can is S, y = x_D + S
+    is Gamma·n, n = m_D + 2 m_can; n and y are m_mu and x_mu times deg D
+    + 2, and y is kept unscaled, as is m_D, and n is never formed.  Then it
     certifies that y is Gamma·n, by the residual L·y = n, and so that
     g(D, y) + g(y, y) is constant (`_certify`), raising
     ConstancyViolation if not, and marks the kernel certified.
@@ -197,9 +200,9 @@ class GreenSystem:
         atoms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
         m_d, s_d, self._inside = _potential(kernel, atoms)
         # delta_D + 2 mu_can spreads and integrates S as D and the kernel's
-        # 2 mu_can do, and Gamma·2 m_can is S: so n and y are mu's spread
-        # m_mu and solved vector x_mu times deg D + 2
-        self._n = list(map(add, m_d, kernel.canonical))
+        # 2 mu_can do, and Gamma·2 m_can is S: so m_D + 2 m_can and y are
+        # mu's spread m_mu and solved vector x_mu times deg D + 2
+        self._m_d = m_d
         y = self._y = list(map(add, kernel.solve(m_d), kernel.ground.at_vertex))
         # r_D = r(D, .) is s_d + deg(D) S - 2 x_D at a vertex, so 2F = scale
         # j - r_D is 2C = scale k - s_d = k_can at every vertex for this
@@ -232,11 +235,14 @@ class GreenSystem:
         """Check that y = x_D + S is Gamma·n, n = m_D + 2 m_can: that L·y
         (`ResistanceKernel.residual`, L summed from the edge table, not
         read from the factorization) equals n at every vertex but the
-        ground, in the kernel's vertex order, exactly, in the fast type of
-        `mg.linalg`.  y and n are x_mu and m_mu times deg D + 2, so this is
-        L·x_mu == m_mu times deg D + 2, and no vertex's value is divided to
-        check it.  y is 0 at the ground vertex by construction, as `solve`
-        and Gamma's ground column are, and the grounded Laplacian of a
+        ground, in the kernel's vertex order, exactly.  The residual is
+        given m_D and the kernel's 2 m_can as two vectors, so n is never
+        formed, and each vertex's L·y - n is one sum on integer parts over
+        the lcm of its terms' denominators, zero iff its numerator is; a
+        failing vertex alone is reduced.  y and n are x_mu and m_mu times
+        deg D + 2, so this is L·x_mu == m_mu times deg D + 2, and no
+        vertex's value is divided to check it.  y is 0 at the ground
+        vertex by construction, as `solve` and Gamma's ground column are, and the grounded Laplacian of a
         connected graph is invertible: so the check passes iff x_mu = y/(deg
         D + 2) is exactly Gamma·m_mu.
 
@@ -271,7 +277,8 @@ class GreenSystem:
         which the build does not use, is checked where it is built, by
         `measure`.
         """
-        bad = self._kernel.residual(self._y, self._n)
+        kernel = self._kernel
+        bad = kernel.residual(self._y, self._m_d, kernel.canonical)
         if bad:
             v, a, b = bad
             raise ConstancyViolation(
@@ -288,8 +295,10 @@ class GreenSystem:
         an atom inside an edge at each point of D there and nowhere else,
         of D's coefficient over deg D + 2; and a vertex spread, atoms as
         `_potential` spreads them and half of each density on each end,
-        equal to the certified m_mu.  Any failure raises
-        ConstancyViolation, and a later read builds and checks again."""
+        equal to the certified m_mu, (m_D + 2 m_can)/(deg D + 2), which it
+        forms itself from the build's m_D and the kernel's 2 m_can.  Any
+        failure raises ConstancyViolation, and a later read builds and
+        checks again."""
         d, scale, kernel = self.divisor, self._scale, self._kernel
         mu = _measure(self.graph, d, scale - 2)
         mass = mu.total_mass()
@@ -310,8 +319,8 @@ class GreenSystem:
             half = mu.density(e.id) * e.length / 2
             m[kernel.index[e.u]] += half
             m[kernel.index[e.v]] += half
-        for v, a, n in zip(kernel.vertices, m, self._n):
-            b = n / scale
+        for v, a, m_d, m_can in zip(kernel.vertices, m, self._m_d, kernel.canonical):
+            b = (m_d + m_can) / scale
             if a != b:
                 raise ConstancyViolation(f"measure spreads {a} onto vertex {v!r}, not {b}")
         return mu

@@ -46,7 +46,9 @@ Either gives the value in lowest terms.  `fast` and `plain` convert
 between the two types, and `reciprocal` gives 1/x of a positive x in the
 fast type by swapping its parts, with no gcd; `ratio` gives n/d of two
 ints in it, reduced by one gcd, for a caller that computed on integer
-parts, as `lcm_sum` lets a caller sum many terms.  A plain Fraction is an
+parts, as `lcm_sum` lets a caller sum many terms, and `fraction` gives
+the same as a plain Fraction, for the reader of `mg.fileformat`, which
+builds each rational from the ints it matched.  A plain Fraction is an
 operand as it is, since the subclass's reflected methods take precedence.
 What the factorization gives, the solutions and the entries of the
 inverse, stays in the fast type for its one caller, the resistance
@@ -312,6 +314,15 @@ def plain(x) -> Fraction:
     return f
 
 
+def fraction(n: int, d: int) -> Fraction:
+    """n/d as a plain Fraction, for ints n and d > 0, reduced by one gcd
+    and built without Fraction's normalising constructor."""
+    g = gcd(n, d)
+    f = _new(Fraction)
+    f._numerator, f._denominator = n // g, d // g
+    return f
+
+
 class Factorization:
     """The LDL^T steps of the Laplacian of a graph on the vertices 0..n-1,
     given as one (i, j, c) per edge of conductance c and grounded at vertex
@@ -363,13 +374,16 @@ class Factorization:
 
         # the selected inverse: z[i][j] = (a^-1)_ij for i = j and every
         # (i, j) on the filled pattern, by the back recurrence over the
-        # steps in reverse; `inverse_entry` adds the entries it computes
+        # steps in reverse; `inverse_entry` adds the entries it computes.
+        # 1/d_k of a positive pivot is its parts swapped, and a step with
+        # no multipliers, a root of the elimination tree, stores it as it is
         z = self._inverse = [{} for _ in range(n)]
         for k, d, mults in reversed(self.steps):
             zk = z[k]
             for i, _ in mults:
                 zk[i] = z[i][k] = self._back(_ZERO, mults, z[i])
-            zk[k] = self._back(1 / d, mults, zk)
+            r = reciprocal(d)
+            zk[k] = self._back(r, mults, zk) if mults else r
         self._paths: dict[int, dict] = {}  # {c: w}, built by `inverse_entry`
 
     def solve(self, b: list[Fraction]) -> list[Fraction]:

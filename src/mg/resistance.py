@@ -43,22 +43,27 @@ r_e/l, formed in the loop that forms rho_e l.  Each of these sums is
 formed on integer parts, over the lcm of its terms' denominators
 (`linalg.lcm_sum`), and reduced once (`linalg.ratio`): r_e/l from S at
 e's ends and Gamma between them, and 2 m_can at each vertex from its
-r_e/l; rho_e l = 1 - r_e/l then needs no gcd.  Its mass `canonical_mass`
-is 2 by Foster's identity (the r_e/l sum to the number of vertices less
-1), and its constant `canonical_constant` is k_can = integral S d(2
-mu_can), one sum over the edges and the vertices reduced once.  Both are
-summed from the vector on first read.  The potential of 2 mu_can is the
-constant k_can, so Gamma·2 m_can is S: L·S = 2 m_can at every vertex but
-the ground, L being the Laplacian.  A Green system (`mg.green`) forms mu's
-spread, solved vector and constant, times deg D + 2, from D's and these,
-with one solve, checks the mass and certifies the identity on every build
-by one exact residual, `ResistanceKernel.residual` on `laplacian`: L·x
-from the table's conductances in one O(E) pass, each vertex's sum on
-integer parts and reduced once, which reads nothing of the
-factorization.  A read that builds no Green system, a resistance,
-certifies the kernel itself, once (`ResistanceKernel.certify`): the mass,
-and L·S = 2 m_can off the ground, by the same `residual`; a Green build
-that passes marks the kernel certified.  A measure is a Green system's
+r_e/l; rho_e l = 1 - r_e/l then needs no gcd.  Its mass `canonical_mass`,
+one such sum over the vertices, is 2 by Foster's identity (the r_e/l sum
+to the number of vertices less 1), and its constant `canonical_constant`
+is k_can = integral S d(2 mu_can), one sum over the edges and the
+vertices reduced once.  Both are summed from the vector on first read.
+The potential of 2 mu_can is the constant k_can, so Gamma·2 m_can is S:
+L·S = 2 m_can at every vertex but the ground, L being the Laplacian.  A
+Green system (`mg.green`) forms mu's spread, solved vector and constant,
+times deg D + 2, from D's and these, with one solve, checks the mass and
+certifies the identity on every build by one exact residual,
+`ResistanceKernel.residual`: L·x - m at each vertex,
+from the table's conductances and the terms of m, which may be given as
+several vectors, in one O(E) pass that reads nothing of the
+factorization.  Each vertex's L·x - m is one sum on integer parts over
+the lcm of its terms' denominators, and the check is that its numerator
+is 0: nothing is reduced and no reduced values are compared, but at a
+vertex that fails, whose two sides are reduced to name them.  A read
+that builds no Green system, a resistance, certifies the kernel itself,
+once (`ResistanceKernel.certify`): the mass, and L·S = 2 m_can off the
+ground, by the same `residual`; a Green build that passes marks the
+kernel certified.  A measure is a Green system's
 (`mg.green.admissible_measure`), so it is certified by its own build.
 
 Every read is `ResistanceKernel.read` on a potential f, f(x) + f(y) + k
@@ -87,11 +92,11 @@ graph's edge order, i and j the indices of the ends and the rest in the
 fast type.  rho_e itself is formed from rho_e l and 1/l where it is read:
 by a potential's row, and for every edge by `density`, on its first read.
 Only this module reads the table's rows: the kernel's build, its canonical
-constant, `density`, `laplacian` and every potential's rows.  Gamma is
-never formed densely.  The kernel factors the Laplacian once, from the
-table's conductances (`mg.linalg`), and the factorization keeps its
-selected inverse, which holds Gamma exactly on the diagonal, on every pair
-of adjacent vertices and on the fill: so every r_e and density, and S,
+constant, `density`, the residual's pass and every potential's rows.
+Gamma is never formed densely.  The kernel factors the Laplacian once,
+from the table's conductances (`mg.linalg`), and the factorization keeps
+its selected inverse, which holds Gamma exactly on the diagonal, on every
+pair of adjacent vertices and on the fill: so every r_e and density, and S,
 whose value at a vertex v is Gamma_vv, and 2 m_can, in O(nnz(L)) on a
 graph that factors with no fill.  A potential of a measure needs only that
 diagonal, the table and one solve, Gamma·m.  Gamma at any other pair, as X
@@ -255,10 +260,10 @@ class ResistanceKernel:
     densities (the module docstring gives both layouts).  `density` is
     rho_e as a plain Fraction, formed on first use.  `canonical` is
     2 mu_can spread over the vertices, 2 m_can, with `canonical_mass` and
-    `canonical_constant` summed from it on first read.  `laplacian` is L·x
-    from the table, `residual` the check on it that certifies a solved
-    vector, and `certify` checks the kernel by it, once, unless a Green
-    build has.
+    `canonical_constant` summed from it on first read.  `residual` is the
+    check of L·x against a right side, from the table, that certifies a
+    solved vector, `laplacian` is L·x itself, and `certify` checks the
+    kernel by the residual, once, unless a Green build has.
 
     Gamma is the inverse of the Laplacian grounded at v_0, the vertex with
     the most distinct neighbours other than itself, the first in
@@ -333,9 +338,10 @@ class ResistanceKernel:
 
     @cached_property
     def canonical_mass(self):
-        """The mass of 2 mu_can, summed from `canonical`: 2 by Foster's
+        """The mass of 2 mu_can, summed from `canonical` on integer parts,
+        over the lcm of its denominators, and reduced once: 2 by Foster's
         identity, as the r_e/l sum to the number of vertices less 1."""
-        return sum(self.canonical)
+        return linalg.ratio(*linalg.lcm_sum(map(_parts, self.canonical)))
 
     @cached_property
     def canonical_constant(self):
@@ -394,29 +400,53 @@ class ResistanceKernel:
         return self._factors.solve(m)
 
     def laplacian(self, x: list) -> list:
-        """L·x over all vertices, L the graph's Laplacian summed from the
-        edge table's conductances in one O(E) pass, not read from the
-        factorization: at v, the sum of (x_v - x_u)/l over the edges at v,
-        u being an edge's other end.  A loop adds nothing.  Each term is
-        formed on integer parts, unreduced, and each vertex's sum over the
-        lcm of their denominators is reduced once, in the fast type."""
+        """L·x over all vertices, L the graph's Laplacian: at v, the sum of
+        (x_v - x_u)/l over the edges at v, u being an edge's other end, a
+        loop adding nothing.  Each vertex's sum is `_excess`'s, reduced
+        once, in the fast type."""
+        return [linalg.ratio(n, d) for n, d in self._excess(x, ())]
+
+    def _excess(self, x: list, ms) -> list:
+        """(L·x - the sum of the vectors of `ms`) at every vertex, as
+        integer parts (n, d), d > 0, not reduced: one O(E) pass over the
+        edge table's conductances, which reads nothing of the
+        factorization.  Each edge's term (x_v - x_u)/l and each nonzero
+        entry of the vectors is formed on integer parts, and each vertex's
+        terms are summed over the lcm of their denominators
+        (`linalg.lcm_sum`)."""
         terms: list[list] = [[] for _ in x]
+        for m in ms:
+            for t, (n, d) in zip(terms, map(_parts, m)):
+                if n:
+                    t.append((-n, d))
         for i, j, _, c, _ in self.edges.values():
             if i != j:
+                # x_i - x_j over lcm(ad, bd), times c = 1/l
                 (an, ad), (bn, bd) = _parts(x[i]), _parts(x[j])
-                n, d = linalg.lcm_sum(((-bn, bd),), an, ad)
-                terms[i].append((n * c._numerator, d * c._denominator))
-                terms[j].append((-n * c._numerator, d * c._denominator))
-        return [linalg.ratio(*linalg.lcm_sum(t)) for t in terms]
+                g = gcd(ad, bd)
+                q = bd // g
+                n = (an * q - bn * (ad // g)) * c._numerator
+                d = ad * q * c._denominator
+                terms[i].append((n, d))
+                terms[j].append((-n, d))
+        return [linalg.lcm_sum(t) for t in terms]
 
-    def residual(self, x: list, m: list):
+    def residual(self, x: list, *ms: list):
         """The first vertex but the ground, in `vertices` order, at which
-        L·x (`laplacian`, one pass) and m differ, as (vertex, (L·x)_v,
-        m_v), or None if they agree at every one: for an x that is 0 at the
-        ground, as Gamma·m is, the exact check that x is Gamma·m."""
-        lap = self.laplacian(x)
-        pairs = zip(self.vertices[1:], lap[1:], m[1:])
-        return next(((v, a, b) for v, a, b in pairs if a != b), None)
+        L·x and m, the sum of the vectors `ms`, differ, as (vertex,
+        (L·x)_v, m_v), or None if they agree at every one: for an x that is
+        0 at the ground, as Gamma·m is, the exact check that x is Gamma·m.
+        Each vertex's L·x - m is one unreduced sum (`_excess`, one pass),
+        tested for zero on its numerator: nothing is reduced and no
+        reduced values are compared, but at a vertex that fails, whose two
+        sides are then reduced to name them."""
+        excess = self._excess(x, ms)
+        for i in range(1, len(excess)):
+            n, d = excess[i]
+            if n:
+                m = sum(v[i] for v in ms)
+                return self.vertices[i], linalg.ratio(n, d) + m, m
+        return None
 
     def entry(self, i: int, j: int) -> Fraction:
         """Gamma_ij as a plain Fraction."""

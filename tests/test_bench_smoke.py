@@ -21,10 +21,10 @@ from exact_ops import count  # noqa: E402
 # over the factorizations and the exact operations.  `scripts/exact_ops.py
 # --seed 1` prints ops and W per item (`test_exact_ops_at_seed_1`)
 SEED_1 = {
-    "einv-chords": (27, 27, 27, 0, 3364, 9450),
-    "fiber-chains": (15, 15, 15, 0, 1155, 9410),
-    "point-queries": (10, 10, 10, 111, 796, 6842),
-    "batch-small": (16, 176, 176, 0, 780, 10146),
+    "einv-chords": (27, 27, 27, 0, 3364, 8036),
+    "fiber-chains": (15, 15, 15, 0, 1155, 7715),
+    "point-queries": (10, 10, 10, 111, 796, 6389),
+    "batch-small": (16, 176, 176, 0, 780, 7629),
 }
 
 

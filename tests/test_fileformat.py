@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -486,12 +487,15 @@ DIGITS = st.text("0123456789", min_size=1, max_size=MAX_RATIONAL_DIGITS)
 )
 def test_parse_rational_reads_what_fraction_reads(sign, p, q):
     """Every token the grammar accepts, signs, -0 and leading zeros
-    included, parses to what Fraction parses it to; a zero denominator is
-    a BadRational."""
+    included, parses to what Fraction parses it to: a plain Fraction in
+    lowest terms, its denominator positive, hashing as Fraction's does.  A
+    zero denominator is a BadRational."""
     token = sign + p if q is None else f"{sign}{p}/{q}"
     if q is not None and not int(q):
         with pytest.raises(BadRational):
             parse_rational(token)
     else:
-        value = parse_rational(token)
-        assert type(value) is Fraction and value == Fraction(token)
+        value, expected = parse_rational(token), Fraction(token)
+        assert type(value) is Fraction and value == expected
+        n, d = value.numerator, value.denominator
+        assert d > 0 and gcd(n, d) == 1 and hash(value) == hash(expected)

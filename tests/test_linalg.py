@@ -503,3 +503,35 @@ def test_big_operands_match_dense_reference(seed, family, digits):
     assert kernel.laplacian(x) == [sum(map(operator.mul, row, x), Fraction(0)) for row in lap]
     for value in [*kernel.canonical, kernel.canonical_constant, *kernel.laplacian(x)]:
         assert_reduced(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(BIG_FAMILIES),
+    digits=st.integers(1, 40),
+    changes=st.integers(0, 3),
+)
+def test_residual_matches_reduced_comparison(seed, family, digits, changes):
+    """`residual` tests each vertex's L·x - m for zero on its unreduced
+    numerator.  With 1- to 40-digit lengths, and S and 2 m_can perturbed at
+    up to three entries, it names the same first failing vertex, with the
+    same two sides, as a comparison of the reference's reduced L·x with m,
+    whether m is given whole or as the sum of two vectors."""
+    rng = Random(seed)
+    g = big_graph(rng, family, digits)
+    kernel = resistance.resistance_kernel(g)
+    top = 10**digits - 1
+    x, m = list(kernel.ground.at_vertex), list(kernel.canonical)
+    n = len(x)
+    for _ in range(changes):
+        changed = rng.choice((x, m))
+        changed[rng.randrange(n)] += frac(rng, top, top, positive=False)
+    lap = [sum(map(operator.mul, row, x), Fraction(0)) for row in ref._laplacian(g, kernel.index)]
+    expected = next(((kernel.vertices[i], lap[i], m[i]) for i in range(1, n) if lap[i] != m[i]), None)
+    part = [frac(rng, top, top, positive=False) if rng.random() < 0.5 else 0 for _ in range(n)]
+    rest = [a - b for a, b in zip(m, part)]
+    assert kernel.residual(x, m) == expected
+    assert kernel.residual(x, part, rest) == expected
+    if changes == 0:
+        assert expected is None
