@@ -5,29 +5,29 @@ Runs every item of every pool of `bench/workloads.py` once, at seed 1 (or
 the seed given), in this process, and prints per workload the mean per
 item of:
 
-* ops: exact operations, the calls of `mg.linalg`'s `_sum`, `_product`,
+* ops: exact operations, the calls of `mg.linalg`'s `_sum`, `product`,
   `_submul`, `ratio` and `Factorization._back` entered from outside those
   five, so a fused multiply-subtract counts once, a division, which is a
-  `_product`, counts once, and the back recurrence of one step, a sum
+  `product`, counts once, and the back recurrence of one step, a sum
   formed on integer parts and reduced once, counts once however many
   terms it has, its `_sum` or `ratio` not counted again, and not at all
-  when every term is zero and it returns its start s as it is; and the
+  when every term is zero and it returns its start s as it is, each
+  counted in every `mg` module that imports it; and the
   calls of `ResistanceKernel.read` and `_Potential._row`: a Green or
   resistance read, computed on integer parts
   and reduced once, counts once, and so does the integer row of an edge a
   potential forms on its first read inside it, each beside the operations
-  they call, the row's on the fast type and the entries of Gamma a read
-  computes on first touch;
+  they call, the row's reduction of its coefficient and the entries of
+  Gamma a read computes on first touch;
 * W: the work of the factorizations built, W = sum over their steps k of
   |s(k)|^2 + |s(k)| + 1, s(k) the neighbours of step k, which bounds the
   operations of factoring and of the selected inverse up to a constant;
-* fast, plain: conversions to and from the fast rational type, counted in
-  every `mg` module that imports them;
-* bool: `Fraction.__bool__` calls, the zero tests on Fractions of either
-  type;
-* new: `Fraction.__new__` calls, the plain Fractions built through the
-  normalising constructor (the fast type, `plain` and `fraction` never
-  call it).
+* bool: `Fraction.__bool__` calls, the zero tests on Fractions;
+* new: `Fraction.__new__` calls, the Fractions built through the
+  normalising constructor, which `mg.linalg`'s builders never call and
+  which, on Python 3.11 and earlier, every Fraction operator's result
+  goes through: so a pass whose `new` is 0 forms none of its values by
+  Fraction's operators.
 
 `Counter` also counts, unprinted, the factorizations built (factor) and
 the calls declared in CALLS: the solves run (solve); the path vectors w =
@@ -61,8 +61,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OPERATIONS = ("_sum", "_product", "_submul", "ratio")
-COUNTS = ("ops", "W", "fast", "plain", "bool", "new")  # the printed columns
+OPERATIONS = ("_sum", "product", "_submul", "ratio")
+COUNTS = ("ops", "W", "bool", "new")  # the printed columns
 
 
 # the counted calls: (key, module, owner, attribute), each call of the
@@ -134,21 +134,20 @@ class Counter:
     def __enter__(self):
         from mg import linalg
 
+        # an operation is counted in every module of `mg` that imports it
+        modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
         for name in OPERATIONS:
-            self.patch(linalg, name, self.operation(getattr(linalg, name)))
+            real = getattr(linalg, name)
+            wrapper = self.operation(real)
+            for module in modules:
+                if getattr(module, name, None) is real:
+                    self.patch(module, name, wrapper)
         factorization = linalg.Factorization
         self.patch(factorization, "__init__", self.factorization(factorization.__init__))
         self.patch(factorization, "_back", self.operation(factorization._back, True))
         for key, module, owner, name in CALLS:
             owner = getattr(importlib.import_module(module), owner)
             self.patch(owner, name, self.calls(key, getattr(owner, name)))
-        modules = [m for k, m in sys.modules.items() if k == "mg" or k.startswith("mg.")]
-        for key in ("fast", "plain"):
-            real = getattr(linalg, key)
-            wrapper = self.calls(key, real)
-            for module in modules:
-                if getattr(module, key, None) is real:
-                    self.patch(module, key, wrapper)
         return self
 
     def __exit__(self, *exc):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Mutation check of `mg`: which small changes to `src/mg` the tests catch.
 
-A site is one place in `src/mg` where one of three mutations applies:
+A site is one place in `src/mg` where one of four mutations applies:
 
 * operator: an arithmetic or bitwise operator swapped, in an expression or
   an augmented assignment (+ and -, * and //, / to *, % to //, ** to *,
@@ -9,7 +9,10 @@ A site is one place in `src/mg` where one of three mutations applies:
 * comparison: one operator of a comparison flipped to its negation (== and
   !=, < and >=, > and <=, is and is not, in and not in);
 * constant: an int literal moved by one, up and down (n -> n + 1 and
-  n -> n - 1), bools excepted.
+  n -> n - 1), bools excepted;
+* truth: the test of an `if`, a `while` or a conditional expression
+  negated, when it is not a comparison, which the flip above negates
+  (x -> not x, and not x -> x).
 
 The default run lists every site, one a line, with its module, line,
 function and mutation, then the counts, and runs no mutant: each costs a
@@ -73,6 +76,11 @@ _ROOT_LOW = ("the root's lowlink is never compared: a bridge test reads the "
 ALLOWLIST = {
     ("fibers.py", "_Walk.__init__", "low = {root: 0}", "0 -> 1"): _ROOT_LOW,
     ("fibers.py", "_Walk.__init__", "low = {root: 0}", "0 -> -1"): _ROOT_LOW,
+    ("linalg.py", "Factorization._back", "if len(terms) == 1:", "1 -> 0"):
+        "terms is never empty there, so every sum takes the lcm path, which "
+        "gives the same value in lowest terms: the one-term path saves work only",
+    ("linalg.py", "Factorization._back", "return _sum(n, d, *terms[0])", "0 -> -1"):
+        "terms has one entry there, so terms[-1] is terms[0]",
 }
 
 
@@ -139,6 +147,15 @@ def sites_of(path: Path, tree: ast.Module) -> list:
             for step in (1, -1):
                 new = node.value + step
                 add(node, scope, "constant", f"{node.value} -> {new}", _set(node, "value", new))
+        elif isinstance(node, (ast.If, ast.While, ast.IfExp)) and not isinstance(
+            node.test, ast.Compare
+        ):
+            test = node.test
+            if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
+                add(node, scope, "truth", "not x -> x", _set(node, "test", test.operand))
+            else:
+                negated = ast.UnaryOp(ast.Not(), test)
+                add(node, scope, "truth", "x -> not x", _set(node, "test", negated))
     return found
 
 
@@ -197,7 +214,7 @@ def main(argv=None):
         for s in sites:
             reason = ALLOWLIST.get(s.key())
             print(f"{s}  [equivalent: {reason}]" if reason else s)
-        kinds = {k: sum(s.kind == k for s in sites) for k in ("operator", "comparison", "constant")}
+        kinds = {k: sum(s.kind == k for s in sites) for k in ("operator", "comparison", "constant", "truth")}
         print(f"{len(sites)} sites: " + ", ".join(f"{n} {k}" for k, n in kinds.items())
               + f"; {len(sites) - len(pool)} allowlisted; no mutant run (--sample N runs N)")
         return 0

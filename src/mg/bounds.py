@@ -20,6 +20,7 @@ from .errors import (
     RegimeUnspecified,
     SizeMismatch,
 )
+from .linalg import ratio
 
 # Largest genus accepted.  A delta vector has g // 2 + 1 entries, so a genus
 # read from input would otherwise size an unbounded allocation.
@@ -50,9 +51,10 @@ def _combine(g: int, delta, coeff) -> Fraction:
 
 
 def chain_e_coefficient(g: int, i: int) -> Fraction:
-    """The e_y of a chain fiber per unit length of a type-i node in genus g:
-    (g-1)/(3g) for type 0 and 4i(g-i)/g - 1 otherwise."""
-    return Fraction(4 * i * (g - i) - g, g) if i else Fraction(g - 1, 3 * g)
+    """The e_y of a chain fiber per unit length of a type-i node in genus
+    g >= 2: (g-1)/(3g) for type 0 and 4i(g-i)/g - 1 otherwise, reduced by
+    one gcd."""
+    return ratio(4 * i * (g - i) - g, g) if i else ratio(g - 1, 3 * g)
 
 
 class FibrationStats(Record):

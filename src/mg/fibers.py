@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graphs import MetrizedGraph, RDivisor
 from .green import e_invariant
-from .linalg import fast, plain
+from .linalg import lcm_sum, parts, ratio
 
 
 class Component(Frozen):
@@ -99,7 +99,7 @@ class FiberConfiguration:
         )
         # omega's coefficient 2 genus - 2 + valence at each component
         self._omega = {
-            c.id: plain(2 * c.genus - 2 + graph.valence(c.id))
+            c.id: ratio(2 * c.genus - 2 + graph.valence(c.id), 1)
             for c in self.components
         }
 
@@ -239,22 +239,23 @@ def fiber_e(cfg: FiberConfiguration) -> Fraction:
 def fiber_e_closed_form(cfg: FiberConfiguration) -> Fraction:
     """e_y for a chain of stable components, from the node types alone:
     each type-0 node contributes (g-1)/(3g) per unit length and each type-i
-    node 4i(g-i)/g - 1 per unit length.  The node lengths are summed per
-    type, in the fast rational type of `mg.linalg`, so e_y is one product
-    per node type, returned as a plain Fraction."""
+    node 4i(g-i)/g - 1 per unit length.  The node lengths of each type are
+    one sum on integer parts, over the lcm of their denominators, and each
+    type's coefficient is formed once, so e_y is one product per node type,
+    the products summed likewise and reduced once (`mg.linalg`)."""
     walk = cfg._walk
     if not walk.is_chain:
         raise NotAChain("fiber is not a chain of stable components")
     g = fiber_genus(cfg)
-    types, zero = walk.types, fast(0)
-    lengths = {}
+    types = walk.types
+    lengths: dict[int, list] = {}
     for n in cfg.nodes:
-        t = types[n.id]
-        lengths[t] = lengths.get(t, zero) + n.length
-    e = zero
-    for t, length in lengths.items():
-        e += chain_e_coefficient(g, t) * length
-    return plain(e)
+        lengths.setdefault(types[n.id], []).append(parts(n.length))
+    terms = []
+    for t, listed in lengths.items():
+        (an, ad), (ln, ld) = parts(chain_e_coefficient(g, t)), lcm_sum(listed)
+        terms.append((an * ln, ad * ld))
+    return ratio(*lcm_sum(terms))
 
 
 class FiberReport(Record):

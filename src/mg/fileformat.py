@@ -44,7 +44,7 @@ from .errors import (
 from .bounds import check_genus
 from .fibers import FiberConfiguration, fiber_genus
 from .graphs import GraphPoint, MetrizedGraph, RDivisor
-from .linalg import fraction
+from .linalg import ratio
 
 GRAPH_HEADER = "metrized_graph"
 FIBER_HEADER = "fiber"
@@ -69,7 +69,7 @@ def parse_rational(token: str) -> Fraction:
     """An integer or p/q, optionally negative, with at most
     MAX_RATIONAL_DIGITS digits in each part; nothing else (no decimals,
     exponents, underscores or spaces).  The value is a plain Fraction in
-    lowest terms, built from the matched ints by `linalg.fraction`, with
+    lowest terms, built from the matched ints by `linalg.ratio`, with
     one gcd and without Fraction's normalising constructor, so the token
     is scanned once."""
     match = _RATIONAL.fullmatch(token)
@@ -77,7 +77,7 @@ def parse_rational(token: str) -> Fraction:
         p, q = match.groups()
         q = 1 if q is None else int(q)
         if q:
-            return fraction(int(p), q)
+            return ratio(int(p), q)
     raise BadRational(
         f"cannot parse {token!r} as a rational (p/q or an integer, "
         f"at most {MAX_RATIONAL_DIGITS} digits each)"

@@ -82,7 +82,7 @@ class GraphPoint(Frozen):
 
     @classmethod
     def on_edge(cls, edge: EdgeId, offset) -> "GraphPoint":
-        return cls(edge=edge, offset=Fraction(offset))
+        return cls(edge=edge, offset=offset if type(offset) is Fraction else Fraction(offset))
 
     @property
     def is_vertex(self) -> bool:

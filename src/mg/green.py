@@ -57,24 +57,25 @@ builds it on its first read and checks it against the build, and it is
 the one path to a measure, `admissible_measure` and `canonical_measure`
 included.  The reads' h is
 a `_Potential`, the type of S, built from its vertex values, coefficients
-and tents by the first read that needs it and kept on the system.  Building a Green system, which every e(G, D) pays
-for, runs on arrays indexed by vertex in the fast rational type of
-`mg.linalg`, and so do h and the reads of j; a Green value is computed on
-the integer parts of those values.  A value becomes a plain Fraction where
-a caller receives it: the measure, c and j_D once, and each value a read
-returns.
+and tents by the first read that needs it and kept on the system.  Building
+a Green system, which every e(G, D) pays for, runs on arrays of Fractions
+indexed by vertex, and so does h: each of their sums is formed on integer
+parts, over the lcm of its terms' denominators, and reduced once
+(`mg.linalg`), and a division by deg D + 2 is a product with the parts of
+its reciprocal, its sign moved to the numerator.  A Green value is
+computed on the integer parts of those values.  The measure alone, which
+no build needs, is formed by Fraction's own operators.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import add
 
 from ._record import Record
 from .errors import ConstancyViolation, DegreeMinusTwo
 from .graphs import GraphPoint, MetrizedGraph, RDivisor
-from .linalg import fast, plain
+from .linalg import lcm_sum, parts, ratio
 from .resistance import _Potential, _potential, effective_resistance, resistance_kernel
 
 _ZERO = Fraction(0)  # the measure's default atom and density, built once
@@ -119,33 +120,31 @@ def admissible_measure(g: MetrizedGraph, d: RDivisor) -> AdmissibleMeasure:
     rho_e from the graph's resistance kernel.  It is the `measure` of the
     Green system of (g, d): built by `_measure` and checked against the
     system's certified build, so every measure returned has passed the
-    certificate and the checks of `GreenSystem.measure`.  The values are
-    computed on the fast rational type of `mg.linalg` and kept as plain
-    Fractions.
+    certificate and the checks of `GreenSystem.measure`.
     """
     return GreenSystem(g, d).measure
 
 
 def _measure(g: MetrizedGraph, d: RDivisor, deg) -> AdmissibleMeasure:
     """mu from its formula, unchecked, for a divisor already relocated onto
-    g by `check_point`, of degree deg != -2 in the fast type: the builder
-    that `GreenSystem.measure` calls and then checks."""
+    g by `check_point`, of degree deg != -2: the builder that
+    `GreenSystem.measure` calls and then checks."""
     scale = deg + 2
-    coeff = {p.vertex: fast(a) for p, a in d.items() if p.is_vertex}
-    atoms = {v: plain((coeff.get(v, 0) + 2 - g.valence(v)) / scale) for v in g.vertex_list}
-    atoms.update((p, plain(a / scale)) for p, a in d.items() if not p.is_vertex)
+    coeff = {p.vertex: a for p, a in d.items() if p.is_vertex}
+    atoms = {v: (coeff.get(v, 0) + 2 - g.valence(v)) / scale for v in g.vertex_list}
+    atoms.update((p, a / scale) for p, a in d.items() if not p.is_vertex)
     two = 2 / scale
     density = resistance_kernel(g).density.items()
-    return AdmissibleMeasure(g, atoms, {e: plain(rho * two) for e, rho in density})
+    return AdmissibleMeasure(g, atoms, {e: rho * two for e, rho in density})
 
 
 class GreenSystem:
     """Solved state for a fixed (G, D): evaluates g_(G,D) at point pairs.
 
-    Construction relocates D onto the graph once, sums deg D once in the
-    fast type, raising DegreeMinusTwo if it is -2, takes the graph's
-    resistance kernel and checks that mu has mass 1 from the kernel's mass
-    of 2 mu_can.  It spreads D over the vertices (`_potential`), as m_D,
+    Construction relocates D onto the graph once, sums deg D once,
+    raising DegreeMinusTwo if it is -2, takes the graph's resistance
+    kernel and checks that mu has mass 1 from the kernel's mass of 2
+    mu_can.  It spreads D over the vertices (`_potential`), as m_D,
     and solves once, x_D = Gamma·m_D.  As Gamma·2 m_can is S, y = x_D + S
     is Gamma·n, n = m_D + 2 m_can; n and y are m_mu and x_mu times deg D
     + 2, and y is kept unscaled, as is m_D, and n is never formed.  Then it
@@ -158,18 +157,18 @@ class GreenSystem:
     Baker-Rumely 2007), k = (sum a_i S(P_i) + k_can)/(deg D + 2) being
     mu's constant and S the kernel's `ground`: g(D, y) = 2c - j(y),
     g(D, D) = 2 deg(D) c - j_D and e(G, D) = j_D = sum a_i j(P_i).  All of
-    this runs in the fast rational type of `mg.linalg`; c and j_D are
-    converted to plain Fractions once, at the end, and y is kept in the
-    fast type for reads, each of which returns a plain Fraction.  j_D
-    divides by deg D + 2 once, and nothing else in the build divides a
-    vertex's value.  No measure object is built: `measure` is a cached
-    property, built and checked by its first read.
+    this runs on integer parts, each sum reduced once, and a division by
+    deg D + 2 multiplies by the parts of its reciprocal, kept with its sign
+    on the numerator; y is kept for reads, each of which returns a
+    Fraction.  j_D divides by deg D + 2 once, and nothing else in the build
+    divides a vertex's value.  No measure object is built: `measure` is a
+    cached property, built and checked by its first read.
 
     g(x, y) = h(x) + h(y) + X(x, y) - c, with h = (j - S)/2 and S, X the
     kernel's form for r (`mg.resistance`): one `ResistanceKernel.read` on
-    h, with k = 1 and the constant -c, kept in the fast type, gives it as
-    a plain Fraction, tent included, from Gamma at up to four pairs of
-    endpoints and a row of h per point, on integer parts reduced once.
+    h, with k = 1 and the constant -c, kept, gives it as a Fraction, tent
+    included, from Gamma at up to four pairs of endpoints and a row of h
+    per point, on integer parts reduced once.
     h is the `_Potential` with the values k/2 - x_mu at the vertices, x_mu
     = y/(deg D + 2), the coefficient -rho_e/(deg D + 2), half mu's
     density, on each edge, formed by the first read inside the edge, and a
@@ -186,16 +185,18 @@ class GreenSystem:
     def __init__(self, graph: MetrizedGraph, divisor: RDivisor):
         self.graph = graph
         d = self.divisor = divisor.relocate(graph.check_point)
-        deg = sum((a for _, a in d.items()), fast(0))
+        deg = self.degree = ratio(*lcm_sum(parts(a) for _, a in d.items()))
         if deg == -2:
             raise DegreeMinusTwo("divisor has degree -2")
-        self.degree = plain(deg)
         kernel = self._kernel = resistance_kernel(graph)
-        scale = self._scale = deg + 2
+        # 1/(deg D + 2) as parts (un, ud), its sign moved to un: a value is
+        # divided by deg D + 2 as a product with them
+        sn, sd = deg.numerator + 2 * deg.denominator, deg.denominator
+        un, ud = self._reciprocal = (sd, sn) if sn > 0 else (-sd, -sn)
         # mu's mass (deg D + mass of 2 mu_can)/(deg D + 2) is 1 iff the
         # mass of 2 mu_can is 2
         if kernel.canonical_mass != 2:
-            mass = (deg + kernel.canonical_mass) / scale
+            mass = (deg + kernel.canonical_mass) / (deg + 2)
             raise ConstancyViolation(f"measure has total mass {mass}, not 1")
         atoms = {p.vertex if p.is_vertex else p: a for p, a in d.items()}
         m_d, s_d, self._inside = _potential(kernel, atoms)
@@ -203,33 +204,40 @@ class GreenSystem:
         # 2 mu_can do, and Gamma·2 m_can is S: so m_D + 2 m_can and y are
         # mu's spread m_mu and solved vector x_mu times deg D + 2
         self._m_d = m_d
-        y = self._y = list(map(add, kernel.solve(m_d), kernel.ground.at_vertex))
+        y = self._y = []
+        for x, s in zip(kernel.solve(m_d), kernel.ground.at_vertex):
+            xn, xd = parts(x)
+            y.append(ratio(*lcm_sum(((xn, xd),), *parts(s))) if xn else s)
         # r_D = r(D, .) is s_d + deg(D) S - 2 x_D at a vertex, so 2F = scale
         # j - r_D is 2C = scale k - s_d = k_can at every vertex for this
         # x_mu, and `_certify` checks that it is Gamma·m_mu
         twice_c = kernel.canonical_constant
-        k = self._k = (s_d + twice_c) / scale
+        n, m = lcm_sum((parts(s_d),), *parts(twice_c))
+        k = self._k = ratio(n * un, m * ud)
         self._certify()
         kernel.certified = True
         # j = 2h + S, h being k/2 - x_mu at a vertex, and s_d = sum a_i
         # S(P_i): so j_D = s_d + deg(D) k - 2 sum a_i x_mu(P_i), the sum one
         # dot product with y over D's vertex points, divided by deg D + 2,
         # and a point inside an edge adds a_i (2 h(P_i) - k) instead of a
-        # term of the sum
-        dot = fast(0)
-        j_d = s_d + deg * k
+        # term of the sum; every term goes into one sum, reduced once
+        kn, kd = parts(k)
+        terms = [parts(s_d), (deg.numerator * kn, deg.denominator * kd)]
         for p, a in d.items():
+            an, ad = parts(a)
             if p.is_vertex:
-                dot += a * y[kernel.index[p.vertex]]
+                yn, yd = parts(y[kernel.index[p.vertex]])
+                terms.append((-2 * an * yn * un, ad * yd * ud))
             else:
-                j_d += a * (2 * self._h.read(p)[1] - k)
-        j_d -= 2 * dot / scale
-        self._j_d = plain(j_d)
+                hn, hd = parts(self._h.read(p)[1])
+                terms += [(2 * an * hn, ad * hd), (-an * kn, ad * kd)]
+        j_d = self._j_d = ratio(*lcm_sum(terms))
         # with F = C certified, j = (2C + r_D)/(deg D + 2) everywhere, and
         # integral r_D dmu = j_D, so c_mu = (1/2) integral j dmu is this
-        c = (twice_c + j_d) / (2 * scale)
-        self.c = plain(c)
-        self._minus_c = -c  # the constant of every read, in the fast type
+        n, m = lcm_sum((parts(j_d),), *parts(twice_c))
+        c = self.c = ratio(n * un, 2 * m * ud)
+        # the constant of every read
+        self._minus_c = ratio(-c.numerator, c.denominator)
 
     def _certify(self) -> None:
         """Check that y = x_D + S is Gamma·n, n = m_D + 2 m_can: that L·y
@@ -281,9 +289,10 @@ class GreenSystem:
         bad = kernel.residual(self._y, self._m_d, kernel.canonical)
         if bad:
             v, a, b = bad
+            scale = self.degree + 2
             raise ConstancyViolation(
-                f"g(D,y) + g(y,y) is not constant: L x_mu is {a / self._scale} "
-                f"but m_mu is {b / self._scale} at {GraphPoint.at_vertex(v)!r}"
+                f"g(D,y) + g(y,y) is not constant: L x_mu is {a / scale} "
+                f"but m_mu is {b / scale} at {GraphPoint.at_vertex(v)!r}"
             )
 
     @cached_property
@@ -299,7 +308,7 @@ class GreenSystem:
         forms itself from the build's m_D and the kernel's 2 m_can.  Any
         failure raises ConstancyViolation, and a later read builds and
         checks again."""
-        d, scale, kernel = self.divisor, self._scale, self._kernel
+        d, scale, kernel = self.divisor, self.degree + 2, self._kernel
         mu = _measure(self.graph, d, scale - 2)
         mass = mu.total_mass()
         if mass != 1:
@@ -333,18 +342,23 @@ class GreenSystem:
         coefficient -rho_e/scale, half mu's density, on each edge, and half
         of j's tents, mu's atoms a/scale at D's points a inside edges, as S
         has none; built by the first read that needs it."""
-        kernel, k, scale = self._kernel, self._k / 2, self._scale
-        inside = {e: [(s, a / scale) for s, a in atoms] for e, atoms in self._inside.items()}
-        at_vertex = [k - y / scale for y in self._y]
-        return _Potential(kernel.index, kernel.edges, at_vertex, inside, -1 / scale)
+        kernel, (un, ud), (kn, kd) = self._kernel, self._reciprocal, parts(self._k)
+        inside = {
+            e: [(s, ratio(a.numerator * un, a.denominator * ud)) for s, a in atoms]
+            for e, atoms in self._inside.items()
+        }
+        at_vertex = [
+            ratio(*lcm_sum(((-yn * un, yd * ud),), kn, 2 * kd)) for yn, yd in map(parts, self._y)
+        ]
+        return _Potential(kernel.index, kernel.edges, at_vertex, inside, ratio(-un, ud))
 
     def _j(self, y: GraphPoint):
-        """j(y), in the fast type, for y in the normal form of
-        `check_point`: k + S(y) - 2 x_mu(y) at a vertex, x_mu being the
-        build's x_D + S over deg D + 2, and 2 h(y) + S(y) inside an edge."""
+        """j(y), for y in the normal form of `check_point`: k + S(y) - 2
+        x_mu(y) at a vertex, x_mu being the build's x_D + S over deg D + 2,
+        and 2 h(y) + S(y) inside an edge."""
         (i, _, _), s = self._kernel.ground.read(y)
         if y.is_vertex:
-            return self._k + s - 2 * self._y[i] / self._scale
+            return self._k + s - 2 * self._y[i] / (self.degree + 2)
         return 2 * self._h.read(y)[1] + s
 
     def eval(self, x, y) -> Fraction:
@@ -357,7 +371,7 @@ class GreenSystem:
 
     def green_of_divisor(self, y) -> Fraction:
         """g(D, y) = sum of a_i g(P_i, y) = 2c - j(y): one potential read."""
-        return plain(2 * self.c - self._j(self.graph.check_point(y)))
+        return 2 * self.c - self._j(self.graph.check_point(y))
 
     def pairing_dd(self) -> Fraction:
         """g(D, D) = sum over i of a_i g(D, P_i) = 2 deg(D) c - j_D."""

@@ -20,39 +20,34 @@ Laplacian this is Kron (star-mesh) reduction, and degree-1 and degree-2
 vertices go first (series reduction), so trees and chains, loops and all,
 factor with no fill.
 
-The arithmetic runs on `_Q`, a private subclass of Fraction: the caller
-gives the conductances in it, and the steps and the two recurrences below
-compute on it.  Its `+ - * /` against an int or a Fraction apply the gcd
-steps of `fractions` (Henrici, J. ACM 3, 1956) to the parts directly and
-skip `fractions`' per-operation dispatch and normalising constructor, so
-each result has exactly the numerator and denominator Fraction would give,
-at a third to a half of the cost on small operands; on big operands the
-gcds dominate and the two cost the same.  There are two reductions, `_sum`
-and `_product`, and a division is a product: a/b is `_product` of a's
-parts and b's swapped, with b's sign moved to the numerator, which takes
-gcd(na, nb) and gcd(db, da), the steps of `Fraction._div`.  Its `==`
-against the same operands compares the parts, where Fraction's would first
-test the `numbers.Rational` ABC.  Every multiply-subtract s - l*x of the
-elimination and of the forward sweep is one `_submul` call: it reduces
-the product's parts and then the difference's exactly as `*` and `-`
-would, so it gives their parts, but builds one object and skips both
-operators' dispatch.  The back recurrence forms its sum on integer parts
+Every value is a plain Fraction, built from its parts without the
+normalising constructor of `fractions`, and every step works on those
+parts.  There are two reductions, `_sum` and `product`, which apply the
+gcd steps of `fractions` (Henrici, J. ACM 3, 1956), so each result has
+exactly the numerator and denominator Fraction's `+` and `*` would give,
+at a third to a half of their cost on small operands, as they skip
+`fractions`' per-operation dispatch; on big operands the gcds dominate and
+the two cost the same.  A division is a product: a/d of a positive pivot
+d is `product` of a's parts and d's swapped, the steps of `Fraction._div`.
+Every multiply-subtract s - l*x of the elimination and of the forward
+sweep is one `_submul` call: it reduces the product's parts and then the
+difference's exactly as `*` and `-` would, so it gives their parts, but
+builds one object.  The back recurrence forms its sum on integer parts
 instead: each product reduced by its two cross gcds, and a sum of two or
 more of them taken from s over the lcm of their denominators (`lcm_sum`,
 one gcd per term for the cofactors) and reduced once, by one gcd, in
 place of the two gcds per term a reduction per term takes; a sum of one
 is `_sum`'s, whose gcd(n, g) is Henrici's and cheaper than a full gcd.
-Either gives the value in lowest terms.  `fast` and `plain` convert
-between the two types, and `reciprocal` gives 1/x of a positive x in the
-fast type by swapping its parts, with no gcd; `ratio` gives n/d of two
-ints in it, reduced by one gcd, for a caller that computed on integer
-parts, as `lcm_sum` lets a caller sum many terms, and `fraction` gives
-the same as a plain Fraction, for the reader of `mg.fileformat`, which
-builds each rational from the ints it matched.  A plain Fraction is an
-operand as it is, since the subclass's reflected methods take precedence.
-What the factorization gives, the solutions and the entries of the
-inverse, stays in the fast type for its one caller, the resistance
-kernel; what a user of the package receives is always a plain Fraction.
+Either gives the value in lowest terms.  Each diagonal entry of the
+Laplacian is summed the same way, over the lcm of its conductances'
+denominators, and reduced once.  `reciprocal` gives 1/x of a positive x
+by swapping its parts, with no gcd, `ratio` gives n/d of two ints,
+reduced by one gcd, for a caller that computed on integer parts, as
+`lcm_sum` lets a caller sum many terms, and `parts` gives the numerator
+and denominator of an int or a Fraction: the other modules of the
+package form their sums so, and their products of two reduced values by
+`product`, and the reader of `mg.fileformat` builds each rational from
+the ints it matched.
 
 What is exact where: every value read off the factorization comes from
 two recurrences over its steps, each written once, as a method of
@@ -72,7 +67,7 @@ numerators, with no call.  With s(k) the neighbours of step k:
 Its uses:
 
 * `solve(b)` gives Gamma b exactly, for any b of ints and Fractions over
-  all vertices, in the fast type: b is converted to it, but for the ground
+  all vertices: b's ints are converted to Fractions, but for the ground
   vertex's entry, which Gamma's zero column never reads, then the forward
   sweep and the back recurrence at every step in reverse.
 * A `Factorization` keeps the entries of A^-1 it knows, and `inverse_entry`
@@ -83,7 +78,7 @@ Its uses:
   z_ij for i in s(k), in column i, and z_kk = 1/d_k - sum over i in s(k)
   of l_ik z_ik.  s(k) is a clique of the filled pattern, eliminated after
   k, so every z_ij it reads is already known (Takahashi, Fagan & Chin
-  1973).  Each entry is stored in the fast type.
+  1973).
 * `inverse_entry(i, j)` computes any other entry, and keeps it: the
   recurrence off the pattern, inside the column c of the later eliminated
   of i and j, with w from the forward sweep on e_c.  The entry at row b
@@ -95,7 +90,7 @@ Its uses:
 
 Contract: `Factorization(n, conductances)` takes a graph on the vertices
 0..n-1, n >= 1, as one (i, j, c) per edge, c > 0 its conductance in the
-fast type.  A is its Laplacian with vertex 0's row and column removed, the
+a Fraction.  A is its Laplacian with vertex 0's row and column removed, the
 ground: parallel edges add, a loop conducts nothing, and Gamma = A^-1 is
 extended by 0 in the ground's row and column.  Vertices 1..n-1 are
 eliminated; a zero pivot raises ValueError("singular system"), which
@@ -119,99 +114,15 @@ from math import gcd
 _new = object.__new__
 
 
-class _Q(Fraction):
-    """A Fraction whose arithmetic skips `fractions`' per-operation dispatch.
-
-    `+ - * /`, their reflected forms, unary minus and `==`, against an int
-    or a Fraction, work on the parts as the module docstring states, and
-    the hash is Fraction's, so equal values hash alike.  Any other operand
-    and every other method (ordering, str, `**`) is Fraction's own; `**`
-    returns a plain Fraction.
-    """
-
-    __slots__ = ()
-
-    def __add__(a, b):
-        t = type(b)
-        if t is _Q or t is Fraction:
-            return _sum(a._numerator, a._denominator, b._numerator, b._denominator)
-        if t is int:
-            return _q(a._numerator + b * a._denominator, a._denominator)
-        return Fraction.__add__(a, b)
-
-    # _sum and _product give the same parts with their operands swapped
-    __radd__ = __add__
-
-    def __sub__(a, b):
-        t = type(b)
-        if t is _Q or t is Fraction:
-            return _sum(a._numerator, a._denominator, -b._numerator, b._denominator)
-        if t is int:
-            return _q(a._numerator - b * a._denominator, a._denominator)
-        return Fraction.__sub__(a, b)
-
-    def __rsub__(a, b):
-        t = type(b)
-        if t is _Q or t is Fraction:
-            return _sum(b._numerator, b._denominator, -a._numerator, a._denominator)
-        if t is int:
-            return _q(b * a._denominator - a._numerator, a._denominator)
-        return Fraction.__rsub__(a, b)
-
-    def __mul__(a, b):
-        t = type(b)
-        if t is _Q or t is Fraction:
-            return _product(a._numerator, a._denominator, b._numerator, b._denominator)
-        if t is int:
-            return _product(a._numerator, a._denominator, b, 1)
-        return Fraction.__mul__(a, b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(a, b):
-        t = type(b)
-        if (t is _Q or t is Fraction) and b._numerator:
-            n, d = b._numerator, b._denominator
-        elif t is int and b:
-            n, d = b, 1
-        else:
-            return Fraction.__truediv__(a, b)  # raises ZeroDivisionError on 0
-        if n < 0:
-            n, d = -n, -d
-        return _product(a._numerator, a._denominator, d, n)
-
-    def __rtruediv__(a, b):  # b / a for b an int or a plain Fraction
-        t = type(b)
-        n, d = a._numerator, a._denominator
-        if n and (t is int or t is Fraction):
-            if n < 0:
-                n, d = -n, -d
-            return _product(b.numerator, b.denominator, d, n)
-        return Fraction.__rtruediv__(a, b)  # raises ZeroDivisionError on 0
-
-    def __neg__(a):
-        return _q(-a._numerator, a._denominator)
-
-    def __eq__(a, b):
-        t = type(b)
-        if t is _Q or t is Fraction:
-            return a._numerator == b._numerator and a._denominator == b._denominator
-        if t is int:
-            return a._denominator == 1 and a._numerator == b
-        return Fraction.__eq__(a, b)
-
-    __hash__ = Fraction.__hash__
-
-
-def _q(n: int, d: int) -> _Q:
-    """n/d as a _Q, for n and d coprime and d > 0."""
-    x = _new(_Q)
+def _q(n: int, d: int) -> Fraction:
+    """n/d as a Fraction, for n and d coprime and d > 0, built as it is."""
+    x = _new(Fraction)
     x._numerator = n
     x._denominator = d
     return x
 
 
-def _sum(na: int, da: int, nb: int, db: int) -> _Q:
+def _sum(na: int, da: int, nb: int, db: int) -> Fraction:
     """na/da + nb/db, both in lowest terms, reduced as `Fraction._add`
     reduces it."""
     g = gcd(da, db)
@@ -226,13 +137,13 @@ def _sum(na: int, da: int, nb: int, db: int) -> _Q:
         else:
             n //= g
             d = s * (db // g)
-    x = _new(_Q)
+    x = _new(Fraction)
     x._numerator = n
     x._denominator = d
     return x
 
 
-def _product(na: int, da: int, nb: int, db: int) -> _Q:
+def product(na: int, da: int, nb: int, db: int) -> Fraction:
     """(na/da) * (nb/db), both in lowest terms, reduced as `Fraction._mul`
     reduces it."""
     g = gcd(na, db)
@@ -243,16 +154,15 @@ def _product(na: int, da: int, nb: int, db: int) -> _Q:
     if g > 1:
         nb //= g
         da //= g
-    x = _new(_Q)
+    x = _new(Fraction)
     x._numerator = na * nb
     x._denominator = da * db
     return x
 
 
-def _submul(s, a, b) -> _Q:
-    """s - a*b for a and b in lowest terms (Fractions, fast or not) and s
-    such a value or an int: the parts of `_product` then `_sum`, with one
-    object built and no operator dispatch."""
+def _submul(s, a, b) -> Fraction:
+    """s - a*b for Fractions a and b and s a Fraction or an int: the parts
+    of `product` then `_sum`, with one object built."""
     na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
     g = gcd(na, db)
     if g > 1:
@@ -267,26 +177,27 @@ def _submul(s, a, b) -> _Q:
     return _sum(s._numerator, s._denominator, -na * nb, da * db)
 
 
-def fast(x) -> _Q:
-    """An int or a Fraction as the same value in the fast type."""
-    if type(x) is _Q:
-        return x
-    return _q(x.numerator, x.denominator)
-
-
-def reciprocal(x) -> _Q:
-    """1/x in the fast type, for x > 0 an int or a Fraction: its parts
-    swapped, which are already coprime, so no gcd is taken."""
+def reciprocal(x) -> Fraction:
+    """1/x for x > 0 an int or a Fraction: its parts swapped, which are
+    already coprime, so no gcd is taken."""
     return _q(x.denominator, x.numerator)
 
 
-def ratio(n: int, d: int) -> _Q:
-    """n/d in the fast type, for ints n and d > 0, reduced by one gcd."""
+def ratio(n: int, d: int) -> Fraction:
+    """n/d for ints n and d > 0, reduced by one gcd and built without
+    Fraction's normalising constructor."""
     g = gcd(n, d)
     if g > 1:
         n //= g
         d //= g
     return _q(n, d)
+
+
+def parts(x) -> tuple:
+    """The numerator and denominator of an int or a Fraction."""
+    if isinstance(x, int):
+        return x, 1
+    return x._numerator, x._denominator
 
 
 def lcm_sum(terms, n: int = 0, d: int = 1) -> tuple:
@@ -305,24 +216,6 @@ def lcm_sum(terms, n: int = 0, d: int = 1) -> tuple:
 _ZERO = _q(0, 1)
 
 
-def plain(x) -> Fraction:
-    """An int or a Fraction (of the fast type or not) as a plain Fraction
-    of the same value."""
-    f = _new(Fraction)
-    f._numerator = x.numerator
-    f._denominator = x.denominator
-    return f
-
-
-def fraction(n: int, d: int) -> Fraction:
-    """n/d as a plain Fraction, for ints n and d > 0, reduced by one gcd
-    and built without Fraction's normalising constructor."""
-    g = gcd(n, d)
-    f = _new(Fraction)
-    f._numerator, f._denominator = n // g, d // g
-    return f
-
-
 class Factorization:
     """The LDL^T steps of the Laplacian of a graph on the vertices 0..n-1,
     given as one (i, j, c) per edge of conductance c and grounded at vertex
@@ -332,17 +225,23 @@ class Factorization:
 
     def __init__(self, n: int, conductances):
         # c adds to the diagonal at both ends and -c to the pair, so
-        # parallel edges add and a loop conducts nothing; every sum starts
-        # from the int 0, so its first term takes the fast type's int path
+        # parallel edges add and a loop conducts nothing; each diagonal
+        # entry is one sum on integer parts, reduced once, and the ground
+        # vertex has no row or column
         self.n = n
-        diag = [0] * n
+        diag: list = [[] for _ in range(n)]
         adj: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for i, j, c in conductances:
             if i != j:
-                diag[i] += c
-                diag[j] += c
-                if i and j:  # the ground vertex has no row or column
-                    adj[i][j] = adj[j][i] = adj[i].get(j, 0) - c
+                cn, cd = c._numerator, c._denominator
+                diag[i].append((cn, cd))
+                diag[j].append((cn, cd))
+                if i and j:
+                    x = adj[i].get(j)
+                    adj[i][j] = adj[j][i] = (
+                        _q(-cn, cd) if x is None else _sum(x._numerator, x._denominator, -cn, cd)
+                    )
+        diag = [_ZERO, *(ratio(*lcm_sum(t)) if t else _ZERO for t in diag[1:])]
 
         # steps of the factorization: (pivot index, d_k, [(i, l_ik)]), and
         # each index's position among them, -1 until it is eliminated
@@ -354,13 +253,16 @@ class Factorization:
             degree, k = heapq.heappop(heap)
             if order[k] >= 0 or degree != len(adj[k]):
                 continue
+            # a pivot is never negative, the Laplacian being semidefinite:
+            # x/d is x times d's parts swapped
             d = diag[k]
-            if not d:  # the int 0 too, at a vertex with no edge
+            dn, dd = d._numerator, d._denominator
+            if not dn:
                 raise ValueError("singular system")
             nbrs = list(adj[k].items())
             mults = []
             for p, (i, x) in enumerate(nbrs):
-                l = x / d
+                l = product(x._numerator, x._denominator, dd, dn)
                 mults.append((i, l))
                 row = adj[i]
                 del row[k]
@@ -387,22 +289,22 @@ class Factorization:
         self._paths: dict[int, dict] = {}  # {c: w}, built by `inverse_entry`
 
     def solve(self, b: list[Fraction]) -> list[Fraction]:
-        """x = Gamma·b over all n vertices, in the fast type: b[0] is not
+        """x = Gamma·b over all n vertices, as Fractions: b[0] is not
         read, and x[0] is 0."""
         if len(b) != self.n:
             raise ValueError("right-hand side length mismatch")
-        x = [_ZERO, *map(fast, b[1:])]
+        x = [_ZERO, *(_q(v, 1) if type(v) is int else v for v in b[1:])]
         self._forward(x)
         for k, _, mults in reversed(self.steps):
             x[k] = self._back(x[k], mults, x)
         return x
 
     @staticmethod
-    def _back(s, mults, x) -> _Q:
+    def _back(s, mults, x) -> Fraction:
         """s - sum of l*x[i] over the (i, l) of `mults`, a zero x[i]
         skipped: the back recurrence of one step, on a vector over the
         vertices or on a column of Gamma, on integer parts.  Each product
-        is reduced by its two cross gcds, as `_product` reduces it.  One
+        is reduced by its two cross gcds, as `product` reduces it.  One
         product is taken from s by `_sum`, whose gcd(n, g) is Henrici's;
         two or more are summed with s over the lcm of their denominators
         (`lcm_sum`) and reduced once (`ratio`).  s alone is returned as it
@@ -431,12 +333,12 @@ class Factorization:
             if xk._numerator:
                 for i, l in mults:
                     x[i] = _submul(x[i], l, xk)
-                x[k] = xk / d
+                x[k] = product(xk._numerator, xk._denominator, d._denominator, d._numerator)
 
     def inverse_entry(self, i: int, j: int) -> Fraction:
-        """Gamma_ij in the fast type, read from the entries known, which
-        keep every entry computed for it; the int 0 in the ground vertex's
-        row and column, which stores nothing.
+        """Gamma_ij, read from the entries known, which keep every entry
+        computed for it; 0 in the ground vertex's row and column, which
+        stores nothing.
 
         An entry not yet known is solved for inside one column c, the later
         eliminated of i and j, at row b, the other.  x = a^-1 e_c has
@@ -448,7 +350,7 @@ class Factorization:
         store an entry or a path store equal ones.
         """
         if not (i and j):
-            return 0
+            return _ZERO
         z = self._inverse
         x = z[i].get(j)
         if x is not None:

@@ -75,10 +75,10 @@ row, Gamma's entries as their numerators and denominators, X's three
 lerps and the final sum each over the lcm of its terms' denominators,
 never their product, and one gcd, which builds the plain Fraction it
 returns without Fraction's normalising constructor.  A read so costs one
-reduction where the fast type took about 24, each with its own gcds
+reduction where Fraction operators took about 24, each with its own gcds
 (`scripts/read_cost.py`, on a shared 2-core x86-64 host, Python 3.11):
 on the seed-1 point-queries pool, 3.4 to 7.8 us in steady state where the
-fast type took 4.0 to 20.5, and on K12 with 40-digit lengths, whose
+operators took 4.0 to 20.5, and on K12 with 40-digit lengths, whose
 operands run to 17 000 bits, 0.35 to 1.3 ms where it took 1.4 to 3.8 and
 where products in place of the lcms took 4.2 to 10.  The reads of one
 graph have few distinct denominators, so the kernel keeps the first 64 it
@@ -88,8 +88,8 @@ point-queries values against 11.8 unshared.
 
 Each length is converted once, into the kernel's edge table
 `ResistanceKernel.edges`: {edge id: (i, j, l, 1/l, rho_e l)}, in the
-graph's edge order, i and j the indices of the ends and the rest in the
-fast type.  rho_e itself is formed from rho_e l and 1/l where it is read:
+graph's edge order, i and j the indices of the ends and the rest
+Fractions.  rho_e itself is formed from rho_e l and 1/l where it is read:
 by a potential's row, and for every edge by `density`, on its first read.
 Only this module reads the table's rows: the kernel's build, its canonical
 constant, `density`, the residual's pass and every potential's rows.
@@ -106,11 +106,11 @@ recurrence along one elimination-tree path, with no solve, and keeps it
 and every entry computed on the way
 (`linalg.Factorization.inverse_entry`).  A read is otherwise O(1)
 arithmetic.  The kernel is built on first use and kept on the (immutable)
-graph, which it validates once.  The factorization's entries and solutions
-are in the fast rational type of `mg.linalg`, as is the table, and every
-potential, S included, is formed on it, and its rows from it; a read
-computes on integers.  What a caller receives is plain: the densities,
-`entry` and every resistance."""
+graph, which it validates once.  Every value it keeps or returns is a
+plain Fraction built from its parts (`mg.linalg`): the factorization's
+entries and solutions, the table, every potential's vertex values, S
+included, the densities, `entry` and every resistance; a potential's rows
+and a read compute on integers."""
 
 from __future__ import annotations
 
@@ -122,19 +122,12 @@ from math import gcd, lcm
 from . import linalg
 from .errors import ConstancyViolation, EdgeNotFound
 from .graphs import GraphPoint, MetrizedGraph
-from .linalg import fast, plain
+from .linalg import parts
 
-_ONE = fast(1)  # rho_e l of every loop
-_ZERO = fast(0)  # a read's default constant
+_ONE = linalg.ratio(1, 1)  # rho_e l of every loop
+_ZERO = linalg.ratio(0, 1)  # a read's default constant, and an empty spread
 _new = object.__new__
 _KEPT = 64  # the denominators a kernel's reads keep to share
-
-
-def _parts(x) -> tuple:
-    """The numerator and denominator of an int or a Fraction."""
-    if isinstance(x, int):
-        return x, 1
-    return x._numerator, x._denominator
 
 
 def _lerp(pn: int, pd: int, qn: int, qd: int, wn: int, wd: int) -> tuple:
@@ -166,17 +159,16 @@ class _Potential:
     over the first k tents and A_k that of w (l - s) over the others, p0/d
     is f_u - B_k and p1/d is m + q l + (B_k - A_k)/l: a tent at s <= t adds
     w s (l - t)/l and one at s > t adds w t (l - s)/l.  The row is formed
-    on the first read inside its edge, from the kernel's edge table: q and
-    the tents' sums in the fast type of `mg.linalg`, the type of every
-    potential built here, and the rest on their integer parts, each sum over
-    the lcm of its terms' denominators.
+    on the first read inside its edge, from the kernel's edge table, on
+    integer parts: q by `linalg.product`, and every sum, the tents'
+    included, over the lcm of its terms' denominators, not reduced.
 
     `_point` reads the row at a point: its spread weight t/l as the integer
     pair (t_n l_d, t_d l_n), and its value as p0 t_d^2 + p1 t_n t_d + p2
     t_n^2 over d t_d^2, with t = t_n/t_d, neither reduced: one `bisect` and
     a few integer products, however many tents the edge has, and no gcd.
     `ResistanceKernel.read` combines two such points into one value, and
-    `read` reduces each part to the fast type, by one gcd each.  The
+    `read` reduces each part, by one gcd each.  The
     potential holds the kernel's vertex index and edge table but not the
     kernel, which holds S, so that no cycle keeps a kernel alive.  Every row
     is exact, so threads racing to fill a row store equal rows.
@@ -193,8 +185,8 @@ class _Potential:
     def read(self, x: GraphPoint) -> tuple[tuple, Fraction]:
         """x's spread weights (i, j, a), weight 1 - a on the vertex of index
         i and a on that of index j, and the potential at x, for x in the
-        normal form of `check_point`, in the fast type.  A vertex of index i
-        has weights (i, i, 0)."""
+        normal form of `check_point`.  A vertex of index i has weights (i,
+        i, 0)."""
         if x.is_vertex:
             i = self.index[x.vertex]
             return (i, i, 0), self.at_vertex[i]
@@ -207,13 +199,13 @@ class _Potential:
         and the value vn/vd, neither reduced, ad and vd > 0."""
         if x.is_vertex:
             i = self.index[x.vertex]
-            return (i, i, 0, 1, *_parts(self.at_vertex[i]))
+            return (i, i, 0, 1, *parts(self.at_vertex[i]))
         row = self._rows.get(x.edge)
         if row is None:
             row = self._rows[x.edge] = self._row(x.edge)
         i, j, ln, ld, offsets, segments = row
         t = x.offset
-        tn, td = _parts(t)
+        tn, td = parts(t)
         p0, p1, p2, d = segments[bisect_right(offsets, t)]
         return i, j, tn * ld, td * ln, (p0 * td + p1 * tn) * td + p2 * tn * tn, d * td * td
 
@@ -221,10 +213,10 @@ class _Potential:
         """The row of an edge, (i, j, l_n, l_d, offsets, segments), as the
         class docstring states it."""
         i, j, l, c, rho_l = self.edges[edge]
-        q = rho_l * c
+        q = linalg.product(rho_l._numerator, rho_l._denominator, c._numerator, c._denominator)
         if self.factor != 1:
-            q *= self.factor
-        (un, ud), (vn, vd) = _parts(self.at_vertex[i]), _parts(self.at_vertex[j])
+            q = linalg.product(q._numerator, q._denominator, *parts(self.factor))
+        (un, ud), (vn, vd) = parts(self.at_vertex[i]), parts(self.at_vertex[j])
         ln, ld, qn, qd = l._numerator, l._denominator, q._numerator, q._denominator
         # the slope (f_v - f_u)/l is sn/sd, sd = lcm(ud, vd) l_n, and d, the
         # lcm of sd and l_d qd, the denominator of l q, is a multiple of ud
@@ -239,15 +231,19 @@ class _Potential:
         if not listed:
             return i, j, ln, ld, [], [(p0, p1, p2, d)]
         # before[k]: the sum of w s over the first k tents; after[k]: that
-        # of w (l - s) over the others
-        before, after = [0], [0]
+        # of w (l - s) over the others; each on integer parts
+        before, after = [(0, 1)], [(0, 1)]
         for s, w in listed:
-            before.append(before[-1] + w * s)
+            (sn, sd), (wn, wd) = parts(s), parts(w)
+            before.append(linalg.lcm_sum(((wn * sn, wd * sd),), *before[-1]))
         for s, w in reversed(listed):
-            after.append(after[-1] + w * (l - s))
+            (sn, sd), (wn, wd) = parts(s), parts(w)
+            after.append(linalg.lcm_sum(((wn * (ln * sd - sn * ld), wd * ld * sd),), *after[-1]))
         segments = []
-        for bk, ak in zip(before, reversed(after)):
-            (bn, bd), (en, ed) = _parts(bk), _parts((bk - ak) * c)
+        for (bn, bd), (an, ad) in zip(before, reversed(after)):
+            # (B_k - A_k)/l, l = ln/ld
+            en, ed = linalg.lcm_sum(((-an, ad),), bn, bd)
+            en, ed = en * ld, ed * ln
             dk = lcm(d, bd, ed)
             m = dk // d
             segments.append((p0 * m - bn * (dk // bd), p1 * m + en * (dk // ed), p2 * m, dk))
@@ -277,7 +273,7 @@ class ResistanceKernel:
     gives the factorization (`mg.linalg`) each edge's (i, j, 1/l) from its
     table, and the factorization grounds index 0: it sums the Laplacian,
     answers 0 in the ground's row and column, and holds Gamma's other
-    entries in the fast type: its selected inverse, on the diagonal and
+    entries: its selected inverse, on the diagonal and
     every pair of adjacent vertices, plus the fill, and every entry read off
     that pattern so far.  `read` and `entry` read Gamma from it directly,
     and `solve` solves against it.  Every point read is `read` on a
@@ -304,7 +300,7 @@ class ResistanceKernel:
         index = self.index = {v: i for i, v in enumerate(vertices)}
         edges = self.edges = {}
         for e in g.edges:
-            i, j, l = index[e.u], index[e.v], fast(e.length)
+            i, j, l = index[e.u], index[e.v], e.length
             edges[e.id] = (i, j, l, linalg.reciprocal(l))
         factors = self._factors = linalg.Factorization(
             len(index), [(i, j, c) for i, j, _, c in edges.values()]
@@ -315,19 +311,20 @@ class ResistanceKernel:
         # r_e = Gamma_uu + Gamma_vv - 2 Gamma_uv, with Gamma_uv on the
         # pattern, and rho_e l = (l - r_e)/l = 1 - r_e/l: so rho_e l = 1 for
         # a loop, whose r_e is 0.  r_e/l is formed on integer parts over
-        # one lcm and reduced once.  2 mu_can spreads 2 - valence(v) + sum
-        # over e's ends at v of rho_e l onto v, that is 2 - sum of r_e/l, to
-        # which a loop adds nothing: each vertex's terms -r_e/l are kept
-        # and summed with 2 over one lcm, reduced once
+        # one lcm, and 1 - r_e/l reduced once, so that -r_e/l = rho_e l - 1
+        # is in lowest terms with no second gcd.  2 mu_can spreads 2 -
+        # valence(v) + sum over e's ends at v of rho_e l onto v, that is 2 -
+        # sum of r_e/l, to which a loop adds nothing: each vertex's terms
+        # -r_e/l are kept and summed with 2 over one lcm, reduced once
         terms: list[list] = [[] for _ in vertices]
         for e, (i, j, l, c) in edges.items():
             rho_l = _ONE
             if i != j:
-                gn, gd = _parts(factors.inverse_entry(i, j))
-                n, d = linalg.lcm_sum((_parts(diagonal[i]), _parts(diagonal[j])), -2 * gn, gd)
-                r_l = linalg.ratio(n * c._numerator, d * c._denominator)
-                rho_l = 1 - r_l
-                t = (-r_l._numerator, r_l._denominator)
+                gn, gd = parts(factors.inverse_entry(i, j))
+                n, d = linalg.lcm_sum((parts(diagonal[i]), parts(diagonal[j])), -2 * gn, gd)
+                n, d = n * c._numerator, d * c._denominator
+                rho_l = linalg.ratio(d - n, d)
+                t = (rho_l._numerator - rho_l._denominator, rho_l._denominator)
                 terms[i].append(t)
                 terms[j].append(t)
             edges[e] = (i, j, l, c, rho_l)
@@ -341,7 +338,7 @@ class ResistanceKernel:
         """The mass of 2 mu_can, summed from `canonical` on integer parts,
         over the lcm of its denominators, and reduced once: 2 by Foster's
         identity, as the r_e/l sum to the number of vertices less 1."""
-        return linalg.ratio(*linalg.lcm_sum(map(_parts, self.canonical)))
+        return linalg.ratio(*linalg.lcm_sum(map(parts, self.canonical)))
 
     @cached_property
     def canonical_constant(self):
@@ -359,16 +356,19 @@ class ResistanceKernel:
             (r._numerator ** 2 * l._numerator, 3 * r._denominator ** 2 * l._denominator)
             for _, _, l, _, r in self.edges.values() if r._numerator
         ]
-        for (mn, md), (sn, sd) in zip(map(_parts, self.canonical), map(_parts, self.ground.at_vertex)):
+        for (mn, md), (sn, sd) in zip(map(parts, self.canonical), map(parts, self.ground.at_vertex)):
             if mn and sn:
                 terms.append((mn * sn, md * sd))
         return linalg.ratio(*linalg.lcm_sum(terms))
 
     @cached_property
     def density(self) -> dict:
-        """{edge id: canonical density rho_e}, as plain Fractions, formed
-        from the table's rho_e l on first read."""
-        return {e: plain(rho_l * c) for e, (_, _, _, c, rho_l) in self.edges.items()}
+        """{edge id: canonical density rho_e}, formed from the table's
+        rho_e l and 1/l on first read."""
+        return {
+            e: linalg.product(rho_l._numerator, rho_l._denominator, c._numerator, c._denominator)
+            for e, (_, _, _, c, rho_l) in self.edges.items()
+        }
 
     def certify(self) -> None:
         """Check, once per kernel, the identities every read of it rests on:
@@ -396,14 +396,14 @@ class ResistanceKernel:
         self.certified = True
 
     def solve(self, m: list) -> list:
-        """Gamma·m, in the fast type: m[0] is not read."""
+        """Gamma·m: m[0] is not read."""
         return self._factors.solve(m)
 
     def laplacian(self, x: list) -> list:
         """L·x over all vertices, L the graph's Laplacian: at v, the sum of
         (x_v - x_u)/l over the edges at v, u being an edge's other end, a
         loop adding nothing.  Each vertex's sum is `_excess`'s, reduced
-        once, in the fast type."""
+        once."""
         return [linalg.ratio(n, d) for n, d in self._excess(x, ())]
 
     def _excess(self, x: list, ms) -> list:
@@ -416,13 +416,13 @@ class ResistanceKernel:
         (`linalg.lcm_sum`)."""
         terms: list[list] = [[] for _ in x]
         for m in ms:
-            for t, (n, d) in zip(terms, map(_parts, m)):
+            for t, (n, d) in zip(terms, map(parts, m)):
                 if n:
                     t.append((-n, d))
         for i, j, _, c, _ in self.edges.values():
             if i != j:
                 # x_i - x_j over lcm(ad, bd), times c = 1/l
-                (an, ad), (bn, bd) = _parts(x[i]), _parts(x[j])
+                (an, ad), (bn, bd) = parts(x[i]), parts(x[j])
                 g = gcd(ad, bd)
                 q = bd // g
                 n = (an * q - bn * (ad // g)) * c._numerator
@@ -449,15 +449,15 @@ class ResistanceKernel:
         return None
 
     def entry(self, i: int, j: int) -> Fraction:
-        """Gamma_ij as a plain Fraction."""
-        return plain(self._factors.inverse_entry(i, j))
+        """Gamma_ij."""
+        return self._factors.inverse_entry(i, j)
 
     def read(
         self, f: _Potential, x: GraphPoint, y: GraphPoint, k: int, const=_ZERO
     ) -> Fraction:
         """f(x) + f(y) + k X(x, y) + const, a plain Fraction, for a
         potential f, points in the normal form of `check_point`, an int k
-        and a Fraction const of either type: -2 and 0 for r on S, 1 and -c
+        and a Fraction const: -2 and 0 for r on S, 1 and -c
         for g on h.
 
         X = sum a_i b_j Gamma_ij over the spread weights of x and y
@@ -476,17 +476,17 @@ class ResistanceKernel:
         i, j, an, ad, xn, xd = f._point(x)
         u, v, bn, bd, yn, yd = f._point(y)
         gamma = self._factors.inverse_entry
-        zn, zd = _parts(gamma(i, u))
+        zn, zd = parts(gamma(i, u))
         if bn:
-            zn, zd = _lerp(zn, zd, *_parts(gamma(i, v)), bn, bd)
+            zn, zd = _lerp(zn, zd, *parts(gamma(i, v)), bn, bd)
         if an:
-            wn, wd = _parts(gamma(j, u))
+            wn, wd = parts(gamma(j, u))
             if bn:
-                wn, wd = _lerp(wn, wd, *_parts(gamma(j, v)), bn, bd)
+                wn, wd = _lerp(wn, wd, *parts(gamma(j, v)), bn, bd)
             zn, zd = _lerp(zn, zd, wn, wd, an, ad)
             if bn and x.edge == y.edge:  # one l, so a <= b iff s <= t
                 s, cn, cd = (x.offset, bn, bd) if an * bd <= bn * ad else (y.offset, an, ad)
-                sn, sd = _parts(s)
+                sn, sd = parts(s)
                 tn, td = sn * (cd - cn), sd * cd
                 d = lcm(zd, td)
                 zn, zd = zn * (d // zd) + tn * (d // td), d
@@ -516,8 +516,10 @@ class ResistanceKernel:
 
 def _potential(kernel: ResistanceKernel, atoms: dict) -> tuple:
     """The atoms nu spread over the vertices as m, with the constant k =
-    integral S dnu and nu's atoms inside edges, in the fast rational type of
-    `mg.linalg`.
+    integral S dnu and nu's atoms inside edges: k, and each entry of m that
+    an atom inside an edge reaches, one sum on integer parts over the lcm
+    of its terms' denominators, reduced once; an atom at a vertex that none
+    reaches is its entry as it is.
 
     With x = Gamma·m (`ResistanceKernel.solve`; `mg.green` solves for D
     alone, as the kernel's 2 m_can has Gamma·2 m_can = S) they determine
@@ -527,28 +529,33 @@ def _potential(kernel: ResistanceKernel, atoms: dict) -> tuple:
     each atom a of nu inside e at offset s, listed as (s, a) under e.  An
     atom is keyed by a vertex id, or by an interior GraphPoint in the normal
     form of `check_point`: one at a vertex puts its mass there, with no
-    GraphPoint, and one inside an edge spreads as S does (`_Potential.read`).
+    GraphPoint, and one inside an edge spreads as S does (`_Potential._point`).
     """
     index, ground = kernel.index, kernel.ground
     # as r(w, z) = S(w) + S(z) - 2 X(w, z), f(w) = S(w) nu(G) + integral
-    # S dnu - 2 (Gamma m)_w
-    masses = [0] * len(index)
-    k = 0
+    # S dnu - 2 (Gamma m)_w.  An atom at a vertex is its mass there, and
+    # the terms that atoms inside edges spread are summed with it
+    masses = [_ZERO] * len(index)
+    spread: dict = {}  # {vertex index: [terms spread from inside edges]}
+    k = []
     inside: dict = {}
     for site, a in atoms.items():
-        a = fast(a)
+        an, ad = parts(a)
         i = index.get(site)
         if i is None:
-            (i, j, w), s = ground.read(site)
-            aw = a * w
-            masses[i] += a - aw
-            masses[j] += aw
-            k += a * s
+            # a (1 - w) on the vertex of index i and a w on that of j
+            i, j, wn, wd, sn, sd = ground._point(site)
+            spread.setdefault(i, []).append((an * (wd - wn), ad * wd))
+            spread.setdefault(j, []).append((an * wn, ad * wd))
+            k.append((an * sn, ad * sd))
             inside.setdefault(site.edge, []).append((site.offset, a))
-        elif a:
-            masses[i] += a
-            k += a * ground.at_vertex[i]
-    return masses, k, inside
+        elif an:
+            masses[i] = a
+            sn, sd = parts(ground.at_vertex[i])
+            k.append((an * sn, ad * sd))
+    for i, t in spread.items():
+        masses[i] = linalg.ratio(*linalg.lcm_sum(t, *parts(masses[i])))
+    return masses, linalg.ratio(*linalg.lcm_sum(k)), inside
 
 
 def resistance_kernel(g: MetrizedGraph) -> ResistanceKernel:

@@ -51,8 +51,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mg import linalg
-
 from mg.errors import (
     ConstancyViolation,
     DegreeMinusTwo,
@@ -748,10 +746,10 @@ def pair(kernel, f, x: GraphPoint, y: GraphPoint) -> tuple:
 def kernel_resistance(kernel, p: GraphPoint, q: GraphPoint) -> Fraction:
     """r(p, q) = S(p) + S(q) - 2X(p, q), by `pair` on the kernel's S."""
     f, x = pair(kernel, kernel.ground, p, q)
-    return linalg.plain(f - 2 * x)
+    return Fraction(f - 2 * x)
 
 
 def kernel_green(system, x: GraphPoint, y: GraphPoint) -> Fraction:
     """g(x, y) = h(x) + h(y) + X(x, y) - c, by `pair` on the system's h."""
     f, z = pair(system._kernel, system._h, x, y)
-    return linalg.plain(f + z - system.c)
+    return Fraction(f + z - system.c)

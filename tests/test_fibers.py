@@ -471,7 +471,7 @@ def test_closed_form_and_counts_match_reference(seed, regenus):
 
 class TestPublicTypes:
     """Fiber values a caller receives are plain Fractions: neither ints nor
-    the fast rational type of `mg.linalg`."""
+    a subclass of Fraction."""
 
     def configs(self):
         rng = Random(109)

@@ -4,9 +4,10 @@ pivot order must be equal.  The factorization takes a graph's conductances
 and grounds vertex 0, so each graph is given with a randomly chosen vertex
 moved to the front, and the reference eliminates its Laplacian with that
 row and column removed.  Parallel edges add, loops conduct nothing, and
-Gamma is 0 in the ground vertex's row and column.  The fast rational type
-the build loops compute on must give exactly what `Fraction` gives, and
-must never reach a caller."""
+Gamma is 0 in the ground vertex's row and column.  Every value the build
+loops form from integer parts must be a Fraction in lowest terms, exactly
+what `Fraction`'s own operators give, and what reaches a caller must be
+exactly a `Fraction`."""
 
 import operator
 from fractions import Fraction
@@ -65,8 +66,8 @@ def family_graph(rng: Random, family: str) -> MetrizedGraph:
 
 
 def conductances(g: MetrizedGraph) -> list[tuple]:
-    """One (i, j, 1/l) per edge, indexed in `vertex_list` order and in the
-    fast type, as the resistance kernel passes them."""
+    """One (i, j, 1/l) per edge, indexed in `vertex_list` order, as the
+    resistance kernel passes them."""
     index = {v: i for i, v in enumerate(g.vertex_list)}
     return [(index[e.u], index[e.v], linalg.reciprocal(e.length)) for e in g.edges]
 
@@ -113,7 +114,7 @@ def test_matches_dense_reference(seed, family):
         b_copy = list(b)
         x = factors.solve(b)
         assert x == [0, *ref.solve_columns(a, [b[1:]])[0]]
-        assert all(type(xi) is FAST for xi in x)
+        assert all(type(xi) is Fraction for xi in x)
         assert b == b_copy
 
 
@@ -157,7 +158,7 @@ def test_every_inverse_entry_matches_dense_inverse(seed, family):
     for i in range(1, n):
         assert z[i].keys() == set(range(1, n))
         for j, x in z[i].items():
-            assert type(x) is FAST and z[j][i] == x
+            assert type(x) is Fraction and z[j][i] == x
     assert_paths_stay_sparse(factors)
 
 
@@ -208,10 +209,6 @@ def test_pivot_order_matches_scan(seed, family):
     assert [k for k, _, _ in factors.steps] == [k + 1 for k in ref.pivot_order(a)]
 
 
-def q(*parts):
-    return linalg.fast(Fraction(*parts))
-
-
 def state(factors):
     """What a factorization keeps: its steps, its pivot positions and the
     entries of Gamma it knows."""
@@ -221,27 +218,27 @@ def state(factors):
 def test_parallel_conductances_add():
     """Two edges between one pair conduct as one edge of their sum, also
     at the ground vertex."""
-    split = [(0, 1, q(1)), (1, 2, q(1, 2)), (2, 1, q(1, 3)), (1, 0, q(2))]
-    whole = [(0, 1, q(3)), (1, 2, q(5, 6))]
+    split = [(0, 1, Fraction(1)), (1, 2, Fraction(1, 2)), (2, 1, Fraction(1, 3)), (1, 0, Fraction(2))]
+    whole = [(0, 1, Fraction(3)), (1, 2, Fraction(5, 6))]
     assert state(linalg.Factorization(3, split)) == state(linalg.Factorization(3, whole))
 
 
 def test_loop_changes_nothing():
-    path = [(0, 1, q(1)), (1, 2, q(1, 2))]
-    looped = [(2, 2, q(7)), *path, (0, 0, q(3)), (1, 1, q(1, 5))]
+    path = [(0, 1, Fraction(1)), (1, 2, Fraction(1, 2))]
+    looped = [(2, 2, Fraction(7)), *path, (0, 0, Fraction(3)), (1, 1, Fraction(1, 5))]
     assert state(linalg.Factorization(3, looped)) == state(linalg.Factorization(3, path))
 
 
 def test_solve_ignores_the_ground_entry():
-    factors = linalg.Factorization(3, [(0, 1, q(1)), (1, 2, q(1, 2))])
+    factors = linalg.Factorization(3, [(0, 1, Fraction(1)), (1, 2, Fraction(1, 2))])
     x = factors.solve([Fraction(5), 1, Fraction(-1, 3)])
     assert x == factors.solve([0, 1, Fraction(-1, 3)]) == [0, Fraction(2, 3), Fraction(0)]
-    assert type(x[0]) is FAST
+    assert type(x[0]) is Fraction
 
 
 def test_ground_row_and_column_are_zero():
     """Gamma_0j = Gamma_i0 = 0, read without storing anything."""
-    factors = linalg.Factorization(3, [(0, 1, q(1)), (1, 2, q(1, 2)), (0, 2, q(2))])
+    factors = linalg.Factorization(3, [(0, 1, Fraction(1)), (1, 2, Fraction(1, 2)), (0, 2, Fraction(2))])
     stored = [dict(row) for row in factors._inverse]
     assert [factors.inverse_entry(0, j) for j in range(3)] == [0, 0, 0]
     assert [factors.inverse_entry(i, 0) for i in range(3)] == [0, 0, 0]
@@ -251,7 +248,7 @@ def test_ground_row_and_column_are_zero():
 def test_empty_system():
     """A one-vertex graph, loops or not, grounds its only vertex: nothing
     is eliminated, and Gamma is the 1 x 1 zero."""
-    for edges in ([], [(0, 0, q(2))]):
+    for edges in ([], [(0, 0, Fraction(2))]):
         factors = linalg.Factorization(1, edges)
         assert factors.steps == [] and factors._inverse == [{}]
         assert factors.solve([Fraction(7)]) == [0]
@@ -259,14 +256,14 @@ def test_empty_system():
 
 
 def test_one_unknown():
-    factors = linalg.Factorization(2, [(0, 1, q(2, 3))])
+    factors = linalg.Factorization(2, [(0, 1, Fraction(2, 3))])
     assert factors.solve([0, Fraction(1)]) == [0, Fraction(3, 2)]
     assert factors.solve([Fraction(9), Fraction(-5, 7)]) == [0, Fraction(-15, 14)]
     assert factors._inverse == [{}, {1: Fraction(3, 2)}]
 
 
 def test_right_hand_side_length_mismatch():
-    factors = linalg.Factorization(3, [(0, 1, q(1)), (1, 2, q(1))])
+    factors = linalg.Factorization(3, [(0, 1, Fraction(1)), (1, 2, Fraction(1))])
     for b in ([Fraction(1)] * 2, [Fraction(1)] * 4):
         with pytest.raises(ValueError, match="length mismatch"):
             factors.solve(b)
@@ -279,111 +276,32 @@ def test_disconnected_graph_is_singular():
         ["a", "b", "c", "d"],
         [("e0", "a", "b", Fraction(1)), ("e1", "c", "d", Fraction(1, 2))],
     )
-    for n, cs in ((4, conductances(g)), (2, []), (3, [(0, 1, q(1)), (2, 2, q(1))])):
+    for n, cs in ((4, conductances(g)), (2, []), (3, [(0, 1, Fraction(1)), (2, 2, Fraction(1))])):
         with pytest.raises(ValueError, match="singular system"):
             linalg.Factorization(n, cs)
 
 
-# -- the fast type -------------------------------------------------------------
+# -- the fused multiply-subtract -----------------------------------------------
 
-FAST = type(linalg.fast(0))
 PARTS = st.integers(-5, 5) | st.integers(-(10**40), 10**40)
 DENOMINATORS = st.integers(1, 5) | st.integers(1, 10**40)
 RATIONALS = st.builds(Fraction, PARTS, DENOMINATORS)
-OPERANDS = st.one_of(PARTS, RATIONALS, RATIONALS.map(linalg.fast))
-OPERATORS = (operator.add, operator.sub, operator.mul, operator.truediv)
-
-
-def outcome(op, x, y):
-    """op(x, y) as (type, value), or the class of the exception it raises."""
-    try:
-        z = op(x, y)
-    except ArithmeticError as exc:
-        return type(exc)
-    if isinstance(z, float):
-        return float, repr(z)  # repr: nan equals nan
-    return type(z), (z.numerator, z.denominator)
-
-
-@settings(max_examples=600, deadline=None)
-@given(
-    a=RATIONALS, b=OPERANDS, op=st.sampled_from(OPERATORS), reflected=st.booleans()
-)
-def test_fast_arithmetic_matches_fraction(a, b, op, reflected):
-    """a in the fast type against an int, a Fraction or another fast value,
-    on either side: the parts of the result are those of Fraction's, and a
-    division by zero raises ZeroDivisionError."""
-    x, y = (b, linalg.fast(a)) if reflected else (linalg.fast(a), b)
-    want = outcome(op, Fraction(x), Fraction(y))
-    got = outcome(op, x, y)
-    if want is ZeroDivisionError:
-        assert got is ZeroDivisionError
-    else:
-        assert got == (FAST, want[1])
 
 
 @settings(max_examples=400, deadline=None)
-@given(s=st.just(0) | RATIONALS.map(linalg.fast), a=RATIONALS, b=RATIONALS)
+@given(s=st.just(0) | RATIONALS, a=RATIONALS, b=RATIONALS)
 def test_submul_matches_operators(s, a, b):
-    """The fused s - a*b of the sweeps has the parts and the type of the
-    two operations it replaces, for s an int 0 or a fast value."""
-    a, b = linalg.fast(a), linalg.fast(b)
-    want, got = s - a * b, linalg._submul(s, a, b)
-    assert (type(got), got.numerator, got.denominator) == (
-        type(want), want.numerator, want.denominator
-    )
-
-
-@given(a=RATIONALS)
-def test_fast_negation_and_conversions(a):
-    q = linalg.fast(a)
-    assert type(q) is FAST and q == a and hash(q) == hash(a) and str(q) == str(a)
-    assert type(-q) is FAST and (-q).numerator == -a.numerator
-    assert (-q).denominator == a.denominator
-    p = linalg.plain(q)
-    assert type(p) is Fraction
-    assert (p.numerator, p.denominator) == (a.numerator, a.denominator)
-    assert type(q**2) is Fraction and q**2 == a**2
-
-
-COMPARANDS = st.one_of(
-    PARTS,
-    RATIONALS,
-    RATIONALS.map(linalg.fast),
-    st.booleans(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(-5, 5).map(float),
-)
-
-
-@settings(max_examples=400, deadline=None)
-@given(a=RATIONALS, b=COMPARANDS, reflected=st.booleans())
-def test_fast_comparison_matches_fraction(a, b, reflected):
-    """==, != and hash of a fast value are Fraction's, against an int, a
-    Fraction, a fast value, a float or a bool on either side, and a dict
-    keyed by Fraction finds a fast key of equal value."""
-    q = linalg.fast(a)
-    if reflected:
-        assert (b == q) == (b == a) and (b != q) == (b != a)
-    else:
-        assert (q == b) == (a == b) and (q != b) == (a != b)
-    assert hash(q) == hash(a)
-    assert {a: "found"}.get(q) == "found" and q in {Fraction(a)}
-    if not isinstance(b, float) or b == b:
-        assert ({b: 1}.get(q) == 1) == ({b: 1}.get(a) == 1)
-
-
-@settings(deadline=None)
-@given(
-    a=RATIONALS,
-    f=st.floats(-1e10, 1e10),
-    op=st.sampled_from(OPERATORS),
-    reflected=st.booleans(),
-)
-def test_float_operand_gives_what_fraction_gives(a, f, op, reflected):
-    args = (f, a) if reflected else (a, f)
-    fast_args = (f, linalg.fast(a)) if reflected else (linalg.fast(a), f)
-    assert outcome(op, *fast_args) == outcome(op, *args)
+    """The fused s - a*b of the sweeps, and the product a*b on parts, have
+    the parts and the type of the Fraction operations they replace, for s
+    an int 0 or a Fraction."""
+    pairs = [
+        (s - a * b, linalg._submul(s, a, b)),
+        (a * b, linalg.product(a.numerator, a.denominator, b.numerator, b.denominator)),
+    ]
+    for want, got in pairs:
+        assert (type(got), got.numerator, got.denominator) == (
+            type(want), want.numerator, want.denominator
+        )
 
 
 def test_fast_type_never_leaks():
@@ -443,11 +361,10 @@ def big_graph(rng: Random, family: str, digits: int) -> MetrizedGraph:
 
 
 def assert_reduced(x):
-    """x is in the fast type and in lowest terms, with a positive
-    denominator: `==` on the fast type compares the parts, so an unreduced
-    value would compare unequal to the reference's, but it is checked on its
-    own too."""
-    assert type(x) is FAST
+    """x is a Fraction in lowest terms, with a positive denominator: `==`
+    on Fractions compares the parts, so an unreduced value would compare
+    unequal to the reference's, but it is checked on its own too."""
+    assert type(x) is Fraction
     assert x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
 
 

@@ -93,6 +93,12 @@ def test_graph_point():
     )
     assert repr(p) == "GraphPoint('e' @ 1/3)"
     assert GraphPoint.on_edge("e", Fraction(1, 3)) == p and not p.is_vertex
+    # on_edge keeps a Fraction offset as it is, and converts anything else
+    t = Fraction(1, 3)
+    assert GraphPoint.on_edge("e", t).offset is t
+    for given in (1, "1/3", 0.5):
+        offset = GraphPoint.on_edge("e", given).offset
+        assert type(offset) is Fraction and offset == Fraction(given)
     v = GraphPoint("v")
     assert repr(v) == "GraphPoint('v')" and v.is_vertex
     assert v == GraphPoint.at_vertex("v") == GraphPoint(vertex="v")

@@ -2,6 +2,7 @@
 resistances, measures, Green values, c and e must agree exactly."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 from hypothesis import given, settings
@@ -36,17 +37,42 @@ def probe_points(rng: Random, g) -> list:
     return points
 
 
+def reduced(x) -> bool:
+    """x is a Fraction in lowest terms with a positive denominator."""
+    return type(x) is Fraction and x.denominator > 0 and gcd(x.numerator, x.denominator) == 1
+
+
+def signed_divisors(rng: Random, g) -> list:
+    """Two divisors with a point inside an edge of g, which has one: of
+    degree below -2, where deg D + 2 is negative, and between -2 and 0."""
+    e = rng.choice(g.edges)
+    inside = GraphPoint.on_edge(e.id, e.length * Fraction(rng.randint(1, 3), 4))
+    v = GraphPoint.at_vertex(rng.choice(g.vertex_list))
+    divisors = []
+    for degree in (-2 - frac(rng), -2 * Fraction(rng.randint(1, 6), 7)):
+        a = frac(rng)
+        divisors.append(RDivisor([(inside, a), (v, degree - a)]))
+    return divisors
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_kernel_matches_reference(seed):
+@given(seed=st.integers(0, 2**32 - 1), digits=st.integers(1, 40))
+def test_kernel_matches_reference(seed, digits):
+    """Resistances, measures, Green values, c and e of a random divisor
+    equal the reference's, on graphs with lengths of 1 to 40 digits in each
+    part.  Two more divisors, each with a point inside an edge, of degree
+    below -2 and between -2 and 0, so that deg D + 2 takes either sign:
+    c, e, g(D, D), g(D, y) and the reads equal the reference's, each a
+    Fraction in lowest terms with a positive denominator."""
     rng = Random(seed)
-    g = random_graph(rng, max_vertices=6)
+    g = random_graph(rng, max_vertices=6, digits=digits)
     d = random_divisor(rng, g, interior=True)
     points = probe_points(rng, g)
 
     for p in points:
         for q in points:
-            assert effective_resistance(g, p, q) == ref.effective_resistance(g, p, q)
+            r = effective_resistance(g, p, q)
+            assert r == ref.effective_resistance(g, p, q) and reduced(r)
     for e in g.edges:
         assert resistance_in_deleted_edge(g, e.id) == ref.resistance_in_deleted_edge(
             g, e.id
@@ -71,6 +97,22 @@ def test_kernel_matches_reference(seed):
             assert s.eval(x, y) == rs.eval(x, y)
     assert constant_c(s) == ref.constant_c(rs)
     assert e_of_system(s) == ref.e_of_system(rs)
+
+    if not g.edges:  # a point inside an edge needs one
+        v, top = g.vertex_list[0], 10**digits - 1
+        g = MetrizedGraph(g.vertex_list, [("loop", v, v, frac(rng, top, top))])
+    for d in signed_divisors(rng, g):
+        s, rs = green_system(g, d), ref.green_system(g, d)
+        values = [constant_c(s), e_of_system(s), s.pairing_dd()]
+        assert values == [ref.constant_c(rs), ref.e_of_system(rs), rs.pairing_dd()]
+        for y in [*d.support(), *points]:
+            values.append(s.green_of_divisor(y))
+            assert values[-1] == rs.green_of_divisor(y)
+        for x in points:
+            for y in d.support():
+                values.append(s.eval(x, y))
+                assert values[-1] == rs.eval(x, y)
+        assert all(map(reduced, values))
 
 
 @settings(max_examples=20, deadline=None)

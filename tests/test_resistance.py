@@ -25,7 +25,6 @@ from mg import (
     effective_resistance,
     fiber_report,
     green_system,
-    linalg,
     path_graph,
     resistance,
     resistance_in_deleted_edge,
@@ -159,8 +158,8 @@ class TestDeletedEdge:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_edge_table_matches_reference(seed):
     """The kernel's edge table holds, per edge in the graph's order, the
-    indices of its ends, l, 1/l and rho_e l, all three values in the fast
-    type, with rho_e = (l - r_e)/l^2 and r_e the reference resistance
+    indices of its ends, l, 1/l and rho_e l, all three values Fractions,
+    with rho_e = (l - r_e)/l^2 and r_e the reference resistance
     between the ends: a loop has rho_e = 1/l and a bridge 0.  `density` is
     rho_e, and so is S's t(l - t) coefficient, -p2/d, on the integer row it
     builds for an edge with no tent."""
@@ -169,14 +168,13 @@ def test_edge_table_matches_reference(seed):
     v = rng.choice(g.vertex_list)
     g = MetrizedGraph(g.vertex_list, [*g.edges, ("loop", v, v, frac(rng))])
     kernel = resistance.resistance_kernel(g)
-    fast = type(linalg.fast(0))
     assert list(kernel.edges) == list(kernel.density) == [e.id for e in g.edges]
     for e in g.edges:
         l = e.length
         rho = (l - ref.effective_resistance(g, e.u, e.v)) / l**2
         row = kernel.edges[e.id]
         assert row == (kernel.index[e.u], kernel.index[e.v], l, 1 / l, rho * l)
-        assert [type(x) for x in row[2:]] == [fast] * 3
+        assert [type(x) for x in row[2:]] == [Fraction] * 3
         i, j, ln, ld, offsets, segments = kernel.ground._row(e.id)
         assert (i, j, ln, ld, offsets) == (*row[:2], l.numerator, l.denominator, [])
         [(p0, p1, p2, d)] = segments
@@ -201,9 +199,9 @@ def test_potential_tents_match_their_sum(seed):
     l = e.length
     grid = [l * Fraction(k, 9) for k in range(1, 9)]
     tents = [(rng.choice(grid), frac(rng, positive=False)) for _ in range(rng.randint(1, 12))]
-    at_vertex = [linalg.fast(frac(rng, positive=False)) for _ in g.vertex_list]
-    factor = linalg.fast(frac(rng, positive=False))
-    inside = {e.id: [(s, linalg.fast(w)) for s, w in tents]}
+    at_vertex = [frac(rng, positive=False) for _ in g.vertex_list]
+    factor = frac(rng, positive=False)
+    inside = {e.id: tents}
     f = resistance._Potential(kernel.index, kernel.edges, at_vertex, inside, factor)
     i, j = kernel.index[e.u], kernel.index[e.v]
     rho = kernel.density[e.id]
@@ -217,7 +215,7 @@ def test_potential_tents_match_their_sum(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_read_matches_pair_reference(seed):
     """A resistance and a Green value, each one `ResistanceKernel.read` on
-    integer parts, equal the fast-type `pair` arithmetic that read replaced
+    integer parts, equal the Fraction `pair` arithmetic that read replaced
     (`reference.pair`), and `_Potential.read` on S and on h equals its
     reference, weights and value.  Lengths have 1 to 40 digits in each part
     (`MAX_RATIONAL_DIGITS`), and D has a point inside an edge, so that h has

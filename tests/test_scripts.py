@@ -44,8 +44,9 @@ def test_script_runs_cleanly(script):
 
 def test_exact_ops_at_seed_1():
     """The script's table at seed 1 is the pass `test_bench_smoke.py` pins
-    in SEED_1: its items, and its exact operations and work W per item, as
-    the script prints them."""
+    in SEED_1: its items, and its exact operations, work W and Fractions
+    built by the normalising constructor per item, as the script prints
+    them."""
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "exact_ops.py"), "--seed", "1"],
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
@@ -53,12 +54,12 @@ def test_exact_ops_at_seed_1():
     )
     assert proc.returncode == 0, proc.stderr
     header, *rows = proc.stdout.splitlines()[1:]
-    assert header.split()[:4] == ["workload", "items", "ops", "W"]
+    assert header.split() == ["workload", "items", "ops", "W", "bool", "new"]
     pinned = {
-        name: (f"{items}", f"{ops / items:.1f}", f"{w / items:.1f}")
-        for name, (items, *_, w, ops) in SEED_1.items()
+        name: (f"{items}", f"{ops / items:.1f}", f"{w / items:.1f}", f"{new / items:.1f}")
+        for name, (items, *_, w, ops, new) in SEED_1.items()
     }
-    assert {row.split()[0]: tuple(row.split()[1:4]) for row in rows} == pinned
+    assert {row.split()[0]: (*row.split()[1:4], row.split()[5]) for row in rows} == pinned
 
 
 def test_counter_restores_what_it_patches():
@@ -70,11 +71,10 @@ def test_counter_restores_what_it_patches():
     patched = [
         (linalg.Factorization, "__init__"),
         (linalg.Factorization, "_back"),
-        *((linalg, name) for name in OPERATIONS),
+        *((m, name) for m in modules for name in OPERATIONS
+          if getattr(m, name, None) is getattr(linalg, name)),
         *((getattr(importlib.import_module(module), owner), name)
           for _, module, owner, name in CALLS),
-        *((m, key) for m in modules for key in ("fast", "plain")
-          if getattr(m, key, None) is getattr(linalg, key)),
     ]
     real = [inspect.getattr_static(owner, name) for owner, name in patched]
     g = MetrizedGraph(
